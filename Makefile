@@ -1,6 +1,6 @@
 # Developer conveniences. The library itself has no build step.
 
-.PHONY: test bench bench-paper docs examples lint ops
+.PHONY: test bench bench-paper perfbench docs examples lint ops
 
 test:
 	pytest tests/ -q
@@ -17,6 +17,10 @@ bench:
 
 bench-paper:  ## only the per-figure/table reproductions (no extensions)
 	pytest benchmarks/test_fig*.py benchmarks/test_table*.py benchmarks/test_s5*.py --benchmark-only
+
+perfbench:  ## benchmark self-test, then a short run of all six workloads (exit 1 on any output check)
+	python -m pytest perfbench -q
+	python3 perfbench/run.py --seconds 0.45 --rounds 1
 
 docs:
 	python tools/gen_api_docs.py

@@ -57,7 +57,7 @@ def caravan_inner_count(packet: Packet) -> int:
     cursor = 0
     count = 0
     while cursor + UDP_HEADER_LEN <= len(body):
-        inner = UDPHeader.unpack(body[cursor:])
+        inner = UDPHeader.unpack(body, cursor)
         if inner.length < UDP_HEADER_LEN or cursor + inner.length > len(body):
             break
         count += 1
@@ -117,7 +117,7 @@ def decode_caravan(packet: Packet) -> List[Packet]:
     while cursor < len(body):
         if cursor + UDP_HEADER_LEN > len(body):
             raise ValueError("truncated caravan inner header")
-        inner = UDPHeader.unpack(body[cursor:])
+        inner = UDPHeader.unpack(body, cursor)
         payload_len = inner.length - UDP_HEADER_LEN
         if payload_len < 0 or cursor + inner.length > len(body):
             raise ValueError("bad caravan inner length")

@@ -21,7 +21,6 @@ from .ip import IP_HEADER_LEN, IP_MAX_PACKET, PX_CARAVAN_TOS, IPProto, IPv4Heade
 from .packet import Packet
 from .tcp import TCP_HEADER_LEN, TCPFlags, TCPHeader, TCPOption
 from .udp import UDP_HEADER_LEN, UDPHeader
-from .vector import checksum_many, serialize_many
 
 __all__ = [
     "EthernetHeader",
@@ -51,8 +50,6 @@ __all__ = [
     "internet_checksum",
     "verify_checksum",
     "incremental_update",
-    "checksum_many",
-    "serialize_many",
     "ip_to_str",
     "str_to_ip",
     "ip_to_bytes",

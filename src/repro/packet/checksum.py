@@ -8,8 +8,6 @@ padded with a zero byte on the right.
 from __future__ import annotations
 
 import struct
-import sys
-from array import array
 
 __all__ = [
     "ones_complement_sum",
@@ -19,52 +17,30 @@ __all__ = [
     "pseudo_header",
 ]
 
-_NEEDS_BYTESWAP = sys.byteorder == "little"
-
-
-def _scalar_ones_complement_sum(data: bytes, initial: int = 0) -> int:
-    """Reference word-at-a-time implementation (RFC 1071 directly).
-
-    Kept as the oracle for the vectorized fast path below; the
-    property suite asserts both agree on arbitrary buffers.
-    """
-    total = initial
-    if len(data) % 2:
-        total += data[-1] << 8
-        data = data[:-1]
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
 
 def ones_complement_sum(data: bytes, initial: int = 0) -> int:
     """Return the 16-bit ones' complement sum of *data*.
 
     ``initial`` allows chaining sums across several buffers (e.g. a
-    pseudo-header followed by the transport segment).
+    pseudo-header followed by the transport segment); it may be any
+    non-negative integer, folded or not, so a serializer can pass the
+    plain arithmetic sum of its header fields.
 
-    The words are summed in one C-level pass (``array('H')``) in host
-    byte order; because ones' complement addition commutes with byte
-    swapping, folding first and swapping the folded 16-bit result once
-    recovers the big-endian sum (RFC 1071 §2(B)).
+    Because ``2**16 == 1 (mod 0xFFFF)``, the buffer read as one
+    big-endian integer is congruent to the sum of its 16-bit words, so
+    one C-level ``int.from_bytes`` and one ``%`` replace the word loop
+    and the end-around-carry fold.  The residue alone cannot tell the
+    two ones' complement zeros apart: a nonzero input that is a
+    multiple of ``0xFFFF`` folds to ``0xFFFF`` (RFC 1071), only an
+    all-zero input to ``0`` — hence the ``or`` below.
     """
-    total = initial
-    if len(data) % 2:
-        # Pad the odd trailing byte with zero on the right, as the RFC
-        # specifies (equivalent to adding ``last_byte << 8``).
-        data = data + b"\x00"
-    if data:
-        partial = sum(array("H", data))
-        while partial >> 16:
-            partial = (partial & 0xFFFF) + (partial >> 16)
-        if _NEEDS_BYTESWAP:
-            partial = ((partial & 0xFF) << 8) | (partial >> 8)
-        total += partial
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    value = int.from_bytes(data, "big")
+    residue = value % 0xFFFF
+    if len(data) & 1:
+        # The odd trailing byte is the high half of a zero-padded word.
+        residue <<= 8
+    total = residue + initial
+    return total % 0xFFFF or (0xFFFF if value or initial else 0)
 
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:
@@ -88,9 +64,7 @@ def incremental_update(old_checksum: int, old_word: int, new_word: int) -> int:
     lengths so the full segment need not be re-summed.
     """
     total = (~old_checksum & 0xFFFF) + (~old_word & 0xFFFF) + (new_word & 0xFFFF)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    result = (~total) & 0xFFFF
+    result = internet_checksum(b"", total)
     # 0x0000 and 0xFFFF both encode zero in ones' complement, but only
     # 0xFFFF verifies against data summing to +0 — normalize to it.
     return result or 0xFFFF

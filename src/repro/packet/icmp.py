@@ -11,10 +11,14 @@ import struct
 from dataclasses import dataclass
 
 from .checksum import internet_checksum
+from .ip import field_range_error
 
 __all__ = ["ICMPType", "ICMPMessage", "ICMP_HEADER_LEN"]
 
 ICMP_HEADER_LEN = 8
+
+_HEAD = struct.Struct("!BBHI")
+_WIDTHS = (("icmp_type", 8), ("code", 8), ("rest", 32))
 
 
 class ICMPType:
@@ -77,16 +81,24 @@ class ICMPMessage:
             and self.code == ICMPType.CODE_FRAG_NEEDED
         )
 
+    def pack_header(self) -> bytes:
+        """Serialize the 8-byte header, with the checksum over header and payload."""
+        checksum = internet_checksum(
+            self.payload, (self.icmp_type << 8 | self.code) + self.rest
+        )
+        try:
+            return _HEAD.pack(self.icmp_type, self.code, checksum, self.rest)
+        except struct.error:
+            raise field_range_error(self, _WIDTHS) from None
+
     def pack(self) -> bytes:
         """Serialize with checksum."""
-        head = struct.pack("!BBHI", self.icmp_type, self.code, 0, self.rest)
-        checksum = internet_checksum(head + self.payload)
-        return head[:2] + struct.pack("!H", checksum) + head[4:] + self.payload
+        return self.pack_header() + self.payload
 
     @classmethod
-    def unpack(cls, data: bytes) -> "ICMPMessage":
-        """Parse an ICMP message from *data*."""
-        if len(data) < ICMP_HEADER_LEN:
+    def unpack(cls, data: bytes, offset: int = 0) -> "ICMPMessage":
+        """Parse an ICMP message occupying *data* from *offset* to its end."""
+        if len(data) - offset < ICMP_HEADER_LEN:
             raise ValueError("truncated ICMP message")
-        icmp_type, code, _checksum, rest = struct.unpack_from("!BBHI", data)
-        return cls(icmp_type=icmp_type, code=code, rest=rest, payload=bytes(data[ICMP_HEADER_LEN:]))
+        icmp_type, code, _checksum, rest = _HEAD.unpack_from(data, offset)
+        return cls(icmp_type, code, rest, bytes(data[offset + ICMP_HEADER_LEN :]))

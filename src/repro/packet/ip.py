@@ -14,11 +14,34 @@ from .checksum import internet_checksum, verify_checksum
 
 __all__ = ["IPProto", "IPv4Header", "IP_HEADER_LEN", "IP_MAX_PACKET", "PX_CARAVAN_TOS"]
 
+_HEAD = struct.Struct("!BBHHHBBHII")
+_WIDTHS = (
+    ("tos", 8), ("total_length", 16), ("identification", 16),
+    ("fragment_offset", 13), ("ttl", 8), ("protocol", 8),
+    ("src", 32), ("dst", 32),
+)
+
 IP_HEADER_LEN = 20
 #: Maximum IPv4 packet size (16-bit total length).
 IP_MAX_PACKET = 65535
 #: ToS value PXGW writes into caravan outer headers (DSCP pool-3 codepoint).
 PX_CARAVAN_TOS = 0x04
+
+
+def field_range_error(header, widths) -> ValueError:
+    """The error for the first field of *header* that overflows its wire width.
+
+    The ``pack`` methods call this only after ``struct`` has refused the
+    header, so the range checks cost nothing on the success path;
+    *widths* is the header's ``(field name, bits)`` table.
+    """
+    for name, bits in widths:
+        value = getattr(header, name)
+        if not (isinstance(value, int) and 0 <= value < 1 << bits):
+            return ValueError(
+                f"{type(header).__name__}.{name}={value!r} does not fit in {bits} bits"
+            )
+    return ValueError(f"{type(header).__name__} field out of range")
 
 
 class IPProto:
@@ -135,71 +158,69 @@ class IPv4Header:
 
         When *payload_len* is given the total-length field is derived
         from it; otherwise the stored ``total_length`` is used as-is.
+        The checksum is summed from the integer fields, not from packed
+        bytes, so the header is packed once with its checksum in place.
         """
-        if len(self.options) % 4:
+        options = self.options
+        if len(options) % 4:
             raise ValueError("IPv4 options must be padded to 32-bit words")
+        header_len = IP_HEADER_LEN + len(options)
         if payload_len is not None:
-            self.total_length = self.header_len + payload_len
-        if self.total_length > IP_MAX_PACKET:
-            raise ValueError(f"IPv4 packet too large: {self.total_length}")
-        ihl = self.header_len // 4
-        version_ihl = (4 << 4) | ihl
-        flags = (0x4000 if self.dont_fragment else 0) | (0x2000 if self.more_fragments else 0)
+            self.total_length = header_len + payload_len
+        total_length = self.total_length
+        if total_length > IP_MAX_PACKET:
+            raise ValueError(f"IPv4 packet too large: {total_length}")
         if self.fragment_offset > 0x1FFF:
             raise ValueError("fragment offset out of range")
-        flags_frag = flags | self.fragment_offset
-        head = struct.pack(
-            "!BBHHHBBHII",
-            version_ihl,
-            self.tos,
-            self.total_length,
-            self.identification,
-            flags_frag,
-            self.ttl,
-            self.protocol,
-            0,
-            self.src,
-            self.dst,
+        version_ihl = 0x40 | header_len >> 2
+        tos = self.tos
+        identification = self.identification
+        flags_frag = (
+            (0x4000 if self.dont_fragment else 0)
+            | (0x2000 if self.more_fragments else 0)
+            | self.fragment_offset
         )
-        head += self.options
-        checksum = internet_checksum(head)
-        return head[:10] + struct.pack("!H", checksum) + head[12:]
+        ttl = self.ttl
+        protocol = self.protocol
+        src = self.src
+        dst = self.dst
+        # The header's 16-bit words, added as integers (32-bit addresses
+        # are congruent to the sum of their halves mod 0xFFFF).
+        checksum = internet_checksum(
+            options,
+            (version_ihl << 8 | tos) + total_length + identification + flags_frag
+            + (ttl << 8 | protocol) + src + dst,
+        )
+        try:
+            head = _HEAD.pack(
+                version_ihl, tos, total_length, identification,
+                flags_frag, ttl, protocol, checksum, src, dst,
+            )
+        except struct.error:
+            raise field_range_error(self, _WIDTHS) from None
+        return head + options if options else head
 
     @classmethod
     def unpack(cls, data: bytes, verify: bool = True) -> "IPv4Header":
         """Parse an IPv4 header from the front of *data*."""
         if len(data) < IP_HEADER_LEN:
             raise ValueError("truncated IPv4 header")
+        header = cls.__new__(cls)
         (
-            version_ihl,
-            tos,
-            total_length,
-            identification,
-            flags_frag,
-            ttl,
-            protocol,
-            _checksum,
-            src,
-            dst,
-        ) = struct.unpack_from("!BBHHHBBHII", data)
-        version = version_ihl >> 4
-        if version != 4:
-            raise ValueError(f"not an IPv4 packet (version={version})")
+            version_ihl, header.tos, header.total_length, header.identification,
+            flags_frag, header.ttl, header.protocol, _checksum, header.src, header.dst,
+        ) = _HEAD.unpack_from(data)
+        if version_ihl >> 4 != 4:
+            raise ValueError(f"not an IPv4 packet (version={version_ihl >> 4})")
         header_len = (version_ihl & 0x0F) * 4
         if header_len < IP_HEADER_LEN or len(data) < header_len:
             raise ValueError("bad IPv4 header length")
         if verify and not verify_checksum(data[:header_len]):
             raise ValueError("IPv4 header checksum mismatch")
-        return cls(
-            src=src,
-            dst=dst,
-            protocol=protocol,
-            total_length=total_length,
-            identification=identification,
-            dont_fragment=bool(flags_frag & 0x4000),
-            more_fragments=bool(flags_frag & 0x2000),
-            fragment_offset=flags_frag & 0x1FFF,
-            ttl=ttl,
-            tos=tos,
-            options=bytes(data[IP_HEADER_LEN:header_len]),
+        header.dont_fragment = bool(flags_frag & 0x4000)
+        header.more_fragments = bool(flags_frag & 0x2000)
+        header.fragment_offset = flags_frag & 0x1FFF
+        header.options = (
+            bytes(data[IP_HEADER_LEN:header_len]) if header_len > IP_HEADER_LEN else b""
         )
+        return header

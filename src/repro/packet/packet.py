@@ -183,39 +183,66 @@ class Packet:
     # Serialization
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize to wire bytes (IP header onward), with checksums."""
-        if isinstance(self.l4, TCPHeader):
-            body = self.l4.pack(self.payload, self.ip.src, self.ip.dst) + self.payload
-        elif isinstance(self.l4, UDPHeader):
-            body = self.l4.pack(self.payload, self.ip.src, self.ip.dst) + self.payload
-        elif isinstance(self.l4, ICMPMessage):
-            body = self.l4.pack()
+        """Serialize to wire bytes (IP header onward), with checksums.
+
+        The headers are packed with their checksums already in place,
+        so the payload is read once (the L4 checksum) and copied once
+        (the final join).
+        """
+        ip = self.ip
+        l4 = self.l4
+        payload = self.payload
+        cls = l4.__class__
+        if cls is TCPHeader or cls is UDPHeader:
+            head = l4.pack(payload, ip.src, ip.dst)
+        elif cls is ICMPMessage:
+            head = l4.pack_header()
+            payload = l4.payload
         else:
-            body = self.payload
-        return self.ip.pack(payload_len=len(body)) + body
+            head = b""
+        return b"".join((ip.pack(len(head) + len(payload)), head, payload))
 
     @classmethod
     def from_bytes(cls, data: bytes, verify: bool = True) -> "Packet":
         """Parse wire bytes into a Packet.
 
-        Fragments with nonzero offset keep their bytes unparsed in
-        ``payload``; first fragments are parsed normally so flow keys
-        remain available to middleboxes.
+        ``ip.total_length`` must fit in *data* (bytes past it are link
+        padding and ignored) and a UDP ``length`` must equal the IP
+        payload, so what parses is self-consistent: ``total_len`` and
+        the headers' own length fields agree.
+
+        Fragments, the first one included, keep their bytes unparsed
+        in ``payload`` with ``l4`` set to ``None``.
         """
         ip = IPv4Header.unpack(data, verify=verify)
-        body = bytes(data[ip.header_len : ip.total_length])
-        if ip.fragment_offset > 0:
-            return cls(ip=ip, l4=None, payload=body)
-        if ip.protocol == IPProto.TCP and not ip.more_fragments:
-            tcp, hdr_len = TCPHeader.unpack(body)
-            return cls(ip=ip, l4=tcp, payload=body[hdr_len:])
-        if ip.protocol == IPProto.UDP and not ip.more_fragments:
-            udp = UDPHeader.unpack(body)
-            return cls(ip=ip, l4=udp, payload=body[8:])
-        if ip.protocol == IPProto.ICMP and not ip.more_fragments:
-            return cls(ip=ip, l4=ICMPMessage.unpack(body))
-        # First fragment of a fragmented datagram: leave unparsed.
-        return cls(ip=ip, l4=None, payload=body)
+        start = ip.header_len
+        end = ip.total_length
+        if end > len(data):
+            raise ValueError(
+                f"truncated packet: total length {end} exceeds the {len(data)} bytes given"
+            )
+        if end < start:
+            raise ValueError(f"IPv4 total length {end} shorter than its {start}-byte header")
+        if end < len(data):
+            data = data[:end]
+        if not (ip.fragment_offset or ip.more_fragments):
+            protocol = ip.protocol
+            if protocol == IPProto.TCP:
+                tcp, hdr_len = TCPHeader.unpack(data, start)
+                return cls(ip=ip, l4=tcp, payload=bytes(data[start + hdr_len :]))
+            if protocol == IPProto.UDP:
+                udp = UDPHeader.unpack(data, start)
+                if udp.length != end - start:
+                    raise ValueError(
+                        f"UDP length {udp.length} disagrees with the "
+                        f"{end - start}-byte IP payload"
+                    )
+                return cls(ip=ip, l4=udp, payload=bytes(data[start + 8 :]))
+            if protocol == IPProto.ICMP:
+                return cls(ip=ip, l4=ICMPMessage.unpack(data, start))
+        # A fragment (first ones included) or a protocol the library
+        # does not model: leave the bytes unparsed.
+        return cls(ip=ip, l4=None, payload=bytes(data[start:]))
 
     @staticmethod
     def _copy_l4(l4: Optional[L4Header]) -> Optional[L4Header]:

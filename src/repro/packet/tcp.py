@@ -11,12 +11,18 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .checksum import internet_checksum, ones_complement_sum, pseudo_header
-from .ip import IPProto
+from .checksum import internet_checksum
+from .ip import IPProto, field_range_error
 
 __all__ = ["TCPFlags", "TCPOption", "TCPHeader", "TCP_HEADER_LEN"]
 
 TCP_HEADER_LEN = 20
+
+_HEAD = struct.Struct("!HHIIBBHHH")
+_WIDTHS = (
+    ("src_port", 16), ("dst_port", 16), ("flags", 8), ("window", 16),
+    ("urgent", 16),
+)
 
 
 class TCPFlags:
@@ -247,61 +253,63 @@ class TCPHeader:
         return new
 
     def pack(self, payload: bytes = b"", src_ip: int = 0, dst_ip: int = 0) -> bytes:
-        """Serialize the header, computing the checksum if IPs given."""
-        opts = _pack_options(self.options)
-        data_offset = (TCP_HEADER_LEN + len(opts)) // 4
-        head = struct.pack(
-            "!HHIIBBHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            data_offset << 4,
-            self.flags,
-            self.window,
-            0,
-            self.urgent,
-        )
-        head += opts
+        """Serialize the header, computing the checksum if IPs given.
+
+        The pseudo-header and header are summed from their integer
+        fields, so *payload* is read exactly once and the header is
+        packed once with its checksum in place.
+        """
+        options = self.options
+        opts = _pack_options(options) if options else b""
+        header_len = TCP_HEADER_LEN + len(opts)
+        src_port = self.src_port
+        dst_port = self.dst_port
+        seq = self.seq & 0xFFFFFFFF
+        ack = self.ack & 0xFFFFFFFF
+        offset = header_len << 2  # data offset in the high nibble of its byte
+        flags = self.flags
+        window = self.window
+        urgent = self.urgent
         if src_ip or dst_ip:
-            seg_len = len(head) + len(payload)
-            pseudo = pseudo_header(src_ip, dst_ip, IPProto.TCP, seg_len)
-            partial = ones_complement_sum(pseudo)
-            partial = ones_complement_sum(head, partial)
-            self.checksum = internet_checksum(payload, partial)
+            # Pseudo-header and header words added as integers: a 32-bit
+            # field (or the option block, a whole number of words) is
+            # congruent to the sum of its 16-bit words mod 0xFFFF.
+            fields = (
+                src_ip + dst_ip + IPProto.TCP + header_len + len(payload)
+                + src_port + dst_port + seq + ack + (offset << 8 | flags)
+                + window + urgent
+            )
+            if opts:
+                fields += int.from_bytes(opts, "big")
+            checksum = internet_checksum(payload, fields)
         else:
-            self.checksum = 0
-        return head[:16] + struct.pack("!H", self.checksum) + head[18:]
+            checksum = 0
+        try:
+            head = _HEAD.pack(
+                src_port, dst_port, seq, ack, offset, flags, window, checksum, urgent,
+            )
+        except struct.error:
+            raise field_range_error(self, _WIDTHS) from None
+        self.checksum = checksum
+        return head + opts if opts else head
 
     @classmethod
-    def unpack(cls, data: bytes) -> "Tuple[TCPHeader, int]":
-        """Parse a TCP header; returns (header, header_length_bytes)."""
-        if len(data) < TCP_HEADER_LEN:
+    def unpack(cls, data: bytes, offset: int = 0) -> "Tuple[TCPHeader, int]":
+        """Parse a TCP header at *offset*; returns (header, header_length_bytes)."""
+        if len(data) - offset < TCP_HEADER_LEN:
             raise ValueError("truncated TCP header")
+        header = cls.__new__(cls)
         (
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            offset_byte,
-            flags,
-            window,
-            checksum,
-            urgent,
-        ) = struct.unpack_from("!HHIIBBHHH", data)
+            header.src_port, header.dst_port, header.seq, header.ack, offset_byte,
+            header.flags, header.window, header.checksum, header.urgent,
+        ) = _HEAD.unpack_from(data, offset)
         header_len = (offset_byte >> 4) * 4
-        if header_len < TCP_HEADER_LEN or len(data) < header_len:
+        if header_len < TCP_HEADER_LEN or len(data) - offset < header_len:
             raise ValueError("bad TCP data offset")
-        options = _unpack_options(data[TCP_HEADER_LEN:header_len])
-        header = cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=window,
-            checksum=checksum,
-            urgent=urgent,
-            options=options,
-        )
+        if header_len == TCP_HEADER_LEN:
+            header.options = []
+        else:
+            header.options = _unpack_options(
+                data[offset + TCP_HEADER_LEN : offset + header_len]
+            )
         return header, header_len

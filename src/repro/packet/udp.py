@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import struct
 
-from .checksum import internet_checksum, ones_complement_sum, pseudo_header
-from .ip import IPProto
+from .checksum import ones_complement_sum, verify_checksum
+from .ip import IPProto, field_range_error
 
 __all__ = ["UDPHeader", "UDP_HEADER_LEN"]
 
 UDP_HEADER_LEN = 8
+
+_HEAD = struct.Struct("!HHHH")
+_WIDTHS = (("src_port", 16), ("dst_port", 16), ("length", 16))
 
 
 class UDPHeader:
@@ -51,6 +54,17 @@ class UDPHeader:
             f"length={self.length}, checksum={self.checksum})"
         )
 
+    def _segment_sum(self, payload: bytes, src_ip: int, dst_ip: int) -> int:
+        """Ones' complement sum of pseudo-header, header (less its
+        checksum field) and *payload*, the header words added as
+        integers so the payload is the only buffer read."""
+        length = self.length
+        return ones_complement_sum(
+            payload,
+            src_ip + dst_ip + IPProto.UDP + length
+            + self.src_port + self.dst_port + length,
+        )
+
     def pack(self, payload: bytes = b"", src_ip: int = 0, dst_ip: int = 0) -> bytes:
         """Serialize header (and compute checksum when IPs are given).
 
@@ -58,35 +72,33 @@ class UDPHeader:
         ``0xFFFF``; zero on the wire means "no checksum".
         """
         self.length = UDP_HEADER_LEN + len(payload)
-        head = struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)
         if src_ip or dst_ip:
-            pseudo = pseudo_header(src_ip, dst_ip, IPProto.UDP, self.length)
-            partial = ones_complement_sum(pseudo)
-            partial = ones_complement_sum(head, partial)
-            checksum = internet_checksum(payload, partial)
-            if checksum == 0:
-                checksum = 0xFFFF
-            self.checksum = checksum
+            checksum = (0xFFFF - self._segment_sum(payload, src_ip, dst_ip)) or 0xFFFF
         else:
-            self.checksum = 0
-        return head[:6] + struct.pack("!H", self.checksum)
+            checksum = 0
+        try:
+            head = _HEAD.pack(self.src_port, self.dst_port, self.length, checksum)
+        except struct.error:
+            raise field_range_error(self, _WIDTHS) from None
+        self.checksum = checksum
+        return head
 
     @classmethod
-    def unpack(cls, data: bytes) -> "UDPHeader":
-        """Parse a UDP header from the front of *data*."""
-        if len(data) < UDP_HEADER_LEN:
+    def unpack(cls, data: bytes, offset: int = 0) -> "UDPHeader":
+        """Parse a UDP header at *offset* in *data*."""
+        if len(data) - offset < UDP_HEADER_LEN:
             raise ValueError("truncated UDP header")
-        src_port, dst_port, length, checksum = struct.unpack_from("!HHHH", data)
-        if length < UDP_HEADER_LEN:
+        header = cls.__new__(cls)
+        (
+            header.src_port, header.dst_port, header.length, header.checksum,
+        ) = _HEAD.unpack_from(data, offset)
+        if header.length < UDP_HEADER_LEN:
             raise ValueError("bad UDP length")
-        return cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
+        return header
 
     def verify(self, payload: bytes, src_ip: int, dst_ip: int) -> bool:
         """Return True if the stored checksum matches the given payload."""
         if self.checksum == 0:  # checksum disabled by sender
             return True
-        pseudo = pseudo_header(src_ip, dst_ip, IPProto.UDP, self.length)
-        head = struct.pack("!HHHH", self.src_port, self.dst_port, self.length, self.checksum)
-        partial = ones_complement_sum(pseudo)
-        partial = ones_complement_sum(head, partial)
-        return ones_complement_sum(payload, partial) == 0xFFFF
+        segment = self._segment_sum(payload, src_ip, dst_ip)
+        return verify_checksum(b"", segment + self.checksum)

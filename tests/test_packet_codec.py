@@ -1,0 +1,277 @@
+"""The wire codec (``Packet.to_bytes`` / ``from_bytes``) against independent oracles.
+
+The serializer never builds the bytes its checksums cover: it adds the
+header fields as integers and reads the payload once.  These tests
+check its output the slow way — the RFC 1071 word-at-a-time oracle from
+``tests/perf/test_checksum_property.py`` summed over the real
+pseudo-header bytes and the serialized segment — and pin the parser's
+length validation and the serializer's field write-back and errors.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.packet import (
+    ICMPMessage,
+    ICMPType,
+    IPProto,
+    IPv4Header,
+    Packet,
+    TCPHeader,
+    TCPOption,
+    UDPHeader,
+)
+from repro.packet.builder import build_icmp, build_tcp, build_udp
+from repro.packet.checksum import pseudo_header
+
+from .perf.test_checksum_property import rfc1071_sum
+
+# Zero and all-ones addresses are drawn often: (0, 0) is the "not yet
+# addressed, skip the checksum" case, and 0xFFFFFFFF sums to a
+# ones' complement zero.
+ip_addr = st.one_of(st.sampled_from([0, 0xFFFFFFFF]),
+                    st.integers(min_value=0, max_value=0xFFFFFFFF))
+port = st.integers(min_value=0, max_value=0xFFFF)
+word32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+# Empty, odd and even lengths, and buffers that sum to either zero.
+payload = st.one_of(
+    st.binary(max_size=200),
+    st.sampled_from([b"", b"\x00", b"\xff", b"\x00" * 33, b"\xff" * 33, b"\xff" * 64]),
+)
+# No explicit NOPs: the parser drops padding, so they do not round-trip.
+extra_options = st.lists(
+    st.sampled_from([
+        TCPOption.window_scale(7),
+        TCPOption.sack_permitted(),
+        TCPOption.timestamp(0xDEADBEEF, 1),
+    ]),
+    max_size=3,
+)
+
+
+@st.composite
+def tcp_packets(draw):
+    packet = build_tcp(
+        draw(ip_addr), draw(ip_addr), draw(port), draw(port),
+        payload=draw(payload),
+        seq=draw(word32), ack=draw(word32),
+        flags=draw(st.integers(min_value=0, max_value=0xFF)),
+        window=draw(port),
+        mss=draw(st.one_of(st.none(), st.integers(min_value=536, max_value=9000))),
+        tos=draw(st.integers(min_value=0, max_value=0xFF)),
+        ip_id=draw(port),
+    )
+    packet.tcp.options.extend(draw(extra_options))
+    packet.tcp.urgent = draw(port)
+    return packet
+
+
+@st.composite
+def udp_packets(draw):
+    return build_udp(
+        draw(ip_addr), draw(ip_addr), draw(port), draw(port),
+        payload=draw(payload), ip_id=draw(port),
+    )
+
+
+@st.composite
+def icmp_packets(draw):
+    return build_icmp(
+        draw(ip_addr), draw(ip_addr),
+        ICMPMessage(
+            icmp_type=draw(st.sampled_from([ICMPType.ECHO_REPLY, ICMPType.ECHO_REQUEST,
+                                            ICMPType.DEST_UNREACHABLE])),
+            code=draw(st.integers(min_value=0, max_value=4)),
+            rest=draw(word32),
+            payload=draw(st.binary(max_size=65)),
+        ),
+    )
+
+
+@st.composite
+def fragments(draw):
+    # A first or middle fragment: l4 is None, the payload is raw bytes.
+    ip = IPv4Header(
+        src=draw(ip_addr), dst=draw(ip_addr), protocol=IPProto.UDP,
+        identification=draw(port), more_fragments=True,
+        fragment_offset=draw(st.integers(min_value=0, max_value=512)),
+    )
+    return Packet(ip=ip, l4=None, payload=draw(st.binary(min_size=8, max_size=64)))
+
+
+any_packet = st.one_of(tcp_packets(), udp_packets(), icmp_packets(), fragments())
+
+
+def _checksum_field(wire: bytes, offset: int) -> int:
+    return struct.unpack_from("!H", wire, offset)[0]
+
+
+# ---------------------------------------------------------------------------
+# Serializer output against the oracle
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_packet)
+def test_round_trip_reserializes_to_the_same_bytes(packet):
+    wire = packet.to_bytes()
+    assert Packet.from_bytes(wire).to_bytes() == wire
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_packet)
+def test_ip_header_sums_to_ffff_under_the_oracle(packet):
+    wire = packet.to_bytes()
+    assert rfc1071_sum(wire[: packet.ip.header_len]) == 0xFFFF
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tcp_packets(), udp_packets()))
+def test_l4_segment_sums_to_ffff_under_the_oracle(packet):
+    wire = packet.to_bytes()
+    segment = wire[packet.ip.header_len :]
+    ip = packet.ip
+    if not (ip.src or ip.dst):
+        # Not yet addressed: no checksum is computed, zero is stored.
+        assert packet.l4.checksum == 0
+        return
+    pseudo = pseudo_header(ip.src, ip.dst, ip.protocol, len(segment))
+    assert rfc1071_sum(pseudo + segment) == 0xFFFF
+
+
+@settings(max_examples=60, deadline=None)
+@given(icmp_packets())
+def test_icmp_message_sums_to_ffff_under_the_oracle(packet):
+    wire = packet.to_bytes()
+    assert rfc1071_sum(wire[packet.ip.header_len :]) == 0xFFFF
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_packet)
+def test_to_bytes_writes_lengths_and_checksum_back(packet):
+    # Later code reads these fields off the headers (UDP verify, the
+    # incremental MSS rewrite, length accounting), so serializing must
+    # leave them equal to what went on the wire.
+    packet.ip.total_length = 0
+    wire = packet.to_bytes()
+    assert packet.ip.total_length == len(wire) == packet.total_len
+    start = packet.ip.header_len
+    if isinstance(packet.l4, TCPHeader):
+        assert packet.l4.checksum == _checksum_field(wire, start + 16)
+    elif isinstance(packet.l4, UDPHeader):
+        assert packet.l4.length == 8 + len(packet.payload)
+        assert packet.l4.checksum == _checksum_field(wire, start + 6)
+        assert packet.l4.verify(packet.payload, packet.ip.src, packet.ip.dst)
+
+
+def test_zero_ip_skips_the_l4_checksum():
+    for packet in (build_tcp(0, 0, 1, 2, payload=b"xy", ip_id=7),
+                   build_udp(0, 0, 1, 2, payload=b"xy", ip_id=7)):
+        packet.l4.checksum = 0x1234
+        wire = packet.to_bytes()
+        offset = 20 + (16 if packet.is_tcp else 6)
+        assert packet.l4.checksum == _checksum_field(wire, offset) == 0
+
+
+def test_udp_checksum_that_computes_to_zero_is_sent_as_ffff():
+    # RFC 768: a computed 0 is transmitted as 0xFFFF.  Solve for the
+    # payload word that drives the ones' complement sum to 0xFFFF.
+    probe = build_udp("10.0.0.1", "10.0.0.2", 5, 5, payload=b"\x00\x00", ip_id=3)
+    pseudo = pseudo_header(probe.ip.src, probe.ip.dst, IPProto.UDP, 10)
+    head = struct.pack("!HHHH", 5, 5, 10, 0)  # length 10, zero checksum field
+    word = 0xFFFF - rfc1071_sum(pseudo + head)
+    magic = build_udp("10.0.0.1", "10.0.0.2", 5, 5,
+                      payload=word.to_bytes(2, "big"), ip_id=3)
+    wire = magic.to_bytes()
+    assert magic.l4.checksum == _checksum_field(wire, 26) == 0xFFFF
+    assert rfc1071_sum(pseudo + wire[20:]) == 0xFFFF
+    assert Packet.from_bytes(wire).udp.verify(magic.payload, magic.ip.src, magic.ip.dst)
+
+
+def test_rfc1071_worked_example_as_a_udp_payload():
+    # RFC 1071 §3: the words 0001 f203 f4f5 f6f7 sum to 0xDDF2.
+    data = bytes.fromhex("0001f203f4f5f6f7")
+    packet = build_udp("10.0.0.1", "10.0.0.2", 7, 9, payload=data, ip_id=1)
+    wire = packet.to_bytes()
+    pseudo = pseudo_header(packet.ip.src, packet.ip.dst, IPProto.UDP, 16)
+    head = struct.pack("!HHHH", 7, 9, 16, 0)
+    expected = 0xFFFF - rfc1071_sum(pseudo + head, 0xDDF2)
+    assert _checksum_field(wire, 26) == expected
+
+
+def test_fragment_offset_and_tcp_option_limits_are_enforced():
+    with pytest.raises(ValueError, match="fragment offset"):
+        Packet(ip=IPv4Header(fragment_offset=0x2000), payload=b"").to_bytes()
+    with pytest.raises(ValueError, match="40 bytes"):
+        TCPHeader(options=[TCPOption.timestamp(1, 2)] * 5).pack()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: build_tcp("1.1.1.1", "2.2.2.2", 1, 2, window=70000), "window"),
+    (lambda: build_tcp("1.1.1.1", "2.2.2.2", 70000, 2), "src_port"),
+    (lambda: build_tcp("1.1.1.1", "2.2.2.2", 1, 2, flags=0x1FF), "flags"),
+    (lambda: build_tcp("1.1.1.1", "2.2.2.2", 1, 2, tos=300), "tos"),
+    (lambda: build_tcp("1.1.1.1", "2.2.2.2", 1, 2, ttl=-1), "ttl"),
+    (lambda: build_udp("1.1.1.1", "2.2.2.2", 1, -2), "dst_port"),
+    (lambda: build_udp(1 << 32, "2.2.2.2", 1, 2), "src"),
+    (lambda: build_icmp("1.1.1.1", "2.2.2.2", ICMPMessage(icmp_type=256)), "icmp_type"),
+    (lambda: build_icmp("1.1.1.1", "2.2.2.2", ICMPMessage(rest=1 << 32)), "rest"),
+])
+def test_out_of_range_field_raises_value_error_naming_it(make, field):
+    with pytest.raises(ValueError, match=rf"\.{field}="):
+        make().to_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Parser length validation
+# ---------------------------------------------------------------------------
+
+
+def test_truncation_below_total_length_is_refused():
+    wire = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"p" * 100).to_bytes()
+    assert len(wire) == 140
+    with pytest.raises(ValueError, match="truncated"):
+        Packet.from_bytes(wire[:80])
+    datagram = build_udp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"p" * 50).to_bytes()
+    with pytest.raises(ValueError, match="truncated"):
+        Packet.from_bytes(datagram[:40])
+
+
+def test_total_length_shorter_than_the_header_is_refused():
+    header = IPv4Header(src=1, dst=2, protocol=IPProto.UDP, total_length=12)
+    with pytest.raises(ValueError, match="shorter than"):
+        Packet.from_bytes(header.pack() + b"\x00" * 20)
+
+
+@pytest.mark.parametrize("claimed", [58, 12])
+def test_udp_length_that_disagrees_with_the_ip_payload_is_refused(claimed):
+    # 12 bytes of payload: UDP length should read 20.
+    wire = bytearray(build_udp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"p" * 12).to_bytes())
+    struct.pack_into("!H", wire, 24, claimed)
+    with pytest.raises(ValueError, match="UDP length"):
+        Packet.from_bytes(bytes(wire), verify=False)
+
+
+def test_bytes_past_total_length_are_link_padding():
+    # A 46-byte Ethernet minimum pads short packets; the parser stops
+    # at total_length and the TCP header may not reach into the padding.
+    packet = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"hi", mss=1460)
+    wire = packet.to_bytes()
+    parsed = Packet.from_bytes(wire + b"\x00" * 6)
+    assert parsed.payload == b"hi" and parsed.total_len == len(wire)
+    assert parsed.to_bytes() == wire
+    lying = bytearray(wire[:40] + b"\x00" * 20)
+    struct.pack_into("!H", lying, 2, 40)  # total_length: headers only
+    lying[32] = 0xF0  # data offset 60 bytes, past total_length
+    with pytest.raises(ValueError, match="data offset"):
+        Packet.from_bytes(bytes(lying), verify=False)
+
+
+def test_parser_accepts_any_bytes_like_input():
+    wire = build_udp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"abc").to_bytes()
+    for view in (bytearray(wire), memoryview(wire)):
+        parsed = Packet.from_bytes(view)
+        assert type(parsed.payload) is bytes and parsed.payload == b"abc"

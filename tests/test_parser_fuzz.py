@@ -7,21 +7,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import decode_caravan
-from repro.packet import Packet, build_udp
+from repro.packet import Packet, UDPHeader, build_tcp, build_udp
 from repro.packet.gtpu import GTPUHeader
 from repro.packet.ip import IPv4Header
 from repro.packet.tcp import TCPHeader
-from repro.packet.udp import UDPHeader
 
 
-@settings(max_examples=200)
-@given(data=st.binary(max_size=256))
+def _assert_self_consistent(packet):
+    """What parses must agree with itself on every length it carries."""
+    assert packet.ip.total_length == packet.total_len
+    if isinstance(packet.l4, UDPHeader):
+        assert packet.l4.length == 8 + len(packet.payload)
+
+
+# Random bytes rarely get past the version nibble; an IPv4-looking
+# prefix (version 4, IHL 5, a small total length, TCP/UDP/ICMP) lets
+# the fuzzer reach the length checks and the L4 parsers.
+_ipv4_like = st.builds(
+    lambda total, proto, rest: bytes([0x45, 0, 0, total, 0, 0, 0, 0, 64, proto]) + rest,
+    st.integers(min_value=0, max_value=120),
+    st.sampled_from([1, 6, 17]),
+    st.binary(min_size=10, max_size=110),
+)
+
+
+@settings(max_examples=300)
+@given(data=st.one_of(st.binary(max_size=256), _ipv4_like))
 def test_packet_from_bytes_fails_cleanly(data):
     try:
         packet = Packet.from_bytes(data, verify=False)
     except ValueError:
         return
-    assert isinstance(packet, Packet)
+    _assert_self_consistent(packet)
+    assert packet.ip.total_length <= len(data)
 
 
 @settings(max_examples=200)
@@ -57,11 +75,14 @@ def test_corrupted_caravan_fails_cleanly(mutation, offset):
 
 
 @settings(max_examples=100)
-@given(truncate_to=st.integers(min_value=0, max_value=60))
-def test_truncated_real_packet_fails_cleanly(truncate_to):
-    wire = build_udp("10.0.0.1", "10.0.0.2", 5, 6, payload=b"hello world").to_bytes()
-    truncated = wire[:truncate_to]
-    try:
-        Packet.from_bytes(truncated)
-    except ValueError:
-        pass
+@given(truncate_to=st.integers(min_value=0, max_value=60),
+       tcp=st.booleans())
+def test_truncated_real_packet_fails_cleanly(truncate_to, tcp):
+    build = build_tcp if tcp else build_udp
+    wire = build("10.0.0.1", "10.0.0.2", 5, 6, payload=b"hello world" * 3).to_bytes()
+    assert truncate_to < len(wire)
+    # Anything short of total_length must be refused, never parsed
+    # into a packet whose headers claim bytes that are not there.
+    with pytest.raises(ValueError):
+        Packet.from_bytes(wire[:truncate_to])
+    _assert_self_consistent(Packet.from_bytes(wire))
