@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..packet import PX_CARAVAN_TOS, IPProto, Packet, UDPHeader
 from ..packet.flow import FlowKey
 from ..packet.udp import UDP_HEADER_LEN
+from .tcp_merge import AgeIndex
 
 __all__ = [
     "is_caravan",
@@ -140,7 +141,8 @@ def decode_caravan(packet: Packet) -> List[Packet]:
 class _CaravanContext:
     """Datagrams accumulating toward one caravan."""
 
-    __slots__ = ("packets", "bytes", "next_ip_id", "segment_size", "created_at", "last_at")
+    __slots__ = ("packets", "bytes", "next_ip_id", "segment_size", "created_at", "last_at",
+                 "age_seq", "touched")
 
     def __init__(self, packet: Packet, now: float):
         self.packets = [packet]
@@ -167,7 +169,9 @@ class CaravanMergeEngine:
         self.max_contexts = max_contexts
         self.require_consecutive_ids = require_consecutive_ids
         self._contexts: "OrderedDict[FlowKey, _CaravanContext]" = OrderedDict()
+        self._ages = AgeIndex(self._contexts)
         self.built = 0
+        self.evictions = 0
         # Running totals across contexts: the gateway checks pending
         # state once per packet (flush timer, NIC memory budget), so
         # these must not iterate the context table.
@@ -203,6 +207,8 @@ class CaravanMergeEngine:
                 context.next_ip_id = (packet.ip.identification + 1) & 0xFFFF
                 context.last_at = now
                 self._contexts.move_to_end(key)
+                ages = self._ages
+                ages.seq = context.touched = ages.seq + 1
                 # A shorter datagram ends the bundle (UDP_GRO rule); so
                 # does running out of room for another full record.
                 next_record = UDP_HEADER_LEN + context.segment_size
@@ -225,8 +231,10 @@ class CaravanMergeEngine:
             self._pending_packets -= len(evicted.packets)
             self._pending_bytes -= evicted.bytes
             emitted.append(self._materialize(evicted))
+            self.evictions += 1
         context = _CaravanContext(packet, now)
         self._contexts[key] = context
+        context.touched = self._ages.date(key, context)
         self._pending_packets += 1
         self._pending_bytes += context.bytes
         return emitted
@@ -256,6 +264,7 @@ class CaravanMergeEngine:
         """Flush everything pending."""
         emitted = [self._materialize(context) for context in self._contexts.values()]
         self._contexts.clear()
+        self._ages.compact()
         self._pending_packets = 0
         self._pending_bytes = 0
         return emitted
@@ -266,12 +275,7 @@ class CaravanMergeEngine:
         Age-based so a slow steady stream cannot hold datagrams beyond
         the budget.
         """
-        stale = [key for key, context in self._contexts.items()
-                 if now - context.created_at >= max_age]
-        emitted: List[Packet] = []
-        for key in stale:
-            emitted.extend(self._flush_key(key))
-        return emitted
+        return self._ages.flush_expired(now, max_age, self._flush_key)
 
     def export_pending(self) -> List[Packet]:
         """Materialized copies of every pending context, non-destructive.

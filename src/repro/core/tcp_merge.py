@@ -22,7 +22,8 @@ Conformance rules:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..packet import IPProto, Packet, TCPFlags
 from ..packet.builder import next_ip_id
@@ -34,12 +35,96 @@ _NO_MERGE_FLAGS = TCPFlags.SYN | TCPFlags.FIN | TCPFlags.RST | TCPFlags.URG
 _SEQ_MOD = 1 << 32
 
 
+class AgeIndex:
+    """Which merge contexts have held bytes too long, found without a scan.
+
+    Shared by :class:`TcpMergeEngine` and the caravan merge engine so a
+    poll-batch boundary costs O(expired · log n), not a scan of every
+    live context.  It watches an engine's LRU table (``OrderedDict`` of
+    key → context) and asks three attributes of a context:
+    ``created_at`` (when its oldest held byte arrived), ``age_seq`` (the
+    id of its one live index entry) and ``touched`` (its place in LRU
+    order; the engine stamps it from :attr:`seq` wherever it inserts or
+    ``move_to_end``s).
+
+    The index is a min-heap of ``(created_at, seq, key)`` with lazy
+    deletion: removing or re-dating a context leaves its old entry
+    behind, recognised as garbage because no context under that key
+    carries that ``seq`` any more.  Entries name the context by key and
+    never hold it, so a flushed context's payload dies with it.
+    """
+
+    __slots__ = ("_contexts", "_heap", "seq")
+
+    def __init__(self, contexts: "OrderedDict[FlowKey, object]"):
+        self._contexts = contexts
+        self._heap: List[Tuple[float, int, FlowKey]] = []
+        #: One counter feeds both ``age_seq`` and ``touched``; only the
+        #: relative order of values matters for either.
+        self.seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def date(self, key: FlowKey, context) -> int:
+        """Index *context* (already in the table) under its ``created_at``.
+
+        Supersedes the context's earlier entry, if any.  Returns the
+        fresh sequence number so an opening engine can reuse it as the
+        context's ``touched`` stamp.
+        """
+        self.seq = seq = self.seq + 1
+        context.age_seq = seq
+        heappush(self._heap, (context.created_at, seq, key))
+        self.compact()
+        return seq
+
+    def compact(self) -> None:
+        """Drop garbage entries once they outnumber the live ones.
+
+        Expiry only pops what is old enough, so a caller that never
+        advances ``now`` would otherwise grow the heap without bound.
+        """
+        if len(self._heap) > 2 * len(self._contexts) + 64:
+            self._heap = [
+                (context.created_at, context.age_seq, key)
+                for key, context in self._contexts.items()
+            ]
+            heapify(self._heap)
+
+    def flush_expired(self, now: float, max_age: float,
+                      flush_key: Callable[[FlowKey], List[Packet]]) -> List[Packet]:
+        """Call *flush_key* on every context at least *max_age* old.
+
+        Contexts go in LRU order — the order a scan of the table would
+        find them in — because IP IDs are drawn at flush time and every
+        digest hashes egress order.  A ``now`` that stands still or
+        runs backwards simply expires less.
+        """
+        heap = self._heap
+        contexts = self._contexts
+        stale = []
+        while heap and now - heap[0][0] >= max_age:
+            _created_at, seq, key = heappop(heap)
+            context = contexts.get(key)
+            if context is not None and context.age_seq == seq:
+                stale.append((context.touched, key))
+        if not stale:
+            return []
+        stale.sort()
+        emitted: List[Packet] = []
+        for _touched, key in stale:
+            emitted.extend(flush_key(key))
+        self.compact()
+        return emitted
+
+
 class StreamContext:
     """Buffered in-order bytes of one flow awaiting re-segmentation."""
 
     __slots__ = ("template", "chunks", "head_offset", "buffered", "base_seq",
                  "next_seq", "last_ack", "last_window", "created_at", "last_at",
-                 "spliced_packets")
+                 "spliced_packets", "age_seq", "touched")
 
     def __init__(self, packet: Packet, now: float):
         tcp = packet.tcp
@@ -146,6 +231,7 @@ class TcpMergeEngine:
         self.target_payload = target_payload
         self.max_contexts = max_contexts
         self._contexts: "OrderedDict[FlowKey, StreamContext]" = OrderedDict()
+        self._ages = AgeIndex(self._contexts)
         self.spliced_out = 0
         self.evictions = 0
         #: Running sum of ``context.buffered`` across all contexts, so
@@ -178,6 +264,8 @@ class TcpMergeEngine:
             context.append(packet, now)
             self._pending_bytes += len(packet.payload)
             self._contexts.move_to_end(key)
+            ages = self._ages
+            ages.seq = context.touched = ages.seq + 1
             return self._drain_full(key, context)
 
         # Out-of-order: flush buffered bytes, then restart at the new seq.
@@ -193,6 +281,7 @@ class TcpMergeEngine:
             self.evictions += 1
         context = StreamContext(packet, now)
         self._contexts[key] = context
+        context.touched = self._ages.date(key, context)
         self._pending_bytes += context.buffered
         emitted.extend(self._drain_full(key, context))
         return emitted
@@ -205,10 +294,12 @@ class TcpMergeEngine:
             self._pending_bytes -= len(payload)
             emitted.append(context.make_segment(payload))
             self.spliced_out += 1
-            # The oldest remaining bytes arrived around the last append.
-            context.created_at = context.last_at
         if context.buffered == 0:
             self._contexts.pop(key, None)
+        elif emitted and context.created_at != context.last_at:
+            # The oldest remaining bytes arrived around the last append.
+            context.created_at = context.last_at
+            self._ages.date(key, context)
         return emitted
 
     def _flush_key(self, key: Optional[FlowKey]) -> List[Packet]:
@@ -224,10 +315,12 @@ class TcpMergeEngine:
     def flush(self, key: Optional[FlowKey] = None) -> List[Packet]:
         """Flush one flow, or everything when *key* is None."""
         if key is not None:
-            return self._flush_key(key)
-        emitted: List[Packet] = []
-        for pending_key in list(self._contexts):
-            emitted.extend(self._flush_key(pending_key))
+            emitted = self._flush_key(key)
+        else:
+            emitted = []
+            for pending_key in list(self._contexts):
+                emitted.extend(self._flush_key(pending_key))
+        self._ages.compact()
         return emitted
 
     def flush_older_than(self, now: float, max_age: float) -> List[Packet]:
@@ -238,15 +331,7 @@ class TcpMergeEngine:
         rate never goes idle, but its bytes must still ship within the
         merge-delay budget.
         """
-        stale = [
-            key
-            for key, context in self._contexts.items()
-            if now - context.created_at >= max_age
-        ]
-        emitted: List[Packet] = []
-        for key in stale:
-            emitted.extend(self._flush_key(key))
-        return emitted
+        return self._ages.flush_expired(now, max_age, self._flush_key)
 
     def export_pending(self) -> List[Packet]:
         """Materialized copies of every pending context, non-destructive.

@@ -192,7 +192,7 @@ class GatewayWorker:
             tracer.record(
                 now, "ingress",
                 worker=self.index, bound=bound, proto=int(proto),
-                bytes=size, flow=str(flow) if flow is not None else "-",
+                bytes=size, flow=flow if flow is not None else "-",
             )
 
         if self.spans is not None:
@@ -214,7 +214,7 @@ class GatewayWorker:
             if tracer is not None:
                 tracer.record(
                     now, "classify",
-                    worker=self.index, flow=str(key),
+                    worker=self.index, flow=key,
                     elephant=state.is_elephant,
                 )
 

@@ -55,7 +55,6 @@ class FleetSteering:
         self._shard_seeds = [_mix64(seed + index + 1) for index in range(shards)]
         self._live = [True] * shards
         self._cache: Dict[FlowKey, int] = {}
-        self._flow_hashes: Dict[FlowKey, int] = {}
         #: Steering decisions landed on each shard (cache hits count —
         #: every call models one hardware steering decision).
         self.steered = [0] * shards
@@ -103,7 +102,9 @@ class FleetSteering:
         self.reshards += 1
         # The restored shard wins back exactly the flows whose top
         # weight it holds; every cached assignment must be re-judged
-        # against it.  (Weights are cached, so this is cheap.)
+        # against it.  (One table-driven flow hash and a SplitMix64
+        # per live shard per flow, paid as each flow's next packet
+        # arrives.)
         self._cache.clear()
 
     # ------------------------------------------------------------------
@@ -115,10 +116,7 @@ class FleetSteering:
             self.steered[cached] += 1
             return cached
         self.cache_misses += 1
-        base = self._flow_hashes.get(flow)
-        if base is None:
-            base = flow_hash(flow, self.key)
-            self._flow_hashes[flow] = base
+        base = flow_hash(flow, self.key)
         best = -1
         best_weight = -1
         live = self._live
@@ -146,9 +144,7 @@ class FleetSteering:
         cached = self._cache.get(flow)
         if cached is not None:
             return cached
-        base = self._flow_hashes.get(flow)
-        if base is None:
-            base = flow_hash(flow, self.key)
+        base = flow_hash(flow, self.key)
         best = -1
         best_weight = -1
         for index in range(self.shards):

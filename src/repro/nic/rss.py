@@ -9,7 +9,8 @@ key, so flow→queue placement (and its imbalance) matches hardware.
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 from ..packet import FlowKey
 
@@ -27,23 +28,38 @@ DEFAULT_RSS_KEY = bytes(
 )
 
 
+@lru_cache(maxsize=16)
+def _toeplitz_tables(key: bytes) -> Tuple[Tuple[int, ...], ...]:
+    """Per-byte-position lookup tables for *key*.
+
+    The hash XORs in, for every set input bit, the 32-bit key window
+    starting at that bit position.  ``tables[i][b]`` is that XOR for
+    byte value ``b`` at input offset ``i``, so hashing costs one lookup
+    per input byte instead of eight bit tests.
+    """
+    key_bits = int.from_bytes(key, "big")
+    total_key_bits = len(key) * 8
+    tables = []
+    for position in range(len(key) - 4):
+        top = total_key_bits - 32 - position * 8
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            # Bit k of the byte (0 = LSB) is input bit 8·position + 7 - k,
+            # and ``low.bit_length()`` is k + 1.
+            window = (key_bits >> (top - 8 + low.bit_length())) & 0xFFFFFFFF
+            table[value] = table[value ^ low] ^ window
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def toeplitz_hash(data: bytes, key: bytes = DEFAULT_RSS_KEY) -> int:
     """Compute the 32-bit Toeplitz hash of *data* under *key*."""
     if len(key) < len(data) + 4:
         raise ValueError("RSS key too short for input")
     result = 0
-    # For every set input bit, XOR in the 32-bit key window starting at
-    # that bit position.
-    key_bits = int.from_bytes(key, "big")
-    total_key_bits = len(key) * 8
-    bit_index = 0
-    for byte in data:
-        for bit in range(7, -1, -1):
-            if byte & (1 << bit):
-                shift = total_key_bits - 32 - bit_index
-                window = (key_bits >> shift) & 0xFFFFFFFF
-                result ^= window
-            bit_index += 1
+    for table, byte in zip(_toeplitz_tables(bytes(key)), data):
+        result ^= table[byte]
     return result
 
 

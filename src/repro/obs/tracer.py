@@ -17,7 +17,9 @@ tracer can never grow without bound.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+from ..packet.flow import FlowKey
 
 __all__ = ["FlowTracer"]
 
@@ -33,6 +35,15 @@ def _hashable(value):
     return value
 
 
+def _render(entry: Tuple[float, str, Dict[str, object]]) -> Dict[str, object]:
+    """The event dict of one stored entry, flow keys stringified."""
+    time, kind, fields = entry
+    event: Dict[str, object] = {"time": time, "kind": kind}
+    for name, value in fields.items():
+        event[name] = str(value) if isinstance(value, FlowKey) else value
+    return event
+
+
 class FlowTracer:
     """A bounded ring buffer of structured trace events."""
 
@@ -40,7 +51,11 @@ class FlowTracer:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
-        self._events: "deque[Dict[str, object]]" = deque(maxlen=capacity)
+        #: ``(time, kind, fields)`` as recorded; the ring sheds almost
+        #: every event of a long run, so dicts are built only on read.
+        self._events: "deque[Tuple[float, str, Dict[str, object]]]" = deque(
+            maxlen=capacity
+        )
         #: Total events ever recorded (including ones the ring shed).
         self.recorded = 0
 
@@ -58,25 +73,26 @@ class FlowTracer:
 
         *time* is simulation time; *kind* names the event ("ingress",
         "merge", "health-transition", …); *fields* must be
-        JSON-serializable (callers stringify flow keys).
+        JSON-serializable, except that a field may be a raw
+        :class:`~repro.packet.FlowKey` — it is rendered with ``str()``
+        when the event is read, which per-packet callers should prefer
+        to stringifying an event the ring will most likely shed.
         """
-        event: Dict[str, object] = {"time": time, "kind": kind}
-        event.update(fields)
-        self._events.append(event)
+        self._events.append((time, kind, fields))
         self.recorded += 1
 
     # ------------------------------------------------------------------
     def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
         """Retained events in arrival order, optionally one *kind* only."""
-        if kind is None:
-            return list(self._events)
-        return [event for event in self._events if event["kind"] == kind]
+        return [
+            _render(entry) for entry in self._events
+            if kind is None or entry[1] == kind
+        ]
 
     def kinds(self) -> Dict[str, int]:
         """Retained event count per kind (sorted by kind)."""
         counts: Dict[str, int] = {}
-        for event in self._events:
-            kind = event["kind"]
+        for _time, kind, _fields in self._events:
             counts[kind] = counts.get(kind, 0) + 1
         return dict(sorted(counts.items()))
 
@@ -94,7 +110,7 @@ class FlowTracer:
                 ((key, _hashable(value)) for key, value in event.items()),
                 key=lambda kv: kv[0],
             ))
-            for event in self._events
+            for event in self.events()
         ]
 
     def clear(self) -> None:
@@ -107,5 +123,5 @@ class FlowTracer:
             "capacity": self.capacity,
             "recorded": self.recorded,
             "dropped": self.dropped,
-            "events": list(self._events),
+            "events": self.events(),
         }

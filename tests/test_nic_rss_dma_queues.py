@@ -1,8 +1,14 @@
 """Tests for RSS hashing, DMA models, queues, and the cycle account."""
 
+import random
+import struct
+
 import pytest
 
 from repro.cpu import CpuSpec, CycleAccount, XEON_5512U, XEON_6554S
+from repro.fleet import steering as steering_module
+from repro.fleet.steering import FleetSteering
+from repro.nic import rss as rss_module
 from repro.nic import (
     FULL_DMA,
     HEADER_ONLY_DMA,
@@ -13,15 +19,34 @@ from repro.nic import (
     toeplitz_hash,
 )
 from repro.packet import FlowKey, IPProto, build_udp
-from repro.nic.rss import flow_hash
+from repro.nic.rss import DEFAULT_RSS_KEY, flow_hash
+
+
+def toeplitz_bitwise(data, key=DEFAULT_RSS_KEY):
+    """The definition, bit by bit: what ``toeplitz_hash`` computed before
+    it became table-driven, kept as the oracle."""
+    result = 0
+    key_bits = int.from_bytes(key, "big")
+    total_key_bits = len(key) * 8
+    bit_index = 0
+    for byte in data:
+        for bit in range(7, -1, -1):
+            if byte & (1 << bit):
+                shift = total_key_bits - 32 - bit_index
+                result ^= (key_bits >> shift) & 0xFFFFFFFF
+            bit_index += 1
+    return result
+
+
+def flow_hash_bitwise(key, rss_key=DEFAULT_RSS_KEY):
+    data = struct.pack("!IIHH", key.src_ip, key.dst_ip, key.src_port, key.dst_port)
+    return toeplitz_bitwise(data, rss_key)
 
 
 class TestToeplitz:
     def test_known_vector(self):
         # Microsoft RSS verification vector: 66.9.149.187:2794 ->
         # 161.142.100.80:1766 hashes to 0x51ccc178 with the default key.
-        import struct
-
         data = struct.pack(
             "!IIHH",
             (66 << 24) | (9 << 16) | (149 << 8) | 187,
@@ -32,8 +57,6 @@ class TestToeplitz:
         assert toeplitz_hash(data) == 0x51CCC178
 
     def test_second_known_vector(self):
-        import struct
-
         # 199.92.111.2:14230 -> 65.69.140.83:4739 -> 0xc626b0ea
         data = struct.pack(
             "!IIHH",
@@ -51,6 +74,38 @@ class TestToeplitz:
     def test_deterministic(self):
         key = FlowKey(IPProto.TCP, 1, 2, 3, 4)
         assert flow_hash(key) == flow_hash(key)
+
+    def test_tables_agree_with_the_bitwise_definition(self):
+        rng = random.Random(0x7E0)
+        for _ in range(1500):
+            key = rng.randbytes(rng.randint(16, 52))
+            data = rng.randbytes(rng.randint(0, len(key) - 4))
+            assert toeplitz_hash(data, key) == toeplitz_bitwise(data, key)
+
+    def test_key_must_cover_the_last_window(self):
+        key = bytes(range(16))
+        assert toeplitz_hash(b"\xff" * 12, key) == toeplitz_bitwise(b"\xff" * 12, key)
+        with pytest.raises(ValueError):
+            toeplitz_hash(b"\xff" * 13, key)
+
+    def test_different_keys_never_share_tables(self, monkeypatch):
+        other = bytes(reversed(DEFAULT_RSS_KEY))
+        flows = [FlowKey(IPProto.TCP, 0x0A000001 + i, 1000 + i, 0x0A000002, 443)
+                 for i in range(300)]
+        # Interleave the keys so each one's tables are live while the
+        # other hashes.
+        distributors = [RssDistributor(8, key=k) for k in (DEFAULT_RSS_KEY, other)]
+        steerings = [FleetSteering(4, key=k) for k in (DEFAULT_RSS_KEY, other)]
+        queues = [[d.queue_for(flow) for d in distributors] for flow in flows]
+        shards = [[s.shard_for(flow) for s in steerings] for flow in flows]
+        assert any(a != b for a, b in queues) and any(a != b for a, b in shards)
+
+        monkeypatch.setattr(rss_module, "flow_hash", flow_hash_bitwise)
+        monkeypatch.setattr(steering_module, "flow_hash", flow_hash_bitwise)
+        distributors = [RssDistributor(8, key=k) for k in (DEFAULT_RSS_KEY, other)]
+        steerings = [FleetSteering(4, key=k) for k in (DEFAULT_RSS_KEY, other)]
+        assert queues == [[d.queue_for(flow) for d in distributors] for flow in flows]
+        assert shards == [[s.shard_for(flow) for s in steerings] for flow in flows]
 
 
 class TestRssDistributor:
