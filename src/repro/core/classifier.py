@@ -47,25 +47,3 @@ class FlowClassifier:
             state.is_elephant = True
             self.promotions += 1
         return state
-
-    def observe_group(self, key, now: float = 0.0) -> "FlowState":
-        """Flow-table prologue for a batch of same-flow packets.
-
-        One table lookup (and one window check — every packet in a poll
-        batch shares the same ``now``) covers the whole group; the
-        caller accounts each packet with :meth:`FlowState.touch` and
-        :meth:`promote_if_due` so per-packet classification decisions —
-        including a mid-batch elephant promotion — match the scalar
-        path exactly.  ``table.lookups`` counts one lookup per group,
-        which is precisely the work the batched prologue performs.
-        """
-        state = self.table.lookup(key, now)
-        if now - state.window_start > self.window:
-            state.reset_window(now)
-        return state
-
-    def promote_if_due(self, state: "FlowState") -> None:
-        """Apply the elephant-promotion rule after a ``touch``."""
-        if not state.is_elephant and state.window_packets >= self.threshold_packets:
-            state.is_elephant = True
-            self.promotions += 1

@@ -9,7 +9,7 @@ wraps a single worker for in-topology use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, CycleAccount, GatewayCosts
 from ..nic.rss import RssDistributor
@@ -54,39 +54,11 @@ class GatewayDatapath:
         """Process one packet on its assigned worker."""
         return self.worker_for(packet).process(packet, bound, now)
 
-    def process_batch(
-        self, packets: "List[Tuple[Packet, str]]", now: float = 0.0
-    ) -> List[Packet]:
-        """RSS-shard one poll burst and run each share as a worker batch.
-
-        Packets are bucketed per ``(worker, bound)`` in arrival order,
-        then each bucket goes through
-        :meth:`~repro.core.worker.GatewayWorker.process_batch` — the
-        amortized prologue runs once per bucket instead of once per
-        packet.  Egress order is bucket-grouped (buckets in first-seen
-        order), matching the batch path's flow-grouped contract.
-        """
-        shares: Dict[Tuple[int, str], List[Packet]] = {}
-        worker_for = self.worker_for
-        for packet, bound in packets:
-            slot = (worker_for(packet).index, bound)
-            share = shares.get(slot)
-            if share is None:
-                shares[slot] = [packet]
-            else:
-                share.append(packet)
-        outputs: List[Packet] = []
-        workers = self.workers
-        for (index, bound), share in shares.items():
-            outputs.extend(workers[index].process_batch(share, bound, now))
-        return outputs
-
     def process_stream(
         self,
         stream: Iterable[Tuple[Packet, str]],
         batch_interval: float = 1.5e-6,
         final_flush: bool = True,
-        batched: bool = False,
     ) -> List[Packet]:
         """Process a (packet, bound) stream with periodic batch boundaries.
 
@@ -96,39 +68,19 @@ class GatewayDatapath:
         delayed-merge timers.  Keep ``final_flush`` off when measuring
         steady-state yield — the artificial end-of-stream flush emits
         one partial segment per flow that a continuous run would not.
-
-        ``batched`` routes each poll batch through
-        :meth:`process_batch` (vectorized worker dispatch) instead of
-        packet-at-a-time :meth:`process`; per-flow semantics are
-        identical, egress order is flow-grouped within each batch.
         """
         outputs: List[Packet] = []
         now = self._virtual_now
         poll_batch = self.config.poll_batch
-        if batched:
-            chunk: List[Tuple[Packet, str]] = []
-            append = chunk.append
-            for item in stream:
-                append(item)
-                if len(chunk) >= poll_batch:
-                    outputs.extend(self.process_batch(chunk, now))
-                    chunk = []
-                    append = chunk.append
-                    now += batch_interval
-                    for worker in self.workers:
-                        outputs.extend(worker.end_batch(now))
-            if chunk:
-                outputs.extend(self.process_batch(chunk, now))
-        else:
-            fill = 0
-            for packet, bound in stream:
-                outputs.extend(self.process(packet, bound, now))
-                fill += 1
-                if fill >= poll_batch:
-                    now += batch_interval
-                    fill = 0
-                    for worker in self.workers:
-                        outputs.extend(worker.end_batch(now))
+        fill = 0
+        for packet, bound in stream:
+            outputs.extend(self.process(packet, bound, now))
+            fill += 1
+            if fill >= poll_batch:
+                now += batch_interval
+                fill = 0
+                for worker in self.workers:
+                    outputs.extend(worker.end_batch(now))
         if final_flush:
             now += self.config.merge_timeout * 2
             for worker in self.workers:
@@ -142,8 +94,6 @@ class GatewayDatapath:
         Benchmarks warm the flow tables and merge contexts up first,
         then reset and measure steady state.
         """
-        from .stats import GatewayStats
-
         for worker in self.workers:
             worker.stats = GatewayStats()
             worker.account = CycleAccount()

@@ -109,7 +109,7 @@ class GatewayWorker:
         self.caravan_gate = None
         #: Optional :class:`repro.obs.FlowTracer`.  Every call site
         #: guards on it, so the default (None) costs one attribute test
-        #: on the per-packet path and nothing on a per-batch path.
+        #: per packet.
         self.tracer = None
         # Sim time of the event being processed, for trace records made
         # on paths (``_emit``) that are not handed ``now``.
@@ -248,7 +248,7 @@ class GatewayWorker:
             self.stats.hairpinned += 1
             if self.spans is not None:
                 self.spans.sync(self._span_at, now, "hairpin", flow=key)
-            return self._emit([packet], bound, data=self._is_data(packet))
+            return self._emit([packet], bound, data=True)
 
         cycles = self._cost_rx
         account.cycles += cycles
@@ -281,141 +281,6 @@ class GatewayWorker:
         if self.spans is not None:
             self.spans.sync(self._span_at, now, "forward", flow=key)
         return self._emit([packet], bound, data=False)
-
-    # ------------------------------------------------------------------
-    def process_batch(
-        self,
-        packets: List[Packet],
-        bound: str,
-        now: float = 0.0,
-    ) -> List[Packet]:
-        """Run a poll batch through the pipeline; returns egress packets.
-
-        Per-packet semantics match :meth:`process`, but the constant-
-        per-packet prologue — mode/observability checks and the flow
-        table lookup — runs once per batch (or once per flow group)
-        instead of once per packet.  Packets are grouped by
-        ``flow_key()`` in first-seen order with intra-flow arrival
-        order preserved, so the merge engines see each flow's packets
-        exactly as the scalar path would; egress packets come out
-        flow-grouped rather than arrival-interleaved.
-
-        When a tracer or span tracker is attached, or the worker is not
-        in NORMAL mode, the batch defers to the scalar pipeline packet
-        by packet — those paths must observe every per-packet firing
-        point.
-        """
-        if (
-            self.tracer is not None
-            or self.spans is not None
-            or self.mode != WorkerMode.NORMAL
-        ):
-            out: List[Packet] = []
-            process = self.process
-            for packet in packets:
-                out.extend(process(packet, bound, now))
-            return out
-
-        groups: dict = {}
-        for packet in packets:
-            key = packet.flow_key()
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [packet]
-            else:
-                group.append(packet)
-
-        account = self.account
-        breakdown = account.breakdown
-        stats = self.stats
-        classifier = self.classifier
-        cost_classifier = self._cost_classifier
-        cost_slowpath = self._cost_slowpath
-        cost_hairpin = self._cost_hairpin
-        cost_rx = self._cost_rx
-        hairpin_small = self._hairpin_small
-        header_only = self._header_only
-        emtu = self._emtu
-        worker_dma = self.dma
-        inbound = bound == Bound.INBOUND
-        out = []
-        extend = out.extend
-        for key, group in groups.items():
-            # One flow-table prologue per group: the lookup and window
-            # check cover every packet; per-packet touches and the
-            # promotion rule keep mid-batch elephant transitions exact.
-            state = None if key is None else classifier.observe_group(key, now)
-            for packet in group:
-                ip = packet.ip
-                proto = ip.protocol
-                size = packet.total_len
-                stats.rx_packets += 1
-                account.packets += 1
-                account.goodput_bytes += size
-
-                if state is not None:
-                    account.cycles += cost_classifier
-                    breakdown["classify"] = (
-                        breakdown.get("classify", 0.0) + cost_classifier
-                    )
-                    state.touch(size, now)
-                    classifier.promote_if_due(state)
-
-                is_tcp = proto == IPProto.TCP
-                if is_tcp and packet.l4.flags & TCPFlags.SYN:
-                    account.cycles += cost_slowpath
-                    breakdown["slowpath"] = (
-                        breakdown.get("slowpath", 0.0) + cost_slowpath
-                    )
-                    if self._mss_clamp_on and self.mss_clamp.process(
-                        packet, bound, allow_raise=True
-                    ):
-                        stats.mss_rewrites += 1
-                    extend(self._emit([packet], bound, data=False))
-                    continue
-
-                if (
-                    hairpin_small
-                    and state is not None
-                    and not state.is_elephant
-                    and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
-                    and (inbound or size <= emtu)
-                ):
-                    account.cycles += cost_hairpin
-                    breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cost_hairpin
-                    stats.hairpinned += 1
-                    extend(self._emit([packet], bound, data=self._is_data(packet)))
-                    continue
-
-                account.cycles += cost_rx
-                breakdown["rx"] = breakdown.get("rx", 0.0) + cost_rx
-                dma = worker_dma
-                if header_only:
-                    resident = (
-                        self.merge.pending_bytes() + self.caravan_merge.pending_bytes()
-                    )
-                    if resident + size > self.nic_memory_bytes:
-                        dma = FULL_DMA
-                        stats.hdo_fallbacks += 1
-                    else:
-                        cycles = self.costs.header_only_per_packet
-                        account.cycles += cycles
-                        breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
-                account.mem_bytes += dma.mem_bytes(packet, size=size)
-
-                if is_tcp:
-                    if inbound:
-                        extend(self._tcp_inbound(packet, now))
-                    else:
-                        extend(self._tcp_outbound(packet, now))
-                elif proto == IPProto.UDP:
-                    if inbound:
-                        extend(self._udp_inbound(packet, now))
-                    else:
-                        extend(self._udp_outbound(packet, now))
-                else:
-                    extend(self._emit([packet], bound, data=False))
-        return out
 
     # ------------------------------------------------------------------
     def _bypass(self, packet: Packet, bound: str, now: float) -> List[Packet]:
@@ -743,11 +608,6 @@ class GatewayWorker:
             spans.observe(CARAVAN_BATCH_WAIT_SECONDS, now - first_at)
         if bundled:
             spans.derived(parents, "caravan", now, flow=out.flow_key())
-
-    def _is_data(self, packet: Packet) -> bool:
-        if packet.is_tcp:
-            return len(packet.payload) > 0
-        return packet.is_udp
 
     def _emit(self, packets: List[Packet], bound: str, data: bool) -> List[Packet]:
         if not packets:

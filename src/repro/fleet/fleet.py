@@ -130,13 +130,13 @@ class GatewayFleet:
     def process_batch(
         self, packets: "List[Tuple[Packet, str]]", now: float = 0.0
     ) -> List[Packet]:
-        """Steer one poll burst and run each share as a worker batch.
+        """Steer one poll burst and run each shard's share through its worker.
 
-        The fleet twin of
-        :meth:`repro.core.GatewayDatapath.process_batch`: packets bucket
-        per ``(shard, bound)`` in arrival order, each bucket runs
-        through :meth:`~repro.core.worker.GatewayWorker.process_batch`,
-        and egress comes out bucket-grouped in first-seen order.
+        Packets bucket per ``(shard, bound)`` in arrival order; each
+        bucket then runs packet by packet through
+        :meth:`~repro.core.worker.GatewayWorker.process`, so egress
+        comes out bucket-grouped (buckets in first-seen order) with
+        arrival order kept inside each bucket.
         """
         if self.trace is not None:
             self.trace._now = now
@@ -152,7 +152,9 @@ class GatewayFleet:
         outputs: List[Packet] = []
         shards = self.shards
         for (index, bound), share in shares.items():
-            outputs.extend(shards[index].worker.process_batch(share, bound, now))
+            process = shards[index].worker.process
+            for packet in share:
+                outputs.extend(process(packet, bound, now))
         return outputs
 
     def end_batch(self, now: float) -> List[Packet]:
@@ -174,10 +176,10 @@ class GatewayFleet:
 
         ``on_batch(batch_index, now)``, when given, fires after every
         poll batch — the chaos harness uses it to kill a shard
-        mid-burst; anything it returns is ignored, but packets it
-        flushes via fleet methods land in the shared egress list the
-        caller gets back (fail_shard returns them; see
-        :mod:`repro.fleet.chaos`).
+        mid-burst.  Whatever list of packets it returns is appended to
+        the egress list the caller gets back: that is how the
+        half-merged packets :meth:`fail_shard` flushes reach the wire
+        (see :mod:`repro.fleet.chaos`).
         """
         outputs: List[Packet] = []
         now = self._virtual_now

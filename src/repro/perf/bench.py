@@ -341,8 +341,15 @@ def _prepare_gateway_world_observed(quick: bool) -> Callable[[], int]:
     return run
 
 
-def _stream_workload(quick: bool) -> list:
-    """A seeded Figure-5-style (packet, bound) stream for the datapath."""
+@_bench("gateway_stream")
+def _prepare_gateway_stream(quick: bool) -> Callable[[], int]:
+    """The offline datapath (Figure-5 entry point), packet at a time.
+
+    A seeded Figure-5-style (packet, bound) stream through
+    ``GatewayDatapath.process_stream``: no simulator, so the number is
+    the dispatch and worker layers alone.
+    """
+    from ..core import GatewayConfig, GatewayDatapath
     from ..core.config import Bound
     from ..workload import interleave, make_tcp_sources
 
@@ -351,45 +358,11 @@ def _stream_workload(quick: bool) -> list:
     up = make_tcp_sources(48, 8948, tag=Bound.OUTBOUND, base_port=30000,
                           client_net="10.1.0", server_net="198.51.100")
     rng = random.Random(0xBA7C)
-    return list(interleave(down * 2 + up, count, rng, mean_run=16.0))
-
-
-def _run_datapath_stream(stream: list, batched: bool) -> int:
-    from ..core import GatewayConfig, GatewayDatapath
-
-    datapath = GatewayDatapath(GatewayConfig())
-    datapath.process_stream(stream, batched=batched)
-    return len(stream)
-
-
-@_bench("gateway_stream")
-def _prepare_gateway_stream(quick: bool) -> Callable[[], int]:
-    """The offline datapath (Figure-5 entry point), packet at a time.
-
-    The scalar twin of ``gateway_world_batched``: identical workload,
-    identical configuration, per-packet dispatch — the pair's ratio is
-    the measured batching speedup at the dispatch layer.
-    """
-    stream = _stream_workload(quick)
+    stream = list(interleave(down * 2 + up, count, rng, mean_run=16.0))
 
     def run() -> int:
-        return _run_datapath_stream(stream, batched=False)
-
-    return run
-
-
-@_bench("gateway_world_batched")
-def _prepare_gateway_world_batched(quick: bool) -> Callable[[], int]:
-    """The offline datapath with batch-vectorized dispatch.
-
-    Each poll batch is RSS-sharded once and runs through
-    ``GatewayWorker.process_batch`` — one mode/observability/flow-table
-    prologue per flow group instead of per packet.
-    """
-    stream = _stream_workload(quick)
-
-    def run() -> int:
-        return _run_datapath_stream(stream, batched=True)
+        GatewayDatapath(GatewayConfig()).process_stream(stream)
+        return len(stream)
 
     return run
 
@@ -449,7 +422,7 @@ def _prepare_event_wheel(quick: bool) -> Callable[[], int]:
 def _prepare_fleet_world(quick: bool) -> Callable[[], int]:
     """A 4-shard gateway fleet digesting a city-scale flow mix.
 
-    Steering (rendezvous hash per flow) plus per-shard batched
+    Steering (rendezvous hash per flow) plus per-shard bucketed
     processing over a churning elephant/mice population with bounded
     flow tables — the fleet tier's end-to-end cost per packet.  The
     stream is materialized once outside the timed region; each rep

@@ -175,63 +175,6 @@ class Link:
         sim.schedule_fast(end - now + self.delay, self._deliver_analytic, packet, size)
         return True
 
-    def transmit_burst(self, packets: "List[Packet]") -> int:
-        """Enqueue a burst of packets; returns how many were accepted.
-
-        Per-packet semantics are exactly :meth:`transmit` in order, but
-        on a clean unobserved link the analytic fast path runs with the
-        per-call lookups (sim clock, bandwidth, queue check state)
-        hoisted out of the loop — the batch-dequeue boundary hands the
-        link a whole poll burst in one call.
-        """
-        if self.taps or self.injector is not None or self.netem is not None or self._busy:
-            accepted = 0
-            transmit = self.transmit
-            for packet in packets:
-                if transmit(packet):
-                    accepted += 1
-            return accepted
-        sim = self.sim
-        now = sim.now
-        schedule = sim.schedule_fast
-        stats = self.stats
-        mtu = self.mtu
-        delay = self.delay
-        bandwidth_bps = self.bandwidth_bps
-        inflight = self._inflight
-        queued = self._queued_bytes
-        if inflight:
-            while inflight and inflight[0][0] <= now:
-                queued -= inflight.popleft()[1]
-        queue_limit = self.queue_bytes
-        line_free_at = self._line_free_at
-        accepted = 0
-        for packet in packets:
-            size = packet.total_len
-            if size > mtu:
-                stats.dropped_mtu += 1
-                self._notify("drop-mtu", packet)
-                continue
-            if queued + size > queue_limit:
-                stats.dropped_queue += 1
-                self._notify("drop-queue", packet)
-                continue
-            start = line_free_at
-            if start <= now:
-                start = now
-            else:
-                inflight.append((start, size))
-                queued += size
-            # Same expression (and rounding) as the scalar path: the
-            # delivery timestamps must be bit-identical either way.
-            end = start + wire_bytes_for_payload(size) * 8 / bandwidth_bps
-            line_free_at = end
-            schedule(end - now + delay, self._deliver_analytic, packet, size)
-            accepted += 1
-        self._queued_bytes = queued
-        self._line_free_at = line_free_at
-        return accepted
-
     def _start_next(self) -> None:
         if not self._queue:
             self._busy = False

@@ -47,19 +47,6 @@ class Interface:
         self.tx_bytes += size
         return self.link.transmit(packet, size)
 
-    def send_burst(self, packets: List[Packet]) -> int:
-        """Transmit a burst onto the attached link; returns count accepted.
-
-        The link-level burst path hoists the per-call overhead of
-        :meth:`send`; interface counters still account every packet.
-        """
-        link = self.link
-        if link is None:
-            return 0
-        self.tx_packets += len(packets)
-        self.tx_bytes += sum(packet.total_len for packet in packets)
-        return link.transmit_burst(packets)
-
     def deliver(self, packet: Packet, size: Optional[int] = None) -> None:
         """Called by the link when a packet arrives here.
 

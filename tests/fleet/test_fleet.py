@@ -1,11 +1,15 @@
 """GatewayFleet: steering-consistent datapath, loss, drain/rejoin."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.config import Bound, GatewayConfig
 from repro.fleet import FleetSupervisor, GatewayFleet
+from repro.obs.spans import SpanTracker
+from repro.packet import builder
 from repro.resilience.health import HealthState
 from repro.workload import (
     CityScaleProfile,
@@ -59,6 +63,40 @@ class TestFleetDatapath:
         assert a.tcp_payload_out == b.tcp_payload_out
         assert a.udp_datagrams_in == b.udp_datagrams_in
         assert a.udp_datagrams_out == b.udp_datagrams_out
+
+    def test_span_tracked_fleet_runs_the_bare_fleets_pipeline(self, monkeypatch):
+        # One worker pipeline: attaching a SpanTracker to every shard
+        # may not change one emitted byte, its position in the egress
+        # list, a counter or a charged cycle.
+        def run(tracked):
+            # Merged packets draw IP IDs from a process-wide counter;
+            # restart it so both runs draw the same sequence.
+            monkeypatch.setattr(builder, "_ip_id_counter", itertools.count(1))
+            fleet = GatewayFleet(config(), shards=4)
+            if tracked:
+                for shard in fleet.shards:
+                    shard.worker.spans = SpanTracker()
+            egress = fleet.process_stream(small_stream())
+            return fleet, [packet.to_bytes() for packet in egress]
+
+        bare, bare_wire = run(tracked=False)
+        tracked, tracked_wire = run(tracked=True)
+        assert any(shard.worker.stats.merged_packets for shard in bare.shards)
+        assert tracked_wire == bare_wire
+        assert vars(tracked.combined_stats()) == vars(bare.combined_stats())
+        for a, b in zip(tracked.shards, bare.shards):
+            assert a.worker.account.cycles == b.worker.account.cycles
+
+    def test_one_flow_table_lookup_per_keyed_packet(self):
+        fleet = GatewayFleet(config(), shards=4)
+        stream = small_stream(1500)
+        keyed = Counter(
+            fleet.steering.shard_for(packet.flow_key()) for packet, _bound in stream
+        )
+        fleet.process_stream(stream)
+        assert sum(keyed.values()) == 1500
+        for shard in fleet.shards:
+            assert shard.worker.flows.lookups == keyed[shard.id]
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):

@@ -157,11 +157,11 @@ def test_cli_bench_quick_subset(tmp_path):
 
 
 def test_bench_names_cover_the_batched_catalog():
-    # PR 8 additions: the batched-datapath twin benches and the event
-    # wheel churn bench must stay in the catalog (dropping one is how a
+    # PR 8 additions: the offline-datapath bench and the event wheel
+    # churn bench must stay in the catalog (dropping one is how a
     # deleted fast path escapes the regression gate).
     names = bench_names()
-    for required in ("gateway_stream", "gateway_world_batched", "event_wheel"):
+    for required in ("gateway_stream", "event_wheel"):
         assert required in names
 
 

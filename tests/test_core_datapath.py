@@ -44,6 +44,21 @@ class TestGatewayWorker:
         assert spliced
         assert all(p.total_len == 9000 for p in spliced)
 
+    def test_promotion_lands_on_the_threshold_packet(self):
+        # Mid-stream promotion: with every packet at one ``now`` (one
+        # poll batch), packet number ``elephant_threshold_packets`` is
+        # the first that is not hairpinned.
+        threshold = 5
+        worker = GatewayWorker(GatewayConfig(elephant_threshold_packets=threshold))
+        source = make_tcp_sources(1, 1448)[0]
+        hairpinned = []
+        for _ in range(threshold + 3):  # threshold - 1 mice, then 4 elephants
+            before = worker.stats.hairpinned
+            worker.process(source.next_packet(), Bound.INBOUND)
+            hairpinned.append(worker.stats.hairpinned - before)
+        assert hairpinned == [1] * (threshold - 1) + [0] * 4
+        assert worker.classifier.promotions == 1
+
     def test_outbound_jumbo_split(self):
         worker = GatewayWorker(GatewayConfig(hairpin_small_flows=False))
         packet = build_tcp("10.1.0.1", "9.9.9.9", 80, 1, payload=b"y" * 8948)

@@ -132,28 +132,3 @@ def test_bidirectional_traffic():
     ib.send(udp(200))
     sim.run()
     assert len(a.received) == 1 and len(b.received) == 1
-
-
-def _deliveries(burst: bool):
-    """(time, IP id) of the same 40 packets over one link, burst vs scalar."""
-    sim = Simulator()
-    _a, b, ia, _ib, _ = make_pair(sim, bandwidth_bps=1e9, delay=1e-4, mtu=9200)
-    packets = [
-        build_udp("10.0.0.1", "10.0.0.2", 1000 + i % 4, 80,
-                  payload=b"z" * (100 + 37 * i), ip_id=i)
-        for i in range(40)
-    ]
-    if burst:
-        ia.send_burst(packets)
-    else:
-        for packet in packets:
-            ia.send(packet)
-    sim.run()
-    return [(when, packet.ip.identification) for when, packet in b.received]
-
-
-def test_send_burst_preserves_delivery_order_and_times():
-    # Batched link delivery: exact (time, seq) order parity with send().
-    scalar = _deliveries(burst=False)
-    assert len(scalar) == 40
-    assert _deliveries(burst=True) == scalar
