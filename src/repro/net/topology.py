@@ -2,9 +2,9 @@
 
 ``Topology`` wires hosts, routers, and gateways with point-to-point
 links, allocates a /30 per link from 10.0.0.0/8, and computes static
-routes over shortest paths (via ``networkx`` when available, otherwise
-a built-in BFS).  This is the scaffolding every experiment uses to
-recreate the paper's testbeds.
+routes over shortest paths (breadth-first, first-linked neighbour wins
+a tie).  This is the scaffolding every experiment uses to recreate the
+paper's testbeds.
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
-
-try:  # networkx is available in the evaluation environment but optional.
-    import networkx as _nx
-except ImportError:  # pragma: no cover - exercised only without networkx
-    _nx = None
 
 from ..packet import ip_to_str, str_to_ip
 from ..sim.engine import Simulator
@@ -159,17 +154,7 @@ class Topology:
     def _all_shortest_paths(self) -> Dict[Tuple[str, str], str]:
         """Map (src, dst) -> next hop from src toward dst."""
         next_hops: Dict[Tuple[str, str], str] = {}
-        if _nx is not None:
-            graph = _nx.Graph()
-            graph.add_nodes_from(self._adjacency)
-            for (a, b) in self._edges:
-                graph.add_edge(a, b)
-            for src, paths in _nx.all_pairs_shortest_path(graph):
-                for dst, path in paths.items():
-                    if len(path) >= 2:
-                        next_hops[(src, dst)] = path[1]
-            return next_hops
-        for src in self._adjacency:  # BFS fallback
+        for src in self._adjacency:
             visited = {src: None}
             queue = deque([src])
             while queue:

@@ -369,13 +369,16 @@ def _prepare_gateway_stream(quick: bool) -> Callable[[], int]:
 
 @_bench("event_wheel")
 def _prepare_event_wheel(quick: bool) -> Callable[[], int]:
-    """Scheduler churn: the bucketed event wheel under timer pressure.
+    """Scheduler churn: the event engine under timer pressure.
 
-    The workload mirrors what a busy simulation does to the engine:
-    a dense mass of non-cancellable data events (``schedule_fast``),
-    a population of cancellable timers half of which are cancelled
-    before firing (retransmit-timer churn), and a reschedule chain
-    that inserts into the bucket currently being drained.
+    A dense mass of non-cancellable data events (``schedule_fast``), a
+    population of cancellable timers half of which are cancelled before
+    firing (retransmit-timer churn), and a reschedule chain that
+    inserts while the queue drains.  The row keeps its PR 8 name and
+    plan so the ``BENCH_pr8*.json`` history stays joinable; the plan
+    queues all 150,000 events before running any, ~80 times the deepest
+    live queue a perfbench world builds, which is why a heap reads
+    lower here than the wheel did (EXPERIMENTS.md, PR 15).
     """
     from ..sim import Simulator
 

@@ -1,221 +1,109 @@
 """A small deterministic discrete-event simulator.
 
-The engine is a bucketed event wheel (calendar queue): near-future
-events land in per-tick buckets with O(1) append, far-future events
-wait in a ``heapq`` overflow lane and migrate into the wheel as the
-window slides forward.  Events fire in timestamp order, with a
-monotonically increasing sequence number as the tie-breaker so
-same-time events run in scheduling order.  Every stochastic component
-in the library takes an explicit seeded ``random.Random`` so whole
+The engine is one binary heap of ``(time, seq, handle, callback, args)``
+entries.  Events fire in timestamp order, with a monotonically
+increasing sequence number as the tie-breaker so same-time events run
+in scheduling order; ``(time, seq)`` is unique, so heap comparisons
+never reach the handle or the callback.  Every stochastic component in
+the library takes an explicit seeded ``random.Random`` so whole
 experiments replay bit-identically.
 
-Ordering is exact, not tick-quantized: a bucket collects every event
-whose timestamp falls inside one wheel tick, and the drain sorts the
-bucket by ``(time, seq)`` before firing, so two events 10 ns apart
-inside the same microsecond tick still fire in true timestamp order.
+Cancelling marks the handle and leaves its entry in the heap.  Bulk TCP
+cancels an RTO or delayed-ACK timer on almost every segment, long
+before its deadline, so dead entries are filtered out once they
+outnumber the live ones: the heap holds at most ``2 * pending() + 64``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Simulator", "EventHandle"]
 
-_Entry = Tuple[float, int, "EventHandle", Callable, tuple]
+_DEAD_SLACK = 64  #: dead entries tolerated however few are live
 
 
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
-    Handles carry their insertion sequence number and order by
-    ``(time, seq)``: two events at the *same* timestamp (seeded Netem
-    delay faults routinely collide) always pop in scheduling order, so
-    chaos replays stay byte-identical and queue comparison can never
-    fall through to an unorderable payload.
+    ``(time, seq)`` is its place in the firing order: events at the same
+    timestamp (seeded Netem delay faults routinely collide) fire in
+    ``seq``, that is scheduling, order.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_owner", "_fired")
+    __slots__ = ("time", "seq", "cancelled", "_owner")
 
-    def __init__(self, time: float, seq: int, owner: "Optional[Simulator]" = None):
+    def __init__(self, time: float, seq: int, owner: "Simulator"):
         self.time = time
         self.seq = seq
         self.cancelled = False
-        self._owner = owner
-        self._fired = False
+        #: ``None`` once the event has fired: a late cancel is a no-op.
+        self._owner: Optional[Simulator] = owner
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled or self._fired:
+        owner = self._owner
+        if owner is None or self.cancelled:
             return
         self.cancelled = True
-        # Keep the owning simulator's live-event counter exact so
-        # ``Simulator.pending()`` stays O(1) under cancel churn.
-        if self._owner is not None:
-            self._owner._live -= 1
-
-    def _key(self) -> Tuple[float, int]:
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "EventHandle") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "EventHandle") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "EventHandle") -> bool:
-        return self._key() >= other._key()
-
-
-#: Shared inert handle for :meth:`Simulator.schedule_fast` events.  Its
-#: ``cancelled`` flag can never be set (no caller holds it), so the run
-#: loop treats fast events exactly like live handle-carrying ones.
-_FAST_HANDLE = EventHandle(0.0, 0)
-
-#: Effectively-infinite tick bound used when ``run`` has no horizon.
-_NO_LIMIT_TICK = 1 << 62
+        owner._live -= 1
+        owner._dead += 1
+        if owner._dead > owner._live:  # cheap half of _compact's test: rarely true
+            owner._compact()
 
 
 class Simulator:
     """The event loop shared by all nodes, links, and protocol agents.
 
-    Internally a bucketed event wheel: ``wheel_slots`` buckets of
-    ``wheel_resolution`` seconds each cover a sliding window starting
-    at the drain cursor.  Scheduling inside the window appends to a
-    bucket (O(1) — the datapath case: serialization, propagation, and
-    CPU-cycle delays are all microseconds or less); anything beyond
-    the window goes to the overflow heap (protocol timers: RTO,
-    delayed-ACK, probe timers) and migrates in as the window slides.
+    ``now`` is the current simulation time in seconds; the engine is
+    its only writer.  ``events_processed`` counts events executed.
     """
 
-    def __init__(self, wheel_resolution: float = 1e-4, wheel_slots: int = 256):
-        if wheel_resolution <= 0:
-            raise ValueError(f"wheel resolution must be positive (got {wheel_resolution})")
-        if wheel_slots < 1:
-            raise ValueError(f"need at least one wheel slot (got {wheel_slots})")
-        size = 1
-        while size < wheel_slots:
-            size <<= 1
-        self._res_inv = 1.0 / wheel_resolution
-        self._slots = size
-        self._mask = size - 1
-        self._wheel: List[List[_Entry]] = [[] for _ in range(size)]
-        #: Entries (live or cancelled) currently held in wheel buckets.
-        self._wheel_count = 0
-        #: Occupancy bitmask over wheel slots (bit i set ⇔ slot i has
-        #: entries): lets the drain jump straight to the next occupied
-        #: slot with one big-int scan instead of sweeping empty ticks.
-        self._occupied = 0
-        #: Far-future lane: a heap of entries with ticks beyond the
-        #: current window; ordered by (time, seq) like everything else.
-        self._overflow: List[_Entry] = []
-        #: The next tick the drain will visit; all wheel entries have
-        #: tick >= cursor (earlier-time stragglers are clamped into the
-        #: cursor bucket, where the per-bucket sort restores exact order).
-        self._cursor = 0
-        self._sequence = itertools.count()
-        self._now = 0.0
-        self._running = False
-        #: Live (scheduled, neither fired nor cancelled) event count;
-        #: kept exact so ``pending()`` never rescans the queue.
-        self._live = 0
-        #: Count of events executed; useful for efficiency assertions.
+    def __init__(self) -> None:
+        self.now = 0.0
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+        self._heap: List[Tuple[float, int, Optional[EventHandle], Callable, tuple]] = []
+        self._sequence = itertools.count()
+        #: Entries neither fired nor cancelled, and cancelled entries
+        #: still in the heap: exact, so nothing ever rescans the queue.
+        self._live = 0
+        self._dead = 0
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
         """Run ``callback(*args)`` *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        # The insert is inlined (here and in the two variants below):
-        # this is called once or twice per packet hop, so the extra
-        # frame was measurable in the event loop.  A tick the cursor
-        # already swept past (its events fired but ``now`` still sits
-        # inside it) parks in the cursor bucket, where the per-bucket
-        # (time, seq) sort restores exact firing order.
-        time = self._now + delay
+        time = self.now + delay
         seq = next(self._sequence)
-        handle = EventHandle(time, seq, owner=self)
-        tick = int(time * self._res_inv)
-        cursor = self._cursor
-        if tick < cursor:
-            tick = cursor
-        if tick - cursor < self._slots:
-            index = tick & self._mask
-            bucket = self._wheel[index]
-            if not bucket:
-                self._occupied |= 1 << index
-            bucket.append((time, seq, handle, callback, args))
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, seq, handle, callback, args))
+        handle = EventHandle(time, seq, self)
+        heappush(self._heap, (time, seq, handle, callback, args))
         self._live += 1
         return handle
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulation *time*."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} (now={self._now})")
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} (now={self.now})")
         seq = next(self._sequence)
-        handle = EventHandle(time, seq, owner=self)
-        tick = int(time * self._res_inv)
-        cursor = self._cursor
-        if tick < cursor:
-            tick = cursor
-        if tick - cursor < self._slots:
-            index = tick & self._mask
-            bucket = self._wheel[index]
-            if not bucket:
-                self._occupied |= 1 << index
-            bucket.append((time, seq, handle, callback, args))
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, seq, handle, callback, args))
+        handle = EventHandle(time, seq, self)
+        heappush(self._heap, (time, seq, handle, callback, args))
         self._live += 1
         return handle
 
     def schedule_fast(self, delay: float, callback: Callable, *args: Any) -> None:
         """Schedule a non-cancellable event *delay* seconds from now.
 
-        Contract (guarded by ``tests/test_sim_engine.py``):
-
-        * Fast events return no handle and **cannot be cancelled** —
-          they all share one inert :class:`EventHandle` whose
-          ``cancelled`` flag is never set, skipping the per-event
-          handle allocation the datapath would otherwise pay for every
-          serialize/deliver hop.
-        * They are **fully visible** to ``pending()`` and
-          ``peek_time()`` while queued, and fire in exact
-          ``(time, seq)`` order alongside handle-carrying events — but
-          they are *invisible to cancellation churn*: nothing can make
-          ``peek_time()`` skip one, and the live counter only ever
-          decrements for them when they fire.
+        Contract (guarded by ``tests/test_sim_engine.py``): no handle is
+        returned and the event **cannot be cancelled**, which spares the
+        datapath an allocation on every serialize/deliver hop.  It is
+        otherwise an ordinary event: counted by ``pending()``, seen by
+        ``peek_time()``, fired in exact ``(time, seq)`` order.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        tick = int(time * self._res_inv)
-        cursor = self._cursor
-        if tick < cursor:
-            tick = cursor
-        entry = (time, next(self._sequence), _FAST_HANDLE, callback, args)
-        if tick - cursor < self._slots:
-            index = tick & self._mask
-            bucket = self._wheel[index]
-            if not bucket:
-                self._occupied |= 1 << index
-            bucket.append(entry)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, entry)
+        heappush(self._heap, (self.now + delay, next(self._sequence), None, callback, args))
         self._live += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -223,176 +111,61 @@ class Simulator:
 
         Stops when the queue empties, when the next event would exceed
         *until*, or after *max_events* events.  Returns the simulation
-        time reached.  When *until* is given, the clock is advanced to
-        it even if the queue empties earlier, so back-to-back ``run``
-        calls observe continuous time.
+        time reached.  When *until* is given and nothing at or before it
+        is left to fire, the clock is advanced to it, so back-to-back
+        ``run`` calls observe continuous time.
         """
-        self._running = True
-        executed = 0
-        wheel = self._wheel
-        mask = self._mask
-        slots = self._slots
-        overflow = self._overflow
-        res_inv = self._res_inv
-        heappop = heapq.heappop
-        # Hoist the per-iteration Optional checks out of the loop: an
-        # infinite horizon compares False forever, and a -1 countdown
-        # never equals the post-increment counter.
+        heap = self._heap  # stays valid: compaction is in place
         limit = float("inf") if until is None else until
-        limit_tick = _NO_LIMIT_TICK if until is None else int(limit * res_inv)
         stop_after = -1 if max_events is None else max_events
-        stopped = False
+        executed = 0
         try:
-            while True:
-                cursor = self._cursor
-                bucket = wheel[cursor & mask]
-                if not bucket:
-                    if not self._wheel_count and not overflow:
-                        break
-                    # An overflow entry whose tick has entered the
-                    # window migrates to its bucket before any jump, so
-                    # the occupancy mask sees it.
-                    if overflow:
-                        end = cursor + slots
-                        while overflow:
-                            tick = int(overflow[0][0] * res_inv)
-                            if tick >= end:
-                                break
-                            index = tick & mask
-                            wheel[index].append(heappop(overflow))
-                            self._wheel_count += 1
-                            self._occupied |= 1 << index
-                    occupied = self._occupied
-                    if occupied:
-                        # Jump straight to the next occupied slot: rotate
-                        # the mask so bit 0 is the cursor slot, then take
-                        # the lowest set bit.
-                        index = cursor & mask
-                        rotated = (occupied >> index) | (
-                            (occupied & ((1 << index) - 1)) << (slots - index)
-                        )
-                        cursor += (rotated & -rotated).bit_length() - 1
-                        if cursor > limit_tick:
-                            if limit_tick > self._cursor:
-                                self._cursor = limit_tick
-                            break
-                        self._cursor = cursor
-                        continue
-                    # Wheel empty: jump the cursor straight to the next
-                    # overflow tick instead of sweeping idle slots.
-                    top_time = overflow[0][0]
-                    if top_time > limit:
-                        if limit_tick > cursor:
-                            self._cursor = limit_tick
-                        break
-                    cursor = int(top_time * res_inv)
-                    self._cursor = cursor
-                    end = cursor + slots
-                    while overflow:
-                        tick = int(overflow[0][0] * res_inv)
-                        if tick >= end:
-                            break
-                        index = tick & mask
-                        wheel[index].append(heappop(overflow))
-                        self._wheel_count += 1
-                        self._occupied |= 1 << index
-                    continue
-                # Drain the cursor bucket in exact (time, seq) order.
-                # The bucket stays in the wheel while firing, so
-                # peek_time()/pending() called from inside a callback
-                # still see the not-yet-fired remainder; reverse sort
-                # makes the next event a cheap pop() off the end.
-                if len(bucket) > 1:
-                    bucket.sort(reverse=True)
-                while bucket:
-                    entry = bucket[-1]
-                    time = entry[0]
-                    if time > limit:
-                        stopped = True
-                        break
-                    bucket.pop()
-                    self._wheel_count -= 1
-                    handle = entry[2]
-                    if handle.cancelled:
-                        continue
-                    handle._fired = True
-                    self._live -= 1
-                    self._now = time
-                    depth = len(bucket)
-                    entry[3](*entry[4])
-                    executed += 1
-                    if len(bucket) != depth:
-                        # The callback scheduled into this same tick; the
-                        # append landed unsorted at the pop end, so
-                        # restore order before the next pop.
-                        bucket.sort(reverse=True)
-                    if executed == stop_after:
-                        stopped = True
-                        break
-                if not bucket:
-                    self._occupied &= ~(1 << (cursor & mask))
-                    if not stopped:
-                        self._cursor = cursor + 1
-                        continue
-                if stopped:
+            while heap and executed != stop_after:
+                if heap[0][0] > limit:
                     break
+                time, _seq, handle, callback, args = heappop(heap)
+                if handle is not None:
+                    if handle.cancelled:
+                        self._dead -= 1
+                        continue
+                    handle._owner = None
+                self._live -= 1
+                self.now = time
+                callback(*args)
+                executed += 1
         finally:
-            self._running = False
             self.events_processed += executed
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+            self._compact()  # firing shrank the live side of the bound
+        if until is not None and self.now < until:
+            head = self.peek_time()
+            if head is None or head > until:
+                self.now = until
+        return self.now
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None if idle."""
-        if self._live == 0:
-            return None
-        overflow = self._overflow
-        while overflow and overflow[0][2].cancelled:
-            heapq.heappop(overflow)
-        best = overflow[0][0] if overflow else None
-        if self._wheel_count:
-            wheel = self._wheel
-            mask = self._mask
-            slots = self._slots
-            cursor = self._cursor
-            index = cursor & mask
-            occupied = self._occupied
-            # Rotate so bit 0 is the cursor slot, then visit occupied
-            # slots in drain order.
-            rotated = (occupied >> index) | (
-                (occupied & ((1 << index) - 1)) << (slots - index)
-            )
-            while rotated:
-                offset = (rotated & -rotated).bit_length() - 1
-                bucket = wheel[(cursor + offset) & mask]
-                earliest = None
-                for entry in bucket:
-                    if not entry[2].cancelled:
-                        time = entry[0]
-                        if earliest is None or time < earliest:
-                            earliest = time
-                if earliest is not None:
-                    # Later buckets hold strictly later ticks, so the
-                    # first bucket with a live entry bounds the wheel.
-                    if best is None or earliest < best:
-                        best = earliest
-                    break
-                rotated &= rotated - 1
-        return best
+        heap = self._heap
+        while heap:
+            handle = heap[0][2]
+            if handle is None or not handle.cancelled:
+                return heap[0][0]
+            heappop(heap)
+            self._dead -= 1
+        return None
 
     def pending(self) -> int:
-        """Number of (non-cancelled) queued events.
-
-        O(1): a live counter maintained at schedule/cancel/fire time
-        replaces rescanning buckets (cancelled entries stay in their
-        bucket until drained, so scanning would be O(n) per call).
-
-        Invariant vs. :meth:`peek_time`: peeking scans *around*
-        cancelled entries (and lazily pops them off the overflow
-        heap), but never touches this counter — the cancel that marked
-        them already decremented it.  Any interleaving of schedule /
-        cancel / peek therefore keeps ``pending()`` exact (the churn
-        test in ``tests/test_sim_engine.py`` drives this directly).
-        """
+        """Number of (non-cancelled) queued events; an O(1) counter."""
         return self._live
+
+    def _compact(self) -> None:
+        """Drop cancelled entries once they outnumber the live ones.
+
+        Filtering in place keeps the list ``run`` is draining; pop order
+        depends only on the unique ``(time, seq)`` keys, so rebuilding
+        the heap cannot reorder anything.
+        """
+        if self._dead > _DEAD_SLACK and self._dead > self._live:
+            heap = self._heap
+            heap[:] = [entry for entry in heap if entry[2] is None or not entry[2].cancelled]
+            heapify(heap)
+            self._dead = 0

@@ -2,13 +2,13 @@
 
 Seeded Netem delay faults routinely land two deliveries on the exact
 same timestamp; without a total order on (time, seq) the heap would
-fall through to comparing unorderable payloads and chaos replays would
-stop being byte-identical.
+fall through to comparing unorderable handles and callbacks and chaos
+replays would stop being byte-identical.
 """
 
 from repro.chaos import Fault, FaultPlan, Match, run_scenario
 from repro.packet import IPProto
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 
 
 class TestEventOrdering:
@@ -54,13 +54,23 @@ class TestEventOrdering:
         sim.run()
         assert order == [0, 2]
 
-    def test_handles_are_totally_ordered(self):
-        a = EventHandle(1.0, 0)
-        b = EventHandle(1.0, 1)
-        c = EventHandle(0.5, 7)
-        assert c < a < b
-        assert a <= b and b >= a and b > a and a >= a and a <= a
-        assert sorted([b, c, a]) == [c, a, b]
+    def test_ties_never_compare_payloads(self):
+        # Handles and callbacks are unorderable, so every comparison
+        # must be settled by the unique (time, seq) prefix — also when
+        # cancel churn makes the engine rebuild its heap.
+        sim = Simulator()
+        order = []
+        doomed = []
+        for index in range(100):
+            doomed.append(sim.schedule_at(1.0, order.append, "doomed"))
+            sim.schedule_at(1.0, order.append, 2 * index)
+            doomed.append(sim.schedule(1.0, order.append, "doomed"))
+            sim.schedule_fast(1.0, order.append, 2 * index + 1)
+            doomed.append(sim.schedule(1.0, order.append, "doomed"))
+        for handle in doomed:  # 300 dead against 200 live: compacts
+            handle.cancel()
+        sim.run()
+        assert order == list(range(200))
 
     def test_handle_carries_time_and_seq(self):
         sim = Simulator()

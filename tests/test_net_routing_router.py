@@ -223,6 +223,39 @@ class TestTopology:
         topo.run()
         assert len(hits) == 12  # 4 * 3 pairs
 
+    def test_diamond_tie_goes_to_first_linked_neighbour(self):
+        # Two equal-cost paths a-b1-d and a-b2-d.  The breadth-first
+        # router is the only one there is, so its tie-break is part of
+        # every pinned digest: the neighbour linked first wins, per
+        # source, which makes the two directions take different arms.
+        topo = Topology()
+        src, dst = topo.add_host("src"), topo.add_host("dst")
+        a, b1, b2, d = (topo.add_router(name) for name in ("a", "b1", "b2", "d"))
+        topo.link(src, a)
+        topo.link(a, b2)  # a's first transit neighbour: b2
+        topo.link(a, b1)
+        topo.link(b1, d)  # d's first transit neighbour: b1
+        topo.link(b2, d)
+        topo.link(d, dst)
+        topo.build_routes()
+        assert a.routes.lookup(dst.ip).interface is topo.edge(a, b2)[0]
+        assert d.routes.lookup(src.ip).interface is topo.edge(d, b1)[0]
+        # One hop further out the tie is already settled: only one arm
+        # is a shortest path from inside it.
+        assert b1.routes.lookup(dst.ip).interface is topo.edge(b1, d)[0]
+        assert b2.routes.lookup(src.ip).interface is topo.edge(b2, a)[0]
+        received = []
+        for host in (src, dst):
+            host.on_udp(9, lambda packet, host: received.append(packet.payload))
+        src.send_udp(dst.ip, 1, 9, b"out")
+        dst.send_udp(src.ip, 1, 9, b"back")
+        topo.run()
+        assert sorted(received) == [b"back", b"out"]
+        assert topo.edge(a, b2)[2].stats.delivered == 1
+        assert topo.edge(a, b1)[2].stats.delivered == 0
+        assert topo.edge(d, b1)[2].stats.delivered == 1
+        assert topo.edge(d, b2)[2].stats.delivered == 0
+
     def test_explicit_addresses(self):
         topo = Topology()
         a = topo.add_host("a")

@@ -100,6 +100,35 @@ def test_max_events_limits_execution():
     assert fired == [0, 1, 2, 3]
 
 
+def test_event_budget_does_not_jump_the_clock_past_queued_events():
+    # run(until=T, max_events=N) stopped by the budget used to set the
+    # clock to T with earlier events still queued: the next run moved
+    # ``now`` backwards and schedule_at rejected valid times.
+    sim = Simulator()
+    fired = []
+    for index in range(10):
+        sim.schedule_at(index / 10, fired.append, index)
+    assert sim.run(until=5.0, max_events=3) == 0.2
+    assert fired == [0, 1, 2]
+    assert sim.peek_time() == 0.3
+    sim.schedule_at(0.25, fired.append, "between")
+    assert sim.run(until=5.0, max_events=8) == 5.0  # drained: now jump
+    assert fired == [0, 1, 2, "between", 3, 4, 5, 6, 7, 8, 9]
+    assert sim.now == 5.0
+
+
+def test_run_until_jumps_over_a_cancelled_head():
+    # Only live events hold the clock back.
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b").cancel()
+    sim.schedule(9.0, fired.append, "c")
+    assert sim.run(until=5.0, max_events=1) == 5.0
+    assert fired == ["a"]
+    assert sim.peek_time() == 9.0
+
+
 def test_peek_time_skips_cancelled():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
@@ -299,15 +328,103 @@ def test_schedule_fast_rejects_negative_delay():
         sim.schedule_fast(-0.1, lambda: None)
 
 
-def test_schedule_fast_far_future_overflow_heap():
-    # Beyond the wheel horizon events land in the overflow heap; they
-    # must still honour the same ordering and visibility contract.
+def test_schedule_fast_far_future():
+    # A timer-scale delay next to datapath-scale ones honours the same
+    # ordering and visibility contract (the PR 8 wheel kept such events
+    # in a separate lane).
     sim = Simulator()
     fired = []
-    horizon = sim._slots / sim._res_inv
-    sim.schedule_fast(horizon * 10, fired.append, "far")
-    sim.schedule_fast(horizon / 2, fired.append, "near")
-    assert sim.pending() == 2
-    assert sim.peek_time() == pytest.approx(horizon / 2)
+    sim.schedule_fast(0.256, fired.append, "far")
+    sim.schedule_fast(0.0128, fired.append, "near")
+    sim.schedule(1e-6, fired.append, "next")
+    assert sim.pending() == 3
+    assert sim.peek_time() == 1e-6
+    sim.run(until=0.1)
+    assert fired == ["next", "near"]
+    assert sim.pending() == 1
+    assert sim.peek_time() == 0.256
     sim.run()
-    assert fired == ["near", "far"]
+    assert fired == ["next", "near", "far"]
+    assert sim.now == 0.256
+
+
+def test_compaction_from_inside_a_callback_loses_and_reorders_nothing():
+    # Enough cancels from a callback to make the engine drop its dead
+    # entries while run() is draining the queue: everything still
+    # queued, and everything scheduled afterwards, fires once, in order.
+    sim = Simulator()
+    fired = []
+    timers = [sim.schedule(5.0 + i, fired.append, "timer") for i in range(300)]
+
+    def cancel_timers():
+        fired.append("cancel")
+        for timer in timers:
+            timer.cancel()
+        sim.schedule_fast(0.0, fired.append, "same-instant")
+        sim.schedule(0.5, fired.append, "later")
+
+    sim.schedule(1.0, fired.append, "before")
+    sim.schedule(1.0, cancel_timers)
+    sim.schedule(1.0, fired.append, "tie")
+    for index in range(10):
+        sim.schedule_fast(2.0 + index, fired.append, index)
+    sim.run()
+    assert fired == ["before", "cancel", "tie", "same-instant", "later", *range(10)]
+    assert sim.pending() == 0 and sim.peek_time() is None
+    assert sim.events_processed == 15
+
+
+def test_cancelled_timers_do_not_accumulate():
+    # Bulk TCP re-arms its RTO on every ACK and cancels it long before
+    # the deadline; the queue must stay proportional to what is live,
+    # whether the live side shrinks by cancelling or by firing.
+    sim = Simulator()
+    state = {"timer": sim.schedule(0.2, lambda: None)}
+    deepest = 0
+
+    def segment(remaining):
+        nonlocal deepest
+        state["timer"].cancel()
+        state["timer"] = sim.schedule(0.2, lambda: None)
+        deepest = max(deepest, len(sim._heap))
+        if remaining:
+            sim.schedule_fast(1e-5, segment, remaining - 1)
+
+    sim.schedule_fast(0.0, segment, 5000)
+    sim.run(until=0.1)
+    assert sim.pending() == 1
+    assert deepest <= 2 * 2 + 64 + 1  # two live while the callback runs
+
+    for _ in range(100):
+        sim.schedule(1.0, lambda: None)
+    sim.schedule(3.0, lambda: None)  # keeps the dead ones off the head
+    for handle in [sim.schedule(9.0, lambda: None) for _ in range(90)]:
+        handle.cancel()  # fewer dead than live: nothing to do yet
+    sim.run(until=2.0)  # ... until the live ones have fired
+    assert sim.pending() == 1
+    assert len(sim._heap) <= 2 * 1 + 64
+
+
+def test_timer_fires_on_time_through_a_dense_stretch():
+    # The PR 8 wheel moved far-future events into its window only when
+    # it met an empty tick: with a datapath event in every 100 us tick
+    # for a whole 25.6 ms revolution, a timer due inside the stretch
+    # fired after it, and the clock ran backwards (a perfbench
+    # border_lossy_wan run lost an RTO that way).
+    sim = Simulator()
+    seen = []
+
+    def tick(remaining):
+        seen.append(sim.now)
+        if remaining:
+            sim.schedule_fast(5e-5, tick, remaining - 1)
+
+    sim.schedule_fast(0.0, tick, 1200)  # 60 ms, two events per tick
+    sim.schedule(0.030, seen.append, "timer")
+    sim.run()
+    at = seen.index("timer")
+    assert at < len(seen) - 1, "the timer fired after everything else"
+    assert seen[at - 1] <= 0.030 <= seen[at + 1]
+    clock = [entry for entry in seen if entry != "timer"]
+    assert clock == sorted(clock)
+    assert sim.now == clock[-1]
