@@ -42,7 +42,11 @@ class FlowClassifier:
         state = self.table.lookup(key, now)
         if now - state.window_start > self.window:
             state.reset_window(now)
-        state.touch(packet.total_len if size is None else size, now)
+        # FlowState.touch(), without the call: once per keyed packet.
+        state.packets += 1
+        state.bytes += packet.total_len if size is None else size
+        state.last_seen = now
+        state.window_packets += 1
         if not state.is_elephant and state.window_packets >= self.threshold_packets:
             state.is_elephant = True
             self.promotions += 1

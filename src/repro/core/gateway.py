@@ -282,7 +282,7 @@ class PXGateway(Router):
                 self.obs.spans.sync(
                     now if ingress_at is None else ingress_at, now, "untranslated"
                 )
-            self.forward(packet, arrived_on=interface)
+            self.forward(packet, interface, route)
             return
         else:
             bound = Bound.OUTBOUND
@@ -295,14 +295,18 @@ class PXGateway(Router):
                 self.obs.spans.sync(
                     now if ingress_at is None else ingress_at, now, "gateway-passthrough"
                 )
-            self.forward(packet, arrived_on=interface)
+            self.forward(packet, interface, route)
             return
 
         worker = self.worker
+        dst = ip.dst
         for out in worker.process(
             packet, bound, now=self.sim.now, ingress_at=ingress_at
         ):
-            self.forward(out, arrived_on=interface)
+            # The route just looked up serves every output headed where
+            # the input was; a segment of another flow, flushed because
+            # this packet evicted its merge context, looks up its own.
+            self.forward(out, interface, route if out.ip.dst == dst else None)
         # _ensure_flush_timer inlined: two extra calls per packet
         # otherwise (the method plus worker.pending()).
         if self._flush_handle is None and (

@@ -28,6 +28,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 from ..packet import IPProto, Packet, TCPFlags
 from ..packet.builder import next_ip_id
 from ..packet.flow import FlowKey
+from ..packet.packet import _UNSET
 
 __all__ = ["TcpMergeEngine", "StreamContext"]
 
@@ -127,7 +128,7 @@ class StreamContext:
                  "spliced_packets", "age_seq", "touched")
 
     def __init__(self, packet: Packet, now: float):
-        tcp = packet.tcp
+        tcp = packet.l4  # the engine only opens contexts for parsed TCP
         payload = packet.payload
         self.template = packet
         self.chunks: Deque[bytes] = deque((payload,))
@@ -144,7 +145,7 @@ class StreamContext:
         self.spliced_packets = 1
 
     def append(self, packet: Packet, now: float) -> None:
-        tcp = packet.tcp
+        tcp = packet.l4
         payload = packet.payload
         self.chunks.append(payload)
         self.buffered += len(payload)
@@ -246,10 +247,14 @@ class TcpMergeEngine:
     def feed(self, packet: Packet, now: float = 0.0) -> List[Packet]:
         """Offer one packet; returns segments ready to transmit."""
         ip = packet.ip
-        if ip.protocol != IPProto.TCP or ip.is_fragment:
+        if ip.protocol != IPProto.TCP or ip.more_fragments or ip.fragment_offset > 0:
             return [packet]
-        tcp = packet.tcp
-        key = packet.flow_key()
+        tcp = packet.l4
+        # The worker keyed the packet to classify it; only a packet fed
+        # here directly still has to derive its key.
+        key = packet._fkey
+        if key is _UNSET:
+            key = packet.flow_key()
 
         if tcp.flags & _NO_MERGE_FLAGS:
             return self._flush_key(key) + [packet]

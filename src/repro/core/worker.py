@@ -616,25 +616,22 @@ class GatewayWorker:
         breakdown = account.breakdown
         stats = self.stats
         tx_cycles = self._cost_tx
+        inbound_data = data and bound == Bound.INBOUND
+        tracer = self.tracer
         # Per-packet adds (not ``cycles * n``) keep float accumulation
         # order — and therefore reported totals — bit-identical to the
         # pre-inlined accounting.
-        inbound_data = data and bound == Bound.INBOUND
-        imtu = self._imtu
         for packet in packets:
             account.cycles += tx_cycles
             breakdown["tx"] = breakdown.get("tx", 0.0) + tx_cycles
             stats.tx_packets += 1
-            if inbound_data and (
-                len(packet.payload) > 0 if packet.is_tcp else packet.is_udp
-            ):
-                stats.note_inbound_data_packet(packet.total_len, imtu)
-        tracer = self.tracer
-        if tracer is not None:
-            now = self._trace_now
-            for packet in packets:
+            if inbound_data:
+                proto = packet.ip.protocol
+                if len(packet.payload) > 0 if proto == IPProto.TCP else proto == IPProto.UDP:
+                    stats.note_inbound_data_packet(packet.total_len, self._imtu)
+            if tracer is not None:
                 tracer.record(
-                    now, "egress",
+                    self._trace_now, "egress",
                     worker=self.index, bound=bound, bytes=packet.total_len,
                 )
         return packets

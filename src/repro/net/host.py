@@ -57,8 +57,6 @@ class Host(Node):
         self._tcp_listeners: Dict[Tuple[int, int, int], TcpListener] = {}
         self._tcp_accepting: Dict[int, TcpListener] = {}
         self._icmp_listeners: List[IcmpListener] = []
-        self.rx_packets = 0
-        self.rx_bytes = 0
         #: Caravans dropped because their body failed to decode (a
         #: damaged bundle; real stacks discard undecodable input).
         self.caravan_decode_errors = 0
@@ -80,13 +78,27 @@ class Host(Node):
         route = self.routes.lookup(destination)
         return route.interface if route else None
 
-    def send(self, packet: Packet) -> bool:
-        """Route and transmit a locally generated packet."""
+    @property
+    def rx_packets(self) -> int:
+        """Packets received, over all interfaces (fragments count each)."""
+        return sum(interface.rx_packets for interface in self.interfaces)
+
+    @property
+    def rx_bytes(self) -> int:
+        """IP bytes received, over all interfaces."""
+        return sum(interface.rx_bytes for interface in self.interfaces)
+
+    def send(self, packet: Packet, size: Optional[int] = None) -> bool:
+        """Route and transmit a locally generated packet.
+
+        *size* is the packet's ``total_len`` when the caller built the
+        packet and so already knows it.
+        """
         route = self.routes.lookup(packet.ip.dst)
         if route is None:
             return False
         packet.timestamp = self.sim.now
-        return route.interface.send(packet)
+        return route.interface.send(packet, size)
 
     # ------------------------------------------------------------------
     # Listener registration
@@ -202,8 +214,6 @@ class Host(Node):
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, interface: Interface) -> None:
         """Reassemble if needed, then demux to the registered listener."""
-        self.rx_packets += 1
-        self.rx_bytes += packet.total_len
         ip = packet.ip
         if ip.more_fragments or ip.fragment_offset > 0:
             if not self.reassemble:

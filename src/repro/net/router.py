@@ -18,7 +18,7 @@ from ..packet import FragmentationNeeded, ICMPMessage, Packet, build_icmp, fragm
 from ..sim.engine import Simulator
 from ..sim.node import Interface, Node
 from ..sim.trace import PacketTrace
-from .routing import RoutingTable
+from .routing import Route, RoutingTable
 
 __all__ = ["Router"]
 
@@ -61,8 +61,18 @@ class Router(Node):
             return
         self.forward(packet, arrived_on=interface)
 
-    def forward(self, packet: Packet, arrived_on: Optional[Interface] = None) -> bool:
-        """Route *packet* out the proper interface; True if sent."""
+    def forward(
+        self,
+        packet: Packet,
+        arrived_on: Optional[Interface] = None,
+        route: Optional[Route] = None,
+    ) -> bool:
+        """Route *packet* out the proper interface; True if sent.
+
+        *route* is the table's answer for ``packet.ip.dst`` when the
+        caller has just looked it up (a gateway needs it to tell the
+        crossing direction before it forwards).
+        """
         if self.filter_fragments and packet.is_fragment:
             self.dropped += 1
             if self.trace:
@@ -78,12 +88,13 @@ class Router(Node):
             )
             return False
 
-        route = self.routes.lookup(ip.dst)
         if route is None:
-            self.dropped += 1
-            if self.trace:
-                self.trace.record(self.sim.now, self.name, "drop-noroute", packet)
-            return False
+            route = self.routes.lookup(ip.dst)
+            if route is None:
+                self.dropped += 1
+                if self.trace:
+                    self.trace.record(self.sim.now, self.name, "drop-noroute", packet)
+                return False
 
         egress = route.interface
         # Forwarding only touches the IP header (TTL here, total_length
@@ -92,7 +103,10 @@ class Router(Node):
         packet = packet.fork()
         packet.ip.ttl -= 1
 
-        egress_mtu = min(egress.mtu, egress.link.mtu if egress.link else egress.mtu)
+        egress_mtu = egress.mtu
+        link = egress.link
+        if link is not None and link.mtu < egress_mtu:
+            egress_mtu = link.mtu
         size = packet.total_len
         if size <= egress_mtu:
             # Fits: skip the fragmentation machinery and reuse the

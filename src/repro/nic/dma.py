@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..packet import Packet
+from ..packet import Packet, TCPHeader
 
 __all__ = ["DmaModel", "ScatterGatherList", "FULL_DMA", "HEADER_ONLY_DMA"]
 
@@ -40,7 +40,11 @@ class DmaModel:
         *size* is the packet's ``total_len`` when the caller already
         computed it.
         """
-        header_bytes = packet.ip.header_len + packet.l4_header_len
+        l4 = packet.l4
+        if l4.__class__ is TCPHeader and not l4.options and not packet.ip.options:
+            header_bytes = 40  # the bulk-data case: no IP or TCP options
+        else:
+            header_bytes = packet.ip.header_len + packet.l4_header_len
         total = packet.total_len if size is None else size
         return header_bytes * self.header_factor + (total - header_bytes) * self.payload_factor
 

@@ -278,7 +278,20 @@ class Packet:
         and always safely shared.
         """
         new = Packet.__new__(Packet)
-        new.ip = self.ip.copy()
+        # IPv4Header.copy() without the call: one fork per router hop.
+        old_ip = self.ip
+        new.ip = ip = IPv4Header.__new__(IPv4Header)
+        ip.src = old_ip.src
+        ip.dst = old_ip.dst
+        ip.protocol = old_ip.protocol
+        ip.total_length = old_ip.total_length
+        ip.identification = old_ip.identification
+        ip.dont_fragment = old_ip.dont_fragment
+        ip.more_fragments = old_ip.more_fragments
+        ip.fragment_offset = old_ip.fragment_offset
+        ip.ttl = old_ip.ttl
+        ip.tos = old_ip.tos
+        ip.options = old_ip.options
         new.l4 = self.l4
         new.payload = self.payload
         new.timestamp = self.timestamp

@@ -14,7 +14,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..packet import Packet
-from ..packet.ethernet import wire_bytes_for_payload
+from ..packet.ethernet import ETH_MIN_PAYLOAD, ETH_WIRE_OVERHEAD, wire_bytes_for_payload
 from .engine import Simulator
 from .netem import Netem
 from .node import Interface
@@ -170,7 +170,9 @@ class Link:
         else:
             inflight.append((start, size))
             self._queued_bytes += size
-        end = start + wire_bytes_for_payload(size) * 8 / self.bandwidth_bps
+        # wire_bytes_for_payload(size), without the call.
+        wire = (size if size > ETH_MIN_PAYLOAD else ETH_MIN_PAYLOAD) + ETH_WIRE_OVERHEAD
+        end = start + wire * 8 / self.bandwidth_bps
         self._line_free_at = end
         sim.schedule_fast(end - now + self.delay, self._deliver_analytic, packet, size)
         return True

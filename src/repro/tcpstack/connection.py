@@ -19,7 +19,8 @@ and wire packets are exact.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Type
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Type
 
 from ..net.host import Host
 from ..packet import (
@@ -75,6 +76,8 @@ class TCPConnection:
     MAX_RTO = 60.0
     DELACK_TIMEOUT = 0.025
     WINDOW_SCALE = 10
+    #: Samples ``cwnd_trace`` retains (the most recent ones).
+    CWND_TRACE_CAPACITY = 1024
 
     def __init__(
         self,
@@ -124,7 +127,12 @@ class TCPConnection:
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self.rto = self.INITIAL_RTO
+        #: The RTO is lazy: one live engine entry per connection, and
+        #: the time the timer is really due.  Re-arming moves the
+        #: deadline only; the entry re-pushes itself when it fires
+        #: early.  ``_rto_handle is None`` means the timer is off.
         self._rto_handle = None
+        self._rto_deadline = 0.0
         self._rtt_sample: Optional[tuple] = None  # (target_seq, sent_at)
         self._dupacks = 0
         self._in_recovery = False
@@ -143,7 +151,10 @@ class TCPConnection:
         self.retransmits = 0
         self.timeouts = 0
         self.established_at: Optional[float] = None
-        self.cwnd_trace: List[tuple] = []
+        #: The last ``CWND_TRACE_CAPACITY`` ``(time, cwnd)`` samples, one
+        #: per window change; ``cwnd_samples`` counts every one taken.
+        self.cwnd_trace: Deque[tuple] = deque(maxlen=self.CWND_TRACE_CAPACITY)
+        self.cwnd_samples = 0
         self.on_data: Optional[Callable[[int], None]] = None
         self.on_established: Optional[Callable[[], None]] = None
 
@@ -188,6 +199,11 @@ class TCPConnection:
     def effective_peer_window(self) -> int:
         return self.peer_window << self.peer_wscale
 
+    @property
+    def cwnd_trace_dropped(self) -> int:
+        """Samples ``cwnd_trace`` has shed (taken - retained)."""
+        return self.cwnd_samples - len(self.cwnd_trace)
+
     def throughput_bps(self, duration: float) -> float:
         """Receiver-side goodput over *duration*."""
         if duration <= 0:
@@ -230,7 +246,8 @@ class TCPConnection:
         return Packet(ip, tcp, payload)
 
     def _send_control(self, flags: int, seq: int, options=None) -> None:
-        self.host.send(self._build(flags, seq, options=options))
+        # An option-less segment is 20 B of IP and 20 B of TCP header.
+        self.host.send(self._build(flags, seq, options=options), None if options else 40)
 
     def _send_ack(self) -> None:
         self._segs_since_ack = 0
@@ -253,26 +270,32 @@ class TCPConnection:
         tcp = packet.l4
         flags = tcp.flags
         state = self.state
-        if state == TCPState.SYN_SENT and flags & TCPFlags.SYN and flags & TCPFlags.ACK:
-            self._complete_active_open(packet)
-            return
-        if state == TCPState.SYN_RCVD and flags & TCPFlags.ACK and not flags & TCPFlags.SYN:
-            if tcp.ack == self.snd_nxt:
-                self._establish()
-        if self.state == TCPState.ESTABLISHED and flags & TCPFlags.SYN:
-            # A retransmitted SYN-ACK: our final ACK was lost; re-ACK.
-            self._send_ack()
-            return
-        if self.state in (TCPState.ESTABLISHED, TCPState.FIN_WAIT, TCPState.CLOSE_WAIT,
-                          TCPState.SYN_RCVD):
-            if flags & TCPFlags.ACK:
-                if tcp.options:
-                    self._record_sack(tcp)
-                self._handle_ack(tcp.ack)
-            if packet.payload:
-                self._handle_data(tcp.seq, len(packet.payload), flags & TCPFlags.PSH)
-            if flags & TCPFlags.FIN:
-                self._handle_fin(tcp.seq, len(packet.payload))
+        if state != TCPState.ESTABLISHED or flags & TCPFlags.SYN:
+            # Off the bulk path: handshake, teardown, a stray SYN.
+            if state == TCPState.SYN_SENT and flags & TCPFlags.SYN and flags & TCPFlags.ACK:
+                self._complete_active_open(packet)
+                return
+            if state == TCPState.SYN_RCVD and flags & TCPFlags.ACK and not flags & TCPFlags.SYN:
+                if tcp.ack == self.snd_nxt:
+                    self._establish()
+            if self.state == TCPState.ESTABLISHED and flags & TCPFlags.SYN:
+                # A retransmitted SYN-ACK: our final ACK was lost; re-ACK.
+                self._send_ack()
+                return
+            if self.state in (TCPState.CLOSED, TCPState.SYN_SENT):
+                return
+        payload = packet.payload
+        if flags & TCPFlags.ACK:
+            if tcp.options:
+                self._record_sack(tcp)
+            # Only a segment without data can be a duplicate ACK (RFC
+            # 5681 §2): the reverse stream of a two-way transfer repeats
+            # the same ACK number on every data segment.
+            self._handle_ack(tcp.ack, not payload)
+        if payload:
+            self._handle_data(tcp.seq, len(payload), flags & TCPFlags.PSH)
+        if flags & TCPFlags.FIN:
+            self._handle_fin(tcp.seq, len(payload))
 
     def accept_syn(self, packet: Packet) -> None:
         """Passive open: respond to a SYN (called by TCPListener)."""
@@ -354,23 +377,26 @@ class TCPConnection:
             self._send_control(TCPFlags.FIN | TCPFlags.ACK, self.snd_nxt)
             self.snd_nxt = (self.snd_nxt + 1) & (MAX_SEQ - 1)
             self.state = TCPState.FIN_WAIT
-        if self.flight_size > 0 and self._rto_handle is None:
+        if self._rto_handle is None and self.snd_nxt != self.snd_una:
             self._arm_rto()
 
     def _transmit_segment(self, seq: int, length: int, retransmission: bool = False) -> None:
         packet = self._build(TCPFlags.ACK, seq, payload=_zeros(length))
         if not retransmission and self._rtt_sample is None:
             self._rtt_sample = ((seq + length) & (MAX_SEQ - 1), self.sim.now)
-        self.host.send(packet)
+        self.host.send(packet, 40 + length)
 
-    def _handle_ack(self, ack: int) -> None:
+    def _handle_ack(self, ack: int, bare: bool) -> None:
+        """Process an ACK number; *bare* says its segment carried no data."""
         if _seq_lt(self.snd_una, ack) and not _seq_lt(self.snd_nxt, ack):
             acked = (ack - self.snd_una) & (MAX_SEQ - 1)
             self.snd_una = ack
             self.bytes_acked += acked
-            self._sack_prune()
+            if self._sacked:
+                self._sack_prune()
             self._dupacks = 0
-            self._sample_rtt(ack)
+            if self._rtt_sample is not None:
+                self._sample_rtt(ack)
             if self._in_recovery and not _seq_lt(ack, self._recover):
                 self._in_recovery = False  # full ACK: recovery complete
             if self.cc is not None:
@@ -384,14 +410,17 @@ class TCPConnection:
                         self._retransmit_head()
                 else:
                     self.cc.on_ack(acked, self.sim.now)
+                self.cwnd_samples += 1
                 self.cwnd_trace.append((self.sim.now, self.cc.cwnd))
-            self._cancel_rto()
             if self.snd_nxt != self.snd_una:
                 self._arm_rto()
             else:
+                # Flight drained: the cancel is real, so no timer entry
+                # outlives the transfer.
+                self._cancel_rto()
                 self.rto = max(self.MIN_RTO, self.rto / 2)
             self._pump()
-        elif ack == self.snd_una and self.snd_nxt != self.snd_una:
+        elif bare and ack == self.snd_una and self.snd_nxt != self.snd_una:
             self._dupacks += 1
             if self._dupacks == 3:
                 self._fast_retransmit()
@@ -404,6 +433,7 @@ class TCPConnection:
         self._rtx_until = self.snd_una
         if self.cc is not None:
             self.cc.on_loss(self.sim.now)
+            self.cwnd_samples += 1
             self.cwnd_trace.append((self.sim.now, self.cc.cwnd))
         self._retransmit_head()
 
@@ -449,7 +479,8 @@ class TCPConnection:
         middlebox resegmented the stream and receiver ACK boundaries no
         longer match sender segments.
         """
-        self._sack_prune()
+        if self._sacked:
+            self._sack_prune()
         length = min(self.send_mss, self.flight_size)
         if self._sacked:
             hole = self._sack_rel(self._sacked[0][0])
@@ -464,8 +495,6 @@ class TCPConnection:
         self._arm_rto()
 
     def _sample_rtt(self, ack: int) -> None:
-        if self._rtt_sample is None:
-            return
         target, sent_at = self._rtt_sample
         if _seq_lt(ack, target):
             return
@@ -483,16 +512,37 @@ class TCPConnection:
     # Timers
     # ------------------------------------------------------------------
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        self._rto_handle = self.sim.schedule(self.rto, self._on_rto)
+        """(Re)start the retransmission timer: due ``rto`` from now.
+
+        Bulk TCP re-arms on every advancing ACK and the timer almost
+        never fires, so re-arming only moves the deadline.  The engine
+        is touched when no entry is live, or when the deadline moved
+        *before* the live entry (``rto`` shrank), which a late-firing
+        entry could not honour.
+        """
+        self._rto_deadline = deadline = self.sim.now + self.rto
+        handle = self._rto_handle
+        if handle is not None:
+            if deadline >= handle.time:
+                return
+            handle.cancel()
+        self._rto_handle = self.sim.schedule_at(deadline, self._rto_expired)
 
     def _cancel_rto(self) -> None:
         if self._rto_handle is not None:
             self._rto_handle.cancel()
             self._rto_handle = None
 
+    def _rto_expired(self) -> None:
+        """The live entry fired: time out, or re-push to the real deadline."""
+        deadline = self._rto_deadline
+        if deadline > self.sim.now:
+            self._rto_handle = self.sim.schedule_at(deadline, self._rto_expired)
+        else:
+            self._rto_handle = None
+            self._on_rto()
+
     def _on_rto(self) -> None:
-        self._rto_handle = None
         self.timeouts += 1
         self.rto = min(self.MAX_RTO, self.rto * 2)
         if self.state == TCPState.SYN_SENT:
@@ -514,6 +564,7 @@ class TCPConnection:
             return
         if self.cc is not None:
             self.cc.on_timeout(self.sim.now)
+            self.cwnd_samples += 1
             self.cwnd_trace.append((self.sim.now, self.cc.cwnd))
         self._in_recovery = True
         self._recover = self.snd_nxt
@@ -533,7 +584,8 @@ class TCPConnection:
             seq = self.rcv_nxt
         if seq == self.rcv_nxt:
             self._deliver((end - seq) & (MAX_SEQ - 1))
-            self._drain_ooo()
+            if self._ooo:
+                self._drain_ooo()
             self._segs_since_ack += 1
             if self._segs_since_ack >= 2 or psh or self._ooo:
                 self._send_ack()

@@ -22,6 +22,21 @@ def test_fork_shares_l4_and_payload():
     assert forked.total_len == packet.total_len
 
 
+def test_fork_copies_every_ip_field():
+    # fork() fills the private IP header field by field rather than
+    # through IPv4Header.copy(); every slot is set off its default here
+    # so a field it forgot would show.
+    packet = build_udp("10.0.0.1", "10.0.0.2", 53, 5353, payload=b"q" * 64, tos=4, ttl=9)
+    ip = packet.ip
+    ip.identification = 0xBEEF
+    ip.dont_fragment = ip.more_fragments = True
+    ip.fragment_offset = 185
+    ip.options = b"\x01\x01\x01\x00"
+    forked_ip = packet.fork().ip
+    assert forked_ip == ip
+    assert all(getattr(forked_ip, name) == getattr(ip, name) for name in type(ip).__slots__)
+
+
 def test_own_l4_materializes_shared_header():
     packet = build_tcp("10.0.0.1", "10.0.0.2", 1000, 2000, seq=7, mss=1460)
     forked = packet.fork()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import FPMTUD_PORT, GatewayConfig, PXGateway, decode_caravan, is_caravan
 from repro.net import Topology
-from repro.packet import build_udp
+from repro.packet import TCPFlags, build_tcp, build_udp
 from repro.tcpstack import TCPConnection, TCPListener
 
 
@@ -86,6 +86,52 @@ class TestDownlinkMerge:
         data_packets = inside.rx_packets - rx_before
         # 1 MB at 1448 B/packet would be ~690 packets; jumbos cut ~6x.
         assert data_packets < 300
+
+
+class TestMergeEvictionRouting:
+    def test_evicted_flows_segment_leaves_by_its_own_interface(self):
+        # Two b-network hosts behind separate internal interfaces and
+        # one merge context: a packet for host B evicts host A's
+        # context, so the worker hands back A's segment while B's packet
+        # is the one being processed.  The gateway forwards outputs with
+        # the route it looked up for the *input*; an output bound
+        # elsewhere has to look up its own.
+        topo = Topology()
+        inside_a = topo.add_host("inside_a")
+        inside_b = topo.add_host("inside_b")
+        outside = topo.add_host("outside")
+        config = GatewayConfig(merge_contexts_per_worker=1, elephant_threshold_packets=1,
+                               merge_timeout=5e-3)
+        gateway = PXGateway(topo.sim, "pxgw", config=config)
+        topo.add_node(gateway)
+        topo.link(inside_a, gateway, mtu=9000, delay=5e-5)
+        topo.link(inside_b, gateway, mtu=9000, delay=5e-5)
+        topo.link(gateway, outside, mtu=1500, delay=5e-5)
+        topo.build_routes()
+        to_a, to_b, _external = gateway.interfaces
+        gateway.mark_internal(to_a)
+        gateway.mark_internal(to_b)
+
+        def data(dst, port, fill):
+            return build_tcp(outside.ip, dst.ip, 80, port, payload=bytes([fill]) * 1000,
+                             seq=1, flags=TCPFlags.ACK)
+
+        outside.send(data(inside_a, 40001, 0xAA))
+        topo.run(until=1e-3)  # buffered: well inside the merge timeout
+        assert gateway.worker.merge.pending_bytes() == 1000
+        assert (to_a.tx_packets, to_b.tx_packets) == (0, 0)
+
+        outside.send(data(inside_b, 40002, 0xBB))
+        topo.run(until=2e-3)
+        assert gateway.worker.merge.evictions == 1
+        assert (to_a.tx_packets, to_b.tx_packets) == (1, 0)
+        assert [p.payload for p in inside_a.unclaimed] == [b"\xaa" * 1000]
+        assert inside_a.unclaimed[0].ip.dst == inside_a.ip
+        assert inside_b.unclaimed == []
+
+        topo.run(until=20e-3)  # the flush timer releases B's bytes to B
+        assert [p.payload for p in inside_b.unclaimed] == [b"\xbb" * 1000]
+        assert len(inside_a.unclaimed) == 1
 
 
 class TestUplinkSplit:

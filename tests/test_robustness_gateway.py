@@ -65,15 +65,20 @@ class TestReordering:
 
 class TestBurstLoss:
     def test_transfer_completes_through_bursty_wan(self):
+        # A chain harsh enough to enter the bad state within ~330
+        # packets per direction (at p_good_to_bad=0.002 it dropped
+        # nothing at this size and seed).
         netem = Netem(delay=2e-3,
-                      burst_loss=GilbertElliott(p_good_to_bad=0.002,
+                      burst_loss=GilbertElliott(p_good_to_bad=0.01,
                                                 p_bad_to_good=0.3,
                                                 loss_bad=0.5))
         topo, inside, outside, gateway = gateway_topology(netem_external=netem)
         conn, server = transfer(topo, inside, outside, nbytes=400_000, deadline=120.0)
+        # Bursts really hit the flows, and every byte still arrives.
+        assert sum(link.stats.dropped_loss for link in topo.links()) > 0
         assert conn.bytes_delivered == 400_000
         assert server.bytes_delivered == 400_000
-        assert conn.retransmits > 0  # bursts really hit the flow
+        assert conn.retransmits > 0 and server.retransmits > 0
 
     def test_reordering_plus_loss_combined(self):
         netem = Netem(delay=1e-3, loss=0.002, reorder=0.05, reorder_extra=0.002)

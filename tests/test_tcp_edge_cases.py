@@ -145,10 +145,10 @@ class TestMiscConnection:
         syns = []
         original = client.send
 
-        def spy(packet):
+        def spy(packet, size=None):
             if packet.is_tcp and packet.tcp.syn:
                 syns.append(packet)
-            return original(packet)
+            return original(packet, size)
 
         client.send = spy
         conn = TCPConnection(client, 40000, server.ip, 80, mss=8960)

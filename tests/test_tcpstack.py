@@ -132,12 +132,42 @@ class TestLossRecovery:
         cwnds = [value for _t, value in conn.cwnd_trace]
         assert any(cwnds[i + 1] < cwnds[i] for i in range(len(cwnds) - 1))
 
+    def test_cwnd_trace_is_a_bounded_ring_of_the_latest_samples(self):
+        topo, client, server = line_topology()
+        conn, _listener = open_connection(topo, client, server)
+        conn.send_bulk(4_000_000)
+        topo.run(until=topo.sim.now + 5.0)
+        capacity = TCPConnection.CWND_TRACE_CAPACITY
+        assert conn.cwnd_samples > capacity  # one sample per advancing ACK
+        assert len(conn.cwnd_trace) == capacity
+        assert conn.cwnd_trace_dropped == conn.cwnd_samples - capacity
+        times = [at for at, _cwnd in conn.cwnd_trace]
+        assert times == sorted(times)
+        assert conn.cwnd_trace[-1] == (times[-1], conn.cc.cwnd)
+
     def test_lossless_transfer_has_no_retransmits(self):
         topo, client, server = line_topology()
         conn, listener = open_connection(topo, client, server)
         conn.send_bulk(1_000_000)
         topo.run(until=topo.sim.now + 5.0)
         assert conn.retransmits == 0
+
+    def test_two_way_transfer_counts_no_data_segment_as_duplicate_ack(self):
+        # RFC 5681 §2: a duplicate ACK carries no data.  With both ends
+        # sending, every data segment repeats the last ACK number; taking
+        # those for dup-ACKs made each end fast-retransmit ~1.4k times on
+        # a path that drops nothing.
+        topo, client, server = line_topology(delay=1e-3)
+        conn, listener = open_connection(topo, client, server)
+        peer = listener.connections[0]
+        conn.send_bulk(2_000_000)
+        peer.send_bulk(2_000_000)
+        topo.run(until=topo.sim.now + 30.0)
+        assert sum(link.stats.dropped_loss + link.stats.dropped_queue
+                   for link in topo.links()) == 0
+        assert conn.bytes_delivered == peer.bytes_delivered == 2_000_000
+        assert (conn.retransmits, peer.retransmits) == (0, 0)
+        assert (conn.timeouts, peer.timeouts) == (0, 0)
 
 
 class TestClassicalPmtud:
