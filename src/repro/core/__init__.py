@@ -18,7 +18,7 @@ from .mss_clamp import MssClamp
 from .stats import GatewayStats
 from .tcp_merge import TcpMergeEngine
 from .tcp_split import TcpSplitEngine
-from .worker import GatewayWorker, WorkerMode
+from .worker import STAGES, GatewayWorker, WorkerMode, WorkerObserver
 
 __all__ = [
     "GatewayConfig",
@@ -30,6 +30,8 @@ __all__ = [
     "GatewayDatapath",
     "GatewayWorker",
     "WorkerMode",
+    "WorkerObserver",
+    "STAGES",
     "GatewayStats",
     "FlowTable",
     "FlowState",

@@ -148,24 +148,23 @@ class PXGateway(Router):
         """Attach a metrics registry (and optional tracer) bundle.
 
         Registers the gateway's scrape-time collectors on the bundle's
-        registry and hands its tracer to the live worker.  With no
-        argument a fresh metrics-only bundle is created.  Returns the
-        attached :class:`repro.obs.Observability`.
+        registry and subscribes its tracer and span tracker to the live
+        worker.  With no argument a fresh metrics-only bundle is
+        created.  Returns the attached :class:`repro.obs.Observability`.
         """
         from ..obs import Observability, observe_gateway
 
         if obs is None:
             obs = Observability()
         self.obs = obs
-        self.worker.tracer = obs.tracer
-        self.worker.spans = obs.spans
+        self.worker.observers = tuple(o for o in (obs.tracer, obs.spans) if o is not None)
         observe_gateway(obs, self)
         return obs
 
     def swap_worker(self, new_worker) -> "GatewayWorker":
         """Replace the datapath worker (failover); returns the old one.
 
-        The new worker inherits the resilience and observability hooks
+        The new worker inherits the resilience hooks and the observers
         so a takeover does not silently drop the PMTU clamp, the
         caravan gate, or the flow tracer.
         """
@@ -173,14 +172,11 @@ class PXGateway(Router):
         new_worker.pmtu_cache = self.pmtu_cache
         if self.negotiator is not None:
             new_worker.caravan_gate = self.negotiator.allow_caravan
+        new_worker.observers = old.observers
+        # The retired worker's buffered bytes are re-emitted from the
+        # failover checkpoint through forward(), bypassing any worker.
+        old.retire(self.sim.now)
         if self.obs is not None:
-            new_worker.tracer = self.obs.tracer
-            new_worker.spans = self.obs.spans
-            if self.obs.spans is not None:
-                # The retired worker's buffered bytes are re-emitted from
-                # the failover checkpoint through forward(), bypassing
-                # any worker — settle their ingress spans here.
-                self.obs.spans.flush_fifos(self.sim.now, outcome="failover")
             self.obs.trace(
                 self.sim.now, "worker-swap",
                 gateway=self.name, from_worker=old.index, to_worker=new_worker.index,

@@ -13,7 +13,6 @@ from typing import List
 
 from ..cpu import DEFAULT_GATEWAY_COSTS, CycleAccount, GatewayCosts
 from ..nic.dma import FULL_DMA, HEADER_ONLY_DMA
-from ..obs.spans import CARAVAN_BATCH_WAIT_SECONDS
 from ..packet import IPProto, PX_CARAVAN_TOS, Packet, TCPFlags
 from .caravan import (
     CaravanMergeEngine,
@@ -29,7 +28,7 @@ from .stats import GatewayStats
 from .tcp_merge import TcpMergeEngine
 from .tcp_split import TcpSplitEngine
 
-__all__ = ["GatewayWorker", "WorkerMode"]
+__all__ = ["GatewayWorker", "WorkerMode", "WorkerObserver", "STAGES"]
 
 
 class WorkerMode:
@@ -50,6 +49,43 @@ class WorkerMode:
     BYPASS = "bypass"
 
     ALL = (NORMAL, DEGRADED, BYPASS)
+
+
+#: The closed set ``on_packet``'s *stage* is drawn from.
+STAGES = frozenset({
+    "mss", "hairpin", "forward", "passthrough", "merge", "split",
+    "caravan", "caravan-open", "malformed-caravan",
+})
+
+
+class WorkerObserver:
+    """The worker's one instrumentation seam; every event is a no-op here.
+
+    A subscriber overrides what it wants and joins
+    :attr:`GatewayWorker.observers`.  It may read anything and must touch
+    nothing: an observed run emits the same bytes as a bare one.
+    """
+
+    def on_packet(self, worker, now, ingress_at, packet, size, bound, key,
+                  state, stage, outputs) -> None:
+        """One ``process()`` call, after tx accounting.
+
+        *ingress_at* is ``None`` unless the packet queued through a stall;
+        *size* is its ingress ``total_len``; *key* / *state* are the flow
+        key (``None`` without ports) and classifier state (``None`` in
+        BYPASS); *stage* is one of :data:`STAGES`.  An output that ``is``
+        *packet* was not buffered by the ``merge`` / ``caravan`` engine.
+        """
+
+    def on_flush(self, worker, now, flushed, batch) -> None:
+        """Buffered packets left the engines: at a poll boundary
+        (*batch*) or forced out by a mode switch."""
+
+    def on_mode(self, worker, now, old, new) -> None:
+        """The worker is about to switch :class:`WorkerMode`."""
+
+    def on_retire(self, worker, now) -> None:
+        """The worker was replaced by a standby (failover)."""
 
 
 class GatewayWorker:
@@ -107,20 +143,9 @@ class GatewayWorker:
         #: Optional callable ``(peer_ip, now) -> bool`` consulted before
         #: bundling datagrams toward a peer (caravan negotiation).
         self.caravan_gate = None
-        #: Optional :class:`repro.obs.FlowTracer`.  Every call site
-        #: guards on it, so the default (None) costs one attribute test
-        #: per packet.
-        self.tracer = None
-        # Sim time of the event being processed, for trace records made
-        # on paths (``_emit``) that are not handed ``now``.
-        self._trace_now = 0.0
-        #: Optional :class:`repro.obs.SpanTracker`; same guard contract
-        #: as the tracer — ``None`` costs one attribute test per packet.
-        self.spans = None
-        # Gateway ingress time of the packet being processed.  Differs
-        # from ``now`` for packets that queued during a stall; spans
-        # open at ingress so residency includes that queueing.
-        self._span_at = 0.0
+        #: Subscribers (:class:`WorkerObserver`) told of every packet,
+        #: flush, mode change and retirement; empty by default.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     def pending(self) -> bool:
@@ -148,33 +173,29 @@ class GatewayWorker:
         """
         if mode not in WorkerMode.ALL:
             raise ValueError(f"unknown worker mode {mode!r}")
-        if mode == self.mode:
+        old = self.mode
+        if mode == old:
             return []
-        if self.tracer is not None:
-            self._trace_now = now
-            self.tracer.record(
-                now, "mode-transition",
-                worker=self.index, from_mode=self.mode, to_mode=mode,
-            )
+        for observer in self.observers:
+            observer.on_mode(self, now, old, mode)
         self.mode = mode
         if mode == WorkerMode.NORMAL:
             return []
-        flushed = self.merge.flush() + self.caravan_merge.flush()
-        return self._emit(self._account_flush(flushed, now), Bound.INBOUND, data=True)
+        return self._flushed(self.merge.flush() + self.caravan_merge.flush(), now, False)
+
+    def retire(self, now: float) -> None:
+        """This worker was replaced by a standby: tell the observers."""
+        for observer in self.observers:
+            observer.on_retire(self, now)
 
     # ------------------------------------------------------------------
-    def process(
-        self,
-        packet: Packet,
-        bound: str,
-        now: float = 0.0,
-        ingress_at: float = None,
-    ) -> List[Packet]:
+    def process(self, packet: Packet, bound: str, now: float = 0.0,
+                ingress_at: float = None) -> List[Packet]:
         """Run one packet through the pipeline; returns egress packets.
 
-        ``ingress_at`` is when the packet reached the gateway (defaults
-        to ``now``); it differs for packets re-processed after a stall,
-        so span residency covers the queueing too.
+        ``ingress_at`` is when the packet reached the gateway (``None``
+        means ``now``); it differs for packets re-processed after a
+        stall, so an observer's residency covers the queueing too.
         """
         account = self.account
         breakdown = account.breakdown
@@ -184,109 +205,93 @@ class GatewayWorker:
         self.stats.rx_packets += 1
         account.packets += 1
         account.goodput_bytes += size
-
-        tracer = self.tracer
-        if tracer is not None:
-            self._trace_now = now
-            flow = packet.flow_key()
-            tracer.record(
-                now, "ingress",
-                worker=self.index, bound=bound, proto=int(proto),
-                bytes=size, flow=flow if flow is not None else "-",
-            )
-
-        if self.spans is not None:
-            self._span_at = now if ingress_at is None else ingress_at
-
-        if self.mode == WorkerMode.BYPASS:
-            return self._bypass(packet, bound, now)
-
         key = packet.flow_key()
         state = None
-        if key is not None:
-            # Cycle charges on this per-packet path are applied inline
-            # (equivalent to ``account.charge``): the call overhead was
-            # a measurable slice of the datapath.
-            cycles = self._cost_classifier
-            account.cycles += cycles
-            breakdown["classify"] = breakdown.get("classify", 0.0) + cycles
-            state = self.classifier.observe(packet, now, size=size)
-            if tracer is not None:
-                tracer.record(
-                    now, "classify",
-                    worker=self.index, flow=key,
-                    elephant=state.is_elephant,
-                )
-
         is_tcp = proto == IPProto.TCP
-        # Handshake packets always take the slow path: MSS intervention.
-        if is_tcp and packet.l4.flags & TCPFlags.SYN:
-            cycles = self._cost_slowpath
-            account.cycles += cycles
-            breakdown["slowpath"] = breakdown.get("slowpath", 0.0) + cycles
-            if self._mss_clamp_on and self.mss_clamp.process(
-                packet, bound, allow_raise=self.mode == WorkerMode.NORMAL
-            ):
-                self.stats.mss_rewrites += 1
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "mss")
-            return self._emit([packet], bound, data=False)
 
-        # Mice bypass the merge machinery via the NIC hairpin — but only
-        # when the packet already conforms to the egress MTU (a jumbo
-        # heading outside must still go through the split engine).
-        if (
-            self._hairpin_small
-            and state is not None
-            and not state.is_elephant
-            and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
-            and (bound == Bound.INBOUND or size <= self._emtu)
-        ):
-            cycles = self._cost_hairpin
-            account.cycles += cycles
-            breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cycles
-            self.stats.hairpinned += 1
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "hairpin", flow=key)
-            return self._emit([packet], bound, data=True)
-
-        cycles = self._cost_rx
-        account.cycles += cycles
-        breakdown["rx"] = breakdown.get("rx", 0.0) + cycles
-        dma = self.dma
-        if self._header_only:
-            resident = self.merge.pending_bytes() + self.caravan_merge.pending_bytes()
-            if resident + size > self.nic_memory_bytes:
-                # On-NIC memory exhausted: this packet's payload must
-                # cross into host DRAM after all (§5.1's "limited NIC
-                # store" caveat).
-                dma = FULL_DMA
-                self.stats.hdo_fallbacks += 1
-            else:
-                cycles = self.costs.header_only_per_packet
+        if self.mode == WorkerMode.BYPASS:
+            stage, outputs = self._bypass(packet, bound, now, key)
+        else:
+            if key is not None:
+                # Cycle charges on this per-packet path are applied
+                # inline (equivalent to ``account.charge``): the call
+                # overhead was a measurable slice of the datapath.
+                cycles = self._cost_classifier
                 account.cycles += cycles
-                breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
-        account.mem_bytes += dma.mem_bytes(packet, size=size)
+                breakdown["classify"] = breakdown.get("classify", 0.0) + cycles
+                state = self.classifier.observe(packet, now, size=size)
+            # Handshake packets always take the slow path: MSS intervention.
+            if is_tcp and packet.l4.flags & TCPFlags.SYN:
+                cycles = self._cost_slowpath
+                account.cycles += cycles
+                breakdown["slowpath"] = breakdown.get("slowpath", 0.0) + cycles
+                if self._mss_clamp_on and self.mss_clamp.process(
+                    packet, bound, allow_raise=self.mode == WorkerMode.NORMAL
+                ):
+                    self.stats.mss_rewrites += 1
+                stage, outputs = "mss", [packet]
+            # Mice bypass the merge machinery via the NIC hairpin — but only
+            # when the packet already conforms to the egress MTU (a jumbo
+            # heading outside must still go through the split engine).
+            elif (
+                self._hairpin_small
+                and state is not None
+                and not state.is_elephant
+                and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
+                and (bound == Bound.INBOUND or size <= self._emtu)
+            ):
+                cycles = self._cost_hairpin
+                account.cycles += cycles
+                breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cycles
+                self.stats.hairpinned += 1
+                stage, outputs = "hairpin", [packet]
+            else:
+                cycles = self._cost_rx
+                account.cycles += cycles
+                breakdown["rx"] = breakdown.get("rx", 0.0) + cycles
+                dma = self.dma
+                if self._header_only:
+                    resident = (self.merge.pending_bytes()
+                                + self.caravan_merge.pending_bytes())
+                    if resident + size > self.nic_memory_bytes:
+                        # On-NIC memory exhausted: this packet's payload
+                        # must cross into host DRAM after all (§5.1's
+                        # "limited NIC store" caveat).
+                        dma = FULL_DMA
+                        self.stats.hdo_fallbacks += 1
+                    else:
+                        cycles = self.costs.header_only_per_packet
+                        account.cycles += cycles
+                        breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
+                account.mem_bytes += dma.mem_bytes(packet, size=size)
+                if is_tcp:
+                    if bound == Bound.INBOUND:
+                        stage, outputs = self._tcp_inbound(packet, now)
+                    else:
+                        stage, outputs = self._tcp_outbound(packet, now, key)
+                elif proto == IPProto.UDP:
+                    if bound == Bound.INBOUND:
+                        stage, outputs = self._udp_inbound(packet, now)
+                    else:
+                        stage, outputs = self._udp_outbound(packet)
+                else:
+                    # ICMP and anything else is forwarded untouched.
+                    stage, outputs = "forward", [packet]
 
-        if is_tcp:
-            if bound == Bound.INBOUND:
-                return self._tcp_inbound(packet, now)
-            return self._tcp_outbound(packet, now)
-        if proto == IPProto.UDP:
-            if bound == Bound.INBOUND:
-                return self._udp_inbound(packet, now)
-            return self._udp_outbound(packet, now)
-
-        # ICMP and anything else is forwarded untouched.
-        if self.spans is not None:
-            self.spans.sync(self._span_at, now, "forward", flow=key)
-        return self._emit([packet], bound, data=False)
+        # The one tail every path reaches.  Handshakes are not data (nor
+        # is non-TCP/UDP traffic, which ``_emit`` tells by protocol).
+        self._emit(outputs, bound == Bound.INBOUND and stage != "mss")
+        for observer in self.observers:
+            observer.on_packet(self, now, ingress_at, packet, size, bound,
+                               key, state, stage, outputs)
+        return outputs
 
     # ------------------------------------------------------------------
-    def _bypass(self, packet: Packet, bound: str, now: float) -> List[Packet]:
+    # Stage bodies: each returns ``(stage, outputs)`` to the tail above.
+    # ------------------------------------------------------------------
+    def _bypass(self, packet: Packet, bound: str, now: float, key):
         """BYPASS mode: hairpin everything, keep only mandatory work."""
-        costs = self.costs
-        self.account.charge(costs.hairpin_forward, category="bypass")
+        self.account.charge(self.costs.hairpin_forward, category="bypass")
         self.stats.bypassed_packets += 1
         if packet.is_tcp and packet.tcp.syn:
             # The outbound cap stays mandatory: an uncapped external
@@ -295,36 +300,24 @@ class GatewayWorker:
                 packet, bound, allow_raise=False
             ):
                 self.stats.mss_rewrites += 1
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "mss",
-                                flow=packet.flow_key())
-            return self._emit([packet], bound, data=False)
+            return "mss", [packet]
         if packet.is_tcp:
             self.stats.tcp_payload_in += len(packet.payload)
             if bound == Bound.OUTBOUND:
-                segments = self.split.process(packet, limit=self._path_limit(packet, now))
+                segments = self.split.process(packet, limit=self._path_limit(packet, now, key))
                 self.stats.split_segments += len(segments) if len(segments) > 1 else 0
             else:
                 segments = [packet]
             self.stats.tcp_payload_out += sum(len(seg.payload) for seg in segments)
-            if self.spans is not None:
-                self._span_split(segments, now, packet.flow_key())
-            return self._emit(segments, bound, data=True)
+            return "split" if len(segments) > 1 else "forward", segments
         if packet.is_udp:
             self.stats.udp_datagrams_in += caravan_inner_count(packet)
             if bound == Bound.OUTBOUND and is_caravan(packet):
-                return self._open_caravan(packet, now)
+                return self._open_caravan(packet)
             self.stats.udp_datagrams_out += caravan_inner_count(packet)
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "forward",
-                                flow=packet.flow_key())
-            return self._emit([packet], bound, data=True)
-        if self.spans is not None:
-            self.spans.sync(self._span_at, now, "forward",
-                            flow=packet.flow_key())
-        return self._emit([packet], bound, data=False)
+        return "forward", [packet]
 
-    def _path_limit(self, packet: Packet, now: float):
+    def _path_limit(self, packet: Packet, now: float, key):
         """The live cached PMTU toward this packet's destination.
 
         The lookup is flow-scoped: a per-flow cache entry (hardened
@@ -334,15 +327,13 @@ class GatewayWorker:
         """
         if self.pmtu_cache is None:
             return None
-        flow = packet.flow_key()
         entry = self.pmtu_cache.lookup(
             packet.ip.dst, now,
-            flow=tuple(flow) if flow is not None else None,
+            flow=tuple(key) if key is not None else None,
         )
         return entry.pmtu if entry is not None else None
 
-    # ------------------------------------------------------------------
-    def _tcp_inbound(self, packet: Packet, now: float) -> List[Packet]:
+    def _tcp_inbound(self, packet: Packet, now: float):
         account = self.account
         breakdown = account.breakdown
         stats = self.stats
@@ -351,10 +342,7 @@ class GatewayWorker:
             # DEGRADED: stateful merging is off; pass through at eMTU.
             stats.passthrough_packets += 1
             stats.tcp_payload_out += len(packet.payload)
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "passthrough",
-                                flow=packet.flow_key())
-            return self._emit([packet], Bound.INBOUND, data=True)
+            return "passthrough", [packet]
         if self._baseline_gro:
             cycles = self.costs.baseline_gro_per_packet
             account.cycles += cycles
@@ -364,47 +352,30 @@ class GatewayWorker:
             account.cycles += cycles
             breakdown["merge"] = breakdown.get("merge", 0.0) + cycles
         outputs = self.merge.feed(packet, now)
-        if self.spans is not None:
-            self._span_tcp_merge(packet, outputs, now)
-        if outputs:
-            flush_cycles = self._cost_merge_flush
-            for out in outputs:
-                account.cycles += flush_cycles
-                breakdown["merge"] = breakdown.get("merge", 0.0) + flush_cycles
-                stats.tcp_payload_out += len(out.payload)
-                if out.meta.get("spliced"):
-                    stats.merged_packets += 1
-            if self.tracer is not None:
-                for out in outputs:
-                    self.tracer.record(
-                        now, "merge",
-                        worker=self.index, bytes=out.total_len,
-                        spliced=bool(out.meta.get("spliced")),
-                    )
-        return self._emit(outputs, Bound.INBOUND, data=True)
+        flush_cycles = self._cost_merge_flush
+        for out in outputs:
+            account.cycles += flush_cycles
+            breakdown["merge"] = breakdown.get("merge", 0.0) + flush_cycles
+            stats.tcp_payload_out += len(out.payload)
+            if out.meta.get("spliced"):
+                stats.merged_packets += 1
+        return "merge", outputs
 
-    def _tcp_outbound(self, packet: Packet, now: float) -> List[Packet]:
+    def _tcp_outbound(self, packet: Packet, now: float, key):
         costs = self.costs
         self.stats.tcp_payload_in += len(packet.payload)
         # Clamp to the live cached path MTU: a flow whose MSS was
         # negotiated before a PMTU drop would otherwise emit segments
         # the narrowed path silently blackholes.
-        segments = self.split.process(packet, limit=self._path_limit(packet, now))
+        segments = self.split.process(packet, limit=self._path_limit(packet, now, key))
         if self.config.baseline_gro and len(segments) > 1:
             self.account.charge(costs.baseline_tx_per_packet * len(segments), category="tso-sw")
         self.account.charge(costs.split_per_segment * len(segments), category="split")
         self.stats.split_segments += len(segments) if len(segments) > 1 else 0
         self.stats.tcp_payload_out += sum(len(seg.payload) for seg in segments)
-        if self.tracer is not None and len(segments) > 1:
-            self.tracer.record(
-                now, "split",
-                worker=self.index, segments=len(segments), bytes=packet.total_len,
-            )
-        if self.spans is not None:
-            self._span_split(segments, now, packet.flow_key())
-        return self._emit(segments, Bound.OUTBOUND, data=True)
+        return "split" if len(segments) > 1 else "forward", segments
 
-    def _udp_inbound(self, packet: Packet, now: float) -> List[Packet]:
+    def _udp_inbound(self, packet: Packet, now: float):
         costs = self.costs
         self.stats.udp_datagrams_in += caravan_inner_count(packet)
         bundling = self.config.caravan and self.mode == WorkerMode.NORMAL
@@ -419,46 +390,30 @@ class GatewayWorker:
             if self.config.caravan and self.mode != WorkerMode.NORMAL:
                 self.stats.passthrough_packets += 1
             self.stats.udp_datagrams_out += caravan_inner_count(packet)
-            if self.spans is not None:
-                self.spans.sync(self._span_at, now, "passthrough",
-                                flow=packet.flow_key())
-            return self._emit([packet], Bound.INBOUND, data=True)
+            return "passthrough", [packet]
         account = self.account
         breakdown = account.breakdown
         cycles = costs.flow_lookup + costs.caravan_append
         account.cycles += cycles
         breakdown["caravan"] = breakdown.get("caravan", 0.0) + cycles
         outputs = self.caravan_merge.feed(packet, now)
-        if self.spans is not None:
-            self._span_caravan_merge(packet, outputs, now)
-        if outputs:
-            flush_cycles = costs.caravan_flush
-            for out in outputs:
-                account.cycles += flush_cycles
-                breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
-                self.stats.udp_datagrams_out += caravan_inner_count(out)
-                if is_caravan(out):
-                    self.stats.caravans_built += 1
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            now, "caravan-built",
-                            worker=self.index,
-                            inner=caravan_inner_count(out), bytes=out.total_len,
-                        )
-        return self._emit(outputs, Bound.INBOUND, data=True)
+        flush_cycles = costs.caravan_flush
+        for out in outputs:
+            account.cycles += flush_cycles
+            breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
+            self.stats.udp_datagrams_out += caravan_inner_count(out)
+            if is_caravan(out):
+                self.stats.caravans_built += 1
+        return "caravan", outputs
 
-    def _udp_outbound(self, packet: Packet, now: float) -> List[Packet]:
+    def _udp_outbound(self, packet: Packet):
         self.stats.udp_datagrams_in += caravan_inner_count(packet)
         if is_caravan(packet):
-            return self._open_caravan(packet, now)
+            return self._open_caravan(packet)
         self.stats.udp_datagrams_out += 1
-        if self.spans is not None:
-            self.spans.sync(self._span_at, now, "forward",
-                            flow=packet.flow_key())
-        return self._emit([packet], Bound.OUTBOUND, data=True)
+        return "forward", [packet]
 
-    def _open_caravan(self, packet: Packet, now: float) -> List[Packet]:
-        costs = self.costs
+    def _open_caravan(self, packet: Packet):
         try:
             datagrams = self.caravan_split.process(packet)
         except ValueError:
@@ -466,25 +421,13 @@ class GatewayWorker:
             # be opened; discard it rather than emit garbage.
             self.stats.malformed_caravans += 1
             self.stats.udp_datagrams_malformed += caravan_inner_count(packet)
-            if self.spans is not None:
-                self.spans.sync_drop(self._span_at, now, "malformed-caravan",
-                                     flow=packet.flow_key())
-            return []
+            return "malformed-caravan", []
         self.stats.caravans_opened += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                now, "caravan-opened",
-                worker=self.index, inner=len(datagrams),
-            )
         self.account.charge(
-            costs.caravan_split_per_datagram * len(datagrams), category="caravan"
+            self.costs.caravan_split_per_datagram * len(datagrams), category="caravan"
         )
         self.stats.udp_datagrams_out += len(datagrams)
-        if self.spans is not None:
-            sid = self.spans.sync(self._span_at, now, "caravan-open",
-                                  flow=packet.flow_key())
-            self.spans.derived((sid,), "datagram", now, count=len(datagrams))
-        return self._emit(datagrams, Bound.OUTBOUND, data=True)
+        return "caravan-open", datagrams
 
     # ------------------------------------------------------------------
     def end_batch(self, now: float) -> List[Packet]:
@@ -500,124 +443,30 @@ class GatewayWorker:
             flushed += self.caravan_merge.flush_older_than(now, self.config.merge_timeout)
         else:
             flushed = self.merge.flush() + self.caravan_merge.flush()
-        if self.tracer is not None:
-            self._trace_now = now
-            if flushed:
-                self.tracer.record(
-                    now, "flush", worker=self.index, packets=len(flushed)
-                )
-        return self._emit(self._account_flush(flushed, now), Bound.INBOUND, data=True)
+        return self._flushed(flushed, now, True)
 
-    def _account_flush(self, flushed: List[Packet], now: float) -> List[Packet]:
-        """Charge and count packets flushed out of the merge engines."""
-        spans = self.spans
+    def _flushed(self, flushed: List[Packet], now: float, batch: bool) -> List[Packet]:
+        """Charge, count and announce packets flushed out of the engines
+        (*batch*: at a poll boundary rather than by a mode switch)."""
         for out in flushed:
             self.account.charge(self.costs.merge_flush, category="merge")
             if out.is_tcp:
                 self.stats.tcp_payload_out += len(out.payload)
-                if spans is not None:
-                    spans.derived(
-                        spans.merge_consume(out.flow_key(), len(out.payload), now),
-                        "merged", now, flow=out.flow_key(),
-                    )
             elif out.is_udp:
                 self.stats.udp_datagrams_out += caravan_inner_count(out)
-                if spans is not None:
-                    self._span_caravan_out(out, now)
             if is_caravan(out):
                 self.stats.caravans_built += 1
+        self._emit(flushed, True)
+        for observer in self.observers:
+            observer.on_flush(self, now, flushed, batch)
         return flushed
 
-    # ------------------------------------------------------------------
-    # Span bookkeeping (repro.obs.spans) — every caller guards on
-    # ``self.spans``, so the unattached datapath pays nothing.
-    # ------------------------------------------------------------------
-    def _span_split(self, segments: List[Packet], now: float,
-                    flow=None) -> None:
-        """Settle a split (1→N): close the ingress, emit N children."""
-        spans = self.spans
-        if len(segments) > 1:
-            sid = spans.sync(self._span_at, now, "split", flow=flow)
-            spans.derived((sid,), "split-segment", now, count=len(segments),
-                          flow=flow)
-        else:
-            spans.sync(self._span_at, now, "forward", flow=flow)
-
-    def _span_tcp_merge(self, packet: Packet, outputs: List[Packet], now: float) -> None:
-        """Mirror one ``merge.feed`` call onto the span byte-FIFO.
-
-        ``out is packet`` in the outputs ⟺ the packet passed through
-        without being buffered (non-mergeable, flag-bearing, or empty);
-        otherwise its payload entered the per-flow FIFO.  Enqueue before
-        consume: spliced outputs drain old bytes head-first by exact
-        count, so a flush-then-restart of the same flow stays balanced.
-        """
-        spans = self.spans
-        entered = True
-        for out in outputs:
-            if out is packet:
-                entered = False
-                break
-        if entered:
-            spans.merge_enqueue(
-                packet.flow_key(), spans.open(self._span_at),
-                len(packet.payload), now,
-            )
-        for out in outputs:
-            if out is packet:
-                spans.sync(self._span_at, now, "passthrough",
-                           flow=packet.flow_key())
-            else:
-                spans.derived(
-                    spans.merge_consume(out.flow_key(), len(out.payload), now),
-                    "merged", now, flow=out.flow_key(),
-                )
-
-    def _span_caravan_merge(self, packet: Packet, outputs: List[Packet], now: float) -> None:
-        """Mirror one ``caravan_merge.feed`` call onto the datagram FIFO.
-
-        Same identity contract as the TCP path; a single-datagram flush
-        materializes as the *original* buffered packet object, never the
-        current one, so the ``out is packet`` test stays sound.
-        """
-        spans = self.spans
-        entered = True
-        for out in outputs:
-            if out is packet:
-                entered = False
-                break
-        if entered:
-            spans.caravan_enqueue(packet.flow_key(), spans.open(self._span_at), now)
-        for out in outputs:
-            if out is packet:
-                spans.sync(self._span_at, now, "passthrough",
-                           flow=packet.flow_key())
-            else:
-                self._span_caravan_out(out, now)
-
-    def _span_caravan_out(self, out: Packet, now: float) -> None:
-        """Settle the FIFO spans a materialized caravan/flush carries."""
-        spans = self.spans
-        bundled = is_caravan(out)
-        parents = spans.caravan_consume(
-            out.flow_key(), caravan_inner_count(out), now,
-            outcome="bundled" if bundled else "flushed",
-        )
-        first_at = out.meta.get("caravan_first_at")
-        if first_at is not None:
-            spans.observe(CARAVAN_BATCH_WAIT_SECONDS, now - first_at)
-        if bundled:
-            spans.derived(parents, "caravan", now, flow=out.flow_key())
-
-    def _emit(self, packets: List[Packet], bound: str, data: bool) -> List[Packet]:
-        if not packets:
-            return packets
+    def _emit(self, packets: List[Packet], inbound_data: bool) -> None:
+        """Tx accounting for *packets* about to leave the worker."""
         account = self.account
         breakdown = account.breakdown
         stats = self.stats
         tx_cycles = self._cost_tx
-        inbound_data = data and bound == Bound.INBOUND
-        tracer = self.tracer
         # Per-packet adds (not ``cycles * n``) keep float accumulation
         # order — and therefore reported totals — bit-identical to the
         # pre-inlined accounting.
@@ -629,9 +478,3 @@ class GatewayWorker:
                 proto = packet.ip.protocol
                 if len(packet.payload) > 0 if proto == IPProto.TCP else proto == IPProto.UDP:
                     stats.note_inbound_data_packet(packet.total_len, self._imtu)
-            if tracer is not None:
-                tracer.record(
-                    self._trace_now, "egress",
-                    worker=self.index, bound=bound, bytes=packet.total_len,
-                )
-        return packets

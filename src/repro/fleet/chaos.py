@@ -175,7 +175,7 @@ def run_loss_scenario(
     trackers: List[SpanTracker] = []
     for shard in fleet.shards:
         tracker = SpanTracker()
-        shard.worker.spans = tracker
+        shard.worker.observers = (tracker,)
         trackers.append(tracker)
 
     trace = None

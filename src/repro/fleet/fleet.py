@@ -280,10 +280,9 @@ class GatewayFleet:
                 if is_caravan(packet):
                     self.retired.caravans_built += 1
             flushed.append(packet)
-        if shard.worker.spans is not None:
-            # Buffered-byte spans on the dead shard settle as failover
-            # closures; the survivors' trackers are untouched.
-            shard.worker.spans.flush_fifos(now, outcome="failover")
+        # Buffered-byte spans on the dead shard settle as failover
+        # closures; the survivors' trackers are untouched.
+        shard.worker.retire(now)
         self._rebalance_records(checkpoint.flows, donor=shard, now=now,
                                 reason="shard-loss")
         return flushed

@@ -68,9 +68,9 @@ class ShardPort:
         self.egress.append(packet)
 
     def swap_worker(self, standby: GatewayWorker) -> GatewayWorker:
-        """In-shard worker replacement (keeps the span tracker wired)."""
+        """In-shard worker replacement (keeps the observers wired)."""
         old = self.shard.worker
-        standby.spans = old.spans
+        standby.observers = old.observers
         self.shard.worker = standby
         return old
 
@@ -205,6 +205,7 @@ class FleetSupervisor:
         if self.flight is None:
             return
         from ..obs.incident import build_incident_bundle
+        from ..obs.spans import SpanTracker
 
         self.flight.note(now, kind, shard=shard_id, **detail)
         trace = self.fleet.trace
@@ -217,9 +218,10 @@ class FleetSupervisor:
                        for hop in ctx.hops)
             ][:8]
             trackers = {
-                shard.id: shard.worker.spans
+                shard.id: observer
                 for shard in self.fleet.shards
-                if shard.worker.spans is not None
+                for observer in shard.worker.observers
+                if isinstance(observer, SpanTracker)
             }
         self.incidents.append(build_incident_bundle(
             kind,

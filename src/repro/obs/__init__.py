@@ -17,8 +17,8 @@ Design rules:
   two same-seed runs are byte-identical (the determinism guard diffs
   ``to_prometheus_text()`` directly).
 * **Tracing is opt-in** — :class:`FlowTracer` and :class:`SpanTracker`
-  hooks are guarded with ``is not None`` everywhere; unattached
-  datapaths pay nothing.
+  subscribe to the worker's one seam (``GatewayWorker.observers``,
+  empty by default); an unattached datapath never calls into ``obs``.
 * **Latency lives in sim time** — :class:`SpanTracker` spans open at
   gateway ingress and close at egress/drop with parent/child causality
   across merge, split, and caravan stages; :class:`TelemetryTimeline`

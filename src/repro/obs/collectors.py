@@ -41,11 +41,11 @@ class Observability:
     """A registry plus optional tracer and span tracker.
 
     The tracer and span tracker may be ``None`` for metrics-only
-    attachment (the default; chaos worlds add spans explicitly): every
-    trace and span call site guards on the attribute, so a metrics-only
-    bundle adds zero work to the datapath.  When a span tracker is
-    supplied, its latency histograms and balance counters are published
-    on the registry via :func:`observe_spans` automatically.
+    attachment (the default; chaos worlds add spans explicitly): only
+    the ones present subscribe to the worker, so a metrics-only bundle
+    adds zero work to the datapath.  When a span tracker is supplied,
+    its latency histograms and balance counters are published on the
+    registry via :func:`observe_spans` automatically.
     """
 
     def __init__(

@@ -23,8 +23,9 @@ Causality across the three shape-changing stages:
   first datagram's enqueue time.  The receive side closes the caravan
   span at ``caravan-open`` with N ``datagram`` children.
 
-The tracker is deliberately dumb: the datapath tells it what happened
-and it does arithmetic.  It never touches the simulator, RNGs, packet
+The tracker is deliberately dumb: as a
+:class:`~repro.core.worker.WorkerObserver` it is told what the worker
+did and does arithmetic.  It never touches the simulator, RNGs, packet
 bytes, or scheduling, which is why attaching it cannot perturb chaos
 digests (the perturbation guard in ``tests/obs`` proves it).
 
@@ -39,13 +40,24 @@ Latency observations are kept as exact ``value -> count`` maps and
 mirrored onto fixed-bucket registry histograms at scrape time via
 :meth:`Histogram.load`, so exports stay byte-deterministic and the
 per-packet cost is one dict update.
+
+Finished spans are kept as flat tuples of atoms — ``(sid, kind,
+opened_at, closed_at, outcome, parents, stage, *flow)``, a ``FlowKey``
+as its five integers — and become :class:`Span` objects only in
+:meth:`SpanTracker.finished`.  The collector untracks a tuple of atoms
+the first time it visits it; a ring of objects each holding a ``FlowKey``
+(a ``NamedTuple`` is never untracked) was re-walked by every collection.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Deque, Dict, List, Optional, Tuple
+
+from ..core.caravan import caravan_inner_count, is_caravan
+from ..core.worker import WorkerMode, WorkerObserver
+from ..packet.flow import FlowKey
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -136,7 +148,23 @@ class Span:
         return f"<Span #{self.sid} {self.kind}/{self.stage or '-'} {state}>"
 
 
-class SpanTracker:
+def _flow_atoms(flow) -> tuple:
+    """What a record is extended by for *flow*: a key's five integers."""
+    if flow is None:
+        return ()
+    if type(flow) is FlowKey:
+        return flow  # tuple + FlowKey concatenates to a plain tuple
+    return (flow,)
+
+
+def _span(record: tuple) -> Span:
+    """Materialise one finished-span record."""
+    extra = len(record) - 7
+    flow = None if extra == 0 else record[7] if extra == 1 else FlowKey(*record[7:])
+    return Span(*record[:7], flow)
+
+
+class SpanTracker(WorkerObserver):
     """Opens, closes, and reconciles packet lifecycle spans.
 
     Span ids are sequential, so two same-seed runs produce byte-identical
@@ -156,8 +184,10 @@ class SpanTracker:
         #: chaos oracle requires this to stay zero.
         self.anomalies = 0
         self._next_sid = 0
-        self._open: Dict[int, Span] = {}
-        self._done: Deque[Span] = deque(maxlen=capacity)
+        # sid -> (kind, opened_at, parents, stage, *flow): a record's
+        # fields less the three known only at close
+        self._open: Dict[int, tuple] = {}
+        self._done: Deque[tuple] = deque(maxlen=capacity)
         # Per-flow FIFOs mirroring the merge engines' buffers.
         # merge: flow -> deque of [sid, bytes_left, enqueued_at]
         # caravan: flow -> deque of (sid, enqueued_at)
@@ -171,6 +201,112 @@ class SpanTracker:
         }
 
     # ------------------------------------------------------------------
+    # Worker events (repro.core.worker)
+    # ------------------------------------------------------------------
+    def on_packet(self, worker, now, ingress_at, packet, size, bound, key,
+                  state, stage, outputs) -> None:
+        # Spans open at gateway ingress, so residency includes the
+        # queueing of a packet that waited out a stall.
+        at = now if ingress_at is None else ingress_at
+        if stage == "merge" or stage == "caravan":
+            if len(outputs) != 1 or outputs[0] is not packet:
+                self._fed(packet, key, at, now, outputs, stage == "merge")
+                return
+            stage = "passthrough"  # the engine handed it straight back
+        elif stage == "split":
+            sid = self.sync(at, now, "split", flow=key)
+            self.derived((sid,), "split-segment", now, count=len(outputs),
+                         flow=key)
+            return
+        elif stage == "caravan-open":
+            sid = self.sync(at, now, "caravan-open", flow=key)
+            self.derived((sid,), "datagram", now, count=len(outputs))
+            return
+        elif stage == "malformed-caravan":
+            self.sync_drop(at, now, "malformed-caravan", flow=key)
+            return
+        # One in, one out (mss, hairpin, forward, passthrough): ``sync``
+        # inlined, this is most packets.
+        sid = self._next_sid
+        self._next_sid = sid + 1
+        self.opened += 1
+        self.closed += 1
+        if key is None or (stage == "mss" and worker.mode != WorkerMode.BYPASS):
+            self._done.append((sid, "packet", at, now, "egress", (), stage))
+        else:
+            self._done.append((sid, "packet", at, now, "egress", (), stage, *key))
+        bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
+        delta = now - at
+        bucket[delta] = bucket.get(delta, 0) + 1
+
+    def on_flush(self, worker, now, flushed, batch) -> None:
+        for out in flushed:
+            if out.is_tcp:
+                self._merged(out, now)
+            elif out.is_udp:
+                self._caravan_out(out, now)
+
+    def on_retire(self, worker, now) -> None:
+        self.flush_fifos(now, outcome="failover")
+
+    def _fed(self, packet, key, at, now, outputs, tcp: bool) -> None:
+        """Mirror one merge-engine ``feed`` call onto that engine's FIFO.
+
+        ``out is packet`` in the outputs ⟺ the packet passed through
+        unbuffered (non-mergeable, flag-bearing, or empty); otherwise it
+        entered the per-flow FIFO.  A single-datagram caravan flush
+        materializes as the *original* buffered packet object, so the
+        identity test is sound for both engines.  Enqueue before consume:
+        spliced outputs drain old bytes head-first by exact count, so a
+        flush-then-restart of the same flow stays balanced.
+        """
+        for out in outputs:
+            if out is packet:
+                break
+        else:
+            # ``open`` and, for TCP, ``merge_enqueue`` inlined: most
+            # inbound segments end here.
+            sid = self._next_sid
+            self._next_sid = sid + 1
+            self.opened += 1
+            self._open[sid] = ("packet", at, (), None) + (key or ())
+            if tcp:
+                nbytes = len(packet.payload)
+                fifo = self._merge_fifo.get(key)
+                if fifo is None:
+                    fifo = self._merge_fifo[key] = deque()
+                fifo.append([sid, nbytes, now])
+                self._fifo_bytes += nbytes
+            else:
+                self.caravan_enqueue(key, sid, now)
+        settle = self._merged if tcp else self._caravan_out
+        for out in outputs:
+            if out is packet:
+                self.sync(at, now, "passthrough", flow=key)
+            else:
+                settle(out, now)
+
+    def _merged(self, out, now: float) -> None:
+        """Settle the FIFO spans whose bytes a merge-engine output carries."""
+        flow = out.flow_key()
+        self.derived(self.merge_consume(flow, len(out.payload), now),
+                     "merged", now, flow=flow)
+
+    def _caravan_out(self, out, now: float) -> None:
+        """Settle the FIFO spans a materialized caravan/flush carries."""
+        bundled = is_caravan(out)
+        flow = out.flow_key()
+        parents = self.caravan_consume(
+            flow, caravan_inner_count(out), now,
+            outcome="bundled" if bundled else "flushed",
+        )
+        first_at = out.meta.get("caravan_first_at")
+        if first_at is not None:
+            self.observe(CARAVAN_BATCH_WAIT_SECONDS, now - first_at)
+        if bundled:
+            self.derived(parents, "caravan", now, flow=flow)
+
+    # ------------------------------------------------------------------
     # Core open/close API
     # ------------------------------------------------------------------
     def open(self, opened_at: float, kind: str = "packet",
@@ -180,46 +316,42 @@ class SpanTracker:
         sid = self._next_sid
         self._next_sid = sid + 1
         self.opened += 1
-        self._open[sid] = Span(sid, kind, opened_at, None, None, parents, stage,
-                               flow)
+        self._open[sid] = (kind, opened_at, parents, stage) + _flow_atoms(flow)
         return sid
+
+    def _finish(self, sid: int, at: float, outcome: str) -> Optional[tuple]:
+        """Move an open span to the ring; returns what ``open`` stored,
+        or ``None`` (an anomaly) if *sid* is not open."""
+        entry = self._open.pop(sid, None)
+        if entry is None:
+            self.anomalies += 1
+        else:
+            self._done.append((sid, entry[0], entry[1], at, outcome) + entry[2:])
+        return entry
 
     def close(self, sid: int, closed_at: float, outcome: str = "egress") -> None:
         """Close an open span with a terminal outcome."""
-        span = self._open.pop(sid, None)
-        if span is None:
-            self.anomalies += 1
-            return
-        span.closed_at = closed_at
-        span.outcome = outcome
-        self.closed += 1
-        self._done.append(span)
+        if self._finish(sid, closed_at, outcome) is not None:
+            self.closed += 1
 
     def drop(self, sid: int, at: float, reason: str) -> None:
         """Close an open span as dropped (counts in ``dropped``)."""
-        span = self._open.pop(sid, None)
-        if span is None:
-            self.anomalies += 1
-            return
-        span.closed_at = at
-        span.outcome = reason
-        self.dropped += 1
-        self._done.append(span)
+        if self._finish(sid, at, reason) is not None:
+            self.dropped += 1
 
     def sync(self, opened_at: float, closed_at: float, stage: str,
              kind: str = "packet", flow=None) -> int:
         """Fast path: a packet that entered and left in one call.
 
-        Creates the span already finished (no open-dict round trip — this
-        runs once per non-merging packet on the datapath) and records its
-        gateway residency.
+        Creates the span already finished (no open-dict round trip) and
+        records its gateway residency.
         """
         sid = self._next_sid
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        self._done.append(Span(sid, kind, opened_at, closed_at, "egress", (),
-                               stage, flow))
+        self._done.append((sid, kind, opened_at, closed_at, "egress", (), stage)
+                          + _flow_atoms(flow))
         bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
         delta = closed_at - opened_at
         bucket[delta] = bucket.get(delta, 0) + 1
@@ -232,8 +364,8 @@ class SpanTracker:
         self._next_sid = sid + 1
         self.opened += 1
         self.dropped += 1
-        self._done.append(Span(sid, "packet", opened_at, at, reason, (),
-                               "drop", flow))
+        self._done.append((sid, "packet", opened_at, at, reason, (), "drop")
+                          + _flow_atoms(flow))
         return sid
 
     def derived(self, parents: Tuple[int, ...], kind: str, at: float,
@@ -244,22 +376,19 @@ class SpanTracker:
         segment exists only at the instant the engine emits it, so the
         interesting latency lives on the parents, not here.
         """
-        for _ in range(count):
-            sid = self._next_sid
-            self._next_sid = sid + 1
-            self.opened += 1
-            self.closed += 1
-            self._done.append(Span(sid, kind, at, at, "egress", parents, None,
-                                   flow))
+        first = self._next_sid
+        self._next_sid = first + count
+        self.opened += count
+        self.closed += count
+        flow = _flow_atoms(flow)
+        for sid in range(first, first + count):
+            self._done.append((sid, kind, at, at, "egress", parents, None) + flow)
 
     # ------------------------------------------------------------------
     # Merge (byte) FIFO — mirrors TcpMergeEngine buffers
     # ------------------------------------------------------------------
     def merge_enqueue(self, flow, sid: int, nbytes: int, at: float) -> None:
         """A span's payload entered the merge buffer for *flow*."""
-        span = self._open.get(sid)
-        if span is not None and span.flow is None:
-            span.flow = flow
         fifo = self._merge_fifo.get(flow)
         if fifo is None:
             fifo = self._merge_fifo[flow] = deque()
@@ -276,6 +405,8 @@ class SpanTracker:
         """
         fifo = self._merge_fifo.get(flow)
         parents: List[int] = []
+        wait = self._latency[MERGE_WAIT_SECONDS]
+        res = self._latency[GATEWAY_RESIDENCY_SECONDS]
         while nbytes > 0:
             if not fifo:
                 self.anomalies += 1
@@ -288,19 +419,16 @@ class SpanTracker:
             parents.append(head[0])
             if head[1] == 0:
                 fifo.popleft()
-                span = self._open.pop(head[0], None)
-                if span is None:
+                entry = self._open.pop(head[0], None)
+                if entry is None:
                     self.anomalies += 1
                 else:
-                    span.closed_at = at
-                    span.outcome = "merged"
                     self.closed += 1
-                    self._done.append(span)
-                    wait = self._latency[MERGE_WAIT_SECONDS]
+                    self._done.append(
+                        (head[0], entry[0], entry[1], at, "merged") + entry[2:])
                     delta = at - head[2]
                     wait[delta] = wait.get(delta, 0) + 1
-                    res = self._latency[GATEWAY_RESIDENCY_SECONDS]
-                    delta = at - span.opened_at
+                    delta = at - entry[1]
                     res[delta] = res.get(delta, 0) + 1
         if fifo is not None and not fifo:
             del self._merge_fifo[flow]
@@ -311,9 +439,6 @@ class SpanTracker:
     # ------------------------------------------------------------------
     def caravan_enqueue(self, flow, sid: int, at: float) -> None:
         """A datagram's span entered the caravan context for *flow*."""
-        span = self._open.get(sid)
-        if span is not None and span.flow is None:
-            span.flow = flow
         fifo = self._caravan_fifo.get(flow)
         if fifo is None:
             fifo = self._caravan_fifo[flow] = deque()
@@ -332,16 +457,11 @@ class SpanTracker:
             sid, _enqueued_at = fifo.popleft()
             self._fifo_datagrams -= 1
             parents.append(sid)
-            span = self._open.pop(sid, None)
-            if span is None:
-                self.anomalies += 1
-            else:
-                span.closed_at = at
-                span.outcome = outcome
+            entry = self._finish(sid, at, outcome)
+            if entry is not None:
                 self.closed += 1
-                self._done.append(span)
                 res = self._latency[GATEWAY_RESIDENCY_SECONDS]
-                delta = at - span.opened_at
+                delta = at - entry[1]
                 res[delta] = res.get(delta, 0) + 1
         if fifo is not None and not fifo:
             del self._caravan_fifo[flow]
@@ -436,30 +556,28 @@ class SpanTracker:
 
     def finished(self, kind: Optional[str] = None) -> List[Span]:
         """Retained finished spans, optionally filtered by kind."""
-        if kind is None:
-            return list(self._done)
-        return [span for span in self._done if span.kind == kind]
+        return [_span(record) for record in self._done
+                if kind is None or record[1] == kind]
 
     def kinds(self) -> Dict[str, int]:
         """Retained finished-span counts per kind, sorted by name."""
-        counts: Dict[str, int] = {}
-        for span in self._done:
-            counts[span.kind] = counts.get(span.kind, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(record[1] for record in self._done).items()))
 
     def stages(self) -> Dict[str, int]:
         """Retained finished-span counts per stage label."""
-        counts: Dict[str, int] = {}
-        for span in self._done:
-            if span.stage is not None:
-                counts[span.stage] = counts.get(span.stage, 0) + 1
-        return dict(sorted(counts.items()))
+        stages = Counter(record[6] for record in self._done)
+        stages.pop(None, None)  # children carry no stage
+        return dict(sorted(stages.items()))
+
+    def _dicts(self, limit: Optional[int]) -> List[dict]:
+        """``to_dict`` of the retained spans, or of the newest *limit*."""
+        records = list(self._done)
+        if limit is not None:
+            records = records[-limit:]
+        return [_span(record).to_dict() for record in records]
 
     def to_json(self, limit: Optional[int] = None, indent: Optional[int] = None) -> str:
         """Byte-deterministic JSON export (balance, latency, spans)."""
-        spans: Iterable[Span] = self._done
-        if limit is not None:
-            spans = list(self._done)[-limit:]
         payload = {
             "balance": self.balance(),
             "anomalies": self.anomalies,
@@ -473,17 +591,14 @@ class SpanTracker:
                 }
                 for name, values in sorted(self._latency.items())
             },
-            "spans": [span.to_dict() for span in spans],
+            "spans": self._dicts(limit),
         }
         return json.dumps(payload, sort_keys=True, indent=indent,
                           separators=(",", ":") if indent is None else None)
 
     def to_jsonl(self, limit: Optional[int] = None) -> str:
         """One finished span per line — greppable, streamable."""
-        spans: Iterable[Span] = self._done
-        if limit is not None:
-            spans = list(self._done)[-limit:]
         return "\n".join(
-            json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            for span in spans
+            json.dumps(span, sort_keys=True, separators=(",", ":"))
+            for span in self._dicts(limit)
         )

@@ -1,13 +1,13 @@
 """Span-like flow tracing into a bounded ring buffer.
 
-A :class:`FlowTracer` records structured dict events along a packet's
-path through the gateway — ingress → classify → merge/split|caravan →
-egress — plus control-plane lifecycles (PMTUD probes, worker mode
-transitions, failover swaps, stall windows).  Events are plain dicts so
-they serialize to JSON unchanged, and every event is stamped with
-**simulation time** (the caller passes ``sim.now``; the tracer never
-reads a wall clock), which keeps two same-seed runs' event sequences
-identical.
+A :class:`FlowTracer` records structured events along a packet's path
+through the gateway — ingress → classify → merge/split|caravan → egress,
+as a :class:`~repro.core.worker.WorkerObserver` — plus control-plane
+lifecycles (PMTUD probes, failover swaps, stall windows) through
+:meth:`FlowTracer.record`.  Events read back as plain dicts, so they
+serialize to JSON unchanged, and every event is stamped with
+**simulation time** (the tracer never reads a wall clock), which keeps
+two same-seed runs' event sequences identical.
 
 The buffer is a fixed-capacity ring: tracing a long run keeps the most
 recent ``capacity`` events and counts what it shed, so an always-on
@@ -16,12 +16,29 @@ tracer can never grow without bound.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Dict, List, Optional
 
+from ..core.caravan import caravan_inner_count, is_caravan
+from ..core.config import Bound
+from ..core.worker import WorkerMode, WorkerObserver
 from ..packet.flow import FlowKey
 
 __all__ = ["FlowTracer"]
+
+#: Field names of the worker's events, stored as ``(time, kind, *values)``:
+#: the ring sheds almost every event, so names are attached only on read.
+_FIELDS = {
+    "ingress": ("worker", "bound", "proto", "bytes", "flow"),
+    "classify": ("worker", "flow", "elephant"),
+    "merge": ("worker", "bytes", "spliced"),
+    "split": ("worker", "segments", "bytes"),
+    "caravan-built": ("worker", "inner", "bytes"),
+    "caravan-opened": ("worker", "inner"),
+    "egress": ("worker", "bound", "bytes"),
+    "flush": ("worker", "packets"),
+    "mode-transition": ("worker", "from_mode", "to_mode"),
+}
 
 
 def _hashable(value):
@@ -35,27 +52,27 @@ def _hashable(value):
     return value
 
 
-def _render(entry: Tuple[float, str, Dict[str, object]]) -> Dict[str, object]:
+def _render(entry: tuple) -> Dict[str, object]:
     """The event dict of one stored entry, flow keys stringified."""
-    time, kind, fields = entry
+    time, kind, fields = entry[:3]
+    if type(fields) is not dict:
+        fields = dict(zip(_FIELDS[kind], entry[2:]))
     event: Dict[str, object] = {"time": time, "kind": kind}
     for name, value in fields.items():
         event[name] = str(value) if isinstance(value, FlowKey) else value
     return event
 
 
-class FlowTracer:
+class FlowTracer(WorkerObserver):
     """A bounded ring buffer of structured trace events."""
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
-        #: ``(time, kind, fields)`` as recorded; the ring sheds almost
-        #: every event of a long run, so dicts are built only on read.
-        self._events: "deque[Tuple[float, str, Dict[str, object]]]" = deque(
-            maxlen=capacity
-        )
+        #: ``(time, kind, fields)`` from :meth:`record`, ``(time, kind,
+        #: *values)`` from the worker; dicts are built only on read.
+        self._events: "deque[tuple]" = deque(maxlen=capacity)
         #: Total events ever recorded (including ones the ring shed).
         self.recorded = 0
 
@@ -82,6 +99,56 @@ class FlowTracer:
         self.recorded += 1
 
     # ------------------------------------------------------------------
+    # Worker events (repro.core.worker)
+    # ------------------------------------------------------------------
+    def on_packet(self, worker, now, ingress_at, packet, size, bound, key,
+                  state, stage, outputs) -> None:
+        append = self._events.append
+        index = worker.index
+        emitted = len(outputs)
+        recorded = 1 + emitted
+        append((now, "ingress", index, bound, packet.ip.protocol, size,
+                key if key is not None else "-"))
+        if state is not None:
+            append((now, "classify", index, key, state.is_elephant))
+            recorded += 1
+        if stage == "merge":
+            for out in outputs:
+                append((now, "merge", index, out.total_len,
+                        bool(out.meta.get("spliced"))))
+            recorded += emitted
+        elif stage == "split":
+            # BYPASS never recorded its splits; the pinned traces hold it.
+            if worker.mode != WorkerMode.BYPASS:
+                append((now, "split", index, emitted, size))
+                recorded += 1
+        elif stage == "caravan":
+            for out in outputs:
+                if is_caravan(out):
+                    append((now, "caravan-built", index,
+                            caravan_inner_count(out), out.total_len))
+                    recorded += 1
+        elif stage == "caravan-open":
+            append((now, "caravan-opened", index, emitted))
+            recorded += 1
+        for out in outputs:
+            append((now, "egress", index, bound, out.total_len))
+        self.recorded += recorded
+
+    def on_flush(self, worker, now, flushed, batch) -> None:
+        index = worker.index
+        if batch and flushed:
+            self._events.append((now, "flush", index, len(flushed)))
+            self.recorded += 1
+        for out in flushed:
+            self._events.append((now, "egress", index, Bound.INBOUND, out.total_len))
+        self.recorded += len(flushed)
+
+    def on_mode(self, worker, now, old, new) -> None:
+        self._events.append((now, "mode-transition", worker.index, old, new))
+        self.recorded += 1
+
+    # ------------------------------------------------------------------
     def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
         """Retained events in arrival order, optionally one *kind* only."""
         return [
@@ -91,10 +158,7 @@ class FlowTracer:
 
     def kinds(self) -> Dict[str, int]:
         """Retained event count per kind (sorted by kind)."""
-        counts: Dict[str, int] = {}
-        for _time, kind, _fields in self._events:
-            counts[kind] = counts.get(kind, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(entry[1] for entry in self._events).items()))
 
     def sequence(self) -> List[tuple]:
         """A hashable, order-preserving fingerprint of retained events.

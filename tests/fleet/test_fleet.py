@@ -75,7 +75,7 @@ class TestFleetDatapath:
             fleet = GatewayFleet(config(), shards=4)
             if tracked:
                 for shard in fleet.shards:
-                    shard.worker.spans = SpanTracker()
+                    shard.worker.observers = (SpanTracker(),)
             egress = fleet.process_stream(small_stream())
             return fleet, [packet.to_bytes() for packet in egress]
 

@@ -1,0 +1,352 @@
+"""The worker's one observer seam, and the records its subscribers keep.
+
+``GatewayWorker`` tells ``observers`` what it did (``on_packet`` /
+``on_flush`` / ``on_mode`` / ``on_retire``) and knows nothing of
+``repro.obs``; ``FlowTracer`` and ``SpanTracker`` subscribe.  These
+tests pin the contract from the outside: the stage set is closed, each
+call's trace events follow one grammar, the span books balance against
+the live engines after every step, and what the subscribers retain is
+invisible to the garbage collector.
+"""
+
+import gc
+import subprocess
+import sys
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core import (
+    STAGES,
+    Bound,
+    GatewayConfig,
+    GatewayWorker,
+    PXGateway,
+    WorkerMode,
+    WorkerObserver,
+    encode_caravan,
+)
+from repro.fleet import FleetSupervisor, GatewayFleet
+from repro.net import Topology
+from repro.obs import FlowTracer, Observability, SpanTracker
+from repro.packet import PX_CARAVAN_TOS, FlowKey, ICMPMessage, TCPFlags
+from repro.packet.builder import build_icmp, build_tcp, build_udp
+from repro.resilience import FailoverManager
+
+INSIDE, OUTSIDE = "10.1.0.1", "198.51.100.7"
+
+#: What the tracer may record between ``classify`` and the ``egress`` run.
+STAGE_EVENT = {"merge": "merge", "split": "split", "caravan": "caravan-built",
+               "caravan-open": "caravan-opened"}
+
+
+class Checker(WorkerObserver):
+    """Asserts the seam's contract on every event (attach it last)."""
+
+    def __init__(self, tracer, spans):
+        self.tracer, self.spans = tracer, spans
+        self.mark = 0
+        self.stages = set()
+        self.calls = 0
+
+    def _new_events(self):
+        assert self.tracer.dropped == 0
+        events = self.tracer.events()[self.mark:]
+        self.mark = self.tracer.recorded
+        return events
+
+    def _books(self, worker):
+        spans = self.spans
+        assert spans.balanced and spans.anomalies == 0
+        assert spans.pending_merge_bytes() == worker.merge.pending_bytes()
+        assert (spans.pending_caravan_datagrams()
+                == worker.caravan_merge.pending_packets())
+
+    def on_packet(self, worker, now, ingress_at, packet, size, bound, key,
+                  state, stage, outputs):
+        self.calls += 1
+        assert stage in STAGES
+        self.stages.add(stage)
+        assert key == packet.flow_key()
+        assert (state is None) == (key is None or worker.mode == WorkerMode.BYPASS)
+        events = self._new_events()
+        kinds = [event["kind"] for event in events]
+        expected = ["ingress"] + ["classify"] * (state is not None)
+        middle = kinds[len(expected):len(kinds) - len(outputs)]
+        assert set(middle) <= {STAGE_EVENT.get(stage)}
+        if stage == "merge":
+            assert len(middle) == len(outputs)
+        elif stage == "split":
+            assert len(middle) == (worker.mode != WorkerMode.BYPASS)
+        elif stage == "caravan-open":
+            assert len(middle) == 1
+        assert kinds == expected + middle + ["egress"] * len(outputs)
+        assert events[0]["bytes"] == size and events[0]["bound"] == bound
+        assert all(event["time"] == now for event in events)
+        for event, out in zip(events[len(kinds) - len(outputs):], outputs):
+            assert event["bytes"] == out.total_len and event["bound"] == bound
+        if stage in ("mss", "hairpin", "forward", "passthrough"):
+            assert outputs == [packet]
+        elif stage == "malformed-caravan":
+            assert outputs == []
+        self._books(worker)
+
+    def on_flush(self, worker, now, flushed, batch):
+        kinds = [event["kind"] for event in self._new_events()]
+        assert kinds == ["flush"] * (batch and bool(flushed)) + ["egress"] * len(flushed)
+        self._books(worker)
+
+    def on_mode(self, worker, now, old, new):
+        assert worker.mode == old != new
+        (event,) = self._new_events()
+        assert (event["kind"], event["from_mode"], event["to_mode"]) == (
+            "mode-transition", old, new)
+
+
+# ----------------------------------------------------------------------
+# (i) The packet zoo
+# ----------------------------------------------------------------------
+class Zoo:
+    """Builds packets that stay plausible across steps (per-flow seq)."""
+
+    def __init__(self):
+        self.seq = {}
+
+    def tcp_in(self, flow, payload, flags=TCPFlags.ACK):
+        seq = self.seq.get(flow, 1000)
+        self.seq[flow] = seq + payload
+        return build_tcp(OUTSIDE, INSIDE, 4000 + flow, 80, payload=b"d" * payload,
+                         seq=seq, ack=1, flags=flags), Bound.INBOUND
+
+    def packet(self, action, flow, bound):
+        if action == "tcp-data":
+            return self.tcp_in(flow, 1448)
+        if action == "tcp-fin":
+            return self.tcp_in(flow, 100, TCPFlags.ACK | TCPFlags.FIN)
+        if action == "tcp-ack":
+            return self.tcp_in(flow, 0)
+        if action == "tcp-syn":
+            return build_tcp(OUTSIDE, INSIDE, 4000 + flow, 80, flags=TCPFlags.SYN,
+                             mss=1460), bound
+        if action == "tcp-jumbo":
+            return build_tcp(INSIDE, OUTSIDE, 80, 4000 + flow, payload=b"j" * 8000,
+                             seq=1, ack=1, flags=TCPFlags.ACK), Bound.OUTBOUND
+        if action == "udp-small":
+            return build_udp(OUTSIDE, INSIDE, 5000 + flow, 53, payload=b"u" * 300), bound
+        if action == "caravan":
+            inner = [build_udp(INSIDE, OUTSIDE, 53, 5000 + flow, payload=b"c" * 200)
+                     for _ in range(3)]
+            return encode_caravan(inner), Bound.OUTBOUND
+        if action == "garbled-caravan":
+            return build_udp(INSIDE, OUTSIDE, 53, 5000 + flow, payload=b"\xff" * 9,
+                             tos=PX_CARAVAN_TOS), Bound.OUTBOUND
+        assert action == "icmp"
+        return build_icmp(OUTSIDE, INSIDE, ICMPMessage.echo_request(1, flow)), bound
+
+
+PACKETS = ("tcp-data", "tcp-fin", "tcp-ack", "tcp-syn", "tcp-jumbo", "udp-small",
+           "caravan", "garbled-caravan", "icmp")
+
+#: From any state, reaches every stage: merge needs NORMAL and an
+#: elephant, hairpin a mouse, passthrough DEGRADED, and so on.
+TOUR = (
+    [("mode", WorkerMode.NORMAL)]
+    + [("tcp-data", 9, None)] * 8 + [("tcp-ack", 9, None), ("tcp-syn", 9, Bound.INBOUND)]
+    + [("udp-small", 9, Bound.INBOUND)] * 8
+    + [("tcp-jumbo", 9, None), ("caravan", 9, None), ("garbled-caravan", 9, None)]
+    + [("udp-small", 8, Bound.OUTBOUND), ("icmp", 9, Bound.INBOUND), ("batch",)]
+    + [("mode", WorkerMode.DEGRADED), ("tcp-data", 9, None), ("udp-small", 9, Bound.INBOUND)]
+    + [("mode", WorkerMode.BYPASS), ("tcp-jumbo", 9, None), ("tcp-syn", 9, Bound.OUTBOUND),
+       ("caravan", 9, None), ("tcp-data", 9, None)]
+)
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(PACKETS), st.integers(0, 3),
+                  st.sampled_from([Bound.INBOUND, Bound.OUTBOUND])),
+        st.tuples(st.just("batch")),
+        st.tuples(st.just("mode"), st.sampled_from(WorkerMode.ALL)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(steps=steps)
+def test_every_call_follows_the_event_grammar_and_the_books_balance(steps):
+    worker = GatewayWorker(GatewayConfig(elephant_threshold_packets=4))
+    tracer, spans = FlowTracer(capacity=1 << 20), SpanTracker()
+    checker = Checker(tracer, spans)
+    worker.observers = (tracer, spans, checker)
+    zoo, now, calls = Zoo(), 0.0, 0
+    for step in steps + TOUR:
+        now += 2e-4
+        if step[0] == "batch":
+            worker.end_batch(now)
+        elif step[0] == "mode":
+            worker.set_mode(step[1], now)
+        else:
+            packet, bound = zoo.packet(*step)
+            worker.process(packet, bound, now)
+            calls += 1
+    worker.set_mode(WorkerMode.DEGRADED, now)  # flush what is still buffered
+    assert checker.calls == calls
+    assert checker.stages == STAGES
+    assert len(tracer.events("egress")) == worker.stats.tx_packets
+    assert len(tracer.events("ingress")) == worker.stats.rx_packets
+    assert spans.open_count() == 0
+    assert not worker.stats.conservation_errors()
+
+
+# ----------------------------------------------------------------------
+# (ii) Span records are atoms the collector forgets
+# ----------------------------------------------------------------------
+def test_finished_span_records_are_untracked_after_collection():
+    worker = GatewayWorker(GatewayConfig(elephant_threshold_packets=4))
+    spans = SpanTracker()
+    worker.observers = (spans,)
+    zoo, now = Zoo(), 0.0
+    for step in TOUR * 3:
+        now += 2e-4
+        if step[0] == "batch":
+            worker.end_batch(now)
+        elif step[0] == "mode":
+            worker.set_mode(step[1], now)
+        else:
+            worker.process(*zoo.packet(*step), now)
+    key = FlowKey(6, 1, 2, 3, 4)
+    sid = spans.open(now, kind="probe", flow=key)
+    spans.close(sid, now + 1.0, outcome="report")
+    spans.sync_drop(now, now, "no-route", flow=key)
+    spans.derived((sid,), "merged", now, count=2, flow=key)
+    gc.collect()
+    gc.collect()
+    assert len(spans._done) > 100
+    assert not any(gc.is_tracked(record) for record in spans._done)
+    flows = {type(span.flow) for span in spans.finished()}
+    assert flows == {FlowKey, type(None)}
+    assert spans.finished("probe")[0].flow == key
+    assert {span.flow for span in spans.finished("merged")[-2:]} == {key}
+
+
+def test_non_flowkey_flows_round_trip_and_the_ring_stays_bounded():
+    spans = SpanTracker(capacity=4)
+    five = (6, 1, 2, 3, 4)  # shaped like a key, but not one
+    for flow in ("flowA", five, None, 17):
+        spans.sync(0.0, 0.5, "forward", flow=flow)
+    assert [span.flow for span in spans.finished()] == ["flowA", five, None, 17]
+    assert type(spans.finished()[1].flow) is tuple
+    a = spans.open(1.0, flow="flowB")
+    spans.merge_enqueue("flowB", a, 10, 1.0)
+    spans.derived(spans.merge_consume("flowB", 10, 2.0), "merged", 2.0, flow="flowB")
+    assert [(s.kind, s.flow, s.outcome) for s in spans.finished()[-2:]] == [
+        ("packet", "flowB", "merged"), ("merged", "flowB", "egress")]
+    assert len(spans.finished()) == 4 and spans.shed == 2
+    assert spans.balanced and spans.closed == 6
+    assert '"flow":"flowB"' in spans.to_jsonl(limit=1)
+
+
+# ----------------------------------------------------------------------
+# (iii) Positional and keyword events in one ring
+# ----------------------------------------------------------------------
+def test_positional_and_keyword_events_render_alike():
+    config = GatewayConfig(elephant_threshold_packets=1, hairpin_small_flows=False)
+    seamed, reference = FlowTracer(), FlowTracer()
+    worker = GatewayWorker(config, index=3)
+    worker.observers = (seamed,)
+    zoo = Zoo()
+    packet, bound = zoo.tcp_in(0, 1448)
+    key = packet.flow_key()
+
+    seamed.record(0.5, "stall", gateway="pxgw", until=0.75)
+    reference.record(0.5, "stall", gateway="pxgw", until=0.75)
+    worker.process(packet, bound, now=1.0)
+    reference.record(1.0, "ingress", worker=3, bound=bound, proto=6,
+                     bytes=packet.total_len, flow=key)
+    reference.record(1.0, "classify", worker=3, flow=key, elephant=True)
+    seamed.record(1.5, "pmtud-probe", dst="10.0.0.1", sizes=[1500, 9000])
+    reference.record(1.5, "pmtud-probe", dst="10.0.0.1", sizes=[1500, 9000])
+    (merged,) = worker.end_batch(now=2.0)
+    reference.record(2.0, "flush", worker=3, packets=1)
+    reference.record(2.0, "egress", worker=3, bound=Bound.INBOUND,
+                     bytes=merged.total_len)
+    worker.set_mode(WorkerMode.BYPASS, now=3.0)
+    reference.record(3.0, "mode-transition", worker=3,
+                     from_mode="normal", to_mode="bypass")
+
+    assert seamed.events() == reference.events()
+    assert seamed.events()[1]["flow"] == str(key)
+    assert seamed.events("ingress") == reference.events("ingress")
+    assert seamed.kinds() == reference.kinds()
+    assert seamed.sequence() == reference.sequence()
+    assert seamed.to_json() == reference.to_json()
+    assert (seamed.recorded, len(seamed)) == (reference.recorded, 7)
+
+
+# ----------------------------------------------------------------------
+# (iv) Empty by default; core does not know obs
+# ----------------------------------------------------------------------
+def test_unobserved_core_never_loads_obs():
+    assert GatewayWorker(GatewayConfig()).observers == ()
+    script = (
+        "import sys\n"
+        "import repro.core\n"
+        "from repro.core import Bound, GatewayConfig, GatewayWorker\n"
+        "from repro.packet.builder import build_tcp\n"
+        "worker = GatewayWorker(GatewayConfig())\n"
+        "worker.process(build_tcp('198.51.100.7', '10.1.0.1', 4000, 80,\n"
+        "                         payload=b'x' * 1000), Bound.INBOUND, 0.0)\n"
+        "worker.end_batch(1.0)\n"
+        "worker.set_mode('bypass', 1.0)\n"
+        "worker.retire(1.0)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.obs'))\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={"PYTHONPATH": ":".join(sys.path)})
+
+
+# ----------------------------------------------------------------------
+# Observers survive a worker swap, on the gateway and on a fleet shard
+# ----------------------------------------------------------------------
+class Counting(WorkerObserver):
+    def __init__(self):
+        self.packets = self.retired = 0
+
+    def on_packet(self, *event):
+        self.packets += 1
+
+    def on_retire(self, worker, now):
+        self.retired += 1
+
+
+def test_observers_survive_both_worker_swaps():
+    topo = Topology()
+    gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig())
+    topo.add_node(gateway)
+    obs = gateway.attach_observability(
+        Observability(tracer=FlowTracer(), spans=SpanTracker()))
+    counting = Counting()
+    gateway.worker.observers += (counting,)
+    attached = gateway.worker.observers
+    assert attached == (obs.tracer, obs.spans, counting)
+
+    zoo = Zoo()
+    gateway.worker.process(*zoo.tcp_in(0, 1448), 0.0)
+    FailoverManager(gateway).takeover()
+    assert gateway.worker.index == 1 and gateway.worker.observers == attached
+    assert counting.retired == 1 and obs.spans.open_count() == 0
+    gateway.worker.process(*zoo.tcp_in(0, 1448), 1.0)
+    assert counting.packets == 2
+
+    fleet = GatewayFleet(GatewayConfig(), shards=2)
+    supervisor = FleetSupervisor(fleet)
+    tracer, counting = FlowTracer(), Counting()
+    shard = fleet.shards[0]
+    shard.worker.observers = attached = (tracer, SpanTracker(), counting)
+    shard.worker.process(*zoo.tcp_in(1, 1448), 0.0)
+    old = supervisor.replace_worker(0)
+    assert shard.worker is not old and shard.worker.observers == attached
+    shard.worker.process(*zoo.tcp_in(1, 1448), 1.0)
+    assert counting.packets == 2
+    assert len(tracer.events("ingress")) == 2  # the parent's fleet swap lost it
