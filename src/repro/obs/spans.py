@@ -56,7 +56,7 @@ from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.caravan import caravan_inner_count, is_caravan
-from ..core.worker import WorkerMode, WorkerObserver
+from ..core.worker import WorkerObserver
 from ..packet.flow import FlowKey
 
 __all__ = [
@@ -231,7 +231,7 @@ class SpanTracker(WorkerObserver):
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        if key is None or (stage == "mss" and worker.mode != WorkerMode.BYPASS):
+        if key is None:
             self._done.append((sid, "packet", at, now, "egress", (), stage))
         else:
             self._done.append((sid, "packet", at, now, "egress", (), stage, *key))

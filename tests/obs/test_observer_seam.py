@@ -350,3 +350,19 @@ def test_observers_survive_both_worker_swaps():
     shard.worker.process(*zoo.tcp_in(1, 1448), 1.0)
     assert counting.packets == 2
     assert len(tracer.events("ingress")) == 2  # the parent's fleet swap lost it
+
+
+def test_handshake_spans_carry_their_flow_in_every_mode():
+    # NORMAL and DEGRADED used to close the SYN's span without a flow, so
+    # a per-flow journey never showed the handshake hop.
+    for mode in WorkerMode.ALL:
+        worker = GatewayWorker(GatewayConfig())
+        spans = SpanTracker()
+        worker.observers = (spans,)
+        worker.set_mode(mode, 0.0)
+        syn, bound = Zoo().packet("tcp-syn", 0, Bound.INBOUND)
+        worker.process(syn, bound, 1.0)
+        (span,) = spans.finished()
+        assert span.stage == "mss"
+        assert span.flow == syn.flow_key() and type(span.flow) is FlowKey
+        assert f'"flow":"{syn.flow_key()}"' in spans.to_jsonl()
