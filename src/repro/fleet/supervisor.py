@@ -71,6 +71,7 @@ class ShardPort:
         """In-shard worker replacement (keeps the observers wired)."""
         old = self.shard.worker
         standby.observers = old.observers
+        old.retire(self.sim.now)
         self.shard.worker = standby
         return old
 

@@ -321,8 +321,9 @@ class Counting(WorkerObserver):
 
 
 def test_observers_survive_both_worker_swaps():
+    config = GatewayConfig(elephant_threshold_packets=1, hairpin_small_flows=False)
     topo = Topology()
-    gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig())
+    gateway = PXGateway(topo.sim, "pxgw", config=config)
     topo.add_node(gateway)
     obs = gateway.attach_observability(
         Observability(tracer=FlowTracer(), spans=SpanTracker()))
@@ -333,20 +334,27 @@ def test_observers_survive_both_worker_swaps():
 
     zoo = Zoo()
     gateway.worker.process(*zoo.tcp_in(0, 1448), 0.0)
+    assert obs.spans.pending_merge_bytes() == 1448
     FailoverManager(gateway).takeover()
     assert gateway.worker.index == 1 and gateway.worker.observers == attached
     assert counting.retired == 1 and obs.spans.open_count() == 0
     gateway.worker.process(*zoo.tcp_in(0, 1448), 1.0)
     assert counting.packets == 2
 
-    fleet = GatewayFleet(GatewayConfig(), shards=2)
+    fleet = GatewayFleet(config, shards=2)
     supervisor = FleetSupervisor(fleet)
     tracer, counting = FlowTracer(), Counting()
     shard = fleet.shards[0]
-    shard.worker.observers = attached = (tracer, SpanTracker(), counting)
+    spans = SpanTracker()
+    shard.worker.observers = attached = (tracer, spans, counting)
     shard.worker.process(*zoo.tcp_in(1, 1448), 0.0)
+    assert spans.pending_merge_bytes() == 1448
     old = supervisor.replace_worker(0)
     assert shard.worker is not old and shard.worker.observers == attached
+    # The buffered segment left through the checkpoint, not the worker:
+    # its span settles at the swap instead of lingering in the FIFO.
+    assert counting.retired == 1 and spans.pending_merge_bytes() == 0
+    assert spans.open_count() == 0 and spans.balanced
     shard.worker.process(*zoo.tcp_in(1, 1448), 1.0)
     assert counting.packets == 2
     assert len(tracer.events("ingress")) == 2  # the parent's fleet swap lost it
