@@ -286,9 +286,7 @@ class GatewayWorker:
                                key, state, stage, outputs)
         return outputs
 
-    # ------------------------------------------------------------------
     # Stage bodies: each returns ``(stage, outputs)`` to the tail above.
-    # ------------------------------------------------------------------
     def _bypass(self, packet: Packet, bound: str, now: float, key):
         """BYPASS mode: hairpin everything, keep only mandatory work."""
         self.account.charge(self.costs.hairpin_forward, category="bypass")

@@ -52,7 +52,7 @@ the first time it visits it; a ring of objects each holding a ``FlowKey``
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.caravan import caravan_inner_count, is_caravan
@@ -191,8 +191,8 @@ class SpanTracker(WorkerObserver):
         # Per-flow FIFOs mirroring the merge engines' buffers.
         # merge: flow -> deque of [sid, bytes_left, enqueued_at]
         # caravan: flow -> deque of (sid, enqueued_at)
-        self._merge_fifo: Dict[object, Deque[list]] = {}
-        self._caravan_fifo: Dict[object, Deque[tuple]] = {}
+        self._merge_fifo: Dict[object, Deque[list]] = defaultdict(deque)
+        self._caravan_fifo: Dict[object, Deque[tuple]] = defaultdict(deque)
         self._fifo_bytes = 0
         self._fifo_datagrams = 0
         #: Exact latency observations per metric: value -> count.
@@ -213,20 +213,17 @@ class SpanTracker(WorkerObserver):
                 self._fed(packet, key, at, now, outputs, stage == "merge")
                 return
             stage = "passthrough"  # the engine handed it straight back
-        elif stage == "split":
-            sid = self.sync(at, now, "split", flow=key)
-            self.derived((sid,), "split-segment", now, count=len(outputs),
-                         flow=key)
-            return
-        elif stage == "caravan-open":
-            sid = self.sync(at, now, "caravan-open", flow=key)
-            self.derived((sid,), "datagram", now, count=len(outputs))
+        elif stage == "split" or stage == "caravan-open":
+            sid = self.sync(at, now, stage, flow=key)
+            if stage == "split":
+                self.derived((sid,), "split-segment", now, len(outputs), key)
+            else:
+                self.derived((sid,), "datagram", now, len(outputs))
             return
         elif stage == "malformed-caravan":
             self.sync_drop(at, now, "malformed-caravan", flow=key)
             return
-        # One in, one out (mss, hairpin, forward, passthrough): ``sync``
-        # inlined, this is most packets.
+        # One in, one out (mss, hairpin, forward, passthrough): ``sync`` inlined.
         sid = self._next_sid
         self._next_sid = sid + 1
         self.opened += 1
@@ -264,18 +261,14 @@ class SpanTracker(WorkerObserver):
             if out is packet:
                 break
         else:
-            # ``open`` and, for TCP, ``merge_enqueue`` inlined: most
-            # inbound segments end here.
+            # ``open`` / ``merge_enqueue`` inlined: most segments end here.
             sid = self._next_sid
             self._next_sid = sid + 1
             self.opened += 1
             self._open[sid] = ("packet", at, (), None) + (key or ())
             if tcp:
                 nbytes = len(packet.payload)
-                fifo = self._merge_fifo.get(key)
-                if fifo is None:
-                    fifo = self._merge_fifo[key] = deque()
-                fifo.append([sid, nbytes, now])
+                self._merge_fifo[key].append([sid, nbytes, now])
                 self._fifo_bytes += nbytes
             else:
                 self.caravan_enqueue(key, sid, now)
@@ -357,8 +350,7 @@ class SpanTracker(WorkerObserver):
         bucket[delta] = bucket.get(delta, 0) + 1
         return sid
 
-    def sync_drop(self, opened_at: float, at: float, reason: str,
-                  flow=None) -> int:
+    def sync_drop(self, opened_at: float, at: float, reason: str, flow=None) -> int:
         """Fast path: a packet dropped in the same call it arrived in."""
         sid = self._next_sid
         self._next_sid = sid + 1
@@ -389,10 +381,7 @@ class SpanTracker(WorkerObserver):
     # ------------------------------------------------------------------
     def merge_enqueue(self, flow, sid: int, nbytes: int, at: float) -> None:
         """A span's payload entered the merge buffer for *flow*."""
-        fifo = self._merge_fifo.get(flow)
-        if fifo is None:
-            fifo = self._merge_fifo[flow] = deque()
-        fifo.append([sid, nbytes, at])
+        self._merge_fifo[flow].append([sid, nbytes, at])
         self._fifo_bytes += nbytes
 
     def merge_consume(self, flow, nbytes: int, at: float) -> Tuple[int, ...]:
@@ -439,10 +428,7 @@ class SpanTracker(WorkerObserver):
     # ------------------------------------------------------------------
     def caravan_enqueue(self, flow, sid: int, at: float) -> None:
         """A datagram's span entered the caravan context for *flow*."""
-        fifo = self._caravan_fifo.get(flow)
-        if fifo is None:
-            fifo = self._caravan_fifo[flow] = deque()
-        fifo.append((sid, at))
+        self._caravan_fifo[flow].append((sid, at))
         self._fifo_datagrams += 1
 
     def caravan_consume(self, flow, count: int, at: float,
@@ -475,20 +461,16 @@ class SpanTracker(WorkerObserver):
         worker — so their ingress spans must be settled here.  Returns
         the number of spans closed.
         """
-        settled = 0
-        for fifo in self._merge_fifo.values():
-            for sid, _bytes_left, _at in fifo:
-                self.close(sid, at, outcome)
-                settled += 1
-        for fifo in self._caravan_fifo.values():
-            for sid, _at in fifo:
-                self.close(sid, at, outcome)
-                settled += 1
+        resident = [entry[0]
+                    for fifos in (self._merge_fifo, self._caravan_fifo)
+                    for fifo in fifos.values() for entry in fifo]
+        for sid in resident:
+            self.close(sid, at, outcome)
         self._merge_fifo.clear()
         self._caravan_fifo.clear()
         self._fifo_bytes = 0
         self._fifo_datagrams = 0
-        return settled
+        return len(resident)
 
     # ------------------------------------------------------------------
     # Latency observations

@@ -88,12 +88,10 @@ class FlowTracer(WorkerObserver):
     def record(self, time: float, kind: str, **fields: object) -> None:
         """Append one event.
 
-        *time* is simulation time; *kind* names the event ("ingress",
-        "merge", "health-transition", …); *fields* must be
-        JSON-serializable, except that a field may be a raw
-        :class:`~repro.packet.FlowKey` — it is rendered with ``str()``
-        when the event is read, which per-packet callers should prefer
-        to stringifying an event the ring will most likely shed.
+        *time* is simulation time; *kind* names the event ("stall",
+        "health-transition", …); *fields* must be JSON-serializable,
+        except that a field may be a raw :class:`~repro.packet.FlowKey`,
+        rendered with ``str()`` when the event is read.
         """
         self._events.append((time, kind, fields))
         self.recorded += 1
