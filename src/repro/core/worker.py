@@ -78,8 +78,7 @@ class WorkerObserver:
         """
 
     def on_flush(self, worker, now, flushed, batch) -> None:
-        """Buffered packets left the engines: at a poll boundary
-        (*batch*) or forced out by a mode switch."""
+        """Packets left the merge engines: at a poll boundary (*batch*) or a mode switch."""
 
     def on_mode(self, worker, now, old, new) -> None:
         """The worker is about to switch :class:`WorkerMode`."""
@@ -278,9 +277,9 @@ class GatewayWorker:
                     # ICMP and anything else is forwarded untouched.
                     stage, outputs = "forward", [packet]
 
-        # The one tail every path reaches.  Handshakes are not data (nor
-        # is non-TCP/UDP traffic, which ``_emit`` tells by protocol).
-        self._emit(outputs, bound == Bound.INBOUND and stage != "mss")
+        # The one tail every path reaches; a handshake is not data.
+        if outputs:
+            self._emit(outputs, bound == Bound.INBOUND and stage != "mss")
         for observer in self.observers:
             observer.on_packet(self, now, ingress_at, packet, size, bound,
                                key, state, stage, outputs)
@@ -350,13 +349,14 @@ class GatewayWorker:
             account.cycles += cycles
             breakdown["merge"] = breakdown.get("merge", 0.0) + cycles
         outputs = self.merge.feed(packet, now)
-        flush_cycles = self._cost_merge_flush
-        for out in outputs:
-            account.cycles += flush_cycles
-            breakdown["merge"] = breakdown.get("merge", 0.0) + flush_cycles
-            stats.tcp_payload_out += len(out.payload)
-            if out.meta.get("spliced"):
-                stats.merged_packets += 1
+        if outputs:
+            flush_cycles = self._cost_merge_flush
+            for out in outputs:
+                account.cycles += flush_cycles
+                breakdown["merge"] = breakdown.get("merge", 0.0) + flush_cycles
+                stats.tcp_payload_out += len(out.payload)
+                if out.meta.get("spliced"):
+                    stats.merged_packets += 1
         return "merge", outputs
 
     def _tcp_outbound(self, packet: Packet, now: float, key):
@@ -395,13 +395,14 @@ class GatewayWorker:
         account.cycles += cycles
         breakdown["caravan"] = breakdown.get("caravan", 0.0) + cycles
         outputs = self.caravan_merge.feed(packet, now)
-        flush_cycles = costs.caravan_flush
-        for out in outputs:
-            account.cycles += flush_cycles
-            breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
-            self.stats.udp_datagrams_out += caravan_inner_count(out)
-            if is_caravan(out):
-                self.stats.caravans_built += 1
+        if outputs:
+            flush_cycles = costs.caravan_flush
+            for out in outputs:
+                account.cycles += flush_cycles
+                breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
+                self.stats.udp_datagrams_out += caravan_inner_count(out)
+                if is_caravan(out):
+                    self.stats.caravans_built += 1
         return "caravan", outputs
 
     def _udp_outbound(self, packet: Packet):
@@ -444,8 +445,7 @@ class GatewayWorker:
         return self._flushed(flushed, now, True)
 
     def _flushed(self, flushed: List[Packet], now: float, batch: bool) -> List[Packet]:
-        """Charge, count and announce packets flushed out of the engines
-        (*batch*: at a poll boundary rather than by a mode switch)."""
+        """Charge, count and announce what the engines flushed (see ``on_flush``)."""
         for out in flushed:
             self.account.charge(self.costs.merge_flush, category="merge")
             if out.is_tcp:
