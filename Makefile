@@ -29,4 +29,4 @@ examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex > /dev/null || exit 1; done
 
 lint:
-	python -m compileall -q src tests benchmarks examples tools
+	python -m compileall -q src tests benchmarks examples tools perfbench

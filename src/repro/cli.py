@@ -49,30 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("fig5a", help="PXGW throughput/yield (abridged Figure 5a)")
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the fast-path microbenchmarks, emit a BENCH JSON report",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads and fewer reps (CI mode)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="timed repetitions per bench (default 5, quick 3)")
-    bench.add_argument("--only", default=None,
-                       help="comma-separated subset of benchmark names")
-    bench.add_argument("--out", default=None,
-                       help="write the JSON report here instead of stdout")
-    bench.add_argument("--baseline", default=None,
-                       help="compare against this bench JSON and fail on regression")
-    bench.add_argument("--threshold", type=float, default=0.30,
-                       help="allowed fractional slowdown vs --baseline (default 0.30)")
-    bench.add_argument("--metrics-out", default=None,
-                       help="also write the results as Prometheus text here")
-    bench.add_argument("--profile", action="store_true",
-                       help="cProfile the selected benches instead of timing "
-                            "them; prints a deterministic top-N cumulative table")
-    bench.add_argument("--profile-top", type=int, default=25,
-                       help="rows in the --profile table (default 25)")
-
     metrics = commands.add_parser(
         "metrics",
         help="run the seeded observability world, print its metric export",
@@ -373,52 +349,6 @@ def _cmd_fig5a(args) -> int:
     ):
         tput, cy = run(config)
         print(f"{name:18s} {tput / 1e9:8.0f} Gbps   yield {cy:.1%}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from .perf import compare_reports, load_report, run_benchmarks, write_report
-
-    only = args.only.split(",") if args.only else None
-    if args.profile:
-        from .perf import bench_names, format_profile, profile_benchmark
-
-        for name in only if only is not None else bench_names():
-            summary = profile_benchmark(name, quick=args.quick,
-                                        top=args.profile_top)
-            print(format_profile(summary))
-            print()
-        return 0
-
-    registry = None
-    if args.metrics_out:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    report = run_benchmarks(quick=args.quick, reps=args.reps, only=only,
-                            registry=registry)
-    if registry is not None:
-        with open(args.metrics_out, "w") as handle:
-            handle.write(registry.to_prometheus_text())
-        print(f"metrics written to {args.metrics_out}")
-    if args.out:
-        write_report(report, args.out)
-        for row in report["results"]:
-            print(f"{row['bench']:22s} {row['pkts_per_sec']:14,.0f} pkts/s "
-                  f"({row['ns_per_pkt']:10,.0f} ns/pkt, reps={row['reps']})")
-        print(f"report written to {args.out}")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    if args.baseline:
-        results = compare_reports(load_report(args.baseline), report,
-                                  threshold=args.threshold)
-        for result in results:
-            print(result.line())
-        if any(result.regressed for result in results):
-            print(f"regression beyond {args.threshold:.0%} of baseline")
-            return 1
     return 0
 
 
@@ -803,15 +733,18 @@ def _cmd_canary(args) -> int:
 def _cmd_fleet(args) -> int:
     import json
 
+    from .fleet import fleet_world_report, format_fleet_report
     from .fleet.chaos import run_loss_scenario
-    from .perf import fleet_world_report, format_fleet_report
 
     try:
         worker_counts = tuple(
             int(piece) for piece in args.workers.split(",") if piece.strip()
         )
     except ValueError:
-        print(f"bad --workers {args.workers!r}", file=sys.stderr)
+        worker_counts = ()
+    if not worker_counts or min(worker_counts) < 1:
+        print(f"bad --workers {args.workers!r}: need a comma-separated list "
+              "of shard counts >= 1", file=sys.stderr)
         return 2
     report = fleet_world_report(
         worker_counts=worker_counts, quick=args.quick, seed=args.seed,
@@ -819,7 +752,12 @@ def _cmd_fleet(args) -> int:
     failures = 0
     if args.min_speedup_4 > 0:
         for row in report["rows"]:
-            if row["shards"] == 4 and row["speedup_vs_1"] < args.min_speedup_4:
+            if row["shards"] != 4:
+                continue
+            if row["speedup_vs_1"] is None:
+                print("note: --min-speedup-4 not applied: no 1-shard row "
+                      "in --workers to compare against", file=sys.stderr)
+            elif row["speedup_vs_1"] < args.min_speedup_4:
                 print(
                     f"FAIL: modeled speedup at 4 shards "
                     f"{row['speedup_vs_1']:.2f}x < {args.min_speedup_4}x",
@@ -869,7 +807,6 @@ _COMMANDS = {
     "upf": _cmd_upf,
     "survey": _cmd_survey,
     "fig5a": _cmd_fig5a,
-    "bench": _cmd_bench,
     "metrics": _cmd_metrics,
     "trace": _cmd_trace,
     "flight": _cmd_flight,

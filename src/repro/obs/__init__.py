@@ -46,7 +46,6 @@ from .collectors import (
     observe_pmtud,
     observe_spans,
     observe_upf,
-    record_bench_report,
 )
 from .flight import FlightRecorder
 from .incident import (
@@ -109,7 +108,6 @@ __all__ = [
     "observe_pmtud",
     "observe_spans",
     "observe_upf",
-    "record_bench_report",
     "run_observed_world",
     "run_trigger_matrix",
     "WorkloadSchedule",

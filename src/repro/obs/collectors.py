@@ -13,7 +13,7 @@ Metric naming convention (see ``docs/OBSERVABILITY.md``)::
     px_<layer>_<noun>_<unit>           histograms (base unit in name)
 
 Layers: ``gateway``, ``worker``, ``health``, ``failover``, ``pmtu_cache``,
-``negotiation``, ``nic``, ``upf``, ``pmtud``, ``bench``.
+``negotiation``, ``nic``, ``upf``, ``pmtud``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "observe_spans",
     "observe_upf",
     "observe_pmtud",
-    "record_bench_report",
 ]
 
 
@@ -480,24 +479,3 @@ def observe_pmtud(obs: Observability, prober=None, daemon=None,
                              agent=name).set_total(daemon.reports_sent)
 
     obs.registry.register_collector(collect)
-
-
-# ----------------------------------------------------------------------
-# Bench harness hook
-# ----------------------------------------------------------------------
-def record_bench_report(registry: MetricsRegistry, report: dict) -> None:
-    """Mirror a ``repro bench`` report into *registry* (one-shot push).
-
-    Lets a bench run export alongside datapath metrics and lets callers
-    :meth:`~MetricsRegistry.diff` registries across bench invocations.
-    """
-    for row in report.get("results", []):
-        labels = {"bench": row["bench"]}
-        registry.gauge("px_bench_pkts_per_sec",
-                       "Median benchmark throughput.", **labels).set(
-            row["pkts_per_sec"])
-        registry.gauge("px_bench_ns_per_pkt",
-                       "Median per-packet latency.", **labels).set(
-            row["ns_per_pkt"])
-        registry.gauge("px_bench_reps", "Timed repetitions.", **labels).set(
-            row["reps"])

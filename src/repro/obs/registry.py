@@ -323,7 +323,7 @@ class MetricsRegistry:
         return {"series": out}
 
     # ------------------------------------------------------------------
-    # Snapshot / diff (the bench + chaos-oracle hooks)
+    # Snapshot / diff (the chaos-oracle hook)
     # ------------------------------------------------------------------
     def snapshot(self, collect: bool = True) -> Dict[str, float]:
         """A flat ``series-id -> value`` map of the current registry."""
@@ -339,8 +339,8 @@ class MetricsRegistry:
     def diff(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
         """Per-series deltas between two :meth:`snapshot` results.
 
-        Series absent on one side diff against zero, so a bench or
-        chaos run can report exactly what it moved.
+        Series absent on one side diff against zero, so a chaos run
+        can report exactly what it moved.
         """
         deltas: Dict[str, float] = {}
         for key in sorted(set(before) | set(after)):

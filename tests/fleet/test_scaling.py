@@ -1,6 +1,6 @@
 """Fleet scaling: the near-linear pkts/s claim and the workload shape."""
 
-from repro.perf import FLEET_SCHEMA, fleet_world_report, format_fleet_report
+from repro.fleet import FLEET_SCHEMA, fleet_world_report, format_fleet_report
 from repro.workload import CityScaleProfile, CityScaleWorkload
 
 
@@ -21,9 +21,21 @@ class TestFleetWorldReport:
     def test_report_is_deterministic_in_modeled_terms(self):
         a = fleet_world_report(worker_counts=(1, 4), quick=True)
         b = fleet_world_report(worker_counts=(1, 4), quick=True)
-        for row_a, row_b in zip(a["rows"], b["rows"]):
-            assert row_a["modeled_pkts_per_sec"] == row_b["modeled_pkts_per_sec"]
-            assert row_a["balance"] == row_b["balance"]
+        assert a == b
+
+    def test_speedup_is_against_the_one_shard_row_only(self):
+        report = fleet_world_report(worker_counts=(4, 1), quick=True,
+                                    packets=2000)
+        four, one = report["rows"]
+        assert one["speedup_vs_1"] == 1.0
+        assert four["speedup_vs_1"] == (four["modeled_pkts_per_sec"]
+                                        / one["modeled_pkts_per_sec"])
+        # No 1-shard row: no ratio is claimed, in JSON or in the table.
+        report = fleet_world_report(worker_counts=(2, 4), quick=True,
+                                    packets=2000)
+        assert [row["speedup_vs_1"] for row in report["rows"]] == [None, None]
+        table = format_fleet_report(report).splitlines()[2:]
+        assert [line.split()[2] for line in table] == ["-", "-"]
 
     def test_format_renders_every_row(self):
         report = fleet_world_report(worker_counts=(1, 2), quick=True,

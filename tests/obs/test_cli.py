@@ -113,16 +113,6 @@ def test_alerts_default_and_transitions(tmp_path, capsys):
     assert all(json.loads(line)["rule"] for line in lines)
 
 
-def test_bench_metrics_out(tmp_path):
-    bench_out = tmp_path / "bench.json"
-    prom_out = tmp_path / "bench.prom"
-    assert main(["bench", "--quick", "--reps", "1", "--only", "checksum",
-                 "--out", str(bench_out), "--metrics-out", str(prom_out)]) == 0
-    text = prom_out.read_text()
-    assert 'px_bench_pkts_per_sec{bench="checksum"}' in text
-    assert 'px_bench_reps{bench="checksum"} 1' in text
-
-
 def test_flight_summary(capsys):
     assert main(["flight", "--summary"]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -57,4 +57,19 @@ class TestCommands:
         assert [row["shards"] for row in payload["rows"]] == [1, 4]
 
     def test_fleet_command_rejects_bad_workers(self, capsys):
-        assert main(["fleet", "--quick", "--workers", "x,y"]) == 2
+        # not integers; an empty list; a shard count below one
+        for workers in ("x,y", ",", "0,2"):
+            assert main(["fleet", "--quick", "--workers", workers]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"bad --workers {workers!r}")
+            assert captured.err.count("\n") == 1
+
+    def test_fleet_speedup_gate_needs_a_one_shard_row(self, capsys):
+        # Without a 1-shard row the gate says so instead of gating 4-vs-2.
+        assert main(["fleet", "--quick", "--workers", "2,4",
+                     "--min-speedup-4", "100"]) == 0
+        assert "--min-speedup-4 not applied" in capsys.readouterr().err
+        assert main(["fleet", "--quick", "--workers", "1,4",
+                     "--min-speedup-4", "100"]) == 1
+        assert "FAIL: modeled speedup at 4 shards" in capsys.readouterr().err

@@ -1,0 +1,79 @@
+"""Every ``python -m repro <verb> ...`` the docs, Makefile and CI quote must parse.
+
+A verb or option that is deleted from :mod:`repro.cli` has to leave the
+prose and the CI steps with it; this holds them to ``build_parser()``.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [
+    ROOT / "README.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / "Makefile",
+    ROOT / ".github" / "workflows" / "ci.yml",
+]
+
+# A quoted command runs to the end of its line or to whatever closes it
+# first: a backtick, a comment or a redirect.  The whitespace after
+# ``repro`` may be a line wrap in prose.
+_COMMAND = re.compile(r"python -m repro\s+([^\n`#>]*)")
+
+
+def quoted_commands(text):
+    """Argument vectors of every ``python -m repro ...`` in *text*.
+
+    ``verb_a|verb_b --flag`` (prose shorthand) yields one vector per
+    verb; ``[--flag]`` counts as given; a shell pipe ends the command.
+    """
+    for match in _COMMAND.finditer(text.replace("\\\n", " ")):
+        command = match.group(1).split(" | ")[0]
+        argv = shlex.split(command.replace("[", " ").replace("]", " "))
+        for verb in argv[0].split("|"):
+            yield [verb] + argv[1:]
+
+
+def test_extractor_reads_the_forms_the_docs_use():
+    text = (
+        "run `python -m repro metrics|trace --seed 1` or `python -m repro\n"
+        "canary [--corpus]`.\n"
+        "    python -m repro gone --quick \\\n"
+        "      --out /tmp/x.json   # comment\n"
+        "    python -m repro trace --summary | python -m json.tool > /dev/null\n"
+    )
+    assert list(quoted_commands(text)) == [
+        ["metrics", "--seed", "1"],
+        ["trace", "--seed", "1"],
+        ["canary", "--corpus"],
+        ["gone", "--quick", "--out", "/tmp/x.json"],
+        ["trace", "--summary"],
+    ]
+
+
+def test_every_quoted_command_parses(capsys):
+    parser = build_parser()
+    checked = 0
+    rejected = []
+    for path in SOURCES:
+        for argv in quoted_commands(path.read_text()):
+            checked += 1
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                rejected.append(f"{path.relative_to(ROOT)}: repro {' '.join(argv)}")
+    capsys.readouterr()  # argparse's usage text for each rejection
+    assert not rejected, "\n".join(rejected)
+    assert checked >= 50  # the extractor still finds the commands
+
+
+def test_the_deleted_bench_verb_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
