@@ -18,7 +18,7 @@ from .mss_clamp import MssClamp
 from .stats import GatewayStats
 from .tcp_merge import TcpMergeEngine
 from .tcp_split import TcpSplitEngine
-from .worker import STAGES, GatewayWorker, WorkerMode, WorkerObserver
+from .worker import EVENTS, STAGES, GatewayWorker, WorkerMode, WorkerObserver
 
 __all__ = [
     "GatewayConfig",
@@ -32,6 +32,7 @@ __all__ = [
     "WorkerMode",
     "WorkerObserver",
     "STAGES",
+    "EVENTS",
     "GatewayStats",
     "FlowTable",
     "FlowState",

@@ -24,7 +24,6 @@ from ..cpu import DEFAULT_GATEWAY_COSTS, GatewayCosts
 from ..net.router import Router
 from ..sim.engine import Simulator
 from ..sim.node import Interface
-from ..sim.trace import PacketTrace
 from ..packet import IPProto, Packet
 from .config import Bound, GatewayConfig
 from .worker import GatewayWorker
@@ -44,9 +43,8 @@ class PXGateway(Router):
         name: str,
         config: Optional[GatewayConfig] = None,
         costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
-        trace: Optional[PacketTrace] = None,
     ):
-        super().__init__(sim, name, trace=trace)
+        super().__init__(sim, name)
         self.config = config or GatewayConfig()
         self.worker = GatewayWorker(self.config, costs=costs)
         self._internal: Set[int] = set()  # ids of internal interfaces
@@ -61,9 +59,10 @@ class PXGateway(Router):
         self.health = None
         self.negotiator = None
         self.pmtu_cache = None
-        #: Optional :class:`repro.obs.Observability` bundle (metrics
-        #: registry + tracer); see :meth:`attach_observability`.
-        self.obs = None
+        #: Subscribers (:class:`~repro.core.worker.WorkerObserver`) told,
+        #: through ``on_event``, of stalls, worker swaps and the packets
+        #: settled ahead of the worker; empty by default.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     # Configuration
@@ -129,6 +128,7 @@ class PXGateway(Router):
             )
             self.worker.caravan_gate = self.negotiator.allow_caravan
         self.health = HealthMonitor(self, policy=policy).start()
+        self.health.observers = self.observers
         return self.health
 
     def attach_pmtu_cache(self, cache=None):
@@ -148,17 +148,17 @@ class PXGateway(Router):
         """Attach a metrics registry (and optional tracer) bundle.
 
         Registers the gateway's scrape-time collectors on the bundle's
-        registry and subscribes its tracer and span tracker to the live
-        worker.  With no argument a fresh metrics-only bundle is
-        created.  Returns the attached :class:`repro.obs.Observability`.
+        registry and subscribes its tracer and span tracker to the
+        gateway, its live worker and its health monitor, after whatever
+        is subscribed already; attaching a bundle again changes nothing.
+        With no argument a fresh metrics-only bundle is created.
+        Returns the attached :class:`repro.obs.Observability`.
         """
-        from ..obs import Observability, observe_gateway
+        from ..obs import Observability
 
         if obs is None:
             obs = Observability()
-        self.obs = obs
-        self.worker.observers = tuple(o for o in (obs.tracer, obs.spans) if o is not None)
-        observe_gateway(obs, self)
+        obs.attach(self)
         return obs
 
     def swap_worker(self, new_worker) -> "GatewayWorker":
@@ -176,9 +176,9 @@ class PXGateway(Router):
         # The retired worker's buffered bytes are re-emitted from the
         # failover checkpoint through forward(), bypassing any worker.
         old.retire(self.sim.now)
-        if self.obs is not None:
-            self.obs.trace(
-                self.sim.now, "worker-swap",
+        for observer in self.observers:
+            observer.on_event(
+                self, self.sim.now, "worker-swap",
                 gateway=self.name, from_worker=old.index, to_worker=new_worker.index,
             )
         # The flush timer was armed (or left unarmed) against the OLD
@@ -207,17 +207,17 @@ class PXGateway(Router):
         if until <= self._stall_until:
             return
         self._stall_until = until
-        if self.obs is not None:
-            self.obs.trace(self.sim.now, "stall", gateway=self.name, until=until)
+        for observer in self.observers:
+            observer.on_event(self, self.sim.now, "stall", gateway=self.name, until=until)
         self.sim.schedule(duration, self._drain_stalled)
 
     def _drain_stalled(self) -> None:
         if self.sim.now < self._stall_until:
             return  # superseded by a longer stall; its drain will run
         stalled, self._stalled = self._stalled, []
-        if self.obs is not None:
-            self.obs.trace(
-                self.sim.now, "stall-drain",
+        for observer in self.observers:
+            observer.on_event(
+                self, self.sim.now, "stall-drain",
                 gateway=self.name, queued=len(stalled),
             )
         for packet, interface, queued_at in stalled:
@@ -232,8 +232,6 @@ class PXGateway(Router):
     # Datapath
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, interface: Interface) -> None:
-        if self.trace:
-            self.trace.record(self.sim.now, self.name, "rx", packet)
         if self.sim.now < self._stall_until:
             self._stalled.append((packet, interface, self.sim.now))
             return
@@ -259,11 +257,8 @@ class PXGateway(Router):
         route = self.routes.lookup(ip.dst)
         if route is None:
             self.dropped += 1
-            if self.obs is not None and self.obs.spans is not None:
-                now = self.sim.now
-                self.obs.spans.sync_drop(
-                    now if ingress_at is None else ingress_at, now, "no-route"
-                )
+            for observer in self.observers:
+                observer.on_event(self, self.sim.now, "no-route", ingress_at=ingress_at)
             return
         egress = route.interface
 
@@ -273,11 +268,8 @@ class PXGateway(Router):
             # Peer b-network advertised an equal-or-larger iMTU: forward
             # large packets and caravans untranslated.
             self.untranslated += 1
-            if self.obs is not None and self.obs.spans is not None:
-                now = self.sim.now
-                self.obs.spans.sync(
-                    now if ingress_at is None else ingress_at, now, "untranslated"
-                )
+            for observer in self.observers:
+                observer.on_event(self, self.sim.now, "untranslated", ingress_at=ingress_at)
             self.forward(packet, interface, route)
             return
         else:
@@ -286,10 +278,9 @@ class PXGateway(Router):
         # Passthrough only ever applies to UDP (probes/fragments), so
         # gate the check on the protocol byte before paying for a call.
         if ip.protocol == IPProto.UDP and self._is_passthrough(packet):
-            if self.obs is not None and self.obs.spans is not None:
-                now = self.sim.now
-                self.obs.spans.sync(
-                    now if ingress_at is None else ingress_at, now, "gateway-passthrough"
+            for observer in self.observers:
+                observer.on_event(
+                    self, self.sim.now, "gateway-passthrough", ingress_at=ingress_at
                 )
             self.forward(packet, interface, route)
             return

@@ -28,7 +28,7 @@ from .stats import GatewayStats
 from .tcp_merge import TcpMergeEngine
 from .tcp_split import TcpSplitEngine
 
-__all__ = ["GatewayWorker", "WorkerMode", "WorkerObserver", "STAGES"]
+__all__ = ["GatewayWorker", "WorkerMode", "WorkerObserver", "STAGES", "EVENTS"]
 
 
 class WorkerMode:
@@ -57,12 +57,28 @@ STAGES = frozenset({
     "caravan", "caravan-open", "malformed-caravan",
 })
 
+#: The closed set ``on_event``'s *kind* is drawn from, by emitter.
+EVENTS = frozenset({
+    # PXGateway: packets settled ahead of the worker, stalls, failover swap
+    "no-route", "untranslated", "gateway-passthrough",
+    "stall", "stall-drain", "worker-swap",
+    "health-transition",  # HealthMonitor
+    "failover-takeover",  # FailoverManager
+    # FPmtudProber
+    "pmtud-probe", "pmtud-report", "pmtud-report-rejected", "pmtud-timeout",
+    "steering-decision",  # FleetSteering, cache misses only
+    "rebalance",  # GatewayFleet, one per flow record moved
+    "shard-drain", "shard-rejoin", "shard-loss",  # FleetSupervisor
+})
+
 
 class WorkerObserver:
-    """The worker's one instrumentation seam; every event is a no-op here.
+    """The one instrumentation seam; every event is a no-op here.
 
-    A subscriber overrides what it wants and joins
-    :attr:`GatewayWorker.observers`.  It may read anything and must touch
+    A subscriber overrides what it wants and joins the ``observers``
+    tuple (empty by default) of each emitter it cares about: the worker
+    calls the four ``on_packet`` … ``on_retire`` methods, every other
+    emitter ``on_event``.  A subscriber may read anything and must touch
     nothing: an observed run emits the same bytes as a bare one.
     """
 
@@ -85,6 +101,13 @@ class WorkerObserver:
 
     def on_retire(self, worker, now) -> None:
         """The worker was replaced by a standby (failover)."""
+
+    def on_event(self, source, now, kind, **fields) -> None:
+        """Something happened off the worker's packet path.
+
+        *source* is the emitter, *kind* one of :data:`EVENTS`; *fields*
+        are fixed per kind (``docs/OBSERVABILITY.md`` → "The seam").
+        """
 
 
 class GatewayWorker:

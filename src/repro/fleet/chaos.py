@@ -187,7 +187,7 @@ def run_loss_scenario(
         from ..obs.flight import FlightRecorder
         from ..obs.propagation import TracePropagation
 
-        trace = fleet.attach_trace(TracePropagation(seed=seed))
+        trace = TracePropagation(seed=seed).attach(fleet)
         fleet_flight = FlightRecorder(name="fleet")
         shard_flights = [
             FlightRecorder(name=f"shard{shard.id}").wire(spans=tracker)
@@ -296,11 +296,12 @@ def run_loss_scenario(
         if not shard.alive:
             continue
         for record in shard.worker.flows.snapshot():
-            if fleet.steering.shard_for(record[0]) != shard.id:
+            owner = fleet.steering.shard_for(record[0], fleet._virtual_now)
+            if owner != shard.id:
                 oracle.expect(
                     False, "flow-affinity",
                     f"flow {record[0]} lives on shard {shard.id}, steering "
-                    f"says {fleet.steering.shard_for(record[0])}",
+                    f"says {owner}",
                 )
                 break
 

@@ -96,36 +96,23 @@ class GatewayFleet:
         self.flows_migrated = 0
         self.shard_losses = 0
         self._virtual_now = 0.0
-        #: Optional TracePropagation (see :meth:`attach_trace`).
-        self.trace = None
-
-    def attach_trace(self, trace):
-        """Wire cross-shard trace-context propagation onto the fleet.
-
-        Points the steering stage's cache-miss hook at *trace* (so
-        ingress/handoff hops cost nothing on the cached hot path) and
-        keeps a reference so rebalance/drain/rejoin stamp their hops
-        with real batch timestamps.  Returns *trace* for chaining.
-        """
-        self.trace = trace
-        self.steering.on_decision = trace.decision
-        return trace
+        #: Subscribers told of every flow record a loss, drain or rejoin
+        #: moves (``on_event``, ``"rebalance"``); empty by default.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
-    def shard_for(self, packet: Packet) -> FleetShard:
-        """The shard steering assigns to *packet*."""
+    def shard_for(self, packet: Packet, now: float = 0.0) -> FleetShard:
+        """The shard steering assigns to *packet* (arriving at *now*)."""
         key = packet.flow_key()
         if key is None:
             return self.shards[self.steering.shard_for_unkeyed()]
-        return self.shards[self.steering.shard_for(key)]
+        return self.shards[self.steering.shard_for(key, now)]
 
     def process(self, packet: Packet, bound: str, now: float = 0.0) -> List[Packet]:
         """Process one packet on its steering-assigned shard."""
-        if self.trace is not None:
-            self.trace._now = now
-        return self.shard_for(packet).worker.process(packet, bound, now)
+        return self.shard_for(packet, now).worker.process(packet, bound, now)
 
     def process_batch(
         self, packets: "List[Tuple[Packet, str]]", now: float = 0.0
@@ -138,12 +125,10 @@ class GatewayFleet:
         comes out bucket-grouped (buckets in first-seen order) with
         arrival order kept inside each bucket.
         """
-        if self.trace is not None:
-            self.trace._now = now
         shares: Dict[Tuple[int, str], List[Packet]] = {}
         shard_for = self.shard_for
         for packet, bound in packets:
-            slot = (shard_for(packet).id, bound)
+            slot = (shard_for(packet, now).id, bound)
             share = shares.get(slot)
             if share is None:
                 shares[slot] = [packet]
@@ -294,36 +279,32 @@ class GatewayFleet:
         if not records:
             return
         buckets: Dict[int, List[tuple]] = {}
-        steering = self.steering
-        trace = self.trace
-        if trace is not None:
-            # Rebalance hops are recorded explicitly below with the
-            # donor attached; mute the generic cache-miss hook so each
-            # move lands as exactly one hop.
-            with trace.suppressed():
-                for record in records:
-                    target = steering.shard_for(record[0])
-                    bucket = buckets.get(target)
-                    if bucket is None:
-                        buckets[target] = [record]
-                    else:
-                        bucket.append(record)
-                    trace.rebalance(record[0], donor.id, target, now,
-                                    reason=reason)
-        else:
-            for record in records:
-                target = steering.shard_for(record[0])
-                bucket = buckets.get(target)
-                if bucket is None:
-                    buckets[target] = [record]
-                else:
-                    bucket.append(record)
+        for record in records:
+            target = self._resteer(record[0], donor.id, now, reason)
+            buckets.setdefault(target, []).append(record)
         for target, share in buckets.items():
             adopted = self.shards[target].worker.flows.adopt(share)
             self.shards[target].adopted_flows += adopted
         donor.donated_flows += len(records)
         self.rebalances += 1
         self.flows_migrated += len(records)
+
+    def _resteer(self, flow, src: int, now: float, reason: str,
+                 dst: Optional[int] = None) -> int:
+        """Steer *flow*, held by shard *src*, afresh; returns its owner.
+
+        A move (onto *dst* only, when given) is announced as a
+        ``"rebalance"`` before steering commits the decision, so a
+        subscriber sees steering's own announcement land where the flow
+        already is: one move, one hop.
+        """
+        steering = self.steering
+        target = steering.owner_of(flow)
+        if dst is None or target == dst:
+            for observer in self.observers:
+                observer.on_event(self, now, "rebalance", flow=flow,
+                                  src=src, dst=target, reason=reason)
+        return steering.shard_for(flow, now)
 
     # ------------------------------------------------------------------
     # Health-driven drain / rejoin
@@ -361,26 +342,14 @@ class GatewayFleet:
         self.steering.restore(index)
         shard.drained = False
         returned: List[tuple] = []
-        trace = self.trace
         for donor in self.shards:
             if donor.id == index or not donor.alive:
                 continue
-            if trace is not None:
-                with trace.suppressed():
-                    donated = [
-                        record
-                        for record in donor.worker.flows.snapshot()
-                        if self.steering.shard_for(record[0]) == index
-                    ]
-                for record in donated:
-                    trace.rebalance(record[0], donor.id, index, now,
-                                    reason="rejoin")
-            else:
-                donated = [
-                    record
-                    for record in donor.worker.flows.snapshot()
-                    if self.steering.shard_for(record[0]) == index
-                ]
+            donated = [
+                record
+                for record in donor.worker.flows.snapshot()
+                if self._resteer(record[0], donor.id, now, "rejoin", index) == index
+            ]
             for record in donated:
                 donor.worker.flows.remove(record[0])
             if donated:

@@ -65,11 +65,10 @@ class FleetSteering:
         #: Membership changes applied (removals + restores).
         self.reshards = 0
         self._rr = 0
-        #: Optional hook fired on every cache-*miss* decision with
-        #: ``(flow, shard)`` — the trace-propagation attach point.  The
-        #: cached hot path never fires it, so tracing costs nothing per
-        #: packet.
-        self.on_decision = None
+        #: Subscribers told of every cache-*miss* decision (``on_event``,
+        #: ``"steering-decision"``); empty by default.  The cached hot
+        #: path never emits, so a subscriber costs nothing per packet.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     def live_shards(self) -> List[int]:
@@ -108,8 +107,11 @@ class FleetSteering:
         self._cache.clear()
 
     # ------------------------------------------------------------------
-    def shard_for(self, flow: FlowKey) -> int:
-        """The live shard serving *flow* under the current membership."""
+    def shard_for(self, flow: FlowKey, now: float = 0.0) -> int:
+        """The live shard serving *flow* under the current membership.
+
+        *now* is the time a fresh decision is announced with.
+        """
         cached = self._cache.get(flow)
         if cached is not None:
             self.cache_hits += 1
@@ -130,15 +132,15 @@ class FleetSteering:
                 best = index
         self._cache[flow] = best
         self.steered[best] += 1
-        if self.on_decision is not None:
-            self.on_decision(flow, best)
+        for observer in self.observers:
+            observer.on_event(self, now, "steering-decision", flow=flow, shard=best)
         return best
 
     def owner_of(self, flow: FlowKey) -> int:
         """Pure peek at *flow*'s owner under the current membership.
 
         Unlike :meth:`shard_for` this never mutates the cache, the
-        counters, or fires ``on_decision`` — verification code can ask
+        counters, or tells the observers — verification code can ask
         who owns a flow without perturbing the steering state.
         """
         cached = self._cache.get(flow)

@@ -3,7 +3,7 @@
 The resilience layer's :class:`~repro.resilience.health.HealthMonitor`
 and :class:`~repro.resilience.failover.FailoverManager` were written
 against the single-gateway surface (``sim`` / ``worker`` / ``forward`` /
-``swap_worker`` / ``obs``).  Rather than fork fleet-specific variants,
+``swap_worker``).  Rather than fork fleet-specific variants,
 :class:`ShardPort` adapts one :class:`~.fleet.FleetShard` to exactly
 that surface, so the battle-tested state machines run unmodified per
 shard.
@@ -42,16 +42,15 @@ class ShardPort:
     """Adapts one fleet shard to the gateway surface PR 2 expects.
 
     The resilience classes touch ``sim``, ``worker``, ``config``,
-    ``obs``, ``name``, ``_stall_until``, ``forward`` and
+    ``name``, ``_stall_until``, ``forward`` and
     ``swap_worker`` — nothing else — so this thin port is the whole
     integration.  Forwarded packets (mode-change flushes, takeover
     re-emissions) collect in :attr:`egress` for the caller to drain.
     """
 
-    def __init__(self, shard: FleetShard, sim: Simulator, obs=None):
+    def __init__(self, shard: FleetShard, sim: Simulator):
         self.shard = shard
         self.sim = sim
-        self.obs = obs
         self.name = f"fleet-shard{shard.id}"
         self.config = shard.worker.config
         #: Watchdog input: the shard's datapath is considered stalled
@@ -89,25 +88,21 @@ class FleetSupervisor:
         sim: Optional[Simulator] = None,
         policy: Optional[HealthPolicy] = None,
         checkpoint_interval: float = 0.1,
-        obs=None,
-        flight=None,
     ):
         self.fleet = fleet
         self.sim = sim or Simulator()
         self.policy = policy or HealthPolicy()
-        self.ports = [ShardPort(shard, self.sim, obs=obs) for shard in fleet.shards]
+        self.ports = [ShardPort(shard, self.sim) for shard in fleet.shards]
         self.monitors = [HealthMonitor(port, self.policy) for port in self.ports]
         self.managers = [
             FailoverManager(port, interval=checkpoint_interval) for port in self.ports
         ]
         #: (time, shard, action) reconciliation history.
         self.actions: List[tuple] = []
-        #: Optional :class:`~repro.obs.flight.FlightRecorder` — drains
-        #: and removals leave marks on it, and each becomes a
-        #: deterministic incident bundle in :attr:`incidents`.
-        self.flight = flight
-        #: Incident bundles built for drain/crash/maintenance events.
-        self.incidents: List[dict] = []
+        #: Subscribers told of every drain, rejoin and removal
+        #: (``on_event``: ``"shard-drain"``, ``"shard-rejoin"``,
+        #: ``"shard-loss"``); empty by default.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     def start(self) -> "FleetSupervisor":
@@ -149,14 +144,15 @@ class FleetSupervisor:
                 if len(self.fleet.steering.live_shards()) > 1:
                     moved = self.fleet.drain_shard(shard.id, now)
                     taken.append((now, shard.id, f"drain:{moved}"))
-                    self._record_incident("shard-drain", now, shard.id,
-                                          {"moved": moved})
+                    for observer in self.observers:
+                        observer.on_event(self, now, "shard-drain",
+                                          shard=shard.id, moved=moved)
             elif not bypassed and shard.drained:
                 returned = self.fleet.rejoin_shard(shard.id, now)
                 taken.append((now, shard.id, f"rejoin:{returned}"))
-                if self.flight is not None:
-                    self.flight.note(now, "shard-rejoin", shard=shard.id,
-                                     returned=returned)
+                for observer in self.observers:
+                    observer.on_event(self, now, "shard-rejoin",
+                                      shard=shard.id, returned=returned)
         self.actions.extend(taken)
         return taken
 
@@ -175,11 +171,12 @@ class FleetSupervisor:
         if checkpoint is None:
             raise RuntimeError(f"shard {index} has no checkpoint; start() first")
         flushed = self.fleet.fail_shard(index, self.sim.now, checkpoint=checkpoint)
-        self._record_incident(
-            "shard-loss", self.sim.now, index,
-            {"mode": "crash", "flushed": len(flushed),
-             "checkpoint_age": self.sim.now - checkpoint.taken_at},
-        )
+        for observer in self.observers:
+            observer.on_event(
+                self, self.sim.now, "shard-loss", shard=index, mode="crash",
+                flushed=len(flushed),
+                checkpoint_age=self.sim.now - checkpoint.taken_at,
+            )
         return flushed
 
     def maintain_shard(self, index: int) -> List[Packet]:
@@ -187,55 +184,10 @@ class FleetSupervisor:
         self.monitors[index].stop()
         self.managers[index].stop()
         flushed = self.fleet.fail_shard(index, self.sim.now, checkpoint=None)
-        self._record_incident(
-            "shard-loss", self.sim.now, index,
-            {"mode": "maintenance", "flushed": len(flushed)},
-        )
+        for observer in self.observers:
+            observer.on_event(self, self.sim.now, "shard-loss", shard=index,
+                              mode="maintenance", flushed=len(flushed))
         return flushed
-
-    def _record_incident(self, kind: str, now: float, shard_id: int,
-                         detail: Dict[str, object]) -> None:
-        """Mark the flight recorder and package an incident bundle.
-
-        Only active when a recorder is attached — plain supervision runs
-        carry zero observability cost.  The bundle cites the recorder's
-        window up to *now* and, when the fleet has trace propagation
-        attached, the reconstructed journeys of the flows the event
-        rebalanced.
-        """
-        if self.flight is None:
-            return
-        from ..obs.incident import build_incident_bundle
-        from ..obs.spans import SpanTracker
-
-        self.flight.note(now, kind, shard=shard_id, **detail)
-        trace = self.fleet.trace
-        flows: List[object] = []
-        trackers = None
-        if trace is not None:
-            flows = [
-                ctx.flow for ctx in trace.contexts.values()
-                if any(hop["kind"] == "rebalance" and hop["shard"] != shard_id
-                       for hop in ctx.hops)
-            ][:8]
-            trackers = {
-                shard.id: observer
-                for shard in self.fleet.shards
-                for observer in shard.worker.observers
-                if isinstance(observer, SpanTracker)
-            }
-        self.incidents.append(build_incident_bundle(
-            kind,
-            now,
-            window=now,
-            detail={"shard": shard_id, **detail},
-            flights=[self.flight],
-            trace=trace,
-            trackers=trackers,
-            flows=flows,
-            owner_of=self.fleet.steering.owner_of,
-            config=self.fleet.config,
-        ))
 
     def replace_worker(self, index: int, reason: str = "maintenance") -> GatewayWorker:
         """In-shard standby swap (shard stays in steering throughout)."""

@@ -17,7 +17,6 @@ from typing import Optional
 from ..packet import FragmentationNeeded, ICMPMessage, Packet, build_icmp, fragment_packet
 from ..sim.engine import Simulator
 from ..sim.node import Interface, Node
-from ..sim.trace import PacketTrace
 from .routing import Route, RoutingTable
 
 __all__ = ["Router"]
@@ -33,7 +32,6 @@ class Router(Node):
         icmp_blackhole: bool = False,
         filter_fragments: bool = False,
         icmp_rate_limit: Optional[float] = None,
-        trace: Optional[PacketTrace] = None,
     ):
         super().__init__(sim, name)
         self.routes = RoutingTable()
@@ -48,14 +46,11 @@ class Router(Node):
         self.icmp_rate_limit = icmp_rate_limit
         self._last_icmp_at: Optional[float] = None
         self.icmp_suppressed = 0
-        self.trace = trace
         self.forwarded = 0
         self.dropped = 0
 
     def receive(self, packet: Packet, interface: Interface) -> None:
         """Forward an arriving packet toward its destination."""
-        if self.trace:
-            self.trace.record(self.sim.now, self.name, "rx", packet)
         if packet.ip.dst in self._if_by_ip:
             self._deliver_local(packet, interface)
             return
@@ -75,8 +70,6 @@ class Router(Node):
         """
         if self.filter_fragments and packet.is_fragment:
             self.dropped += 1
-            if self.trace:
-                self.trace.record(self.sim.now, self.name, "drop-fragment", packet)
             return False
 
         ip = packet.ip
@@ -92,8 +85,6 @@ class Router(Node):
             route = self.routes.lookup(ip.dst)
             if route is None:
                 self.dropped += 1
-                if self.trace:
-                    self.trace.record(self.sim.now, self.name, "drop-noroute", packet)
                 return False
 
         egress = route.interface
@@ -111,8 +102,6 @@ class Router(Node):
         if size <= egress_mtu:
             # Fits: skip the fragmentation machinery and reuse the
             # length for egress byte accounting.
-            if self.trace:
-                self.trace.record(self.sim.now, self.name, "tx", packet)
             egress.send(packet, size)
             self.forwarded += 1
             return True
@@ -120,8 +109,6 @@ class Router(Node):
             pieces = fragment_packet(packet, egress_mtu)
         except FragmentationNeeded:
             self.dropped += 1
-            if self.trace:
-                self.trace.record(self.sim.now, self.name, "drop-df", packet)
             if not self.icmp_blackhole:
                 self._send_icmp_error(
                     packet, ICMPMessage.frag_needed(egress_mtu, packet.to_bytes())
@@ -129,8 +116,6 @@ class Router(Node):
             return False
 
         for piece in pieces:
-            if self.trace:
-                self.trace.record(self.sim.now, self.name, "tx", piece)
             egress.send(piece)
         self.forwarded += 1
         return True

@@ -16,9 +16,10 @@ Design rules:
 * **Sim time only** — nothing in an export ever reads a wall clock, so
   two same-seed runs are byte-identical (the determinism guard diffs
   ``to_prometheus_text()`` directly).
-* **Tracing is opt-in** — :class:`FlowTracer` and :class:`SpanTracker`
-  subscribe to the worker's one seam (``GatewayWorker.observers``,
-  empty by default); an unattached datapath never calls into ``obs``.
+* **Tracing is opt-in** — :class:`FlowTracer`, :class:`SpanTracker`,
+  :class:`TracePropagation` and :class:`IncidentRecorder` subscribe to
+  the one seam (each emitter's ``observers`` tuple, empty by default);
+  nothing outside this package and the harness worlds imports it.
 * **Latency lives in sim time** — :class:`SpanTracker` spans open at
   gateway ingress and close at egress/drop with parent/child causality
   across merge, split, and caravan stages; :class:`TelemetryTimeline`
@@ -50,6 +51,7 @@ from .collectors import (
 from .flight import FlightRecorder
 from .incident import (
     TRIGGER_KINDS,
+    IncidentRecorder,
     build_incident_bundle,
     bundle_to_json,
     config_digest,
@@ -82,6 +84,7 @@ __all__ = [
     "FlowTracer",
     "Gauge",
     "Histogram",
+    "IncidentRecorder",
     "LATENCY_BUCKETS",
     "LATENCY_METRICS",
     "LOG2_BUCKETS",

@@ -41,10 +41,11 @@ class Observability:
 
     The tracer and span tracker may be ``None`` for metrics-only
     attachment (the default; chaos worlds add spans explicitly): only
-    the ones present subscribe to the worker, so a metrics-only bundle
-    adds zero work to the datapath.  When a span tracker is supplied,
-    its latency histograms and balance counters are published on the
-    registry via :func:`observe_spans` automatically.
+    the ones present subscribe to a gateway (:meth:`attach`), so a
+    metrics-only bundle adds zero work to the datapath.  When a span
+    tracker is supplied, its latency histograms and balance counters
+    are published on the registry via :func:`observe_spans`
+    automatically.
     """
 
     def __init__(
@@ -56,13 +57,20 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         self.spans = spans
+        self._gateways: list = []
         if spans is not None:
             observe_spans(self, spans)
 
-    def trace(self, time: float, kind: str, **fields: object) -> None:
-        """Record a trace event if a tracer is attached (else no-op)."""
-        if self.tracer is not None:
-            self.tracer.record(time, kind, **fields)
+    def attach(self, gateway) -> None:
+        """What :meth:`PXGateway.attach_observability` does; once per gateway."""
+        if gateway in self._gateways:
+            return
+        self._gateways.append(gateway)
+        subscribers = tuple(o for o in (self.tracer, self.spans) if o is not None)
+        for emitter in (gateway, gateway.worker, gateway.health):
+            if emitter is not None:
+                emitter.observers += subscribers
+        observe_gateway(self, gateway)
 
 
 # ----------------------------------------------------------------------

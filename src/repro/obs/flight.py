@@ -7,8 +7,7 @@ rule — the recorder holds **references** to the instruments a world
 already carries (span tracker, flow tracer, telemetry timeline, alert
 engine) and only materialises a merged, time-sorted window at dump
 time.  Attaching one therefore adds zero per-packet work, which is why
-the 56 chaos digests and the pinned trace fingerprint stay
-byte-identical with a recorder on board (see
+the 56 chaos digests stay byte-identical with a recorder on board (see
 ``tests/obs/test_perturbation_guard.py``).
 
 Two small push surfaces exist for hosts that have no timeline of their

@@ -11,9 +11,9 @@ carry flow attribution — reconcile into one end-to-end journey.
 
 Design constraints, in order:
 
-* **Zero cost on the hot path.**  The steering hook fires only on
-  cache *misses* (the slow path that already walks the rendezvous
-  ring); cached steering decisions pay nothing.  Hops are plain dict
+* **Zero cost on the hot path.**  Steering announces only cache
+  *misses* (the slow path that already walks the rendezvous ring);
+  cached steering decisions pay nothing.  Hops are plain dict
   appends — no RNG, no sim events — so the 56 fleet-loss digests stay
   byte-identical with propagation attached.
 * **Deterministic identity.**  ``trace_id`` is a pure function of the
@@ -27,9 +27,9 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..core.worker import WorkerObserver
 from ..nic.rss import DEFAULT_RSS_KEY, flow_hash
 
 __all__ = ["TraceContext", "TracePropagation"]
@@ -63,13 +63,13 @@ class TraceContext:
         }
 
 
-class TracePropagation:
+class TracePropagation(WorkerObserver):
     """Mints trace contexts at fleet ingress and records shard hops.
 
-    Wire it with :meth:`~repro.fleet.fleet.GatewayFleet.attach_trace`
-    (which points ``FleetSteering.on_decision`` here) or hang it on a
-    :class:`~repro.resilience.failover.FailoverManager` as
-    ``propagation`` to record takeover adoptions in a single world.
+    Subscribe it to a fleet with :meth:`attach` (steering decisions and
+    rebalances), or add it to a
+    :class:`~repro.resilience.failover.FailoverManager`'s ``observers``
+    to record takeover adoptions in a single world.
     """
 
     def __init__(self, seed: int = 0, key: bytes = DEFAULT_RSS_KEY) -> None:
@@ -81,10 +81,23 @@ class TracePropagation:
         self.handoffs = 0
         self.rebalances = 0
         self.adoptions = 0
-        #: Sim time of the current batch; hosts refresh this before
-        #: feeding packets so cache-miss hops carry a real timestamp.
-        self._now = 0.0
-        self._suppress = False
+
+    def attach(self, fleet) -> "TracePropagation":
+        """Subscribe to *fleet* and its steering stage; returns ``self``."""
+        fleet.observers += (self,)
+        fleet.steering.observers += (self,)
+        return self
+
+    def on_event(self, source, now, kind, **fields) -> None:
+        if kind == "steering-decision":
+            self.decision(fields["flow"], fields["shard"], now)
+        elif kind == "rebalance":
+            self.rebalance(fields["flow"], fields["src"], fields["dst"], now,
+                           reason=fields["reason"])
+        elif kind == "failover-takeover":
+            for record in fields["flows"]:
+                self.adopt(record[0], fields["to_worker"], now,
+                           reason=fields["reason"])
 
     # ------------------------------------------------------------------
     # identity
@@ -117,26 +130,19 @@ class TracePropagation:
     # hop recorders
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def suppressed(self):
-        """Mute the steering hook (rebalance records hops explicitly)."""
-        self._suppress = True
-        try:
-            yield
-        finally:
-            self._suppress = False
+    def decision(self, flow, shard: int, time: float) -> None:
+        """A fresh steering decision: ingress, or a cross-shard handoff.
 
-    def decision(self, flow, shard: int) -> None:
-        """Steering cache-miss hook: ingress or cross-shard handoff."""
-        if self._suppress:
-            return
+        One that lands where the flow's last hop already is (the fleet
+        announces a rebalance ahead of steering) adds nothing.
+        """
         ctx = self.contexts.get(flow)
         if ctx is None:
             ctx = self._context(flow)
-            self._hop(ctx, self._now, shard, "ingress")
+            self._hop(ctx, time, shard, "ingress")
             self.ingresses += 1
         elif ctx.hops and ctx.hops[-1]["shard"] != shard:
-            self._hop(ctx, self._now, shard, "handoff")
+            self._hop(ctx, time, shard, "handoff")
             self.handoffs += 1
 
     def rebalance(self, flow, src: int, dst: int, time: float,

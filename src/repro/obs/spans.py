@@ -199,6 +199,9 @@ class SpanTracker(WorkerObserver):
         self._latency: Dict[str, Dict[float, int]] = {
             name: {} for name in LATENCY_METRICS
         }
+        # Spans an emitter left open: (prober, probe id) -> sid while the
+        # probe is in flight, health monitor -> sid while away from HEALTHY.
+        self._pending: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     # Worker events (repro.core.worker)
@@ -245,6 +248,36 @@ class SpanTracker(WorkerObserver):
 
     def on_retire(self, worker, now) -> None:
         self.flush_fifos(now, outcome="failover")
+
+    def on_event(self, source, now, kind, **fields) -> None:
+        if kind in ("untranslated", "gateway-passthrough", "no-route"):
+            at = fields["ingress_at"]
+            settle = self.sync_drop if kind == "no-route" else self.sync
+            settle(now if at is None else at, now, kind)
+        elif kind == "pmtud-probe":
+            self._pending[source, fields["probe_id"]] = self.open(now, kind="probe")
+        elif kind == "pmtud-report" or kind == "pmtud-timeout":
+            sid = self._pending.pop((source, fields["probe_id"]), None)
+            if sid is None:
+                return  # subscribed after the probe left
+            if kind == "pmtud-timeout":
+                self.drop(sid, now, "timeout")
+            else:
+                self.close(sid, now, outcome="report")
+                self.observe(PROBE_RTT_SECONDS, fields["elapsed"])
+        elif kind == "pmtud-report-rejected":
+            # A balanced anomaly span: visible in the span stream (and
+            # the latency timeline) without leaving anything open.
+            self.drop(self.open(now, kind="rejected-report"), now, fields["reason"])
+        elif kind == "health-transition":
+            # One span covers the whole away-from-HEALTHY excursion
+            # (DEGRADED→BYPASS deepens it; only recovery closes it).
+            from ..resilience.health import HealthState  # loaded: it emitted this
+
+            if fields["from_state"] == HealthState.HEALTHY:
+                self._pending[source] = self.open(now, kind="health-excursion")
+            elif fields["to_state"] == HealthState.HEALTHY and source in self._pending:
+                self.close(self._pending.pop(source), now, outcome="recovered")
 
     def _fed(self, packet, key, at, now, outputs, tcp: bool) -> None:
         """Mirror one merge-engine ``feed`` call onto that engine's FIFO.

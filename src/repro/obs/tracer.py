@@ -1,10 +1,10 @@
 """Span-like flow tracing into a bounded ring buffer.
 
-A :class:`FlowTracer` records structured events along a packet's path
-through the gateway — ingress → classify → merge/split|caravan → egress,
-as a :class:`~repro.core.worker.WorkerObserver` — plus control-plane
-lifecycles (PMTUD probes, failover swaps, stall windows) through
-:meth:`FlowTracer.record`.  Events read back as plain dicts, so they
+A :class:`FlowTracer` is a :class:`~repro.core.worker.WorkerObserver`:
+it records structured events along a packet's path through the worker —
+ingress → classify → merge/split|caravan → egress — plus the
+control-plane lifecycles the other emitters announce (PMTUD probes,
+failover swaps, stall windows, health transitions).  Events read back as plain dicts, so they
 serialize to JSON unchanged, and every event is stamped with
 **simulation time** (the tracer never reads a wall clock), which keeps
 two same-seed runs' event sequences identical.
@@ -26,8 +26,10 @@ from ..packet.flow import FlowKey
 
 __all__ = ["FlowTracer"]
 
-#: Field names of the worker's events, stored as ``(time, kind, *values)``:
+#: Field names of the seam's events, stored as ``(time, kind, *values)``:
 #: the ring sheds almost every event, so names are attached only on read.
+#: An ``on_event`` kind missing here (a span-only stage, a fleet move) is
+#: not traced; fields of a traced kind missing here are not kept.
 _FIELDS = {
     "ingress": ("worker", "bound", "proto", "bytes", "flow"),
     "classify": ("worker", "flow", "elephant"),
@@ -38,6 +40,16 @@ _FIELDS = {
     "egress": ("worker", "bound", "bytes"),
     "flush": ("worker", "packets"),
     "mode-transition": ("worker", "from_mode", "to_mode"),
+    "stall": ("gateway", "until"),
+    "stall-drain": ("gateway", "queued"),
+    "worker-swap": ("gateway", "from_worker", "to_worker"),
+    "health-transition": ("gateway", "from_state", "to_state", "reason"),
+    "failover-takeover": ("gateway", "to_worker", "flushed", "reason",
+                          "checkpoint_age"),
+    "pmtud-probe": ("probe_id", "dst", "size"),
+    "pmtud-report": ("probe_id", "pmtu", "fragments"),
+    "pmtud-report-rejected": ("probe_id", "reason", "pmtu"),
+    "pmtud-timeout": ("probe_id",),
 }
 
 
@@ -145,6 +157,12 @@ class FlowTracer(WorkerObserver):
     def on_mode(self, worker, now, old, new) -> None:
         self._events.append((now, "mode-transition", worker.index, old, new))
         self.recorded += 1
+
+    def on_event(self, source, now, kind, **fields) -> None:
+        names = _FIELDS.get(kind)
+        if names is not None:
+            self._events.append((now, kind, *[fields[name] for name in names]))
+            self.recorded += 1
 
     # ------------------------------------------------------------------
     def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:

@@ -352,7 +352,7 @@ def run_observed_world(
     # Trace-context propagation: takeovers stamp adoption hops on every
     # checkpointed flow.  Pure bookkeeping — no RNG, no sim events.
     trace = TracePropagation(seed=seed)
-    failover.propagation = trace
+    failover.observers = (obs.tracer, trace)
     if schedule.takeover_at is not None:
         topo.sim.schedule_at(schedule.takeover_at, failover.takeover)
 
@@ -396,8 +396,7 @@ def run_observed_world(
     # F-PMTUD across the gateway: the probe fragments on the eMTU link.
     daemon = FPmtudDaemon(outside)
     prober = FPmtudProber(inside, src_port=_PROBER_PORT)
-    prober.tracer = obs.tracer
-    prober.spans = obs.spans
+    prober.observers = (obs.tracer, obs.spans)
     observe_pmtud(obs, prober=prober, daemon=daemon)
     pmtud_results: list = []
     if schedule.probe_at is not None:

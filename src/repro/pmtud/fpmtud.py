@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.gateway import FPMTUD_PORT
 from ..net.host import Host
-from ..obs.spans import PROBE_RTT_SECONDS
 from ..packet import Packet
 from .hardening import MIN_PLAUSIBLE_PMTU, HardeningPolicy
 
@@ -142,13 +141,10 @@ class FPmtudProber:
         self.rejections: Dict[str, int] = {"unknown-id": 0, "bounds": 0}
         #: Most recently discovered PMTU (None until a report lands).
         self.last_pmtu: Optional[int] = None
-        #: Optional :class:`repro.obs.FlowTracer` recording the probe
-        #: lifecycle (probe → report|timeout); guarded at call sites.
-        self.tracer = None
-        #: Optional :class:`repro.obs.SpanTracker`: each probe opens a
-        #: ``probe`` span and the report closes it, feeding the
-        #: px_fpmtud_probe_rtt_seconds histogram (the one-RTT claim).
-        self.spans = None
+        #: Subscribers told of the probe lifecycle (``on_event``:
+        #: ``"pmtud-probe"`` → ``"pmtud-report"`` | ``"pmtud-timeout"``,
+        #: and ``"pmtud-report-rejected"``); empty by default.
+        self.observers = ()
         host.on_udp(src_port, self._on_report)
 
     def pending_probes(self) -> int:
@@ -178,16 +174,14 @@ class FPmtudProber:
             "on_result": on_result,
             "on_timeout": on_timeout,
             "timer": handle,
-            "span": (self.spans.open(sent_at, kind="probe")
-                     if self.spans is not None else None),
         }
         # DF clear: routers are *expected* to fragment the probe.
         self.host.send_udp(dst, self.src_port, self.daemon_port, payload,
                            dont_fragment=False)
         self.probes_sent += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                sent_at, "pmtud-probe",
+        for observer in self.observers:
+            observer.on_event(
+                self, sent_at, "pmtud-probe",
                 probe_id=probe_id, dst=dst, size=probe_size,
             )
         return probe_id
@@ -206,15 +200,9 @@ class FPmtudProber:
     def _reject_report(self, reason: str, probe_id: int, pmtu: Optional[int]) -> None:
         self.rejected_reports += 1
         self.rejections[reason] = self.rejections.get(reason, 0) + 1
-        now = self.host.sim.now
-        if self.spans is not None:
-            # A balanced anomaly span: visible in the span stream (and
-            # the latency timeline) without leaving anything open.
-            self.spans.drop(self.spans.open(now, kind="rejected-report"),
-                            now, reason)
-        if self.tracer is not None:
-            self.tracer.record(now, "pmtud-report-rejected",
-                               probe_id=probe_id, reason=reason, pmtu=pmtu)
+        for observer in self.observers:
+            observer.on_event(self, self.host.sim.now, "pmtud-report-rejected",
+                              probe_id=probe_id, reason=reason, pmtu=pmtu)
 
     def _on_report(self, packet: Packet, host: Host) -> None:
         parsed = _parse_report(packet.payload)
@@ -245,21 +233,18 @@ class FPmtudProber:
         pending["timer"].cancel()
         self.reports_received += 1
         self.last_pmtu = pmtu
-        if self.spans is not None and pending["span"] is not None:
-            now = self.host.sim.now
-            self.spans.close(pending["span"], now, outcome="report")
-            self.spans.observe(PROBE_RTT_SECONDS, now - pending["sent_at"])
-        if self.tracer is not None:
-            self.tracer.record(
-                self.host.sim.now, "pmtud-report",
-                probe_id=probe_id, pmtu=pmtu, fragments=len(sizes),
-            )
         result = FPmtudResult(
             pmtu=pmtu,
             elapsed=self.host.sim.now - pending["sent_at"],
             fragment_sizes=sizes,
             probe_size=pending["probe_size"],
         )
+        for observer in self.observers:
+            observer.on_event(
+                self, self.host.sim.now, "pmtud-report",
+                probe_id=probe_id, pmtu=pmtu, fragments=len(sizes),
+                elapsed=result.elapsed,
+            )
         pending["on_result"](result)
 
     def _on_probe_timeout(self, probe_id: int) -> None:
@@ -267,11 +252,7 @@ class FPmtudProber:
         if pending is None:
             return
         self.timeouts += 1
-        if self.spans is not None and pending["span"] is not None:
-            self.spans.drop(pending["span"], self.host.sim.now, "timeout")
-        if self.tracer is not None:
-            self.tracer.record(
-                self.host.sim.now, "pmtud-timeout", probe_id=probe_id
-            )
+        for observer in self.observers:
+            observer.on_event(self, self.host.sim.now, "pmtud-timeout", probe_id=probe_id)
         if pending["on_timeout"]:
             pending["on_timeout"]()

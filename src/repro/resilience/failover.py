@@ -113,10 +113,9 @@ class FailoverManager:
         self.checkpoints_taken = 0
         self.takeovers = 0
         self._timer = None
-        #: Optional :class:`~repro.obs.propagation.TracePropagation`:
-        #: when attached, every takeover stamps an adoption hop on each
-        #: checkpointed flow (pure bookkeeping, nothing on the datapath).
-        self.propagation = None
+        #: Subscribers told of every takeover (``on_event``,
+        #: ``"failover-takeover"``); empty by default.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     def start(self) -> "FailoverManager":
@@ -173,17 +172,13 @@ class FailoverManager:
         for packet in flushed:
             gateway.forward(packet)
         self.takeovers += 1
-        if self.propagation is not None:
-            for record in checkpoint.flows:
-                self.propagation.adopt(
-                    record[0], standby.index, self.sim.now, reason=reason
-                )
-        if gateway.obs is not None:
-            gateway.obs.trace(
-                self.sim.now, "failover-takeover",
+        for observer in self.observers:
+            observer.on_event(
+                self, self.sim.now, "failover-takeover",
                 gateway=gateway.name, to_worker=standby.index,
                 flushed=len(flushed), reason=reason,
                 checkpoint_age=self.sim.now - checkpoint.taken_at,
+                flows=checkpoint.flows,
             )
         return old
 

@@ -104,10 +104,9 @@ class HealthMonitor:
         self._last_beat_at = self.sim.now
         self._last_hdo_fallbacks = 0
         self._timer = None
-        # Span id of the current away-from-HEALTHY excursion, so its
-        # dwell time is measurable (see repro.obs.spans); None while
-        # healthy or when no span tracker is attached.
-        self._excursion_sid = None
+        #: Subscribers told of every transition (``on_event``,
+        #: ``"health-transition"``); empty by default.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -207,20 +206,9 @@ class HealthMonitor:
         from_state = self.state
         self.state = to_state
         self.transitions.append((self.sim.now, from_state, to_state, reason))
-        spans = self.gateway.obs.spans if self.gateway.obs is not None else None
-        if spans is not None:
-            # One span covers the whole away-from-HEALTHY excursion
-            # (DEGRADED→BYPASS deepens it; only recovery closes it).
-            if from_state == HealthState.HEALTHY:
-                self._excursion_sid = spans.open(
-                    self.sim.now, kind="health-excursion"
-                )
-            elif to_state == HealthState.HEALTHY and self._excursion_sid is not None:
-                spans.close(self._excursion_sid, self.sim.now, outcome="recovered")
-                self._excursion_sid = None
-        if self.gateway.obs is not None:
-            self.gateway.obs.trace(
-                self.sim.now, "health-transition",
+        for observer in self.observers:
+            observer.on_event(
+                self, self.sim.now, "health-transition",
                 gateway=self.gateway.name,
                 from_state=from_state, to_state=to_state, reason=reason,
             )

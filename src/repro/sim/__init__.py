@@ -1,10 +1,9 @@
-"""Discrete-event simulation substrate: engine, links, netem, tracing."""
+"""Discrete-event simulation substrate: engine, links, netem."""
 
 from .engine import EventHandle, Simulator
 from .link import Link, LinkStats, connect
 from .netem import GilbertElliott, Netem
 from .node import Interface, Node
-from .trace import PacketTrace, TraceEntry
 
 __all__ = [
     "Simulator",
@@ -16,6 +15,4 @@ __all__ = [
     "GilbertElliott",
     "Interface",
     "Node",
-    "PacketTrace",
-    "TraceEntry",
 ]

@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.core import WorkerObserver
 from repro.fleet import FleetSteering
 from repro.packet import FlowKey, IPProto
+
+
+class Decisions(WorkerObserver):
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, source, now, kind, **fields):
+        assert kind == "steering-decision"
+        self.seen.append((now, fields["flow"], fields["shard"]))
 
 
 def flows(count, salt=0):
@@ -103,24 +113,25 @@ class TestSteering:
 
     def test_on_decision_fires_only_on_misses(self):
         steering = FleetSteering(2)
-        seen = []
-        steering.on_decision = lambda flow, shard: seen.append((flow, shard))
+        decisions = Decisions()
+        steering.observers = (decisions,)
         population = flows(10)
-        for flow in population:
-            steering.shard_for(flow)
-            steering.shard_for(flow)  # hit: no callback
-        assert len(seen) == 10
+        for index, flow in enumerate(population):
+            steering.shard_for(flow, now=float(index))
+            steering.shard_for(flow, now=99.0)  # hit: no event
+        assert [now for now, _flow, _shard in decisions.seen] == [
+            float(index) for index in range(10)]
         assert all(steering.shard_for(flow) == shard
-                   for flow, shard in seen)
+                   for _now, flow, shard in decisions.seen)
 
     def test_owner_of_is_a_pure_peek(self):
         steering = FleetSteering(3)
-        fired = []
-        steering.on_decision = lambda flow, shard: fired.append(flow)
+        decisions = Decisions()
+        steering.observers = (decisions,)
         population = flows(20)
         owners = [steering.owner_of(flow) for flow in population]
-        # No mutation: no cache entries, no counters, no callbacks.
-        assert not fired
+        # No mutation: no cache entries, no counters, no events.
+        assert not decisions.seen
         assert steering.cache_hits == 0 and steering.cache_misses == 0
         assert sum(steering.steered) == 0
         # And it agrees with the real steering decision.

@@ -1,30 +1,35 @@
-"""FleetSupervisor drain/removal events become incident bundles when a
-flight recorder is attached (PR 10)."""
+"""FleetSupervisor drain/removal events become incident bundles when an
+incident recorder subscribes (PR 10; through the observer seam since PR 23)."""
 
 from repro.core.config import GatewayConfig
 from repro.fleet.chaos import _city_profile
 from repro.fleet.fleet import GatewayFleet
 from repro.fleet.supervisor import FleetSupervisor
-from repro.obs import FlightRecorder, TracePropagation
+from repro.obs import FlightRecorder, IncidentRecorder, TracePropagation
 from repro.workload import CityScaleWorkload
 
 
 def _loaded_fleet(seed=7, shards=4):
     fleet = GatewayFleet(GatewayConfig(flow_table_capacity=256),
                          shards=shards, steering_seed=seed)
-    fleet.attach_trace(TracePropagation(seed=seed))
+    trace = TracePropagation(seed=seed).attach(fleet)
     stream = list(CityScaleWorkload(_city_profile("mixed", seed)).packets(400))
     fleet.process_stream(stream)
-    return fleet
+    return fleet, trace
+
+
+def _recorded(sup, trace):
+    return IncidentRecorder(sup, FlightRecorder(name="fleet"), trace=trace)
 
 
 def test_maintenance_removal_builds_a_bundle():
-    fleet = _loaded_fleet()
-    sup = FleetSupervisor(fleet, flight=FlightRecorder(name="fleet")).start()
+    fleet, trace = _loaded_fleet()
+    sup = FleetSupervisor(fleet).start()
+    recorder = _recorded(sup, trace)
     sup.run(0.3)
     sup.maintain_shard(2)
-    assert len(sup.incidents) == 1
-    bundle = sup.incidents[0]
+    assert len(recorder.incidents) == 1
+    bundle = recorder.incidents[0]
     assert bundle["trigger"]["kind"] == "shard-loss"
     assert bundle["trigger"]["detail"]["mode"] == "maintenance"
     assert bundle["trigger"]["detail"]["shard"] == 2
@@ -35,18 +40,21 @@ def test_maintenance_removal_builds_a_bundle():
 
 
 def test_crash_bundle_reports_checkpoint_age():
-    fleet = _loaded_fleet()
-    sup = FleetSupervisor(fleet, flight=FlightRecorder(name="fleet")).start()
+    fleet, trace = _loaded_fleet()
+    sup = FleetSupervisor(fleet).start()
+    recorder = _recorded(sup, trace)
     sup.run(0.3)
     sup.crash_shard(1)
-    bundle = sup.incidents[0]
+    bundle = recorder.incidents[0]
     assert bundle["trigger"]["detail"]["mode"] == "crash"
     assert bundle["trigger"]["detail"]["checkpoint_age"] >= 0.0
 
 
 def test_supervisor_without_flight_records_nothing():
-    fleet = _loaded_fleet()
+    fleet, trace = _loaded_fleet()
     sup = FleetSupervisor(fleet).start()
+    rebalanced = trace.rebalances
     sup.run(0.3)
     sup.maintain_shard(0)
-    assert sup.incidents == []
+    assert sup.observers == () and not hasattr(sup, "incidents")
+    assert trace.rebalances > rebalanced  # the fleet's own subscriber still hears

@@ -106,3 +106,56 @@ def test_corrupted_hop_chain_is_reported(monkeypatch):
     assert trace["flows"]
     assert not trace["consistent"]
     assert any("broken parent chain" in p for p in trace["problems"])
+
+
+def _steered_fleet(flows=40):
+    from repro.core import Bound, GatewayConfig
+    from repro.fleet import GatewayFleet
+    from repro.packet.builder import build_tcp
+
+    fleet = GatewayFleet(GatewayConfig(), shards=3)
+    trace = TracePropagation(seed=3).attach(fleet)
+    packets = [build_tcp("198.51.100.7", "10.1.0.1", 4000 + flow, 80,
+                         payload=b"x" * 100) for flow in range(flows)]
+    fleet.process_batch([(packet, Bound.INBOUND) for packet in packets[:-1]],
+                        now=1.0)
+    return fleet, trace, packets
+
+
+def test_a_decision_hop_carries_the_time_it_was_given():
+    """A miss reached through ``GatewayFleet.shard_for`` directly used to
+    be stamped with the previous batch's time: the hop read a ``_now``
+    the fleet poked in from ``process`` / ``process_batch`` only."""
+    fleet, trace, packets = _steered_fleet()
+    fleet.shard_for(packets[-1], now=2.0)
+    times = [trace.journey(packet.flow_key())["hops"][0]["time"]
+             for packet in (packets[0], packets[-1])]
+    assert times == [1.0, 2.0]
+    assert not hasattr(trace, "_now")
+
+
+def test_a_rebalanced_flow_gets_one_hop_with_no_hook_muted():
+    """Steering keeps announcing its decisions through a rebalance; the
+    fleet's own announcement comes first, so each move is one hop."""
+    from repro.core import WorkerObserver
+
+    class Decisions(WorkerObserver):
+        count = 0
+
+        def on_event(self, source, now, kind, **fields):
+            self.count += 1
+
+    fleet, trace, _packets = _steered_fleet()
+    decisions = Decisions()
+    fleet.steering.observers += (decisions,)
+    victim = max(range(3), key=lambda shard: len(fleet.shards[shard].worker.flows))
+    moved = [record[0] for record in fleet.shards[victim].worker.flows.snapshot()]
+    fleet.fail_shard(victim, now=3.0)
+    assert moved and decisions.count == len(moved)
+    for flow in moved:
+        hops = trace.journey(flow)["hops"]
+        assert [(hop["kind"], hop["time"]) for hop in hops] == [
+            ("ingress", 1.0), ("rebalance", 3.0)]
+        assert hops[-1]["shard"] == fleet.steering.owner_of(flow) != victim
+    assert trace.handoffs == 0 and trace.rebalances == len(moved)
+    assert not hasattr(trace, "suppressed")

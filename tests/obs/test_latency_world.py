@@ -136,19 +136,20 @@ def test_fpmtud_probe_rtt_is_one_path_rtt():
 
     outcomes = {}
     prober = FPmtudProber(client)
-    prober.spans = SpanTracker()
+    spans = SpanTracker()
+    prober.observers = (spans,)
     prober.probe(server.ip, 9000, lambda r: outcomes.__setitem__("f", r))
     Plpmtud(client).discover(server.ip, 9000,
                              lambda r: outcomes.__setitem__("plp", r))
     topo.run(until=600.0)
 
     path_rtt = 2 * 3 * delay  # 30 ms of propagation, both directions
-    assert prober.spans.latency_count(PROBE_RTT_SECONDS) == 1
-    median = prober.spans.latency_median(PROBE_RTT_SECONDS)
+    assert spans.latency_count(PROBE_RTT_SECONDS) == 1
+    median = spans.latency_median(PROBE_RTT_SECONDS)
     # one RTT plus sub-millisecond serialization — not a search
     assert path_rtt <= median <= path_rtt * 1.05
     # the probe span closed as a report, not a timeout
-    (span,) = prober.spans.finished("probe")
+    (span,) = spans.finished("probe")
     assert span.outcome == "report"
     # PLPMTUD on the same path: strictly (vastly) slower
     assert outcomes["plp"].elapsed > median * 100
@@ -168,10 +169,10 @@ def test_probe_timeout_drops_the_span():
     # No FPmtudDaemon on the server: the probe report never comes back.
     outcomes = {}
     prober = FPmtudProber(client)
-    prober.spans = SpanTracker()
+    spans = SpanTracker()
+    prober.observers = (spans,)
     prober.probe(server.ip, 1500, lambda r: outcomes.__setitem__("f", r))
     topo.run(until=60.0)
-    spans = prober.spans
     assert spans.balanced
     assert spans.open_count() == 0
     done = spans.finished("probe")

@@ -1,21 +1,29 @@
-"""The worker's one observer seam, and the records its subscribers keep.
+"""The one observer seam, and the records its subscribers keep.
 
 ``GatewayWorker`` tells ``observers`` what it did (``on_packet`` /
-``on_flush`` / ``on_mode`` / ``on_retire``) and knows nothing of
-``repro.obs``; ``FlowTracer`` and ``SpanTracker`` subscribe.  These
-tests pin the contract from the outside: the stage set is closed, each
-call's trace events follow one grammar, the span books balance against
-the live engines after every step, and what the subscribers retain is
-invisible to the garbage collector.
+``on_flush`` / ``on_mode`` / ``on_retire``), every other emitter tells
+its own ``observers`` through ``on_event``, and none of them knows
+``repro.obs``; ``FlowTracer``, ``SpanTracker``, ``TracePropagation`` and
+``IncidentRecorder`` subscribe.  These tests pin the contract from the
+outside: the stage and event sets are closed, each call's trace events
+follow one grammar, the span books balance against the live engines
+after every step, what the subscribers retain is invisible to the
+garbage collector, and the layering holds (no ``repro.obs`` import below
+the harness worlds).
 """
 
+import ast
 import gc
+import inspect
+import pathlib
 import subprocess
 import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.core import (
+    EVENTS,
     STAGES,
     Bound,
     GatewayConfig,
@@ -284,21 +292,93 @@ def test_positional_and_keyword_events_render_alike():
 
 
 # ----------------------------------------------------------------------
-# (iv) Empty by default; core does not know obs
+# (iv) Empty by default; nothing below the harness worlds knows obs
 # ----------------------------------------------------------------------
+def drive_every_emitter(subscriber=None):
+    """A bare world that makes every emitter say everything it can say.
+
+    Self-contained (its own imports, nothing from ``repro.obs``) so the
+    import-hygiene test can run its source in a fresh interpreter.
+    """
+    from repro.core import Bound, GatewayConfig, GatewayWorker, PXGateway
+    from repro.fleet import FleetSupervisor, GatewayFleet
+    from repro.net import Topology
+    from repro.packet.builder import build_tcp
+    from repro.pmtud import FPmtudDaemon, FPmtudProber
+    from repro.pmtud.fpmtud import _pack_report
+    from repro.resilience import FailoverManager
+
+    def subscribe(*emitters):
+        for emitter in emitters:
+            assert emitter.observers == ()
+            if subscriber is not None:
+                emitter.observers = (subscriber,)
+
+    def segment(flow):
+        return build_tcp("198.51.100.7", "10.1.0.1", 4000 + flow, 80, payload=b"x" * 1000)
+
+    worker = GatewayWorker(GatewayConfig())
+    worker.process(segment(0), Bound.INBOUND, 0.0)
+    worker.end_batch(1.0)
+    worker.set_mode("bypass", 1.0)
+    worker.retire(1.0)
+
+    # One border: a stall (health excursion and back), a probe answered,
+    # a probe nobody answers, a forged report, an unroutable packet, a
+    # peer that takes jumbos whole, a takeover.
+    topo = Topology()
+    inside, outside = topo.add_host("inside"), topo.add_host("outside")
+    gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig())
+    topo.add_node(gateway)
+    topo.link(inside, gateway, mtu=9000)
+    topo.link(gateway, outside, mtu=1500)
+    topo.build_routes()
+    inside.routes.add_default(inside.interfaces[0])
+    gateway.mark_internal(gateway.interfaces[0])
+    monitor = gateway.enable_resilience()
+    failover = FailoverManager(gateway)
+    FPmtudDaemon(outside)
+    prober = FPmtudProber(inside)
+    unanswered = FPmtudProber(inside, src_port=52001, daemon_port=9)
+    subscribe(gateway, monitor, failover, prober, unanswered)
+    results = []
+    prober.probe(outside.ip, 9000, results.append)
+    unanswered.probe(outside.ip, 1400, results.append, timeout=0.2)
+    outside.send_udp(inside.ip, 7837, 52000, _pack_report(4242, [1400]))
+    inside.send_udp(0xCB007109, 9, 9, b"nowhere")
+    topo.sim.schedule_at(0.05, gateway.stall, 0.1)
+    topo.run(until=1.0)
+    gateway.set_neighbor_imtu(gateway.interfaces[1], 9000)
+    inside.send_udp(outside.ip, 9, 9, b"whole")
+    topo.run(until=1.1)
+    failover.takeover()
+    assert len(results) == 1 and prober.rejected_reports == unanswered.timeouts == 1
+    assert len(monitor.transitions) >= 2 and gateway.untranslated == gateway.dropped == 1
+
+    # One fleet: a sick shard drains and rejoins, then a shard is removed.
+    fleet = GatewayFleet(GatewayConfig(), shards=3)
+    supervisor = FleetSupervisor(fleet)
+    subscribe(fleet, fleet.steering, supervisor, *supervisor.monitors)
+    for flow in range(60):
+        fleet.process(segment(flow), Bound.INBOUND, 0.0)
+    supervisor.start()
+    supervisor.ports[0]._stall_until = 0.2
+    supervisor.run(0.2)
+    assert fleet.shards[0].drained
+    supervisor.run(0.3)
+    assert not fleet.shards[0].drained
+    supervisor.maintain_shard(1)
+    assert fleet.flows_migrated > 0 and fleet.rebalances == 3
+
+
 def test_unobserved_core_never_loads_obs():
     assert GatewayWorker(GatewayConfig()).observers == ()
     script = (
         "import sys\n"
-        "import repro.core\n"
-        "from repro.core import Bound, GatewayConfig, GatewayWorker\n"
-        "from repro.packet.builder import build_tcp\n"
-        "worker = GatewayWorker(GatewayConfig())\n"
-        "worker.process(build_tcp('198.51.100.7', '10.1.0.1', 4000, 80,\n"
-        "                         payload=b'x' * 1000), Bound.INBOUND, 0.0)\n"
-        "worker.end_batch(1.0)\n"
-        "worker.set_mode('bypass', 1.0)\n"
-        "worker.retire(1.0)\n"
+        "import repro.core, repro.net, repro.sim, repro.tcpstack\n"
+        "import repro.pmtud, repro.resilience, repro.fleet\n"
+        + inspect.getsource(drive_every_emitter)
+        + "drive_every_emitter()\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('repro.obs'))\n"
         "assert not loaded, loaded\n"
     )
@@ -306,12 +386,44 @@ def test_unobserved_core_never_loads_obs():
                    env={"PYTHONPATH": ":".join(sys.path)})
 
 
-# ----------------------------------------------------------------------
-# Observers survive a worker swap, on the gateway and on a fleet shard
-# ----------------------------------------------------------------------
+#: The packages the seam keeps free of ``repro.obs``; ``fleet/chaos.py``
+#: is a harness world, like ``chaos/``, ``ops/`` and ``cli.py``.
+LAYERED = ("core", "net", "sim", "tcpstack", "pmtud", "resilience", "fleet")
+
+
+def test_one_lazy_obs_import_below_the_harness_worlds():
+    root = pathlib.Path(repro.__file__).parent
+    found = []
+    for package in LAYERED:
+        for path in sorted((root / package).glob("*.py")):
+            if (package, path.name) == ("fleet", "chaos.py"):
+                continue
+            tree = ast.parse(path.read_text())
+            enclosing = {node: scope.name
+                         for scope in ast.walk(tree)
+                         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         for node in ast.walk(scope)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = ["repro", package][:3 - node.level] if node.level else []
+                    module = ".".join(base + [node.module] * bool(node.module))
+                    names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(name == "repro.obs" or name.startswith("repro.obs.")
+                       for name in names):
+                    found.append((f"{package}/{path.name}", enclosing.get(node)))
+    assert found == [("core/gateway.py", "attach_observability")]
+
+
 class Counting(WorkerObserver):
+    """Counts what it hears; subscribes to anything."""
+
     def __init__(self):
         self.packets = self.retired = 0
+        self.heard = {}  # kind -> [(emitter class name, fields)]
 
     def on_packet(self, *event):
         self.packets += 1
@@ -319,7 +431,48 @@ class Counting(WorkerObserver):
     def on_retire(self, worker, now):
         self.retired += 1
 
+    def on_event(self, source, now, kind, **fields):
+        self.heard.setdefault(kind, []).append((type(source).__name__, fields))
 
+
+def test_a_bare_world_says_the_closed_set_of_events():
+    counting = Counting()
+    drive_every_emitter(counting)
+    assert set(counting.heard) == EVENTS
+    # Who says what, with which fields: the table in docs/OBSERVABILITY.md.
+    shapes = {kind: {(who, tuple(sorted(fields))) for who, fields in heard}
+              for kind, heard in counting.heard.items()}
+    assert shapes == {
+        "no-route": {("PXGateway", ("ingress_at",))},
+        "untranslated": {("PXGateway", ("ingress_at",))},
+        "gateway-passthrough": {("PXGateway", ("ingress_at",))},
+        "stall": {("PXGateway", ("gateway", "until"))},
+        "stall-drain": {("PXGateway", ("gateway", "queued"))},
+        "worker-swap": {("PXGateway", ("from_worker", "gateway", "to_worker"))},
+        "health-transition": {
+            ("HealthMonitor", ("from_state", "gateway", "reason", "to_state"))},
+        "failover-takeover": {
+            ("FailoverManager", ("checkpoint_age", "flows", "flushed", "gateway",
+                                 "reason", "to_worker"))},
+        "pmtud-probe": {("FPmtudProber", ("dst", "probe_id", "size"))},
+        "pmtud-report": {("FPmtudProber", ("elapsed", "fragments", "pmtu", "probe_id"))},
+        "pmtud-report-rejected": {("FPmtudProber", ("pmtu", "probe_id", "reason"))},
+        "pmtud-timeout": {("FPmtudProber", ("probe_id",))},
+        "steering-decision": {("FleetSteering", ("flow", "shard"))},
+        "rebalance": {("GatewayFleet", ("dst", "flow", "reason", "src"))},
+        "shard-drain": {("FleetSupervisor", ("moved", "shard"))},
+        "shard-rejoin": {("FleetSupervisor", ("returned", "shard"))},
+        "shard-loss": {("FleetSupervisor", ("flushed", "mode", "shard"))},
+    }
+    assert {fields["reason"] for _who, fields in counting.heard["rebalance"]} == {
+        "drain", "rejoin", "shard-loss"}
+    assert {fields["gateway"] for _who, fields in counting.heard["health-transition"]} == {
+        "pxgw", "fleet-shard0"}
+
+
+# ----------------------------------------------------------------------
+# Observers survive a worker swap, on the gateway and on a fleet shard
+# ----------------------------------------------------------------------
 def test_observers_survive_both_worker_swaps():
     config = GatewayConfig(elephant_threshold_packets=1, hairpin_small_flows=False)
     topo = Topology()
@@ -358,6 +511,56 @@ def test_observers_survive_both_worker_swaps():
     shard.worker.process(*zoo.tcp_in(1, 1448), 1.0)
     assert counting.packets == 2
     assert len(tracer.events("ingress")) == 2  # the parent's fleet swap lost it
+
+
+def _border():
+    topo = Topology()
+    gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig())
+    topo.add_node(gateway)
+    return gateway
+
+
+def test_attach_queues_behind_earlier_subscribers():
+    # attach_observability used to *replace* worker.observers: a checker
+    # subscribed before the bundle silently stopped hearing anything.
+    gateway = _border()
+    early = Counting()
+    gateway.worker.observers += (early,)
+    obs = gateway.attach_observability(
+        Observability(tracer=FlowTracer(), spans=SpanTracker()))
+    assert gateway.worker.observers == (early, obs.tracer, obs.spans)
+    assert gateway.observers == (obs.tracer, obs.spans)
+    # A monitor enabled later hears what the gateway hears; one enabled
+    # earlier is subscribed by the attach.
+    assert gateway.enable_resilience().observers == (obs.tracer, obs.spans)
+    late = _border()
+    monitor = late.enable_resilience()
+    late.attach_observability(obs)
+    assert monitor.observers == late.observers == (obs.tracer, obs.spans)
+    gateway.worker.process(*Zoo().tcp_in(0, 100), 0.0)
+    assert early.packets == 1 and len(obs.tracer.events("ingress")) == 1
+
+
+def test_attaching_a_bundle_twice_changes_nothing():
+    # ... and used to register observe_gateway's collector a second time.
+    gateway = _border()
+    obs = Observability(tracer=FlowTracer(), spans=SpanTracker())
+    assert len(obs.registry._collectors) == 1  # the span tracker's
+    for _ in range(2):
+        assert gateway.attach_observability(obs) is obs
+        assert gateway.worker.observers == gateway.observers == (obs.tracer, obs.spans)
+        assert len(obs.registry._collectors) == 2
+    # Per (bundle, gateway): the same bundle still attaches elsewhere, and
+    # another bundle here, each once.
+    other = _border()
+    other.attach_observability(obs)
+    assert other.worker.observers == (obs.tracer, obs.spans)
+    assert len(obs.registry._collectors) == 3
+    second = Observability(spans=SpanTracker())
+    for _ in range(2):
+        gateway.attach_observability(second)
+    assert gateway.worker.observers == (obs.tracer, obs.spans, second.spans)
+    assert len(second.registry._collectors) == 2
 
 
 def test_handshake_spans_carry_their_flow_in_every_mode():

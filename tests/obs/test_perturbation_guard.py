@@ -5,11 +5,9 @@ top — neither may move a single packet.  The goldens in
 ``chaos_digests_pr5.json`` were captured *before* the span/timeline
 instrumentation landed, so a digest mismatch here means the observability
 layer leaked into the datapath (touched an RNG, reordered events, or
-perturbed scheduling).  The PR 3 gateway-trace fingerprint is re-pinned
-under full instrumentation for the same reason.
+perturbed scheduling).
 """
 
-import hashlib
 import json
 import os
 
@@ -17,7 +15,6 @@ import pytest
 
 from repro.chaos.scenarios import corpus, run_scenario
 from repro.obs import TelemetryTimeline
-from repro.sim.trace import PacketTrace
 
 _HERE = os.path.dirname(__file__)
 
@@ -60,32 +57,3 @@ def test_timeline_actually_scraped_during_the_guard():
     assert timeline.ticks > 10
     spans = captured["world"].obs.spans
     assert spans.opened > 0 and spans.balanced
-
-
-def test_trace_fingerprint_unmoved_under_full_instrumentation():
-    # Same golden as tests/perf/test_determinism_guard.py, but with the
-    # span tracker AND a live timeline attached: the pinned per-packet
-    # gateway trace must stay byte-identical.
-    with open(os.path.join(_HERE, "..", "perf",
-                           "trace_fingerprint_pr3.json")) as handle:
-        golden = json.load(handle)
-    profile, _, seed = golden["scenario"].partition(":")
-
-    trace = PacketTrace()
-
-    def attach(world):
-        world.gateway.trace = trace
-        _attach_timeline(world)
-
-    result = run_scenario(profile, int(seed), mutate=attach)
-    assert result.digest == golden["digest"]
-
-    digest = hashlib.sha256()
-    for entry in trace.entries:
-        digest.update(
-            repr(
-                (entry.time, entry.point, entry.event, entry.length, entry.summary)
-            ).encode()
-        )
-    assert len(trace.entries) == golden["entries"]
-    assert digest.hexdigest() == golden["sha256"]

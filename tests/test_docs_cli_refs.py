@@ -77,3 +77,17 @@ def test_the_deleted_bench_verb_is_rejected(capsys):
         build_parser().parse_args(["bench"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+#: Attach surfaces the observer seam replaced (``emitter.observers`` is
+#: the one left); prose and examples may not send a reader to them.
+_GONE = ("PacketTrace", "attach_trace", "prober.tracer", "flight=")
+
+
+def test_no_doc_or_example_names_a_removed_attach_surface():
+    scanned = [path for path in SOURCES if path.suffix != ".yml"]
+    scanned += sorted((ROOT / "examples").glob("*.py"))
+    assert ROOT / "docs" / "API.md" in scanned and len(scanned) > 15
+    stale = [f"{path.relative_to(ROOT)}: {name}"
+             for path in scanned for name in _GONE if name in path.read_text()]
+    assert not stale, "\n".join(stale)

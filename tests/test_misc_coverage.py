@@ -1,12 +1,11 @@
 """Coverage for remaining corners: listeners, topology accessors, engine
-counters, gateway tracing."""
+counters."""
 
 import pytest
 
-from repro.core import GatewayConfig, PXGateway
 from repro.net import Topology
 from repro.packet import TCPFlags, build_tcp
-from repro.sim import PacketTrace, Simulator
+from repro.sim import Simulator
 from repro.tcpstack import TCPConnection, TCPListener
 
 
@@ -104,20 +103,3 @@ class TestEngineCounters:
         handle.cancel()
         sim.run()
         assert sim.events_processed == 0
-
-
-class TestGatewayTracing:
-    def test_gateway_records_rx(self):
-        trace = PacketTrace()
-        topo = Topology()
-        inside = topo.add_host("inside")
-        outside = topo.add_host("outside")
-        gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig(), trace=trace)
-        topo.add_node(gateway)
-        topo.link(inside, gateway, mtu=9000)
-        topo.link(gateway, outside, mtu=1500)
-        topo.build_routes()
-        gateway.mark_internal(gateway.interfaces[0])
-        inside.send_udp(outside.ip, 1, 9, b"traced")
-        topo.run(until=1.0)
-        assert trace.count(event="rx", point="pxgw") == 1

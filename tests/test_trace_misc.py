@@ -1,65 +1,10 @@
-"""Tests for packet tracing and miscellaneous host/node APIs."""
+"""Tests for miscellaneous host/node APIs."""
 
 import pytest
 
 from repro.net import Host, Topology
 from repro.packet import build_udp
-from repro.sim import PacketTrace, Simulator
-
-
-class TestPacketTrace:
-    def packet(self):
-        return build_udp("1.1.1.1", "2.2.2.2", 1, 2, payload=b"t")
-
-    def test_record_and_count(self):
-        trace = PacketTrace()
-        trace.record(0.0, "router", "rx", self.packet())
-        trace.record(0.1, "router", "tx", self.packet())
-        trace.record(0.2, "host", "rx", self.packet())
-        assert trace.count() == 3
-        assert trace.count(event="rx") == 2
-        assert trace.count(point="router") == 2
-        assert trace.count(event="tx", point="router") == 1
-
-    def test_matching_predicate(self):
-        trace = PacketTrace()
-        trace.record(0.0, "a", "rx", self.packet())
-        trace.record(5.0, "a", "rx", self.packet())
-        late = trace.matching(lambda entry: entry.time > 1.0)
-        assert len(late) == 1
-
-    def test_disabled_trace_records_nothing(self):
-        trace = PacketTrace(enabled=False)
-        trace.record(0.0, "a", "rx", self.packet())
-        assert trace.count() == 0
-
-    def test_capacity_limit(self):
-        trace = PacketTrace(capacity=2)
-        for _ in range(5):
-            trace.record(0.0, "a", "rx", self.packet())
-        assert trace.count() == 2
-
-    def test_clear(self):
-        trace = PacketTrace()
-        trace.record(0.0, "a", "rx", self.packet())
-        trace.clear()
-        assert trace.count() == 0
-
-    def test_router_records_to_trace(self):
-        trace = PacketTrace()
-        topo = Topology()
-        client = topo.add_host("client")
-        server = topo.add_host("server")
-        router = topo.add_router("router")
-        router.trace = trace
-        topo.link(client, router)
-        topo.link(router, server)
-        topo.build_routes()
-        server.on_udp(9, lambda packet, host: None)
-        client.send_udp(server.ip, 1, 9, b"x")
-        topo.run()
-        assert trace.count(event="rx", point="router") == 1
-        assert trace.count(event="tx", point="router") == 1
+from repro.sim import Simulator
 
 
 class TestHostApis:
