@@ -1,15 +1,20 @@
-"""Multi-core PXGW datapath: RSS sharding over gateway workers.
+"""The one worker pool: N gateway workers behind a steering decision.
 
-Flows are pinned to workers by the real Toeplitz hash, so per-worker
-load imbalance (and its throughput penalty: the hottest core bounds the
-system) is emergent.  This module is the entry point the Figure 5
-benchmarks drive directly; the simulator-facing :class:`PXGateway`
-wraps a single worker for in-topology use.
+:class:`GatewayDatapath` owns what any pool of workers shares: the
+slot -> worker table, the poll-batch loop with its virtual clock, and
+the aggregates over the live workers.  Here flows are pinned to workers
+by the real Toeplitz hash, so per-worker load imbalance (and its
+throughput penalty: the hottest core bounds the system) is emergent;
+this is the class the Figure 5 benchmarks drive directly.
+:class:`repro.fleet.GatewayFleet` is the same pool behind rendezvous
+steering (it overrides ``slot_for`` and ``live_workers``) with shard
+lifecycle on top; the simulator-facing :class:`PXGateway` wraps a
+single worker for in-topology use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, CycleAccount, GatewayCosts
 from ..nic.rss import RssDistributor
@@ -29,36 +34,57 @@ class GatewayDatapath:
         config: GatewayConfig,
         costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
     ):
-        self.config = config
-        self.costs = costs
-        self.workers = [
-            GatewayWorker(config, costs=costs, index=index)
-            for index in range(config.workers)
-        ]
+        self._build_pool(config, costs, config.workers)
         self.rss = RssDistributor(queues=config.workers)
         self._unkeyed_rr = 0
+
+    def _build_pool(self, config: GatewayConfig, costs: GatewayCosts, size: int) -> None:
+        """What ``__init__`` shares with a subclass that sizes and steers the pool itself."""
+        self.config = config
+        self.costs = costs
+        #: The slot -> worker table.  A standby swap replaces an entry
+        #: in place, so nothing may keep a worker across a poll batch.
+        self.workers = [
+            GatewayWorker(config, costs=costs, index=index) for index in range(size)
+        ]
         self._virtual_now = 0.0
 
     # ------------------------------------------------------------------
-    def worker_for(self, packet: Packet) -> GatewayWorker:
-        """The worker whose queue RSS steers *packet* to."""
+    def slot_for(self, packet: Packet, now: float = 0.0) -> int:
+        """The slot whose queue RSS steers *packet* (arriving at *now*) to."""
         key = packet.flow_key()
         if key is None:
             # Fragments/ICMP go round-robin, as NICs without a parseable
             # 4-tuple fall back to IP-pair hashing.
             self._unkeyed_rr = (self._unkeyed_rr + 1) % len(self.workers)
-            return self.workers[self._unkeyed_rr]
-        return self.workers[self.rss.queue_for(key)]
+            return self._unkeyed_rr
+        return self.rss.queue_for(key)
+
+    def live_workers(self) -> List[GatewayWorker]:
+        """The workers still serving traffic (here: all of them)."""
+        return self.workers
+
+    def worker_for(self, packet: Packet) -> GatewayWorker:
+        """The worker steering assigns *packet* to."""
+        return self.workers[self.slot_for(packet)]
 
     def process(self, packet: Packet, bound: str, now: float = 0.0) -> List[Packet]:
         """Process one packet on its assigned worker."""
-        return self.worker_for(packet).process(packet, bound, now)
+        return self.workers[self.slot_for(packet, now)].process(packet, bound, now)
+
+    def end_batch(self, now: float) -> List[Packet]:
+        """Poll-batch boundary on every live worker (merge-timeout flush)."""
+        outputs: List[Packet] = []
+        for worker in self.live_workers():
+            outputs.extend(worker.end_batch(now))
+        return outputs
 
     def process_stream(
         self,
         stream: Iterable[Tuple[Packet, str]],
         batch_interval: float = 1.5e-6,
         final_flush: bool = True,
+        on_batch=None,
     ) -> List[Packet]:
         """Process a (packet, bound) stream with periodic batch boundaries.
 
@@ -68,23 +94,35 @@ class GatewayDatapath:
         delayed-merge timers.  Keep ``final_flush`` off when measuring
         steady-state yield — the artificial end-of-stream flush emits
         one partial segment per flow that a continuous run would not.
+
+        ``on_batch(batch_index, now)``, when given, fires after every
+        full poll batch — the fleet chaos harness kills a shard there —
+        and whatever packets it returns join the egress: that is how
+        the half-merged packets a shard loss flushes reach the wire.
         """
         outputs: List[Packet] = []
+        extend = outputs.extend
         now = self._virtual_now
         poll_batch = self.config.poll_batch
+        # Hoisted out of the packet loop; the table is still indexed
+        # per packet, so a worker ``on_batch`` swaps in is seen.
+        slot_for = self.slot_for
+        workers = self.workers
         fill = 0
+        batch_index = 0
         for packet, bound in stream:
-            outputs.extend(self.process(packet, bound, now))
+            extend(workers[slot_for(packet, now)].process(packet, bound, now))
             fill += 1
             if fill >= poll_batch:
-                now += batch_interval
                 fill = 0
-                for worker in self.workers:
-                    outputs.extend(worker.end_batch(now))
+                now += batch_interval
+                extend(self.end_batch(now))
+                if on_batch is not None:
+                    extend(on_batch(batch_index, now) or ())
+                batch_index += 1
         if final_flush:
             now += self.config.merge_timeout * 2
-            for worker in self.workers:
-                outputs.extend(worker.end_batch(now))
+            extend(self.end_batch(now))
         self._virtual_now = now
         return outputs
 
@@ -99,25 +137,33 @@ class GatewayDatapath:
             worker.account = CycleAccount()
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Aggregation over the live workers
     # ------------------------------------------------------------------
     def combined_stats(self) -> GatewayStats:
-        """Aggregate stats over workers."""
+        """Aggregate stats over the live workers."""
         total = GatewayStats()
-        for worker in self.workers:
+        for worker in self.live_workers():
             total.merge(worker.stats)
         return total
 
     def combined_account(self) -> CycleAccount:
-        """Aggregate cycle account over workers."""
+        """Aggregate cycle account over the live workers."""
         total = CycleAccount()
-        for worker in self.workers:
+        for worker in self.live_workers():
             total.merge(worker.account)
         return total
 
     @property
     def conversion_yield(self) -> float:
         return self.combined_stats().conversion_yield
+
+    def conservation_errors(self) -> Dict[str, int]:
+        """Pool-level conservation identities (empty dict = balanced)."""
+        live = self.live_workers()
+        return self.combined_stats().conservation_errors(
+            pending_tcp_bytes=sum(w.merge.pending_bytes() for w in live),
+            pending_datagrams=sum(w.caravan_merge.pending_packets() for w in live),
+        )
 
     def sustainable_throughput_bps(self, spec: CpuSpec) -> float:
         """Forwarding throughput (bits/s of IP packets) on *spec*.

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable
+
+from ..packet import Packet
+from .caravan import caravan_inner_count, is_caravan
 
 __all__ = ["GatewayStats"]
 
@@ -119,31 +122,27 @@ class GatewayStats:
             errors["udp_datagrams"] = udp_delta
         return errors
 
+    def credit_egress(self, packets: "Iterable[Packet]", count_tx: bool = True) -> None:
+        """Count *packets* a merge engine (or a checkpoint of one) let go
+        as egress.  The worker's tx accounting counts ``tx_packets``
+        itself, with the tx cycles, so it passes ``count_tx=False``."""
+        for packet in packets:
+            if count_tx:
+                self.tx_packets += 1
+            if packet.is_tcp:
+                self.tcp_payload_out += len(packet.payload)
+            elif packet.is_udp:
+                self.udp_datagrams_out += caravan_inner_count(packet)
+                if is_caravan(packet):
+                    self.caravans_built += 1
+
     def merge(self, other: "GatewayStats") -> None:
-        """Fold a worker's stats into this aggregate."""
-        self.rx_packets += other.rx_packets
-        self.tx_packets += other.tx_packets
-        self.merged_packets += other.merged_packets
-        self.split_segments += other.split_segments
-        self.caravans_built += other.caravans_built
-        self.caravans_opened += other.caravans_opened
-        self.hairpinned += other.hairpinned
-        self.mss_rewrites += other.mss_rewrites
-        self.hdo_fallbacks += other.hdo_fallbacks
-        self.passthrough_packets += other.passthrough_packets
-        self.bypassed_packets += other.bypassed_packets
-        self.caravans_suppressed += other.caravans_suppressed
-        self.tcp_payload_in += other.tcp_payload_in
-        self.tcp_payload_out += other.tcp_payload_out
-        self.udp_datagrams_in += other.udp_datagrams_in
-        self.udp_datagrams_out += other.udp_datagrams_out
-        self.udp_datagrams_malformed += other.udp_datagrams_malformed
-        self.malformed_caravans += other.malformed_caravans
-        self.inbound_data_packets += other.inbound_data_packets
-        self.inbound_full_packets += other.inbound_full_packets
-        self.inbound_data_bytes += other.inbound_data_bytes
-        self.inbound_full_bytes += other.inbound_full_bytes
+        """Fold a worker's stats into this aggregate: every int field."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        histogram = self.inbound_size_histogram
         for size, count in other.inbound_size_histogram.items():
-            self.inbound_size_histogram[size] = (
-                self.inbound_size_histogram.get(size, 0) + count
-            )
+            histogram[size] = histogram.get(size, 0) + count
+
+
+_COUNTERS = tuple(f.name for f in fields(GatewayStats) if f.type == "int")

@@ -469,14 +469,9 @@ class GatewayWorker:
 
     def _flushed(self, flushed: List[Packet], now: float, batch: bool) -> List[Packet]:
         """Charge, count and announce what the engines flushed (see ``on_flush``)."""
-        for out in flushed:
+        for _ in flushed:
             self.account.charge(self.costs.merge_flush, category="merge")
-            if out.is_tcp:
-                self.stats.tcp_payload_out += len(out.payload)
-            elif out.is_udp:
-                self.stats.udp_datagrams_out += caravan_inner_count(out)
-            if is_caravan(out):
-                self.stats.caravans_built += 1
+        self.stats.credit_egress(flushed, count_tx=False)
         self._emit(flushed, True)
         for observer in self.observers:
             observer.on_flush(self, now, flushed, batch)

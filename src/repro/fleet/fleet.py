@@ -1,14 +1,15 @@
 """The horizontal gateway tier: N worker shards behind flow steering.
 
-A :class:`GatewayFleet` is the city-scale generalization of
-:class:`repro.core.GatewayDatapath`: instead of co-located worker cores
-behind one RSS indirection table, it runs N independent
-:class:`~repro.core.worker.GatewayWorker` shards behind the
-rendezvous-hash :class:`~.steering.FleetSteering` stage, each with a
-*bounded* flow table whose LRU eviction (capacity and idle expiry)
-absorbs city-scale flow churn.
+A :class:`GatewayFleet` *is a* :class:`repro.core.GatewayDatapath`: the
+pool owns the slot -> worker table, the per-packet loop
+(``process`` / ``end_batch`` / ``process_stream``) and the aggregates
+over the live workers.  The fleet answers the pool's two questions its
+own way — the rendezvous-hash :class:`~.steering.FleetSteering` stage
+picks the slot, and only shards still alive are live — and gives each
+worker a *bounded* flow table whose LRU eviction (capacity and idle
+expiry) absorbs city-scale flow churn.
 
-What the fleet adds over the single instance:
+What this module owns, on top of the pool:
 
 * **shard loss** — :meth:`~GatewayFleet.fail_shard` retires a shard
   from steering and redistributes its checkpointed flow records onto
@@ -33,13 +34,13 @@ wholesale; the supervisor module wires the PR 2 ``HealthMonitor`` /
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core.caravan import caravan_inner_count, is_caravan
 from ..core.config import GatewayConfig
+from ..core.dispatch import GatewayDatapath
 from ..core.stats import GatewayStats
 from ..core.worker import GatewayWorker
-from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, CycleAccount, GatewayCosts
+from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, GatewayCosts
 from ..packet import Packet
 from ..resilience.failover import WorkerCheckpoint, checkpoint_worker
 from .steering import FleetSteering
@@ -48,10 +49,10 @@ __all__ = ["FleetShard", "GatewayFleet"]
 
 
 class FleetShard:
-    """One fleet member: a gateway worker plus its lifecycle state."""
+    """One fleet member: a slot of the pool plus its lifecycle state."""
 
-    def __init__(self, worker: GatewayWorker, shard_id: int):
-        self.worker = worker
+    def __init__(self, pool: List[GatewayWorker], shard_id: int):
+        self._pool = pool
         self.id = shard_id
         self.alive = True
         #: True while health has drained the shard out of steering.
@@ -64,11 +65,16 @@ class FleetShard:
         self.donated_flows = 0
 
     @property
-    def in_steering(self) -> bool:
-        return self.alive and not self.drained
+    def worker(self) -> GatewayWorker:
+        """The worker in this shard's slot (a standby swap assigns it)."""
+        return self._pool[self.id]
+
+    @worker.setter
+    def worker(self, worker: GatewayWorker) -> None:
+        self._pool[self.id] = worker
 
 
-class GatewayFleet:
+class GatewayFleet(GatewayDatapath):
     """N gateway shards behind a flow-consistent steering stage."""
 
     def __init__(
@@ -81,13 +87,9 @@ class GatewayFleet:
     ):
         if shards <= 0:
             raise ValueError("need at least one shard")
-        self.config = config
-        self.costs = costs
+        self._build_pool(config, costs, shards)
         self.flow_idle_timeout = flow_idle_timeout
-        self.shards = [
-            FleetShard(GatewayWorker(config, costs=costs, index=index), index)
-            for index in range(shards)
-        ]
+        self.shards = [FleetShard(self.workers, index) for index in range(shards)]
         self.steering = FleetSteering(shards, seed=steering_seed)
         #: Counters of shards that died, folded so fleet-level
         #: conservation keeps balancing after a loss.
@@ -95,111 +97,35 @@ class GatewayFleet:
         self.rebalances = 0
         self.flows_migrated = 0
         self.shard_losses = 0
-        self._virtual_now = 0.0
         #: Subscribers told of every flow record a loss, drain or rejoin
         #: moves (``on_event``, ``"rebalance"``); empty by default.
         self.observers = ()
 
     # ------------------------------------------------------------------
-    # Datapath
+    # The pool's two questions
     # ------------------------------------------------------------------
-    def shard_for(self, packet: Packet, now: float = 0.0) -> FleetShard:
+    def slot_for(self, packet: Packet, now: float = 0.0) -> int:
         """The shard steering assigns to *packet* (arriving at *now*)."""
         key = packet.flow_key()
         if key is None:
-            return self.shards[self.steering.shard_for_unkeyed()]
-        return self.shards[self.steering.shard_for(key, now)]
+            return self.steering.shard_for_unkeyed()
+        return self.steering.shard_for(key, now)
 
-    def process(self, packet: Packet, bound: str, now: float = 0.0) -> List[Packet]:
-        """Process one packet on its steering-assigned shard."""
-        return self.shard_for(packet, now).worker.process(packet, bound, now)
+    def live_workers(self) -> List[GatewayWorker]:
+        return [
+            worker for worker, shard in zip(self.workers, self.shards) if shard.alive
+        ]
 
-    def process_batch(
-        self, packets: "List[Tuple[Packet, str]]", now: float = 0.0
-    ) -> List[Packet]:
-        """Steer one poll burst and run each shard's share through its worker.
-
-        Packets bucket per ``(shard, bound)`` in arrival order; each
-        bucket then runs packet by packet through
-        :meth:`~repro.core.worker.GatewayWorker.process`, so egress
-        comes out bucket-grouped (buckets in first-seen order) with
-        arrival order kept inside each bucket.
-        """
-        shares: Dict[Tuple[int, str], List[Packet]] = {}
-        shard_for = self.shard_for
-        for packet, bound in packets:
-            slot = (shard_for(packet, now).id, bound)
-            share = shares.get(slot)
-            if share is None:
-                shares[slot] = [packet]
-            else:
-                share.append(packet)
-        outputs: List[Packet] = []
-        shards = self.shards
-        for (index, bound), share in shares.items():
-            process = shards[index].worker.process
-            for packet in share:
-                outputs.extend(process(packet, bound, now))
-        return outputs
-
-    def end_batch(self, now: float) -> List[Packet]:
-        """Poll-batch boundary on every live shard (merge-timeout flush)."""
-        outputs: List[Packet] = []
-        for shard in self.shards:
-            if shard.alive:
-                outputs.extend(shard.worker.end_batch(now))
-        return outputs
-
-    def process_stream(
-        self,
-        stream: "Iterable[Tuple[Packet, str]]",
-        batch_interval: float = 1.5e-6,
-        final_flush: bool = True,
-        on_batch=None,
-    ) -> List[Packet]:
-        """Drive a (packet, bound) stream through the fleet in poll batches.
-
-        ``on_batch(batch_index, now)``, when given, fires after every
-        poll batch — the chaos harness uses it to kill a shard
-        mid-burst.  Whatever list of packets it returns is appended to
-        the egress list the caller gets back: that is how the
-        half-merged packets :meth:`fail_shard` flushes reach the wire
-        (see :mod:`repro.fleet.chaos`).
-        """
-        outputs: List[Packet] = []
-        now = self._virtual_now
-        poll_batch = self.config.poll_batch
-        chunk: List[Tuple[Packet, str]] = []
-        append = chunk.append
-        batch_index = 0
-        for item in stream:
-            append(item)
-            if len(chunk) >= poll_batch:
-                outputs.extend(self.process_batch(chunk, now))
-                chunk = []
-                append = chunk.append
-                now += batch_interval
-                outputs.extend(self.end_batch(now))
-                if on_batch is not None:
-                    flushed = on_batch(batch_index, now)
-                    if flushed:
-                        outputs.extend(flushed)
-                batch_index += 1
-        if chunk:
-            outputs.extend(self.process_batch(chunk, now))
-        if final_flush:
-            now += self.config.merge_timeout * 2
-            outputs.extend(self.end_batch(now))
-        self._virtual_now = now
-        return outputs
+    def shard_for(self, packet: Packet, now: float = 0.0) -> FleetShard:
+        """:meth:`slot_for` as the :class:`FleetShard` holding that slot."""
+        return self.shards[self.slot_for(packet, now)]
 
     def expire_idle(self, now: float) -> int:
         """Expire idle flows on every live shard; returns total removed."""
-        removed = 0
-        for shard in self.shards:
-            if shard.alive:
-                removed += shard.worker.flows.expire_idle(now, self.flow_idle_timeout)
-        return removed
+        return sum(
+            worker.flows.expire_idle(now, self.flow_idle_timeout)
+            for worker in self.live_workers()
+        )
 
     # ------------------------------------------------------------------
     # Checkpoints and shard loss
@@ -255,26 +181,16 @@ class GatewayFleet:
         # pending as egress balances it exactly — mirroring what
         # restore_worker does when a standby adopts a checkpoint.
         self.retired.merge(checkpoint.stats)
-        flushed: List[Packet] = []
-        for packet in checkpoint.pending:
-            self.retired.tx_packets += 1
-            if packet.is_tcp:
-                self.retired.tcp_payload_out += len(packet.payload)
-            elif packet.is_udp:
-                self.retired.udp_datagrams_out += caravan_inner_count(packet)
-                if is_caravan(packet):
-                    self.retired.caravans_built += 1
-            flushed.append(packet)
+        flushed = list(checkpoint.pending)
+        self.retired.credit_egress(flushed)
         # Buffered-byte spans on the dead shard settle as failover
         # closures; the survivors' trackers are untouched.
         shard.worker.retire(now)
-        self._rebalance_records(checkpoint.flows, donor=shard, now=now,
-                                reason="shard-loss")
+        self._rebalance_records(checkpoint.flows, shard, now, "shard-loss")
         return flushed
 
     def _rebalance_records(self, records: List[tuple], donor: FleetShard,
-                           now: float = 0.0,
-                           reason: str = "rebalance") -> None:
+                           now: float, reason: str) -> None:
         """Hand flow records to the shards steering now assigns them to."""
         if not records:
             return
@@ -325,7 +241,7 @@ class GatewayFleet:
         records = shard.worker.flows.snapshot()
         for record in records:
             shard.worker.flows.remove(record[0])
-        self._rebalance_records(records, donor=shard, now=now, reason="drain")
+        self._rebalance_records(records, shard, now, "drain")
         return len(records)
 
     def rejoin_shard(self, index: int, now: float) -> int:
@@ -370,48 +286,13 @@ class GatewayFleet:
 
     def combined_stats(self) -> GatewayStats:
         """Aggregate stats: live shards plus the retired aggregate."""
-        total = GatewayStats()
-        for shard in self.shards:
-            if shard.alive:
-                total.merge(shard.worker.stats)
+        total = super().combined_stats()
         total.merge(self.retired)
         return total
 
-    def combined_account(self) -> CycleAccount:
-        total = CycleAccount()
-        for shard in self.shards:
-            if shard.alive:
-                total.merge(shard.worker.account)
-        return total
-
-    def pending_tcp_bytes(self) -> int:
-        return sum(
-            shard.worker.merge.pending_bytes()
-            for shard in self.shards if shard.alive
-        )
-
-    def pending_datagrams(self) -> int:
-        return sum(
-            shard.worker.caravan_merge.pending_packets()
-            for shard in self.shards if shard.alive
-        )
-
-    def conservation_errors(self) -> "Dict[str, int]":
-        """Fleet-level conservation identity (empty dict = balanced)."""
-        return self.combined_stats().conservation_errors(
-            pending_tcp_bytes=self.pending_tcp_bytes(),
-            pending_datagrams=self.pending_datagrams(),
-        )
-
-    @property
-    def conversion_yield(self) -> float:
-        return self.combined_stats().conversion_yield
-
     def reset_measurement(self) -> None:
         """Zero stats/cycles keeping datapath state (bench warm-up)."""
-        for shard in self.shards:
-            shard.worker.stats = GatewayStats()
-            shard.worker.account = CycleAccount()
+        super().reset_measurement()
         self.retired = GatewayStats()
 
     # ------------------------------------------------------------------
@@ -425,23 +306,22 @@ class GatewayFleet:
         the most-loaded RX queue bounds the system, now at fleet scale.
         Returns 0.0 for an unmeasured fleet.
         """
-        live = self.live_shards()
+        live = self.live_workers()
         if len(live) > spec.cores:
             raise ValueError(
                 f"{spec.name} has {spec.cores} cores for {len(live)} live shards"
             )
-        packets = sum(shard.worker.account.packets for shard in live)
+        packets = sum(worker.account.packets for worker in live)
         if packets == 0:
             return 0.0
-        max_cycles = max(shard.worker.account.cycles for shard in live)
+        max_cycles = max(worker.account.cycles for worker in live)
         if max_cycles <= 0:
             return 0.0
         return packets * spec.clock_hz / max_cycles
 
     def shard_balance(self) -> "Dict[str, float]":
         """Load-balance figures across live shards (1.0 = perfect)."""
-        live = self.live_shards()
-        counts = [shard.worker.stats.rx_packets for shard in live]
+        counts = [worker.stats.rx_packets for worker in self.live_workers()]
         total = sum(counts)
         if not counts or total == 0:
             return {"max_over_mean": 0.0, "min_over_mean": 0.0}
@@ -454,20 +334,17 @@ class GatewayFleet:
     def summary(self) -> "Dict[str, object]":
         """JSON-friendly fleet digest (CLI + tests)."""
         stats = self.combined_stats()
+        live = self.live_workers()
         return {
             "shards": len(self.shards),
-            "live": len(self.live_shards()),
+            "live": len(live),
             "shard_losses": self.shard_losses,
             "rebalances": self.rebalances,
             "flows_migrated": self.flows_migrated,
             "rx_packets": stats.rx_packets,
             "tx_packets": stats.tx_packets,
-            "flows": sum(
-                len(shard.worker.flows) for shard in self.shards if shard.alive
-            ),
-            "evictions": sum(
-                shard.worker.flows.evictions for shard in self.shards if shard.alive
-            ),
+            "flows": sum(len(worker.flows) for worker in live),
+            "evictions": sum(worker.flows.evictions for worker in live),
             "conservation_errors": self.conservation_errors(),
             "balance": self.shard_balance(),
         }

@@ -107,17 +107,8 @@ class FleetSteering:
         self._cache.clear()
 
     # ------------------------------------------------------------------
-    def shard_for(self, flow: FlowKey, now: float = 0.0) -> int:
-        """The live shard serving *flow* under the current membership.
-
-        *now* is the time a fresh decision is announced with.
-        """
-        cached = self._cache.get(flow)
-        if cached is not None:
-            self.cache_hits += 1
-            self.steered[cached] += 1
-            return cached
-        self.cache_misses += 1
+    def _scan(self, flow: FlowKey) -> int:
+        """The rendezvous scan: the live shard with *flow*'s top weight."""
         base = flow_hash(flow, self.key)
         best = -1
         best_weight = -1
@@ -130,7 +121,20 @@ class FleetSteering:
             if weight > best_weight:
                 best_weight = weight
                 best = index
-        self._cache[flow] = best
+        return best
+
+    def shard_for(self, flow: FlowKey, now: float = 0.0) -> int:
+        """The live shard serving *flow* under the current membership.
+
+        *now* is the time a fresh decision is announced with.
+        """
+        cached = self._cache.get(flow)
+        if cached is not None:
+            self.cache_hits += 1
+            self.steered[cached] += 1
+            return cached
+        self.cache_misses += 1
+        best = self._cache[flow] = self._scan(flow)
         self.steered[best] += 1
         for observer in self.observers:
             observer.on_event(self, now, "steering-decision", flow=flow, shard=best)
@@ -144,19 +148,7 @@ class FleetSteering:
         who owns a flow without perturbing the steering state.
         """
         cached = self._cache.get(flow)
-        if cached is not None:
-            return cached
-        base = flow_hash(flow, self.key)
-        best = -1
-        best_weight = -1
-        for index in range(self.shards):
-            if not self._live[index]:
-                continue
-            weight = _mix64(base ^ self._shard_seeds[index])
-            if weight > best_weight:
-                best_weight = weight
-                best = index
-        return best
+        return cached if cached is not None else self._scan(flow)
 
     def shard_for_unkeyed(self) -> int:
         """Round-robin fallback for packets without a flow key."""

@@ -85,18 +85,9 @@ def restore_worker(worker: GatewayWorker, checkpoint: WorkerCheckpoint) -> List[
     them (they are the flushed half-merged data).  After this call the
     worker's conservation identities balance with empty engines.
     """
-    from ..core.caravan import caravan_inner_count, is_caravan
-
     worker.flows.restore(checkpoint.flows)
     worker.stats.merge(checkpoint.stats)
-    for packet in checkpoint.pending:
-        worker.stats.tx_packets += 1
-        if packet.is_tcp:
-            worker.stats.tcp_payload_out += len(packet.payload)
-        elif packet.is_udp:
-            worker.stats.udp_datagrams_out += caravan_inner_count(packet)
-            if is_caravan(packet):
-                worker.stats.caravans_built += 1
+    worker.stats.credit_egress(checkpoint.pending)
     return list(checkpoint.pending)
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core import GatewayDatapath
 from repro.core.config import Bound, GatewayConfig
 from repro.fleet import FleetSupervisor, GatewayFleet
 from repro.obs.spans import SpanTracker
@@ -18,6 +19,8 @@ from repro.workload import (
     make_tcp_sources,
     make_udp_sources,
 )
+
+from ..test_core_datapath import bidirectional_stream
 
 
 def small_stream(packets=3000, seed=7):
@@ -48,21 +51,34 @@ class TestFleetDatapath:
             for record in shard.worker.flows.snapshot():
                 assert fleet.steering.shard_for(record[0]) == shard.id
 
-    def test_matches_scalar_processing(self):
-        # Batch steering must not change what each packet experiences:
-        # the combined counters equal a one-shard fleet's (same total
-        # work, just partitioned), for a flow-disjoint workload.
-        stream = small_stream(1500)
-        whole = GatewayFleet(config(), shards=1)
-        whole.process_stream(stream)
-        split = GatewayFleet(config(), shards=4)
-        split.process_stream(stream)
-        a, b = whole.combined_stats(), split.combined_stats()
-        assert a.rx_packets == b.rx_packets
-        assert a.tcp_payload_in == b.tcp_payload_in
-        assert a.tcp_payload_out == b.tcp_payload_out
-        assert a.udp_datagrams_in == b.udp_datagrams_in
-        assert a.udp_datagrams_out == b.udp_datagrams_out
+    def test_one_shard_fleet_is_the_one_worker_datapath(self, monkeypatch):
+        # One worker pool: a 1-shard fleet and a 1-worker datapath run
+        # the same loop, so a two-way merge+split stream comes out as
+        # the same bytes in the same order, counter for counter.
+        stream = list(bidirectional_stream(3000, seed=7, flows=8))
+
+        def run(build):
+            # Merged packets draw IP IDs from a process-wide counter;
+            # restart it so both runs draw the same sequence.
+            monkeypatch.setattr(builder, "_ip_id_counter", itertools.count(1))
+            engine = build()
+            egress = engine.process_stream(stream)
+            return engine, [packet.to_bytes() for packet in egress]
+
+        fleet, fleet_wire = run(lambda: GatewayFleet(config(), shards=1))
+        datapath, datapath_wire = run(lambda: GatewayDatapath(config(workers=1)))
+        stats = datapath.combined_stats()
+        assert stats.merged_packets and stats.split_segments
+        assert fleet_wire == datapath_wire
+        assert vars(fleet.combined_stats()) == vars(stats)
+        assert fleet.combined_account().cycles == datapath.combined_account().cycles
+
+    def test_the_fleet_is_a_datapath_and_has_no_loop_of_its_own(self):
+        assert isinstance(GatewayFleet(config(), shards=2), GatewayDatapath)
+        for name in ("process", "process_stream", "end_batch",
+                     "combined_account", "conversion_yield"):
+            assert name not in vars(GatewayFleet), name
+        assert not hasattr(GatewayFleet, "process_batch")
 
     def test_span_tracked_fleet_runs_the_bare_fleets_pipeline(self, monkeypatch):
         # One worker pipeline: attaching a SpanTracker to every shard
@@ -243,6 +259,23 @@ class TestSupervisor:
         assert fleet.steering.is_live(0)
         assert len(supervisor.actions) == 2
         supervisor.stop()
+
+    def test_a_standby_swap_mid_stream_replaces_the_pool_slot(self):
+        fleet = GatewayFleet(config(), shards=2)
+        supervisor = FleetSupervisor(fleet)
+        replaced = []
+
+        def on_batch(batch_index, now):
+            if batch_index == 4:
+                replaced.append(supervisor.replace_worker(0))
+            return supervisor.ports[0].drain_egress()
+
+        fleet.process_stream(small_stream(1200), on_batch=on_batch)
+        [old] = replaced
+        assert fleet.workers[0] is fleet.shards[0].worker is not old
+        # The rest of the stream ran on the standby, not a cached worker.
+        assert fleet.combined_stats().rx_packets == 1200
+        assert fleet.conservation_errors() == {}
 
     def test_summary_is_json_friendly(self):
         import json

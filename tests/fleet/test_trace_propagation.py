@@ -117,15 +117,15 @@ def _steered_fleet(flows=40):
     trace = TracePropagation(seed=3).attach(fleet)
     packets = [build_tcp("198.51.100.7", "10.1.0.1", 4000 + flow, 80,
                          payload=b"x" * 100) for flow in range(flows)]
-    fleet.process_batch([(packet, Bound.INBOUND) for packet in packets[:-1]],
-                        now=1.0)
+    for packet in packets[:-1]:
+        fleet.process(packet, Bound.INBOUND, now=1.0)
     return fleet, trace, packets
 
 
 def test_a_decision_hop_carries_the_time_it_was_given():
     """A miss reached through ``GatewayFleet.shard_for`` directly used to
     be stamped with the previous batch's time: the hop read a ``_now``
-    the fleet poked in from ``process`` / ``process_batch`` only."""
+    the fleet poked in from ``process`` only."""
     fleet, trace, packets = _steered_fleet()
     fleet.shard_for(packets[-1], now=2.0)
     times = [trace.journey(packet.flow_key())["hops"][0]["time"]

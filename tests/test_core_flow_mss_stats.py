@@ -240,6 +240,26 @@ class TestGatewayStats:
         assert a.rx_packets == 7
         assert a.inbound_size_histogram == {9000: 1, 1500: 1}
 
+    def test_merge_carries_every_field(self):
+        # A counter added to the dataclass must reach every aggregate
+        # and checkpoint without anyone remembering to list it.
+        other = GatewayStats()
+        for value, (name, default) in enumerate(vars(GatewayStats()).items(), start=1):
+            if isinstance(default, dict):
+                setattr(other, name, {value: value})
+            else:
+                assert isinstance(default, int), f"merge has no rule for {name}"
+                setattr(other, name, value)
+        total = GatewayStats()
+        total.merge(other)
+        assert vars(total) == vars(other)
+        total.merge(other)
+        for name, value in vars(other).items():
+            if isinstance(value, dict):
+                assert getattr(total, name) == {k: 2 * v for k, v in value.items()}, name
+            else:
+                assert getattr(total, name) == 2 * value, name
+
     def test_conservation_errors_balanced_and_not(self):
         stats = GatewayStats()
         stats.tcp_payload_in = 100
