@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from functools import cached_property
 from typing import Callable, Deque, Dict, List, Optional, Type
 
 from ..net.host import Host
@@ -58,14 +59,62 @@ class TCPState:
     ESTABLISHED = "ESTABLISHED"
     FIN_WAIT = "FIN_WAIT"
     CLOSE_WAIT = "CLOSE_WAIT"
+    LAST_ACK = "LAST_ACK"  # CLOSE_WAIT, then our own FIN sent
+
+
+#: Where queued data, then our FIN, still goes out.
+_SENDING = (TCPState.ESTABLISHED, TCPState.CLOSE_WAIT)
 
 
 MAX_SEQ = 1 << 32
+#: Sequence arithmetic is mod 2**32; b is ahead of a (RFC 1982) when
+#: ``0 < (b - a) & _MASK < _HALF``.
+_MASK = MAX_SEQ - 1
+_HALF = MAX_SEQ // 2
 
 
-def _seq_lt(a: int, b: int) -> bool:
-    """Modular sequence comparison a < b (RFC 1982 style)."""
-    return 0 < ((b - a) & (MAX_SEQ - 1)) < MAX_SEQ // 2
+def _insert_interval(intervals: List[tuple], base: int, start: int, stop: int) -> None:
+    """Merge [start, stop) into *intervals*, in place.
+
+    *intervals* is sorted by distance ahead of *base* (mod 2**32) and
+    merged: the SACK scoreboard over ``snd_una``, the reassembly queue
+    over ``rcv_nxt``.  While the list is in merged order the range is
+    spliced in where a sort would put it, and one covered by the range
+    in front of it returns at once (every ACK repeats known SACK
+    blocks); a list the base moved out of merged order is rebuilt.
+    """
+    offset = (start - base) & _MASK
+    end = (stop - base) & _MASK
+    floor = reach = front = -1
+    at = 0  # ranges starting at or before this one
+    for lo, hi in intervals:
+        lo = (lo - base) & _MASK
+        if lo < floor or lo <= reach:
+            break  # out of merged order: rebuilt below
+        floor = lo
+        reach = (hi - base) & _MASK
+        if lo <= offset:
+            at += 1
+            front = reach
+    else:
+        first = at
+        if offset <= front:  # joins the range in front of it
+            if end <= front:
+                return  # covered
+            first = at - 1
+            start = intervals[first][0]
+        while at < len(intervals) and (intervals[at][0] - base) & _MASK <= end:
+            hi = intervals[at][1]
+            if (hi - base) & _MASK > end:
+                stop, end = hi, (hi - base) & _MASK
+            at += 1
+        intervals[first:at] = [(start, stop)]
+        return
+    # Splicing each range back in, in list order, builds what sort-and-merge did.
+    ranges = intervals + [(start, stop)]
+    intervals.clear()
+    for lo, hi in ranges:
+        _insert_interval(intervals, base, lo, hi)
 
 
 class TCPConnection:
@@ -170,13 +219,8 @@ class TCPConnection:
         if self.state != TCPState.CLOSED:
             raise RuntimeError(f"connect() in state {self.state}")
         self.state = TCPState.SYN_SENT
-        self._send_control(
-            flags=TCPFlags.SYN,
-            seq=self.iss,
-            options=[TCPOption.mss(self.local_mss), TCPOption.window_scale(self.WINDOW_SCALE)],
-        )
-        self.snd_nxt = (self.iss + 1) & (MAX_SEQ - 1)
-        self._arm_rto()
+        self._send_syn()
+        self.snd_nxt = (self.iss + 1) & _MASK
 
     def send_bulk(self, nbytes: int) -> None:
         """Queue *nbytes* of application data (an iPerf-style source)."""
@@ -193,7 +237,7 @@ class TCPConnection:
     @property
     def flight_size(self) -> int:
         """Unacknowledged bytes in flight."""
-        return (self.snd_nxt - self.snd_una) & (MAX_SEQ - 1)
+        return (self.snd_nxt - self.snd_una) & _MASK
 
     @property
     def effective_peer_window(self) -> int:
@@ -213,6 +257,11 @@ class TCPConnection:
     # ------------------------------------------------------------------
     # Packet construction
     # ------------------------------------------------------------------
+    @cached_property
+    def _src_ip(self) -> int:
+        """The host's address, learned when the first segment is built."""
+        return self.host.ip
+
     def _build(self, flags: int, seq: int, payload: bytes = b"", options=None) -> Packet:
         # Direct header construction instead of build_tcp(): this runs
         # once per segment and per ACK, and the builder's generality
@@ -232,7 +281,7 @@ class TCPConnection:
         tcp.urgent = 0
         tcp.options = list(options) if options else []
         ip = IPv4Header.__new__(IPv4Header)
-        ip.src = self.host.ip
+        ip.src = self._src_ip
         ip.dst = self.peer_ip
         ip.protocol = 6
         ip.total_length = 40 + len(payload)
@@ -249,6 +298,13 @@ class TCPConnection:
         # An option-less segment is 20 B of IP and 20 B of TCP header.
         self.host.send(self._build(flags, seq, options=options), None if options else 40)
 
+    def _send_syn(self) -> None:
+        """(Re)send our SYN, or SYN-ACK when answering one, and time it."""
+        flags = TCPFlags.SYN if self.state == TCPState.SYN_SENT else TCPFlags.SYN | TCPFlags.ACK
+        options = [TCPOption.mss(self.local_mss), TCPOption.window_scale(self.WINDOW_SCALE)]
+        self._send_control(flags, self.iss, options)
+        self._arm_rto()
+
     def _send_ack(self) -> None:
         self._segs_since_ack = 0
         self._cancel_delack()
@@ -256,11 +312,8 @@ class TCPConnection:
         if self._ooo:
             # Advertise up to 3 SACK blocks (RFC 2018) so the sender
             # can retransmit exactly the missing ranges.
-            blocks = b"".join(
-                struct.pack("!II", start, stop)
-                for start, stop in self._ooo[:3]
-            )
-            options = [TCPOption(TCPOption.SACK, blocks)]
+            edges = [seq for block in self._ooo[:3] for seq in block]
+            options = [TCPOption(TCPOption.SACK, struct.pack(f"!{len(edges)}I", *edges))]
         self._send_control(TCPFlags.ACK, self.snd_nxt, options=options)
 
     # ------------------------------------------------------------------
@@ -299,38 +352,29 @@ class TCPConnection:
 
     def accept_syn(self, packet: Packet) -> None:
         """Passive open: respond to a SYN (called by TCPListener)."""
-        tcp = packet.tcp
-        self.irs = tcp.seq
-        self.rcv_nxt = (tcp.seq + 1) & (MAX_SEQ - 1)
-        peer_mss = tcp.mss_option
-        if peer_mss is not None:
-            self.send_mss = min(self.local_mss, peer_mss)
-        wscale = tcp.find_option(TCPOption.WINDOW_SCALE)
-        if wscale is not None:
-            self.peer_wscale = wscale.data[0]
+        self._take_syn(packet.tcp)
         self.state = TCPState.SYN_RCVD
-        self._send_control(
-            flags=TCPFlags.SYN | TCPFlags.ACK,
-            seq=self.iss,
-            options=[TCPOption.mss(self.local_mss), TCPOption.window_scale(self.WINDOW_SCALE)],
-        )
-        self.snd_nxt = (self.iss + 1) & (MAX_SEQ - 1)
-        self._arm_rto()
+        self._send_syn()
+        self.snd_nxt = (self.iss + 1) & _MASK
 
     def _complete_active_open(self, packet: Packet) -> None:
         tcp = packet.tcp
-        self.irs = tcp.seq
-        self.rcv_nxt = (tcp.seq + 1) & (MAX_SEQ - 1)
+        self._take_syn(tcp)
         self.snd_una = tcp.ack
+        self.peer_window = tcp.window
+        self._establish()
+        self._send_ack()
+
+    def _take_syn(self, tcp) -> None:
+        """Learn the peer's initial sequence number, MSS and window scale."""
+        self.irs = tcp.seq
+        self.rcv_nxt = (tcp.seq + 1) & _MASK
         peer_mss = tcp.mss_option
         if peer_mss is not None:
             self.send_mss = min(self.local_mss, peer_mss)
         wscale = tcp.find_option(TCPOption.WINDOW_SCALE)
         if wscale is not None:
             self.peer_wscale = wscale.data[0]
-        self.peer_window = tcp.window
-        self._establish()
-        self._send_ack()
 
     def _establish(self) -> None:
         if self.state == TCPState.ESTABLISHED:
@@ -348,12 +392,12 @@ class TCPConnection:
     # ------------------------------------------------------------------
     def _pump(self) -> None:
         """Send as much queued data as cwnd and rwnd allow."""
-        if self.state != TCPState.ESTABLISHED or self.cc is None:
+        if self.state not in _SENDING or self.cc is None:
             return
         window = min(int(self.cc.cwnd), self.peer_window << self.peer_wscale)
         # Locals for the window loop: flight size and pending bytes are
         # re-derived per iteration on the hot path otherwise.
-        mask = MAX_SEQ - 1
+        mask = _MASK
         flight = (self.snd_nxt - self.snd_una) & mask
         pending = self._pending_bytes
         send_mss = self.send_mss
@@ -373,23 +417,23 @@ class TCPConnection:
             pending -= length
             flight += length
             self._pending_bytes = pending
-        if self._fin_queued and self._pending_bytes == 0 and self.state == TCPState.ESTABLISHED:
+        if self._fin_queued and self._pending_bytes == 0:
             self._send_control(TCPFlags.FIN | TCPFlags.ACK, self.snd_nxt)
-            self.snd_nxt = (self.snd_nxt + 1) & (MAX_SEQ - 1)
-            self.state = TCPState.FIN_WAIT
+            self.snd_nxt = (self.snd_nxt + 1) & _MASK
+            self.state = TCPState.FIN_WAIT if self.state == TCPState.ESTABLISHED else TCPState.LAST_ACK
         if self._rto_handle is None and self.snd_nxt != self.snd_una:
             self._arm_rto()
 
     def _transmit_segment(self, seq: int, length: int, retransmission: bool = False) -> None:
         packet = self._build(TCPFlags.ACK, seq, payload=_zeros(length))
         if not retransmission and self._rtt_sample is None:
-            self._rtt_sample = ((seq + length) & (MAX_SEQ - 1), self.sim.now)
+            self._rtt_sample = ((seq + length) & _MASK, self.sim.now)
         self.host.send(packet, 40 + length)
 
     def _handle_ack(self, ack: int, bare: bool) -> None:
         """Process an ACK number; *bare* says its segment carried no data."""
-        if _seq_lt(self.snd_una, ack) and not _seq_lt(self.snd_nxt, ack):
-            acked = (ack - self.snd_una) & (MAX_SEQ - 1)
+        acked = (ack - self.snd_una) & _MASK
+        if 0 < acked < _HALF and not 0 < (ack - self.snd_nxt) & _MASK < _HALF:
             self.snd_una = ack
             self.bytes_acked += acked
             if self._sacked:
@@ -397,7 +441,7 @@ class TCPConnection:
             self._dupacks = 0
             if self._rtt_sample is not None:
                 self._sample_rtt(ack)
-            if self._in_recovery and not _seq_lt(ack, self._recover):
+            if self._in_recovery and not 0 < (self._recover - ack) & _MASK < _HALF:
                 self._in_recovery = False  # full ACK: recovery complete
             if self.cc is not None:
                 if self._in_recovery:
@@ -406,7 +450,7 @@ class TCPConnection:
                     # earlier retransmission (receivers ACK at finer
                     # granularity than we retransmit when a PXGW has
                     # resegmented the stream).
-                    if not _seq_lt(self.snd_una, self._rtx_until):
+                    if not 0 < (self._rtx_until - ack) & _MASK < _HALF:
                         self._retransmit_head()
                 else:
                     self.cc.on_ack(acked, self.sim.now)
@@ -442,34 +486,20 @@ class TCPConnection:
         option = tcp.find_option(TCPOption.SACK)
         if option is None or len(option.data) % 8:
             return
-        for offset in range(0, len(option.data), 8):
-            start, stop = struct.unpack_from("!II", option.data, offset)
-            self._sack_insert(start, stop)
-
-    def _sack_rel(self, seq: int) -> int:
-        return (seq - self.snd_una) & (MAX_SEQ - 1)
-
-    def _sack_insert(self, start: int, stop: int) -> None:
-        if self._sack_rel(stop) >= MAX_SEQ // 2:
-            return  # stale block entirely below snd_una
-        self._sacked.append((start, stop))
-        self._sacked.sort(key=lambda block: self._sack_rel(block[0]))
-        merged: List[tuple] = []
-        for lo, hi in self._sacked:
-            if merged and self._sack_rel(lo) <= self._sack_rel(merged[-1][1]):
-                if self._sack_rel(hi) > self._sack_rel(merged[-1][1]):
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        self._sacked = merged
+        edges = struct.unpack(f"!{len(option.data) // 4}I", option.data)
+        una = self.snd_una
+        for start, stop in zip(edges[::2], edges[1::2]):
+            if (stop - una) & _MASK < _HALF:  # else stale: entirely below snd_una
+                _insert_interval(self._sacked, una, start, stop)
 
     def _sack_prune(self) -> None:
         """Drop blocks at or below snd_una after it advanced."""
-        kept = []
-        for lo, hi in self._sacked:
-            if 0 < self._sack_rel(hi) < MAX_SEQ // 2:
-                kept.append((lo if 0 < self._sack_rel(lo) < MAX_SEQ // 2 else self.snd_una, hi))
-        self._sacked = kept
+        una = self.snd_una
+        self._sacked = [
+            (lo if 0 < (lo - una) & _MASK < _HALF else una, hi)
+            for lo, hi in self._sacked
+            if 0 < (hi - una) & _MASK < _HALF
+        ]
 
     def _retransmit_head(self) -> None:
         """Retransmit the first missing range.
@@ -483,20 +513,25 @@ class TCPConnection:
             self._sack_prune()
         length = min(self.send_mss, self.flight_size)
         if self._sacked:
-            hole = self._sack_rel(self._sacked[0][0])
-            if 0 < hole < MAX_SEQ // 2:
+            hole = (self._sacked[0][0] - self.snd_una) & _MASK
+            if 0 < hole < _HALF:
                 length = min(length, hole)
         if length <= 0:
             return
         self.retransmits += 1
         self._rtt_sample = None  # Karn's rule
-        self._rtx_until = (self.snd_una + length) & (MAX_SEQ - 1)
-        self._transmit_segment(self.snd_una, length, retransmission=True)
+        self._rtx_until = (self.snd_una + length) & _MASK
+        # Once our FIN is out, the last sequence number is it, not data.
+        fin = self._rtx_until == self.snd_nxt and self.state in (TCPState.FIN_WAIT, TCPState.LAST_ACK)
+        if length > fin:
+            self._transmit_segment(self.snd_una, length - fin, retransmission=True)
+        if fin:
+            self._send_control(TCPFlags.FIN | TCPFlags.ACK, (self.snd_nxt - 1) & _MASK)
         self._arm_rto()
 
     def _sample_rtt(self, ack: int) -> None:
         target, sent_at = self._rtt_sample
-        if _seq_lt(ack, target):
+        if 0 < (target - ack) & _MASK < _HALF:  # not yet acknowledged
             return
         self._rtt_sample = None
         sample = self.sim.now - sent_at
@@ -545,20 +580,8 @@ class TCPConnection:
     def _on_rto(self) -> None:
         self.timeouts += 1
         self.rto = min(self.MAX_RTO, self.rto * 2)
-        if self.state == TCPState.SYN_SENT:
-            self._send_control(
-                TCPFlags.SYN,
-                self.iss,
-                options=[TCPOption.mss(self.local_mss),
-                         TCPOption.window_scale(self.WINDOW_SCALE)],
-            )
-            self._arm_rto()
-            return
-        if self.state == TCPState.SYN_RCVD:
-            self._send_control(TCPFlags.SYN | TCPFlags.ACK, self.iss,
-                               options=[TCPOption.mss(self.local_mss),
-                                        TCPOption.window_scale(self.WINDOW_SCALE)])
-            self._arm_rto()
+        if self.state in (TCPState.SYN_SENT, TCPState.SYN_RCVD):
+            self._send_syn()
             return
         if self.flight_size == 0:
             return
@@ -575,15 +598,15 @@ class TCPConnection:
     # Receiver path
     # ------------------------------------------------------------------
     def _handle_data(self, seq: int, length: int, psh: bool) -> None:
-        end = (seq + length) & (MAX_SEQ - 1)
-        if not _seq_lt(self.rcv_nxt, end):  # entirely old
+        rcv_nxt = self.rcv_nxt
+        fresh = (seq + length - rcv_nxt) & _MASK
+        if not 0 < fresh < _HALF:  # entirely old
             self._send_ack()
             return
-        if seq != self.rcv_nxt and _seq_lt(seq, self.rcv_nxt):
-            # Partial overlap: keep only the new tail.
-            seq = self.rcv_nxt
-        if seq == self.rcv_nxt:
-            self._deliver((end - seq) & (MAX_SEQ - 1))
+        offset = (seq - rcv_nxt) & _MASK
+        if offset == 0 or offset > _HALF:
+            # In order, or a partial overlap whose new tail starts at rcv_nxt.
+            self._deliver(fresh)
             if self._ooo:
                 self._drain_ooo()
             self._segs_since_ack += 1
@@ -593,56 +616,33 @@ class TCPConnection:
                 self._schedule_delack()
         else:
             # Out of order: hold and dup-ACK immediately.
-            self._store_ooo(seq, end)
+            _insert_interval(self._ooo, rcv_nxt, seq, (seq + length) & _MASK)
             self._send_ack()
 
     def _deliver(self, length: int) -> None:
-        self.rcv_nxt = (self.rcv_nxt + length) & (MAX_SEQ - 1)
+        self.rcv_nxt = (self.rcv_nxt + length) & _MASK
         self.bytes_delivered += length
         if self.on_data:
             self.on_data(length)
 
-    def _rel(self, seq: int) -> int:
-        """Distance of *seq* ahead of rcv_nxt (modular)."""
-        return (seq - self.rcv_nxt) & (MAX_SEQ - 1)
-
-    def _store_ooo(self, seq: int, end: int) -> None:
-        """Insert [seq, end) into the merged out-of-order interval set.
-
-        Segment boundaries need not align between transmissions and
-        retransmissions (window-limited senders emit sub-MSS tails), so
-        reassembly must merge arbitrary overlapping byte ranges.
-        """
-        intervals = self._ooo
-        intervals.append((seq, end))
-        intervals.sort(key=lambda interval: self._rel(interval[0]))
-        merged: List[tuple] = []
-        for start, stop in intervals:
-            if merged and self._rel(start) <= self._rel(merged[-1][1]):
-                if self._rel(stop) > self._rel(merged[-1][1]):
-                    merged[-1] = (merged[-1][0], stop)
-            else:
-                merged.append((start, stop))
-        self._ooo = merged
-
     def _drain_ooo(self) -> None:
         """Deliver any stored intervals now reachable from rcv_nxt."""
-        while self._ooo:
-            start, stop = self._ooo[0]
-            if self._rel(start) > 0 and self._rel(start) < MAX_SEQ // 2:
+        ooo = self._ooo
+        while ooo:
+            start, stop = ooo[0]
+            if 0 < (start - self.rcv_nxt) & _MASK < _HALF:
                 break  # still a hole in front
-            self._ooo.pop(0)
-            tail = self._rel(stop)
-            if 0 < tail < MAX_SEQ // 2:
+            ooo.pop(0)
+            tail = (stop - self.rcv_nxt) & _MASK
+            if 0 < tail < _HALF:
                 self._deliver(tail)
 
     def _handle_fin(self, seq: int, payload_len: int) -> None:
-        fin_seq = (seq + payload_len) & (MAX_SEQ - 1)
-        if fin_seq == self.rcv_nxt:
-            self.rcv_nxt = (self.rcv_nxt + 1) & (MAX_SEQ - 1)
+        if (seq + payload_len) & _MASK == self.rcv_nxt:
+            self.rcv_nxt = (self.rcv_nxt + 1) & _MASK
             if self.state == TCPState.ESTABLISHED:
                 self.state = TCPState.CLOSE_WAIT
-            self._send_ack()
+        self._send_ack()  # a repeated FIN too: the ACK of the first may be lost
 
     def _schedule_delack(self) -> None:
         if self._delack_handle is None:

@@ -1,9 +1,11 @@
 """TCP edge cases: CUBIC end-to-end, FIN handling, SACK behaviour."""
 
+import struct
+
 import pytest
 
 from repro.net import Topology
-from repro.packet import TCPOption
+from repro.packet import TCPHeader, TCPOption
 from repro.sim import Netem
 from repro.tcpstack import Cubic, Reno, TCPConnection, TCPListener, TCPState
 
@@ -18,6 +20,18 @@ def simple_pair(netem=None, mtu=1500, bandwidth=10e9):
               queue_bytes=1 << 24)
     topo.build_routes()
     return topo, client, server
+
+
+def spy(host):
+    """Record every packet *host* sends, and still send it."""
+    sent, forward = [], host.send
+
+    def send(packet, size=None):
+        sent.append(packet)
+        return forward(packet, size)
+
+    host.send = send
+    return sent
 
 
 class TestCubicEndToEnd:
@@ -69,6 +83,64 @@ class TestFinHandling:
         assert listener.connections[0].state == TCPState.CLOSE_WAIT
         assert listener.connections[0].bytes_delivered == 0
 
+    @staticmethod
+    def open_pair():
+        topo, client, server = simple_pair()
+        listener = TCPListener(server, 80)
+        conn = TCPConnection(client, 40000, server.ip, 80)
+        conn.connect()
+        topo.run(until=1.0)
+        return topo, client, server, conn, listener.connections[0]
+
+    def test_a_lost_fin_is_retransmitted_as_a_fin_not_a_byte(self):
+        topo, client, server, conn, server_conn = self.open_pair()
+        original, dropped = client.send, []
+
+        def lose_first_fin(packet, size=None):
+            if packet.tcp.fin and not dropped:
+                dropped.append(packet)
+                return True
+            return original(packet, size)
+
+        client.send = lose_first_fin
+        conn.send_bulk(3000)
+        conn.close()
+        topo.run(until=5.0)
+        assert dropped and conn.retransmits == 1
+        assert server_conn.bytes_delivered == 3000  # was 3001: the FIN's slot as data
+        assert server_conn.state == TCPState.CLOSE_WAIT
+        assert conn.snd_una == conn.snd_nxt
+
+    def test_the_side_that_took_the_fin_still_sends_its_data_and_its_own_fin(self):
+        topo, client, server, conn, server_conn = self.open_pair()
+        server_conn.send_bulk(2_000_000)  # far more than one window
+        conn.close()
+        topo.run(until=2.0)
+        assert server_conn.state == TCPState.CLOSE_WAIT
+        server_conn.close()
+        topo.run(until=5.0)
+        assert conn.bytes_delivered == 2_000_000
+        assert server_conn.state == TCPState.LAST_ACK
+        assert conn.rcv_nxt == (server_conn.iss + 2_000_002) & 0xFFFFFFFF  # data, then FIN
+        assert server_conn.snd_una == server_conn.snd_nxt
+        assert topo.sim.pending() == 0
+
+    def test_a_repeated_fin_is_acknowledged_again(self):
+        topo, client, server, conn, server_conn = self.open_pair()
+        from_client, from_server = spy(client), spy(server)
+        conn.close()
+        topo.run(until=2.0)
+        fin = next(packet for packet in from_client if packet.tcp.fin)
+        from_server.clear()
+        server_conn._on_packet(fin)  # as if its first ACK had been lost
+        assert [packet.tcp.ack for packet in from_server] == [server_conn.rcv_nxt]
+
+
+def sack_ack(*blocks):
+    """A TCP header carrying *blocks* as one SACK option."""
+    edges = [seq & 0xFFFFFFFF for block in blocks for seq in block]
+    return TCPHeader(options=[TCPOption(TCPOption.SACK, struct.pack(f"!{len(edges)}I", *edges))])
+
 
 class TestSackBehaviour:
     def test_receiver_advertises_sack_blocks_on_gap(self):
@@ -80,20 +152,13 @@ class TestSackBehaviour:
         topo.run(until=1.0)
         server_conn = listener.connections[0]
 
-        sack_acks = []
-        original = server_conn._send_ack
-
-        def spy():
-            original()
-            if server_conn._ooo:
-                sack_acks.append(list(server_conn._ooo))
-
-        server_conn._send_ack = spy
+        sent = spy(server)
         # Inject out-of-order data directly: a segment beyond a hole.
-        server_conn._handle_data(server_conn.rcv_nxt + 5000, 1000, psh=False)
-        assert sack_acks, "dup-ACK with SACK state expected"
-        start, stop = sack_acks[0][0]
-        assert (stop - start) & 0xFFFFFFFF == 1000
+        hole_end = (server_conn.rcv_nxt + 5000) & 0xFFFFFFFF
+        server_conn._handle_data(hole_end, 1000, psh=False)
+        sacks = [packet.tcp.find_option(TCPOption.SACK) for packet in sent]
+        assert sacks and sacks[0] is not None, "dup-ACK with SACK state expected"
+        assert struct.unpack("!II", sacks[0].data) == (hole_end, (hole_end + 1000) & 0xFFFFFFFF)
 
     def test_retransmit_targets_exact_hole(self):
         topo, client, server = simple_pair(netem=Netem(loss=0.0))
@@ -103,8 +168,7 @@ class TestSackBehaviour:
         topo.run(until=1.0)
         # Fabricate SACK state: 1460-byte hole at snd_una, then data.
         conn.snd_nxt = (conn.snd_una + 20_000) & 0xFFFFFFFF
-        conn._sack_insert((conn.snd_una + 1460) & 0xFFFFFFFF,
-                          (conn.snd_una + 20_000) & 0xFFFFFFFF)
+        conn._record_sack(sack_ack((conn.snd_una + 1460, conn.snd_una + 20_000)))
         sent = []
         conn._transmit_segment = lambda seq, length, retransmission=False: sent.append(
             (seq, length))
@@ -114,10 +178,12 @@ class TestSackBehaviour:
     def test_stale_sack_blocks_pruned(self):
         topo, client, server = simple_pair()
         conn = TCPConnection(client, 40000, server.ip, 80)
-        conn._sack_insert(5000, 6000)
-        assert conn._sacked
+        conn._record_sack(sack_ack((5000, 6000)))
+        assert conn._sacked == [(5000, 6000)]
         conn.snd_una = 7000
         conn._sack_prune()
+        assert conn._sacked == []
+        conn._record_sack(sack_ack((5000, 6000)))  # a late ACK repeats it: stale
         assert conn._sacked == []
 
 
@@ -142,17 +208,10 @@ class TestMiscConnection:
 
     def test_window_scale_option_on_syn(self):
         topo, client, server = simple_pair()
-        syns = []
-        original = client.send
-
-        def spy(packet, size=None):
-            if packet.is_tcp and packet.tcp.syn:
-                syns.append(packet)
-            return original(packet, size)
-
-        client.send = spy
+        sent = spy(client)
         conn = TCPConnection(client, 40000, server.ip, 80, mss=8960)
         conn.connect()
+        syns = [packet for packet in sent if packet.is_tcp and packet.tcp.syn]
         assert syns
         assert syns[0].tcp.mss_option == 8960
         wscale = syns[0].tcp.find_option(TCPOption.WINDOW_SCALE)
