@@ -8,7 +8,6 @@ from .caravan import (
     encode_caravan,
     is_caravan,
 )
-from .classifier import FlowClassifier
 from .config import Bound, GatewayConfig
 from .dispatch import GatewayDatapath
 from .flow_table import FlowState, FlowTable
@@ -36,7 +35,6 @@ __all__ = [
     "GatewayStats",
     "FlowTable",
     "FlowState",
-    "FlowClassifier",
     "MssClamp",
     "TcpMergeEngine",
     "TcpSplitEngine",

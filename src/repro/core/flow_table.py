@@ -1,9 +1,11 @@
-"""The PXGW flow table: per-flow state with O(1) lookup and LRU eviction.
+"""The PXGW flow table: per-flow state, LRU eviction, and the classifier.
 
-One lookup happens per received packet, so the table is a plain dict
-(hash of the 5-tuple NamedTuple) fronted by an OrderedDict LRU.  The
-per-flow record carries what the classifier and merge engines need:
-packet/byte counters, the mouse/elephant verdict, and recency.
+One lookup happens per received packet, so the table is an OrderedDict
+LRU keyed by the 5-tuple NamedTuple, and that lookup also classifies:
+small, sporadic flows are rarely mergeable, so PXGW steers mice through
+the NIC hairpin path (§3, §4.1).  A flow is promoted to elephant after
+``threshold_packets`` arrivals within a sliding ``window``; promotion is
+sticky until the flow goes idle.
 """
 
 from __future__ import annotations
@@ -46,18 +48,22 @@ class FlowState:
 
 
 class FlowTable:
-    """LRU-bounded flow state store."""
+    """LRU-bounded flow state store with online mouse/elephant classification."""
 
     def __init__(self, capacity: int = 1_000_000,
-                 on_evict: Optional[Callable[[FlowState], None]] = None):
+                 on_evict: Optional[Callable[[FlowState], None]] = None,
+                 threshold_packets: int = 8, window: float = 0.01):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.on_evict = on_evict
+        self.threshold_packets = threshold_packets
+        self.window = window
         self._flows: "OrderedDict[FlowKey, FlowState]" = OrderedDict()
         self.lookups = 0
         self.misses = 0
         self.evictions = 0
+        self.promotions = 0
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -83,6 +89,28 @@ class FlowTable:
             self._flows[key] = state
         else:
             self._flows.move_to_end(key)
+        return state
+
+    def observe(self, key: FlowKey, size: int, now: float = 0.0) -> FlowState:
+        """Account one *size*-byte packet of *key*'s flow; returns its
+        (possibly promoted) record.  A miss inserts via :meth:`lookup`."""
+        flows = self._flows
+        state = flows.get(key)
+        if state is None:
+            state = self.lookup(key, now)
+        else:
+            self.lookups += 1
+            flows.move_to_end(key)
+        if now - state.window_start > self.window:
+            state.reset_window(now)
+        # FlowState.touch(), without the call: once per keyed packet.
+        state.packets += 1
+        state.bytes += size
+        state.last_seen = now
+        state.window_packets += 1
+        if not state.is_elephant and state.window_packets >= self.threshold_packets:
+            state.is_elephant = True
+            self.promotions += 1
         return state
 
     def peek(self, key: FlowKey) -> Optional[FlowState]:

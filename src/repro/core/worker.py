@@ -20,7 +20,6 @@ from .caravan import (
     caravan_inner_count,
     is_caravan,
 )
-from .classifier import FlowClassifier
 from .config import Bound, GatewayConfig
 from .flow_table import FlowTable
 from .mss_clamp import MssClamp
@@ -135,10 +134,8 @@ class GatewayWorker:
         )
         self.caravan_split = CaravanSplitEngine()
         self.mss_clamp = MssClamp(config)
-        self.flows = FlowTable(capacity=config.flow_table_capacity)
-        self.classifier = FlowClassifier(
-            self.flows, threshold_packets=config.elephant_threshold_packets
-        )
+        self.flows = FlowTable(capacity=config.flow_table_capacity,
+                               threshold_packets=config.elephant_threshold_packets)
         self.stats = GatewayStats()
         self.account = CycleAccount()
         self.mode = WorkerMode.NORMAL
@@ -241,7 +238,7 @@ class GatewayWorker:
                 cycles = self._cost_classifier
                 account.cycles += cycles
                 breakdown["classify"] = breakdown.get("classify", 0.0) + cycles
-                state = self.classifier.observe(packet, now, size=size)
+                state = self.flows.observe(key, size, now)
             # Handshake packets always take the slow path: MSS intervention.
             if is_tcp and packet.l4.flags & TCPFlags.SYN:
                 cycles = self._cost_slowpath
@@ -302,7 +299,7 @@ class GatewayWorker:
 
         # The one tail every path reaches; a handshake is not data.
         if outputs:
-            self._emit(outputs, bound == Bound.INBOUND and stage != "mss")
+            self._emit(outputs, bound == Bound.INBOUND and stage != "mss", packet, size)
         for observer in self.observers:
             observer.on_packet(self, now, ingress_at, packet, size, bound,
                                key, state, stage, outputs)
@@ -477,8 +474,10 @@ class GatewayWorker:
             observer.on_flush(self, now, flushed, batch)
         return flushed
 
-    def _emit(self, packets: List[Packet], inbound_data: bool) -> None:
-        """Tx accounting for *packets* about to leave the worker."""
+    def _emit(self, packets: List[Packet], inbound_data: bool,
+              ingress: Packet = None, size: int = 0) -> None:
+        """Tx accounting for *packets* about to leave the worker; an
+        output that ``is`` *ingress* is credited its known *size*."""
         account = self.account
         breakdown = account.breakdown
         stats = self.stats
@@ -486,11 +485,12 @@ class GatewayWorker:
         # Per-packet adds (not ``cycles * n``) keep float accumulation
         # order — and therefore reported totals — bit-identical to the
         # pre-inlined accounting.
-        for packet in packets:
+        for out in packets:
             account.cycles += tx_cycles
             breakdown["tx"] = breakdown.get("tx", 0.0) + tx_cycles
             stats.tx_packets += 1
             if inbound_data:
-                proto = packet.ip.protocol
-                if len(packet.payload) > 0 if proto == IPProto.TCP else proto == IPProto.UDP:
-                    stats.note_inbound_data_packet(packet.total_len, self._imtu)
+                proto = out.ip.protocol
+                if len(out.payload) > 0 if proto == IPProto.TCP else proto == IPProto.UDP:
+                    stats.note_inbound_data_packet(
+                        size if out is ingress else out.total_len, self._imtu)

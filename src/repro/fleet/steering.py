@@ -26,20 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..nic.rss import DEFAULT_RSS_KEY, flow_hash
+from ..nic.rss import DEFAULT_RSS_KEY, flow_hash, mix64
 from ..packet import FlowKey
 
 __all__ = ["FleetSteering"]
 
 _MASK64 = (1 << 64) - 1
-
-
-def _mix64(value: int) -> int:
-    """SplitMix64 finalizer: a deterministic, well-mixed 64-bit hash."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 class FleetSteering:
@@ -52,7 +44,7 @@ class FleetSteering:
         self.key = key
         #: Per-shard weight seeds; frozen at construction so the flow →
         #: shard map is a pure function of (flow, live membership).
-        self._shard_seeds = [_mix64(seed + index + 1) for index in range(shards)]
+        self._shard_seeds = [mix64(seed + index + 1) for index in range(shards)]
         self._live = [True] * shards
         self._cache: Dict[FlowKey, int] = {}
         #: Steering decisions landed on each shard (cache hits count —
@@ -108,8 +100,10 @@ class FleetSteering:
 
     # ------------------------------------------------------------------
     def _scan(self, flow: FlowKey) -> int:
-        """The rendezvous scan: the live shard with *flow*'s top weight."""
+        """The rendezvous scan: the live shard with *flow*'s top weight,
+        ``mix64(flow_hash ^ seed)`` with SplitMix64 written out inline."""
         base = flow_hash(flow, self.key)
+        mask = _MASK64
         best = -1
         best_weight = -1
         live = self._live
@@ -117,7 +111,10 @@ class FleetSteering:
         for index in range(self.shards):
             if not live[index]:
                 continue
-            weight = _mix64(base ^ seeds[index])
+            weight = ((base ^ seeds[index]) + 0x9E3779B97F4A7C15) & mask
+            weight = ((weight ^ (weight >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            weight = ((weight ^ (weight >> 27)) * 0x94D049BB133111EB) & mask
+            weight ^= weight >> 31
             if weight > best_weight:
                 best_weight = weight
                 best = index

@@ -8,13 +8,14 @@ key, so flow→queue placement (and its imbalance) matches hardware.
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 from typing import Sequence, Tuple
 
 from ..packet import FlowKey
 
-__all__ = ["toeplitz_hash", "RssDistributor", "DEFAULT_RSS_KEY"]
+__all__ = ["toeplitz_hash", "flow_hash", "mix64", "RssDistributor", "DEFAULT_RSS_KEY"]
+
+_MASK64 = (1 << 64) - 1
 
 #: The 40-byte default RSS key Microsoft published and most NICs ship.
 DEFAULT_RSS_KEY = bytes(
@@ -64,9 +65,28 @@ def toeplitz_hash(data: bytes, key: bytes = DEFAULT_RSS_KEY) -> int:
 
 
 def flow_hash(key: FlowKey, rss_key: bytes = DEFAULT_RSS_KEY) -> int:
-    """RSS hash input for IPv4 TCP/UDP: src ip, dst ip, src port, dst port."""
-    data = struct.pack("!IIHH", key.src_ip, key.dst_ip, key.src_port, key.dst_port)
-    return toeplitz_hash(data, rss_key)
+    """RSS hash of IPv4 TCP/UDP: src ip, dst ip, src port, dst port.
+
+    ``toeplitz_hash`` of those packed ``!IIHH``, read from the fields.
+    """
+    tables = _toeplitz_tables(rss_key)
+    if len(tables) < 12:
+        raise ValueError("RSS key too short for input")
+    _protocol, src, sport, dst, dport = key
+    return (tables[0][src >> 24] ^ tables[1][src >> 16 & 255]
+            ^ tables[2][src >> 8 & 255] ^ tables[3][src & 255]
+            ^ tables[4][dst >> 24] ^ tables[5][dst >> 16 & 255]
+            ^ tables[6][dst >> 8 & 255] ^ tables[7][dst & 255]
+            ^ tables[8][sport >> 8] ^ tables[9][sport & 255]
+            ^ tables[10][dport >> 8] ^ tables[11][dport & 255])
+
+
+def mix64(value: int) -> int:
+    """SplitMix64 finalizer: a deterministic, well-mixed 64-bit hash."""
+    value = (value + 0x9E3779B97F4A7C15) & _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
 
 
 class RssDistributor:

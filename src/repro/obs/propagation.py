@@ -30,19 +30,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.worker import WorkerObserver
-from ..nic.rss import DEFAULT_RSS_KEY, flow_hash
+from ..nic.rss import DEFAULT_RSS_KEY, flow_hash, mix64
 
 __all__ = ["TraceContext", "TracePropagation"]
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(value: int) -> int:
-    """SplitMix64 finalizer (same mix the fleet steering stage uses)."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 class TraceContext:
@@ -75,7 +65,7 @@ class TracePropagation(WorkerObserver):
     def __init__(self, seed: int = 0, key: bytes = DEFAULT_RSS_KEY) -> None:
         self.seed = int(seed)
         self.key = key
-        self._seed_mix = _mix64(self.seed ^ 0x7C0FFEE5)
+        self._seed_mix = mix64(self.seed ^ 0x7C0FFEE5)
         self.contexts: Dict[Any, TraceContext] = {}
         self.ingresses = 0
         self.handoffs = 0
@@ -105,7 +95,7 @@ class TracePropagation(WorkerObserver):
 
     def trace_id(self, flow) -> str:
         """Deterministic 64-bit trace id for ``flow`` under this seed."""
-        return format(_mix64(flow_hash(flow, self.key) ^ self._seed_mix), "016x")
+        return format(mix64(flow_hash(flow, self.key) ^ self._seed_mix), "016x")
 
     def _context(self, flow) -> TraceContext:
         ctx = self.contexts.get(flow)

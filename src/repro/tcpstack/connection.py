@@ -341,10 +341,11 @@ class TCPConnection:
         if flags & TCPFlags.ACK:
             if tcp.options:
                 self._record_sack(tcp)
-            # Only a segment without data can be a duplicate ACK (RFC
-            # 5681 §2): the reverse stream of a two-way transfer repeats
-            # the same ACK number on every data segment.
-            self._handle_ack(tcp.ack, not payload)
+            # Only a segment without data or FIN can be a duplicate ACK
+            # (RFC 5681 §2 (a), (c)): the reverse stream of a two-way
+            # transfer repeats the same ACK number on every data segment,
+            # and so does the peer's FIN while our data is in flight.
+            self._handle_ack(tcp.ack, not payload and not flags & TCPFlags.FIN)
         if payload:
             self._handle_data(tcp.seq, len(payload), flags & TCPFlags.PSH)
         if flags & TCPFlags.FIN:
@@ -431,7 +432,7 @@ class TCPConnection:
         self.host.send(packet, 40 + length)
 
     def _handle_ack(self, ack: int, bare: bool) -> None:
-        """Process an ACK number; *bare* says its segment carried no data."""
+        """Process an ACK number; *bare* says its segment carried no data and no FIN."""
         acked = (ack - self.snd_una) & _MASK
         if 0 < acked < _HALF and not 0 < (ack - self.snd_nxt) & _MASK < _HALF:
             self.snd_una = ack

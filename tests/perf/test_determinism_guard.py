@@ -2,9 +2,9 @@
 
 The chaos digests hash every link-tap event stream of a scenario (every
 link's tx/rx/drop, in order).  The goldens were captured before the
-fast-path optimizations landed, so any reordering, dropped
-notification, or changed length introduced by a datapath rewrite fails
-here — not in a flaky end-to-end run.
+observability layer landed, so any reordering, dropped notification,
+or changed length introduced by a datapath rewrite fails here — not in
+a flaky end-to-end run.
 """
 
 import json
@@ -14,12 +14,7 @@ import pytest
 
 from repro.chaos.scenarios import corpus, run_scenario
 
-_HERE = os.path.dirname(__file__)
-
-
-def _load(name):
-    with open(os.path.join(_HERE, name)) as handle:
-        return json.load(handle)
+_GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "obs", "chaos_digests_pr5.json")
 
 
 @pytest.mark.parametrize(
@@ -30,9 +25,11 @@ def _load(name):
     ],
 )
 def test_chaos_digest_matches_golden(name, seed):
-    # The full 56-scenario sweep runs in tests/chaos; here a fast
-    # cross-profile slice pins the goldens so a datapath change that
-    # silently perturbs event order is caught in this suite too.
-    golden = _load("chaos_digests_pr3.json")
+    # The full 56-scenario sweep runs in tests/chaos and
+    # tests/obs/test_perturbation_guard.py; here a fast cross-profile
+    # slice pins the same goldens so a datapath change that silently
+    # perturbs event order is caught in this suite too.
+    with open(_GOLDEN) as handle:
+        golden = json.load(handle)
     result = run_scenario(name, seed)
     assert result.digest == golden[f"{name}:{seed}"]

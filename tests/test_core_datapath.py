@@ -57,7 +57,7 @@ class TestGatewayWorker:
             worker.process(source.next_packet(), Bound.INBOUND)
             hairpinned.append(worker.stats.hairpinned - before)
         assert hairpinned == [1] * (threshold - 1) + [0] * 4
-        assert worker.classifier.promotions == 1
+        assert worker.flows.promotions == 1
 
     def test_outbound_jumbo_split(self):
         worker = GatewayWorker(GatewayConfig(hairpin_small_flows=False))

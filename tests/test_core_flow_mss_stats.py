@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     Bound,
-    FlowClassifier,
     FlowTable,
     GatewayConfig,
     GatewayStats,
@@ -121,35 +120,33 @@ class TestFlowTable:
 
 
 class TestClassifier:
-    def packet(self, flow=0):
-        return build_udp("1.0.0.1", "2.0.0.2", 1000 + flow, 80, payload=b"x" * 100)
+    def observe(self, table, now):
+        packet = build_udp("1.0.0.1", "2.0.0.2", 1000, 80, payload=b"x" * 100)
+        return table.observe(packet.flow_key(), packet.total_len, now=now)
 
     def test_promotion_after_threshold(self):
-        table = FlowTable()
-        classifier = FlowClassifier(table, threshold_packets=4, window=1.0)
-        verdicts = [
-            classifier.observe(self.packet(), now=0.001 * i).is_elephant
-            for i in range(5)
-        ]
+        table = FlowTable(threshold_packets=4, window=1.0)
+        verdicts = [self.observe(table, now=0.001 * i).is_elephant for i in range(5)]
         assert verdicts == [False, False, False, True, True]
-        assert classifier.promotions == 1
+        assert table.promotions == 1
+        state = table.peek(FlowKey(IPProto.UDP, 0x01000001, 1000, 0x02000002, 80))
+        assert (state.packets, state.bytes) == (5, 5 * 128)
+        assert (table.lookups, table.misses) == (5, 1)
 
     def test_sporadic_flow_stays_mouse(self):
-        table = FlowTable()
-        classifier = FlowClassifier(table, threshold_packets=4, window=0.01)
+        table = FlowTable(threshold_packets=4, window=0.01)
         # One packet every 100 ms: the window resets between arrivals.
         for i in range(20):
-            state = classifier.observe(self.packet(), now=0.1 * i)
+            state = self.observe(table, now=0.1 * i)
         assert not state.is_elephant
 
     def test_promotion_is_sticky(self):
-        table = FlowTable()
-        classifier = FlowClassifier(table, threshold_packets=2, window=0.01)
-        classifier.observe(self.packet(), now=0.0)
-        state = classifier.observe(self.packet(), now=0.001)
+        table = FlowTable(threshold_packets=2, window=0.01)
+        self.observe(table, now=0.0)
+        state = self.observe(table, now=0.001)
         assert state.is_elephant
         # Quiet period, then one packet: still an elephant.
-        state = classifier.observe(self.packet(), now=5.0)
+        state = self.observe(table, now=5.0)
         assert state.is_elephant
 
 

@@ -135,6 +135,21 @@ class TestFinHandling:
         server_conn._on_packet(fin)  # as if its first ACK had been lost
         assert [packet.tcp.ack for packet in from_server] == [server_conn.rcv_nxt]
 
+    def test_a_fin_is_never_a_duplicate_ack(self):
+        # RFC 5681 §2 (c): the peer's FIN acknowledges our snd_una while
+        # our data is in flight; three copies must not fast-retransmit.
+        topo, client, server, conn, server_conn = self.open_pair()
+        from_client = spy(client)
+        server_conn.send_bulk(50_000)  # in flight, none of it delivered yet
+        conn.close()
+        fin = next(packet for packet in from_client if packet.tcp.fin)
+        assert fin.tcp.ack == server_conn.snd_una != server_conn.snd_nxt
+        cwnd = server_conn.cc.cwnd
+        for _ in range(3):
+            server_conn._on_packet(fin)
+        assert server_conn.retransmits == 0
+        assert server_conn.cc.cwnd == cwnd
+
 
 def sack_ack(*blocks):
     """A TCP header carrying *blocks* as one SACK option."""
