@@ -1,6 +1,6 @@
 """Deterministic chaos testing for the PX datapath (guide: `docs/CHAOS.md`).
 
-Three layers:
+Three layers, over one world builder (:mod:`repro.chaos.world`):
 
 * :mod:`repro.chaos.faults` — the :class:`FaultPlan` DSL: seeded,
   schedule-driven drop/duplicate/reorder/corrupt/truncate/delay faults
@@ -49,8 +49,13 @@ from .scenarios import (
     run_scenario,
 )
 from .shrink import ShrinkResult, shrink_plan
+from .world import LinkSpec, World, WorldSpec, build
 
 __all__ = [
+    "LinkSpec",
+    "WorldSpec",
+    "World",
+    "build",
     "Match",
     "Fault",
     "GatewayFault",

@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import GatewayConfig, PXGateway
-from ..net import Topology
+from ..core import GatewayConfig
 from ..obs import (
     AlertEngine,
     Observability,
@@ -54,6 +53,7 @@ from ..tcpstack import TCPConnection, TCPListener
 from .faults import AttackFault, Fault, FaultLog, FaultPlan, LyingDaemonInjector, Match
 from .oracle import ChaosTap, InvariantOracle, trace_digest
 from .scenarios import PROBER_PORT
+from .world import EMTU, IMTU, LinkSpec, World, WorldSpec, build
 
 __all__ = [
     "AttackWorld",
@@ -67,12 +67,8 @@ __all__ = [
     "run_differential",
 ]
 
-_IMTU = 9000
-_EMTU = 1500
 #: The hidden bottleneck between the middle router and the server.
 BOTTLENECK_MTU = 1280
-_INSIDE_MSS = _IMTU - 40
-_OUTSIDE_MSS = _EMTU - 40
 
 #: Source ports of the victim's discovery agents (what a forger must
 #: reach; well-known here, as they would be to a determined attacker).
@@ -86,18 +82,11 @@ NEIGHBOR_FLOW = ("neighbor", 41001, "server", 9101)
 
 
 @dataclass
-class AttackWorld:
+class AttackWorld(World):
     """A chaos world with an adversary attached."""
 
-    topo: Topology
-    gateway: PXGateway
-    victim: object
-    neighbor: object
+    #: The peer every workload discovers toward and uploads to.
     server: object
-    attacker: object
-    mid: object
-    links: Dict[str, object]
-    taps: Dict[str, ChaosTap]
     log: FaultLog
     policy: HardeningPolicy
     hardened: bool
@@ -108,11 +97,9 @@ class AttackWorld:
     resilient: ResilientPmtud
     ptb_victim: PtbListener
     ptb_neighbor: PtbListener
-    #: Role name -> address, for resolving AttackFault targets.
-    roles: Dict[str, int] = field(default_factory=dict)
-    obs: Optional[object] = None
-    alerts: Optional[AlertEngine] = None
-    timeline: Optional[TelemetryTimeline] = None
+    obs: Observability
+    alerts: AlertEngine
+    timeline: TelemetryTimeline
 
 
 @dataclass
@@ -146,43 +133,30 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
     """Build the adversarial topology: victim+neighbor | PXGW | mid | server,
     with the attacker hanging off the mid router."""
     policy = HardeningPolicy.hardened() if hardened else HardeningPolicy.unhardened()
-    topo = Topology(seed=434343)
-    victim = topo.add_host("victim")
-    neighbor = topo.add_host("neighbor")
-    server = topo.add_host("server")
-    attacker = topo.add_host("attacker")
     config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-    mid = topo.add_router("mid")
-
     # External links are deliberately slow (100 Mb/s): uploads must
     # still be in flight while the attacks run, so mis-sizing shows up
     # in the packet stream rather than racing the transfer's end.
-    topo.link(victim, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.link(neighbor, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.link(gateway, mid, mtu=_EMTU, bandwidth_bps=100e6, delay=2e-4)
-    topo.link(mid, server, mtu=BOTTLENECK_MTU, bandwidth_bps=100e6, delay=2e-4)
-    topo.link(mid, attacker, mtu=_EMTU, bandwidth_bps=100e6, delay=1e-4)
-
-    links: Dict[str, object] = {}
-    _, _, ext_out, ext_in = topo.edge(gateway, mid)
-    _, _, far_out, far_in = topo.edge(mid, server)
-    _, _, atk_out, atk_in = topo.edge(attacker, mid)
-    _, vic_gw_iface, vic_out, vic_in = topo.edge(victim, gateway)
-    _, nbr_gw_iface, nbr_out, nbr_in = topo.edge(neighbor, gateway)
-    links.update(ext_out=ext_out, ext_in=ext_in, far_out=far_out,
-                 far_in=far_in, atk_out=atk_out, atk_in=atk_in,
-                 vic_out=vic_out, vic_in=vic_in,
-                 nbr_out=nbr_out, nbr_in=nbr_in)
-
-    topo.build_routes()
-    gateway.mark_internal(vic_gw_iface)
-    gateway.mark_internal(nbr_gw_iface)
+    world = build(WorldSpec(
+        seed=434343, hosts=("victim", "neighbor", "server", "attacker"),
+        links=(
+            LinkSpec("victim", "pxgw", IMTU, 10e9, 5e-5, roles=("vic_out", "vic_in")),
+            LinkSpec("neighbor", "pxgw", IMTU, 10e9, 5e-5, roles=("nbr_out", "nbr_in")),
+            LinkSpec("pxgw", "mid", EMTU, 100e6, 2e-4, roles=("ext_out", "ext_in")),
+            LinkSpec("mid", "server", BOTTLENECK_MTU, 100e6, 2e-4,
+                     roles=("far_out", "far_in")),
+            LinkSpec("mid", "attacker", EMTU, 100e6, 1e-4, roles=("atk_in", "atk_out")),
+        ),
+        config=config, routers=("mid",), inside=("victim", "neighbor"),
+        taps=("ext_out", "ext_in", "far_out", "far_in",
+              "vic_out", "vic_in", "nbr_out", "nbr_in"),
+    ))
+    gateway, nodes = world.gateway, world.nodes
+    victim, neighbor, server = nodes["victim"], nodes["neighbor"], nodes["server"]
     # b-network hosts: the gateway may bundle inbound UDP (including an
     # attacker's spray) into caravans, so the victims must open them.
-    victim.enable_caravan_stack(_IMTU)
-    neighbor.enable_caravan_stack(_IMTU)
+    victim.enable_caravan_stack(IMTU)
+    neighbor.enable_caravan_stack(IMTU)
 
     # The PMTU cache carries the policy: per-flow keying, unsolicited
     # bounds, and raise rejection all live behind it.
@@ -195,7 +169,7 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
     FPmtudDaemon(server)
     ProbeEchoDaemon(server)
     prober = FPmtudProber(victim, src_port=PROBER_PORT, policy=policy,
-                          link_mtu=_EMTU, nonce_seed=seed)
+                          link_mtu=EMTU, nonce_seed=seed)
     plpmtud = Plpmtud(victim, src_port=PLPMTUD_PORT, probe_timeout=0.15,
                       max_retries=2, policy=policy, nonce_seed=seed)
     classical = ClassicalPmtud(victim, src_port=CLASSICAL_PORT,
@@ -204,35 +178,19 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
     resilient = ResilientPmtud(victim, cache=cache, prober=prober,
                                plpmtud=plpmtud, fpmtud_timeout=0.3,
                                cache_ttl=None, seed=seed)
-    ptb_victim = PtbListener(victim, cache, policy=policy, link_mtu=_EMTU)
-    ptb_neighbor = PtbListener(neighbor, cache, policy=policy, link_mtu=_EMTU)
+    ptb_victim = PtbListener(victim, cache, policy=policy, link_mtu=EMTU)
+    ptb_neighbor = PtbListener(neighbor, cache, policy=policy, link_mtu=EMTU)
 
     observe_pmtud(obs, prober=prober)
     alerts = AlertEngine(adversarial_alert_rules())
-    timeline = TelemetryTimeline(topo.sim, obs.registry, interval=0.05,
+    timeline = TelemetryTimeline(world.topo.sim, obs.registry, interval=0.05,
                                  alerts=alerts)
     timeline.start()
 
-    taps: Dict[str, ChaosTap] = {}
-    for role in ("ext_out", "ext_in", "far_out", "far_in",
-                 "vic_out", "vic_in", "nbr_out", "nbr_in"):
-        tap = ChaosTap(role)
-        links[role].add_tap(tap)
-        taps[role] = tap
-
-    roles = {
-        "victim": victim.ip,
-        "neighbor": neighbor.ip,
-        "server": server.ip,
-        "attacker": attacker.ip,
-        "mid": mid.interfaces[0].ip,
-    }
     return AttackWorld(
-        topo=topo, gateway=gateway, victim=victim, neighbor=neighbor,
-        server=server, attacker=attacker, mid=mid, links=links, taps=taps,
-        log=FaultLog(), policy=policy, hardened=hardened, prober=prober,
-        plpmtud=plpmtud, classical=classical, resilient=resilient,
-        ptb_victim=ptb_victim, ptb_neighbor=ptb_neighbor, roles=roles,
+        **vars(world), server=server, log=FaultLog(), policy=policy,
+        hardened=hardened, prober=prober, plpmtud=plpmtud, classical=classical,
+        resilient=resilient, ptb_victim=ptb_victim, ptb_neighbor=ptb_neighbor,
         obs=obs, alerts=alerts, timeline=timeline,
     )
 
@@ -240,14 +198,19 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
 # ----------------------------------------------------------------------
 # Attack scheduling
 # ----------------------------------------------------------------------
+def _address(world: AttackWorld, role: str) -> int:
+    """An AttackFault role's address: its node's first interface."""
+    return world.nodes[role].interfaces[0].ip
+
+
 def _forged_udp(world: AttackWorld, fault: AttackFault, payload: bytes,
                 src_port: int) -> None:
     """One spoofed UDP datagram from the attacker (off-path)."""
     packet = build_udp(
-        world.roles[fault.spoof], world.roles[fault.target],
+        _address(world, fault.spoof), _address(world, fault.target),
         src_port, fault.target_port, payload=payload,
     )
-    world.attacker.send(packet)
+    world.nodes["attacker"].send(packet)
 
 
 def _fire_forged_report(world: AttackWorld, fault: AttackFault) -> None:
@@ -265,13 +228,13 @@ def _fire_forged_echo_ack(world: AttackWorld, fault: AttackFault) -> None:
 def _fire_forged_ptb(world: AttackWorld, fault: AttackFault) -> None:
     src_role, src_port, dst_role, dst_port = fault.flow
     quoted = build_tcp(
-        world.roles[src_role], world.roles[dst_role], src_port, dst_port,
+        _address(world, src_role), _address(world, dst_role), src_port, dst_port,
     ).to_bytes()
     ptb = build_icmp(
-        world.roles[fault.spoof], world.roles[fault.target],
+        _address(world, fault.spoof), _address(world, fault.target),
         ICMPMessage.frag_needed(fault.mtu, quoted),
     )
-    world.attacker.send(ptb)
+    world.nodes["attacker"].send(ptb)
 
 
 _ATTACK_FIRES = {
@@ -291,21 +254,14 @@ def apply_attack_faults(plan: FaultPlan, world: AttackWorld) -> None:
     sim = world.topo.sim
     for fault in plan.attack_faults:
         if fault.kind == "lying_daemon":
-            world.links[fault.link].injector = LyingDaemonInjector(
-                fault.mtu, PROBER_PORT, world.log)
+            world.install({fault.link: LyingDaemonInjector(
+                fault.mtu, PROBER_PORT, world.log)})
             continue
         fire = _ATTACK_FIRES[fault.kind]
         for burst in range(fault.count):
             sim.schedule_at(fault.at + burst * fault.interval,
                             fire, world, fault)
-    for role, injector in plan.injectors(world.log).items():
-        link = world.links.get(role)
-        if link is None:
-            raise ValueError(
-                f"attack plan targets unknown link role {role!r} "
-                f"(this world has {sorted(world.links)})"
-            )
-        link.injector = injector
+    world.install(plan.injectors(world.log))
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +313,7 @@ def _probe_workload(world: AttackWorld) -> Tuple[List[int], Dict[str, object]]:
 
     def launch() -> None:
         attempts[0] += 1
-        world.prober.probe(world.server.ip, _IMTU, results.append,
+        world.prober.probe(world.server.ip, IMTU, results.append,
                            timeout=0.4, on_timeout=on_timeout)
 
     def on_timeout() -> None:
@@ -374,7 +330,7 @@ def _plpmtud_workload(world: AttackWorld) -> Tuple[List[int], Dict[str, object]]
     """One PLPMTUD binary search toward the server."""
     results: list = []
     world.topo.sim.schedule_at(
-        1e-4, world.plpmtud.discover, world.server.ip, _EMTU, results.append)
+        1e-4, world.plpmtud.discover, world.server.ip, EMTU, results.append)
     world.topo.run(until=6.0)
     estimates = [result.pmtu for result in results]
     return estimates, {
@@ -387,7 +343,7 @@ def _classical_workload(world: AttackWorld) -> Tuple[List[int], Dict[str, object
     """One RFC 1191 discovery toward the server."""
     results: list = []
     world.topo.sim.schedule_at(
-        1e-4, world.classical.discover, world.server.ip, _EMTU, results.append)
+        1e-4, world.classical.discover, world.server.ip, EMTU, results.append)
     world.topo.run(until=6.0)
     estimates = [r.pmtu for r in results if r.pmtu is not None]
     return estimates, {
@@ -400,14 +356,14 @@ def _classical_workload(world: AttackWorld) -> Tuple[List[int], Dict[str, object
 def _start_upload(world: AttackWorld, flow: Tuple[str, int, str, int],
                   size: int, at: float) -> Tuple[TCPConnection, TCPListener]:
     src_role, src_port, _dst_role, dst_port = flow
-    listener = TCPListener(world.server, dst_port, mss=_OUTSIDE_MSS)
-    host = world.victim if src_role == "victim" else world.neighbor
+    listener = TCPListener(world.server, dst_port, mss=EMTU - 40)
+    host = world.nodes[src_role]
     # pmtud=False: sizing on the external side is the *gateway's* job
     # (it splits jumbos against its PMTU cache); leaving the host TCP
     # stack's own naive PTB handler on would let a forged PTB shrink
     # send_mss underneath the hardened cache and muddy the differential.
     conn = TCPConnection(host, src_port, world.server.ip, dst_port,
-                         mss=_INSIDE_MSS, pmtud=False)
+                         mss=IMTU - 40, pmtud=False)
     sim = world.topo.sim
     sim.schedule_at(at, conn.connect)
 
@@ -455,7 +411,7 @@ def _upload_workload(world: AttackWorld, flows=(VICTIM_FLOW,),
             uploads.append(_start_upload(world, flow, size, at=start))
 
     world.topo.sim.schedule_at(
-        1e-3, world.resilient.discover, world.server.ip, _IMTU, begin)
+        1e-3, world.resilient.discover, world.server.ip, IMTU, begin)
     world.topo.run(until=horizon)
     return _upload_notes(world, outcomes, uploads)
 
@@ -466,7 +422,7 @@ def _upload_many_workload(world: AttackWorld) -> Tuple[List[int], Dict[str, obje
     PMTU cache into the miss-spike alert."""
     outcomes: list = []
     world.topo.sim.schedule_at(
-        1e-3, world.resilient.discover, world.server.ip, _IMTU, outcomes.append)
+        1e-3, world.resilient.discover, world.server.ip, IMTU, outcomes.append)
     uploads = [
         _start_upload(world, ("victim", 42000 + index, "server", 9300 + index),
                       20_000, at=0.4)
@@ -628,7 +584,7 @@ _scenario(
 _scenario(
     "forged-ptb-cache-raise", "upload",
     lambda: FaultPlan(attack_faults=[AttackFault(
-        kind="forged_ptb", at=0.012, count=60, interval=5e-3, mtu=_EMTU,
+        kind="forged_ptb", at=0.012, count=60, interval=5e-3, mtu=EMTU,
         flow=VICTIM_FLOW, target="victim", spoof="mid",
     )]),
     _oversized,
@@ -740,19 +696,12 @@ def run_attack_scenario(name: str, seed: int = 0,
     # The sanity oracle runs only over *accepted* estimates: a hardened
     # stack must never have acted on an implausible value.
     oracle = InvariantOracle()
-    oracle.check_pmtu_sanity(estimates, BOTTLENECK_MTU, _EMTU)
+    oracle.check_pmtu_sanity(estimates, BOTTLENECK_MTU, EMTU)
     violations = list(oracle.violations) if hardened else []
     if not hardened:
         # The unhardened run *expects* sanity violations under attack;
         # they are the compromise evidence, not a test failure.
         notes["sanity_violations"] = list(oracle.violations)
-
-    alerts: Dict[str, object] = {}
-    if world.alerts is not None:
-        alerts = {
-            "states": world.alerts.states(),
-            "fired": sorted({t["rule"] for t in world.alerts.firings()}),
-        }
 
     return AttackResult(
         name=name,
@@ -763,7 +712,8 @@ def run_attack_scenario(name: str, seed: int = 0,
         digest=trace_digest(world.taps.values()),
         estimates=estimates,
         notes=notes,
-        alerts=alerts,
+        alerts={"states": world.alerts.states(),
+                "fired": sorted({t["rule"] for t in world.alerts.firings()})},
     )
 
 

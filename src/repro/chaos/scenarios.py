@@ -27,8 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import FPMTUD_PORT, GatewayConfig, PXGateway
-from ..net import Topology
+from ..core import FPMTUD_PORT, GatewayConfig
 from ..obs import Observability, SpanTracker
 from ..packet import IPProto
 from ..pmtud import FPmtudDaemon, FPmtudProber
@@ -42,7 +41,8 @@ from .faults import (
     Match,
     apply_gateway_faults,
 )
-from .oracle import ChaosTap, InvariantOracle, trace_digest
+from .oracle import InvariantOracle, trace_digest
+from .world import EMTU, IMTU, LinkSpec, World, WorldSpec, build
 
 __all__ = [
     "PROFILES",
@@ -59,36 +59,27 @@ PROFILES = ("tcp", "caravan", "mixed", "pmtud")
 #: The prober's source port (reports come back to it as plain UDP).
 PROBER_PORT = 52000
 
-_IMTU = 9000
-_EMTU = 1500
-_INSIDE_MSS = _IMTU - 40
-_OUTSIDE_MSS = _EMTU - 40
+_INSIDE_MSS = IMTU - 40
+_OUTSIDE_MSS = EMTU - 40
 
 #: Candidate hidden-bottleneck MTUs for the pmtud profile.
 _PMTUD_BOTTLENECKS = (1280, 1356, 1408, 1444)
 
 
 @dataclass
-class ChaosWorld:
-    """A built topology plus the chaos instrumentation attached to it."""
+class ChaosWorld(World):
+    """A built border world (roles: docs/CHAOS.md → "Worlds") plus its chaos probes."""
 
-    topo: Topology
-    gateway: PXGateway
     inside: object  # Host
     outside: object  # Host
-    #: Directed links by role: int_out (inside->gw), int_in (gw->inside),
-    #: ext_in (toward gw from outside), ext_out (gw toward outside), and
-    #: for pmtud additionally far_in / far_out around the bottleneck.
-    links: Dict[str, object]
-    taps: Dict[str, ChaosTap]
     log: FaultLog
-    mid_mtu: Optional[int] = None
     #: The resilience HealthMonitor attached to the gateway.
-    monitor: Optional[object] = None
+    monitor: object
     #: Observability bundle: metrics registry + span tracker, no tracer.
     #: Both are read-only mirrors of the datapath, so attaching them
     #: cannot perturb the digests (the perturbation guard pins this).
-    obs: Optional[object] = None
+    obs: Observability
+    mid_mtu: Optional[int] = None
 
 
 @dataclass
@@ -122,25 +113,13 @@ class ScenarioResult:
 def build_world(profile: str, seed: int) -> ChaosWorld:
     """Build the (deterministic) topology for one scenario."""
     rng = random.Random(f"world:{profile}:{seed}")
-    topo = Topology(seed=424242)
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-
-    topo.link(inside, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-
-    links: Dict[str, object] = {}
+    links = [LinkSpec("inside", "pxgw", IMTU, 10e9, 5e-5, roles=("int_out", "int_in"))]
     mid_mtu: Optional[int] = None
     if profile == "pmtud":
-        router = topo.add_router("mid")
         mid_mtu = rng.choice(_PMTUD_BOTTLENECKS)
-        topo.link(gateway, router, mtu=_EMTU, bandwidth_bps=10e9, delay=2e-4)
-        topo.link(router, outside, mtu=mid_mtu, bandwidth_bps=10e9, delay=2e-4)
-        _, _, ext_out, ext_in = topo.edge(gateway, router)
-        _, _, far_out, far_in = topo.edge(router, outside)
-        links.update(ext_out=ext_out, ext_in=ext_in, far_out=far_out, far_in=far_in)
+        links += [LinkSpec("pxgw", "mid", EMTU, 10e9, 2e-4, roles=("ext_out", "ext_in")),
+                  LinkSpec("mid", "outside", mid_mtu, 10e9, 2e-4,
+                           roles=("far_out", "far_in"))]
     else:
         # Seed-chosen ambient impairment: delay/jitter/reorder only, no
         # probabilistic loss, so the injected-fault accounting the
@@ -154,19 +133,17 @@ def build_world(profile: str, seed: int) -> ChaosWorld:
                 reorder_extra=1e-3,
                 seed=rng.getrandbits(32),
             )
-        topo.link(gateway, outside, mtu=_EMTU, bandwidth_bps=10e9, delay=5e-5,
-                  netem=netem)
-        _, _, ext_out, ext_in = topo.edge(gateway, outside)
-        links.update(ext_out=ext_out, ext_in=ext_in)
-
-    _, gw_iface, int_out, int_in = topo.edge(inside, gateway)
-    links.update(int_out=int_out, int_in=int_in)
-
-    topo.build_routes()
-    gateway.mark_internal(gw_iface)
+        links.append(LinkSpec("pxgw", "outside", EMTU, 10e9, 5e-5, netem,
+                              roles=("ext_out", "ext_in")))
+    world = build(WorldSpec(
+        seed=424242, hosts=("inside", "outside"), links=tuple(links),
+        config=GatewayConfig(elephant_threshold_packets=2, header_only_dma=True),
+        routers=("mid",) if mid_mtu else (), inside=("inside",),
+        taps=tuple(role for link in links for role in link.roles),
+    ))
     # The resilience layer under test: every scenario must end with the
     # gateway back in HEALTHY (oracle check 5).
-    monitor = gateway.enable_resilience()
+    monitor = world.gateway.enable_resilience()
     # Metrics registry + span tracker under test: the oracle reconciles
     # the registry exports against the live conservation counters and
     # asserts the span-balance identity at scenario end.  Both are
@@ -174,26 +151,10 @@ def build_world(profile: str, seed: int) -> ChaosWorld:
     # span FIFOs driven by worker hooks that never touch packets, RNGs,
     # or scheduling), so the chaos digests cannot move — the
     # perturbation guard in tests/obs pins that.
-    obs = gateway.attach_observability(Observability(spans=SpanTracker()))
-
-    taps: Dict[str, ChaosTap] = {}
-    for role, link in links.items():
-        tap = ChaosTap(role)
-        link.add_tap(tap)
-        taps[role] = tap
-
-    return ChaosWorld(
-        topo=topo,
-        gateway=gateway,
-        inside=inside,
-        outside=outside,
-        links=links,
-        taps=taps,
-        log=FaultLog(),
-        mid_mtu=mid_mtu,
-        monitor=monitor,
-        obs=obs,
-    )
+    obs = world.gateway.attach_observability(Observability(spans=SpanTracker()))
+    return ChaosWorld(**vars(world), inside=world.nodes["inside"],
+                      outside=world.nodes["outside"], log=FaultLog(),
+                      mid_mtu=mid_mtu, monitor=monitor, obs=obs)
 
 
 # ----------------------------------------------------------------------
@@ -316,18 +277,19 @@ def _await_handshakes(world: ChaosWorld, listeners: list, horizon: float = 4.0) 
     return deadline
 
 
-def _check_common(world: ChaosWorld, oracle: InvariantOracle) -> None:
+def _check_gateway(world: ChaosWorld, oracle: InvariantOracle) -> None:
     oracle.check_gateway_stats(world.gateway)
-    if world.monitor is not None:
-        oracle.check_recovery(world.monitor)
-    if world.obs is not None:
-        oracle.check_registry(world.obs.registry, world.gateway)
-        if world.obs.spans is not None:
-            oracle.check_spans(world.obs.spans, world.gateway)
-    oracle.check_segment_sizes(world.taps["int_in"], _IMTU, _INSIDE_MSS)
-    oracle.check_segment_sizes(world.taps["int_out"], _IMTU, _INSIDE_MSS)
-    oracle.check_segment_sizes(world.taps["ext_in"], _EMTU, _OUTSIDE_MSS)
-    oracle.check_segment_sizes(world.taps["ext_out"], _EMTU, _OUTSIDE_MSS)
+    oracle.check_recovery(world.monitor)
+    oracle.check_registry(world.obs.registry, world.gateway)
+    oracle.check_spans(world.obs.spans, world.gateway)
+
+
+def _check_common(world: ChaosWorld, oracle: InvariantOracle) -> None:
+    _check_gateway(world, oracle)
+    oracle.check_segment_sizes(world.taps["int_in"], IMTU, _INSIDE_MSS)
+    oracle.check_segment_sizes(world.taps["int_out"], IMTU, _INSIDE_MSS)
+    oracle.check_segment_sizes(world.taps["ext_in"], EMTU, _OUTSIDE_MSS)
+    oracle.check_segment_sizes(world.taps["ext_out"], EMTU, _OUTSIDE_MSS)
     # The gateway may only ever emit TCP bytes it has already received,
     # in both crossing directions.
     oracle.check_tcp_seq_coverage(world.taps["ext_in"], world.taps["int_in"])
@@ -372,7 +334,7 @@ def _unique_payloads(tag: int, count: int, size: int) -> List[bytes]:
 def _setup_datagram_flows(world: ChaosWorld) -> Dict[str, list]:
     """Inbound bursts (outside->inside, gateway-built caravans) plus an
     outbound bulk send (inside->outside, host-built caravans)."""
-    world.inside.enable_caravan_stack(_IMTU)
+    world.inside.enable_caravan_stack(IMTU)
     received_in: List[bytes] = []
     received_out: List[bytes] = []
     world.inside.on_udp(4433, lambda p, h: received_in.append(p.payload))
@@ -458,7 +420,7 @@ def _run_pmtud(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
 
     def launch() -> None:
         attempts[0] += 1
-        prober.probe(world.outside.ip, _IMTU, results.append,
+        prober.probe(world.outside.ip, IMTU, results.append,
                      timeout=0.8, on_timeout=on_timeout)
 
     def on_timeout() -> None:
@@ -468,17 +430,11 @@ def _run_pmtud(world: ChaosWorld, oracle: InvariantOracle) -> Dict[str, object]:
     launch()
     world.topo.run(until=6.0)
 
-    true_min = min(_EMTU, world.mid_mtu or _EMTU)
+    true_min = min(EMTU, world.mid_mtu or EMTU)
     oracle.check_pmtud(results, true_min)
-    oracle.check_gateway_stats(world.gateway)
-    if world.monitor is not None:
-        oracle.check_recovery(world.monitor)
-    if world.obs is not None:
-        oracle.check_registry(world.obs.registry, world.gateway)
-        if world.obs.spans is not None:
-            oracle.check_spans(world.obs.spans, world.gateway)
-    oracle.check_segment_sizes(world.taps["ext_in"], _EMTU)
-    oracle.check_segment_sizes(world.taps["far_in"], world.mid_mtu or _EMTU)
+    _check_gateway(world, oracle)
+    oracle.check_segment_sizes(world.taps["ext_in"], EMTU)
+    oracle.check_segment_sizes(world.taps["far_in"], world.mid_mtu or EMTU)
     return {
         "attempts": attempts[0],
         "pmtu": results[-1].pmtu if results else None,
@@ -514,24 +470,14 @@ def run_scenario(
     if plan is None:
         plan = build_plan(profile, seed)
     world = build_world(profile, seed)
-
-    for role, injector in plan.injectors(world.log).items():
-        link = world.links.get(role)
-        if link is None:
-            # A typo'd role would otherwise silently no-op the fault.
-            raise ValueError(
-                f"fault plan targets unknown link role {role!r} "
-                f"(this world has {sorted(world.links)})"
-            )
-        link.injector = injector
+    world.install(plan.injectors(world.log))
     apply_gateway_faults(plan, world.gateway)
     if mutate is not None:
         mutate(world)
 
     oracle = InvariantOracle()
     notes = _WORKLOADS[profile](world, oracle)
-    if world.monitor is not None:
-        notes["health"] = world.monitor.summary()
+    notes["health"] = world.monitor.summary()
     return ScenarioResult(
         profile=profile,
         seed=seed,

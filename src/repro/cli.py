@@ -218,33 +218,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_gateway(args) -> int:
-    from .core import GatewayConfig, PXGateway
-    from .net import Topology
+    from .chaos import LinkSpec, WorldSpec, build
+    from .core import GatewayConfig
     from .tcpstack import TCPConnection, TCPListener
 
-    topo = Topology()
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    gateway = PXGateway(topo.sim, "pxgw",
-                        config=GatewayConfig(imtu=args.imtu, emtu=args.emtu))
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=args.imtu)
-    topo.link(gateway, outside, mtu=args.emtu)
-    topo.build_routes()
-    gateway.mark_internal(gateway.interfaces[0])
-
+    world = build(WorldSpec(
+        seed=0, hosts=("inside", "outside"),
+        links=(LinkSpec("inside", "pxgw", args.imtu, 10e9, 1e-6),
+               LinkSpec("pxgw", "outside", args.emtu, 10e9, 1e-6)),
+        config=GatewayConfig(imtu=args.imtu, emtu=args.emtu), inside=("inside",),
+    ))
+    inside, outside = world.nodes["inside"], world.nodes["outside"]
     server = TCPListener(outside, 80, mss=args.emtu - 40)
     client = TCPConnection(inside, 40000, outside.ip, 80, mss=args.imtu - 40)
     client.connect()
-    topo.run(until=0.2)
+    world.topo.run(until=0.2)
     server.connections[0].send_bulk(args.megabytes * 1_000_000)
-    topo.run(until=10.0)
+    world.topo.run(until=10.0)
 
     print(f"iMTU {args.imtu} / eMTU {args.emtu}: downloaded "
           f"{client.bytes_delivered:,} B")
     print(f"negotiated MSS (raised by PXGW): {client.send_mss}")
-    print(f"jumbo segments spliced: {gateway.stats.merged_packets}")
-    print(f"conversion yield: {gateway.stats.conversion_yield:.1%}")
+    print(f"jumbo segments spliced: {world.gateway.stats.merged_packets}")
+    print(f"conversion yield: {world.gateway.stats.conversion_yield:.1%}")
     return 0
 
 
@@ -530,8 +526,8 @@ def _cmd_resilience_report(args) -> int:
     retry counters, and a caravan-negotiation round."""
     import json
 
-    from .chaos import run_scenario
-    from .core import GatewayConfig, PXGateway
+    from .chaos import LinkSpec, WorldSpec, build, run_scenario
+    from .core import GatewayConfig
     from .net import Topology
     from .pmtud import FPmtudDaemon, Plpmtud, ProbeEchoDaemon
     from .resilience import BackoffPolicy, CaravanNegotiator, ResilientPmtud
@@ -570,24 +566,23 @@ def _cmd_resilience_report(args) -> int:
 
     # 3. One caravan-negotiation round: a capable inside peer and a
     #    silent (un-upgraded) outside peer.
-    neg_topo = Topology()
-    inside = neg_topo.add_host("inside")
-    outside = neg_topo.add_host("outside")
-    gateway = PXGateway(neg_topo.sim, "pxgw", config=GatewayConfig())
-    neg_topo.add_node(gateway)
-    neg_topo.link(inside, gateway, mtu=9000)
-    neg_topo.link(gateway, outside, mtu=1500)
-    neg_topo.build_routes()
+    world = build(WorldSpec(
+        seed=0, hosts=("inside", "outside"),
+        links=(LinkSpec("inside", "pxgw", 9000, 10e9, 1e-6),
+               LinkSpec("pxgw", "outside", 1500, 10e9, 1e-6)),
+        config=GatewayConfig(), inside=("inside",),
+    ))
+    inside, outside = world.nodes["inside"], world.nodes["outside"]
     inside.enable_caravan_stack(9000)
     negotiator = CaravanNegotiator(
-        gateway,
+        world.gateway,
         query_timeout=0.1,
         backoff=BackoffPolicy(initial=0.05, multiplier=2.0, max_delay=0.5,
                               jitter=0.0, max_attempts=2),
     )
-    negotiator.allow_caravan(inside.ip, neg_topo.sim.now)
-    negotiator.allow_caravan(outside.ip, neg_topo.sim.now)
-    neg_topo.run(until=2.0)
+    negotiator.allow_caravan(inside.ip, world.topo.sim.now)
+    negotiator.allow_caravan(outside.ip, world.topo.sim.now)
+    world.topo.run(until=2.0)
 
     report = {
         "scenario": {

@@ -40,17 +40,8 @@ from .collectors import (
 from .tracer import FlowTracer
 
 __all__ = ["ObservedWorld", "WorkloadSchedule", "default_workload_schedule",
-           "run_observed_world", "INTERNAL_MTU", "EXTERNAL_MTU"]
+           "run_observed_world"]
 
-_IMTU = 9000
-_EMTU = 1500
-#: Physical link MTUs of the observed topology.  These are properties
-#: of the *environment*, not of the deployed gateway: an injected
-#: ``GatewayConfig`` may believe different MTUs (that mismatch is
-#: exactly what the ops canary is designed to catch), but the wire
-#: stays 9000 B inside / 1500 B outside.
-INTERNAL_MTU = _IMTU
-EXTERNAL_MTU = _EMTU
 _PROBER_PORT = 52002
 #: Packets at or below this size hairpin past the RX rings (mice).
 _HAIRPIN_CUTOFF = 128
@@ -167,8 +158,7 @@ class ObservedWorld:
     #: The timeline's AlertEngine with its recorded transitions.
     alerts: object = None
     notes: Dict[str, object] = field(default_factory=dict)
-    #: The four directed links by role: ``int_out`` (inside→gateway),
-    #: ``int_in``, ``ext_out`` (gateway→outside), ``ext_in``.
+    #: The four directed links by role (docs/CHAOS.md → "Worlds").
     links: Dict[str, object] = field(default_factory=dict)
     #: Registry snapshots captured at the requested ``snapshot_at``
     #: instants, keyed by sim time.
@@ -293,8 +283,8 @@ def run_observed_world(
     any traffic runs — the hook point for fault/attack environments.
     All defaults leave the run byte-identical to the historical one.
     """
-    from ..core import GatewayConfig, PXGateway
-    from ..net import Topology
+    from ..chaos.world import EMTU, IMTU, LinkSpec, WorldSpec, build
+    from ..core import GatewayConfig
     from ..nic import HairpinQueue, RssDistributor, RxQueue
     from ..pmtud import FPmtudDaemon, FPmtudProber
     from ..resilience import FailoverManager
@@ -316,22 +306,18 @@ def run_observed_world(
         spans=SpanTracker(),
     )
 
-    topo = Topology(seed=880_000 + seed)
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
     if config is None:
-        config = GatewayConfig(
-            imtu=_IMTU, emtu=_EMTU,
-            elephant_threshold_packets=2, header_only_dma=True,
-        )
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=_IMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.link(gateway, outside, mtu=_EMTU, bandwidth_bps=10e9, delay=5e-5)
-    topo.build_routes()
-    _, gw_iface, int_out, int_in = topo.edge(inside, gateway)
-    _, _, ext_out, ext_in = topo.edge(gateway, outside)
-    gateway.mark_internal(gw_iface)
+        config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
+    # The physical MTUs stay 9000 B inside / 1500 B outside whatever
+    # *config* believes: that mismatch is what the ops canary catches.
+    built = build(WorldSpec(
+        seed=880_000 + seed, hosts=("inside", "outside"),
+        links=(LinkSpec("inside", "pxgw", IMTU, 10e9, 5e-5, roles=("int_out", "int_in")),
+               LinkSpec("pxgw", "outside", EMTU, 10e9, 5e-5, roles=("ext_out", "ext_in"))),
+        config=config, inside=("inside",),
+    ))
+    topo, gateway = built.topo, built.gateway
+    inside, outside = built.nodes["inside"], built.nodes["outside"]
     gateway.enable_resilience()
     gateway.attach_observability(obs)
 
@@ -361,21 +347,21 @@ def run_observed_world(
     queues = [RxQueue(index, capacity=512) for index in range(4)]
     hairpin = HairpinQueue(capacity=256)
     frontend = _NicFrontend(topo.sim, rss, queues, hairpin)
-    int_out.add_tap(frontend)
+    built.links["int_out"].add_tap(frontend)
     frontend.start()
     observe_nic(obs, queues=queues, hairpin=hairpin, rss=rss)
 
     # TCP both ways: download exercises merge, upload exercises split.
     download, upload = schedule.download_bytes, schedule.upload_bytes
-    down_listener = TCPListener(outside, 80, mss=_EMTU - 40)
-    up_listener = TCPListener(outside, 9100, mss=_EMTU - 40)
-    down = TCPConnection(inside, 40000, outside.ip, 80, mss=_IMTU - 40)
-    up = TCPConnection(inside, 40001, outside.ip, 9100, mss=_IMTU - 40)
+    down_listener = TCPListener(outside, 80, mss=EMTU - 40)
+    up_listener = TCPListener(outside, 9100, mss=EMTU - 40)
+    down = TCPConnection(inside, 40000, outside.ip, 80, mss=IMTU - 40)
+    up = TCPConnection(inside, 40001, outside.ip, 9100, mss=IMTU - 40)
     down.connect()
     up.connect()
 
     # UDP caravans both ways.
-    inside.enable_caravan_stack(_IMTU)
+    inside.enable_caravan_stack(IMTU)
     received_in: List[bytes] = []
     received_out: List[bytes] = []
     inside.on_udp(4433, lambda p, h: received_in.append(p.payload))
@@ -401,7 +387,7 @@ def run_observed_world(
     pmtud_results: list = []
     if schedule.probe_at is not None:
         topo.sim.schedule_at(
-            schedule.probe_at, prober.probe, outside.ip, _IMTU,
+            schedule.probe_at, prober.probe, outside.ip, IMTU,
             pmtud_results.append,
         )
 
@@ -421,8 +407,7 @@ def run_observed_world(
         hairpin=hairpin,
         timeline=timeline,
         alerts=alerts,
-        links={"int_out": int_out, "int_in": int_in,
-               "ext_out": ext_out, "ext_in": ext_in},
+        links=built.links,
         config=config,
         schedule=schedule,
         # Always-on black box: pure pull-model references, so the ring

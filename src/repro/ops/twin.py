@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..chaos.world import EMTU
 from ..core import GatewayConfig
 from ..obs.world import (
-    EXTERNAL_MTU,
     ObservedWorld,
     WorkloadSchedule,
     default_workload_schedule,
@@ -81,7 +81,7 @@ class OversizeTap:
     can count events up to each observation horizon.
     """
 
-    def __init__(self, limit: int = EXTERNAL_MTU):
+    def __init__(self, limit: int = EMTU):
         self.limit = limit
         self.events: List[Tuple[float, str, int]] = []
 
@@ -141,7 +141,7 @@ def run_twin(
     """
     if schedule is None:
         schedule = default_workload_schedule(seed)
-    oversize = OversizeTap(EXTERNAL_MTU)
+    oversize = OversizeTap(EMTU)
 
     def mutate(world: ObservedWorld) -> None:
         if deployment.hardened_pmtud:

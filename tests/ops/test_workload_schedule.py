@@ -9,7 +9,8 @@ explicitly supplied schedule/config reaches the world unchanged.
 import pytest
 
 from repro.obs import default_workload_schedule, run_observed_world
-from repro.obs.world import EXTERNAL_MTU, INTERNAL_MTU, WorkloadSchedule
+from repro.chaos.world import EMTU, IMTU
+from repro.obs.world import WorkloadSchedule
 
 
 def test_default_schedule_reproduces_historical_workload():
@@ -110,8 +111,8 @@ def test_world_exposes_links_by_role():
                                   horizon=0.5),
     )
     assert set(world.links) == {"int_out", "int_in", "ext_out", "ext_in"}
-    assert world.links["int_out"].mtu == INTERNAL_MTU
-    assert world.links["ext_out"].mtu == EXTERNAL_MTU
+    assert world.links["int_out"].mtu == IMTU
+    assert world.links["ext_out"].mtu == EMTU
 
 
 def test_snapshot_at_captures_monotone_counters():

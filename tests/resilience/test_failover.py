@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, GatewayWorker, PXGateway
-from repro.net import Topology
+from repro.chaos import LinkSpec, WorldSpec, build
+from repro.core import Bound, GatewayConfig, GatewayWorker
 from repro.resilience import (
     FailoverManager,
     checkpoint_worker,
@@ -90,19 +90,15 @@ class TestCheckpointRestore:
 
 class TestFailoverManager:
     def make_world(self):
-        topo = Topology()
-        inside = topo.add_host("inside")
-        outside = topo.add_host("outside")
-        config = GatewayConfig(elephant_threshold_packets=1,
-                               hairpin_small_flows=False)
-        gateway = PXGateway(topo.sim, "gw", config=config)
-        topo.add_node(gateway)
-        topo.link(inside, gateway, mtu=9000, delay=5e-5)
-        topo.link(gateway, outside, mtu=1500, delay=5e-5)
-        topo.build_routes()
-        _, gw_iface, _, _ = topo.edge(inside, gateway)
-        gateway.mark_internal(gw_iface)
-        return topo, inside, outside, gateway
+        world = build(WorldSpec(
+            seed=0, hosts=("inside", "outside"),
+            links=(LinkSpec("inside", "pxgw", 9000, 10e9, 5e-5),
+                   LinkSpec("pxgw", "outside", 1500, 10e9, 5e-5)),
+            config=GatewayConfig(elephant_threshold_packets=1,
+                                 hairpin_small_flows=False),
+            inside=("inside",),
+        ))
+        return world.topo, world.nodes["inside"], world.nodes["outside"], world.gateway
 
     def test_takeover_requires_a_checkpoint(self):
         topo, _, _, gateway = self.make_world()

@@ -2,26 +2,22 @@
 
 import pytest
 
-from repro.core import Bound, GatewayConfig, PXGateway, WorkerMode
-from repro.net import Topology
+from repro.chaos import LinkSpec, WorldSpec, build
+from repro.core import Bound, GatewayConfig, WorkerMode
 from repro.packet import TCPFlags, build_tcp
 from repro.resilience import HealthMonitor, HealthPolicy, HealthState
 from repro.workload import make_tcp_sources
 
 
 def make_world(**config_kwargs):
-    topo = Topology()
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    config = GatewayConfig(elephant_threshold_packets=2, **config_kwargs)
-    gateway = PXGateway(topo.sim, "gw", config=config)
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=9000, delay=5e-5)
-    topo.link(gateway, outside, mtu=1500, delay=5e-5)
-    topo.build_routes()
-    _, gw_iface, _, _ = topo.edge(inside, gateway)
-    gateway.mark_internal(gw_iface)
-    return topo, inside, outside, gateway
+    world = build(WorldSpec(
+        seed=0, hosts=("inside", "outside"),
+        links=(LinkSpec("inside", "pxgw", 9000, 10e9, 5e-5),
+               LinkSpec("pxgw", "outside", 1500, 10e9, 5e-5)),
+        config=GatewayConfig(elephant_threshold_packets=2, **config_kwargs),
+        inside=("inside",),
+    ))
+    return world.topo, world.nodes["inside"], world.nodes["outside"], world.gateway
 
 
 FAST = HealthPolicy(heartbeat_interval=0.01, degrade_after=1, bypass_after=3,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import GatewayConfig, PXGateway
-from repro.net import Topology
+from repro.chaos import LinkSpec, WorldSpec, build
+from repro.core import GatewayConfig
 from repro.resilience import CaravanNegotiator
 from repro.resilience.negotiation import (
     pack_cap_ack,
@@ -15,16 +15,14 @@ from repro.resilience.retry import BackoffPolicy
 
 
 def make_world(enable_stack=True, negotiation=True, **negotiator_kwargs):
-    topo = Topology()
-    inside = topo.add_host("inside")
-    outside = topo.add_host("outside")
-    gateway = PXGateway(topo.sim, "gw", config=GatewayConfig())
-    topo.add_node(gateway)
-    topo.link(inside, gateway, mtu=9000, delay=5e-5)
-    topo.link(gateway, outside, mtu=1500, delay=5e-5)
-    topo.build_routes()
-    _, gw_iface, _, _ = topo.edge(inside, gateway)
-    gateway.mark_internal(gw_iface)
+    world = build(WorldSpec(
+        seed=0, hosts=("inside", "outside"),
+        links=(LinkSpec("inside", "pxgw", 9000, 10e9, 5e-5),
+               LinkSpec("pxgw", "outside", 1500, 10e9, 5e-5)),
+        config=GatewayConfig(), inside=("inside",),
+    ))
+    topo, gateway = world.topo, world.gateway
+    inside, outside = world.nodes["inside"], world.nodes["outside"]
     if enable_stack:
         inside.enable_caravan_stack(9000)
     negotiator = None
