@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..packet import PX_CARAVAN_TOS, IPProto, Packet, UDPHeader
 from ..packet.flow import FlowKey
-from ..packet.udp import UDP_HEADER_LEN
+from ..packet.packet import _UNSET
+from ..packet.udp import _HEAD as _UDP_HEAD, UDP_HEADER_LEN
 from .tcp_merge import AgeIndex
 
 __all__ = [
@@ -74,27 +75,29 @@ def encode_caravan(packets: List[Packet]) -> Packet:
     """
     if not packets:
         raise ValueError("cannot build an empty caravan")
-    key = packets[0].flow_key()
+    first = packets[0]
+    key = first.flow_key() if first._fkey is _UNSET else first._fkey
     for packet in packets:
-        if not packet.is_udp:
+        if packet.ip.protocol != IPProto.UDP:
             raise ValueError("caravans carry UDP only")
-        if packet.flow_key() != key:
+        member = packet._fkey
+        if (packet.flow_key() if member is _UNSET else member) != key:
             raise ValueError("caravan members must share one flow")
     if len(packets) == 1:
-        return packets[0]
+        return first
 
+    # Each record: what ``UDPHeader(src, dst).pack(payload)`` gives with no
+    # addresses, then the payload; one join copies each payload byte once.
+    src_port, dst_port = key.src_port, key.dst_port
+    pack = _UDP_HEAD.pack
     chunks: List[bytes] = []
     for packet in packets:
-        inner = UDPHeader(
-            src_port=packet.udp.src_port,
-            dst_port=packet.udp.dst_port,
-        )
-        chunks.append(inner.pack(packet.payload) + packet.payload)
+        payload = packet.payload
+        chunks += (pack(src_port, dst_port, UDP_HEADER_LEN + len(payload), 0), payload)
     body = b"".join(chunks)
 
-    first = packets[0]
     outer_ip = first.ip.copy(tos=PX_CARAVAN_TOS)
-    outer_udp = UDPHeader(src_port=first.udp.src_port, dst_port=first.udp.dst_port,
+    outer_udp = UDPHeader(src_port=src_port, dst_port=dst_port,
                           length=UDP_HEADER_LEN + len(body))
     outer_ip.total_length = outer_ip.header_len + UDP_HEADER_LEN + len(body)
     caravan = Packet(ip=outer_ip, l4=outer_udp, payload=body)
@@ -184,37 +187,40 @@ class CaravanMergeEngine:
     def feed(self, packet: Packet, now: float = 0.0) -> List[Packet]:
         """Offer one datagram; returns caravans (or datagrams) to emit."""
         ip = packet.ip
-        if ip.protocol != IPProto.UDP or ip.is_fragment or ip.tos == PX_CARAVAN_TOS:
+        if (ip.protocol != IPProto.UDP or ip.more_fragments or ip.fragment_offset > 0
+                or ip.tos == PX_CARAVAN_TOS):
             return [packet]
-        key = packet.flow_key()
+        key = packet._fkey  # the worker's key; derived only when fed directly
+        if key is _UNSET:
+            key = packet.flow_key()
         context = self._contexts.get(key)
-        record_len = UDP_HEADER_LEN + len(packet.payload)
+        size = len(packet.payload)
+        record_len = UDP_HEADER_LEN + size
 
         if context is not None:
+            ip_id = ip.identification
+            total = context.bytes + record_len
+            segment_size = context.segment_size
             compatible = (
-                context.bytes + record_len <= self.max_payload
-                and len(packet.payload) <= context.segment_size
-                and (
-                    not self.require_consecutive_ids
-                    or packet.ip.identification == context.next_ip_id
-                )
+                total <= self.max_payload
+                and size <= segment_size
+                and (not self.require_consecutive_ids or ip_id == context.next_ip_id)
             )
             if compatible:
                 context.packets.append(packet)
-                context.bytes += record_len
+                context.bytes = total
                 self._pending_packets += 1
                 self._pending_bytes += record_len
-                context.next_ip_id = (packet.ip.identification + 1) & 0xFFFF
+                context.next_ip_id = (ip_id + 1) & 0xFFFF
                 context.last_at = now
                 self._contexts.move_to_end(key)
                 ages = self._ages
                 ages.seq = context.touched = ages.seq + 1
                 # A shorter datagram ends the bundle (UDP_GRO rule); so
                 # does running out of room for another full record.
-                next_record = UDP_HEADER_LEN + context.segment_size
                 terminal = (
-                    len(packet.payload) < context.segment_size
-                    or context.bytes + next_record > self.max_payload
+                    size < segment_size
+                    or total + UDP_HEADER_LEN + segment_size > self.max_payload
                 )
                 if terminal:
                     return self._flush_key(key)

@@ -148,6 +148,7 @@ class GatewayWorker:
         self._cost_hairpin = costs.hairpin_forward
         self._cost_rx = costs.rx_descriptor
         self._cost_merge_in = costs.flow_lookup + costs.merge_append
+        self._cost_caravan_in = costs.flow_lookup + costs.caravan_append
         self._cost_merge_flush = costs.merge_flush
         self._cost_tx = costs.tx_descriptor
         self._header_only = config.header_only_dma
@@ -394,8 +395,10 @@ class GatewayWorker:
         return "split" if len(segments) > 1 else "forward", segments
 
     def _udp_inbound(self, packet: Packet, now: float):
-        costs = self.costs
-        self.stats.udp_datagrams_in += caravan_inner_count(packet)
+        stats = self.stats
+        # Only a packet with the caravan ToS can hold more than one datagram.
+        count = caravan_inner_count(packet) if packet.ip.tos == PX_CARAVAN_TOS else 1
+        stats.udp_datagrams_in += count
         bundling = self.config.caravan and self.mode == WorkerMode.NORMAL
         if bundling and self.caravan_gate is not None and not self.caravan_gate(
             packet.ip.dst, now
@@ -403,26 +406,28 @@ class GatewayWorker:
             # The peer has not (yet) proven it speaks PX-caravan: plain
             # datagrams only.
             bundling = False
-            self.stats.caravans_suppressed += 1
+            stats.caravans_suppressed += 1
         if not bundling:
             if self.config.caravan and self.mode != WorkerMode.NORMAL:
-                self.stats.passthrough_packets += 1
-            self.stats.udp_datagrams_out += caravan_inner_count(packet)
+                stats.passthrough_packets += 1
+            stats.udp_datagrams_out += count
             return "passthrough", [packet]
         account = self.account
         breakdown = account.breakdown
-        cycles = costs.flow_lookup + costs.caravan_append
+        cycles = self._cost_caravan_in
         account.cycles += cycles
         breakdown["caravan"] = breakdown.get("caravan", 0.0) + cycles
         outputs = self.caravan_merge.feed(packet, now)
         if outputs:
-            flush_cycles = costs.caravan_flush
+            flush_cycles = self.costs.caravan_flush
             for out in outputs:
                 account.cycles += flush_cycles
                 breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
-                self.stats.udp_datagrams_out += caravan_inner_count(out)
-                if is_caravan(out):
-                    self.stats.caravans_built += 1
+                if out.ip.tos == PX_CARAVAN_TOS:
+                    stats.udp_datagrams_out += caravan_inner_count(out)
+                    stats.caravans_built += 1
+                else:
+                    stats.udp_datagrams_out += 1
         return "caravan", outputs
 
     def _udp_outbound(self, packet: Packet):

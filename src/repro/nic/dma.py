@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..packet import Packet, TCPHeader
+from ..packet import Packet, TCPHeader, UDPHeader
 
 __all__ = ["DmaModel", "ScatterGatherList", "FULL_DMA", "HEADER_ONLY_DMA"]
 
@@ -43,6 +43,8 @@ class DmaModel:
         l4 = packet.l4
         if l4.__class__ is TCPHeader and not l4.options and not packet.ip.options:
             header_bytes = 40  # the bulk-data case: no IP or TCP options
+        elif l4.__class__ is UDPHeader and not packet.ip.options:
+            header_bytes = 28  # a datagram or caravan without IP options
         else:
             header_bytes = packet.ip.header_len + packet.l4_header_len
         total = packet.total_len if size is None else size
@@ -52,22 +54,6 @@ class DmaModel:
         """On-NIC memory held while the packet is in flight."""
         header_bytes = packet.ip.header_len + packet.l4_header_len
         return (packet.total_len - header_bytes) * self.nic_memory_per_payload_byte
-
-    def mem_bytes_many(self, packets: "List[Packet]") -> float:
-        """Host DRAM bytes moved for a burst of packets.
-
-        Equals ``sum(self.mem_bytes(p) for p in packets)`` but hoists
-        the factor loads out of the loop for batch-path callers.
-        """
-        header_factor = self.header_factor
-        payload_factor = self.payload_factor
-        total = 0.0
-        for packet in packets:
-            header_bytes = packet.ip.header_len + packet.l4_header_len
-            total += header_bytes * header_factor + (
-                packet.total_len - header_bytes
-            ) * payload_factor
-        return total
 
 
 #: Conventional scatter-gather DMA: every byte crosses into DRAM on RX,

@@ -208,19 +208,24 @@ class IPv4Header:
         header = cls.__new__(cls)
         (
             version_ihl, header.tos, header.total_length, header.identification,
-            flags_frag, header.ttl, header.protocol, _checksum, header.src, header.dst,
+            flags_frag, header.ttl, header.protocol, checksum, header.src, header.dst,
         ) = _HEAD.unpack_from(data)
         if version_ihl >> 4 != 4:
             raise ValueError(f"not an IPv4 packet (version={version_ihl >> 4})")
         header_len = (version_ihl & 0x0F) * 4
         if header_len < IP_HEADER_LEN or len(data) < header_len:
             raise ValueError("bad IPv4 header length")
-        if verify and not verify_checksum(data[:header_len]):
-            raise ValueError("IPv4 header checksum mismatch")
+        options = bytes(data[IP_HEADER_LEN:header_len]) if header_len > IP_HEADER_LEN else b""
+        if verify:
+            # Summed from the fields, as ``pack`` sums them; version 4 makes
+            # the sum nonzero, so ``% 0xFFFF == 0`` is the fold to 0xFFFF.
+            words = ((version_ihl << 8 | header.tos) + header.total_length
+                     + header.identification + flags_frag + (header.ttl << 8 | header.protocol)
+                     + checksum + header.src + header.dst)
+            if not (verify_checksum(options, words) if options else words % 0xFFFF == 0):
+                raise ValueError("IPv4 header checksum mismatch")
         header.dont_fragment = bool(flags_frag & 0x4000)
         header.more_fragments = bool(flags_frag & 0x2000)
         header.fragment_offset = flags_frag & 0x1FFF
-        header.options = (
-            bytes(data[IP_HEADER_LEN:header_len]) if header_len > IP_HEADER_LEN else b""
-        )
+        header.options = options
         return header

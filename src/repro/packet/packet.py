@@ -225,24 +225,32 @@ class Packet:
             raise ValueError(f"IPv4 total length {end} shorter than its {start}-byte header")
         if end < len(data):
             data = data[:end]
+        # A fragment (first ones included) or a protocol the library does
+        # not model keeps its bytes unparsed; no keyword ``__init__`` call.
+        l4, hdr_len = None, 0
         if not (ip.fragment_offset or ip.more_fragments):
             protocol = ip.protocol
             if protocol == IPProto.TCP:
-                tcp, hdr_len = TCPHeader.unpack(data, start)
-                return cls(ip=ip, l4=tcp, payload=bytes(data[start + hdr_len :]))
-            if protocol == IPProto.UDP:
-                udp = UDPHeader.unpack(data, start)
-                if udp.length != end - start:
+                l4, hdr_len = TCPHeader.unpack(data, start)
+            elif protocol == IPProto.UDP:
+                l4 = UDPHeader.unpack(data, start)
+                if l4.length != end - start:
                     raise ValueError(
-                        f"UDP length {udp.length} disagrees with the "
+                        f"UDP length {l4.length} disagrees with the "
                         f"{end - start}-byte IP payload"
                     )
-                return cls(ip=ip, l4=udp, payload=bytes(data[start + 8 :]))
-            if protocol == IPProto.ICMP:
+                hdr_len = 8
+            elif protocol == IPProto.ICMP:
                 return cls(ip=ip, l4=ICMPMessage.unpack(data, start))
-        # A fragment (first ones included) or a protocol the library
-        # does not model: leave the bytes unparsed.
-        return cls(ip=ip, l4=None, payload=bytes(data[start:]))
+        packet = cls.__new__(cls)
+        packet.ip = ip
+        packet.l4 = l4
+        packet.payload = bytes(data[start + hdr_len :])
+        packet.timestamp = 0.0
+        packet.meta = {}
+        packet._fkey = _UNSET
+        packet._l4_shared = False
+        return packet
 
     @staticmethod
     def _copy_l4(l4: Optional[L4Header]) -> Optional[L4Header]:

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import encode_caravan
 from repro.packet import (
+    PX_CARAVAN_TOS,
     ICMPMessage,
     ICMPType,
     IPProto,
@@ -25,7 +27,7 @@ from repro.packet import (
     UDPHeader,
 )
 from repro.packet.builder import build_icmp, build_tcp, build_udp
-from repro.packet.checksum import pseudo_header
+from repro.packet.checksum import pseudo_header, verify_checksum
 
 from .perf.test_checksum_property import rfc1071_sum
 
@@ -275,3 +277,173 @@ def test_parser_accepts_any_bytes_like_input():
     for view in (bytearray(wire), memoryview(wire)):
         parsed = Packet.from_bytes(view)
         assert type(parsed.payload) is bytes and parsed.payload == b"abc"
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_packet)
+def test_parsed_packet_has_every_slot_of_a_constructed_one(packet):
+    parsed = Packet.from_bytes(packet.to_bytes())
+    fresh = Packet(ip=parsed.ip, l4=parsed.l4, payload=parsed.payload)
+    for name in Packet.__slots__:
+        assert getattr(parsed, name) == getattr(fresh, name), name
+    assert parsed.flow_key() == packet.flow_key()
+
+
+# ---------------------------------------------------------------------------
+# IPv4 header verification from the unpacked fields
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ipv4_headers(draw):
+    """Packed IPv4 headers with 0-40 B of options, any field values, and
+    some trailing bytes so that a corrupted IHL can still fit."""
+    header = IPv4Header(
+        src=draw(word32), dst=draw(word32),
+        protocol=draw(st.integers(min_value=0, max_value=0xFF)),
+        identification=draw(port),
+        dont_fragment=draw(st.booleans()), more_fragments=draw(st.booleans()),
+        fragment_offset=draw(st.integers(min_value=0, max_value=0x1FFF)),
+        ttl=draw(st.integers(min_value=0, max_value=0xFF)),
+        tos=draw(st.integers(min_value=0, max_value=0xFF)),
+        options=draw(st.one_of(st.just(b""), st.integers(min_value=1, max_value=10).flatmap(
+            lambda words: st.binary(min_size=4 * words, max_size=4 * words)))),
+    )
+    return header.pack(draw(st.integers(min_value=0, max_value=64))), draw(
+        st.binary(max_size=48))
+
+
+def _unpack_error(data, verify):
+    try:
+        IPv4Header.unpack(data, verify=verify)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(ipv4_headers(), st.one_of(st.none(), st.integers(min_value=0, max_value=479)))
+def test_ipv4_verify_matches_the_byte_sum_over_the_header(header_and_tail, bit):
+    header, tail = header_and_tail
+    data = bytearray(header + tail)
+    if bit is not None and bit < 8 * len(header):
+        data[bit // 8] ^= 0x80 >> bit % 8  # one flipped bit anywhere in the header
+    data = bytes(data)
+    unverified = _unpack_error(data, verify=False)
+    verified = _unpack_error(data, verify=True)
+    assert unverified is None or "checksum" not in unverified
+    if unverified is not None:
+        # A bad version or IHL is refused before any checksum is read.
+        assert verified == unverified
+        return
+    header_len = (data[0] & 0x0F) * 4
+    # The byte-reading expression verification used before it summed the fields.
+    bytes_verify = verify_checksum(data[:header_len])
+    assert verified == (None if bytes_verify else "IPv4 header checksum mismatch")
+    if bit is None or bit >= 8:
+        # A flipped bit moves the sum by 2**k, never a multiple of 0xFFFF
+        # (a flipped IHL also moves the bytes summed, so it is left out).
+        assert bytes_verify == (bit is None or bit >= 8 * len(header))
+
+
+def test_all_zero_ipv4_header_is_refused_either_way():
+    assert not verify_checksum(bytes(20))
+    for verify in (True, False):
+        with pytest.raises(ValueError, match="not an IPv4 packet"):
+            IPv4Header.unpack(bytes(20), verify=verify)
+
+
+def test_ipv4_header_whose_words_sum_to_zero_mod_ffff_verifies():
+    # Only the version/IHL word is nonzero besides the checksum, which
+    # must make the sum 0xFFFF exactly: 0x4500 + 0xBAFF.
+    data = bytearray(20)
+    data[0] = 0x45
+    struct.pack_into("!H", data, 10, 0xBAFF)
+    assert verify_checksum(bytes(data))
+    assert IPv4Header.unpack(bytes(data)).total_length == 0
+    for off_by_one in (0xBAFE, 0xBB00):  # the sum misses 0xFFFF by -1 / +1
+        struct.pack_into("!H", data, 10, off_by_one)
+        assert not verify_checksum(bytes(data))
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            IPv4Header.unpack(bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# encode_caravan against the per-record body it replaced
+# ---------------------------------------------------------------------------
+
+
+def parent_caravan_error(packets):
+    """The ValueError the per-record encoder raised, or None."""
+    if not packets:
+        return "cannot build an empty caravan"
+    key = packets[0].flow_key()
+    for packet in packets:
+        if not packet.is_udp:
+            return "caravans carry UDP only"
+        if packet.flow_key() != key:
+            return "caravan members must share one flow"
+    return None
+
+
+def parent_caravan(packets):
+    """The per-record encoder: a UDPHeader per datagram, header + payload copied, then joined."""
+    body = b"".join(
+        UDPHeader(src_port=p.udp.src_port, dst_port=p.udp.dst_port).pack(p.payload) + p.payload
+        for p in packets
+    )
+    first = packets[0]
+    return Packet(ip=first.ip.copy(tos=PX_CARAVAN_TOS),
+                  l4=UDPHeader(src_port=first.udp.src_port, dst_port=first.udp.dst_port),
+                  payload=body)
+
+
+@st.composite
+def caravan_lists(draw):
+    """Same-flow UDP lists, sometimes spoiled by a TCP packet or another
+    flow; members are built or parsed, keyed or not."""
+    src, dst, sport, dport = draw(ip_addr), draw(ip_addr), draw(port), draw(port)
+    options = draw(st.sampled_from([b"", b"\x01\x01\x01\x00"]))
+    packets = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        packet = build_udp(src, dst, sport, dport, payload=draw(payload), ip_id=draw(port))
+        packet.ip.options = options
+        packets.append(packet)
+    if draw(st.booleans()):
+        intruder = draw(st.sampled_from(["tcp", "port", "address"]))
+        if intruder == "tcp":
+            stranger = build_tcp(src, dst, sport, dport, payload=b"t")
+        elif intruder == "port":
+            stranger = build_udp(src, dst, sport ^ 1, dport, payload=b"u")
+        else:
+            stranger = build_udp(src, dst ^ 1, sport, dport, payload=b"u")
+        packets.insert(draw(st.integers(min_value=0, max_value=len(packets))), stranger)
+    out = []
+    for packet in packets:
+        if draw(st.booleans()):
+            packet = Packet.from_bytes(packet.to_bytes())
+        if draw(st.booleans()):
+            packet.flow_key()
+        out.append(packet)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(caravan_lists())
+def test_encode_caravan_matches_the_per_record_encoder(packets):
+    expected_error = parent_caravan_error(packets)
+    if expected_error is not None:
+        with pytest.raises(ValueError) as raised:
+            encode_caravan(packets)
+        assert str(raised.value) == expected_error
+        return
+    caravan = encode_caravan(packets)
+    if len(packets) == 1:
+        assert caravan is packets[0]
+        return
+    oracle = parent_caravan(packets)
+    assert caravan.meta == {"caravan_inner": len(packets)}
+    assert caravan.ip.total_length == caravan.total_len
+    assert caravan.udp.length == 8 + len(caravan.payload)
+    assert caravan.payload == oracle.payload
+    assert caravan.to_bytes() == oracle.to_bytes()
