@@ -164,6 +164,8 @@ class IPv4Header:
         options = self.options
         if len(options) % 4:
             raise ValueError("IPv4 options must be padded to 32-bit words")
+        if len(options) > 40:
+            raise ValueError("IPv4 options exceed 40 bytes")
         header_len = IP_HEADER_LEN + len(options)
         if payload_len is not None:
             self.total_length = header_len + payload_len

@@ -19,13 +19,15 @@ Representation notes:
 
 from __future__ import annotations
 
+import struct
 from typing import Optional, Union
 
+from .checksum import ones_complement_sum
 from .ethernet import wire_bytes_for_payload
 from .flow import FlowKey
 from .icmp import ICMPMessage
 from .ip import IPProto, IPv4Header
-from .tcp import TCPHeader
+from .tcp import TCPHeader, _pack_options, _unpack_options
 from .udp import UDPHeader
 
 __all__ = ["Packet", "L4Header"]
@@ -34,6 +36,12 @@ L4Header = Union[TCPHeader, UDPHeader, ICMPMessage]
 
 #: Sentinel marking a flow key as not-yet-computed (None is a valid key).
 _UNSET = object()
+
+#: An option-less IPv4 header and the fixed TCP (40 B in all) or UDP
+#: (28 B) header behind it, packed and parsed as one block: the two
+#: headers' own formats, concatenated.
+_TCP_BLOCK = struct.Struct("!BBHHHBBHIIHHIIBBHHH")
+_UDP_BLOCK = struct.Struct("!BBHHHBBHIIHHHH")
 
 
 class Packet:
@@ -185,10 +193,98 @@ class Packet:
     def to_bytes(self) -> bytes:
         """Serialize to wire bytes (IP header onward), with checksums.
 
-        The headers are packed with their checksums already in place,
-        so the payload is read once (the L4 checksum) and copied once
-        (the final join).
+        An option-less IPv4 header and the TCP or UDP header behind it
+        are one block: every field and both checksums are summed as
+        integers here and packed by one ``struct`` call, so the payload
+        is read once (the L4 checksum) and copied once.  Anything else
+        goes through :meth:`_pack_headers`, header by header.  So does a
+        block that does not pack (a field out of range or not an
+        integer, an oversize packet, a fragment offset past 13 bits):
+        nothing is written back before the block packs, so the
+        per-header path raises its own error with its own side effects.
         """
+        ip = self.ip
+        l4 = self.l4
+        cls = l4.__class__
+        if ip.options or not (cls is TCPHeader or cls is UDPHeader):
+            return self._pack_headers()
+        payload = self.payload
+        src = ip.src
+        dst = ip.dst
+        try:
+            fragment_offset = ip.fragment_offset
+            if fragment_offset > 0x1FFF:
+                return self._pack_headers()
+            tos = ip.tos
+            identification = ip.identification
+            flags_frag = (
+                (0x4000 if ip.dont_fragment else 0)
+                | (0x2000 if ip.more_fragments else 0)
+                | fragment_offset
+            )
+            ttl = ip.ttl
+            protocol = ip.protocol
+            # The IPv4 header's words but its total length, added as
+            # IPv4Header.pack adds them (version/IHL 0x45).  Its checksum
+            # ``-words % 0xFFFF`` is internet_checksum(b"", words) for a
+            # positive sum, and a header that packs sums above 0x4500.
+            ip_words = (
+                (0x4500 | tos) + identification + flags_frag + (ttl << 8 | protocol) + src + dst
+            )
+            sport = l4.src_port
+            dport = l4.dst_port
+            if cls is TCPHeader:
+                options = l4.options
+                opts = _pack_options(options) if options else b""
+                l4_len = 20 + len(opts)
+                seq = l4.seq & 0xFFFFFFFF
+                ack = l4.ack & 0xFFFFFFFF
+                offset = l4_len << 2  # data offset in the high nibble of its byte
+                flags = l4.flags
+                window = l4.window
+                urgent = l4.urgent
+                segment = l4_len + len(payload)
+                if src or dst:
+                    fields = (
+                        src + dst + IPProto.TCP + segment
+                        + sport + dport + seq + ack + (offset << 8 | flags)
+                        + window + urgent
+                    )
+                    if opts:
+                        fields += int.from_bytes(opts, "big")
+                    checksum = ~ones_complement_sum(payload, fields) & 0xFFFF
+                else:
+                    checksum = 0
+                total_length = 20 + segment
+                head = _TCP_BLOCK.pack(
+                    0x45, tos, total_length, identification, flags_frag, ttl, protocol,
+                    -(ip_words + total_length) % 0xFFFF, src, dst,
+                    sport, dport, seq, ack, offset, flags, window, checksum, urgent,
+                )
+            else:
+                opts = b""
+                segment = 8 + len(payload)
+                if src or dst:
+                    checksum = (0xFFFF - ones_complement_sum(
+                        payload, src + dst + IPProto.UDP + segment + sport + dport + segment,
+                    )) or 0xFFFF
+                else:
+                    checksum = 0
+                total_length = 20 + segment
+                head = _UDP_BLOCK.pack(
+                    0x45, tos, total_length, identification, flags_frag, ttl, protocol,
+                    -(ip_words + total_length) % 0xFFFF, src, dst,
+                    sport, dport, segment, checksum,
+                )
+                l4.length = segment
+        except (struct.error, TypeError):
+            return self._pack_headers()
+        l4.checksum = checksum
+        ip.total_length = total_length
+        return b"".join((head, opts, payload)) if opts else head + payload
+
+    def _pack_headers(self) -> bytes:
+        """Serialize header by header: each header's own ``pack``, joined."""
         ip = self.ip
         l4 = self.l4
         payload = self.payload
@@ -213,7 +309,88 @@ class Packet:
 
         Fragments, the first one included, keep their bytes unparsed
         in ``payload`` with ``l4`` set to ``None``.
+
+        An unfragmented TCP or UDP packet with an option-less IPv4
+        header is parsed as one block (one ``unpack_from``), with the
+        per-header checks in the per-header order; anything else
+        parses header by header.
         """
+        size = len(data)
+        if size >= 28 and data[0] == 0x45 and not (data[6] & 0x3F or data[7]):
+            protocol = data[9]
+            tcp = protocol == IPProto.TCP
+            if tcp and size >= 40 or protocol == IPProto.UDP:
+                if tcp:
+                    (
+                        _, tos, end, identification, flags_frag, ttl, _, checksum, src, dst,
+                        sport, dport, seq, ack, offset_byte, flags, window, l4_checksum, urgent,
+                    ) = _TCP_BLOCK.unpack_from(data)
+                else:
+                    (
+                        _, tos, end, identification, flags_frag, ttl, _, checksum, src, dst,
+                        sport, dport, udp_length, l4_checksum,
+                    ) = _UDP_BLOCK.unpack_from(data)
+                if verify and (
+                    (0x4500 | tos) + end + identification + flags_frag
+                    + (ttl << 8 | protocol) + checksum + src + dst
+                ) % 0xFFFF:
+                    raise ValueError("IPv4 header checksum mismatch")
+                if end > size:
+                    raise ValueError(
+                        f"truncated packet: total length {end} exceeds the {size} bytes given"
+                    )
+                if end < 20:
+                    raise ValueError(f"IPv4 total length {end} shorter than its 20-byte header")
+                if tcp:
+                    if end < 40:
+                        raise ValueError("truncated TCP header")
+                    l4_len = (offset_byte >> 4) * 4
+                    if l4_len < 20 or end - 20 < l4_len:
+                        raise ValueError("bad TCP data offset")
+                    l4 = TCPHeader.__new__(TCPHeader)
+                    l4.seq = seq
+                    l4.ack = ack
+                    l4.flags = flags
+                    l4.window = window
+                    l4.urgent = urgent
+                    l4.options = [] if l4_len == 20 else _unpack_options(data[40 : 20 + l4_len])
+                else:
+                    if end < 28:
+                        raise ValueError("truncated UDP header")
+                    if udp_length < 8:
+                        raise ValueError("bad UDP length")
+                    if udp_length != end - 20:
+                        raise ValueError(
+                            f"UDP length {udp_length} disagrees with the "
+                            f"{end - 20}-byte IP payload"
+                        )
+                    l4 = UDPHeader.__new__(UDPHeader)
+                    l4.length = udp_length
+                    l4_len = 8
+                l4.src_port = sport
+                l4.dst_port = dport
+                l4.checksum = l4_checksum
+                ip = IPv4Header.__new__(IPv4Header)
+                ip.src = src
+                ip.dst = dst
+                ip.protocol = protocol
+                ip.total_length = end
+                ip.identification = identification
+                ip.dont_fragment = (flags_frag & 0x4000) != 0
+                ip.more_fragments = False
+                ip.fragment_offset = 0
+                ip.ttl = ttl
+                ip.tos = tos
+                ip.options = b""
+                packet = cls.__new__(cls)
+                packet.ip = ip
+                packet.l4 = l4
+                packet.payload = bytes(data[20 + l4_len : end])
+                packet.timestamp = 0.0
+                packet.meta = {}
+                packet._fkey = _UNSET
+                packet._l4_shared = False
+                return packet
         ip = IPv4Header.unpack(data, verify=verify)
         start = ip.header_len
         end = ip.total_length

@@ -43,6 +43,9 @@ payload = st.one_of(
     st.binary(max_size=200),
     st.sampled_from([b"", b"\x00", b"\xff", b"\x00" * 33, b"\xff" * 33, b"\xff" * 64]),
 )
+# No IPv4 options (the header block) or 1-10 whole words of them.
+ip_options = st.one_of(st.just(b""), st.integers(min_value=1, max_value=10).flatmap(
+    lambda words: st.binary(min_size=4 * words, max_size=4 * words)))
 # No explicit NOPs: the parser drops padding, so they do not round-trip.
 extra_options = st.lists(
     st.sampled_from([
@@ -68,15 +71,18 @@ def tcp_packets(draw):
     )
     packet.tcp.options.extend(draw(extra_options))
     packet.tcp.urgent = draw(port)
+    packet.ip.options = draw(ip_options)
     return packet
 
 
 @st.composite
 def udp_packets(draw):
-    return build_udp(
+    packet = build_udp(
         draw(ip_addr), draw(ip_addr), draw(port), draw(port),
         payload=draw(payload), ip_id=draw(port),
     )
+    packet.ip.options = draw(ip_options)
+    return packet
 
 
 @st.composite
@@ -209,6 +215,14 @@ def test_fragment_offset_and_tcp_option_limits_are_enforced():
         Packet(ip=IPv4Header(fragment_offset=0x2000), payload=b"").to_bytes()
     with pytest.raises(ValueError, match="40 bytes"):
         TCPHeader(options=[TCPOption.timestamp(1, 2)] * 5).pack()
+    # 44 bytes of IPv4 options would need an IHL of 16: it must not
+    # spill into the version nibble.
+    with pytest.raises(ValueError, match="IPv4 options exceed 40 bytes"):
+        IPv4Header(options=bytes(44)).pack(payload_len=0)
+    packet = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"x")
+    packet.ip.options = bytes(44)
+    with pytest.raises(ValueError, match="IPv4 options exceed 40 bytes"):
+        packet.to_bytes()
 
 
 @pytest.mark.parametrize("make, field", [
@@ -306,8 +320,7 @@ def ipv4_headers(draw):
         fragment_offset=draw(st.integers(min_value=0, max_value=0x1FFF)),
         ttl=draw(st.integers(min_value=0, max_value=0xFF)),
         tos=draw(st.integers(min_value=0, max_value=0xFF)),
-        options=draw(st.one_of(st.just(b""), st.integers(min_value=1, max_value=10).flatmap(
-            lambda words: st.binary(min_size=4 * words, max_size=4 * words)))),
+        options=draw(ip_options),
     )
     return header.pack(draw(st.integers(min_value=0, max_value=64))), draw(
         st.binary(max_size=48))
@@ -447,3 +460,214 @@ def test_encode_caravan_matches_the_per_record_encoder(packets):
     assert caravan.udp.length == 8 + len(caravan.payload)
     assert caravan.payload == oracle.payload
     assert caravan.to_bytes() == oracle.to_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The header block against the per-header codec it replaced
+# ---------------------------------------------------------------------------
+
+
+def parent_to_bytes(packet):
+    """The per-header serializer: each header's own ``pack``, joined."""
+    ip = packet.ip
+    l4 = packet.l4
+    payload = packet.payload
+    cls = l4.__class__
+    if cls is TCPHeader or cls is UDPHeader:
+        head = l4.pack(payload, ip.src, ip.dst)
+    elif cls is ICMPMessage:
+        head = l4.pack_header()
+        payload = l4.payload
+    else:
+        head = b""
+    return b"".join((ip.pack(len(head) + len(payload)), head, payload))
+
+
+def parent_from_bytes(data, verify=True):
+    """The per-header parser: ``IPv4Header.unpack``, then the L4 header's own."""
+    ip = IPv4Header.unpack(data, verify=verify)
+    start = ip.header_len
+    end = ip.total_length
+    if end > len(data):
+        raise ValueError(
+            f"truncated packet: total length {end} exceeds the {len(data)} bytes given"
+        )
+    if end < start:
+        raise ValueError(f"IPv4 total length {end} shorter than its {start}-byte header")
+    if end < len(data):
+        data = data[:end]
+    l4, hdr_len = None, 0
+    if not (ip.fragment_offset or ip.more_fragments):
+        protocol = ip.protocol
+        if protocol == IPProto.TCP:
+            l4, hdr_len = TCPHeader.unpack(data, start)
+        elif protocol == IPProto.UDP:
+            l4 = UDPHeader.unpack(data, start)
+            if l4.length != end - start:
+                raise ValueError(
+                    f"UDP length {l4.length} disagrees with the "
+                    f"{end - start}-byte IP payload"
+                )
+            hdr_len = 8
+        elif protocol == IPProto.ICMP:
+            return Packet(ip=ip, l4=ICMPMessage.unpack(data, start))
+    return Packet(ip=ip, l4=l4, payload=bytes(data[start + hdr_len :]))
+
+
+def _outcome(call, *args):
+    """What *call* returned, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except Exception as error:  # noqa: BLE001 - compared, not swallowed
+        return type(error), str(error)
+
+
+# Fields pushed out of their wire width (or out of type), IP and L4 ones
+# both, so that two of them at once check which header is named first.
+# ``seq``/``ack`` are masked to 32 bits, so theirs must still pack.
+SPOILERS = [
+    ("ip", "tos", 0x100), ("ip", "ttl", -1), ("ip", "protocol", 300),
+    ("ip", "identification", 1 << 16), ("ip", "src", 1 << 32), ("ip", "dst", -1),
+    ("ip", "fragment_offset", 0x2000), ("ip", "fragment_offset", -1),
+    ("ip", "ttl", None), ("ip", "more_fragments", True),
+    ("l4", "src_port", 1 << 16), ("l4", "dst_port", -1), ("l4", "window", 70000),
+    ("l4", "flags", 0x1FF), ("l4", "urgent", -5), ("l4", "seq", -1),
+    ("l4", "ack", 1 << 40), ("l4", "window", None),
+]
+
+
+def _serialize_both(packet, spoiled=(), oversize=None):
+    """Serialize copies of *packet* both ways; assert equal bytes (or
+    equal errors) and equal headers afterwards."""
+    for where, name, value in spoiled:
+        header = packet.ip if where == "ip" else packet.l4
+        if name in getattr(type(header), "__slots__", ()):
+            setattr(header, name, value)
+    if oversize is not None:
+        packet.payload = bytes(oversize)  # total length either side of 65535
+    # Stale values, so a write-back the other path skips shows.
+    packet.ip.total_length = 0
+    if isinstance(packet.l4, (TCPHeader, UDPHeader)):
+        packet.l4.checksum = 0x1234
+    if isinstance(packet.l4, UDPHeader):
+        packet.l4.length = 0
+    block, oracle = packet.copy(), packet.copy()
+    assert _outcome(block.to_bytes) == _outcome(parent_to_bytes, oracle)
+    # Written back, or left alone, exactly as the per-header path does:
+    # total length, L4 checksum and UDP length included.
+    assert block.ip == oracle.ip
+    assert block.l4 == oracle.l4
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(tcp_packets(), udp_packets(), any_packet),
+       st.lists(st.sampled_from(SPOILERS), max_size=2),
+       st.one_of(st.none(), st.integers(min_value=65440, max_value=65520)))
+def test_to_bytes_matches_the_per_header_serializer(packet, spoiled, oversize):
+    _serialize_both(packet, spoiled, oversize)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"tcp"),
+    lambda: build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"tcp", mss=1460),
+    lambda: build_tcp(0, 0, 1, 2, payload=b"tcp"),
+    lambda: build_udp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"udp"),
+    lambda: build_udp(0, 0, 1, 2, payload=b"udp"),
+])
+def test_every_spoiled_field_and_pair_fails_as_the_per_header_serializer(make):
+    for first in SPOILERS:
+        _serialize_both(make(), [first])
+        for second in SPOILERS:
+            _serialize_both(make(), [first, second])
+    for oversize in (65495, 65496, 65507, 65508):
+        _serialize_both(make(), oversize=oversize)
+
+
+def test_header_block_sends_an_ipv4_checksum_of_zero():
+    # Choose the IP ID that makes the header's words a multiple of 0xFFFF:
+    # the checksum is then 0x0000, never 0xFFFF (RFC 1071).
+    for make in (build_tcp, build_udp):
+        packet = make("10.0.0.1", "10.0.0.2", 1, 2, payload=b"z", ip_id=0)
+        wire = parent_to_bytes(packet.copy())
+        words = rfc1071_sum(wire[:10] + wire[12:20])
+        packet.ip.identification = 0xFFFF - words
+        wire = packet.to_bytes()
+        assert wire == parent_to_bytes(packet.copy())
+        assert _checksum_field(wire, 10) == 0
+        assert Packet.from_bytes(wire).ip == packet.ip
+
+
+@st.composite
+def wire_inputs(draw):
+    """Serialized packets whole, cut short, with one byte changed, or with
+    link padding, as ``bytes``, ``bytearray`` or ``memoryview``."""
+    wire = parent_to_bytes(draw(any_packet))
+    mangle = draw(st.sampled_from(["whole", "truncate", "corrupt", "pad"]))
+    if mangle == "truncate":
+        wire = wire[: draw(st.integers(min_value=0, max_value=len(wire) - 1))]
+    elif mangle == "corrupt":
+        # Mostly in the headers, where every check the parser makes reads.
+        index = draw(st.one_of(st.integers(min_value=0, max_value=min(47, len(wire) - 1)),
+                               st.integers(min_value=0, max_value=len(wire) - 1)))
+        wire = wire[:index] + bytes([draw(st.integers(min_value=0, max_value=0xFF))]) \
+            + wire[index + 1 :]
+    elif mangle == "pad":
+        wire += draw(st.binary(min_size=1, max_size=24))
+    return draw(st.sampled_from([bytes, bytearray, memoryview]))(wire)
+
+
+def _parsed(parse, data, verify):
+    """Every slot of the parsed packet, or the parser's ValueError message."""
+    try:
+        packet = parse(data, verify)
+    except ValueError as error:
+        return str(error)
+    assert type(packet.payload) is bytes
+    return [getattr(packet, name) for name in Packet.__slots__]
+
+
+@settings(max_examples=500, deadline=None)
+@given(wire_inputs(), st.booleans())
+def test_from_bytes_matches_the_per_header_parser(data, verify):
+    # ``ip``, ``l4``, ``payload`` and the rest are equal, and ``_fkey`` is
+    # the same unset sentinel (an identity comparison).
+    assert _parsed(Packet.from_bytes, data, verify) == _parsed(parent_from_bytes, data, verify)
+
+
+def _with_word(wire, offset, value, fix_checksum):
+    """*wire* with the 16-bit word at *offset* set to *value*, and the
+    IPv4 checksum recomputed when *fix_checksum* (so ``verify`` passes)."""
+    data = bytearray(wire)
+    struct.pack_into("!H", data, offset, value)
+    if fix_checksum:
+        header_len = (data[0] & 0x0F) * 4
+        struct.pack_into("!H", data, 10, 0)
+        struct.pack_into("!H", data, 10, 0xFFFF - rfc1071_sum(bytes(data[:header_len])))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("wire", [
+    build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"p" * 30).to_bytes(),
+    build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"p" * 5, mss=1460).to_bytes(),
+    build_tcp("10.0.0.1", "10.0.0.2", 1, 2).to_bytes() + bytes(6),
+    build_udp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"u" * 12).to_bytes(),
+    build_udp("10.0.0.1", "10.0.0.2", 1, 2).to_bytes() + bytes(18),
+], ids=["tcp", "tcp-mss", "tcp-padded", "udp", "udp-padded"])
+def test_from_bytes_matches_the_per_header_parser_on_every_length_field(wire):
+    # Each header field the block parse tests, swept across its edges:
+    # version/IHL, fragment bits, protocol, total length, then the UDP
+    # length or the TCP data offset.
+    cases = [(0, vihl << 8 | wire[1]) for vihl in (0x45, 0x46, 0x44, 0x55, 0x35, 0x4F)]
+    cases += [(6, bits) for bits in (0, 0x4000, 0x8000, 0x2000, 0x1000, 0x0100, 0x0001)]
+    cases += [(8, wire[8] << 8 | protocol) for protocol in (0, 1, 6, 17, 0xFF)]
+    cases += [(2, total) for total in range(len(wire) + 3)]
+    if wire[9] == IPProto.UDP:
+        cases += [(24, length) for length in range(48)]
+    else:
+        cases += [(32, nibble << 12 | wire[33]) for nibble in range(16)]
+    for offset, value in cases:
+        for fix_checksum in (True, False):
+            data = _with_word(wire, offset, value, fix_checksum)
+            for verify in (True, False):
+                assert _parsed(Packet.from_bytes, data, verify) == _parsed(
+                    parent_from_bytes, data, verify), (offset, value, fix_checksum, verify)

@@ -2,12 +2,15 @@
 never with an unhandled struct/index error — middleboxes parse
 attacker-controlled input."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import decode_caravan
 from repro.packet import Packet, UDPHeader, build_tcp, build_udp
+from repro.packet.checksum import internet_checksum
 from repro.packet.gtpu import GTPUHeader
 from repro.packet.ip import IPv4Header
 from repro.packet.tcp import TCPHeader
@@ -31,11 +34,37 @@ _ipv4_like = st.builds(
 )
 
 
-@settings(max_examples=300)
-@given(data=st.one_of(st.binary(max_size=256), _ipv4_like))
-def test_packet_from_bytes_fails_cleanly(data):
+@st.composite
+def _header_block_like(draw):
+    """28-80 bytes that take the parser's header-block branch: version/IHL
+    0x45, TCP or UDP, fragment bits clear, a total length that fits, and
+    a right or wrong IPv4 checksum.  Sometimes the TCP data offset or the
+    UDP length agrees too, so that some of them parse."""
+    size = draw(st.integers(min_value=28, max_value=80))
+    data = bytearray(draw(st.binary(min_size=size, max_size=size)))
+    data[0] = 0x45
+    data[6] &= 0xC0  # DF and the reserved bit may stay; MF and the offset go
+    data[7] = 0
+    data[9] = draw(st.sampled_from([6, 17]))
+    total = draw(st.one_of(st.just(size), st.integers(min_value=0, max_value=size)))
+    struct.pack_into("!H", data, 2, total)
+    if draw(st.booleans()):
+        if data[9] == 6 and size >= 40:
+            data[32] = 0x50 | data[32] & 0x0F  # a 20-byte TCP header
+        elif data[9] == 17:
+            struct.pack_into("!H", data, 24, max(total - 20, 0))
+    if draw(st.booleans()):
+        struct.pack_into("!H", data, 10, 0)
+        struct.pack_into("!H", data, 10, internet_checksum(bytes(data[:20])))
+    return bytes(data)
+
+
+@settings(max_examples=400)
+@given(data=st.one_of(st.binary(max_size=256), _ipv4_like, _header_block_like()),
+       verify=st.booleans())
+def test_packet_from_bytes_fails_cleanly(data, verify):
     try:
-        packet = Packet.from_bytes(data, verify=False)
+        packet = Packet.from_bytes(data, verify=verify)
     except ValueError:
         return
     _assert_self_consistent(packet)
