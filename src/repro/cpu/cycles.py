@@ -80,10 +80,6 @@ class CycleAccount:
         """Mean cycles per processed packet."""
         return self.cycles / self.packets if self.packets else 0.0
 
-    def cycles_per_goodput_byte(self) -> float:
-        """Mean cycles per goodput byte."""
-        return self.cycles / self.goodput_bytes if self.goodput_bytes else 0.0
-
     def sustainable_goodput_bps(self, spec: CpuSpec, cores: int = 1) -> float:
         """Goodput (bits/s) sustainable on *cores* of *spec*.
 

@@ -46,6 +46,7 @@ from .collectors import (
     observe_nic,
     observe_pmtud,
     observe_spans,
+    observe_tcp,
     observe_upf,
 )
 from .flight import FlightRecorder
@@ -110,6 +111,7 @@ __all__ = [
     "observe_nic",
     "observe_pmtud",
     "observe_spans",
+    "observe_tcp",
     "observe_upf",
     "run_observed_world",
     "run_trigger_matrix",

@@ -13,7 +13,7 @@ Metric naming convention (see ``docs/OBSERVABILITY.md``)::
     px_<layer>_<noun>_<unit>           histograms (base unit in name)
 
 Layers: ``gateway``, ``worker``, ``health``, ``failover``, ``pmtu_cache``,
-``negotiation``, ``nic``, ``upf``, ``pmtud``.
+``negotiation``, ``nic``, ``upf``, ``pmtud``, ``tcp``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "observe_spans",
     "observe_upf",
     "observe_pmtud",
+    "observe_tcp",
 ]
 
 
@@ -485,5 +486,37 @@ def observe_pmtud(obs: Observability, prober=None, daemon=None,
             registry.counter("px_pmtud_daemon_reports_sent_total",
                              "Fragment-size reports sent by the daemon.",
                              agent=name).set_total(daemon.reports_sent)
+
+    obs.registry.register_collector(collect)
+
+
+# ----------------------------------------------------------------------
+# TCP senders
+# ----------------------------------------------------------------------
+def observe_tcp(obs: Observability, *connections) -> None:
+    """Publish TCP sender state, one ``conn="<host>:<local_port>"`` each.
+
+    A gauge appears once it has a finite value (``diff`` would make
+    ``inf - inf`` a NaN delta): ``ssthresh`` after the first loss,
+    ``srtt`` after the first RTT sample, the window once established.
+    """
+
+    def collect(registry: MetricsRegistry) -> None:
+        for conn in connections:
+            label = f"{conn.host.name}:{conn.local_port}"
+            registry.counter("px_tcp_retransmits_total", "Segments retransmitted.",
+                             conn=label).set_total(conn.retransmits)
+            registry.counter("px_tcp_timeouts_total", "Retransmission timeouts fired.",
+                             conn=label).set_total(conn.timeouts)
+            cc = conn.cc
+            for metric, value, help in (
+                ("px_tcp_cwnd_bytes", cc and cc.cwnd, "Congestion window."),
+                ("px_tcp_ssthresh_bytes", cc and cc.ssthresh, "Slow-start threshold."),
+                ("px_tcp_flight_bytes", conn.flight_size, "Bytes sent, not yet acknowledged."),
+                ("px_tcp_srtt_seconds", conn.srtt, "Smoothed round-trip time."),
+                ("px_tcp_rto_seconds", conn.rto, "Retransmission timeout."),
+            ):
+                if value is not None and value != float("inf"):
+                    registry.gauge(metric, help, conn=label).set(value)
 
     obs.registry.register_collector(collect)

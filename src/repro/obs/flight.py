@@ -1,14 +1,13 @@
 """Black-box flight recorder: an always-on, bounded, replayable record.
 
-The recorder answers the question the ISSUE's adversarial papers keep
-raising: *what did this world (or this fleet shard) see in the seconds
-before the alert fired?*  It follows the obs layer's "pull, not push"
-rule — the recorder holds **references** to the instruments a world
-already carries (span tracker, flow tracer, telemetry timeline, alert
-engine) and only materialises a merged, time-sorted window at dump
-time.  Attaching one therefore adds zero per-packet work, which is why
-the 56 chaos digests stay byte-identical with a recorder on board (see
-``tests/obs/test_perturbation_guard.py``).
+The recorder answers *what did this world (or this fleet shard) see in
+the seconds before the alert fired?*  It follows the obs layer's "pull,
+not push" rule — the recorder holds **references** to the instruments a
+world already carries (span tracker, flow tracer, telemetry timeline,
+alert engine) and only materialises a merged, time-sorted window at
+dump time.  Attaching one therefore adds zero per-packet work, which is
+why the 56 chaos digests stay byte-identical with a recorder on board
+(see ``tests/obs/test_perturbation_guard.py``).
 
 Two small push surfaces exist for hosts that have no timeline of their
 own (fleet shards) or that want lifecycle marks in the record:
@@ -120,17 +119,12 @@ class FlightRecorder:
             entry = {"kind": "mark"}
             entry.update(mark)
             entries.append(entry)
-        for sample in self._samples:
+        timeline = self._timeline.samples if self._timeline is not None else []
+        for sample in [*self._samples, *timeline]:
             entries.append(
                 {"time": sample["time"], "kind": "metrics",
                  "deltas": sample["deltas"]}
             )
-        if self._timeline is not None:
-            for sample in self._timeline.samples:
-                entries.append(
-                    {"time": sample["time"], "kind": "metrics",
-                     "deltas": sample["deltas"]}
-                )
         if self._alerts is not None:
             for transition in self._alerts.transitions:
                 entries.append(

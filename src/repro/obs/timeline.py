@@ -1,12 +1,11 @@
 """In-sim telemetry timeline: periodic scrapes as a deterministic series.
 
-PR 4 scraped the registry once at end-of-run — a photo finish.  A
-:class:`TelemetryTimeline` turns the registry into a film: it schedules
-itself on the simulator every ``interval`` sim-seconds, snapshots the
-registry (running the collectors), and records the **windowed deltas**
-of every series that moved.  Because the scrapes happen in sim time,
-two same-seed runs produce byte-identical timelines — the determinism
-contract carries over from the registry exports.
+:class:`TelemetryTimeline` schedules itself on the simulator every
+``interval`` sim-seconds, snapshots the registry (running the
+collectors), and records the **windowed deltas** of every series that
+moved; :meth:`TelemetryTimeline.values` reads one series back as a
+level per tick.  Because the scrapes happen in sim time, two same-seed
+runs produce byte-identical timelines.
 
 The timeline is also the alert engine's clock: when an
 :class:`~repro.obs.alerts.AlertEngine` is attached, every tick feeds it
@@ -109,10 +108,6 @@ class TelemetryTimeline:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def rates(self, sample: dict) -> Dict[str, float]:
-        """A sample's deltas converted to per-second rates."""
-        return {key: value / self.interval for key, value in sample["deltas"].items()}
-
     def totals(self) -> Dict[str, float]:
         """Sum of deltas per series across all retained samples."""
         out: Dict[str, float] = {}
@@ -121,10 +116,16 @@ class TelemetryTimeline:
                 out[key] = out.get(key, 0) + value
         return dict(sorted(out.items()))
 
-    def series(self, key: str) -> List[tuple]:
-        """``(time, delta)`` pairs for one series id, ticks it moved in."""
-        return [(sample["time"], sample["deltas"][key])
-                for sample in self.samples if key in sample["deltas"]]
+    def values(self, key: str) -> List[tuple]:
+        """``(time, value)`` of one series id at every retained tick,
+        rebuilt backwards from the latest snapshot through the stored
+        deltas (so shedding loses nothing and the last tick is exact)."""
+        value = self._baseline.get(key, 0) if self._baseline else 0
+        out = []
+        for sample in reversed(self.samples):
+            out.append((sample["time"], value))
+            value -= sample["deltas"].get(key, 0)
+        return out[::-1]
 
     # ------------------------------------------------------------------
     # Export

@@ -131,8 +131,3 @@ class Netem:
     def wan(cls, one_way_delay: float = 0.005, loss: float = 0.0001) -> "Netem":
         """The paper's WAN profile: 10 ms E2E (5 ms per direction), 0.01 % loss."""
         return cls(delay=one_way_delay, loss=loss)
-
-    @classmethod
-    def lossy_wan_bursty(cls, one_way_delay: float = 0.005) -> "Netem":
-        """A WAN with clustered losses (robustness experiments)."""
-        return cls(delay=one_way_delay, burst_loss=GilbertElliott())

@@ -90,6 +90,7 @@ class Cubic(CongestionControl):
             return
         if self._epoch_start is None:
             self._epoch_start = now
+            self._w_max = self._w_max or self.cwnd  # 0 after a timeout: K = 0
             w_max_seg = self._w_max / self.mss
             cwnd_seg = self.cwnd / self.mss
             self._k = ((w_max_seg - cwnd_seg) / self.C) ** (1.0 / 3.0) if w_max_seg > cwnd_seg else 0.0
@@ -109,6 +110,9 @@ class Cubic(CongestionControl):
         self._epoch_start = None
 
     def on_timeout(self, now: float = 0.0) -> None:
-        super().on_timeout(now)
-        self._w_max = max(self._w_max, self.ssthresh)
+        # RFC 9438 §4.8: ssthresh by β_cubic, as on a loss, and cwnd to
+        # one segment; the next epoch starts at K = 0, W_max = its cwnd.
+        self.ssthresh = max(self.cwnd * self.BETA, 2.0 * self.mss)
+        self.cwnd = float(self.mss)
+        self._w_max = 0.0
         self._epoch_start = None

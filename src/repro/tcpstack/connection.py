@@ -19,9 +19,8 @@ and wire packets are exact.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from functools import cached_property
-from typing import Callable, Deque, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Type
 
 from ..net.host import Host
 from ..packet import (
@@ -125,8 +124,6 @@ class TCPConnection:
     MAX_RTO = 60.0
     DELACK_TIMEOUT = 0.025
     WINDOW_SCALE = 10
-    #: Samples ``cwnd_trace`` retains (the most recent ones).
-    CWND_TRACE_CAPACITY = 1024
 
     def __init__(
         self,
@@ -199,13 +196,6 @@ class TCPConnection:
         self.bytes_acked = 0
         self.retransmits = 0
         self.timeouts = 0
-        self.established_at: Optional[float] = None
-        #: The last ``CWND_TRACE_CAPACITY`` ``(time, cwnd)`` samples, one
-        #: per window change; ``cwnd_samples`` counts every one taken.
-        self.cwnd_trace: Deque[tuple] = deque(maxlen=self.CWND_TRACE_CAPACITY)
-        self.cwnd_samples = 0
-        self.on_data: Optional[Callable[[int], None]] = None
-        self.on_established: Optional[Callable[[], None]] = None
 
         host.on_tcp(local_port, peer_ip, peer_port, self._on_packet)
         if pmtud:
@@ -242,11 +232,6 @@ class TCPConnection:
     @property
     def effective_peer_window(self) -> int:
         return self.peer_window << self.peer_wscale
-
-    @property
-    def cwnd_trace_dropped(self) -> int:
-        """Samples ``cwnd_trace`` has shed (taken - retained)."""
-        return self.cwnd_samples - len(self.cwnd_trace)
 
     def throughput_bps(self, duration: float) -> float:
         """Receiver-side goodput over *duration*."""
@@ -381,11 +366,8 @@ class TCPConnection:
         if self.state == TCPState.ESTABLISHED:
             return
         self.state = TCPState.ESTABLISHED
-        self.established_at = self.sim.now
         self.cc = self.cc_class(self.send_mss)
         self._cancel_rto()
-        if self.on_established:
-            self.on_established()
         self._pump()
 
     # ------------------------------------------------------------------
@@ -455,8 +437,6 @@ class TCPConnection:
                         self._retransmit_head()
                 else:
                     self.cc.on_ack(acked, self.sim.now)
-                self.cwnd_samples += 1
-                self.cwnd_trace.append((self.sim.now, self.cc.cwnd))
             if self.snd_nxt != self.snd_una:
                 self._arm_rto()
             else:
@@ -478,8 +458,6 @@ class TCPConnection:
         self._rtx_until = self.snd_una
         if self.cc is not None:
             self.cc.on_loss(self.sim.now)
-            self.cwnd_samples += 1
-            self.cwnd_trace.append((self.sim.now, self.cc.cwnd))
         self._retransmit_head()
 
     def _record_sack(self, tcp) -> None:
@@ -588,8 +566,6 @@ class TCPConnection:
             return
         if self.cc is not None:
             self.cc.on_timeout(self.sim.now)
-            self.cwnd_samples += 1
-            self.cwnd_trace.append((self.sim.now, self.cc.cwnd))
         self._in_recovery = True
         self._recover = self.snd_nxt
         self._rtx_until = self.snd_una  # RTO: force a fresh retransmit
@@ -623,8 +599,6 @@ class TCPConnection:
     def _deliver(self, length: int) -> None:
         self.rcv_nxt = (self.rcv_nxt + length) & _MASK
         self.bytes_delivered += length
-        if self.on_data:
-            self.on_data(length)
 
     def _drain_ooo(self) -> None:
         """Deliver any stored intervals now reachable from rcv_nxt."""

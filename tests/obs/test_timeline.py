@@ -67,19 +67,39 @@ def test_max_samples_sheds_oldest():
     assert [s["time"] for s in timeline.samples] == pytest.approx([0.4, 0.5])
 
 
-def test_rates_totals_series_views():
+def test_totals_and_values_views():
     sim, registry, counter = _world()
+    gauge = registry.gauge("px_level", gateway="t")
     timeline = TelemetryTimeline(sim, registry, interval=0.1).start()
     sim.schedule_at(0.05, counter.inc, 5)
+    sim.schedule_at(0.05, gauge.set, 7.5)
     sim.schedule_at(0.25, counter.inc, 1)
+    sim.schedule_at(0.25, gauge.set, 2.0)
     sim.run(until=0.35)
     timeline.stop()
     key = 'px_ticks_total{gateway="t"}'
-    assert timeline.totals() == {key: 6.0}
-    assert timeline.rates(timeline.samples[0]) == {key: pytest.approx(50.0)}
-    assert timeline.series(key) == [
-        (pytest.approx(0.1), 5.0), (pytest.approx(0.3), 1.0)
+    assert timeline.totals() == {key: 6.0, 'px_level{gateway="t"}': 2.0}
+    assert timeline.values(key) == [
+        (pytest.approx(0.1), 5.0), (pytest.approx(0.2), 5.0), (pytest.approx(0.3), 6.0)
     ]
+    assert [v for _, v in timeline.values('px_level{gateway="t"}')] == [7.5, 7.5, 2.0]
+    assert [v for _, v in timeline.values("px_absent")] == [0, 0, 0]
+
+
+def test_values_survive_shedding():
+    sim, registry, counter = _world()
+    gauge = registry.gauge("px_level", gateway="t")
+    timeline = TelemetryTimeline(sim, registry, interval=0.1, max_samples=2).start()
+    for step in range(6):
+        sim.schedule_at(0.05 + 0.1 * step, counter.inc, step)
+        sim.schedule_at(0.05 + 0.1 * step, gauge.set, 10.0 - step)
+    sim.run(until=0.55)
+    timeline.stop()
+    assert timeline.shed == 3
+    assert timeline.values('px_ticks_total{gateway="t"}') == [
+        (pytest.approx(0.4), 6.0), (pytest.approx(0.5), 10.0)
+    ]
+    assert [v for _, v in timeline.values('px_level{gateway="t"}')] == [7.0, 6.0]
 
 
 def test_alert_engine_is_fed_each_tick():

@@ -9,6 +9,8 @@ from repro.packet import TCPHeader, TCPOption
 from repro.sim import Netem
 from repro.tcpstack import Cubic, Reno, TCPConnection, TCPListener, TCPState
 
+from .obs.test_observe_tcp import CWND, TIMEOUTS, snippet1_world
+
 
 def simple_pair(netem=None, mtu=1500, bandwidth=10e9):
     topo = Topology()
@@ -55,6 +57,21 @@ class TestCubicEndToEnd:
         conn.send_bulk(300_000)
         topo.run(until=5.0)
         assert listener.connections[0].bytes_delivered == 300_000
+
+
+class TestRtoRecovery:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 4(e): _on_rto enters NewReno recovery and _handle_ack skips "
+        "cc.on_ack while in recovery, so slow start never runs after an RTO"))
+    def test_window_reopens_within_two_seconds_of_an_rto(self):
+        # RFC 5681 §3.1: after a timeout the sender slow-starts from one
+        # segment, doubling per RTT (0.25 s here), so 2 s is ample.
+        mss = 8960
+        run = snippet1_world(mss, observe=True)
+        first_rto = next(at for at, count in run.timeline.values(TIMEOUTS) if count)
+        after = [cwnd for at, cwnd in run.timeline.values(CWND)
+                 if first_rto <= at <= first_rto + 2.0]
+        assert max(after) > 4 * mss
 
 
 class TestFinHandling:

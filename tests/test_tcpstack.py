@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Topology
+from repro.obs import Observability, TelemetryTimeline, observe_tcp
 from repro.sim import Netem
 from repro.tcpstack import (
     Cubic,
@@ -28,6 +29,18 @@ def line_topology(mtu=1500, bandwidth=10e9, delay=1e-4, netem=None, blackhole=Fa
               bandwidth_bps=bandwidth, delay=delay)
     topo.build_routes()
     return topo, client, server
+
+
+CWND = 'px_tcp_cwnd_bytes{conn="client:40000"}'
+
+
+def cwnd_timeline(topo, conn, interval=0.01):
+    """A timeline over ``observe_tcp(conn)``, and ``(now, cwnd)`` read at each scrape."""
+    obs = Observability()
+    observe_tcp(obs, conn)
+    truth = []
+    obs.registry.register_collector(lambda _registry: truth.append((topo.sim.now, conn.cc.cwnd)))
+    return TelemetryTimeline(topo.sim, obs.registry, interval=interval).start(), truth
 
 
 def open_connection(topo, client, server, client_mss=1460, server_mss=1460, **kwargs):
@@ -127,23 +140,24 @@ class TestLossRecovery:
     def test_loss_reduces_cwnd(self):
         topo, client, server = line_topology(netem=Netem(loss=0.02), delay=1e-3)
         conn, _listener = open_connection(topo, client, server)
+        timeline, _truth = cwnd_timeline(topo, conn)
         conn.send_bulk(500_000)
         topo.run(until=topo.sim.now + 30.0)
-        cwnds = [value for _t, value in conn.cwnd_trace]
+        cwnds = [value for _t, value in timeline.values(CWND)]
         assert any(cwnds[i + 1] < cwnds[i] for i in range(len(cwnds) - 1))
 
-    def test_cwnd_trace_is_a_bounded_ring_of_the_latest_samples(self):
-        topo, client, server = line_topology()
+    def test_timeline_cwnd_equals_the_connection_window_at_each_tick(self):
+        topo, client, server = line_topology(netem=Netem(loss=0.02), delay=1e-3)
         conn, _listener = open_connection(topo, client, server)
+        timeline, truth = cwnd_timeline(topo, conn)
         conn.send_bulk(4_000_000)
         topo.run(until=topo.sim.now + 5.0)
-        capacity = TCPConnection.CWND_TRACE_CAPACITY
-        assert conn.cwnd_samples > capacity  # one sample per advancing ACK
-        assert len(conn.cwnd_trace) == capacity
-        assert conn.cwnd_trace_dropped == conn.cwnd_samples - capacity
-        times = [at for at, _cwnd in conn.cwnd_trace]
-        assert times == sorted(times)
-        assert conn.cwnd_trace[-1] == (times[-1], conn.cc.cwnd)
+        rebuilt = timeline.values(CWND)
+        assert len(rebuilt) == timeline.ticks == len(truth) - 1 > 100
+        assert [at for at, _ in rebuilt] == [at for at, _ in truth[1:]]
+        assert [cwnd for _, cwnd in rebuilt] == pytest.approx([cwnd for _, cwnd in truth[1:]])
+        assert rebuilt[-1] == truth[-1]  # the last tick is the latest snapshot, exactly
+        assert len({cwnd for _, cwnd in rebuilt}) > 10  # the window moved
 
     def test_lossless_transfer_has_no_retransmits(self):
         topo, client, server = line_topology()
@@ -231,6 +245,24 @@ class TestCongestionControl:
             for _ in range(100):
                 cc.on_ack(cc.mss)
         assert large.cwnd - 90_000 > (small.cwnd - 15_000) * 3
+
+    def test_cubic_timeout_follows_rfc9438(self):
+        # RFC 9438 §4.8: ssthresh by β_cubic (as on a loss), cwnd to one
+        # segment; the first congestion-avoidance epoch after the timeout
+        # has K = 0 and W_max = the window at that epoch's start.
+        mss = 1000
+        cc = Cubic(mss=mss)
+        cc.cwnd = 150 * mss
+        cc.on_loss(now=0.0)  # W_max = 150 MSS
+        cc.cwnd = 100 * mss
+        cc.on_timeout(now=1.0)
+        assert cc.ssthresh == pytest.approx(70 * mss)  # β_cubic, not Reno's half
+        assert cc.cwnd == mss
+        while cc.in_slow_start:
+            cc.on_ack(mss, now=2.0)
+        cc.on_ack(mss, now=2.0)  # opens the epoch
+        assert cc._k == 0.0
+        assert cc._w_max == pytest.approx(70 * mss)  # not the 150 before the loss
 
     def test_cubic_recovers_toward_wmax(self):
         cc = Cubic(mss=1500)
