@@ -23,6 +23,14 @@ from . import __version__
 __all__ = ["main", "build_parser"]
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -68,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only events of this kind (ingress, merge, ...)")
     trace.add_argument("--since", type=float, default=None,
                        help="only events at or after this sim time")
-    trace.add_argument("--limit", type=int, default=None,
+    trace.add_argument("--limit", type=_count, default=None,
                        help="print at most the last N events")
     trace.add_argument("--summary", action="store_true",
                        help="print per-kind counts instead of events")
@@ -85,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print balance/kind/latency aggregates only")
     spans.add_argument("--jsonl", action="store_true",
                        help="one finished span per line instead of one blob")
-    spans.add_argument("--limit", type=int, default=None,
+    spans.add_argument("--limit", type=_count, default=None,
                        help="include at most the last N finished spans")
     spans.add_argument("--out", default=None,
                        help="write the export here instead of stdout")
@@ -391,7 +399,7 @@ def _cmd_trace(args) -> int:
     if args.since is not None:
         events = [event for event in events if event["time"] >= args.since]
     if args.limit is not None:
-        events = events[-args.limit:]
+        events = events[max(len(events) - args.limit, 0):]
     for event in events:
         if args.jsonl:
             print(json.dumps(event, sort_keys=True, separators=(",", ":")))
@@ -451,7 +459,7 @@ def _cmd_incident(args) -> int:
 
 def _emit_text(text: str, out, label: str) -> None:
     """Write an export to a file (with a note) or stdout."""
-    if not text.endswith("\n"):
+    if text and not text.endswith("\n"):
         text += "\n"
     if out:
         with open(out, "w") as handle:

@@ -41,19 +41,26 @@ mirrored onto fixed-bucket registry histograms at scrape time via
 :meth:`Histogram.load`, so exports stay byte-deterministic and the
 per-packet cost is one dict update.
 
-Finished spans are kept as flat tuples of atoms — ``(sid, kind,
-opened_at, closed_at, outcome, parents, stage, *flow)``, a ``FlowKey``
-as its five integers — and become :class:`Span` objects only in
-:meth:`SpanTracker.finished`.  The collector untracks a tuple of atoms
-the first time it visits it; a ring of objects each holding a ``FlowKey``
-(a ``NamedTuple`` is never untracked) was re-walked by every collection.
+A finished span is one packed ``bytes`` record: a fixed head (sid,
+close time, outcome, open time, kind, stage, a flow tag and the parent
+count; the three labels as 16-bit codes from a per-tracker intern
+table), then a ``FlowKey`` as ``<BIHIH`` and the parents as ``q`` each.
+It becomes a :class:`Span` only on read.  ``bytes`` are never tracked
+by the collector and add nothing to its allocation count; a retained
+keyed span costs about 88 B.  What the layout cannot carry — a flow
+that is not an in-range ``FlowKey``, a time that is not a ``float``, a
+label that is not a ``str`` — keeps a plain tuple of the span's fields
+in the same ring.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import struct
 from collections import Counter, defaultdict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from ..core.caravan import caravan_inner_count, is_caravan
 from ..core.worker import WorkerObserver
@@ -148,20 +155,36 @@ class Span:
         return f"<Span #{self.sid} {self.kind}/{self.stage or '-'} {state}>"
 
 
-def _flow_atoms(flow) -> tuple:
-    """What a record is extended by for *flow*: a key's five integers."""
-    if flow is None:
-        return ()
-    if type(flow) is FlowKey:
-        return flow  # tuple + FlowKey concatenates to a plain tuple
-    return (flow,)
+# A record is a head, then the flow key if the tag says so, then the parents:
+#   sid q | closed_at d | outcome H | opened_at d | kind H | stage H |
+#   flow tag B (0 none, 1 FlowKey) | parent count H | <BIHIH key> | q ...
+_HEAD = struct.Struct("<qdHdHHBH")
+_KEY = struct.Struct("<BIHIH")
+#: A keyed, parentless record whole: the one-in-one-out tail, merged parents.
+_KEYED = struct.Struct("<qdHdHHBHBIHIH")
+#: What ``derived`` packs per child; the rest is one body per call.
+_SHUT = struct.Struct("<qdH")
+_CODE = struct.Struct("<H")
+_KIND_AT = _SHUT.size + 8   # the kind code follows opened_at
+_STAGE_AT = _KIND_AT + 2
+#: What a fast pack raises where the layout cannot carry a field (or a
+#: label is not interned yet); the slow path then decides.
+_UNPACKABLE = (KeyError, TypeError, struct.error)
 
 
-def _span(record: tuple) -> Span:
-    """Materialise one finished-span record."""
-    extra = len(record) - 7
-    flow = None if extra == 0 else record[7] if extra == 1 else FlowKey(*record[7:])
-    return Span(*record[:7], flow)
+@functools.lru_cache(maxsize=64)
+def _keyed_body(parents: int) -> struct.Struct:
+    """A keyed child's record less its ``_SHUT``, with *parents* ids."""
+    return struct.Struct(f"<dHHBHBIHIH{parents}q")
+
+
+#: Labels every tracker interns first, so the hot sites use constants.
+_LABELS = (None, "packet", "egress", "merged")
+_PACKET, _EGRESS, _MERGED = 1, 2, 3
+
+#: What the ring holds per span: a packed record, or the span's fields
+#: ``(sid, kind, opened_at, closed_at, outcome, parents, stage, flow)``.
+_Record = Union[bytes, tuple]
 
 
 class SpanTracker(WorkerObserver):
@@ -184,10 +207,14 @@ class SpanTracker(WorkerObserver):
         #: chaos oracle requires this to stay zero.
         self.anomalies = 0
         self._next_sid = 0
-        # sid -> (kind, opened_at, parents, stage, *flow): a record's
-        # fields less the three known only at close
+        # sid -> (opened_at, kind, parents, stage, flow), or (opened_at,
+        # key) for a buffered segment whose record packs whole at close
         self._open: Dict[int, tuple] = {}
-        self._done: Deque[tuple] = deque(maxlen=capacity)
+        self._done: Deque[_Record] = deque(maxlen=capacity)
+        # The intern table: label -> 16-bit code, and back by index.
+        self._codes: Dict[Optional[str], int] = {
+            label: code for code, label in enumerate(_LABELS)}
+        self._labels: List[Optional[str]] = list(_LABELS)
         # Per-flow FIFOs mirroring the merge engines' buffers.
         # merge: flow -> deque of [sid, bytes_left, enqueued_at]
         # caravan: flow -> deque of (sid, enqueued_at)
@@ -231,10 +258,16 @@ class SpanTracker(WorkerObserver):
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        if key is None:
-            self._done.append((sid, "packet", at, now, "egress", (), stage))
-        else:
-            self._done.append((sid, "packet", at, now, "egress", (), stage, *key))
+        record = None
+        if type(key) is FlowKey and type(at) is float and type(now) is float:
+            proto, src, sport, dst, dport = key  # unpacked: ``*key`` is slow
+            try:
+                record = _KEYED.pack(sid, now, _EGRESS, at, _PACKET, self._codes[stage],
+                                     1, 0, proto, src, sport, dst, dport)
+            except _UNPACKABLE:
+                pass
+        self._done.append(record or self._pack(
+            sid, "packet", at, now, "egress", (), stage, key))
         bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
         delta = now - at
         bucket[delta] = bucket.get(delta, 0) + 1
@@ -298,7 +331,10 @@ class SpanTracker(WorkerObserver):
             sid = self._next_sid
             self._next_sid = sid + 1
             self.opened += 1
-            self._open[sid] = ("packet", at, (), None) + (key or ())
+            if type(key) is FlowKey and type(at) is float:
+                self._open[sid] = (at, key)
+            else:
+                self._open[sid] = (at, "packet", (), None, key)
             if tcp:
                 nbytes = len(packet.payload)
                 self._merge_fifo[key].append([sid, nbytes, now])
@@ -342,7 +378,7 @@ class SpanTracker(WorkerObserver):
         sid = self._next_sid
         self._next_sid = sid + 1
         self.opened += 1
-        self._open[sid] = (kind, opened_at, parents, stage) + _flow_atoms(flow)
+        self._open[sid] = (opened_at, kind, parents, stage, flow)
         return sid
 
     def _finish(self, sid: int, at: float, outcome: str) -> Optional[tuple]:
@@ -352,7 +388,7 @@ class SpanTracker(WorkerObserver):
         if entry is None:
             self.anomalies += 1
         else:
-            self._done.append((sid, entry[0], entry[1], at, outcome) + entry[2:])
+            self._done.append(self._closed(sid, at, outcome, entry))
         return entry
 
     def close(self, sid: int, closed_at: float, outcome: str = "egress") -> None:
@@ -376,8 +412,8 @@ class SpanTracker(WorkerObserver):
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        self._done.append((sid, kind, opened_at, closed_at, "egress", (), stage)
-                          + _flow_atoms(flow))
+        self._done.append(
+            self._pack(sid, kind, opened_at, closed_at, "egress", (), stage, flow))
         bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
         delta = closed_at - opened_at
         bucket[delta] = bucket.get(delta, 0) + 1
@@ -389,8 +425,8 @@ class SpanTracker(WorkerObserver):
         self._next_sid = sid + 1
         self.opened += 1
         self.dropped += 1
-        self._done.append((sid, "packet", opened_at, at, reason, (), "drop")
-                          + _flow_atoms(flow))
+        self._done.append(
+            self._pack(sid, "packet", opened_at, at, reason, (), "drop", flow))
         return sid
 
     def derived(self, parents: Tuple[int, ...], kind: str, at: float,
@@ -405,9 +441,83 @@ class SpanTracker(WorkerObserver):
         self._next_sid = first + count
         self.opened += count
         self.closed += count
-        flow = _flow_atoms(flow)
+        append = self._done.append
+        if type(flow) is FlowKey and type(at) is float and type(parents) is tuple:
+            proto, src, sport, dst, dport = flow
+            try:
+                body = _keyed_body(len(parents)).pack(
+                    at, self._codes[kind], 0, 1, len(parents),
+                    proto, src, sport, dst, dport, *parents)
+            except _UNPACKABLE:
+                pass
+            else:  # one body, a sid in front of it per child
+                shut = _SHUT.pack
+                for sid in range(first, first + count):
+                    append(shut(sid, at, _EGRESS) + body)
+                return
         for sid in range(first, first + count):
-            self._done.append((sid, kind, at, at, "egress", parents, None) + flow)
+            append(self._pack(sid, kind, at, at, "egress", parents, None, flow))
+
+    # ------------------------------------------------------------------
+    # Record codec
+    # ------------------------------------------------------------------
+    def _code(self, label) -> Optional[int]:
+        """*label*'s 16-bit code, interned on first sight; ``None`` when
+        it is not a ``str`` or the table is full."""
+        if label is None:
+            return 0
+        if type(label) is not str:
+            return None
+        code = self._codes.get(label)
+        if code is None and len(self._labels) <= 0xFFFF:
+            code = self._codes[label] = len(self._labels)
+            self._labels.append(label)
+        return code
+
+    def _pack(self, sid, kind, opened_at, closed_at, outcome, parents, stage,
+              flow) -> _Record:
+        """One finished span as a packed record, or as the tuple of its
+        fields if the layout cannot carry one of them."""
+        codes = (self._code(kind), self._code(outcome), self._code(stage))
+        if (None not in codes and type(opened_at) is float
+                and type(closed_at) is float and type(parents) is tuple
+                and (flow is None or type(flow) is FlowKey)):
+            kind_code, outcome_code, stage_code = codes
+            try:
+                record = _HEAD.pack(sid, closed_at, outcome_code, opened_at, kind_code,
+                                    stage_code, flow is not None, len(parents))
+                if flow is not None:
+                    record += _KEY.pack(*flow)
+                if parents:
+                    record += struct.pack(f"<{len(parents)}q", *parents)
+                return record
+            except struct.error:  # a field out of range
+                pass
+        return (sid, kind, opened_at, closed_at, outcome, parents, stage, flow)
+
+    def _closed(self, sid: int, at: float, outcome: str, entry: tuple) -> _Record:
+        """The finished record of span *sid*; *entry* is what it opened with."""
+        if len(entry) == 2:
+            opened_at, flow = entry
+            return self._pack(sid, "packet", opened_at, at, outcome, (), None, flow)
+        opened_at, kind, parents, stage, flow = entry
+        return self._pack(sid, kind, opened_at, at, outcome, parents, stage, flow)
+
+    def _span(self, record: _Record) -> Span:
+        """Materialise one finished-span record."""
+        if type(record) is tuple:
+            return Span(*record)
+        sid, closed_at, outcome, opened_at, kind, stage, tag, count = \
+            _HEAD.unpack_from(record)
+        offset = _HEAD.size
+        flow = None
+        if tag:
+            flow = FlowKey(*_KEY.unpack_from(record, offset))
+            offset += _KEY.size
+        parents = struct.unpack_from(f"<{count}q", record, offset) if count else ()
+        labels = self._labels
+        return Span(sid, labels[kind], opened_at, closed_at, labels[outcome],
+                    parents, labels[stage], flow)
 
     # ------------------------------------------------------------------
     # Merge (byte) FIFO — mirrors TcpMergeEngine buffers
@@ -429,6 +539,7 @@ class SpanTracker(WorkerObserver):
         parents: List[int] = []
         wait = self._latency[MERGE_WAIT_SECONDS]
         res = self._latency[GATEWAY_RESIDENCY_SECONDS]
+        at_is_float = type(at) is float
         while nbytes > 0:
             if not fifo:
                 self.anomalies += 1
@@ -446,11 +557,18 @@ class SpanTracker(WorkerObserver):
                     self.anomalies += 1
                 else:
                     self.closed += 1
-                    self._done.append(
-                        (head[0], entry[0], entry[1], at, "merged") + entry[2:])
+                    record = None
+                    if at_is_float and len(entry) == 2:
+                        proto, src, sport, dst, dport = entry[1]
+                        try:
+                            record = _KEYED.pack(head[0], at, _MERGED, entry[0], _PACKET,
+                                                 0, 1, 0, proto, src, sport, dst, dport)
+                        except struct.error:
+                            pass
+                    self._done.append(record or self._closed(head[0], at, "merged", entry))
                     delta = at - head[2]
                     wait[delta] = wait.get(delta, 0) + 1
-                    delta = at - entry[1]
+                    delta = at - entry[0]
                     res[delta] = res.get(delta, 0) + 1
         if fifo is not None and not fifo:
             del self._merge_fifo[flow]
@@ -480,7 +598,7 @@ class SpanTracker(WorkerObserver):
             if entry is not None:
                 self.closed += 1
                 res = self._latency[GATEWAY_RESIDENCY_SECONDS]
-                delta = at - entry[1]
+                delta = at - entry[0]
                 res[delta] = res.get(delta, 0) + 1
         if fifo is not None and not fifo:
             del self._caravan_fifo[flow]
@@ -571,25 +689,44 @@ class SpanTracker(WorkerObserver):
 
     def finished(self, kind: Optional[str] = None) -> List[Span]:
         """Retained finished spans, optionally filtered by kind."""
-        return [_span(record) for record in self._done
-                if kind is None or record[1] == kind]
+        if kind is None:
+            return [self._span(record) for record in self._done]
+        code = self._codes.get(kind) if isinstance(kind, str) else None
+        code = None if code is None else _CODE.pack(code)
+        return [self._span(record) for record in self._done
+                if (record[1] == kind if type(record) is tuple
+                    else record[_KIND_AT:_KIND_AT + 2] == code)]
 
     def kinds(self) -> Dict[str, int]:
         """Retained finished-span counts per kind, sorted by name."""
-        return dict(sorted(Counter(record[1] for record in self._done).items()))
+        return dict(sorted(self._count(1, _KIND_AT).items()))
 
     def stages(self) -> Dict[str, int]:
         """Retained finished-span counts per stage label."""
-        stages = Counter(record[6] for record in self._done)
+        stages = self._count(6, _STAGE_AT)
         stages.pop(None, None)  # children carry no stage
         return dict(sorted(stages.items()))
 
+    def _count(self, field: int, at: int) -> Counter:
+        """Retained spans per label: a tuple's *field*, a record's code at *at*."""
+        codes = Counter(record[at:at + 2] for record in self._done
+                        if type(record) is bytes)
+        counts = Counter(record[field] for record in self._done
+                         if type(record) is tuple)
+        for code, count in codes.items():
+            counts[self._labels[_CODE.unpack(code)[0]]] += count
+        return counts
+
     def _dicts(self, limit: Optional[int]) -> List[dict]:
-        """``to_dict`` of the retained spans, or of the newest *limit*."""
-        records = list(self._done)
+        """``to_dict`` of the retained spans, or of the newest *limit*
+        (0: none; a negative limit is a ``ValueError``)."""
+        start = 0
         if limit is not None:
-            records = records[-limit:]
-        return [_span(record).to_dict() for record in records]
+            if limit < 0:
+                raise ValueError("limit must be non-negative")
+            start = max(len(self._done) - limit, 0)
+        return [self._span(record).to_dict()
+                for record in islice(self._done, start, None)]
 
     def to_json(self, limit: Optional[int] = None, indent: Optional[int] = None) -> str:
         """Byte-deterministic JSON export (balance, latency, spans)."""

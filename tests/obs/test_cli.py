@@ -3,7 +3,10 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.obs import SpanTracker
 
 
 def test_metrics_prometheus_to_stdout(capsys):
@@ -162,3 +165,28 @@ def test_incident_shard_loss_verb(tmp_path, capsys):
     assert bundle["schema"] == "repro-incident/1"
     assert bundle["trigger"]["kind"] == "shard-loss"
     assert bundle["trace"]["flows"] and bundle["trace"]["consistent"]
+
+
+@pytest.mark.parametrize("verb", ["trace", "spans"])
+def test_limit_zero_prints_nothing(verb, capsys):
+    assert main([verb, "--seed", "0", "--limit", "0", "--jsonl"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_limit_zero_exports_no_spans():
+    spans = SpanTracker()
+    for at in (0.0, 0.5, 1.0):
+        spans.sync(at, at + 0.25, "forward")
+    assert json.loads(spans.to_json(limit=0))["spans"] == []
+    assert spans.to_jsonl(limit=0) == ""
+    assert [json.loads(line)["sid"] for line in spans.to_jsonl(limit=2).splitlines()] == [1, 2]
+    with pytest.raises(ValueError):
+        spans.to_jsonl(limit=-1)
+
+
+@pytest.mark.parametrize("verb", ["trace", "spans"])
+def test_negative_limit_is_a_usage_error(verb, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, "--limit", "-1"])
+    assert exit_.value.code == 2
+    assert "--limit" in capsys.readouterr().err
