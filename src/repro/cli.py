@@ -754,19 +754,18 @@ def _cmd_fleet(args) -> int:
     )
     failures = 0
     if args.min_speedup_4 > 0:
-        for row in report["rows"]:
-            if row["shards"] != 4:
-                continue
-            if row["speedup_vs_1"] is None:
-                print("note: --min-speedup-4 not applied: no 1-shard row "
-                      "in --workers to compare against", file=sys.stderr)
-            elif row["speedup_vs_1"] < args.min_speedup_4:
-                print(
-                    f"FAIL: modeled speedup at 4 shards "
-                    f"{row['speedup_vs_1']:.2f}x < {args.min_speedup_4}x",
-                    file=sys.stderr,
-                )
-                failures += 1
+        speedup = next((row["speedup_vs_1"] for row in report["rows"]
+                        if row["shards"] == 4), None)
+        if speedup is None:
+            print("note: --min-speedup-4 not applied: --workers needs a "
+                  "1-shard and a 4-shard row", file=sys.stderr)
+        elif speedup < args.min_speedup_4:
+            print(
+                f"FAIL: modeled speedup at 4 shards "
+                f"{speedup:.2f}x < {args.min_speedup_4}x",
+                file=sys.stderr,
+            )
+            failures += 1
 
     drill_results = []
     if args.loss_drill:

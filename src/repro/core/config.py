@@ -15,10 +15,6 @@ class Bound:
     #: Leaving the b-network: split large packets down to the eMTU.
     OUTBOUND = "outbound"
 
-    @staticmethod
-    def opposite(bound: str) -> str:
-        return Bound.OUTBOUND if bound == Bound.INBOUND else Bound.INBOUND
-
 
 @dataclass(frozen=True)
 class GatewayConfig:

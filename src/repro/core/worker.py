@@ -66,8 +66,7 @@ EVENTS = frozenset({
     # FPmtudProber
     "pmtud-probe", "pmtud-report", "pmtud-report-rejected", "pmtud-timeout",
     "steering-decision",  # FleetSteering, cache misses only
-    "rebalance",  # GatewayFleet, one per flow record moved
-    "shard-drain", "shard-rejoin", "shard-loss",  # FleetSupervisor
+    "rebalance",  # GatewayFleet, one per flow record a shard loss moves
 })
 
 

@@ -2,23 +2,20 @@
 
 The package generalizes the single PXGW instance of :mod:`repro.core`
 to a fleet of N worker shards behind a flow-consistent steering stage,
-with bounded per-shard flow tables, checkpointed shard-loss rebalance,
-and health-driven drain/rejoin (reusing :mod:`repro.resilience`).
+with bounded per-shard flow tables and checkpointed shard-loss
+rebalance (reusing :mod:`repro.resilience`'s checkpoint format).
 :mod:`repro.fleet.scaling` reports modeled pkts/s versus shard count.
 """
 
 from .fleet import FleetShard, GatewayFleet
 from .scaling import FLEET_SCHEMA, fleet_world_report, format_fleet_report
 from .steering import FleetSteering
-from .supervisor import FleetSupervisor, ShardPort
 
 __all__ = [
     "FLEET_SCHEMA",
     "FleetShard",
     "FleetSteering",
-    "FleetSupervisor",
     "GatewayFleet",
-    "ShardPort",
     "fleet_world_report",
     "format_fleet_report",
 ]

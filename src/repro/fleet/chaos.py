@@ -8,7 +8,7 @@ the datapath survives link-level abuse; the fleet corpus proves the
    **per-shard** span tracker attached (span FIFO flushes are global
    per tracker, so sharing one across shards would let a dead shard's
    failover flush corrupt the survivors' accounting);
-2. checkpoints the fleet periodically, exactly as the supervisor's
+2. checkpoints the fleet periodically, exactly as a
    :class:`~repro.resilience.failover.FailoverManager` would;
 3. kills a seeded victim shard mid-burst — ``crash`` mode resumes from
    the last periodic checkpoint (the staleness-bounded model), while

@@ -18,18 +18,12 @@ What this module owns, on top of the pool:
   steering sends it).  The checkpoint's pending half-merged packets are
   flushed — never dropped — and its counters fold into a fleet-level
   retired aggregate so the conservation identities keep balancing.
-* **health-driven drain** — a shard pushed to BYPASS by its
-  :class:`~repro.resilience.health.HealthMonitor` stops receiving new
-  flows (:meth:`drain_shard`); on recovery, :meth:`rejoin_shard` wins
-  back exactly the flows the rendezvous map returns to it, with the
-  survivors donating the corresponding records.
 * **fleet conservation** — the per-worker identities extend to the
   tier: live payload in == live payload out + still-buffered, summed
   over live shards plus the retired aggregate.
 
-Checkpoints reuse PR 2's :func:`repro.resilience.failover.checkpoint_worker`
-wholesale; the supervisor module wires the PR 2 ``HealthMonitor`` /
-``FailoverManager`` classes themselves onto shards.
+Checkpoints reuse :func:`repro.resilience.failover.checkpoint_worker`
+wholesale.
 """
 
 from __future__ import annotations
@@ -55,8 +49,6 @@ class FleetShard:
         self._pool = pool
         self.id = shard_id
         self.alive = True
-        #: True while health has drained the shard out of steering.
-        self.drained = False
         self.checkpoint: Optional[WorkerCheckpoint] = None
         self.checkpoints_taken = 0
         #: Flow records this shard adopted from rebalances.
@@ -66,12 +58,8 @@ class FleetShard:
 
     @property
     def worker(self) -> GatewayWorker:
-        """The worker in this shard's slot (a standby swap assigns it)."""
+        """The worker in this shard's slot."""
         return self._pool[self.id]
-
-    @worker.setter
-    def worker(self, worker: GatewayWorker) -> None:
-        self._pool[self.id] = worker
 
 
 class GatewayFleet(GatewayDatapath):
@@ -83,12 +71,10 @@ class GatewayFleet(GatewayDatapath):
         shards: int = 4,
         costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
         steering_seed: int = 0xF1EE7,
-        flow_idle_timeout: float = 30.0,
     ):
         if shards <= 0:
             raise ValueError("need at least one shard")
         self._build_pool(config, costs, shards)
-        self.flow_idle_timeout = flow_idle_timeout
         self.shards = [FleetShard(self.workers, index) for index in range(shards)]
         self.steering = FleetSteering(shards, seed=steering_seed)
         #: Counters of shards that died, folded so fleet-level
@@ -97,8 +83,8 @@ class GatewayFleet(GatewayDatapath):
         self.rebalances = 0
         self.flows_migrated = 0
         self.shard_losses = 0
-        #: Subscribers told of every flow record a loss, drain or rejoin
-        #: moves (``on_event``, ``"rebalance"``); empty by default.
+        #: Subscribers told of every flow record a shard loss moves
+        #: (``on_event``, ``"rebalance"``); empty by default.
         self.observers = ()
 
     # ------------------------------------------------------------------
@@ -119,13 +105,6 @@ class GatewayFleet(GatewayDatapath):
     def shard_for(self, packet: Packet, now: float = 0.0) -> FleetShard:
         """:meth:`slot_for` as the :class:`FleetShard` holding that slot."""
         return self.shards[self.slot_for(packet, now)]
-
-    def expire_idle(self, now: float) -> int:
-        """Expire idle flows on every live shard; returns total removed."""
-        return sum(
-            worker.flows.expire_idle(now, self.flow_idle_timeout)
-            for worker in self.live_workers()
-        )
 
     # ------------------------------------------------------------------
     # Checkpoints and shard loss
@@ -170,10 +149,8 @@ class GatewayFleet(GatewayDatapath):
             raise ValueError(f"shard {index} is already dead")
         if checkpoint is None:
             checkpoint = checkpoint_worker(shard.worker, now)
-        if not shard.drained:
-            self.steering.remove(index)
+        self.steering.remove(index)
         shard.alive = False
-        shard.drained = False
         self.shard_losses += 1
         # The dead shard's accounting survives in the retired aggregate:
         # the checkpoint's counters are self-consistent (payload_in
@@ -186,97 +163,34 @@ class GatewayFleet(GatewayDatapath):
         # Buffered-byte spans on the dead shard settle as failover
         # closures; the survivors' trackers are untouched.
         shard.worker.retire(now)
-        self._rebalance_records(checkpoint.flows, shard, now, "shard-loss")
+        self._rebalance_records(checkpoint.flows, shard, now)
         return flushed
 
     def _rebalance_records(self, records: List[tuple], donor: FleetShard,
-                           now: float, reason: str) -> None:
-        """Hand flow records to the shards steering now assigns them to."""
+                           now: float) -> None:
+        """Hand flow records to the shards steering now assigns them to.
+
+        Each move is announced as a ``"rebalance"`` before steering
+        commits the decision, so a subscriber sees steering's own
+        announcement land where the flow already is: one move, one hop.
+        """
         if not records:
             return
+        steering = self.steering
         buckets: Dict[int, List[tuple]] = {}
         for record in records:
-            target = self._resteer(record[0], donor.id, now, reason)
-            buckets.setdefault(target, []).append(record)
+            flow = record[0]
+            owner = steering.owner_of(flow)
+            for observer in self.observers:
+                observer.on_event(self, now, "rebalance", flow=flow,
+                                  src=donor.id, dst=owner, reason="shard-loss")
+            buckets.setdefault(steering.shard_for(flow, now), []).append(record)
         for target, share in buckets.items():
             adopted = self.shards[target].worker.flows.adopt(share)
             self.shards[target].adopted_flows += adopted
         donor.donated_flows += len(records)
         self.rebalances += 1
         self.flows_migrated += len(records)
-
-    def _resteer(self, flow, src: int, now: float, reason: str,
-                 dst: Optional[int] = None) -> int:
-        """Steer *flow*, held by shard *src*, afresh; returns its owner.
-
-        A move (onto *dst* only, when given) is announced as a
-        ``"rebalance"`` before steering commits the decision, so a
-        subscriber sees steering's own announcement land where the flow
-        already is: one move, one hop.
-        """
-        steering = self.steering
-        target = steering.owner_of(flow)
-        if dst is None or target == dst:
-            for observer in self.observers:
-                observer.on_event(self, now, "rebalance", flow=flow,
-                                  src=src, dst=target, reason=reason)
-        return steering.shard_for(flow, now)
-
-    # ------------------------------------------------------------------
-    # Health-driven drain / rejoin
-    # ------------------------------------------------------------------
-    def drain_shard(self, index: int, now: float) -> int:
-        """Steer a (BYPASS-health) shard's flows away; returns count moved.
-
-        The shard stays alive — its datapath mode change (and the
-        zero-loss merge flush that goes with it) is the health
-        monitor's job — but new traffic re-steers to the survivors and
-        its flow records follow, so the classifier verdicts survive.
-        """
-        shard = self.shards[index]
-        if not shard.alive or shard.drained:
-            return 0
-        self.steering.remove(index)
-        shard.drained = True
-        records = shard.worker.flows.snapshot()
-        for record in records:
-            shard.worker.flows.remove(record[0])
-        self._rebalance_records(records, shard, now, "drain")
-        return len(records)
-
-    def rejoin_shard(self, index: int, now: float) -> int:
-        """Return a recovered shard to steering; returns flows won back.
-
-        The rendezvous map moves exactly the flows whose top weight the
-        shard holds; the survivors donate those records back, so the
-        returning shard starts warm instead of re-classifying its whole
-        flow population.
-        """
-        shard = self.shards[index]
-        if not shard.alive or not shard.drained:
-            return 0
-        self.steering.restore(index)
-        shard.drained = False
-        returned: List[tuple] = []
-        for donor in self.shards:
-            if donor.id == index or not donor.alive:
-                continue
-            donated = [
-                record
-                for record in donor.worker.flows.snapshot()
-                if self._resteer(record[0], donor.id, now, "rejoin", index) == index
-            ]
-            for record in donated:
-                donor.worker.flows.remove(record[0])
-            if donated:
-                donor.donated_flows += len(donated)
-                returned.extend(donated)
-        if returned:
-            adopted = shard.worker.flows.adopt(returned)
-            shard.adopted_flows += adopted
-            self.rebalances += 1
-            self.flows_migrated += len(returned)
-        return len(returned)
 
     # ------------------------------------------------------------------
     # Aggregation and conservation
@@ -289,11 +203,6 @@ class GatewayFleet(GatewayDatapath):
         total = super().combined_stats()
         total.merge(self.retired)
         return total
-
-    def reset_measurement(self) -> None:
-        """Zero stats/cycles keeping datapath state (bench warm-up)."""
-        super().reset_measurement()
-        self.retired = GatewayStats()
 
     # ------------------------------------------------------------------
     # Modeled throughput
@@ -329,22 +238,4 @@ class GatewayFleet(GatewayDatapath):
         return {
             "max_over_mean": max(counts) / mean,
             "min_over_mean": min(counts) / mean,
-        }
-
-    def summary(self) -> "Dict[str, object]":
-        """JSON-friendly fleet digest (CLI + tests)."""
-        stats = self.combined_stats()
-        live = self.live_workers()
-        return {
-            "shards": len(self.shards),
-            "live": len(live),
-            "shard_losses": self.shard_losses,
-            "rebalances": self.rebalances,
-            "flows_migrated": self.flows_migrated,
-            "rx_packets": stats.rx_packets,
-            "tx_packets": stats.tx_packets,
-            "flows": sum(len(worker.flows) for worker in live),
-            "evictions": sum(worker.flows.evictions for worker in live),
-            "conservation_errors": self.conservation_errors(),
-            "balance": self.shard_balance(),
         }

@@ -14,9 +14,8 @@ hashing layered on the same Toeplitz flow hash the NICs use:
   from the flow's RSS hash and the shard's seed;
 * a flow is served by the *live* shard with the highest weight;
 * removing a shard moves exactly the flows that shard owned (their next
-  highest weight is unchanged for everyone else), and restoring it
-  moves exactly those flows back — flow affinity survives membership
-  churn by construction.
+  highest weight is unchanged for everyone else) — flow affinity
+  survives a shard loss by construction.
 
 Packets without a parseable 4-tuple (fragments, ICMP) round-robin over
 the live shards, mirroring the NIC fallback.
@@ -54,7 +53,7 @@ class FleetSteering:
         #: walk the rendezvous ring (exported via ``observe_fleet``).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Membership changes applied (removals + restores).
+        #: Membership changes applied (removals).
         self.reshards = 0
         self._rr = 0
         #: Subscribers told of every cache-*miss* decision (``on_event``,
@@ -71,7 +70,7 @@ class FleetSteering:
         return self._live[shard]
 
     def remove(self, shard: int) -> None:
-        """Take *shard* out of the steering map (death or drain)."""
+        """Take *shard* out of the steering map for good (shard loss)."""
         if not self._live[shard]:
             return
         if sum(self._live) == 1:
@@ -84,19 +83,6 @@ class FleetSteering:
         self._cache = {
             flow: owner for flow, owner in self._cache.items() if owner != shard
         }
-
-    def restore(self, shard: int) -> None:
-        """Return *shard* to the steering map."""
-        if self._live[shard]:
-            return
-        self._live[shard] = True
-        self.reshards += 1
-        # The restored shard wins back exactly the flows whose top
-        # weight it holds; every cached assignment must be re-judged
-        # against it.  (One table-driven flow hash and a SplitMix64
-        # per live shard per flow, paid as each flow's next packet
-        # arrives.)
-        self._cache.clear()
 
     # ------------------------------------------------------------------
     def _scan(self, flow: FlowKey) -> int:

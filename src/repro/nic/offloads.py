@@ -173,10 +173,6 @@ class TcpCoalescer:
             emitted.extend(self._flush_key(key))
         return emitted
 
-    def pending_packets(self) -> int:
-        """Wire packets currently held inside contexts."""
-        return sum(context.count for context in self._contexts.values())
-
 
 class UdpGroCoalescer:
     """Linux UDP_GRO semantics: merge same-flow datagrams of equal length.

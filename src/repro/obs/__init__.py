@@ -16,10 +16,10 @@ Design rules:
 * **Sim time only** — nothing in an export ever reads a wall clock, so
   two same-seed runs are byte-identical (the determinism guard diffs
   ``to_prometheus_text()`` directly).
-* **Tracing is opt-in** — :class:`FlowTracer`, :class:`SpanTracker`,
-  :class:`TracePropagation` and :class:`IncidentRecorder` subscribe to
-  the one seam (each emitter's ``observers`` tuple, empty by default);
-  nothing outside this package and the harness worlds imports it.
+* **Tracing is opt-in** — :class:`FlowTracer`, :class:`SpanTracker`
+  and :class:`TracePropagation` subscribe to the one seam (each
+  emitter's ``observers`` tuple, empty by default); nothing outside
+  this package and the harness worlds imports it.
 * **Latency lives in sim time** — :class:`SpanTracker` spans open at
   gateway ingress and close at egress/drop with parent/child causality
   across merge, split, and caravan stages; :class:`TelemetryTimeline`
@@ -52,7 +52,6 @@ from .collectors import (
 from .flight import FlightRecorder
 from .incident import (
     TRIGGER_KINDS,
-    IncidentRecorder,
     build_incident_bundle,
     bundle_to_json,
     config_digest,
@@ -85,7 +84,6 @@ __all__ = [
     "FlowTracer",
     "Gauge",
     "Histogram",
-    "IncidentRecorder",
     "LATENCY_BUCKETS",
     "LATENCY_METRICS",
     "LOG2_BUCKETS",

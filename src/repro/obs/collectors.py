@@ -333,7 +333,7 @@ def observe_fleet(obs: Observability, fleet, name: str = "fleet0") -> None:
             ).set(1 if shard.alive else 0)
         registry.counter(
             "px_fleet_rebalances_total",
-            "Flow-rebalance operations (loss, drain, rejoin).", fleet=name,
+            "Flow-rebalance operations (one per shard loss).", fleet=name,
         ).set_total(fleet.rebalances)
         registry.counter(
             "px_fleet_flows_migrated_total",

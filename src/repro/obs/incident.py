@@ -32,11 +32,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.worker import WorkerObserver
-from .spans import SpanTracker
-
 __all__ = [
-    "IncidentRecorder",
     "TRIGGER_KINDS",
     "alert_trigger_bundle",
     "build_incident_bundle",
@@ -50,7 +46,7 @@ __all__ = [
 
 #: Every trigger the bundle builder recognises, in matrix order.
 TRIGGER_KINDS = ("alert-firing", "canary-rollback", "shard-loss",
-                 "chaos-oracle", "shard-drain")
+                 "chaos-oracle")
 
 
 def config_digest(config) -> Dict[str, Any]:
@@ -167,53 +163,6 @@ def bundle_to_json(bundle: Dict[str, Any],
     if indent is None:
         return json.dumps(bundle, sort_keys=True, separators=(",", ":"))
     return json.dumps(bundle, sort_keys=True, indent=indent)
-
-
-class IncidentRecorder(WorkerObserver):
-    """A :class:`~repro.fleet.FleetSupervisor` subscriber that files bundles.
-
-    Subscribed by construction.  Every drain, rejoin and removal the
-    supervisor announces leaves a mark on *flight*; a ``"shard-drain"``
-    or ``"shard-loss"`` also appends a bundle to :attr:`incidents`,
-    citing the recorder's window up to the event and — given the
-    fleet's *trace* — the reconstructed journeys of the flows the event
-    rebalanced.
-    """
-
-    def __init__(self, supervisor, flight, trace=None):
-        self.fleet = supervisor.fleet
-        self.flight = flight
-        self.trace = trace
-        self.incidents: List[dict] = []
-        supervisor.observers += (self,)
-
-    def on_event(self, source, now, kind, **fields) -> None:
-        self.flight.note(now, kind, **fields)
-        if kind == "shard-rejoin":
-            return
-        trace = self.trace
-        moved = [] if trace is None else [
-            ctx.flow for ctx in trace.contexts.values()
-            if any(hop["kind"] == "rebalance" and hop["shard"] != fields["shard"]
-                   for hop in ctx.hops)
-        ][:8]
-        self.incidents.append(build_incident_bundle(
-            kind,
-            now,
-            window=now,
-            detail=fields,
-            flights=[self.flight],
-            trace=trace,
-            trackers={
-                shard.id: observer
-                for shard in self.fleet.shards
-                for observer in shard.worker.observers
-                if isinstance(observer, SpanTracker)
-            },
-            flows=moved,
-            owner_of=self.fleet.steering.owner_of,
-            config=self.fleet.config,
-        ))
 
 
 # ----------------------------------------------------------------------

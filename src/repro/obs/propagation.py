@@ -3,8 +3,8 @@
 A flow's journey through a sharded fleet is decided in four places:
 the first :class:`~repro.fleet.steering.FleetSteering` cache miss
 (**ingress**), any later fresh decision that lands on a different
-shard (**handoff**), checkpoint rebalance after a shard loss or drain
-(**rebalance**), and failover/rejoin adoption (**adoption**).  Each of
+shard (**handoff**), checkpoint rebalance after a shard loss
+(**rebalance**), and failover adoption (**adoption**).  Each of
 those places stamps a *hop* onto the flow's :class:`TraceContext`, so
 the per-shard :class:`~repro.obs.spans.SpanTracker` rings — which now
 carry flow attribution — reconcile into one end-to-end journey.
@@ -147,7 +147,7 @@ class TracePropagation(WorkerObserver):
 
     def adopt(self, flow, shard, time: float,
               reason: str = "failover") -> None:
-        """A standby (worker or shard) adopted ``flow`` from a checkpoint."""
+        """A standby worker adopted ``flow`` from a checkpoint."""
         ctx = self._context(flow)
         self._hop(ctx, time, shard, "adoption", detail=reason)
         self.adoptions += 1
@@ -159,16 +159,6 @@ class TracePropagation(WorkerObserver):
     def journey(self, flow) -> Optional[Dict[str, Any]]:
         ctx = self.contexts.get(flow)
         return None if ctx is None else ctx.to_dict()
-
-    def journeys(self, flows: Optional[Sequence] = None) -> List[Dict[str, Any]]:
-        if flows is None:
-            return [ctx.to_dict() for ctx in self.contexts.values()]
-        out = []
-        for flow in flows:
-            journey = self.journey(flow)
-            if journey is not None:
-                out.append(journey)
-        return out
 
     def reconstruct(self, flow, trackers: Optional[Dict[Any, Any]] = None
                     ) -> Optional[Dict[str, Any]]:

@@ -101,38 +101,18 @@ class WorkloadSchedule:
         }
 
 
-def default_workload_schedule(seed: int = 0, scale: float = 1.0,
-                              jitter: float = 0.0) -> WorkloadSchedule:
-    """The canonical observed-world workload, as reusable data.
-
-    At ``scale=1.0, jitter=0.0`` this reproduces the exact workload the
-    observed world has always run (the default path stays
-    byte-identical).  ``scale`` multiplies transfer sizes; ``jitter``
-    perturbs the burst/probe instants by up to ``±jitter`` seconds,
-    seeded from *seed*, for schedule-sensitivity studies.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
-    in_size = max(1, int(500 * scale))
-    out_size = max(1, int(600 * scale))
-    times = {"in0": 0.30, "in1": 0.60, "out": 0.70, "probe": 0.40}
-    if jitter:
-        rng = random.Random(f"workload:{seed}")
-        times = {key: round(at + rng.uniform(-jitter, jitter), 9)
-                 for key, at in sorted(times.items())}
+def default_workload_schedule(seed: int = 0) -> WorkloadSchedule:
+    """The canonical observed-world workload, as reusable data: the
+    exact workload the observed world has always run."""
     return WorkloadSchedule(
         seed=seed,
-        download_bytes=int(48_000 * scale),
-        upload_bytes=int(24_000 * scale),
-        inbound_payloads=tuple(
-            bytes([1, i & 0xFF]) * in_size for i in range(24)),
-        inbound_bursts=((times["in0"], 0, 12), (times["in1"], 12, 12)),
-        outbound_payloads=tuple(
-            bytes([2, i & 0xFF]) * out_size for i in range(12)),
-        outbound_at=times["out"],
-        probe_at=times["probe"],
+        download_bytes=48_000,
+        upload_bytes=24_000,
+        inbound_payloads=tuple(bytes([1, i & 0xFF]) * 500 for i in range(24)),
+        inbound_bursts=((0.30, 0, 12), (0.60, 12, 12)),
+        outbound_payloads=tuple(bytes([2, i & 0xFF]) * 600 for i in range(12)),
+        outbound_at=0.70,
+        probe_at=0.40,
     )
 
 
@@ -253,9 +233,6 @@ def _run_upf(rng: random.Random) -> object:
 
 def run_observed_world(
     seed: int = 0,
-    until: Optional[float] = None,
-    tracer_capacity: int = 8192,
-    registry=None,
     scrape_interval: float = 0.05,
     config=None,
     schedule: Optional[WorkloadSchedule] = None,
@@ -298,13 +275,7 @@ def run_observed_world(
     rng = random.Random(f"obs-world:{seed}")
     if schedule is None:
         schedule = default_workload_schedule(seed)
-    if until is None:
-        until = schedule.horizon
-    obs = Observability(
-        registry=registry,
-        tracer=FlowTracer(tracer_capacity),
-        spans=SpanTracker(),
-    )
+    obs = Observability(tracer=FlowTracer(8192), spans=SpanTracker())
 
     if config is None:
         config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
@@ -438,7 +409,7 @@ def run_observed_world(
         down_listener.connections[0].send_bulk(download)
     if upload:
         up.send_bulk(upload)
-    topo.run(until=until)
+    topo.run(until=schedule.horizon)
 
     # Stop the scraper before the out-of-sim UPF exercise so the last
     # recorded window reflects only in-sim activity.

@@ -30,7 +30,6 @@ from .canary import (
     CanaryController,
     RolloutStage,
     report_to_json,
-    run_canary,
 )
 from .guardrails import (
     Guardrail,
@@ -75,7 +74,6 @@ __all__ = [
     "incident_names",
     "production_deployment",
     "report_to_json",
-    "run_canary",
     "run_corpus",
     "run_incident",
     "run_twin",

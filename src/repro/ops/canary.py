@@ -34,7 +34,7 @@ from .guardrails import default_guardrails, evaluate_guardrails, snapshot_indica
 from .twin import Deployment, TwinRun, run_twin_pair
 
 __all__ = ["RolloutStage", "DEFAULT_STAGES", "PROMOTED", "ROLLED_BACK",
-           "CanaryController", "run_canary", "report_to_json"]
+           "CanaryController", "report_to_json"]
 
 PROMOTED = "PROMOTED"
 ROLLED_BACK = "ROLLED_BACK"
@@ -237,16 +237,6 @@ class CanaryController:
             trackers={world.gateway.worker.index: world.obs.spans},
             flows=flows,
         )
-
-
-def run_canary(
-    baseline: Deployment,
-    candidate: Deployment,
-    seed: int = 0,
-    **kwargs,
-) -> dict:
-    """One-call convenience: build a controller and run it."""
-    return CanaryController(baseline, candidate, seed=seed, **kwargs).run()
 
 
 def report_to_json(report: dict) -> str:

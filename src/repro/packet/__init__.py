@@ -4,7 +4,7 @@ This package is the bottom layer of the reproduction: everything above
 (the simulator, PXGW, F-PMTUD, the UPF) manipulates these objects.
 """
 
-from .address import bytes_to_ip, in_subnet, ip_to_bytes, ip_to_str, make_subnet, str_to_ip
+from .address import in_subnet, ip_to_str, make_subnet, str_to_ip
 from .builder import as_ip, build_icmp, build_tcp, build_udp, next_ip_id
 from .checksum import incremental_update, internet_checksum, verify_checksum
 from .ethernet import (
@@ -52,8 +52,6 @@ __all__ = [
     "incremental_update",
     "ip_to_str",
     "str_to_ip",
-    "ip_to_bytes",
-    "bytes_to_ip",
     "make_subnet",
     "in_subnet",
     "build_tcp",

@@ -7,9 +7,7 @@ strings and validate prefixes.
 
 from __future__ import annotations
 
-import struct
-
-__all__ = ["ip_to_str", "str_to_ip", "ip_to_bytes", "bytes_to_ip", "in_subnet", "make_subnet"]
+__all__ = ["ip_to_str", "str_to_ip", "in_subnet", "make_subnet"]
 
 
 def str_to_ip(text: str) -> int:
@@ -31,18 +29,6 @@ def ip_to_str(value: int) -> str:
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 address out of range: {value:#x}")
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def ip_to_bytes(value: int) -> bytes:
-    """Return the 4-byte network-order encoding of an address."""
-    return struct.pack("!I", value)
-
-
-def bytes_to_ip(data: bytes) -> int:
-    """Parse 4 network-order bytes into an address int."""
-    if len(data) != 4:
-        raise ValueError("IPv4 address must be 4 bytes")
-    return struct.unpack("!I", data)[0]
 
 
 def make_subnet(text: str) -> "tuple[int, int]":

@@ -88,9 +88,9 @@ class Link:
         #: line finishes serializing everything accepted so far, and a
         #: ledger of ``(serialize_start, size)`` for packets that are
         #: still *waiting* (start > now).  Waiting bytes stay counted in
-        #: ``_queued_bytes`` so the overflow check and ``queue_depth``
-        #: match the store-and-forward model exactly; entries are
-        #: drained lazily once their serialize slot begins.
+        #: ``_queued_bytes`` so the overflow check matches the
+        #: store-and-forward model exactly; entries are drained lazily
+        #: once their serialize slot begins.
         self._line_free_at = 0.0
         self._inflight: Deque[Tuple[float, int]] = deque()
 
@@ -244,18 +244,6 @@ class Link:
         if self.taps:
             self._notify("rx", packet)
         self.dst.deliver(packet, size)
-
-    @property
-    def queue_depth(self) -> int:
-        """Packets currently waiting (excluding the one on the wire)."""
-        inflight = self._inflight
-        if inflight:
-            now = self.sim.now
-            queued = self._queued_bytes
-            while inflight and inflight[0][0] <= now:
-                queued -= inflight.popleft()[1]
-            self._queued_bytes = queued
-        return len(self._queue) + len(inflight)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -85,13 +85,6 @@ class Upf:
             self.account.charge(costs.tx_descriptor, category="tx")
         return out
 
-    def process_batch(self, packets: "list[Packet]") -> List[Packet]:
-        """Process a burst (the benchmarks' entry point)."""
-        out: List[Packet] = []
-        for packet in packets:
-            out.extend(self.process(packet))
-        return out
-
     # ------------------------------------------------------------------
     @staticmethod
     def _is_gtpu(packet: Packet) -> bool:

@@ -10,7 +10,7 @@ from .distributions import (
     poisson_arrivals,
 )
 from .imix import IMIX_SIMPLE, ImixProfile, imix_tcp_sources, imix_udp_sources
-from .iperf import IperfResult, run_tcp_flow, start_tcp_flows
+from .iperf import IperfResult, run_tcp_flow
 from .streams import (
     TcpStreamSource,
     UdpStreamSource,
@@ -32,7 +32,6 @@ __all__ = [
     "SessionConfig",
     "IperfResult",
     "run_tcp_flow",
-    "start_tcp_flows",
     "pareto_flow_sizes",
     "lognormal_flow_sizes",
     "poisson_arrivals",

@@ -8,13 +8,13 @@ control dynamics rather than CPU cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..net.host import Host
 from ..net.topology import Topology
 from ..tcpstack import Reno, TCPConnection, TCPListener
 
-__all__ = ["IperfResult", "run_tcp_flow", "start_tcp_flows"]
+__all__ = ["IperfResult", "run_tcp_flow"]
 
 
 @dataclass
@@ -72,26 +72,3 @@ def run_tcp_flow(
         client_mss=conn.send_mss,
     )
 
-
-def start_tcp_flows(
-    topo: Topology,
-    clients: List[Host],
-    servers: List[Host],
-    flows: int,
-    mss: int = 1460,
-    port_base: int = 5200,
-    bulk_bytes: int = 10_000_000,
-) -> "tuple[List[TCPConnection], List[TCPListener]]":
-    """Open *flows* connections round-robin across client/server pairs."""
-    connections: List[TCPConnection] = []
-    listeners: List[TCPListener] = []
-    for index in range(flows):
-        client = clients[index % len(clients)]
-        server = servers[index % len(servers)]
-        listener = TCPListener(server, port_base + index, mss=mss)
-        conn = TCPConnection(client, 41000 + index, server.ip, port_base + index, mss=mss)
-        conn.connect()
-        conn.send_bulk(bulk_bytes)
-        connections.append(conn)
-        listeners.append(listener)
-    return connections, listeners

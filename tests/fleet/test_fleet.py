@@ -1,4 +1,4 @@
-"""GatewayFleet: steering-consistent datapath, loss, drain/rejoin."""
+"""GatewayFleet: steering-consistent datapath, checkpointed shard loss."""
 
 import itertools
 import random
@@ -8,10 +8,9 @@ import pytest
 
 from repro.core import GatewayDatapath
 from repro.core.config import Bound, GatewayConfig
-from repro.fleet import FleetSupervisor, GatewayFleet
+from repro.fleet import GatewayFleet
 from repro.obs.spans import SpanTracker
 from repro.packet import builder
-from repro.resilience.health import HealthState
 from repro.workload import (
     CityScaleProfile,
     CityScaleWorkload,
@@ -131,12 +130,6 @@ class TestFleetDatapath:
             assert len(shard.worker.flows) <= 32
         assert sum(s.worker.flows.evictions for s in fleet.shards) > 0
 
-    def test_expire_idle_sweeps_all_shards(self):
-        fleet = GatewayFleet(config(), shards=2, flow_idle_timeout=1.0)
-        fleet.process_stream(small_stream(500))
-        assert fleet.expire_idle(now=100.0) > 0
-        assert all(len(s.worker.flows) == 0 for s in fleet.shards)
-
 
 class TestShardLoss:
     def test_fresh_checkpoint_loss_is_zero_loss(self):
@@ -195,96 +188,6 @@ class TestShardLoss:
         fleet.fail_shard(0, now=1.0)
         assert fleet.retired.rx_packets == dead_rx
         assert fleet.combined_stats().rx_packets == 1000
-
-
-class TestDrainRejoin:
-    def test_drain_then_rejoin_round_trips_flows(self):
-        stream = small_stream()
-        fleet = GatewayFleet(config(), shards=4)
-        fleet.process_stream(stream[:1500], final_flush=False)
-        moved = fleet.drain_shard(1, now=0.5)
-        assert moved > 0
-        assert len(fleet.shards[1].worker.flows) == 0
-        assert not fleet.steering.is_live(1)
-        fleet.process_stream(stream[1500:2000], final_flush=False)
-        returned = fleet.rejoin_shard(1, now=1.0)
-        assert returned >= moved  # its share, possibly grown meanwhile
-        fleet.process_stream(stream[2000:])
-        assert fleet.conservation_errors() == {}
-        for shard in fleet.shards:
-            for record in shard.worker.flows.snapshot():
-                assert fleet.steering.shard_for(record[0]) == shard.id
-
-    def test_drain_and_rejoin_are_noops_when_inapplicable(self):
-        fleet = GatewayFleet(config(), shards=2)
-        assert fleet.rejoin_shard(0, now=0.0) == 0  # not drained
-        fleet.drain_shard(0, now=0.0)
-        assert fleet.drain_shard(0, now=0.1) == 0  # already drained
-
-
-class TestSupervisor:
-    def test_monitors_checkpoint_on_the_shared_clock(self):
-        fleet = GatewayFleet(config(), shards=2)
-        supervisor = FleetSupervisor(fleet, checkpoint_interval=0.05).start()
-        supervisor.run(0.26)
-        for manager in supervisor.managers:
-            assert manager.checkpoints_taken == 6
-        supervisor.stop()
-
-    def test_crash_from_periodic_checkpoint(self):
-        fleet = GatewayFleet(config(), shards=4)
-        supervisor = FleetSupervisor(fleet, checkpoint_interval=0.05).start()
-        stream = small_stream()
-        fleet.process_stream(stream[:1500], final_flush=False)
-        supervisor.run(0.12)
-        flushed = supervisor.crash_shard(2)
-        assert not fleet.shards[2].alive
-        fleet.process_stream(stream[1500:])
-        assert fleet.conservation_errors() == {}
-        assert isinstance(flushed, list)
-        supervisor.stop()
-
-    def test_bypass_health_drains_and_recovery_rejoins(self):
-        fleet = GatewayFleet(config(), shards=2)
-        supervisor = FleetSupervisor(fleet).start()
-        fleet.process_stream(small_stream(600), final_flush=False)
-        monitor = supervisor.monitors[0]
-        monitor.state = HealthState.BYPASS  # simulate a sick shard
-        supervisor.reconcile(now=1.0)
-        assert fleet.shards[0].drained
-        assert not fleet.steering.is_live(0)
-        monitor.state = HealthState.HEALTHY
-        supervisor.reconcile(now=2.0)
-        assert not fleet.shards[0].drained
-        assert fleet.steering.is_live(0)
-        assert len(supervisor.actions) == 2
-        supervisor.stop()
-
-    def test_a_standby_swap_mid_stream_replaces_the_pool_slot(self):
-        fleet = GatewayFleet(config(), shards=2)
-        supervisor = FleetSupervisor(fleet)
-        replaced = []
-
-        def on_batch(batch_index, now):
-            if batch_index == 4:
-                replaced.append(supervisor.replace_worker(0))
-            return supervisor.ports[0].drain_egress()
-
-        fleet.process_stream(small_stream(1200), on_batch=on_batch)
-        [old] = replaced
-        assert fleet.workers[0] is fleet.shards[0].worker is not old
-        # The rest of the stream ran on the standby, not a cached worker.
-        assert fleet.combined_stats().rx_packets == 1200
-        assert fleet.conservation_errors() == {}
-
-    def test_summary_is_json_friendly(self):
-        import json
-
-        fleet = GatewayFleet(config(), shards=2)
-        supervisor = FleetSupervisor(fleet).start()
-        json.dumps(supervisor.summary())
-        json.dumps(fleet.summary())
-        supervisor.stop()
 
 
 class TestObservedFleet:

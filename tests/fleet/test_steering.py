@@ -59,15 +59,6 @@ class TestSteering:
             else:
                 assert after[flow] != 2
 
-    def test_restore_returns_exactly_the_old_flows(self):
-        steering = FleetSteering(4)
-        population = flows(1000)
-        before = {f: steering.shard_for(f) for f in population}
-        steering.remove(1)
-        steering.restore(1)
-        assert {f: steering.shard_for(f) for f in population} == before
-        assert steering.reshards == 2
-
     def test_cannot_remove_last_shard(self):
         steering = FleetSteering(2)
         steering.remove(0)
@@ -76,14 +67,11 @@ class TestSteering:
         with pytest.raises(ValueError):
             FleetSteering(0)
 
-    def test_remove_and_restore_are_idempotent(self):
+    def test_remove_is_idempotent(self):
         steering = FleetSteering(3)
         steering.remove(0)
         steering.remove(0)
         assert steering.reshards == 1
-        steering.restore(0)
-        steering.restore(0)
-        assert steering.reshards == 2
 
     def test_unkeyed_round_robin_skips_dead_shards(self):
         steering = FleetSteering(3)

@@ -5,9 +5,9 @@ key's four fields, and ``FleetSteering._scan`` writes SplitMix64 out
 inline.  Here the first is held to the packed-bytes hash and to the
 bit-by-bit definition, and the second to a brute-force ``max`` over the
 live shards of ``mix64(flow_hash ^ seed)``, while a Hypothesis machine
-removes and restores shards: the scan, the cache and every answer
-agree with the model after each step, a removal moves only the removed
-shard's flows, and an immediate restore moves exactly those back.
+removes shards: the scan, the cache and every answer agree with the
+model after each step, and a removal moves only the removed shard's
+flows.
 """
 
 import struct
@@ -75,9 +75,6 @@ class SteeringMachine(RuleBasedStateMachine):
         self.cached = set()  # flows the model says are in the cache
         self.hits = self.misses = 0
         self.known = set()
-        # (shard, owners just before its removal) until membership
-        # changes again.
-        self.last_removal = None
 
     def owners(self):
         return {flow: brute_owner(flow, self.live, self.seed) for flow in self.known}
@@ -111,25 +108,6 @@ class SteeringMachine(RuleBasedStateMachine):
         after = self.owners()
         for flow in self.known:
             assert (after[flow] != before[flow]) == (before[flow] == shard)
-        self.last_removal = (shard, before)
-
-    @precondition(lambda self: len(self.live) < SteeringMachine.SHARDS)
-    @rule(data=st.data())
-    def restore(self, data):
-        shard = data.draw(st.sampled_from(sorted(set(range(self.SHARDS)) - self.live)))
-        before = self.owners()
-        self.steering.restore(shard)
-        self.live.add(shard)
-        self.cached.clear()
-        after = self.owners()
-        for flow in self.known:
-            assert (after[flow] != before[flow]) == (after[flow] == shard)
-        if self.last_removal is not None and self.last_removal[0] == shard:
-            # Nothing changed since this shard left: exactly the flows
-            # it lost come back, and every owner is as it was.
-            removed_owners = self.last_removal[1]
-            assert after == {flow: removed_owners.get(flow, after[flow]) for flow in self.known}
-        self.last_removal = None
 
     @rule()
     def remove_the_last_live_shard_is_refused(self):

@@ -20,10 +20,10 @@ def test_unknown_trigger_kind_rejected():
 
 
 def test_minimal_bundle_schema():
-    bundle = build_incident_bundle("shard-drain", 2.0, window=0.5,
+    bundle = build_incident_bundle("shard-loss", 2.0, window=0.5,
                                    detail={"shard": 1})
     assert bundle["schema"] == "repro-incident/1"
-    assert bundle["trigger"] == {"kind": "shard-drain", "time": 2.0,
+    assert bundle["trigger"] == {"kind": "shard-loss", "time": 2.0,
                                  "detail": {"shard": 1}}
     assert bundle["window"] == {"since": 1.5, "until": 2.0}
     assert bundle["flight"] == {} and bundle["alerts"] == {}
@@ -90,5 +90,4 @@ def test_promoted_canary_carries_no_bundle():
 
 def test_trigger_kinds_cover_the_issue_surface():
     assert set(TRIGGER_KINDS) == {"alert-firing", "canary-rollback",
-                                  "shard-loss", "chaos-oracle",
-                                  "shard-drain"}
+                                  "shard-loss", "chaos-oracle"}

@@ -6,8 +6,6 @@ default schedule reproduces the historical observed-world workload
 explicitly supplied schedule/config reaches the world unchanged.
 """
 
-import pytest
-
 from repro.obs import default_workload_schedule, run_observed_world
 from repro.chaos.world import EMTU, IMTU
 from repro.obs.world import WorkloadSchedule
@@ -47,31 +45,6 @@ def test_same_schedule_object_reusable_across_worlds():
     second = run_observed_world(seed=0, schedule=schedule)
     assert (first.obs.registry.to_prometheus_text()
             == second.obs.registry.to_prometheus_text())
-
-
-def test_scale_multiplies_transfer_sizes():
-    schedule = default_workload_schedule(seed=0, scale=2.0)
-    assert schedule.download_bytes == 96_000
-    assert schedule.upload_bytes == 48_000
-    assert all(len(p) == 2000 for p in schedule.inbound_payloads)
-    assert all(len(p) == 2400 for p in schedule.outbound_payloads)
-    assert schedule.offered_bytes() == 2 * default_workload_schedule(0).offered_bytes()
-    with pytest.raises(ValueError):
-        default_workload_schedule(seed=0, scale=0)
-
-
-def test_jitter_is_seeded_and_deterministic():
-    plain = default_workload_schedule(seed=4)
-    same_a = default_workload_schedule(seed=4, jitter=0.05)
-    same_b = default_workload_schedule(seed=4, jitter=0.05)
-    other = default_workload_schedule(seed=5, jitter=0.05)
-    assert same_a == same_b
-    assert same_a.inbound_bursts != plain.inbound_bursts
-    assert same_a.inbound_bursts != other.inbound_bursts
-    assert all(abs(a[0] - p[0]) <= 0.05 for a, p in
-               zip(same_a.inbound_bursts, plain.inbound_bursts))
-    with pytest.raises(ValueError):
-        default_workload_schedule(seed=0, jitter=-1)
 
 
 def test_schedule_to_dict_is_json_safe_description():

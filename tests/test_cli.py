@@ -66,10 +66,12 @@ class TestCommands:
             assert captured.err.count("\n") == 1
 
     def test_fleet_speedup_gate_needs_a_one_shard_row(self, capsys):
-        # Without a 1-shard row the gate says so instead of gating 4-vs-2.
-        assert main(["fleet", "--quick", "--workers", "2,4",
-                     "--min-speedup-4", "100"]) == 0
-        assert "--min-speedup-4 not applied" in capsys.readouterr().err
+        # Without a 1-shard row the gate says so instead of gating 4-vs-2,
+        # and without a 4-shard row it says so instead of passing silently.
+        for workers in ("2,4", "1,2"):
+            assert main(["fleet", "--quick", "--workers", workers,
+                         "--min-speedup-4", "100"]) == 0
+            assert "--min-speedup-4 not applied" in capsys.readouterr().err
         assert main(["fleet", "--quick", "--workers", "1,4",
                      "--min-speedup-4", "100"]) == 1
         assert "FAIL: modeled speedup at 4 shards" in capsys.readouterr().err
