@@ -1,6 +1,6 @@
 # Developer conveniences. The library itself has no build step.
 
-.PHONY: test bench bench-paper perfbench docs examples lint ops
+.PHONY: test bench bench-paper perfbench docs examples lint ops audit
 
 test:
 	pytest tests/ -q
@@ -30,3 +30,22 @@ examples:
 
 lint:
 	python -m compileall -q src tests benchmarks examples tools perfbench
+
+AUDIT_OUT ?= /tmp/repro-audit
+# One invocation per CLI verb, as CI, README.md and docs/ quote them.
+AUDIT_CLI = gateway pmtud upf "upf --mtu 1500" survey fig5a \
+	"metrics --format prometheus" "trace --summary" "spans --summary" \
+	"flight --seed 0" "incident --matrix --seed 0" timeline alerts \
+	"resilience-report --profile mixed --seed 101" "attacks --json" \
+	"canary --corpus --json" "fleet --quick --loss-drill --json"
+
+# --benchmark-disable: a timed benchmark pauses every profiler, the audit hook too.
+audit:  ## reach + knob audit (tools/audit.py) over every consumer; slow, not in CI
+	rm -rf $(AUDIT_OUT)
+	python tools/audit.py run $(AUDIT_OUT) -- python -m pytest tests -q -p no:cacheprovider
+	python tools/audit.py run $(AUDIT_OUT) -- python -m pytest benchmarks --benchmark-disable -q -p no:cacheprovider
+	python tools/audit.py run $(AUDIT_OUT) -- $(MAKE) --no-print-directory examples
+	python tools/audit.py run $(AUDIT_OUT) -- python3 perfbench/run.py --seconds 0.45 --rounds 1
+	for args in $(AUDIT_CLI); do \
+		python tools/audit.py run $(AUDIT_OUT) -- python -m repro.cli $$args > /dev/null || exit 1; done
+	python tools/audit.py report $(AUDIT_OUT)

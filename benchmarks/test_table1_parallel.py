@@ -26,9 +26,9 @@ PAPER = {
 
 
 def test_table1_parallel_connections(benchmark, report):
-    model = ParallelDownloadModel(XEON_5512U, line_rate_bps=10e9)
+    model = ParallelDownloadModel(XEON_5512U)
     jumbo = SessionConfig.single_jumbo()
-    parallel = SessionConfig.axel_parallel(connections=6)
+    parallel = SessionConfig.axel_parallel()
 
     def run():
         return {

@@ -74,10 +74,6 @@ class ExperimentReport:
             )
         return "\n".join(lines)
 
-    def print(self) -> None:  # pragma: no cover - console side effect
-        print()
-        print(self.render())
-
     def within(self, metric: str, rel_tolerance: float) -> bool:
         """True if *metric*'s measured value is within tolerance of paper."""
         for row in self.rows:

@@ -43,10 +43,11 @@ from ..obs import (
 from ..obs.alerts import adversarial_alert_rules
 from ..packet import ICMPMessage, IPProto, build_icmp, build_tcp, build_udp
 from ..pmtud import ECHO_PORT, FPmtudDaemon, FPmtudProber, Plpmtud, ProbeEchoDaemon
-from ..pmtud.classical import ClassicalPmtud
+from ..pmtud.classical import CLASSICAL_PORT, ClassicalPmtud
 from ..pmtud.echo import pack_echo_ack
 from ..pmtud.fpmtud import _pack_report
 from ..pmtud.hardening import HardeningPolicy
+from ..pmtud.plpmtud import PLPMTUD_PORT
 from ..resilience import PmtuCache, ResilientPmtud
 from ..resilience.ptb import PtbListener
 from ..tcpstack import TCPConnection, TCPListener
@@ -69,11 +70,6 @@ __all__ = [
 
 #: The hidden bottleneck between the middle router and the server.
 BOTTLENECK_MTU = 1280
-
-#: Source ports of the victim's discovery agents (what a forger must
-#: reach; well-known here, as they would be to a determined attacker).
-PLPMTUD_PORT = 54000
-CLASSICAL_PORT = 53000
 
 #: The victim's and neighbour's upload flows (4-tuples an off-path
 #: attacker is assumed to know — they are guessable in practice).
@@ -160,7 +156,7 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
 
     # The PMTU cache carries the policy: per-flow keying, unsolicited
     # bounds, and raise rejection all live behind it.
-    cache = PmtuCache(default_ttl=config.pmtu_cache_ttl, policy=policy)
+    cache = PmtuCache(policy=policy)
     gateway.attach_pmtu_cache(cache)
     gateway.enable_resilience()
     obs = gateway.attach_observability(Observability(spans=SpanTracker()))
@@ -170,14 +166,11 @@ def build_attack_world(seed: int, hardened: bool) -> AttackWorld:
     ProbeEchoDaemon(server)
     prober = FPmtudProber(victim, src_port=PROBER_PORT, policy=policy,
                           link_mtu=EMTU, nonce_seed=seed)
-    plpmtud = Plpmtud(victim, src_port=PLPMTUD_PORT, probe_timeout=0.15,
-                      max_retries=2, policy=policy, nonce_seed=seed)
-    classical = ClassicalPmtud(victim, src_port=CLASSICAL_PORT,
-                               probe_timeout=0.2, max_retries=3,
-                               policy=policy, nonce_seed=seed)
+    plpmtud = Plpmtud(victim, probe_timeout=0.15, policy=policy, nonce_seed=seed)
+    classical = ClassicalPmtud(victim, probe_timeout=0.2, policy=policy,
+                               nonce_seed=seed)
     resilient = ResilientPmtud(victim, cache=cache, prober=prober,
-                               plpmtud=plpmtud, fpmtud_timeout=0.3,
-                               cache_ttl=None, seed=seed)
+                               plpmtud=plpmtud, fpmtud_timeout=0.3, seed=seed)
     ptb_victim = PtbListener(victim, cache, policy=policy, link_mtu=EMTU)
     ptb_neighbor = PtbListener(neighbor, cache, policy=policy, link_mtu=EMTU)
 

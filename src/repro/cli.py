@@ -31,6 +31,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    """An argparse type: a positive float."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -110,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     flight.add_argument("--until", type=float, default=None,
                         help="window end in sim time (default: all)")
     flight.add_argument("--kind", default=None,
-                        help="only entries of this kind "
-                             "(mark/metrics/alert/trace/span)")
+                        choices=("mark", "metrics", "alert", "trace", "span"),
+                        help="only entries of this kind")
     flight.add_argument("--summary", action="store_true",
                         help="print per-source entry counts only")
     flight.add_argument("--out", default=None,
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
              "telemetry timeline (windowed per-series deltas)",
     )
     timeline.add_argument("--seed", type=int, default=0)
-    timeline.add_argument("--interval", type=float, default=0.05,
+    timeline.add_argument("--interval", type=_positive, default=0.05,
                           help="sim-seconds between scrapes")
     timeline.add_argument("--format", choices=("json", "jsonl"),
                           default="json")

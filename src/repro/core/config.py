@@ -36,7 +36,6 @@ class GatewayConfig:
     imtu: int = 9000
     emtu: int = 1500
     mss_clamp: bool = True
-    caravan: bool = True
     delayed_merge: bool = True
     #: How long a partially filled merge context may wait for more
     #: contiguous packets before being flushed (seconds).
@@ -59,9 +58,6 @@ class GatewayConfig:
     #: flow churn.
     flow_table_capacity: int = 1_000_000
     workers: int = 8
-    poll_batch: int = 64
-    #: Lifetime of learned PMTU-cache entries (resilience layer).
-    pmtu_cache_ttl: float = 30.0
     #: How long a peer's proven caravan capability is trusted.
     caravan_positive_ttl: float = 60.0
     #: How long a silent peer stays in the caravan negative cache

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, CycleAccount, GatewayCosts
+from ..cpu import CpuSpec, CycleAccount
 from ..nic.rss import RssDistributor
 from ..packet import Packet
 from .config import GatewayConfig
@@ -25,28 +25,28 @@ from .worker import GatewayWorker
 
 __all__ = ["GatewayDatapath"]
 
+#: Packets per poll batch: the merge-timeout clock ticks between batches.
+POLL_BATCH = 64
+
+#: Virtual time between poll batches: 64 mixed packets every ~1.5 us
+#: at Tbps load.
+BATCH_INTERVAL = 1.5e-6
+
 
 class GatewayDatapath:
     """An N-worker PXGW instance processing offline packet streams."""
 
-    def __init__(
-        self,
-        config: GatewayConfig,
-        costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
-    ):
-        self._build_pool(config, costs, config.workers)
+    def __init__(self, config: GatewayConfig):
+        self._build_pool(config, config.workers)
         self.rss = RssDistributor(queues=config.workers)
         self._unkeyed_rr = 0
 
-    def _build_pool(self, config: GatewayConfig, costs: GatewayCosts, size: int) -> None:
+    def _build_pool(self, config: GatewayConfig, size: int) -> None:
         """What ``__init__`` shares with a subclass that sizes and steers the pool itself."""
         self.config = config
-        self.costs = costs
         #: The slot -> worker table.  A standby swap replaces an entry
         #: in place, so nothing may keep a worker across a poll batch.
-        self.workers = [
-            GatewayWorker(config, costs=costs, index=index) for index in range(size)
-        ]
+        self.workers = [GatewayWorker(config, index=index) for index in range(size)]
         self._virtual_now = 0.0
 
     # ------------------------------------------------------------------
@@ -82,18 +82,16 @@ class GatewayDatapath:
     def process_stream(
         self,
         stream: Iterable[Tuple[Packet, str]],
-        batch_interval: float = 1.5e-6,
         final_flush: bool = True,
         on_batch=None,
     ) -> List[Packet]:
         """Process a (packet, bound) stream with periodic batch boundaries.
 
-        ``batch_interval`` approximates the wall-clock spacing of poll
-        batches at line rate (64 mixed packets every ~1.5 us at Tbps
-        load); it advances a virtual clock that drives the
-        delayed-merge timers.  Keep ``final_flush`` off when measuring
-        steady-state yield — the artificial end-of-stream flush emits
-        one partial segment per flow that a continuous run would not.
+        Every :data:`POLL_BATCH` packets, a virtual clock advances by
+        :data:`BATCH_INTERVAL` and drives the delayed-merge timers.
+        Keep ``final_flush`` off when measuring steady-state yield — the
+        artificial end-of-stream flush emits one partial segment per flow
+        that a continuous run would not.
 
         ``on_batch(batch_index, now)``, when given, fires after every
         full poll batch — the fleet chaos harness kills a shard there —
@@ -103,7 +101,6 @@ class GatewayDatapath:
         outputs: List[Packet] = []
         extend = outputs.extend
         now = self._virtual_now
-        poll_batch = self.config.poll_batch
         # Hoisted out of the packet loop; the table is still indexed
         # per packet, so a worker ``on_batch`` swaps in is seen.
         slot_for = self.slot_for
@@ -113,9 +110,9 @@ class GatewayDatapath:
         for packet, bound in stream:
             extend(workers[slot_for(packet, now)].process(packet, bound, now))
             fill += 1
-            if fill >= poll_batch:
+            if fill >= POLL_BATCH:
                 fill = 0
-                now += batch_interval
+                now += BATCH_INTERVAL
                 extend(self.end_batch(now))
                 if on_batch is not None:
                     extend(on_batch(batch_index, now) or ())

@@ -117,10 +117,6 @@ class FlowTable:
         """Return the record without creating or promoting it."""
         return self._flows.get(key)
 
-    def remove(self, key: FlowKey) -> Optional[FlowState]:
-        """Delete and return a flow record."""
-        return self._flows.pop(key, None)
-
     def snapshot(self) -> list:
         """Serialize every flow record, preserving LRU order.
 

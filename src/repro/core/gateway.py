@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from ..cpu import DEFAULT_GATEWAY_COSTS, GatewayCosts
 from ..net.router import Router
 from ..sim.engine import Simulator
 from ..sim.node import Interface
@@ -42,11 +41,10 @@ class PXGateway(Router):
         sim: Simulator,
         name: str,
         config: Optional[GatewayConfig] = None,
-        costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
     ):
         super().__init__(sim, name)
         self.config = config or GatewayConfig()
-        self.worker = GatewayWorker(self.config, costs=costs)
+        self.worker = GatewayWorker(self.config)
         self._internal: Set[int] = set()  # ids of internal interfaces
         self._neighbor_imtu: dict = {}
         self._flush_handle = None
@@ -110,7 +108,7 @@ class PXGateway(Router):
         """
         self._local_udp[port] = handler
 
-    def enable_resilience(self, policy=None, negotiation: bool = False):
+    def enable_resilience(self, negotiation: bool = False):
         """Attach the resilience layer: health monitor, PMTU cache, and
         (optionally) caravan capability negotiation.
 
@@ -127,7 +125,7 @@ class PXGateway(Router):
                 negative_ttl=self.config.caravan_negative_ttl,
             )
             self.worker.caravan_gate = self.negotiator.allow_caravan
-        self.health = HealthMonitor(self, policy=policy).start()
+        self.health = HealthMonitor(self).start()
         self.health.observers = self.observers
         return self.health
 
@@ -138,7 +136,7 @@ class PXGateway(Router):
                 return self.pmtu_cache
             from ..resilience.pmtu_cache import PmtuCache
 
-            cache = PmtuCache(default_ttl=self.config.pmtu_cache_ttl)
+            cache = PmtuCache()
         self.pmtu_cache = cache
         self.worker.pmtu_cache = cache
         cache.watch(self.routes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..cpu import DEFAULT_GATEWAY_COSTS, CycleAccount, GatewayCosts
+from ..cpu import DEFAULT_GATEWAY_COSTS, CycleAccount
 from ..nic.dma import FULL_DMA, HEADER_ONLY_DMA
 from ..packet import IPProto, PX_CARAVAN_TOS, Packet, TCPFlags
 from .caravan import (
@@ -111,14 +111,8 @@ class WorkerObserver:
 class GatewayWorker:
     """A single-core PXGW datapath instance."""
 
-    def __init__(
-        self,
-        config: GatewayConfig,
-        costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
-        index: int = 0,
-    ):
+    def __init__(self, config: GatewayConfig, index: int = 0):
         self.config = config
-        self.costs = costs
         self.index = index
         self.dma = HEADER_ONLY_DMA if config.header_only_dma else FULL_DMA
         #: Live on-NIC memory budget; starts at the configured value but
@@ -142,6 +136,7 @@ class GatewayWorker:
         # and ``GatewayConfig`` is never mutated in place (incidents and
         # canaries build new configs via ``dataclasses.replace``), so
         # the per-packet attribute chains below are pure overhead.
+        costs = DEFAULT_GATEWAY_COSTS
         self._cost_classifier = costs.classifier_per_packet
         self._cost_slowpath = costs.rx_descriptor + costs.flow_lookup
         self._cost_hairpin = costs.hairpin_forward
@@ -279,7 +274,7 @@ class GatewayWorker:
                         dma = FULL_DMA
                         self.stats.hdo_fallbacks += 1
                     else:
-                        cycles = self.costs.header_only_per_packet
+                        cycles = DEFAULT_GATEWAY_COSTS.header_only_per_packet
                         account.cycles += cycles
                         breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
                 account.mem_bytes += dma.mem_bytes(packet, size=size)
@@ -308,7 +303,7 @@ class GatewayWorker:
     # Stage bodies: each returns ``(stage, outputs)`` to the tail above.
     def _bypass(self, packet: Packet, bound: str, now: float, key):
         """BYPASS mode: hairpin everything, keep only mandatory work."""
-        self.account.charge(self.costs.hairpin_forward, category="bypass")
+        self.account.charge(DEFAULT_GATEWAY_COSTS.hairpin_forward, category="bypass")
         self.stats.bypassed_packets += 1
         if packet.is_tcp and packet.tcp.syn:
             # The outbound cap stays mandatory: an uncapped external
@@ -361,7 +356,7 @@ class GatewayWorker:
             stats.tcp_payload_out += len(packet.payload)
             return "passthrough", [packet]
         if self._baseline_gro:
-            cycles = self.costs.baseline_gro_per_packet
+            cycles = DEFAULT_GATEWAY_COSTS.baseline_gro_per_packet
             account.cycles += cycles
             breakdown["gro-sw"] = breakdown.get("gro-sw", 0.0) + cycles
         else:
@@ -380,7 +375,7 @@ class GatewayWorker:
         return "merge", outputs
 
     def _tcp_outbound(self, packet: Packet, now: float, key):
-        costs = self.costs
+        costs = DEFAULT_GATEWAY_COSTS
         self.stats.tcp_payload_in += len(packet.payload)
         # Clamp to the live cached path MTU: a flow whose MSS was
         # negotiated before a PMTU drop would otherwise emit segments
@@ -398,7 +393,7 @@ class GatewayWorker:
         # Only a packet with the caravan ToS can hold more than one datagram.
         count = caravan_inner_count(packet) if packet.ip.tos == PX_CARAVAN_TOS else 1
         stats.udp_datagrams_in += count
-        bundling = self.config.caravan and self.mode == WorkerMode.NORMAL
+        bundling = self.mode == WorkerMode.NORMAL
         if bundling and self.caravan_gate is not None and not self.caravan_gate(
             packet.ip.dst, now
         ):
@@ -407,7 +402,7 @@ class GatewayWorker:
             bundling = False
             stats.caravans_suppressed += 1
         if not bundling:
-            if self.config.caravan and self.mode != WorkerMode.NORMAL:
+            if self.mode != WorkerMode.NORMAL:
                 stats.passthrough_packets += 1
             stats.udp_datagrams_out += count
             return "passthrough", [packet]
@@ -418,7 +413,7 @@ class GatewayWorker:
         breakdown["caravan"] = breakdown.get("caravan", 0.0) + cycles
         outputs = self.caravan_merge.feed(packet, now)
         if outputs:
-            flush_cycles = self.costs.caravan_flush
+            flush_cycles = DEFAULT_GATEWAY_COSTS.caravan_flush
             for out in outputs:
                 account.cycles += flush_cycles
                 breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
@@ -447,7 +442,8 @@ class GatewayWorker:
             return "malformed-caravan", []
         self.stats.caravans_opened += 1
         self.account.charge(
-            self.costs.caravan_split_per_datagram * len(datagrams), category="caravan"
+            DEFAULT_GATEWAY_COSTS.caravan_split_per_datagram * len(datagrams),
+            category="caravan",
         )
         self.stats.udp_datagrams_out += len(datagrams)
         return "caravan-open", datagrams
@@ -471,7 +467,7 @@ class GatewayWorker:
     def _flushed(self, flushed: List[Packet], now: float, batch: bool) -> List[Packet]:
         """Charge, count and announce what the engines flushed (see ``on_flush``)."""
         for _ in flushed:
-            self.account.charge(self.costs.merge_flush, category="merge")
+            self.account.charge(DEFAULT_GATEWAY_COSTS.merge_flush, category="merge")
         self.stats.credit_egress(flushed, count_tx=False)
         self._emit(flushed, True)
         for observer in self.observers:

@@ -33,11 +33,19 @@ from typing import Dict, List, Optional, Tuple
 from ..chaos.oracle import InvariantOracle, summarize_packet
 from ..chaos.scenarios import PROFILES
 from ..core.config import GatewayConfig
+from ..core.dispatch import POLL_BATCH
 from ..obs.spans import SpanTracker
 from ..workload import CityScaleProfile, CityScaleWorkload
 from .fleet import GatewayFleet
 
 __all__ = ["FleetScenarioResult", "run_loss_scenario", "fleet_corpus"]
+
+#: Shards in every loss scenario's fleet.
+SHARDS = 4
+#: Packets in every scenario's city burst.
+PACKETS = 1_000
+#: Poll batches between periodic fleet checkpoints.
+CHECKPOINT_EVERY = 4
 
 
 def fleet_corpus(count: int = 56) -> "List[Tuple[str, int, str]]":
@@ -120,9 +128,7 @@ def _shard_alert_rules():
     """
     from ..obs.alerts import AlertRule, burn_rate_rules
 
-    return burn_rate_rules(
-        "shard_malformed_caravans", "shard_rx_packets", budget=1e-3,
-    ) + (
+    return burn_rate_rules("shard_malformed_caravans", "shard_rx_packets") + (
         AlertRule(
             name="shard-ingress-active", kind="value",
             series="shard_rx_packets", op=">", threshold=0.0,
@@ -142,11 +148,7 @@ def run_loss_scenario(
     profile: str,
     seed: int,
     loss_mode: str = "crash",
-    shards: int = 4,
-    packets: int = 1_000,
     flow_table_capacity: int = 256,
-    checkpoint_every: int = 4,
-    config: Optional[GatewayConfig] = None,
     observe: bool = False,
     sabotage: Optional[str] = None,
 ) -> FleetScenarioResult:
@@ -170,8 +172,8 @@ def run_loss_scenario(
         raise ValueError(f"unknown loss mode {loss_mode!r}")
     if sabotage not in (None, "stale-checkpoint"):
         raise ValueError(f"unknown sabotage {sabotage!r}")
-    config = config or GatewayConfig(flow_table_capacity=flow_table_capacity)
-    fleet = GatewayFleet(config, shards=shards, steering_seed=seed)
+    config = GatewayConfig(flow_table_capacity=flow_table_capacity)
+    fleet = GatewayFleet(config, shards=SHARDS, steering_seed=seed)
     trackers: List[SpanTracker] = []
     for shard in fleet.shards:
         tracker = SpanTracker()
@@ -196,10 +198,10 @@ def run_loss_scenario(
         engines = [AlertEngine(_shard_alert_rules()) for _ in fleet.shards]
 
     workload = CityScaleWorkload(_city_profile(profile, seed))
-    stream = list(workload.packets(packets))
-    victim = seed % shards
+    stream = list(workload.packets(PACKETS))
+    victim = seed % SHARDS
     # Kill mid-burst: after roughly 40% of the poll batches.
-    kill_at_batch = max(1, (packets // config.poll_batch) * 2 // 5)
+    kill_at_batch = max(1, (PACKETS // POLL_BATCH) * 2 // 5)
     state: Dict[str, object] = {
         "killed": False, "checkpoint_at": 0.0,
         "stale": None, "eval_at": 0.0, "prev": None, "loss_at": None,
@@ -225,7 +227,7 @@ def run_loss_scenario(
         state["eval_at"] = now
 
     def on_batch(batch_index: int, now: float):
-        if not state["killed"] and batch_index % checkpoint_every == 0:
+        if not state["killed"] and batch_index % CHECKPOINT_EVERY == 0:
             fleet.checkpoint_all(now)
             state["checkpoint_at"] = now
             if state["stale"] is None:
@@ -271,7 +273,7 @@ def run_loss_scenario(
         # stream with no loss; every conservation-relevant counter must
         # match exactly (packets and payload neither vanish nor
         # double-count through the checkpoint/rebalance machinery).
-        control = GatewayFleet(config, shards=shards, steering_seed=seed)
+        control = GatewayFleet(config, shards=SHARDS, steering_seed=seed)
         control.process_stream(stream)
         want, got = control.combined_stats(), fleet.combined_stats()
         for counter in (

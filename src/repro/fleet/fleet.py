@@ -34,7 +34,7 @@ from ..core.config import GatewayConfig
 from ..core.dispatch import GatewayDatapath
 from ..core.stats import GatewayStats
 from ..core.worker import GatewayWorker
-from ..cpu import DEFAULT_GATEWAY_COSTS, CpuSpec, GatewayCosts
+from ..cpu import CpuSpec
 from ..packet import Packet
 from ..resilience.failover import WorkerCheckpoint, checkpoint_worker
 from .steering import FleetSteering
@@ -69,12 +69,11 @@ class GatewayFleet(GatewayDatapath):
         self,
         config: GatewayConfig,
         shards: int = 4,
-        costs: GatewayCosts = DEFAULT_GATEWAY_COSTS,
         steering_seed: int = 0xF1EE7,
     ):
         if shards <= 0:
             raise ValueError("need at least one shard")
-        self._build_pool(config, costs, shards)
+        self._build_pool(config, shards)
         self.shards = [FleetShard(self.workers, index) for index in range(shards)]
         self.steering = FleetSteering(shards, seed=steering_seed)
         #: Counters of shards that died, folded so fleet-level

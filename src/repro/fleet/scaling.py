@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import GatewayConfig
-from ..cpu import XEON_6554S, CpuSpec
+from ..cpu import XEON_6554S
 from ..workload import CityScaleProfile, CityScaleWorkload
 from .fleet import GatewayFleet
 
@@ -38,8 +38,6 @@ def fleet_world_report(
     worker_counts: Sequence[int] = (1, 2, 4, 8),
     quick: bool = False,
     packets: Optional[int] = None,
-    spec: CpuSpec = XEON_6554S,
-    flow_table_capacity: int = 4096,
     seed: int = 0xC17,
 ) -> Dict[str, object]:
     """Run the fleet scaling experiment; returns a JSON-friendly report.
@@ -54,7 +52,7 @@ def fleet_world_report(
     )
     workload = CityScaleWorkload(profile)
     stream = list(workload.packets(packets))
-    config = GatewayConfig(flow_table_capacity=flow_table_capacity)
+    config = GatewayConfig(flow_table_capacity=4096)
 
     rows: List[Dict[str, object]] = []
     for shards in worker_counts:
@@ -66,7 +64,7 @@ def fleet_world_report(
         rows.append({
             "shards": shards,
             "packets": len(stream),
-            "modeled_pkts_per_sec": fleet.sustainable_throughput_pps(spec),
+            "modeled_pkts_per_sec": fleet.sustainable_throughput_pps(XEON_6554S),
             "speedup_vs_1": None,
             "balance": fleet.shard_balance(),
             "evictions": sum(
@@ -82,7 +80,7 @@ def fleet_world_report(
             row["speedup_vs_1"] = row["modeled_pkts_per_sec"] / base
     return {
         "schema": FLEET_SCHEMA,
-        "spec": spec.name,
+        "spec": XEON_6554S.name,
         "workload": workload.summary(),
         "rows": rows,
     }

@@ -66,9 +66,6 @@ class FleetSteering:
         """Indices of shards currently receiving traffic."""
         return [index for index, live in enumerate(self._live) if live]
 
-    def is_live(self, shard: int) -> bool:
-        return self._live[shard]
-
     def remove(self, shard: int) -> None:
         """Take *shard* out of the steering map for good (shard loss)."""
         if not self._live[shard]:

@@ -73,11 +73,6 @@ class Host(Node):
             raise RuntimeError(f"host {self.name} has no interface")
         return self.interfaces[0].ip
 
-    def egress(self, destination: int) -> Optional[Interface]:
-        """The interface a packet to *destination* leaves through."""
-        route = self.routes.lookup(destination)
-        return route.interface if route else None
-
     @property
     def rx_packets(self) -> int:
         """Packets received, over all interfaces (fragments count each)."""
@@ -136,12 +131,11 @@ class Host(Node):
         src_port: int,
         dst_port: int,
         payload: bytes,
-        tos: int = 0,
         dont_fragment: bool = False,
     ) -> bool:
         """Build and send one UDP datagram."""
         packet = build_udp(
-            self.ip, dst, src_port, dst_port, payload=payload, tos=tos,
+            self.ip, dst, src_port, dst_port, payload=payload,
             dont_fragment=dont_fragment,
         )
         return self.send(packet)

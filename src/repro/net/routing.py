@@ -106,6 +106,3 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return len(self._routes)
-
-    def __iter__(self):
-        return iter(self._routes)

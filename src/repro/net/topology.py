@@ -27,8 +27,8 @@ __all__ = ["Topology"]
 class Topology:
     """A network under construction plus the simulator running it."""
 
-    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0):
-        self.sim = sim or Simulator()
+    def __init__(self, seed: int = 0):
+        self.sim = Simulator()
         self.rng = random.Random(seed)
         self.nodes: Dict[str, Node] = {}
         self._edges: Dict[Tuple[str, str], Tuple[Interface, Interface, Link, Link]] = {}
@@ -87,14 +87,11 @@ class Topology:
         queue_bytes: Optional[int] = None,
         ip_a: Optional[str] = None,
         ip_b: Optional[str] = None,
-        mtu_a: Optional[int] = None,
-        mtu_b: Optional[int] = None,
     ) -> "Tuple[Link, Link]":
         """Connect two nodes with a bidirectional link.
 
-        Interface MTUs default to the link MTU; override them to model
-        misconfiguration.  Addresses come from an auto-allocated /30
-        unless given explicitly.
+        Both interface MTUs are the link MTU.  Addresses come from an
+        auto-allocated /30 unless given explicitly.
         """
         index = self._link_index
         self._link_index += 1
@@ -103,8 +100,8 @@ class Topology:
         addr_a = str_to_ip(ip_a) if ip_a else str_to_ip(default_a)
         addr_b = str_to_ip(ip_b) if ip_b else str_to_ip(default_b)
 
-        iface_a = a.add_interface(addr_a, mtu=mtu_a if mtu_a is not None else mtu)
-        iface_b = b.add_interface(addr_b, mtu=mtu_b if mtu_b is not None else mtu)
+        iface_a = a.add_interface(addr_a, mtu=mtu)
+        iface_b = b.add_interface(addr_b, mtu=mtu)
         kwargs = dict(
             bandwidth_bps=bandwidth_bps,
             delay=delay,

@@ -39,9 +39,8 @@ class ReceiverConfig:
 class ReceiverModel:
     """Prices an RX packet stream on one core of an end host."""
 
-    def __init__(self, config: ReceiverConfig, costs: HostCosts = DEFAULT_HOST_COSTS):
+    def __init__(self, config: ReceiverConfig):
         self.config = config
-        self.costs = costs
         self.account = CycleAccount()
         self.delivered: List[Packet] = []
         self._lro = (
@@ -78,7 +77,7 @@ class ReceiverModel:
         self._host_sees(packet, from_wire=True)
 
     def _host_sees(self, packet: Packet, from_wire: bool = False) -> None:
-        costs = self.costs
+        costs = DEFAULT_HOST_COSTS
         self.account.charge(costs.driver_rx_per_packet, category="driver")
         if from_wire and self._gro is not None and packet.is_tcp:
             self.account.charge(costs.gro_per_packet, category="gro")
@@ -104,7 +103,7 @@ class ReceiverModel:
                 self._host_sees(merged)
 
     def _deliver(self, packet: Packet) -> None:
-        costs = self.costs
+        costs = DEFAULT_HOST_COSTS
         payload = len(packet.payload)
         if packet.is_tcp and payload == 0:
             self.account.charge(costs.ack_rx_per_packet, category="ack")

@@ -92,13 +92,14 @@ def mix64(value: int) -> int:
 class RssDistributor:
     """Maps flows onto *queues* receive queues via an indirection table."""
 
-    def __init__(self, queues: int, key: bytes = DEFAULT_RSS_KEY, table_size: int = 128):
+    def __init__(self, queues: int, key: bytes = DEFAULT_RSS_KEY):
         if queues <= 0:
             raise ValueError("need at least one queue")
         self.queues = queues
         self.key = key
-        #: The indirection table, round-robin initialized like drivers do.
-        self.table = [index % queues for index in range(table_size)]
+        #: The 128-entry indirection table, round-robin initialized like
+        #: drivers do.
+        self.table = [index % queues for index in range(128)]
         self._cache: dict = {}
         #: Steering decisions landed on each queue (cached hits count:
         #: every call is one hardware steering decision).

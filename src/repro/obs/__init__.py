@@ -64,7 +64,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
 )
 from .spans import LATENCY_BUCKETS, LATENCY_METRICS, Span, SpanTracker
 from .timeline import TelemetryTimeline
@@ -102,7 +101,6 @@ __all__ = [
     "config_digest",
     "default_alert_rules",
     "default_burn_rules",
-    "default_registry",
     "observe_failover",
     "observe_fleet",
     "observe_gateway",

@@ -394,19 +394,19 @@ def default_alert_rules(gateway: str = "pxgw") -> Tuple[AlertRule, ...]:
     )
 
 
-def burn_rate_rules(series: str, denominator: str, budget: float = 1e-3,
-                    name: str = "error-budget-burn") -> Tuple[AlertRule, ...]:
+def burn_rate_rules(series: str, denominator: str) -> Tuple[AlertRule, ...]:
     """Multi-window burn-rate rules over an error/total series pair.
 
     Two alarms per the multiwindow construction, scaled to sim time:
     a **fast** pair (1 s / 5 s windows at 14.4× burn — the paging
     alarm) and a **slow** pair (5 s / 60 s windows at 6× burn — the
-    ticket alarm).  ``budget`` is the tolerated error fraction of
-    ``denominator`` (default 0.1%).
+    ticket alarm).  The tolerated error fraction of ``denominator`` is
+    0.1%.
     """
+    budget = 1e-3
     return (
         AlertRule(
-            name=f"{name}-fast",
+            name="error-budget-burn-fast",
             kind="burn",
             series=series,
             denominator=denominator,
@@ -416,7 +416,7 @@ def burn_rate_rules(series: str, denominator: str, budget: float = 1e-3,
                         "1 s and 5 s windows — page-severity burn.",
         ),
         AlertRule(
-            name=f"{name}-slow",
+            name="error-budget-burn-slow",
             kind="burn",
             series=series,
             denominator=denominator,
@@ -428,19 +428,15 @@ def burn_rate_rules(series: str, denominator: str, budget: float = 1e-3,
     )
 
 
-def default_burn_rules(gateway: str = "pxgw",
-                       budget: float = 1e-3) -> Tuple[AlertRule, ...]:
+def default_burn_rules() -> Tuple[AlertRule, ...]:
     """The stock burn-rate pair: dropped packets against ingress."""
-    labels = f'{{gateway="{gateway}"}}'
     return burn_rate_rules(
-        series=f"px_gateway_dropped_packets_total{labels}",
-        denominator=f"px_gateway_rx_packets_total{labels}",
-        budget=budget,
+        series='px_gateway_dropped_packets_total{gateway="pxgw"}',
+        denominator='px_gateway_rx_packets_total{gateway="pxgw"}',
     )
 
 
-def adversarial_alert_rules(gateway: str = "pxgw",
-                            agent: str = "fpmtud") -> Tuple[AlertRule, ...]:
+def adversarial_alert_rules() -> Tuple[AlertRule, ...]:
     """The stock rules plus attack-detection rules.
 
     Used by :mod:`repro.chaos.attacks`: a PMTUD attack should be
@@ -448,11 +444,11 @@ def adversarial_alert_rules(gateway: str = "pxgw",
     — the hardened prober's rejection counter spikes, and the starved
     clamp cache breaches the stock miss-rate ceiling.
     """
-    return default_alert_rules(gateway) + (
+    return default_alert_rules() + (
         AlertRule(
             name="pmtud-rejected-reports",
             kind="rate",
-            series=f'px_pmtud_rejected_reports_total{{agent="{agent}"}}',
+            series='px_pmtud_rejected_reports_total{agent="fpmtud"}',
             op=">", threshold=100.0,
             description="The prober is rejecting fragment reports at "
                         "flood rate — forged or lying reports are "
@@ -461,7 +457,7 @@ def adversarial_alert_rules(gateway: str = "pxgw",
         AlertRule(
             name="pmtu-cache-poison-attempts",
             kind="rate",
-            series=f'px_pmtu_cache_poison_rejected_total{{gateway="{gateway}"}}',
+            series='px_pmtu_cache_poison_rejected_total{gateway="pxgw"}',
             op=">", threshold=20.0,
             description="The PMTU cache is refusing unsolicited "
                         "learns (implausible or raising values) at a "

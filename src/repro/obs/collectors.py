@@ -117,14 +117,14 @@ def observe_spans(obs: Observability, tracker: SpanTracker) -> None:
 # ----------------------------------------------------------------------
 # Gateway + worker + attached resilience
 # ----------------------------------------------------------------------
-def observe_gateway(obs: Observability, gateway, name: Optional[str] = None) -> None:
+def observe_gateway(obs: Observability, gateway) -> None:
     """Publish a PXGateway's full counter surface (worker, resilience).
 
     Reads ``gateway.worker`` (and ``gateway.health`` / ``pmtu_cache`` /
     ``negotiator``) at scrape time, so failover swaps and late resilience
     attachment are always reflected.
     """
-    label = name if name is not None else gateway.name
+    label = gateway.name
 
     def collect(registry: MetricsRegistry) -> None:
         worker = gateway.worker
@@ -262,9 +262,9 @@ def observe_gateway(obs: Observability, gateway, name: Optional[str] = None) -> 
     obs.registry.register_collector(collect)
 
 
-def observe_failover(obs: Observability, manager, name: Optional[str] = None) -> None:
+def observe_failover(obs: Observability, manager) -> None:
     """Publish a FailoverManager's checkpoint/takeover counters."""
-    label = name if name is not None else manager.gateway.name
+    label = manager.gateway.name
 
     def collect(registry: MetricsRegistry) -> None:
         registry.counter(
@@ -287,7 +287,7 @@ def observe_failover(obs: Observability, manager, name: Optional[str] = None) ->
 # ----------------------------------------------------------------------
 # Gateway fleet: per-shard series plus tier-level rebalance counters
 # ----------------------------------------------------------------------
-def observe_fleet(obs: Observability, fleet, name: str = "fleet0") -> None:
+def observe_fleet(obs: Observability, fleet) -> None:
     """Publish a GatewayFleet: per-shard series plus tier aggregates.
 
     Per-shard series carry a ``shard`` label so dashboards can spot an
@@ -295,6 +295,7 @@ def observe_fleet(obs: Observability, fleet, name: str = "fleet0") -> None:
     their final values) so a loss is visible as a flatline plus an
     ``alive`` gauge drop, not a vanished series.
     """
+    name = "fleet0"
 
     def collect(registry: MetricsRegistry) -> None:
         for shard in fleet.shards:
@@ -374,9 +375,9 @@ def observe_nic(
     queues: Iterable = (),
     hairpin=None,
     rss=None,
-    nic: str = "nic0",
 ) -> None:
     """Publish RX-ring depth/drops, hairpin traffic, and RSS steering."""
+    nic = "nic0"
     rings = list(queues)
 
     def collect(registry: MetricsRegistry) -> None:
@@ -416,14 +417,14 @@ def observe_nic(
 # ----------------------------------------------------------------------
 # UPF pipeline
 # ----------------------------------------------------------------------
-def observe_upf(obs: Observability, upf, name: str = "upf0") -> None:
+def observe_upf(obs: Observability, upf) -> None:
     """Publish a UPF's pipeline counters and per-rule hit counts."""
 
     def collect(registry: MetricsRegistry) -> None:
         stats = upf.stats
 
         def counter(metric: str, value, help: str = "", **labels) -> None:
-            registry.counter(metric, help, upf=name, **labels).set_total(value)
+            registry.counter(metric, help, upf="upf0", **labels).set_total(value)
 
         counter("px_upf_uplink_packets_total", stats.uplink_packets,
                 "Uplink (GTP-U decap) packets forwarded.")
@@ -451,9 +452,9 @@ def observe_upf(obs: Observability, upf, name: str = "upf0") -> None:
 # ----------------------------------------------------------------------
 # PMTUD agents
 # ----------------------------------------------------------------------
-def observe_pmtud(obs: Observability, prober=None, daemon=None,
-                  name: str = "fpmtud") -> None:
+def observe_pmtud(obs: Observability, prober=None, daemon=None) -> None:
     """Publish F-PMTUD probe/report lifecycle counters."""
+    name = "fpmtud"
 
     def collect(registry: MetricsRegistry) -> None:
         if prober is not None:

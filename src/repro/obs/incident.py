@@ -189,7 +189,7 @@ def alert_trigger_bundle(seed: int = 0) -> Dict[str, Any]:
         delayed_merge=False,
         elephant_threshold_packets=1_000_000,
     )
-    rules = default_alert_rules("pxgw") + default_burn_rules("pxgw")
+    rules = default_alert_rules("pxgw") + default_burn_rules()
     world = run_observed_world(seed=seed, config=config, alert_rules=rules)
     engine = world.alerts
     firings = engine.firings()

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.worker import WorkerObserver
-from ..nic.rss import DEFAULT_RSS_KEY, flow_hash, mix64
+from ..nic.rss import flow_hash, mix64
 
 __all__ = ["TraceContext", "TracePropagation"]
 
@@ -62,9 +62,8 @@ class TracePropagation(WorkerObserver):
     to record takeover adoptions in a single world.
     """
 
-    def __init__(self, seed: int = 0, key: bytes = DEFAULT_RSS_KEY) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.key = key
         self._seed_mix = mix64(self.seed ^ 0x7C0FFEE5)
         self.contexts: Dict[Any, TraceContext] = {}
         self.ingresses = 0
@@ -95,7 +94,7 @@ class TracePropagation(WorkerObserver):
 
     def trace_id(self, flow) -> str:
         """Deterministic 64-bit trace id for ``flow`` under this seed."""
-        return format(mix64(flow_hash(flow, self.key) ^ self._seed_mix), "016x")
+        return format(mix64(flow_hash(flow) ^ self._seed_mix), "016x")
 
     def _context(self, flow) -> TraceContext:
         ctx = self.contexts.get(flow)

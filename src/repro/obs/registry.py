@@ -29,7 +29,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "LOG2_BUCKETS",
-    "default_registry",
 ]
 
 #: Default histogram bounds: powers of two from 1 B to 128 KiB, which
@@ -197,8 +196,7 @@ _METRIC_TYPES = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 class MetricsRegistry:
     """A named collection of metric series plus their collectors.
 
-    One registry per observed world; :func:`default_registry` offers a
-    process-wide instance for code that does not thread one through.
+    One registry per observed world.
     """
 
     def __init__(self):
@@ -274,14 +272,13 @@ class MetricsRegistry:
         """Number of distinct (name, labels) series registered."""
         return len(self._series)
 
-    def to_prometheus_text(self, collect: bool = True) -> str:
+    def to_prometheus_text(self) -> str:
         """The registry in Prometheus text exposition format.
 
         Output is fully sorted, so identical registry contents render
         byte-identically — the determinism guard diffs this string.
         """
-        if collect:
-            self.collect()
+        self.collect()
         by_family: Dict[str, List[object]] = {}
         for (name, _labels), series in self._sorted_series():
             by_family.setdefault(name, []).append(series)
@@ -298,10 +295,9 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_json(self, collect: bool = True) -> Dict[str, object]:
+    def to_json(self) -> Dict[str, object]:
         """A JSON-friendly dump: one entry per series, sorted."""
-        if collect:
-            self.collect()
+        self.collect()
         out: List[Dict[str, object]] = []
         for (name, labels), series in self._sorted_series():
             entry: Dict[str, object] = {
@@ -325,10 +321,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Snapshot / diff (the chaos-oracle hook)
     # ------------------------------------------------------------------
-    def snapshot(self, collect: bool = True) -> Dict[str, float]:
+    def snapshot(self) -> Dict[str, float]:
         """A flat ``series-id -> value`` map of the current registry."""
-        if collect:
-            self.collect()
+        self.collect()
         flat: Dict[str, float] = {}
         for (_name, _labels), series in self._sorted_series():
             for sample_name, labels, value in series.samples():
@@ -349,13 +344,3 @@ class MetricsRegistry:
                 deltas[key] = delta
         return deltas
 
-
-_DEFAULT: Optional[MetricsRegistry] = None
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry (created on first use)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = MetricsRegistry()
-    return _DEFAULT

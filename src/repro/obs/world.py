@@ -45,6 +45,8 @@ __all__ = ["ObservedWorld", "WorkloadSchedule", "default_workload_schedule",
 _PROBER_PORT = 52002
 #: Packets at or below this size hairpin past the RX rings (mice).
 _HAIRPIN_CUTOFF = 128
+#: Sim seconds between the NIC frontend's RX-ring polls.
+_NIC_POLL_INTERVAL = 0.01
 
 
 @dataclass(frozen=True)
@@ -161,12 +163,11 @@ class _NicFrontend:
     gauges show live occupancy and the drop counters stay honest.
     """
 
-    def __init__(self, sim, rss, queues, hairpin, poll_interval: float = 0.01):
+    def __init__(self, sim, rss, queues, hairpin):
         self.sim = sim
         self.rss = rss
         self.queues = queues
         self.hairpin = hairpin
-        self.poll_interval = poll_interval
         self._polling = False
 
     def __call__(self, event: str, packet, now: float) -> None:
@@ -183,13 +184,13 @@ class _NicFrontend:
     def start(self) -> None:
         if not self._polling:
             self._polling = True
-            self.sim.schedule(self.poll_interval, self._poll)
+            self.sim.schedule(_NIC_POLL_INTERVAL, self._poll)
 
     def _poll(self) -> None:
         for queue in self.queues:
             queue.poll(budget=64)
         self.hairpin.drain()
-        self.sim.schedule(self.poll_interval, self._poll)
+        self.sim.schedule(_NIC_POLL_INTERVAL, self._poll)
 
 
 def _run_upf(rng: random.Random) -> object:

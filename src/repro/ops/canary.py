@@ -81,7 +81,6 @@ class CanaryController:
         candidate: Deployment,
         seed: int = 0,
         stages: Sequence[RolloutStage] = DEFAULT_STAGES,
-        guardrails=None,
         schedule: Optional[WorkloadSchedule] = None,
         environment: Optional[Callable[[ObservedWorld], None]] = None,
     ):
@@ -91,8 +90,7 @@ class CanaryController:
         self.candidate = candidate
         self.seed = seed
         self.stages = tuple(sorted(stages, key=lambda s: s.observe_until))
-        self.guardrails = tuple(
-            default_guardrails() if guardrails is None else guardrails)
+        self.guardrails = default_guardrails()
         self.schedule = schedule or default_workload_schedule(seed)
         self.environment = environment
         #: Populated by :meth:`run`.

@@ -18,11 +18,15 @@ identical to the alert rules' no-data convention.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["Guardrail", "default_guardrails", "histogram_quantile",
            "snapshot_indicators", "evaluate_guardrails"]
+
+#: The ``le`` label inside a bucket series' label set, wherever it sits.
+_LE = re.compile(r'(?:^|,)le="([^"]*)"')
 
 #: The direction in which the candidate may safely move.
 _DIRECTIONS = ("higher", "lower")
@@ -137,16 +141,26 @@ def histogram_quantile(snapshot: Dict[str, float], metric: str,
     """The *quantile* upper-bound estimate from cumulative buckets.
 
     Prometheus-style: the smallest bucket bound whose cumulative count
-    reaches ``quantile * total``.  Returns ``None`` when the histogram
-    is absent or empty.
+    reaches ``quantile * total``.  The histogram may carry labels of its
+    own; raises ``ValueError`` when *snapshot* holds more than one label
+    set for *metric*.  Returns ``None`` when the histogram is absent or
+    empty.
     """
-    prefix = f'{metric}_bucket{{le="'
+    prefix = f"{metric}_bucket{{"
     buckets = []
+    series = set()
     for key, value in snapshot.items():
-        if key.startswith(prefix):
-            bound = key[len(prefix):-2]
-            buckets.append((
-                math.inf if bound == "+Inf" else float(bound), value))
+        if not key.startswith(prefix):
+            continue
+        labels = key[len(prefix):-1]
+        match = _LE.search(labels)
+        if match is None:
+            continue
+        series.add(labels[:match.start()] + labels[match.end():])
+        bound = match.group(1)
+        buckets.append((math.inf if bound == "+Inf" else float(bound), value))
+    if len(series) > 1:
+        raise ValueError(f"{metric} has {len(series)} label sets in the snapshot")
     if not buckets:
         return None
     buckets.sort()
@@ -161,14 +175,13 @@ def histogram_quantile(snapshot: Dict[str, float], metric: str,
 
 
 def snapshot_indicators(snapshot: Dict[str, float],
-                        gateway: str = "pxgw",
                         oversize_egress: int = 0) -> Dict[str, Optional[float]]:
     """The guardrail indicators for one twin at one horizon.
 
     *oversize_egress* comes from the twin's egress tap (it is link
     evidence, not a registry series).
     """
-    labels = f'{{gateway="{gateway}"}}'
+    labels = '{gateway="pxgw"}'
     rx = snapshot.get(f"px_gateway_rx_packets_total{labels}", 0.0)
     tx = snapshot.get(f"px_gateway_tx_packets_total{labels}", 0.0)
     merged = snapshot.get(f"px_gateway_merged_packets_total{labels}", 0.0)

@@ -81,14 +81,13 @@ class OversizeTap:
     can count events up to each observation horizon.
     """
 
-    def __init__(self, limit: int = EMTU):
-        self.limit = limit
+    def __init__(self):
         self.events: List[Tuple[float, str, int]] = []
 
     def __call__(self, event: str, packet, now: float) -> None:
         if event == "drop-mtu":
             self.events.append((now, "drop-mtu", packet.total_len))
-        elif event == "tx" and packet.total_len > self.limit:
+        elif event == "tx" and packet.total_len > EMTU:
             self.events.append((now, "oversize-tx", packet.total_len))
 
     def count(self, until: Optional[float] = None) -> int:
@@ -141,17 +140,14 @@ def run_twin(
     """
     if schedule is None:
         schedule = default_workload_schedule(seed)
-    oversize = OversizeTap(EMTU)
+    oversize = OversizeTap()
 
     def mutate(world: ObservedWorld) -> None:
         if deployment.hardened_pmtud:
             from ..pmtud import HardeningPolicy
             from ..resilience import PmtuCache
 
-            world.gateway.attach_pmtu_cache(PmtuCache(
-                default_ttl=world.gateway.config.pmtu_cache_ttl,
-                policy=HardeningPolicy.hardened(),
-            ))
+            world.gateway.attach_pmtu_cache(PmtuCache(policy=HardeningPolicy.hardened()))
         world.links["ext_out"].add_tap(oversize)
         if environment is not None:
             environment(world)

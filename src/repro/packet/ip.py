@@ -122,11 +122,6 @@ class IPv4Header:
         return IP_HEADER_LEN + len(self.options)
 
     @property
-    def payload_len(self) -> int:
-        """Bytes of payload carried after the header."""
-        return self.total_length - self.header_len
-
-    @property
     def is_fragment(self) -> bool:
         """True for any fragment (first, middle, or last) of a datagram."""
         return self.more_fragments or self.fragment_offset > 0

@@ -20,7 +20,12 @@ from ..packet import ICMPMessage, IPv4Header, Packet
 from .echo import ECHO_PORT, pack_echo_probe, parse_echo_ack
 from .hardening import MIN_PLAUSIBLE_PMTU, HardeningPolicy, ReportRateLimiter
 
-__all__ = ["ClassicalPmtud", "ClassicalResult", "PLATEAU_TABLE"]
+__all__ = ["ClassicalPmtud", "ClassicalResult", "PLATEAU_TABLE", "CLASSICAL_PORT"]
+
+#: The UDP source port classical probes leave from.
+CLASSICAL_PORT = 53000
+#: Silent probe timeouts in a row before the path is declared a blackhole.
+MAX_RETRIES = 3
 
 #: RFC 1191 §7.1 plateau table, used when the ICMP message carries no
 #: next-hop MTU (old routers set it to zero).
@@ -44,31 +49,25 @@ class ClassicalPmtud:
     def __init__(
         self,
         host: Host,
-        src_port: int = 53000,
         probe_timeout: float = 2.0,
-        max_retries: int = 3,
         policy: Optional[HardeningPolicy] = None,
         nonce_seed: int = 0,
     ):
         self.host = host
-        self.src_port = src_port
         self.probe_timeout = probe_timeout
-        self.max_retries = max_retries
         #: ICMP is the attack surface here: with hardening on, a PTB
         #: must quote *our* 4-tuple, carry a plausible lowering hint,
         #: and pass a token-bucket rate limit before it moves the
         #: estimate (off-path RFC 5927-style validation).
         self.policy = policy if policy is not None else HardeningPolicy.unhardened()
         self._nonce_rng = random.Random(f"classical-nonce:{nonce_seed}")
-        self._limiter = (ReportRateLimiter(self.policy.report_rate,
-                                           self.policy.report_burst)
-                         if self.policy.rate_limit_reports else None)
+        self._limiter = ReportRateLimiter() if self.policy.rate_limit_reports else None
         self._active: Optional[dict] = None
         self._probe_counter = 0
         #: PTBs dropped by validation, by reason.
         self.ptb_rejected = 0
         self.ptb_rejections: dict = {}
-        host.on_udp(src_port, self._on_ack)
+        host.on_udp(CLASSICAL_PORT, self._on_ack)
         host.on_icmp(self._on_icmp)
 
     def discover(
@@ -103,7 +102,7 @@ class ClassicalPmtud:
         state["probe_id"] = probe_id
         state["probes"] += 1
         payload = pack_echo_probe(probe_id, state["estimate"])
-        self.host.send_udp(state["dst"], self.src_port, ECHO_PORT, payload,
+        self.host.send_udp(state["dst"], CLASSICAL_PORT, ECHO_PORT, payload,
                            dont_fragment=True)
         if state["timer"] is not None:
             state["timer"].cancel()
@@ -141,7 +140,7 @@ class ClassicalPmtud:
                 return
             if len(message.payload) >= 24:
                 quoted_sport = struct.unpack_from("!H", message.payload, 20)[0]
-                if quoted_sport != self.src_port:
+                if quoted_sport != CLASSICAL_PORT:
                     self._reject_ptb("inner-port")
                     return
         if self._limiter is not None and not self._limiter.allow(self.host.sim.now):
@@ -177,7 +176,7 @@ class ClassicalPmtud:
         if state is None:
             return
         state["retries"] += 1
-        if state["retries"] >= self.max_retries:
+        if state["retries"] >= MAX_RETRIES:
             # Silence: no ICMP, no ack — the blackhole case.
             self._finish(pmtu=None, blackholed=True)
             return

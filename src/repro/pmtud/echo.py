@@ -54,16 +54,15 @@ def parse_echo_ack(payload: bytes) -> Optional[int]:
 class ProbeEchoDaemon:
     """Acknowledges echo probes with a minimal UDP reply."""
 
-    def __init__(self, host: Host, port: int = ECHO_PORT):
+    def __init__(self, host: Host):
         self.host = host
-        self.port = port
         self.acks_sent = 0
-        host.on_udp(port, self._on_probe)
+        host.on_udp(ECHO_PORT, self._on_probe)
 
     def _on_probe(self, packet: Packet, host: Host) -> None:
         if len(packet.payload) < 8 or packet.payload[:4] != _PROBE_MAGIC:
             return
         probe_id = struct.unpack_from("!I", packet.payload, 4)[0]
         ack = pack_echo_ack(probe_id)
-        host.send_udp(packet.ip.src, self.port, packet.udp.src_port, ack)
+        host.send_udp(packet.ip.src, ECHO_PORT, packet.udp.src_port, ack)
         self.acks_sent += 1

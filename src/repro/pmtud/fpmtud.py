@@ -87,11 +87,10 @@ class FPmtudResult:
 class FPmtudDaemon:
     """The destination-side agent: reports received fragment sizes."""
 
-    def __init__(self, host: Host, port: int = FPMTUD_PORT):
+    def __init__(self, host: Host):
         self.host = host
-        self.port = port
         self.reports_sent = 0
-        host.on_udp(port, self._on_probe)
+        host.on_udp(FPMTUD_PORT, self._on_probe)
 
     def _on_probe(self, packet: Packet, host: Host) -> None:
         probe_id = _parse_probe(packet.payload)
@@ -101,7 +100,7 @@ class FPmtudDaemon:
         # unfragmented probe registers as a single "fragment".
         sizes = list(host.reassembler.last_fragment_sizes)
         report = _pack_report(probe_id, sizes)
-        host.send_udp(packet.ip.src, self.port, packet.udp.src_port, report)
+        host.send_udp(packet.ip.src, FPMTUD_PORT, packet.udp.src_port, report)
         self.reports_sent += 1
 
 

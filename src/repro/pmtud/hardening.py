@@ -53,6 +53,12 @@ __all__ = ["HardeningPolicy", "ReportRateLimiter", "MIN_PLAUSIBLE_PMTU"]
 #: (or broken, which deserves the same treatment).
 MIN_PLAUSIBLE_PMTU = 576
 
+#: Sustained unsolicited-PTB acceptance rate (messages/second) when
+#: ``rate_limit_reports`` is on.
+REPORT_RATE = 10.0
+#: Burst allowance of that token bucket.
+REPORT_BURST = 4
+
 
 @dataclass(frozen=True)
 class HardeningPolicy:
@@ -64,11 +70,6 @@ class HardeningPolicy:
     rate_limit_reports: bool = True
     validate_inner: bool = True
     per_flow_cache: bool = True
-    #: Sustained unsolicited-PTB acceptance rate (messages/second) when
-    #: ``rate_limit_reports`` is on.
-    report_rate: float = 10.0
-    #: Burst allowance of the token bucket.
-    report_burst: int = 4
 
     @classmethod
     def hardened(cls) -> "HardeningPolicy":
@@ -95,7 +96,7 @@ class ReportRateLimiter:
     accept/reject decisions, which keeps attack scenarios replayable.
     """
 
-    def __init__(self, rate: float, burst: int):
+    def __init__(self, rate: float = REPORT_RATE, burst: int = REPORT_BURST):
         if rate <= 0 or burst < 1:
             raise ValueError("rate must be positive and burst >= 1")
         self.rate = rate

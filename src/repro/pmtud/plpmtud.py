@@ -20,11 +20,17 @@ from ..packet import Packet
 from .echo import ECHO_PORT, pack_echo_probe, parse_echo_ack
 from .hardening import HardeningPolicy
 
-__all__ = ["Plpmtud", "PlpmtudResult"]
+__all__ = ["Plpmtud", "PlpmtudResult", "PLPMTUD_PORT"]
 
 #: RFC 4821 recommends starting from a size assumed safe everywhere.
 BASE_PMTU = 1280
 MIN_PMTU = 576
+#: The UDP source port PLPMTUD probes leave from.
+PLPMTUD_PORT = 54000
+#: Timeouts of one size before it counts as too big (one may be loss).
+MAX_RETRIES = 2
+#: The search stops once the bracket is narrower than this many bytes.
+GRANULARITY = 8
 
 
 @dataclass
@@ -44,18 +50,12 @@ class Plpmtud:
     def __init__(
         self,
         host: Host,
-        src_port: int = 54000,
         probe_timeout: float = 2.0,
-        max_retries: int = 2,
-        granularity: int = 8,
         policy: Optional[HardeningPolicy] = None,
         nonce_seed: int = 0,
     ):
         self.host = host
-        self.src_port = src_port
         self.probe_timeout = probe_timeout
-        self.max_retries = max_retries
-        self.granularity = granularity
         #: With ``probe_nonces`` on, probe ids are unguessable, so a
         #: spoofed PEAK ack cannot confirm a probe the path actually
         #: swallowed (the inflation attack on RFC 4821's loss inference).
@@ -65,7 +65,7 @@ class Plpmtud:
         self._probe_counter = 0
         #: Acks that matched no outstanding probe id.
         self.acks_ignored = 0
-        host.on_udp(src_port, self._on_ack)
+        host.on_udp(PLPMTUD_PORT, self._on_ack)
 
     def discover(
         self,
@@ -105,7 +105,7 @@ class Plpmtud:
         if not state["sizes"] or state["sizes"][-1] != size:
             state["sizes"].append(size)
         payload = pack_echo_probe(probe_id, size)
-        self.host.send_udp(state["dst"], self.src_port, ECHO_PORT, payload,
+        self.host.send_udp(state["dst"], PLPMTUD_PORT, ECHO_PORT, payload,
                            dont_fragment=True)
         if state["timer"] is not None:
             state["timer"].cancel()
@@ -127,7 +127,7 @@ class Plpmtud:
         if state is None:
             return
         state["retries"] += 1
-        if state["retries"] < self.max_retries:
+        if state["retries"] < MAX_RETRIES:
             # Could be congestion loss: retry the same size first.
             self._probe_current()
             return
@@ -138,13 +138,13 @@ class Plpmtud:
 
     def _advance(self) -> None:
         state = self._active
-        if state["high"] - state["low"] < self.granularity:
+        if state["high"] - state["low"] < GRANULARITY:
             self._finish()
             return
         if state["candidate"] == state["low"] and state["candidate"] < state["high"]:
             # Last probe succeeded: try the upper bound directly first
             # (common case: the whole path supports the local MTU).
-            if state["low"] == min(BASE_PMTU, state["high"]) and state["probes"] <= self.max_retries:
+            if state["low"] == min(BASE_PMTU, state["high"]) and state["probes"] <= MAX_RETRIES:
                 state["candidate"] = state["high"]
                 self._probe_current()
                 return

@@ -66,7 +66,6 @@ class ResilientPmtud:
         backoff: Optional[BackoffPolicy] = None,
         probe_budget: int = 6,
         fpmtud_timeout: float = 0.5,
-        cache_ttl: Optional[float] = None,
         seed: int = 0,
         prober: Optional[FPmtudProber] = None,
         plpmtud: Optional[Plpmtud] = None,
@@ -79,7 +78,6 @@ class ResilientPmtud:
         )
         self.probe_budget = probe_budget
         self.fpmtud_timeout = fpmtud_timeout
-        self.cache_ttl = cache_ttl
         self.rng = random.Random(seed)
         self.prober = prober or FPmtudProber(host)
         self.plpmtud = plpmtud or Plpmtud(host)
@@ -233,7 +231,7 @@ class ResilientPmtud:
         dropped = self.cache.reconcile(dst, pmtu, self.sim.now)
         if dropped:
             state["trail"].append(f"cache-reconciled-{dropped}")
-        self.cache.learn(dst, pmtu, self.sim.now, ttl=self.cache_ttl, source=source)
+        self.cache.learn(dst, pmtu, self.sim.now, source=source)
         outcome = DiscoveryOutcome(
             dst=dst,
             pmtu=pmtu,

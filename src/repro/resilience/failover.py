@@ -154,10 +154,7 @@ class FailoverManager:
         if checkpoint is None:
             raise RuntimeError("no checkpoint available; call start() first")
         if standby is None:
-            old = gateway.worker
-            standby = GatewayWorker(
-                gateway.config, costs=old.costs, index=old.index + 1
-            )
+            standby = GatewayWorker(gateway.config, index=gateway.worker.index + 1)
         flushed = restore_worker(standby, checkpoint)
         old = gateway.swap_worker(standby)
         for packet in flushed:

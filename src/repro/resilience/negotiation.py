@@ -89,7 +89,6 @@ class CaravanNegotiator:
         negative_ttl: float = 5.0,
         query_timeout: float = 0.25,
         backoff: Optional[BackoffPolicy] = None,
-        seed: int = 0,
     ):
         if positive_ttl <= 0 or negative_ttl <= 0 or query_timeout <= 0:
             raise ValueError("TTLs and timeouts must be positive")
@@ -101,7 +100,7 @@ class CaravanNegotiator:
         self.backoff = backoff or BackoffPolicy(
             initial=0.1, multiplier=2.0, max_delay=1.0, jitter=0.1, max_attempts=3
         )
-        self.rng = random.Random(seed)
+        self.rng = random.Random(0)
         #: peer ip -> (imtu, absolute expiry).
         self._positive: Dict[int, Tuple[int, float]] = {}
         #: peer ip -> absolute expiry of the negative verdict.

@@ -47,16 +47,12 @@ class PtbListener:
         cache: PmtuCache,
         policy: Optional[HardeningPolicy] = None,
         link_mtu: Optional[int] = None,
-        ttl: Optional[float] = None,
     ):
         self.host = host
         self.cache = cache
         self.policy = policy if policy is not None else HardeningPolicy.unhardened()
         self.link_mtu = link_mtu
-        self.ttl = ttl
-        self._limiter = (ReportRateLimiter(self.policy.report_rate,
-                                           self.policy.report_burst)
-                         if self.policy.rate_limit_reports else None)
+        self._limiter = ReportRateLimiter() if self.policy.rate_limit_reports else None
         self.ptb_received = 0
         self.ptb_accepted = 0
         self.ptb_rejected = 0
@@ -98,8 +94,7 @@ class PtbListener:
                 self._reject("bounds")
                 return
         stored = self.cache.learn(
-            inner.dst, hinted, self.host.sim.now, ttl=self.ttl,
-            source="ptb", flow=flow, trust="icmp",
+            inner.dst, hinted, self.host.sim.now, source="ptb", flow=flow, trust="icmp",
         )
         if stored is None:
             # The cache's trust guard refused it (a raise over a live

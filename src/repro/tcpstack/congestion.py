@@ -15,12 +15,12 @@ __all__ = ["CongestionControl", "Reno", "Cubic"]
 class CongestionControl:
     """Interface: byte-denominated congestion window management."""
 
-    def __init__(self, mss: int, initial_window_packets: int = 10):
+    def __init__(self, mss: int):
         if mss <= 0:
             raise ValueError(f"bad MSS {mss}")
         self.mss = mss
         #: RFC 6928 initial window (10 segments).
-        self.cwnd = float(initial_window_packets * mss)
+        self.cwnd = float(10 * mss)
         self.ssthresh = float("inf")
 
     @property
@@ -74,8 +74,8 @@ class Cubic(CongestionControl):
     C = 0.4  # scaling constant, in segments/s^3
     BETA = 0.7
 
-    def __init__(self, mss: int, initial_window_packets: int = 10):
-        super().__init__(mss, initial_window_packets)
+    def __init__(self, mss: int):
+        super().__init__(mss)
         self._w_max = self.cwnd
         self._epoch_start: "float | None" = None
         self._k = 0.0

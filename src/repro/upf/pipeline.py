@@ -10,9 +10,9 @@ pipeline packet-rate bound.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..cpu import DEFAULT_UPF_COSTS, CycleAccount, UpfCosts
+from ..cpu import DEFAULT_UPF_COSTS, CycleAccount
 from ..packet import (
     GTPU_PORT,
     GTPUHeader,
@@ -46,15 +46,9 @@ class UpfStats:
 class Upf:
     """A software UPF instance bound to one N3 (RAN) address."""
 
-    def __init__(
-        self,
-        n3_address: int,
-        sessions: Optional[SessionManager] = None,
-        costs: UpfCosts = DEFAULT_UPF_COSTS,
-    ):
+    def __init__(self, n3_address: int):
         self.n3_address = n3_address
-        self.sessions = sessions or SessionManager()
-        self.costs = costs
+        self.sessions = SessionManager()
         self.stats = UpfStats()
         self.account = CycleAccount()
         #: Per-(seid, qer) token buckets, created lazily for QERs with
@@ -71,7 +65,7 @@ class Upf:
         *now* drives MBR policing; pass the simulation clock when QERs
         carry rate limits.
         """
-        costs = self.costs
+        costs = DEFAULT_UPF_COSTS
         self._now = now
         self.account.charge(costs.rx_descriptor, category="rx")
         self.account.charge(costs.per_byte * packet.total_len,
@@ -91,7 +85,7 @@ class Upf:
         return packet.is_udp and packet.udp.dst_port == GTPU_PORT
 
     def _uplink(self, packet: Packet) -> List[Packet]:
-        costs = self.costs
+        costs = DEFAULT_UPF_COSTS
         try:
             gtpu = GTPUHeader.unpack(packet.payload)
         except ValueError:
@@ -132,7 +126,7 @@ class Upf:
         return [inner]
 
     def _downlink(self, packet: Packet) -> List[Packet]:
-        costs = self.costs
+        costs = DEFAULT_UPF_COSTS
         self.account.charge(costs.pdr_lookup, category="pdr")
         match = self.sessions.lookup_downlink(packet.ip.dst)
         if match is None:
@@ -163,7 +157,7 @@ class Upf:
     def _qer_pass(self, session, pdr, packet: Packet) -> bool:
         if pdr.qer_id is None:
             return True
-        self.account.charge(self.costs.qer_enforce, category="qer")
+        self.account.charge(DEFAULT_UPF_COSTS.qer_enforce, category="qer")
         qer = session.qers[pdr.qer_id]
         if not qer.gate_open:
             self.stats.dropped_gate += 1

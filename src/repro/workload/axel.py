@@ -17,9 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cpu import DEFAULT_SERVER_COSTS, CpuSpec, ServerCosts
+from ..cpu import DEFAULT_SERVER_COSTS, CpuSpec
 
 __all__ = ["SessionConfig", "ParallelDownloadModel"]
+
+#: The aggregate rate every configuration serves (Table 1's 10 GbE).
+LINE_RATE_BPS = 10e9
+#: The receiver ACKs every this many MSS-sized segments.
+ACKS_PER_SEGMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -35,58 +40,48 @@ class SessionConfig:
         return cls(connections=1, mss=8948)
 
     @classmethod
-    def axel_parallel(cls, connections: int = 6) -> "SessionConfig":
-        return cls(connections=connections, mss=1448)
+    def axel_parallel(cls) -> "SessionConfig":
+        return cls(connections=6, mss=1448)
 
 
 class ParallelDownloadModel:
     """Server CPU usage for S sessions of a given configuration."""
 
-    def __init__(
-        self,
-        spec: CpuSpec,
-        costs: ServerCosts = DEFAULT_SERVER_COSTS,
-        line_rate_bps: float = 10e9,
-        acks_per_segments: int = 2,
-    ):
+    def __init__(self, spec: CpuSpec):
         self.spec = spec
-        self.costs = costs
-        self.line_rate_bps = line_rate_bps
-        self.acks_per_segments = acks_per_segments
 
     def base_cycles_per_second(self, config: SessionConfig) -> float:
         """Data-plane cycles/s to serve the full line rate."""
-        costs = self.costs
-        bytes_per_second = self.line_rate_bps / 8.0
+        costs = DEFAULT_SERVER_COSTS
+        bytes_per_second = LINE_RATE_BPS / 8.0
         copy = bytes_per_second * costs.per_byte
         chunks = bytes_per_second / costs.chunk_bytes * costs.tso_chunk
-        # The receiver ACKs every `acks_per_segments` MSS-sized segments.
-        acks = bytes_per_second / (self.acks_per_segments * config.mss)
+        acks = bytes_per_second / (ACKS_PER_SEGMENTS * config.mss)
         ack_cycles = acks * costs.ack_rx_per_packet
         return copy + chunks + ack_cycles
 
     def management_fraction(self, sessions: int, config: SessionConfig) -> float:
         """Connection/session management, as a fraction of one core."""
-        costs = self.costs
+        costs = DEFAULT_SERVER_COSTS
         per_session = (
             costs.session_overhead_frac
             + costs.extra_conn_overhead_frac * (config.connections - 1)
         )
         return per_session * sessions ** costs.session_exponent
 
-    def cpu_usage(self, sessions: int, config: SessionConfig, clamp: bool = True) -> float:
+    def cpu_usage(self, sessions: int, config: SessionConfig) -> float:
         """Server CPU usage (fraction of one core) for *sessions*.
 
         The aggregate line rate is fixed — more sessions each get a
         smaller share — matching the paper's setup where both columns
         of Table 1 achieve similar network throughput.  Values are
-        clamped at 1.0 (a saturated core) unless ``clamp=False``.
+        clamped at 1.0 (a saturated core).
         """
         if sessions <= 0:
             raise ValueError("need at least one session")
         base = self.base_cycles_per_second(config) / self.spec.clock_hz
         usage = base + self.management_fraction(sessions, config)
-        return min(usage, 1.0) if clamp else usage
+        return min(usage, 1.0)
 
     def cpu_ratio(self, sessions: int, parallel: "SessionConfig | None" = None,
                   jumbo: "SessionConfig | None" = None) -> float:

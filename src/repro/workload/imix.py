@@ -81,22 +81,18 @@ def imix_udp_sources(
 def imix_tcp_sources(
     flows: int,
     rng: random.Random,
-    profile: "ImixProfile | None" = None,
     tag: str = "",
-    client_net: str = "198.51.100",
-    server_net: str = "10.1.0",
-    base_port: int = 26000,
 ) -> "List[TcpStreamSource]":
-    """TCP flows with per-flow segment sizes drawn from the mix."""
-    profile = profile or ImixProfile()
+    """TCP flows with per-flow segment sizes drawn from the simple IMIX."""
+    profile = ImixProfile()
     sources = []
     for index in range(flows):
         size = profile.draw(rng)
         sources.append(
             TcpStreamSource(
-                src=f"{client_net}.{(index % 250) + 1}",
-                dst=f"{server_net}.{(index % 4) + 1}",
-                src_port=base_port + index,
+                src=f"198.51.100.{(index % 250) + 1}",
+                dst=f"10.1.0.{(index % 4) + 1}",
+                src_port=26000 + index,
                 dst_port=5201,
                 payload_size=max(1, size - 40),
                 tag=tag,

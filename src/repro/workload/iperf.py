@@ -12,9 +12,13 @@ from typing import Optional
 
 from ..net.host import Host
 from ..net.topology import Topology
-from ..tcpstack import Reno, TCPConnection, TCPListener
+from ..tcpstack import TCPConnection, TCPListener
 
 __all__ = ["IperfResult", "run_tcp_flow"]
+
+#: The iPerf server's well-known port, and the client's source port.
+SERVER_PORT = 5201
+CLIENT_PORT = 40000
 
 
 @dataclass
@@ -38,28 +42,23 @@ def run_tcp_flow(
     duration: float,
     mss: int = 1460,
     server_mss: Optional[int] = None,
-    port: int = 5201,
-    client_port: int = 40000,
-    cc_class=Reno,
-    handshake_grace: float = 1.0,
     omit: float = 0.0,
-    total_bytes: int = 1 << 62,
 ) -> IperfResult:
-    """Run one bulk TCP flow for *duration* seconds and measure goodput.
+    """Run one bulk Reno flow for *duration* seconds and measure goodput.
 
-    The handshake completes during a grace period first; *omit* then
-    discards the initial slow-start transient from the measurement,
-    like iPerf's ``--omit`` flag.
+    The handshake completes during a one-second grace period first;
+    *omit* then discards the initial slow-start transient from the
+    measurement, like iPerf's ``--omit`` flag.  The sender never runs
+    out of data.
     """
-    listener = TCPListener(server, port, mss=server_mss if server_mss else mss,
-                           cc_class=cc_class)
-    conn = TCPConnection(client, client_port, server.ip, port, mss=mss, cc_class=cc_class)
+    listener = TCPListener(server, SERVER_PORT, mss=server_mss if server_mss else mss)
+    conn = TCPConnection(client, CLIENT_PORT, server.ip, SERVER_PORT, mss=mss)
     conn.connect()
-    topo.run(until=topo.sim.now + handshake_grace)
+    topo.run(until=topo.sim.now + 1.0)
     if not listener.connections:
         raise RuntimeError("handshake did not complete within the grace period")
     server_conn = listener.connections[0]
-    conn.send_bulk(total_bytes)
+    conn.send_bulk(1 << 62)
     if omit > 0:
         topo.run(until=topo.sim.now + omit)
     delivered_before = server_conn.bytes_delivered

@@ -201,8 +201,7 @@ class TestPlpmtudAckForgery:
         # timeout.  Spraying acks at the guessable id counter convinces
         # the trusting search that 1500 B passed.
         world = topo, client, server, attacker = star_topology()
-        plpmtud = Plpmtud(client, src_port=54000, probe_timeout=0.05,
-                          max_retries=2)
+        plpmtud = Plpmtud(client, probe_timeout=0.05)
         results = []
         plpmtud.discover(server.ip, 1500, results.append)
         self._spray_acks(world, dst_port=54000)
@@ -212,8 +211,7 @@ class TestPlpmtudAckForgery:
 
     def test_nonced_search_ignores_the_spray(self):
         world = topo, client, server, attacker = star_topology()
-        plpmtud = Plpmtud(client, src_port=54000, probe_timeout=0.05,
-                          max_retries=2, policy=HardeningPolicy.hardened(),
+        plpmtud = Plpmtud(client, probe_timeout=0.05, policy=HardeningPolicy.hardened(),
                           nonce_seed=9)
         results = []
         plpmtud.discover(server.ip, 1500, results.append)

@@ -10,8 +10,8 @@ from repro.obs.alerts import (
 )
 
 
-def _engine(budget=1e-3):
-    return AlertEngine(burn_rate_rules("err", "total", budget=budget))
+def _engine():
+    return AlertEngine(burn_rate_rules("err", "total"))
 
 
 def test_burn_rule_validation():
@@ -29,12 +29,12 @@ def test_burn_rule_validation():
 
 
 def test_factory_shapes():
-    fast, slow = burn_rate_rules("err", "total", budget=1e-3)
+    fast, slow = burn_rate_rules("err", "total")
     assert (fast.threshold, fast.fast_window, fast.slow_window) == \
         (14.4, 1.0, 5.0)
     assert (slow.threshold, slow.fast_window, slow.slow_window) == \
         (6.0, 5.0, 60.0)
-    names = {rule.name for rule in default_burn_rules("pxgw")}
+    names = {rule.name for rule in default_burn_rules()}
     assert names == {"error-budget-burn-fast", "error-budget-burn-slow"}
 
 
@@ -46,7 +46,7 @@ def test_single_scrape_has_no_burn_signal():
 
 
 def test_sustained_burn_fires_both_windows():
-    engine = _engine(budget=1e-3)
+    engine = _engine()
     # 10% error ratio = 100x a 0.1% budget — far over both thresholds.
     for step in range(8):
         now = float(step)
@@ -63,7 +63,7 @@ def test_moderate_burn_trips_only_the_slow_rule():
     """A burn between the two thresholds (here 10x the budget: over the
     slow rule's 6.0, under the fast rule's 14.4) pages only the
     slow-burn rule — the classic multi-window discrimination."""
-    engine = _engine(budget=1e-3)
+    engine = _engine()
     # 1% errors = 10x budget: over the slow rule's 6.0, under 14.4.
     for step in range(8):
         now = float(step)
@@ -73,7 +73,7 @@ def test_moderate_burn_trips_only_the_slow_rule():
 
 
 def test_burn_resolves_when_errors_stop():
-    engine = _engine(budget=1e-3)
+    engine = _engine()
     for step in range(4):
         total = 1000.0 * (step + 1)
         engine.evaluate(float(step), {"err": 0.10 * total, "total": total})

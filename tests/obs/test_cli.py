@@ -184,9 +184,15 @@ def test_limit_zero_exports_no_spans():
         spans.to_jsonl(limit=-1)
 
 
-@pytest.mark.parametrize("verb", ["trace", "spans"])
-def test_negative_limit_is_a_usage_error(verb, capsys):
+@pytest.mark.parametrize("verb, args", [
+    ("trace", ["--limit", "-1"]),
+    ("spans", ["--limit", "-1"]),
+    ("timeline", ["--interval", "0"]),
+    ("timeline", ["--interval", "-1"]),
+    ("flight", ["--kind", "bogus"]),
+], ids=["trace", "spans", "timeline-zero", "timeline-negative", "flight-kind"])
+def test_negative_limit_is_a_usage_error(verb, args, capsys):
     with pytest.raises(SystemExit) as exit_:
-        main([verb, "--limit", "-1"])
+        main([verb, *args])
     assert exit_.value.code == 2
-    assert "--limit" in capsys.readouterr().err
+    assert args[0] in capsys.readouterr().err

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import LOG2_BUCKETS, MetricsRegistry, default_registry
+from repro.obs import LOG2_BUCKETS, MetricsRegistry
 
 
 class TestInstruments:
@@ -161,7 +161,3 @@ class TestExport:
         registry.counter("px_q_total", flow='a"b').inc()
         assert 'flow="a\\"b"' in registry.to_prometheus_text()
 
-
-def test_default_registry_is_a_singleton():
-    assert default_registry() is default_registry()
-    assert isinstance(default_registry(), MetricsRegistry)

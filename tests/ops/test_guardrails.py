@@ -65,6 +65,16 @@ def test_histogram_quantile_cumulative_buckets():
     assert histogram_quantile(snapshot, "lat", 0.999) == math.inf
     assert histogram_quantile({}, "lat") is None
     assert histogram_quantile({'lat_bucket{le="+Inf"}': 0.0}, "lat") is None
+    # A labelled histogram: ``le`` follows the series' own labels.
+    labelled = {
+        'lat_bucket{gateway="pxgw",le="0.001"}': 50.0,
+        'lat_bucket{gateway="pxgw",le="0.01"}': 95.0,
+        'lat_bucket{gateway="pxgw",le="+Inf"}': 100.0,
+    }
+    assert histogram_quantile(labelled, "lat", 0.95) == 0.01
+    with pytest.raises(ValueError):
+        histogram_quantile(dict(labelled, **{'lat_bucket{gateway="b",le="+Inf"}': 1.0}),
+                           "lat")
 
 
 def test_snapshot_indicators():

@@ -86,7 +86,7 @@ class TestStreams:
 
 class TestParallelDownloadModel:
     def model(self):
-        return ParallelDownloadModel(XEON_5512U, line_rate_bps=10e9)
+        return ParallelDownloadModel(XEON_5512U)
 
     def test_single_session_usage_near_paper(self):
         model = self.model()
