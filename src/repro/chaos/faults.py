@@ -280,7 +280,7 @@ class LinkInjector:
                 flipped = bytearray(mutated.payload)
                 flipped[0] ^= 0xFF
                 mutated.payload = bytes(flipped)
-                mutated.meta["chaos_corrupted"] = True
+                mutated.annotate("chaos_corrupted", True)
                 log.udp_datagrams_mutated += caravan_inner_count(packet)
                 return [(mutated, 0.0)]
             # TCP (or empty payload): the receiver checksum would reject
@@ -312,7 +312,7 @@ class LinkInjector:
             self.log.udp_datagrams_lost += 1
         mutated = packet.copy()
         mutated.payload = packet.payload[:keep]
-        mutated.meta["chaos_truncated"] = True
+        mutated.annotate("chaos_truncated", True)
         if mutated.is_udp:
             mutated.udp.length = 8 + keep
         mutated.ip.total_length = (

@@ -101,7 +101,7 @@ def encode_caravan(packets: List[Packet]) -> Packet:
                           length=UDP_HEADER_LEN + len(body))
     outer_ip.total_length = outer_ip.header_len + UDP_HEADER_LEN + len(body)
     caravan = Packet(ip=outer_ip, l4=outer_udp, payload=body)
-    caravan.meta["caravan_inner"] = len(packets)
+    caravan.annotate("caravan_inner", len(packets))
     return caravan
 
 
@@ -251,11 +251,11 @@ class CaravanMergeEngine:
         # read by the span tracker's px_caravan_batch_wait_seconds.
         if len(context.packets) == 1:
             packet = context.packets[0]
-            packet.meta["caravan_first_at"] = context.created_at
+            packet.annotate("caravan_first_at", context.created_at)
             return packet
         self.built += 1
         caravan = encode_caravan(context.packets)
-        caravan.meta["caravan_first_at"] = context.created_at
+        caravan.annotate("caravan_first_at", context.created_at)
         return caravan
 
     def _flush_key(self, key: FlowKey) -> List[Packet]:

@@ -58,14 +58,14 @@ class MssClamp:
                 # own_l4: the SYN may share its header with an upstream
                 # fork; materialize before rewriting in place.
                 packet.own_l4().replace_mss(target)
-                packet.meta["mss_raised_from"] = current
+                packet.annotate("mss_raised_from", current)
                 self.raised += 1
                 return True
             return False
         target = self.outside_mss
         if current > target:
             packet.own_l4().replace_mss(target)
-            packet.meta["mss_capped_from"] = current
+            packet.annotate("mss_capped_from", current)
             self.capped += 1
             return True
         return False

@@ -194,7 +194,7 @@ class StreamContext:
         tcp.flags = TCPFlags.ACK
         ip.identification = next_ip_id()
         ip.total_length = ip.header_len + tcp.header_len + len(payload)
-        segment.meta["spliced"] = True
+        segment.annotate("spliced", True)
         self.base_seq = (self.base_seq + len(payload)) % _SEQ_MOD
         return segment
 
@@ -219,7 +219,7 @@ class StreamContext:
         tcp.flags = TCPFlags.ACK
         ip.identification = next_ip_id()
         ip.total_length = ip.header_len + tcp.header_len + len(payload)
-        segment.meta["spliced"] = True
+        segment.annotate("spliced", True)
         return segment
 
 

@@ -320,7 +320,7 @@ class GatewayWorker:
                 self.stats.split_segments += len(segments) if len(segments) > 1 else 0
             else:
                 segments = [packet]
-            self.stats.tcp_payload_out += sum(len(seg.payload) for seg in segments)
+            self.stats.tcp_payload_out += len(packet.payload)  # splitting conserves bytes
             return "split" if len(segments) > 1 else "forward", segments
         if packet.is_udp:
             self.stats.udp_datagrams_in += caravan_inner_count(packet)
@@ -385,7 +385,7 @@ class GatewayWorker:
             self.account.charge(costs.baseline_tx_per_packet * len(segments), category="tso-sw")
         self.account.charge(costs.split_per_segment * len(segments), category="split")
         self.stats.split_segments += len(segments) if len(segments) > 1 else 0
-        self.stats.tcp_payload_out += sum(len(seg.payload) for seg in segments)
+        self.stats.tcp_payload_out += len(packet.payload)  # splitting conserves bytes
         return "split" if len(segments) > 1 else "forward", segments
 
     def _udp_inbound(self, packet: Packet, now: float):

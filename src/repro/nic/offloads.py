@@ -27,6 +27,7 @@ from typing import List, Optional
 
 from ..packet import FlowKey, IPv4Header, Packet, TCPFlags, TCPHeader
 from ..packet.builder import next_ip_id
+from ..packet.packet import EMPTY_META
 
 __all__ = ["TcpCoalescer", "UdpGroCoalescer", "segment_tcp", "MergeContext"]
 
@@ -73,7 +74,7 @@ class MergeContext:
         if self.psh_seen:
             merged.tcp.flags |= TCPFlags.PSH
         merged.ip.total_length = merged.ip.header_len + merged.tcp.header_len + len(merged.payload)
-        merged.meta["merged_from"] = self.count
+        merged.annotate("merged_from", self.count)
         return merged
 
 
@@ -239,8 +240,8 @@ class UdpGroCoalescer:
         merged = held[0].copy()
         merged.payload = b"".join(p.payload for p in held)
         merged.ip.total_length = merged.ip.header_len + 8 + len(merged.payload)
-        merged.meta["merged_from"] = len(held)
-        merged.meta["gso_size"] = len(held[0].payload)
+        merged.annotate("merged_from", len(held))
+        merged.annotate("gso_size", len(held[0].payload))
         return merged
 
 
@@ -294,7 +295,7 @@ def segment_tcp(packet: Packet, mss: int) -> List[Packet]:
         tcp.window = tcp0.window
         tcp.checksum = tcp0.checksum
         tcp.urgent = tcp0.urgent
-        tcp.options = list(tcp0.options)
+        tcp.options = tcp0.options
         ip = IPv4Header.__new__(IPv4Header)
         ip.src = ip0.src
         ip.dst = ip0.dst
@@ -312,9 +313,7 @@ def segment_tcp(packet: Packet, mss: int) -> List[Packet]:
         segment.l4 = tcp
         segment.payload = chunk
         segment.timestamp = timestamp
-        seg_meta = dict(meta)
-        seg_meta["split_from"] = total  # original payload size
-        segment.meta = seg_meta
+        segment.meta = dict(meta) if meta else EMPTY_META
         segment._fkey = fkey
         segment._l4_shared = False
         append(segment)

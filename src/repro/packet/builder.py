@@ -8,7 +8,7 @@ inside PXGW construct headers directly.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from .address import str_to_ip
 from .icmp import ICMPMessage
@@ -53,9 +53,7 @@ def build_tcp(
     ip_id: Optional[int] = None,
 ) -> Packet:
     """Build a TCP packet.  TCP senders set DF by default, as real stacks do."""
-    options: List[TCPOption] = []
-    if mss is not None:
-        options.append(TCPOption.mss(mss))
+    options = () if mss is None else (TCPOption.mss(mss),)
     tcp = TCPHeader(
         src_port=src_port,
         dst_port=dst_port,

@@ -84,7 +84,7 @@ def fragment_packet(packet: Packet, mtu: int) -> List[Packet]:
                 l4=None,
                 payload=chunk,
                 timestamp=packet.timestamp,
-                meta=dict(packet.meta),
+                meta=dict(packet.meta) if packet.meta else None,
             )
         )
         cursor += len(chunk)

@@ -34,8 +34,26 @@ __all__ = ["Packet", "L4Header"]
 
 L4Header = Union[TCPHeader, UDPHeader, ICMPMessage]
 
-#: Sentinel marking a flow key as not-yet-computed (None is a valid key).
-_UNSET = object()
+
+class _UNSET:
+    """Marks a flow key as not yet computed (None is a valid key); pickles by name."""
+
+
+class _EmptyMeta(dict):
+    """A ``dict`` that stays empty; pickle and ``deepcopy`` keep its identity."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("EMPTY_META is shared by every un-annotated packet; use Packet.annotate")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return "EMPTY_META"
+
+
+#: The ``meta`` of every packet without annotations.
+EMPTY_META = _EmptyMeta()
 
 #: An option-less IPv4 header and the fixed TCP (40 B in all) or UDP
 #: (28 B) header behind it, packed and parsed as one block: the two
@@ -50,6 +68,10 @@ class Packet:
     ``__slots__`` keeps the object small and attribute access fast —
     every link, router, and gateway stat touches a handful of fields
     per packet, which makes this the hottest object in the library.
+
+    ``meta`` holds annotations (e.g. ``{"spliced": True}``).  Without
+    any it is the shared, read-only :data:`EMPTY_META`; write through
+    :meth:`annotate`, which makes a private dict on the first write.
     """
 
     __slots__ = ("ip", "l4", "payload", "timestamp", "meta", "_fkey", "_l4_shared")
@@ -67,8 +89,8 @@ class Packet:
         self.payload = payload
         #: Simulation timestamp of creation/last transmission (seconds).
         self.timestamp = timestamp
-        #: Free-form annotations (e.g. ``{"hairpin": True}``); kept sparse.
-        self.meta = {} if meta is None else meta
+        #: Annotations; :data:`EMPTY_META` until :meth:`annotate`.
+        self.meta = EMPTY_META if meta is None else meta
         #: Cached 5-tuple (lazily computed; survives copy/fork because
         #: no code path rewrites addresses or ports in place).
         self._fkey = _UNSET
@@ -175,17 +197,20 @@ class Packet:
         if key is _UNSET:
             l4 = self.l4
             if isinstance(l4, (TCPHeader, UDPHeader)):
-                key = FlowKey(
-                    self.ip.protocol,
-                    self.ip.src,
-                    l4.src_port,
-                    self.ip.dst,
-                    l4.dst_port,
-                )
+                ip = self.ip
+                key = FlowKey._make((ip.protocol, ip.src, l4.src_port, ip.dst, l4.dst_port))
             else:
                 key = None
             self._fkey = key
         return key
+
+    def annotate(self, key: str, value) -> None:
+        """Record one annotation in ``meta``, making it a private dict first."""
+        meta = self.meta
+        if meta is EMPTY_META:
+            self.meta = {key: value}
+        else:
+            meta[key] = value
 
     # ------------------------------------------------------------------
     # Serialization
@@ -353,7 +378,7 @@ class Packet:
                     l4.flags = flags
                     l4.window = window
                     l4.urgent = urgent
-                    l4.options = [] if l4_len == 20 else _unpack_options(data[40 : 20 + l4_len])
+                    l4.options = () if l4_len == 20 else _unpack_options(data[40 : 20 + l4_len])
                 else:
                     if end < 28:
                         raise ValueError("truncated UDP header")
@@ -387,7 +412,7 @@ class Packet:
                 packet.l4 = l4
                 packet.payload = bytes(data[20 + l4_len : end])
                 packet.timestamp = 0.0
-                packet.meta = {}
+                packet.meta = EMPTY_META
                 packet._fkey = _UNSET
                 packet._l4_shared = False
                 return packet
@@ -424,7 +449,7 @@ class Packet:
         packet.l4 = l4
         packet.payload = bytes(data[start + hdr_len :])
         packet.timestamp = 0.0
-        packet.meta = {}
+        packet.meta = EMPTY_META
         packet._fkey = _UNSET
         packet._l4_shared = False
         return packet
@@ -446,7 +471,7 @@ class Packet:
         new.l4 = self._copy_l4(self.l4)
         new.payload = self.payload
         new.timestamp = self.timestamp
-        new.meta = dict(self.meta)
+        new.meta = dict(self.meta) if self.meta else EMPTY_META
         new._fkey = self._fkey
         new._l4_shared = False
         return new
@@ -480,7 +505,7 @@ class Packet:
         new.l4 = self.l4
         new.payload = self.payload
         new.timestamp = self.timestamp
-        new.meta = dict(self.meta)
+        new.meta = dict(self.meta) if self.meta else EMPTY_META
         new._fkey = self._fkey
         new._l4_shared = self._l4_shared = self.l4 is not None
         return new

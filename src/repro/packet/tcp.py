@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .checksum import internet_checksum
 from .ip import IPProto, field_range_error
@@ -81,7 +81,7 @@ class TCPOption:
         return struct.unpack("!H", self.data)[0]
 
 
-def _pack_options(options: "List[TCPOption]") -> bytes:
+def _pack_options(options: "Tuple[TCPOption, ...]") -> bytes:
     """Serialize options and pad with NOPs to a 32-bit boundary."""
     out = bytearray()
     for option in options:
@@ -98,8 +98,8 @@ def _pack_options(options: "List[TCPOption]") -> bytes:
     return bytes(out)
 
 
-def _unpack_options(data: bytes) -> "List[TCPOption]":
-    """Parse an options blob into a list, stopping at END."""
+def _unpack_options(data: bytes) -> "Tuple[TCPOption, ...]":
+    """Parse an options blob into a tuple, stopping at END."""
     options: List[TCPOption] = []
     index = 0
     while index < len(data):
@@ -116,7 +116,7 @@ def _unpack_options(data: bytes) -> "List[TCPOption]":
             raise ValueError("bad TCP option length")
         options.append(TCPOption(kind, bytes(data[index + 2 : index + length])))
         index += length
-    return options
+    return tuple(options)
 
 
 class TCPHeader:
@@ -126,6 +126,7 @@ class TCPHeader:
     construction and :meth:`copy` run once or more per packet on the
     TCP fast path, and dropping the per-instance ``__dict__`` makes
     both measurably cheaper.  Equality matches the old dataclass form.
+    ``options`` is a tuple, shared by copies and TSO segments.
     """
 
     __slots__ = (
@@ -143,7 +144,7 @@ class TCPHeader:
         window: int = 65535,
         checksum: int = 0,
         urgent: int = 0,
-        options: "Optional[List[TCPOption]]" = None,
+        options: "Optional[Iterable[TCPOption]]" = None,
     ):
         self.src_port = src_port
         self.dst_port = dst_port
@@ -153,7 +154,7 @@ class TCPHeader:
         self.window = window
         self.checksum = checksum
         self.urgent = urgent
-        self.options = [] if options is None else options
+        self.options = () if options is None else tuple(options)
 
     def _astuple(self):
         return (
@@ -226,20 +227,21 @@ class TCPHeader:
         return option.mss_value if option else None
 
     def replace_mss(self, new_mss: int) -> bool:
-        """Rewrite the MSS option in place; returns True if one existed.
+        """Rewrite the MSS option; returns True if one existed.
 
         This is the primitive PXGW's MSS-clamping module uses to
         advertise a larger (or smaller) MSS on behalf of the endpoint
-        behind it.
+        behind it.  It assigns a new options tuple: copies share the old one.
         """
-        for index, option in enumerate(self.options):
+        options = self.options
+        for index, option in enumerate(options):
             if option.kind == TCPOption.MSS:
-                self.options[index] = TCPOption.mss(new_mss)
+                self.options = options[:index] + (TCPOption.mss(new_mss),) + options[index + 1 :]
                 return True
         return False
 
     def copy(self) -> "TCPHeader":
-        """Return a deep-enough copy (options list is copied)."""
+        """Return a copy safe to mutate (the options tuple is shared)."""
         new = TCPHeader.__new__(TCPHeader)
         new.src_port = self.src_port
         new.dst_port = self.dst_port
@@ -249,7 +251,7 @@ class TCPHeader:
         new.window = self.window
         new.checksum = self.checksum
         new.urgent = self.urgent
-        new.options = list(self.options)
+        new.options = self.options
         return new
 
     def pack(self, payload: bytes = b"", src_ip: int = 0, dst_ip: int = 0) -> bytes:
@@ -307,7 +309,7 @@ class TCPHeader:
         if header_len < TCP_HEADER_LEN or len(data) - offset < header_len:
             raise ValueError("bad TCP data offset")
         if header_len == TCP_HEADER_LEN:
-            header.options = []
+            header.options = ()
         else:
             header.options = _unpack_options(
                 data[offset + TCP_HEADER_LEN : offset + header_len]

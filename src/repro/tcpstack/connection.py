@@ -264,7 +264,7 @@ class TCPConnection:
         tcp.window = 65535
         tcp.checksum = 0
         tcp.urgent = 0
-        tcp.options = list(options) if options else []
+        tcp.options = options or ()
         ip = IPv4Header.__new__(IPv4Header)
         ip.src = self._src_ip
         ip.dst = self.peer_ip
@@ -286,7 +286,7 @@ class TCPConnection:
     def _send_syn(self) -> None:
         """(Re)send our SYN, or SYN-ACK when answering one, and time it."""
         flags = TCPFlags.SYN if self.state == TCPState.SYN_SENT else TCPFlags.SYN | TCPFlags.ACK
-        options = [TCPOption.mss(self.local_mss), TCPOption.window_scale(self.WINDOW_SCALE)]
+        options = (TCPOption.mss(self.local_mss), TCPOption.window_scale(self.WINDOW_SCALE))
         self._send_control(flags, self.iss, options)
         self._arm_rto()
 
@@ -298,7 +298,7 @@ class TCPConnection:
             # Advertise up to 3 SACK blocks (RFC 2018) so the sender
             # can retransmit exactly the missing ranges.
             edges = [seq for block in self._ooo[:3] for seq in block]
-            options = [TCPOption(TCPOption.SACK, struct.pack(f"!{len(edges)}I", *edges))]
+            options = (TCPOption(TCPOption.SACK, struct.pack(f"!{len(edges)}I", *edges)),)
         self._send_control(TCPFlags.ACK, self.snd_nxt, options=options)
 
     # ------------------------------------------------------------------

@@ -164,7 +164,7 @@ class TestOracleBuildingBlocks:
 
     def test_summary_sees_chaos_marks(self):
         marked = udp_packet()
-        marked.meta["chaos_corrupted"] = True
+        marked.annotate("chaos_corrupted", True)
         assert summarize_packet(marked) != summarize_packet(udp_packet())
 
     def test_interval_merge_and_containment(self):

@@ -4,11 +4,28 @@
 copy-on-write L4); ``own_l4()`` materializes the L4 header before any
 in-place mutation; the cached flow key must survive both.  The merge
 engine's deque-backed ``take`` must drain partially-consumed chunks
-byte-exactly.
+byte-exactly.  A packet with nothing to say owns no container: TCP
+options are a shared tuple and an empty ``meta`` is the shared
+``EMPTY_META``, so an annotation must never reach another packet.
 """
 
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.tcp_merge import StreamContext, TcpMergeEngine
-from repro.packet import TCPFlags, build_tcp, build_udp
+from repro.net import Topology
+from repro.nic import segment_tcp
+from repro.packet import (
+    FlowKey, Packet, TCPFlags, TCPOption, build_tcp, build_udp, fragment_packet,
+)
+from repro.packet.packet import EMPTY_META
+from repro.tcpstack import TCPConnection
+
+NO_OPTIONS = ()
 
 
 def test_fork_shares_l4_and_payload():
@@ -62,12 +79,18 @@ def test_flow_key_cached_and_survives_fork_and_copy():
     assert packet.copy().flow_key() == key
 
 
+def test_flow_keys_are_flow_key_tuples():
+    key = build_tcp("10.0.0.1", "10.0.0.2", 1000, 2000).flow_key()
+    assert type(key) is FlowKey and type(key.reversed()) is FlowKey
+    assert key.src_port == 1000 and key.reversed().src_port == 2000
+
+
 def test_copy_is_fully_private():
     packet = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"abc", flags=TCPFlags.ACK)
     dup = packet.copy()
     assert dup.l4 is not packet.l4
     dup.tcp.seq = 123
-    dup.meta["tag"] = True
+    dup.annotate("tag", True)
     assert packet.tcp.seq == 0
     assert "tag" not in packet.meta
 
@@ -108,3 +131,116 @@ def test_merge_engine_resegments_across_chunks():
     flushed = engine.flush()
     assert [p.payload for p in flushed] == [b"fg"]
     assert engine.pending_bytes() == 0
+
+
+def _connection():
+    topo = Topology()
+    client = topo.add_host("client")
+    server = topo.add_host("server")
+    topo.link(client, server, mtu=1500, bandwidth_bps=1e9)
+    topo.build_routes()
+    return TCPConnection(client, 40000, server.ip, 80)
+
+
+def test_option_less_packets_share_the_empty_options_and_meta():
+    built = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"z" * 3000, flags=TCPFlags.ACK)
+    parsed = Packet.from_bytes(built.to_bytes())
+    with_ip_options = built.copy()
+    with_ip_options.ip.options = b"\x01\x01\x01\x00"  # parsed header by header
+    reparsed = Packet.from_bytes(with_ip_options.to_bytes())
+    sent = _connection()._build(TCPFlags.ACK, 0, payload=b"q")
+    packets = [built, parsed, reparsed, sent, built.copy(), built.fork()]
+    packets += segment_tcp(built, 1000) + segment_tcp(parsed, 1000)
+    for packet in packets:
+        assert packet.tcp.options is NO_OPTIONS
+        assert packet.meta is EMPTY_META
+
+
+def test_merge_segment_shares_options_and_owns_only_its_mark():
+    template = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"abc", flags=TCPFlags.ACK,
+                         mss=1460)
+    context = StreamContext(template, now=0.0)
+    segment = context.make_segment(context.take(3))
+    assert segment.tcp.options is template.tcp.options
+    assert segment.meta is not EMPTY_META and type(segment.meta) is dict
+    assert segment.meta == {"spliced": True}
+    assert template.meta is EMPTY_META
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["copy", "fork", "segment", "fragment", "annotate"]),
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(),
+    ),
+    max_size=20,
+)
+
+
+@given(steps=_STEPS)
+@settings(max_examples=150, deadline=None)
+def test_annotations_never_reach_another_packet(steps):
+    # DF clear, so fragment_packet cuts what does not fit.
+    packets = [build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"p" * 2500,
+                         dont_fragment=False)]
+    expected = [{}]  # what each packet's meta must read
+    for op, pick, key, value in steps:
+        index = pick % len(packets)
+        packet = packets[index]
+        if op == "annotate":
+            packet.annotate(key, value)
+            expected[index][key] = value
+        else:
+            if op == "segment":  # a fragment has no TCP header to cut
+                made = segment_tcp(packet, 1000) if packet.l4 is not None else []
+            elif op == "fragment":
+                made = fragment_packet(packet, 576)
+            else:
+                made = [getattr(packet, op)()]
+            made = [new for new in made if new is not packet]  # it already fit
+            packets += made
+            expected += [dict(expected[index]) for _ in made]
+        for each, meta in zip(packets, expected):
+            assert dict(each.meta) == meta
+            assert (each.meta is EMPTY_META) == (not meta)
+        private = [id(each.meta) for each in packets if each.meta is not EMPTY_META]
+        assert len(set(private)) == len(private)  # no two packets share a dict
+
+
+def test_empty_meta_refuses_writes():
+    packet = build_udp("10.0.0.1", "10.0.0.2", 53, 5353)
+    for write in (lambda m: m.__setitem__("k", 1), lambda m: m.update(k=1),
+                  lambda m: m.setdefault("k", 1), lambda m: m.pop("k", None)):
+        with pytest.raises(TypeError):
+            write(packet.meta)
+    assert EMPTY_META == {} and packet.meta.get("k") is None
+
+
+def test_parsed_syn_equals_built_syn():
+    built = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, flags=TCPFlags.SYN, mss=1460)
+    parsed = Packet.from_bytes(built.to_bytes())
+    assert parsed.tcp == built.tcp
+    assert type(parsed.tcp.options) is tuple and type(built.tcp.options) is tuple
+    options = (TCPOption.mss(8960), TCPOption.window_scale(7))
+    sent = _connection()._build(TCPFlags.SYN, 5, options=options)
+    assert sent.tcp.options is options
+    assert Packet.from_bytes(sent.to_bytes()).tcp == sent.tcp
+
+
+def test_pickle_and_deepcopy_round_trip():
+    plain = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"abc", mss=1460)
+    marked = build_udp("10.0.0.1", "10.0.0.2", 53, 5353, payload=b"q")
+    marked.annotate("spliced", True)
+    for packet in (plain, marked):
+        for clone in (pickle.loads(pickle.dumps(packet)), copy.deepcopy(packet)):
+            assert clone.to_bytes() == packet.to_bytes()
+            assert clone.l4 == packet.l4
+            assert clone.meta == packet.meta
+            assert (clone.meta is EMPTY_META) == (packet.meta is EMPTY_META)
+            # The not-yet-computed flow key comes back unset, not as a stranger.
+            assert type(clone.flow_key()) is FlowKey
+            assert clone.flow_key() == packet.flow_key()
+    clone = pickle.loads(pickle.dumps(plain))
+    clone.annotate("tag", 1)
+    assert plain.meta is EMPTY_META and EMPTY_META == {}

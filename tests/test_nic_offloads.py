@@ -249,6 +249,24 @@ class TestSegmentTcp:
         assert b"".join(s.payload for s in segments) == packet.payload
         assert all(len(s.payload) <= mss for s in segments)
 
+    @given(
+        payload=st.binary(min_size=1, max_size=20000),
+        mss=st.integers(min_value=1, max_value=9000),
+        seq=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segments_conserve_bytes_and_sequence_space(self, payload, mss, seq):
+        packet = build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=payload, seq=seq,
+                           flags=TCPFlags.ACK)
+        segments = segment_tcp(packet, mss)
+        assert b"".join(s.payload for s in segments) == payload
+        assert sum(len(s.payload) for s in segments) == len(payload)
+        assert all(0 < len(s.payload) <= mss for s in segments)
+        expected = seq
+        for segment in segments:
+            assert segment.tcp.seq == expected
+            expected = (expected + len(segment.payload)) & 0xFFFFFFFF
+
     def test_split_then_merge_is_identity(self):
         packet = self.big(9000)
         segments = segment_tcp(packet, 1460)

@@ -69,7 +69,7 @@ def tcp_packets(draw):
         tos=draw(st.integers(min_value=0, max_value=0xFF)),
         ip_id=draw(port),
     )
-    packet.tcp.options.extend(draw(extra_options))
+    packet.tcp.options += tuple(draw(extra_options))
     packet.tcp.urgent = draw(port)
     packet.ip.options = draw(ip_options)
     return packet

@@ -103,7 +103,7 @@ class TestPacket:
         clone = packet.copy()
         clone.tcp.replace_mss(9000)
         clone.ip.ttl = 1
-        clone.meta["tag"] = 1
+        clone.annotate("tag", 1)
         assert packet.tcp.mss_option == 1460
         assert packet.ip.ttl == 64
         assert "tag" not in packet.meta

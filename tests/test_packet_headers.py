@@ -144,6 +144,13 @@ class TestTCP:
     def test_replace_mss_absent_returns_false(self):
         assert not TCPHeader().replace_mss(8960)
 
+    def test_options_are_not_aliased_to_the_callers_list(self):
+        given = []
+        header = TCPHeader(options=given)
+        given.append(TCPOption.mss(1460))
+        assert header.options == () and header.mss_option is None
+        assert header.header_len == 20 and len(header.pack()) == 20
+
     def test_checksum_covers_payload(self):
         a = TCPHeader(src_port=1, dst_port=2).pack(b"hello", src_ip=10, dst_ip=20)
         b = TCPHeader(src_port=1, dst_port=2).pack(b"world", src_ip=10, dst_ip=20)
