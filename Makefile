@@ -32,10 +32,11 @@ lint:
 	python -m compileall -q src tests benchmarks examples tools perfbench
 
 AUDIT_OUT ?= /tmp/repro-audit
-# One invocation per CLI verb, as CI, README.md and docs/ quote them.
+# One invocation per CLI verb (per WHAT for obs), as CI, README.md and docs/ quote them.
 AUDIT_CLI = gateway pmtud upf "upf --mtu 1500" survey fig5a \
-	"metrics --format prometheus" "trace --summary" "spans --summary" \
-	"flight --seed 0" "incident --matrix --seed 0" timeline alerts \
+	"obs metrics --format prometheus" "obs trace --format summary" \
+	"obs spans --format summary" "obs flight --seed 0" \
+	"obs incident --trigger matrix --seed 0" "obs timeline" "obs alerts" \
 	"resilience-report --profile mixed --seed 101" "attacks --json" \
 	"canary --corpus --json" "fleet --quick --loss-drill --json"
 

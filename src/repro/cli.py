@@ -7,8 +7,8 @@
     python -m repro upf --mtu 9000     # single-core UPF throughput
     python -m repro survey -n 100000   # fragment-delivery survey
     python -m repro fig5a              # the headline PXGW numbers
-    python -m repro metrics            # observed world -> Prometheus text
-    python -m repro trace --summary    # observed world -> flow-trace counts
+    python -m repro obs metrics        # observed world -> Prometheus text
+    python -m repro obs trace --format summary  # -> flow-trace counts
 """
 
 from __future__ import annotations
@@ -39,6 +39,46 @@ def _positive(text: str) -> float:
     return value
 
 
+#: ``repro obs WHAT``: for each export, its help line, its ``--format``
+#: choices (the first is the default) and the filters it takes.  Every
+#: WHAT takes ``--seed``, ``--out`` and ``--format``; a filter it does
+#: not list is a usage error.
+_OBS = {
+    "metrics": ("the metric registry", ("prometheus", "json"), ()),
+    "trace": ("the flow trace, one event per line",
+              ("lines", "jsonl", "summary"), ("kind", "since", "limit")),
+    "spans": ("the finished lifecycle spans", ("json", "jsonl", "summary"),
+              ("limit",)),
+    "flight": ("the black-box flight-recorder window (spans, trace events, "
+               "metric deltas, alert transitions, merged in sim time)",
+               ("json", "summary"), ("kind", "since", "until")),
+    "timeline": ("the in-sim telemetry timeline (windowed per-series deltas)",
+                 ("json", "jsonl"), ("interval",)),
+    "alerts": ("the SLO alert rules, or (jsonl) their sim-time transitions",
+               ("json", "jsonl"), ()),
+    "incident": ("a deterministic incident bundle for one stock trigger, "
+                 "or the whole matrix", ("json",), ("trigger",)),
+}
+
+#: The filters, each declared once; ``--kind`` takes its choices from
+#: the WHAT it filters (see build_parser).
+_OBS_FILTERS = {
+    "kind": dict(default=None, help="only entries of this kind"),
+    "since": dict(type=float, default=None,
+                  help="only entries at or after this sim time"),
+    "until": dict(type=float, default=None,
+                  help="only entries at or before this sim time"),
+    "limit": dict(type=_count, default=None,
+                  help="only the last N entries"),
+    "interval": dict(type=_positive, default=0.05,
+                     help="sim-seconds between scrapes"),
+    "trigger": dict(choices=("alert", "rollback", "shard-loss", "oracle",
+                             "matrix"), default="alert",
+                    help="which stock trigger scenario to run "
+                         "(matrix: all four into one document)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -65,108 +105,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("fig5a", help="PXGW throughput/yield (abridged Figure 5a)")
 
-    metrics = commands.add_parser(
-        "metrics",
-        help="run the seeded observability world, print its metric export",
-    )
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--format", choices=("prometheus", "json"),
-                         default="prometheus")
-    metrics.add_argument("--out", default=None,
-                         help="write the export here instead of stdout")
-
-    trace = commands.add_parser(
-        "trace",
-        help="run the seeded observability world, print its flow trace",
-    )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--kind", default=None,
-                       help="only events of this kind (ingress, merge, ...)")
-    trace.add_argument("--since", type=float, default=None,
-                       help="only events at or after this sim time")
-    trace.add_argument("--limit", type=_count, default=None,
-                       help="print at most the last N events")
-    trace.add_argument("--summary", action="store_true",
-                       help="print per-kind counts instead of events")
-    trace.add_argument("--jsonl", action="store_true",
-                       help="force one compact JSON object per line "
-                            "(events, or the summary with --summary)")
-
-    spans = commands.add_parser(
-        "spans",
-        help="run the seeded observability world, print its lifecycle spans",
-    )
-    spans.add_argument("--seed", type=int, default=0)
-    spans.add_argument("--summary", action="store_true",
-                       help="print balance/kind/latency aggregates only")
-    spans.add_argument("--jsonl", action="store_true",
-                       help="one finished span per line instead of one blob")
-    spans.add_argument("--limit", type=_count, default=None,
-                       help="include at most the last N finished spans")
-    spans.add_argument("--out", default=None,
-                       help="write the export here instead of stdout")
-
-    flight = commands.add_parser(
-        "flight",
-        help="run the seeded observability world, dump its black-box "
-             "flight-recorder window (spans, trace events, metric "
-             "deltas, alert transitions, merged in sim time)",
-    )
-    flight.add_argument("--seed", type=int, default=0)
-    flight.add_argument("--since", type=float, default=None,
-                        help="window start in sim time (default: all)")
-    flight.add_argument("--until", type=float, default=None,
-                        help="window end in sim time (default: all)")
-    flight.add_argument("--kind", default=None,
-                        choices=("mark", "metrics", "alert", "trace", "span"),
-                        help="only entries of this kind")
-    flight.add_argument("--summary", action="store_true",
-                        help="print per-source entry counts only")
-    flight.add_argument("--out", default=None,
-                        help="write the dump here instead of stdout")
-
-    incident = commands.add_parser(
-        "incident",
-        help="build a deterministic incident bundle for one trigger "
-             "scenario (or the whole matrix) and dump it as JSON",
-    )
-    incident.add_argument("--trigger",
-                          choices=("alert", "rollback", "shard-loss",
-                                   "oracle"),
-                          default="alert",
-                          help="which stock trigger scenario to run")
-    incident.add_argument("--matrix", action="store_true",
-                          help="run all four triggers into one document")
-    incident.add_argument("--seed", type=int, default=0)
-    incident.add_argument("--indent", type=int, default=0,
-                          help="JSON indent (0 for compact — the "
-                               "byte-deterministic form CI diffs)")
-    incident.add_argument("--out", default=None,
-                          help="write the bundle here instead of stdout")
-
-    timeline = commands.add_parser(
-        "timeline",
-        help="run the seeded observability world, print its in-sim "
-             "telemetry timeline (windowed per-series deltas)",
-    )
-    timeline.add_argument("--seed", type=int, default=0)
-    timeline.add_argument("--interval", type=_positive, default=0.05,
-                          help="sim-seconds between scrapes")
-    timeline.add_argument("--format", choices=("json", "jsonl"),
-                          default="json")
-    timeline.add_argument("--out", default=None,
-                          help="write the export here instead of stdout")
-
-    alerts = commands.add_parser(
-        "alerts",
-        help="run the seeded observability world, print its SLO alert "
-             "rules and sim-time state transitions",
-    )
-    alerts.add_argument("--seed", type=int, default=0)
-    alerts.add_argument("--transitions", action="store_true",
-                        help="print only the transition log, one per line")
-    alerts.add_argument("--out", default=None,
-                        help="write the export here instead of stdout")
+    # The entry kinds each source records: --kind accepts no other.
+    from .obs.flight import _SOURCE_ORDER
+    from .obs.tracer import _FIELDS
+    kinds = {"trace": tuple(_FIELDS), "flight": _SOURCE_ORDER}
+    obs = commands.add_parser(
+        "obs", help="run a seeded observability world, print one export")
+    exports = obs.add_subparsers(dest="what", metavar="WHAT", required=True)
+    for what, (summary, formats, filters) in _OBS.items():
+        export = exports.add_parser(what, help=summary)
+        # A filter this WHAT does not take reads as its default.
+        export.set_defaults(**{name: spec["default"]
+                               for name, spec in _OBS_FILTERS.items()})
+        export.add_argument("--seed", type=int, default=0)
+        export.add_argument("--out", default=None,
+                            help="write the export here instead of stdout")
+        export.add_argument("--format", choices=formats, default=formats[0])
+        for name in filters:
+            spec = _OBS_FILTERS[name]
+            if name == "kind":
+                spec = dict(spec, choices=kinds[what])
+            export.add_argument(f"--{name}", **spec)
 
     report = commands.add_parser(
         "resilience-report",
@@ -364,104 +323,114 @@ def _cmd_fig5a(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_obs(args) -> int:
+    """Print one observability export: the observed world (or, for
+    ``incident``, the trigger scenario) is built once per call."""
     import json
 
-    from .obs import run_observed_world
+    from .obs import LATENCY_METRICS, run_observed_world
 
-    world = run_observed_world(seed=args.seed)
-    if args.format == "json":
-        text = json.dumps(world.obs.registry.to_json(),
-                          indent=2, sort_keys=True) + "\n"
-    else:
-        text = world.obs.registry.to_prometheus_text()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"{world.obs.registry.series_count()} series "
-              f"({args.format}) written to {args.out}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-    return 0
+    what, fmt = args.what, args.format
+    if what == "incident":
+        from .obs.incident import (
+            alert_trigger_bundle,
+            bundle_to_json,
+            oracle_trigger_bundle,
+            rollback_trigger_bundle,
+            run_trigger_matrix,
+            shard_loss_trigger_bundle,
+        )
 
-
-def _cmd_trace(args) -> int:
-    import json
-
-    from .obs import run_observed_world
-
-    world = run_observed_world(seed=args.seed)
-    tracer = world.obs.tracer
-    if args.summary:
-        summary = {
-            "recorded": tracer.recorded,
-            "dropped": tracer.dropped,
-            "kinds": tracer.kinds(),
-        }
-        if args.jsonl:
-            print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
-        else:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    events = tracer.events(kind=args.kind)
-    if args.since is not None:
-        events = [event for event in events if event["time"] >= args.since]
-    if args.limit is not None:
-        events = events[max(len(events) - args.limit, 0):]
-    for event in events:
-        if args.jsonl:
-            print(json.dumps(event, sort_keys=True, separators=(",", ":")))
-        else:
-            print(json.dumps(event, sort_keys=True))
-    return 0
-
-
-def _cmd_flight(args) -> int:
-    import json
-
-    from .obs import run_observed_world
-
-    world = run_observed_world(seed=args.seed)
-    recorder = world.flight
-    if args.summary:
-        _emit_text(json.dumps({
-            "name": recorder.name,
-            "counts": recorder.counts(),
-            "sources": recorder.sources,
-        }, indent=2, sort_keys=True), args.out, "flight summary")
-        return 0
-    kinds = (args.kind,) if args.kind else None
-    payload = recorder.to_dict(since=args.since, until=args.until,
-                               kinds=kinds)
-    _emit_text(json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")),
-               args.out, "flight dump")
-    return 0
-
-
-def _cmd_incident(args) -> int:
-    from .obs.incident import (
-        alert_trigger_bundle,
-        bundle_to_json,
-        oracle_trigger_bundle,
-        rollback_trigger_bundle,
-        run_trigger_matrix,
-        shard_loss_trigger_bundle,
-    )
-
-    if args.matrix:
-        bundle = run_trigger_matrix(seed=args.seed)
-    else:
         builder = {
             "alert": alert_trigger_bundle,
             "rollback": rollback_trigger_bundle,
             "shard-loss": lambda seed: shard_loss_trigger_bundle(
                 seed=101 + seed),
             "oracle": lambda seed: oracle_trigger_bundle(seed=101 + seed),
+            "matrix": run_trigger_matrix,
         }[args.trigger]
-        bundle = builder(seed=args.seed)
-    _emit_text(bundle_to_json(bundle, indent=args.indent or None),
-               args.out, "incident bundle")
+        _emit_text(bundle_to_json(builder(seed=args.seed)), args.out,
+                   f"incident bundle ({args.trigger})")
+        return 0
+
+    world = run_observed_world(seed=args.seed, scrape_interval=args.interval)
+    label = f"{what} ({fmt})"
+    if what == "metrics":
+        registry = world.obs.registry
+        if fmt == "json":
+            text = json.dumps(registry.to_json(), indent=2, sort_keys=True)
+        else:
+            text = registry.to_prometheus_text()
+    elif what == "trace":
+        tracer = world.obs.tracer
+        if fmt == "summary":
+            text = json.dumps({
+                "recorded": tracer.recorded,
+                "dropped": tracer.dropped,
+                "kinds": tracer.kinds(),
+            }, indent=2, sort_keys=True)
+        else:
+            events = tracer.events(kind=args.kind)
+            if args.since is not None:
+                events = [event for event in events
+                          if event["time"] >= args.since]
+            if args.limit is not None:
+                events = events[max(len(events) - args.limit, 0):]
+            separators = (",", ":") if fmt == "jsonl" else None
+            text = "\n".join(
+                json.dumps(event, sort_keys=True, separators=separators)
+                for event in events
+            )
+    elif what == "spans":
+        tracker = world.obs.spans
+        if fmt == "summary":
+            text = json.dumps({
+                "balance": tracker.balance(),
+                "anomalies": tracker.anomalies,
+                "shed": tracker.shed,
+                "kinds": tracker.kinds(),
+                "stages": tracker.stages(),
+                "latency": {
+                    metric: {
+                        "count": tracker.latency_count(metric),
+                        "median": tracker.latency_median(metric),
+                    }
+                    for metric in sorted(LATENCY_METRICS)
+                },
+            }, indent=2, sort_keys=True)
+        elif fmt == "jsonl":
+            text = tracker.to_jsonl(limit=args.limit)
+        else:
+            text = tracker.to_json(limit=args.limit, indent=2)
+    elif what == "flight":
+        recorder = world.flight
+        if fmt == "summary":
+            text = json.dumps({
+                "name": recorder.name,
+                "counts": recorder.counts(),
+                "sources": recorder.sources,
+            }, indent=2, sort_keys=True)
+        else:
+            kinds = (args.kind,) if args.kind else None
+            text = json.dumps(
+                recorder.to_dict(since=args.since, until=args.until,
+                                 kinds=kinds),
+                sort_keys=True, separators=(",", ":"))
+    elif what == "timeline":
+        if fmt == "jsonl":
+            text = world.timeline.to_jsonl()
+        else:
+            text = world.timeline.to_json(indent=2)
+        label = f"timeline ({world.timeline.ticks} ticks)"
+    else:  # alerts
+        if fmt == "jsonl":
+            text = "\n".join(
+                json.dumps(event, sort_keys=True, separators=(",", ":"))
+                for event in world.alerts.transitions
+            )
+        else:
+            text = world.alerts.to_json(indent=2)
+    _emit_text(text, args.out, label)
     return 0
 
 
@@ -475,65 +444,6 @@ def _emit_text(text: str, out, label: str) -> None:
         print(f"{label} written to {out}")
     else:
         print(text, end="")
-
-
-def _cmd_spans(args) -> int:
-    import json
-
-    from .obs import LATENCY_METRICS, run_observed_world
-
-    world = run_observed_world(seed=args.seed)
-    tracker = world.obs.spans
-    if args.summary:
-        text = json.dumps({
-            "balance": tracker.balance(),
-            "anomalies": tracker.anomalies,
-            "shed": tracker.shed,
-            "kinds": tracker.kinds(),
-            "stages": tracker.stages(),
-            "latency": {
-                metric: {
-                    "count": tracker.latency_count(metric),
-                    "median": tracker.latency_median(metric),
-                }
-                for metric in sorted(LATENCY_METRICS)
-            },
-        }, indent=2, sort_keys=True)
-    elif args.jsonl:
-        text = tracker.to_jsonl(limit=args.limit)
-    else:
-        text = tracker.to_json(limit=args.limit, indent=2)
-    _emit_text(text, args.out, "span export")
-    return 0
-
-
-def _cmd_timeline(args) -> int:
-    from .obs import run_observed_world
-
-    world = run_observed_world(seed=args.seed, scrape_interval=args.interval)
-    if args.format == "jsonl":
-        text = world.timeline.to_jsonl()
-    else:
-        text = world.timeline.to_json(indent=2)
-    _emit_text(text, args.out, f"timeline ({world.timeline.ticks} ticks)")
-    return 0
-
-
-def _cmd_alerts(args) -> int:
-    import json
-
-    from .obs import run_observed_world
-
-    world = run_observed_world(seed=args.seed)
-    if args.transitions:
-        text = "\n".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":"))
-            for event in world.alerts.transitions
-        )
-    else:
-        text = world.alerts.to_json(indent=2)
-    _emit_text(text, args.out, "alert export")
-    return 0
 
 
 def _cmd_resilience_report(args) -> int:
@@ -817,13 +727,7 @@ _COMMANDS = {
     "upf": _cmd_upf,
     "survey": _cmd_survey,
     "fig5a": _cmd_fig5a,
-    "metrics": _cmd_metrics,
-    "trace": _cmd_trace,
-    "flight": _cmd_flight,
-    "incident": _cmd_incident,
-    "spans": _cmd_spans,
-    "timeline": _cmd_timeline,
-    "alerts": _cmd_alerts,
+    "obs": _cmd_obs,
     "resilience-report": _cmd_resilience_report,
 }
 

@@ -4,8 +4,8 @@
 touches all six instrumented layers — gateway, worker, resilience
 (health + PMTU cache + failover), NIC (RSS + RX rings + hairpin), UPF,
 and PMTUD — runs it to completion, and returns the world with a fully
-populated :class:`Observability` bundle.  The ``repro metrics`` /
-``repro trace`` CLI commands and the observability determinism guard
+populated :class:`Observability` bundle.  The ``repro obs WHAT``
+exports (all but ``incident``) and the observability determinism guard
 are built on it: the same seed must yield byte-identical
 ``to_prometheus_text()`` output and identical tracer sequences.
 

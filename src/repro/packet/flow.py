@@ -24,7 +24,8 @@ class FlowKey(NamedTuple):
 
     def reversed(self) -> "FlowKey":
         """The key of the opposite direction of the same connection."""
-        return FlowKey._make((self.protocol, self.dst_ip, self.dst_port, self.src_ip, self.src_port))
+        return tuple.__new__(
+            FlowKey, (self.protocol, self.dst_ip, self.dst_port, self.src_ip, self.src_port))
 
     def canonical(self) -> "FlowKey":
         """A direction-independent key (smaller endpoint first).

@@ -198,7 +198,10 @@ class Packet:
             l4 = self.l4
             if isinstance(l4, (TCPHeader, UDPHeader)):
                 ip = self.ip
-                key = FlowKey._make((ip.protocol, ip.src, l4.src_port, ip.dst, l4.dst_port))
+                # tuple.__new__ builds the key without the Python frame
+                # that FlowKey(...) and FlowKey._make run.
+                key = tuple.__new__(
+                    FlowKey, (ip.protocol, ip.src, l4.src_port, ip.dst, l4.dst_port))
             else:
                 key = None
             self._fkey = key

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..pmtud.hardening import MIN_PLAUSIBLE_PMTU, HardeningPolicy
+
 __all__ = ["PmtuEntry", "PmtuCache", "TRUST_RANK"]
 
 #: Provenance ordering: a live higher-trust entry cannot be *raised*
@@ -54,12 +56,6 @@ _SOURCE_TRUST = {
     "ptb": "icmp",
     "report": "report",
 }
-
-#: Below 576 B no value can be a real IPv4 path MTU (mirrors
-#: :data:`repro.pmtud.hardening.MIN_PLAUSIBLE_PMTU` without importing
-#: across the package boundary).
-_MIN_PLAUSIBLE = 576
-
 
 @dataclass
 class PmtuEntry:
@@ -89,9 +85,10 @@ class PmtuCache:
             raise ValueError("TTL must be positive")
         self.default_ttl = default_ttl
         #: Any object with ``per_flow_cache`` / ``reject_raises`` /
-        #: ``pmtu_bounds`` attributes (duck-typed HardeningPolicy);
-        #: ``None`` keeps the original trusting per-destination store.
-        self.policy = policy
+        #: ``pmtu_bounds`` attributes (duck-typed HardeningPolicy); the
+        #: unhardened default is the original trusting per-destination
+        #: store.
+        self.policy = policy if policy is not None else HardeningPolicy.unhardened()
         self._entries: Dict[Tuple[int, Optional[tuple]], PmtuEntry] = {}
         self.hits = 0
         self.misses = 0
@@ -110,7 +107,7 @@ class PmtuCache:
 
     # ------------------------------------------------------------------
     def _key(self, dst: int, flow: Optional[tuple]) -> Tuple[int, Optional[tuple]]:
-        if flow is not None and self.policy is not None and self.policy.per_flow_cache:
+        if flow is not None and self.policy.per_flow_cache:
             return (dst, tuple(flow))
         return (dst, None)
 
@@ -145,16 +142,15 @@ class PmtuCache:
         if trust is None:
             trust = _SOURCE_TRUST.get(source, "static")
         key = self._key(dst, flow)
-        if self.policy is not None:
-            if (self.policy.pmtu_bounds and trust in _UNSOLICITED
-                    and pmtu < _MIN_PLAUSIBLE):
+        if (self.policy.pmtu_bounds and trust in _UNSOLICITED
+                and pmtu < MIN_PLAUSIBLE_PMTU):
+            self.poison_rejected += 1
+            return None
+        if self.policy.reject_raises and trust in _UNSOLICITED:
+            shadowed = self._shadowed(dst, flow, now)
+            if shadowed is not None and pmtu > shadowed.pmtu:
                 self.poison_rejected += 1
                 return None
-            if self.policy.reject_raises and trust in _UNSOLICITED:
-                shadowed = self._shadowed(dst, flow, now)
-                if shadowed is not None and pmtu > shadowed.pmtu:
-                    self.poison_rejected += 1
-                    return None
         entry = PmtuEntry(
             pmtu=pmtu,
             learned_at=now,

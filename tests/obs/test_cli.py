@@ -1,5 +1,6 @@
-"""CLI coverage for `repro metrics`, `repro trace`, and the PR 5 verbs
-(`repro spans` / `repro timeline` / `repro alerts`)."""
+"""CLI coverage for `repro obs WHAT`: the seven observability exports
+behind one verb, and the usage errors its table of formats and filters
+implies."""
 
 import json
 
@@ -10,7 +11,7 @@ from repro.obs import SpanTracker
 
 
 def test_metrics_prometheus_to_stdout(capsys):
-    assert main(["metrics", "--seed", "0"]) == 0
+    assert main(["obs", "metrics", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "# TYPE px_gateway_rx_packets_total counter" in out
     assert 'px_gateway_rx_packets_total{gateway="pxgw"}' in out
@@ -19,7 +20,7 @@ def test_metrics_prometheus_to_stdout(capsys):
 
 def test_metrics_json_to_file(tmp_path, capsys):
     out_path = tmp_path / "metrics.json"
-    assert main(["metrics", "--format", "json", "--out", str(out_path)]) == 0
+    assert main(["obs", "metrics", "--format", "json", "--out", str(out_path)]) == 0
     assert "written to" in capsys.readouterr().out
     dump = json.loads(out_path.read_text())
     names = {entry["name"] for entry in dump["series"]}
@@ -28,14 +29,14 @@ def test_metrics_json_to_file(tmp_path, capsys):
 
 
 def test_trace_summary(capsys):
-    assert main(["trace", "--summary"]) == 0
+    assert main(["obs", "trace", "--format", "summary"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["recorded"] > 0
     assert summary["kinds"]["worker-swap"] == 1
 
 
 def test_trace_filtered_events_are_json_lines(capsys):
-    assert main(["trace", "--kind", "pmtud-report", "--limit", "5"]) == 0
+    assert main(["obs", "trace", "--kind", "pmtud-report", "--limit", "5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines
     for line in lines:
@@ -45,7 +46,7 @@ def test_trace_filtered_events_are_json_lines(capsys):
 
 
 def test_trace_jsonl_events_are_compact_lines(capsys):
-    assert main(["trace", "--kind", "pmtud-report", "--jsonl"]) == 0
+    assert main(["obs", "trace", "--kind", "pmtud-report", "--format", "jsonl"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines
     for line in lines:
@@ -53,15 +54,8 @@ def test_trace_jsonl_events_are_compact_lines(capsys):
         assert json.loads(line)["kind"] == "pmtud-report"
 
 
-def test_trace_jsonl_summary_is_one_line(capsys):
-    assert main(["trace", "--summary", "--jsonl"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert "\n" not in out
-    assert json.loads(out)["recorded"] > 0
-
-
 def test_spans_summary(capsys):
-    assert main(["spans", "--summary"]) == 0
+    assert main(["obs", "spans", "--format", "summary"]) == 0
     summary = json.loads(capsys.readouterr().out)
     balance = summary["balance"]
     assert balance["opened"] == balance["closed"] + balance["dropped"]
@@ -72,11 +66,11 @@ def test_spans_summary(capsys):
 
 def test_spans_export_and_jsonl(tmp_path, capsys):
     out_path = tmp_path / "spans.json"
-    assert main(["spans", "--out", str(out_path), "--limit", "10"]) == 0
+    assert main(["obs", "spans", "--out", str(out_path), "--limit", "10"]) == 0
     assert "written to" in capsys.readouterr().out
     doc = json.loads(out_path.read_text())
     assert len(doc["spans"]) == 10
-    assert main(["spans", "--jsonl", "--limit", "3"]) == 0
+    assert main(["obs", "spans", "--format", "jsonl", "--limit", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert all("sid" in json.loads(line) for line in lines)
@@ -84,13 +78,13 @@ def test_spans_export_and_jsonl(tmp_path, capsys):
 
 def test_timeline_json_and_jsonl(tmp_path, capsys):
     out_path = tmp_path / "timeline.json"
-    assert main(["timeline", "--out", str(out_path)]) == 0
+    assert main(["obs", "timeline", "--out", str(out_path)]) == 0
     note = capsys.readouterr().out
     assert "ticks" in note and "written to" in note
     doc = json.loads(out_path.read_text())
     assert doc["ticks"] > 20
     assert doc["samples"]
-    assert main(["timeline", "--format", "jsonl", "--interval", "0.5"]) == 0
+    assert main(["obs", "timeline", "--format", "jsonl", "--interval", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     header = json.loads(lines[0])["timeline"]
     assert header["interval"] == 0.5
@@ -99,25 +93,25 @@ def test_timeline_json_and_jsonl(tmp_path, capsys):
 
 def test_timeline_is_byte_identical_across_invocations(tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["timeline", "--out", str(first)]) == 0
-    assert main(["timeline", "--out", str(second)]) == 0
+    assert main(["obs", "timeline", "--out", str(first)]) == 0
+    assert main(["obs", "timeline", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_alerts_default_and_transitions(tmp_path, capsys):
-    assert main(["alerts"]) == 0
+    assert main(["obs", "alerts"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert {r["name"] for r in doc["rules"]} >= {"merge-ratio-floor"}
     assert doc["evaluations"] > 0
     out_path = tmp_path / "alerts.jsonl"
-    assert main(["alerts", "--transitions", "--out", str(out_path)]) == 0
+    assert main(["obs", "alerts", "--format", "jsonl", "--out", str(out_path)]) == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines
     assert all(json.loads(line)["rule"] for line in lines)
 
 
 def test_flight_summary(capsys):
-    assert main(["flight", "--summary"]) == 0
+    assert main(["obs", "flight", "--format", "summary"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["name"] == "world0"
     assert summary["sources"] == {"spans": True, "tracer": True,
@@ -127,7 +121,7 @@ def test_flight_summary(capsys):
 
 def test_flight_dump_windowed_and_compact(tmp_path, capsys):
     out_path = tmp_path / "flight.json"
-    assert main(["flight", "--since", "0.9", "--until", "0.9",
+    assert main(["obs", "flight", "--since", "0.9", "--until", "0.9",
                  "--kind", "trace", "--out", str(out_path)]) == 0
     assert "written to" in capsys.readouterr().out
     dump = json.loads(out_path.read_text())
@@ -141,24 +135,24 @@ def test_flight_dump_windowed_and_compact(tmp_path, capsys):
 def test_flight_dump_is_byte_identical(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        assert main(["flight", "--seed", "3", "--out", str(path)]) == 0
+        assert main(["obs", "flight", "--seed", "3", "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_trace_since_filters_by_sim_time(capsys):
-    assert main(["trace", "--since", "0.9", "--jsonl"]) == 0
+    assert main(["obs", "trace", "--since", "0.9", "--format", "jsonl"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines
     assert all(json.loads(line)["time"] >= 0.9 for line in lines)
     capsys.readouterr()
-    assert main(["trace", "--jsonl"]) == 0
+    assert main(["obs", "trace", "--format", "jsonl"]) == 0
     all_lines = capsys.readouterr().out.strip().splitlines()
     assert len(all_lines) > len(lines)
 
 
 def test_incident_shard_loss_verb(tmp_path, capsys):
     out_path = tmp_path / "incident.json"
-    assert main(["incident", "--trigger", "shard-loss",
+    assert main(["obs", "incident", "--trigger", "shard-loss",
                  "--out", str(out_path)]) == 0
     assert "written to" in capsys.readouterr().out
     bundle = json.loads(out_path.read_text())
@@ -169,7 +163,7 @@ def test_incident_shard_loss_verb(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["trace", "spans"])
 def test_limit_zero_prints_nothing(verb, capsys):
-    assert main([verb, "--seed", "0", "--limit", "0", "--jsonl"]) == 0
+    assert main(["obs", verb, "--seed", "0", "--limit", "0", "--format", "jsonl"]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -193,6 +187,42 @@ def test_limit_zero_exports_no_spans():
 ], ids=["trace", "spans", "timeline-zero", "timeline-negative", "flight-kind"])
 def test_negative_limit_is_a_usage_error(verb, args, capsys):
     with pytest.raises(SystemExit) as exit_:
-        main([verb, *args])
+        main(["obs", verb, *args])
     assert exit_.value.code == 2
     assert args[0] in capsys.readouterr().err
+
+
+#: What each WHAT takes beyond --seed, --out and --format; the tests
+#: above pass each of these and check the export it shapes.
+TAKES = {
+    "metrics": (),
+    "trace": ("--kind", "--since", "--limit"),
+    "spans": ("--limit",),
+    "flight": ("--kind", "--since", "--until"),
+    "timeline": ("--interval",),
+    "alerts": (),
+    "incident": ("--trigger",),
+}
+#: A value each filter accepts where it is taken.
+FILTER_VALUE = {"--kind": "trace", "--since": "0.5", "--until": "0.5",
+                "--limit": "3", "--interval": "0.5", "--trigger": "oracle"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=" ".join(argv[1:])) for argv, flag in [
+        *((["obs", what, flag, FILTER_VALUE[flag]], flag)
+          for what, taken in TAKES.items() for flag in FILTER_VALUE
+          if flag not in taken),
+        (["obs", "trace", "--kind", "bogus"], "--kind"),
+        (["obs", "flight", "--kind", "bogus"], "--kind"),
+        (["obs", "trace", "--format", "json"], "--format"),
+        (["obs", "metrics", "--format", "jsonl"], "--format"),
+        (["obs", "incident", "--format", "summary"], "--format"),
+        (["obs", "incident", "--trigger", "alert", "--matrix"], "--matrix"),
+    ]
+])
+def test_usage_errors_exit_2_and_name_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -29,30 +29,36 @@ _COMMAND = re.compile(r"python -m repro\s+([^\n`#>]*)")
 def quoted_commands(text):
     """Argument vectors of every ``python -m repro ...`` in *text*.
 
-    ``verb_a|verb_b --flag`` (prose shorthand) yields one vector per
-    verb; ``[--flag]`` counts as given; a shell pipe ends the command.
+    ``verb_a|verb_b --flag`` and ``obs what_a|what_b --flag`` (prose
+    shorthand) yield one vector per verb or WHAT; ``[--flag]`` counts
+    as given; a shell pipe ends the command.
     """
     for match in _COMMAND.finditer(text.replace("\\\n", " ")):
         command = match.group(1).split(" | ")[0]
         argv = shlex.split(command.replace("[", " ").replace("]", " "))
-        for verb in argv[0].split("|"):
-            yield [verb] + argv[1:]
+        head = 1 if argv[0] == "obs" and len(argv) > 1 else 0
+        for word in argv[head].split("|"):
+            yield argv[:head] + [word] + argv[head + 1:]
 
 
 def test_extractor_reads_the_forms_the_docs_use():
     text = (
-        "run `python -m repro metrics|trace --seed 1` or `python -m repro\n"
+        "run `python -m repro gateway|fig5a --seed 1` or `python -m repro\n"
         "canary [--corpus]`.\n"
         "    python -m repro gone --quick \\\n"
         "      --out /tmp/x.json   # comment\n"
-        "    python -m repro trace --summary | python -m json.tool > /dev/null\n"
+        "    python -m repro obs trace --format summary | python -m json.tool > /dev/null\n"
+        "see `python -m repro obs metrics|spans|alerts --seed 3`.\n"
     )
     assert list(quoted_commands(text)) == [
-        ["metrics", "--seed", "1"],
-        ["trace", "--seed", "1"],
+        ["gateway", "--seed", "1"],
+        ["fig5a", "--seed", "1"],
         ["canary", "--corpus"],
         ["gone", "--quick", "--out", "/tmp/x.json"],
-        ["trace", "--summary"],
+        ["obs", "trace", "--format", "summary"],
+        ["obs", "metrics", "--seed", "3"],
+        ["obs", "spans", "--seed", "3"],
+        ["obs", "alerts", "--seed", "3"],
     ]
 
 
@@ -77,6 +83,17 @@ def test_the_deleted_bench_verb_is_rejected(capsys):
         build_parser().parse_args(["bench"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["metrics", "trace", "spans", "flight",
+                                  "timeline", "alerts", "incident"])
+def test_the_folded_verbs_are_rejected(verb, capsys):
+    """The seven observability exports answer only as ``obs WHAT``."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([verb])
+    assert exit_info.value.code == 2
+    assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+    assert build_parser().parse_args(["obs", verb]).what == verb
 
 
 #: Attach surfaces the observer seam replaced (``emitter.observers`` is
