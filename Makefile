@@ -1,16 +1,9 @@
 # Developer conveniences. The library itself has no build step.
 
-.PHONY: test bench bench-paper perfbench docs examples lint ops audit
+.PHONY: test bench bench-paper perfbench docs examples lint audit
 
 test:
 	pytest tests/ -q
-
-ops:  ## canary/incident suite + corpus verdicts with determinism diff
-	pytest tests/ops -q
-	python -m repro canary --corpus
-	python -m repro canary --corpus --json --out /tmp/repro_corpus_a.json
-	python -m repro canary --corpus --json --out /tmp/repro_corpus_b.json
-	cmp /tmp/repro_corpus_a.json /tmp/repro_corpus_b.json
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -38,7 +31,7 @@ AUDIT_CLI = gateway pmtud upf "upf --mtu 1500" survey fig5a \
 	"obs spans --format summary" "obs flight --seed 0" \
 	"obs incident --trigger matrix --seed 0" "obs timeline" "obs alerts" \
 	"resilience-report --profile mixed --seed 101" "attacks --json" \
-	"canary --corpus --json" "fleet --quick --loss-drill --json"
+	"fleet --quick --loss-drill --json"
 
 # --benchmark-disable: a timed benchmark pauses every profiler, the audit hook too.
 audit:  ## reach + knob audit (tools/audit.py) over every consumer; slow, not in CI

@@ -272,8 +272,19 @@ class InvariantOracle:
         mtu: int,
         max_tcp_payload: Optional[int] = None,
     ) -> None:
-        """Nothing delivered by a link may exceed its MTU, and TCP data
-        segments must respect the clamped MSS on that link."""
+        """Nothing offered to a link may exceed its MTU, and TCP data
+        segments must respect the clamped MSS on that link.
+
+        The link drops an oversize frame as ``drop-mtu`` before anything
+        can receive it, so the MTU check reads those drops too: an
+        ``rx`` over the MTU is a link bug, a ``drop-mtu`` is a sender
+        that ignored the MTU (the classic blackhole)."""
+        for summary in tap.packets("drop-mtu"):
+            self.expect(
+                False,
+                "mtu",
+                f"{tap.point}: {summary[3]} B packet dropped by an {mtu} B link",
+            )
         for summary in tap.packets("rx"):
             total_len = summary[3]
             self.expect(

@@ -39,29 +39,30 @@ def _positive(text: str) -> float:
     return value
 
 
-#: ``repro obs WHAT``: for each export, its help line, its ``--format``
-#: choices (the first is the default) and the filters it takes.  Every
-#: WHAT takes ``--seed``, ``--out`` and ``--format``; a filter it does
-#: not list is a usage error.
+#: ``repro obs WHAT``: for each export, its help line and its
+#: ``--format`` choices (the first is the default), each with the
+#: filters it takes.  Every WHAT takes ``--seed``, ``--out`` and
+#: ``--format``; a filter the chosen format does not list is a usage
+#: error.
 _OBS = {
-    "metrics": ("the metric registry", ("prometheus", "json"), ()),
+    "metrics": ("the metric registry", {"prometheus": (), "json": ()}),
     "trace": ("the flow trace, one event per line",
-              ("lines", "jsonl", "summary"), ("kind", "since", "limit")),
-    "spans": ("the finished lifecycle spans", ("json", "jsonl", "summary"),
-              ("limit",)),
+              {"lines": ("kind", "since", "limit"),
+               "jsonl": ("kind", "since", "limit"), "summary": ()}),
+    "spans": ("the finished lifecycle spans",
+              {"json": ("limit",), "jsonl": ("limit",), "summary": ()}),
     "flight": ("the black-box flight-recorder window (spans, trace events, "
                "metric deltas, alert transitions, merged in sim time)",
-               ("json", "summary"), ("kind", "since", "until")),
+               {"json": ("kind", "since", "until"), "summary": ()}),
     "timeline": ("the in-sim telemetry timeline (windowed per-series deltas)",
-                 ("json", "jsonl"), ("interval",)),
+                 {"json": ("interval",), "jsonl": ("interval",)}),
     "alerts": ("the SLO alert rules, or (jsonl) their sim-time transitions",
-               ("json", "jsonl"), ()),
+               {"json": (), "jsonl": ()}),
     "incident": ("a deterministic incident bundle for one stock trigger, "
-                 "or the whole matrix", ("json",), ("trigger",)),
+                 "or the whole matrix", {"json": ("trigger",)}),
 }
 
-#: The filters, each declared once; ``--kind`` takes its choices from
-#: the WHAT it filters (see build_parser).
+#: The filters, each declared once.
 _OBS_FILTERS = {
     "kind": dict(default=None, help="only entries of this kind"),
     "since": dict(type=float, default=None,
@@ -72,11 +73,44 @@ _OBS_FILTERS = {
                   help="only the last N entries"),
     "interval": dict(type=_positive, default=0.05,
                      help="sim-seconds between scrapes"),
-    "trigger": dict(choices=("alert", "rollback", "shard-loss", "oracle",
-                             "matrix"), default="alert",
+    "trigger": dict(choices=("alert", "shard-loss", "oracle", "matrix"),
+                    default="alert",
                     help="which stock trigger scenario to run "
-                         "(matrix: all four into one document)"),
+                         "(matrix: all three into one document)"),
 }
+
+
+class _ObsExport(argparse.ArgumentParser):
+    """The parser of one ``repro obs WHAT``.
+
+    Beyond argparse's own checks it rejects a filter the chosen
+    ``--format`` does not take, and a ``--kind`` the WHAT does not
+    record.  The kinds live in :mod:`repro.obs`, which is imported only
+    when a ``--kind`` is given, so building the parser stays cheap.
+    """
+
+    def __init__(self, *args, what, formats, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.what = what
+        self.formats = formats
+
+    def parse_known_args(self, args, namespace):
+        namespace, extras = super().parse_known_args(args, namespace)
+        taken = self.formats[namespace.format]
+        for name, spec in _OBS_FILTERS.items():
+            if name not in taken and getattr(namespace, name) != spec["default"]:
+                self.error(f"argument --{name}: not taken by "
+                           f"--format {namespace.format}")
+        if namespace.kind is not None:
+            from .obs.flight import _SOURCE_ORDER
+            from .obs.tracer import _FIELDS
+
+            kinds = {"trace": _FIELDS, "flight": _SOURCE_ORDER}[self.what]
+            if namespace.kind not in kinds:
+                self.error(f"argument --kind: invalid choice: "
+                           f"{namespace.kind!r} (choose from "
+                           f"{', '.join(map(repr, kinds))})")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,27 +139,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("fig5a", help="PXGW throughput/yield (abridged Figure 5a)")
 
-    # The entry kinds each source records: --kind accepts no other.
-    from .obs.flight import _SOURCE_ORDER
-    from .obs.tracer import _FIELDS
-    kinds = {"trace": tuple(_FIELDS), "flight": _SOURCE_ORDER}
     obs = commands.add_parser(
         "obs", help="run a seeded observability world, print one export")
-    exports = obs.add_subparsers(dest="what", metavar="WHAT", required=True)
-    for what, (summary, formats, filters) in _OBS.items():
-        export = exports.add_parser(what, help=summary)
+    exports = obs.add_subparsers(dest="what", metavar="WHAT", required=True,
+                                 parser_class=_ObsExport)
+    for what, (summary, formats) in _OBS.items():
+        export = exports.add_parser(what, help=summary, what=what,
+                                    formats=formats)
         # A filter this WHAT does not take reads as its default.
         export.set_defaults(**{name: spec["default"]
                                for name, spec in _OBS_FILTERS.items()})
         export.add_argument("--seed", type=int, default=0)
         export.add_argument("--out", default=None,
                             help="write the export here instead of stdout")
-        export.add_argument("--format", choices=formats, default=formats[0])
-        for name in filters:
-            spec = _OBS_FILTERS[name]
-            if name == "kind":
-                spec = dict(spec, choices=kinds[what])
-            export.add_argument(f"--{name}", **spec)
+        export.add_argument("--format", choices=tuple(formats),
+                            default=next(iter(formats)))
+        for name in _OBS_FILTERS:
+            if any(name in filters for filters in formats.values()):
+                export.add_argument(f"--{name}", **_OBS_FILTERS[name])
 
     report = commands.add_parser(
         "resilience-report",
@@ -148,25 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     attacks.add_argument("--seed", type=int, default=7)
     attacks.add_argument("--json", action="store_true",
                          help="emit full results as JSON instead of a table")
-
-    canary = commands.add_parser(
-        "canary",
-        help="run a twin-world canary deploy (baseline vs candidate "
-             "under identical offered load) and print the staged "
-             "promote/rollback verdict",
-    )
-    canary.add_argument("--incident", default="benign-candidate",
-                        help="named incident from the corpus "
-                             "(default: benign-candidate)")
-    canary.add_argument("--corpus", action="store_true",
-                        help="run every incident and check each verdict "
-                             "against its expectation")
-    canary.add_argument("--seed", type=int, default=0)
-    canary.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON instead of "
-                             "a table")
-    canary.add_argument("--out", default=None,
-                        help="write the output here instead of stdout")
 
     fleet = commands.add_parser(
         "fleet",
@@ -336,14 +348,12 @@ def _cmd_obs(args) -> int:
             alert_trigger_bundle,
             bundle_to_json,
             oracle_trigger_bundle,
-            rollback_trigger_bundle,
             run_trigger_matrix,
             shard_loss_trigger_bundle,
         )
 
         builder = {
             "alert": alert_trigger_bundle,
-            "rollback": rollback_trigger_bundle,
             "shard-loss": lambda seed: shard_loss_trigger_bundle(
                 seed=101 + seed),
             "oracle": lambda seed: oracle_trigger_bundle(seed=101 + seed),
@@ -586,71 +596,6 @@ def _cmd_attacks(args) -> int:
     return 1 if bad else 0
 
 
-def _canary_evidence(report: dict) -> str:
-    """One-line evidence summary for the failing stage (or '-')."""
-    for stage in report["stages"]:
-        if stage["status"] == "fail":
-            cited = list(stage["alerts"])
-            cited += [b["guardrail"] for b in stage["guardrail_breaches"]]
-            return f"{stage['name']}: {', '.join(cited)}"
-    return "-"
-
-
-def _cmd_canary(args) -> int:
-    from .ops import incident_names, run_corpus, run_incident
-    from .ops.canary import report_to_json
-
-    if args.corpus:
-        corpus = run_corpus(seed=args.seed)
-        if args.json:
-            _emit_text(report_to_json(corpus), args.out, "canary corpus report")
-        else:
-            lines = [f"{'incident':34s} {'verdict':12s} {'expected':12s} "
-                     f"{'evidence':44s} ok"]
-            for report in corpus["incidents"]:
-                lines.append(
-                    f"{report['incident']:34s} {report['verdict']:12s} "
-                    f"{report['expected']:12s} {_canary_evidence(report):44s} "
-                    f"{'ok' if report['ok'] else 'MISMATCH'}"
-                )
-            _emit_text("\n".join(lines), args.out, "canary corpus table")
-        return 0 if corpus["ok"] else 1
-
-    if args.incident not in incident_names():
-        print(f"unknown incident {args.incident!r}; "
-              f"have {list(incident_names())}", file=sys.stderr)
-        return 2
-    report = run_incident(args.incident, seed=args.seed)
-    if args.json:
-        _emit_text(report_to_json(report), args.out, "canary report")
-    else:
-        lines = [
-            f"incident : {report['incident']} (expected {report['expected']})",
-            f"baseline : {report['baseline']['name']}",
-            f"candidate: {report['candidate']['name']}",
-            f"{'stage':12s} {'fraction':>8s} {'horizon':>8s} {'status':12s} "
-            f"evidence",
-        ]
-        for stage in report["stages"]:
-            cited = list(stage["alerts"])
-            cited += [b["guardrail"] for b in stage["guardrail_breaches"]]
-            lines.append(
-                f"{stage['name']:12s} {stage['fraction']:8.0%} "
-                f"{stage['observe_until']:7.1f}s {stage['status']:12s} "
-                f"{', '.join(cited) if cited else '-'}"
-            )
-        lines.append(f"verdict  : {report['verdict']}")
-        if report["rollback"] is not None:
-            rollback = report["rollback"]
-            lines.append(
-                f"rollback : {rollback['mechanism']} "
-                f"(zero_loss={rollback['zero_loss']}, "
-                f"takeovers={rollback['takeovers']})"
-            )
-        _emit_text("\n".join(lines), args.out, "canary report")
-    return 1 if report["verdict"] == "ROLLED_BACK" else 0
-
-
 def _cmd_fleet(args) -> int:
     import json
 
@@ -722,7 +667,6 @@ _COMMANDS = {
     "gateway": _cmd_gateway,
     "fleet": _cmd_fleet,
     "attacks": _cmd_attacks,
-    "canary": _cmd_canary,
     "pmtud": _cmd_pmtud,
     "upf": _cmd_upf,
     "survey": _cmd_survey,

@@ -133,9 +133,9 @@ class GatewayWorker:
         self.account = CycleAccount()
         self.mode = WorkerMode.NORMAL
         # Hot-path constants, hoisted once: ``GatewayCosts`` is frozen
-        # and ``GatewayConfig`` is never mutated in place (incidents and
-        # canaries build new configs via ``dataclasses.replace``), so
-        # the per-packet attribute chains below are pure overhead.
+        # and ``GatewayConfig`` is never mutated in place (alternative
+        # configs are built via ``dataclasses.replace``), so the
+        # per-packet attribute chains below are pure overhead.
         costs = DEFAULT_GATEWAY_COSTS
         self._cost_classifier = costs.classifier_per_packet
         self._cost_slowpath = costs.rx_descriptor + costs.flow_lookup

@@ -68,12 +68,7 @@ from .registry import (
 from .spans import LATENCY_BUCKETS, LATENCY_METRICS, Span, SpanTracker
 from .timeline import TelemetryTimeline
 from .tracer import FlowTracer
-from .world import (
-    ObservedWorld,
-    WorkloadSchedule,
-    default_workload_schedule,
-    run_observed_world,
-)
+from .world import ObservedWorld, run_observed_world
 
 __all__ = [
     "AlertEngine",
@@ -111,6 +106,4 @@ __all__ = [
     "observe_upf",
     "run_observed_world",
     "run_trigger_matrix",
-    "WorkloadSchedule",
-    "default_workload_schedule",
 ]

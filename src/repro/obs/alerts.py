@@ -294,7 +294,7 @@ class AlertEngine:
         Every recorded transition, in evaluation order, annotated with
         a global sequence number and the edge label (``pending`` /
         ``fired`` / ``resolved`` / ``cleared``) — the evidence format
-        canary verdicts cite.  Flapping sequences (resolved →
+        incident bundles cite.  Flapping sequences (resolved →
         re-pending → re-fired) appear in full: the engine records one
         entry per state change and never coalesces repeats.  *rule*
         filters to one rule while keeping global sequence numbers.
@@ -313,8 +313,8 @@ class AlertEngine:
         """Every rule's state as of sim *time* (inclusive), by name.
 
         Reconstructed from the transition log, so it works on finished
-        engines — the canary controller replays the log to evaluate
-        each rollout stage retrospectively at its observation horizon.
+        engines — an incident bundle replays the log to cite each
+        rule's state at its trigger time.
         """
         states = {rule.name: OK for rule in self.rules}
         for transition in self.transitions:

@@ -13,7 +13,7 @@ Two small push surfaces exist for hosts that have no timeline of their
 own (fleet shards) or that want lifecycle marks in the record:
 
 * :meth:`FlightRecorder.note` — bounded ring of lifecycle marks
-  (shard-loss, rollback, checkpoint sweeps);
+  (shard-loss, checkpoint sweeps);
 * :meth:`FlightRecorder.add_sample` — bounded ring of windowed metric
   deltas, mirroring what :class:`~repro.obs.timeline.TelemetryTimeline`
   would have scraped.
@@ -87,7 +87,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------
 
     def note(self, time: float, kind: str, **fields: Any) -> None:
-        """Record a lifecycle mark (shard-loss, rollback, ...)."""
+        """Record a lifecycle mark (shard-loss, checkpoint sweep, ...)."""
         mark = {"time": time, "mark": kind}
         mark.update(fields)
         self._marks.append(mark)

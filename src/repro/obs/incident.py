@@ -1,7 +1,7 @@
 """Deterministic incident bundles: packaged evidence for one trigger.
 
 When something goes wrong — an alert fires, the chaos oracle rejects a
-run, a canary rolls back, a fleet shard dies — the operator's first
+run, a fleet shard dies — the operator's first
 question is *what exactly happened*, and the answer must be assembled
 from rings that are still warm.  :func:`build_incident_bundle` packages
 that answer deterministically:
@@ -12,17 +12,17 @@ that answer deterministically:
 * the reconstructed cross-shard trace for the implicated flows
   (:class:`~repro.obs.propagation.TracePropagation` journeys joined
   with flow-attributed spans), plus a consistency verdict;
-* a registry snapshot and the active guardrails;
+* a registry snapshot;
 * a digest of the exact gateway config that was running.
 
 Everything is a pure function of sim state, so two same-seed processes
 build byte-identical bundles — the CI ``incident`` job runs the whole
 trigger matrix twice and diffs the files.
 
-The four stock trigger scenarios (``alert``, ``rollback``,
-``shard-loss``, ``oracle``) live here too, behind lazy imports so this
-module stays importable from ``repro.obs`` without dragging in the
-fleet and ops layers at package-init time.
+The three stock trigger scenarios (``alert``, ``shard-loss``,
+``oracle``) live here too, behind lazy imports so this module stays
+importable from ``repro.obs`` without dragging in the fleet layer at
+package-init time.
 """
 
 from __future__ import annotations
@@ -39,14 +39,12 @@ __all__ = [
     "bundle_to_json",
     "config_digest",
     "oracle_trigger_bundle",
-    "rollback_trigger_bundle",
     "run_trigger_matrix",
     "shard_loss_trigger_bundle",
 ]
 
 #: Every trigger the bundle builder recognises, in matrix order.
-TRIGGER_KINDS = ("alert-firing", "canary-rollback", "shard-loss",
-                 "chaos-oracle")
+TRIGGER_KINDS = ("alert-firing", "shard-loss", "chaos-oracle")
 
 
 def config_digest(config) -> Dict[str, Any]:
@@ -68,7 +66,6 @@ def build_incident_bundle(
     flights: Sequence = (),
     alerts: Optional[Dict[str, Any]] = None,
     registry=None,
-    guardrails=None,
     config=None,
     trace=None,
     trackers: Optional[Dict[Any, Any]] = None,
@@ -150,9 +147,6 @@ def build_incident_bundle(
         dict(sorted(registry.snapshot().items())) if registry is not None
         else {}
     )
-    bundle["guardrails"] = (
-        [rail.to_dict() for rail in guardrails] if guardrails else []
-    )
     bundle["config"] = config_digest(config) if config is not None else None
     return bundle
 
@@ -174,7 +168,7 @@ def alert_trigger_bundle(seed: int = 0) -> Dict[str, Any]:
     """Alert-firing trigger: a merge-disabled world trips the SLO rules.
 
     Runs the seeded observed world with delayed merging switched off
-    (the ops corpus' ``merge-disabled-config`` regression), so the
+    and no flow ever promoted to merge-eligible, so the
     ``merge-ratio-floor`` rule deterministically fires; the bundle is
     cut at the first firing transition.
     """
@@ -211,24 +205,6 @@ def alert_trigger_bundle(seed: int = 0) -> Dict[str, Any]:
     )
 
 
-def rollback_trigger_bundle(seed: int = 0,
-                            incident: str = "mis-sized-mtu-rollout"
-                            ) -> Dict[str, Any]:
-    """Canary-rollback trigger: replay an ops regression incident.
-
-    The twin-world canary rolls the candidate back and its report now
-    embeds the bundle; this just unwraps it.
-    """
-    from ..ops.incidents import run_incident
-
-    report = run_incident(incident, seed=seed)
-    bundle = report.get("incident_bundle")
-    if bundle is None:
-        raise RuntimeError(
-            f"incident {incident!r} did not roll back — no bundle")
-    return bundle
-
-
 def shard_loss_trigger_bundle(seed: int = 101) -> Dict[str, Any]:
     """Fleet shard-loss trigger: an observed maintenance-mode loss run."""
     from ..fleet.chaos import run_loss_scenario
@@ -260,13 +236,12 @@ def oracle_trigger_bundle(seed: int = 101) -> Dict[str, Any]:
 
 
 def run_trigger_matrix(seed: int = 0) -> Dict[str, Any]:
-    """All four stock triggers in one deterministic document."""
+    """All three stock triggers in one deterministic document."""
     return {
         "schema": "repro-incident-matrix/1",
         "seed": seed,
         "bundles": {
             "alert": alert_trigger_bundle(seed=seed),
-            "rollback": rollback_trigger_bundle(seed=seed),
             "shard-loss": shard_loss_trigger_bundle(seed=101 + seed),
             "oracle": oracle_trigger_bundle(seed=101 + seed),
         },

@@ -85,8 +85,7 @@ class TracePropagation(WorkerObserver):
                            reason=fields["reason"])
         elif kind == "failover-takeover":
             for record in fields["flows"]:
-                self.adopt(record[0], fields["to_worker"], now,
-                           reason=fields["reason"])
+                self.adopt(record[0], fields["to_worker"], now)
 
     # ------------------------------------------------------------------
     # identity
@@ -144,11 +143,10 @@ class TracePropagation(WorkerObserver):
         self._hop(ctx, time, dst, "rebalance", detail=f"{reason}:shard{src}")
         self.rebalances += 1
 
-    def adopt(self, flow, shard, time: float,
-              reason: str = "failover") -> None:
+    def adopt(self, flow, shard, time: float) -> None:
         """A standby worker adopted ``flow`` from a checkpoint."""
         ctx = self._context(flow)
-        self._hop(ctx, time, shard, "adoption", detail=reason)
+        self._hop(ctx, time, shard, "adoption", detail="failover")
         self.adoptions += 1
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from .collectors import (
     Observability,
@@ -39,83 +39,13 @@ from .collectors import (
 )
 from .tracer import FlowTracer
 
-__all__ = ["ObservedWorld", "WorkloadSchedule", "default_workload_schedule",
-           "run_observed_world"]
+__all__ = ["ObservedWorld", "run_observed_world"]
 
 _PROBER_PORT = 52002
 #: Packets at or below this size hairpin past the RX rings (mice).
 _HAIRPIN_CUTOFF = 128
 #: Sim seconds between the NIC frontend's RX-ring polls.
 _NIC_POLL_INTERVAL = 0.01
-
-
-@dataclass(frozen=True)
-class WorkloadSchedule:
-    """A deterministic offered-load script for the observed world.
-
-    The schedule is pure data — payload bytes and sim-time instants —
-    so two worlds built from the *same* schedule see byte-identical
-    offered load regardless of how their gateways are configured.
-    That property is what makes twin-world comparisons
-    (:mod:`repro.ops`) meaningful: any metric divergence between twins
-    is attributable to the deployment, not the workload.
-
-    ``inbound_bursts`` entries are ``(at, start, count)``: at sim time
-    ``at``, send ``inbound_payloads[start:start + count]`` as plain UDP
-    datagrams from the outside host (the gateway builds caravans).
-    ``takeover_at``/``probe_at`` may be ``None`` to skip the failover
-    takeover or the F-PMTUD probe entirely.
-    """
-
-    seed: int = 0
-    download_bytes: int = 48_000
-    upload_bytes: int = 24_000
-    inbound_payloads: Tuple[bytes, ...] = ()
-    inbound_bursts: Tuple[Tuple[float, int, int], ...] = ()
-    outbound_payloads: Tuple[bytes, ...] = ()
-    outbound_at: float = 0.70
-    probe_at: Optional[float] = 0.40
-    takeover_at: Optional[float] = 0.9
-    settle_until: float = 0.2
-    horizon: float = 3.0
-
-    def offered_bytes(self) -> int:
-        """Total application bytes this schedule offers (both ways)."""
-        return (self.download_bytes + self.upload_bytes
-                + sum(len(p) for p in self.inbound_payloads)
-                + sum(len(p) for p in self.outbound_payloads))
-
-    def to_dict(self) -> dict:
-        """A JSON-safe description (payload *sizes*, not bytes)."""
-        return {
-            "seed": self.seed,
-            "download_bytes": self.download_bytes,
-            "upload_bytes": self.upload_bytes,
-            "inbound_datagrams": len(self.inbound_payloads),
-            "inbound_bursts": [list(b) for b in self.inbound_bursts],
-            "outbound_datagrams": len(self.outbound_payloads),
-            "outbound_at": self.outbound_at,
-            "probe_at": self.probe_at,
-            "takeover_at": self.takeover_at,
-            "settle_until": self.settle_until,
-            "horizon": self.horizon,
-            "offered_bytes": self.offered_bytes(),
-        }
-
-
-def default_workload_schedule(seed: int = 0) -> WorkloadSchedule:
-    """The canonical observed-world workload, as reusable data: the
-    exact workload the observed world has always run."""
-    return WorkloadSchedule(
-        seed=seed,
-        download_bytes=48_000,
-        upload_bytes=24_000,
-        inbound_payloads=tuple(bytes([1, i & 0xFF]) * 500 for i in range(24)),
-        inbound_bursts=((0.30, 0, 12), (0.60, 12, 12)),
-        outbound_payloads=tuple(bytes([2, i & 0xFF]) * 600 for i in range(12)),
-        outbound_at=0.70,
-        probe_at=0.40,
-    )
 
 
 @dataclass
@@ -142,12 +72,8 @@ class ObservedWorld:
     notes: Dict[str, object] = field(default_factory=dict)
     #: The four directed links by role (docs/CHAOS.md → "Worlds").
     links: Dict[str, object] = field(default_factory=dict)
-    #: Registry snapshots captured at the requested ``snapshot_at``
-    #: instants, keyed by sim time.
-    snapshots: Dict[float, Dict[str, float]] = field(default_factory=dict)
-    #: The deployed GatewayConfig and the workload script that ran.
+    #: The deployed GatewayConfig.
     config: object = None
-    schedule: object = None
     #: Always-on black-box ring (repro.obs.flight.FlightRecorder).
     flight: object = None
     #: Trace-context propagation (adoption hops from failover takeovers).
@@ -236,10 +162,7 @@ def run_observed_world(
     seed: int = 0,
     scrape_interval: float = 0.05,
     config=None,
-    schedule: Optional[WorkloadSchedule] = None,
     alert_rules=None,
-    mutate: Optional[Callable[["ObservedWorld"], None]] = None,
-    snapshot_at: Sequence[float] = (),
 ) -> ObservedWorld:
     """Build and run the observed world for *seed*; returns it populated.
 
@@ -250,16 +173,9 @@ def run_observed_world(
     :class:`AlertEngine` running :func:`default_alert_rules` at each
     scrape.  All exports are byte-identical across same-seed runs.
 
-    The deployment and the offered load are injectable for twin-world
-    comparisons (:mod:`repro.ops`): *config* deploys an alternative
-    :class:`~repro.core.GatewayConfig` on the unchanged physical
-    topology, *schedule* supplies the workload script (default:
-    :func:`default_workload_schedule`), *alert_rules* replaces the
-    stock SLO rules, *snapshot_at* captures registry snapshots at the
-    given sim instants into ``world.snapshots``, and *mutate* is called
-    with the constructed world after everything is scheduled but before
-    any traffic runs — the hook point for fault/attack environments.
-    All defaults leave the run byte-identical to the historical one.
+    *config* deploys an alternative :class:`~repro.core.GatewayConfig`
+    on the unchanged physical topology and *alert_rules* replaces the
+    stock SLO rules (the ``alert-firing`` incident trigger uses both).
     """
     from ..chaos.world import EMTU, IMTU, LinkSpec, WorldSpec, build
     from ..core import GatewayConfig
@@ -274,14 +190,12 @@ def run_observed_world(
     from .timeline import TelemetryTimeline
 
     rng = random.Random(f"obs-world:{seed}")
-    if schedule is None:
-        schedule = default_workload_schedule(seed)
     obs = Observability(tracer=FlowTracer(8192), spans=SpanTracker())
 
     if config is None:
         config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
     # The physical MTUs stay 9000 B inside / 1500 B outside whatever
-    # *config* believes: that mismatch is what the ops canary catches.
+    # *config* believes.
     built = build(WorldSpec(
         seed=880_000 + seed, hosts=("inside", "outside"),
         links=(LinkSpec("inside", "pxgw", IMTU, 10e9, 5e-5, roles=("int_out", "int_in")),
@@ -292,6 +206,10 @@ def run_observed_world(
     inside, outside = built.nodes["inside"], built.nodes["outside"]
     gateway.enable_resilience()
     gateway.attach_observability(obs)
+
+    # Everything below schedules sim events in a fixed order; the
+    # simulator numbers events in that order, and every pinned digest
+    # of this world depends on the numbering.
 
     # The in-sim scraper + SLO alerting, started before any traffic so
     # the first window sees the ramp-up.
@@ -311,8 +229,7 @@ def run_observed_world(
     # checkpointed flow.  Pure bookkeeping — no RNG, no sim events.
     trace = TracePropagation(seed=seed)
     failover.observers = (obs.tracer, trace)
-    if schedule.takeover_at is not None:
-        topo.sim.schedule_at(schedule.takeover_at, failover.takeover)
+    topo.sim.schedule_at(0.9, failover.takeover)
 
     # NIC front-end on the inside→gateway link.
     rss = RssDistributor(queues=4)
@@ -324,7 +241,6 @@ def run_observed_world(
     observe_nic(obs, queues=queues, hairpin=hairpin, rss=rss)
 
     # TCP both ways: download exercises merge, upload exercises split.
-    download, upload = schedule.download_bytes, schedule.upload_bytes
     down_listener = TCPListener(outside, 80, mss=EMTU - 40)
     up_listener = TCPListener(outside, 9100, mss=EMTU - 40)
     down = TCPConnection(inside, 40000, outside.ip, 80, mss=IMTU - 40)
@@ -332,24 +248,24 @@ def run_observed_world(
     down.connect()
     up.connect()
 
-    # UDP caravans both ways.
+    # UDP caravans both ways: two inbound bursts of 12 plain datagrams
+    # (the gateway builds caravans), then one host-built caravan bulk
+    # send outbound (the gateway opens it).
     inside.enable_caravan_stack(IMTU)
     received_in: List[bytes] = []
     received_out: List[bytes] = []
     inside.on_udp(4433, lambda p, h: received_in.append(p.payload))
     outside.on_udp(5544, lambda p, h: received_out.append(p.payload))
-    burst_in = schedule.inbound_payloads
+    burst_in = [bytes([1, i & 0xFF]) * 500 for i in range(24)]
 
     def inbound_burst(start: int, count: int) -> None:
         for payload in burst_in[start:start + count]:
             outside.send_udp(inside.ip, 4433, 4433, payload)
 
-    for burst_at, start, count in schedule.inbound_bursts:
-        topo.sim.schedule_at(burst_at, inbound_burst, start, count)
-    if schedule.outbound_payloads:
-        topo.sim.schedule_at(schedule.outbound_at, inside.send_udp_bulk,
-                             outside.ip, 5544, 5544,
-                             list(schedule.outbound_payloads))
+    topo.sim.schedule_at(0.30, inbound_burst, 0, 12)
+    topo.sim.schedule_at(0.60, inbound_burst, 12, 12)
+    topo.sim.schedule_at(0.70, inside.send_udp_bulk, outside.ip, 5544, 5544,
+                         [bytes([2, i & 0xFF]) * 600 for i in range(12)])
 
     # F-PMTUD across the gateway: the probe fragments on the eMTU link.
     daemon = FPmtudDaemon(outside)
@@ -357,11 +273,8 @@ def run_observed_world(
     prober.observers = (obs.tracer, obs.spans)
     observe_pmtud(obs, prober=prober, daemon=daemon)
     pmtud_results: list = []
-    if schedule.probe_at is not None:
-        topo.sim.schedule_at(
-            schedule.probe_at, prober.probe, outside.ip, IMTU,
-            pmtud_results.append,
-        )
+    topo.sim.schedule_at(0.40, prober.probe, outside.ip, IMTU,
+                         pmtud_results.append)
 
     world = ObservedWorld(
         seed=seed,
@@ -381,7 +294,6 @@ def run_observed_world(
         alerts=alerts,
         links=built.links,
         config=config,
-        schedule=schedule,
         # Always-on black box: pure pull-model references, so the ring
         # is free until someone dumps it.
         flight=FlightRecorder(name=f"world{seed}").wire(
@@ -391,26 +303,11 @@ def run_observed_world(
         trace=trace,
     )
 
-    # Mid-run registry snapshots (for staged guardrail evaluation) and
-    # the environment hook.  Both are no-ops on the default path, so
-    # the historical event-sequence numbering — and with it every
-    # pinned digest — is untouched.
-    if snapshot_at:
-        def capture(instant: float) -> None:
-            world.snapshots[instant] = obs.registry.snapshot()
-
-        for instant in snapshot_at:
-            topo.sim.schedule_at(instant, capture, instant)
-    if mutate is not None:
-        mutate(world)
-
     # Let the handshakes settle, then start the bulk transfers.
-    topo.run(until=schedule.settle_until)
-    if download:
-        down_listener.connections[0].send_bulk(download)
-    if upload:
-        up.send_bulk(upload)
-    topo.run(until=schedule.horizon)
+    topo.run(until=0.2)
+    down_listener.connections[0].send_bulk(48_000)
+    up.send_bulk(24_000)
+    topo.run(until=3.0)
 
     # Stop the scraper before the out-of-sim UPF exercise so the last
     # recorded window reflects only in-sim activity.

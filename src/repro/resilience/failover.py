@@ -132,29 +132,20 @@ class FailoverManager:
         return self.last_checkpoint
 
     # ------------------------------------------------------------------
-    def takeover(
-        self,
-        standby: Optional[GatewayWorker] = None,
-        fresh_checkpoint: bool = True,
-        reason: str = "failover",
-    ) -> GatewayWorker:
-        """Swap in *standby* (or a fresh worker) from the checkpoint.
+    def takeover(self, fresh_checkpoint: bool = True) -> GatewayWorker:
+        """Swap in a fresh standby worker from the checkpoint.
 
         With ``fresh_checkpoint`` (the planned-maintenance case) the
         live worker is checkpointed at this instant, so nothing at all
         is lost.  Without it (the crash case) the standby resumes from
         the last periodic capture and end-to-end retransmission covers
-        the staleness window.  *reason* is recorded on the trace event
-        so planned swaps (canary rollbacks, maintenance) are
-        distinguishable from crash recovery.  Returns the replaced
-        worker.
+        the staleness window.  Returns the replaced worker.
         """
         gateway = self.gateway
         checkpoint = self.checkpoint_now() if fresh_checkpoint else self.last_checkpoint
         if checkpoint is None:
             raise RuntimeError("no checkpoint available; call start() first")
-        if standby is None:
-            standby = GatewayWorker(gateway.config, index=gateway.worker.index + 1)
+        standby = GatewayWorker(gateway.config, index=gateway.worker.index + 1)
         flushed = restore_worker(standby, checkpoint)
         old = gateway.swap_worker(standby)
         for packet in flushed:
@@ -164,7 +155,7 @@ class FailoverManager:
             observer.on_event(
                 self, self.sim.now, "failover-takeover",
                 gateway=gateway.name, to_worker=standby.index,
-                flushed=len(flushed), reason=reason,
+                flushed=len(flushed), reason="failover",
                 checkpoint_age=self.sim.now - checkpoint.taken_at,
                 flows=checkpoint.flows,
             )

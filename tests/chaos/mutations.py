@@ -1,10 +1,14 @@
 """Known-bad gateway mutations used by the teeth and shrink tests.
 
 Each mutation takes a :class:`repro.chaos.ChaosWorld` and monkey-patches
-one engine instance inside the gateway to reintroduce a realistic bug.
+the gateway (mostly one engine instance inside it) to reintroduce a
+realistic bug.
 The chaos oracle must catch every one of them.
 """
 
+from dataclasses import replace
+
+from repro.core import GatewayWorker
 from repro.core.tcp_merge import _NO_MERGE_FLAGS
 
 
@@ -56,3 +60,26 @@ def break_caravan_split(world):
         return out[1:] if len(out) > 1 else out
 
     split.process = lossy_process
+
+
+def oversize_egress(world):
+    """Deploy a worker sized for a 3000 B eMTU on the 1500 B wire, behind
+    a forward path that skips the egress MTU step.
+
+    The router's forward fragments or refuses anything above the link
+    MTU, so a mis-sized worker alone never puts a frame above the eMTU
+    on the wire.  With that step skipped too, every oversize split is
+    offered to the external link, which drops it as ``drop-mtu`` (the
+    classic MTU blackhole).
+    """
+    gateway = world.gateway
+    gateway.swap_worker(GatewayWorker(replace(gateway.config, emtu=3000)))
+    forward = gateway.forward
+
+    def unchecked_forward(packet, arrived_on=None, route=None):
+        route = route or gateway.routes.lookup(packet.ip.dst)
+        if route is not None and packet.total_len > route.interface.link.mtu:
+            return route.interface.send(packet)
+        return forward(packet, arrived_on, route)
+
+    gateway.forward = unchecked_forward

@@ -11,7 +11,7 @@ from repro.chaos import Fault, FaultPlan, Match, run_scenario
 from repro.packet import IPProto
 
 from .conftest import failure_report
-from .mutations import break_caravan_split, break_merge
+from .mutations import break_caravan_split, break_merge, oversize_egress
 
 # One dropped data segment on the external ingress forces the merge
 # engine to see the retransmission out of order.
@@ -60,3 +60,15 @@ class TestCaravanSplitLosesDatagram:
         # identity must fire.
         assert "datagram-boundary" in kinds, failure_report(result)
         assert "stats-conservation" in kinds, failure_report(result)
+
+
+class TestOversizeEgress:
+    def test_oracle_catches_frames_above_emtu_on_the_wire(self):
+        result = run_scenario("tcp", 7, plan=FaultPlan(), mutate=oversize_egress)
+        assert not result.ok
+        kinds = {violation.split(":", 1)[0] for violation in result.violations}
+        # The link drops every oversize frame before anything receives
+        # it, so only the drop-mtu events at the ext_out tap show it.
+        assert "mtu" in kinds, failure_report(result)
+        assert any(violation.startswith("mtu: ext_out:")
+                   for violation in result.violations), failure_report(result)

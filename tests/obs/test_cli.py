@@ -206,6 +206,12 @@ TAKES = {
 #: A value each filter accepts where it is taken.
 FILTER_VALUE = {"--kind": "trace", "--since": "0.5", "--until": "0.5",
                 "--limit": "3", "--interval": "0.5", "--trigger": "oracle"}
+#: The filters a ``summary`` format ignores although its WHAT takes them.
+SUMMARY_REJECTS = {
+    "trace": (["--kind", "merge"], ["--since", "0.5"], ["--limit", "1"]),
+    "spans": (["--limit", "1"],),
+    "flight": (["--kind", "trace"], ["--since", "0.5"], ["--until", "0.5"]),
+}
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -219,6 +225,8 @@ FILTER_VALUE = {"--kind": "trace", "--since": "0.5", "--until": "0.5",
         (["obs", "metrics", "--format", "jsonl"], "--format"),
         (["obs", "incident", "--format", "summary"], "--format"),
         (["obs", "incident", "--trigger", "alert", "--matrix"], "--matrix"),
+        *((["obs", what, "--format", "summary", *filter_], filter_[0])
+          for what, filters in SUMMARY_REJECTS.items() for filter_ in filters),
     ]
 ])
 def test_usage_errors_exit_2_and_name_the_flag(argv, flag, capsys):

@@ -10,7 +10,6 @@ from repro.obs.incident import (
     build_incident_bundle,
     bundle_to_json,
     config_digest,
-    rollback_trigger_bundle,
 )
 
 
@@ -60,34 +59,6 @@ def test_alert_trigger_bundle_is_same_seed_identical():
         bundle_to_json(alert_trigger_bundle(seed=0))
 
 
-def test_rollback_bundle_embedded_in_canary_report():
-    bundle = rollback_trigger_bundle(seed=0)
-    assert bundle["trigger"]["kind"] == "canary-rollback"
-    detail = bundle["trigger"]["detail"]
-    assert detail["rollback"]["zero_loss"] is True
-    assert detail["stage"] is not None
-    # Differential evidence: both twins' engines are cited, and the
-    # candidate fired rules the baseline did not.
-    assert set(bundle["alerts"]) == {"baseline", "candidate"}
-    extra = (set(bundle["alerts"]["candidate"]["fired"])
-             - set(bundle["alerts"]["baseline"]["fired"]))
-    assert extra
-    # The rollback takeover stamped adoption hops on the moved flows.
-    assert bundle["trace"]["flows"]
-    assert all(any(h["kind"] == "adoption" for h in j["hops"])
-               for j in bundle["trace"]["journeys"])
-    assert bundle["trace"]["consistent"]
-    assert bundle["guardrails"]
-
-
-def test_promoted_canary_carries_no_bundle():
-    from repro.ops.incidents import run_incident
-
-    report = run_incident("benign-candidate", seed=0)
-    assert report["verdict"] == "PROMOTED"
-    assert report["incident_bundle"] is None
-
-
 def test_trigger_kinds_cover_the_issue_surface():
-    assert set(TRIGGER_KINDS) == {"alert-firing", "canary-rollback",
-                                  "shard-loss", "chaos-oracle"}
+    assert set(TRIGGER_KINDS) == {"alert-firing", "shard-loss",
+                                  "chaos-oracle"}

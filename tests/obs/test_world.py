@@ -9,6 +9,8 @@ import pytest
 
 from repro.chaos import run_scenario
 from repro.chaos.oracle import InvariantOracle
+from repro.chaos.world import EMTU, IMTU
+from repro.core import GatewayConfig
 from repro.obs import run_observed_world
 
 #: Every instrumented layer must contribute at least one series.
@@ -56,6 +58,19 @@ def test_world_exports_every_layer_with_depth(world):
     assert world.notes["datagrams_in"] == 24
     assert world.notes["datagrams_out"] == 12
     assert world.notes["pmtu"] == 1500
+
+
+def test_world_exposes_links_by_role(world):
+    assert set(world.links) == {"int_out", "int_in", "ext_out", "ext_in"}
+    assert world.links["int_out"].mtu == IMTU
+    assert world.links["ext_out"].mtu == EMTU
+
+
+def test_injected_config_reaches_the_gateway():
+    config = GatewayConfig(imtu=9000, emtu=1500, merge_timeout=0.25)
+    world = run_observed_world(seed=0, config=config)
+    assert world.gateway.config is config
+    assert world.config is config
 
 
 def test_world_traces_the_whole_flow_lifecycle(world):

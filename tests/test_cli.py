@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -21,6 +27,17 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_building_the_parser_imports_no_obs_module(self):
+        # ``repro --help`` and the non-obs verbs must not pay for the
+        # observability layer just to list ``--kind`` choices.
+        code = ("import sys; from repro.cli import build_parser; "
+                "build_parser(); "
+                "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
 
 class TestCommands:

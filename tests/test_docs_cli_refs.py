@@ -44,7 +44,7 @@ def quoted_commands(text):
 def test_extractor_reads_the_forms_the_docs_use():
     text = (
         "run `python -m repro gateway|fig5a --seed 1` or `python -m repro\n"
-        "canary [--corpus]`.\n"
+        "fleet [--quick]`.\n"
         "    python -m repro gone --quick \\\n"
         "      --out /tmp/x.json   # comment\n"
         "    python -m repro obs trace --format summary | python -m json.tool > /dev/null\n"
@@ -53,7 +53,7 @@ def test_extractor_reads_the_forms_the_docs_use():
     assert list(quoted_commands(text)) == [
         ["gateway", "--seed", "1"],
         ["fig5a", "--seed", "1"],
-        ["canary", "--corpus"],
+        ["fleet", "--quick"],
         ["gone", "--quick", "--out", "/tmp/x.json"],
         ["obs", "trace", "--format", "summary"],
         ["obs", "metrics", "--seed", "3"],
@@ -83,6 +83,16 @@ def test_the_deleted_bench_verb_is_rejected(capsys):
         build_parser().parse_args(["bench"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["canary"],
+                                  ["obs", "incident", "--trigger", "rollback"]],
+                         ids=["canary", "rollback-trigger"])
+def test_the_deleted_canary_surface_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["metrics", "trace", "spans", "flight",
