@@ -34,7 +34,7 @@ import hashlib
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..packet import Packet
+from ..packet import IPProto, Packet
 
 __all__ = [
     "ChaosTap",
@@ -278,7 +278,11 @@ class InvariantOracle:
         The link drops an oversize frame as ``drop-mtu`` before anything
         can receive it, so the MTU check reads those drops too: an
         ``rx`` over the MTU is a link bug, a ``drop-mtu`` is a sender
-        that ignored the MTU (the classic blackhole)."""
+        that ignored the MTU (the classic blackhole).  A TCP fragment is
+        a segment some hop had to fragment because it was sized above
+        that hop's MTU (DF clear): every TCP sender here sizes its
+        segments to the path, and PXGW splits to the eMTU, so none may
+        appear."""
         for summary in tap.packets("drop-mtu"):
             self.expect(
                 False,
@@ -292,6 +296,13 @@ class InvariantOracle:
                 "mtu",
                 f"{tap.point}: {total_len} B packet on an {mtu} B link",
             )
+            if summary[0] == IPProto.TCP and summary[8] == "frag":
+                self.expect(
+                    False,
+                    "mtu",
+                    f"{tap.point}: TCP fragment of {total_len} B: a segment was "
+                    f"sized above some hop's MTU",
+                )
             if max_tcp_payload is not None and "tcp" in summary:
                 payload_len = summary[summary.index("tcp") + 6]
                 self.expect(

@@ -102,10 +102,10 @@ class _ObsExport(argparse.ArgumentParser):
                 self.error(f"argument --{name}: not taken by "
                            f"--format {namespace.format}")
         if namespace.kind is not None:
+            from .obs.codec import EVENTS
             from .obs.flight import _SOURCE_ORDER
-            from .obs.tracer import _FIELDS
 
-            kinds = {"trace": _FIELDS, "flight": _SOURCE_ORDER}[self.what]
+            kinds = {"trace": EVENTS, "flight": _SOURCE_ORDER}[self.what]
             if namespace.kind not in kinds:
                 self.error(f"argument --kind: invalid choice: "
                            f"{namespace.kind!r} (choose from "

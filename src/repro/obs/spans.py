@@ -41,30 +41,25 @@ mirrored onto fixed-bucket registry histograms at scrape time via
 :meth:`Histogram.load`, so exports stay byte-deterministic and the
 per-packet cost is one dict update.
 
-A finished span is one packed ``bytes`` record: a fixed head (sid,
-close time, outcome, open time, kind, stage, a flow tag and the parent
-count; the three labels as 16-bit codes from a per-tracker intern
-table), then a ``FlowKey`` as ``<BIHIH`` and the parents as ``q`` each.
-It becomes a :class:`Span` only on read.  ``bytes`` are never tracked
-by the collector and add nothing to its allocation count; a retained
-keyed span costs about 88 B.  What the layout cannot carry — a flow
-that is not an in-range ``FlowKey``, a time that is not a ``float``, a
-label that is not a ``str`` — keeps a plain tuple of the span's fields
-in the same ring.
+A finished span is one packed ``bytes`` record (:mod:`repro.obs.codec`),
+about 80 B without parents, that becomes a :class:`Span` only on read:
+sid, close time and outcome, then the body a span packs when it opens
+(open time, kind, stage, parent count, flow, parents).  A field the
+layout cannot carry raises where the span opens or closes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 from collections import Counter, defaultdict, deque
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.caravan import caravan_inner_count, is_caravan
 from ..core.worker import WorkerObserver
 from ..packet.flow import FlowKey
+from .codec import SHUT, SPAN_HEAD, Labels, flow_fields, span_body
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -150,41 +145,15 @@ class Span:
             payload["flow"] = str(self.flow)
         return payload
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = self.outcome if self.closed_at is not None else "open"
-        return f"<Span #{self.sid} {self.kind}/{self.stage or '-'} {state}>"
 
-
-# A record is a head, then the flow key if the tag says so, then the parents:
-#   sid q | closed_at d | outcome H | opened_at d | kind H | stage H |
-#   flow tag B (0 none, 1 FlowKey) | parent count H | <BIHIH key> | q ...
-_HEAD = struct.Struct("<qdHdHHBH")
-_KEY = struct.Struct("<BIHIH")
-#: A keyed, parentless record whole: the one-in-one-out tail, merged parents.
-_KEYED = struct.Struct("<qdHdHHBHBIHIH")
-#: What ``derived`` packs per child; the rest is one body per call.
-_SHUT = struct.Struct("<qdH")
+_KEYED_BODY = span_body(0)
 _CODE = struct.Struct("<H")
-_KIND_AT = _SHUT.size + 8   # the kind code follows opened_at
+_KIND_AT = SHUT.size + 8   # the kind code follows opened_at
 _STAGE_AT = _KIND_AT + 2
-#: What a fast pack raises where the layout cannot carry a field (or a
-#: label is not interned yet); the slow path then decides.
-_UNPACKABLE = (KeyError, TypeError, struct.error)
-
-
-@functools.lru_cache(maxsize=64)
-def _keyed_body(parents: int) -> struct.Struct:
-    """A keyed child's record less its ``_SHUT``, with *parents* ids."""
-    return struct.Struct(f"<dHHBHBIHIH{parents}q")
-
 
 #: Labels every tracker interns first, so the hot sites use constants.
-_LABELS = (None, "packet", "egress", "merged")
 _PACKET, _EGRESS, _MERGED = 1, 2, 3
-
-#: What the ring holds per span: a packed record, or the span's fields
-#: ``(sid, kind, opened_at, closed_at, outcome, parents, stage, flow)``.
-_Record = Union[bytes, tuple]
+_LABELS = ("packet", "egress", "merged")
 
 
 class SpanTracker(WorkerObserver):
@@ -207,14 +176,10 @@ class SpanTracker(WorkerObserver):
         #: chaos oracle requires this to stay zero.
         self.anomalies = 0
         self._next_sid = 0
-        # sid -> (opened_at, kind, parents, stage, flow), or (opened_at,
-        # key) for a buffered segment whose record packs whole at close
-        self._open: Dict[int, tuple] = {}
-        self._done: Deque[_Record] = deque(maxlen=capacity)
-        # The intern table: label -> 16-bit code, and back by index.
-        self._codes: Dict[Optional[str], int] = {
-            label: code for code, label in enumerate(_LABELS)}
-        self._labels: List[Optional[str]] = list(_LABELS)
+        # sid -> (opened_at, the record's body, packed at open)
+        self._open: Dict[int, Tuple[float, bytes]] = {}
+        self._done: Deque[bytes] = deque(maxlen=capacity)
+        self._labels = Labels(_LABELS)
         # Per-flow FIFOs mirroring the merge engines' buffers.
         # merge: flow -> deque of [sid, bytes_left, enqueued_at]
         # caravan: flow -> deque of (sid, enqueued_at)
@@ -255,19 +220,16 @@ class SpanTracker(WorkerObserver):
             return
         # One in, one out (mss, hairpin, forward, passthrough): ``sync`` inlined.
         sid = self._next_sid
+        if type(key) is FlowKey:
+            proto, src, sport, dst, dport = key  # unpacked: ``*key`` is slow
+            self._done.append(SPAN_HEAD.pack(sid, now, _EGRESS, at, _PACKET, self._labels[stage],
+                                             0, 1, proto, src, sport, dst, dport))
+        else:
+            self._done.append(SHUT.pack(sid, now, _EGRESS)
+                              + self._body(at, "packet", (), stage, key))
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        record = None
-        if type(key) is FlowKey and type(at) is float and type(now) is float:
-            proto, src, sport, dst, dport = key  # unpacked: ``*key`` is slow
-            try:
-                record = _KEYED.pack(sid, now, _EGRESS, at, _PACKET, self._codes[stage],
-                                     1, 0, proto, src, sport, dst, dport)
-            except _UNPACKABLE:
-                pass
-        self._done.append(record or self._pack(
-            sid, "packet", at, now, "egress", (), stage, key))
         bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
         delta = now - at
         bucket[delta] = bucket.get(delta, 0) + 1
@@ -328,13 +290,15 @@ class SpanTracker(WorkerObserver):
                 break
         else:
             # ``open`` / ``merge_enqueue`` inlined: most segments end here.
+            if type(key) is FlowKey:
+                proto, src, sport, dst, dport = key
+                body = _KEYED_BODY.pack(at, _PACKET, 0, 0, 1, proto, src, sport, dst, dport)
+            else:
+                body = self._body(at, "packet", (), None, key)
             sid = self._next_sid
             self._next_sid = sid + 1
             self.opened += 1
-            if type(key) is FlowKey and type(at) is float:
-                self._open[sid] = (at, key)
-            else:
-                self._open[sid] = (at, "packet", (), None, key)
+            self._open[sid] = (at, body)
             if tcp:
                 nbytes = len(packet.payload)
                 self._merge_fifo[key].append([sid, nbytes, now])
@@ -375,20 +339,22 @@ class SpanTracker(WorkerObserver):
              parents: Tuple[int, ...] = (), stage: Optional[str] = None,
              flow=None) -> int:
         """Open a span; returns its id for a later close/drop."""
+        body = self._body(opened_at, kind, parents, stage, flow)
         sid = self._next_sid
         self._next_sid = sid + 1
         self.opened += 1
-        self._open[sid] = (opened_at, kind, parents, stage, flow)
+        self._open[sid] = (opened_at, body)
         return sid
 
     def _finish(self, sid: int, at: float, outcome: str) -> Optional[tuple]:
         """Move an open span to the ring; returns what ``open`` stored,
         or ``None`` (an anomaly) if *sid* is not open."""
-        entry = self._open.pop(sid, None)
+        entry = self._open.get(sid)
         if entry is None:
             self.anomalies += 1
         else:
-            self._done.append(self._closed(sid, at, outcome, entry))
+            self._done.append(SHUT.pack(sid, at, self._labels[outcome]) + entry[1])
+            del self._open[sid]
         return entry
 
     def close(self, sid: int, closed_at: float, outcome: str = "egress") -> None:
@@ -409,11 +375,11 @@ class SpanTracker(WorkerObserver):
         records its gateway residency.
         """
         sid = self._next_sid
+        self._done.append(SHUT.pack(sid, closed_at, _EGRESS)
+                          + self._body(opened_at, kind, (), stage, flow))
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        self._done.append(
-            self._pack(sid, kind, opened_at, closed_at, "egress", (), stage, flow))
         bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
         delta = closed_at - opened_at
         bucket[delta] = bucket.get(delta, 0) + 1
@@ -422,11 +388,11 @@ class SpanTracker(WorkerObserver):
     def sync_drop(self, opened_at: float, at: float, reason: str, flow=None) -> int:
         """Fast path: a packet dropped in the same call it arrived in."""
         sid = self._next_sid
+        self._done.append(SHUT.pack(sid, at, self._labels[reason])
+                          + self._body(opened_at, "packet", (), "drop", flow))
         self._next_sid = sid + 1
         self.opened += 1
         self.dropped += 1
-        self._done.append(
-            self._pack(sid, "packet", opened_at, at, reason, (), "drop", flow))
         return sid
 
     def derived(self, parents: Tuple[int, ...], kind: str, at: float,
@@ -437,87 +403,34 @@ class SpanTracker(WorkerObserver):
         segment exists only at the instant the engine emits it, so the
         interesting latency lives on the parents, not here.
         """
+        body = self._body(at, kind, parents, None, flow)
         first = self._next_sid
         self._next_sid = first + count
         self.opened += count
         self.closed += count
-        append = self._done.append
-        if type(flow) is FlowKey and type(at) is float and type(parents) is tuple:
-            proto, src, sport, dst, dport = flow
-            try:
-                body = _keyed_body(len(parents)).pack(
-                    at, self._codes[kind], 0, 1, len(parents),
-                    proto, src, sport, dst, dport, *parents)
-            except _UNPACKABLE:
-                pass
-            else:  # one body, a sid in front of it per child
-                shut = _SHUT.pack
-                for sid in range(first, first + count):
-                    append(shut(sid, at, _EGRESS) + body)
-                return
-        for sid in range(first, first + count):
-            append(self._pack(sid, kind, at, at, "egress", parents, None, flow))
+        # One body, a sid in front of it per child.
+        self._done.extend(SHUT.pack(sid, at, _EGRESS) + body
+                          for sid in range(first, first + count))
 
     # ------------------------------------------------------------------
     # Record codec
     # ------------------------------------------------------------------
-    def _code(self, label) -> Optional[int]:
-        """*label*'s 16-bit code, interned on first sight; ``None`` when
-        it is not a ``str`` or the table is full."""
-        if label is None:
-            return 0
-        if type(label) is not str:
-            return None
-        code = self._codes.get(label)
-        if code is None and len(self._labels) <= 0xFFFF:
-            code = self._codes[label] = len(self._labels)
-            self._labels.append(label)
-        return code
-
-    def _pack(self, sid, kind, opened_at, closed_at, outcome, parents, stage,
-              flow) -> _Record:
-        """One finished span as a packed record, or as the tuple of its
-        fields if the layout cannot carry one of them."""
-        codes = (self._code(kind), self._code(outcome), self._code(stage))
-        if (None not in codes and type(opened_at) is float
-                and type(closed_at) is float and type(parents) is tuple
-                and (flow is None or type(flow) is FlowKey)):
-            kind_code, outcome_code, stage_code = codes
-            try:
-                record = _HEAD.pack(sid, closed_at, outcome_code, opened_at, kind_code,
-                                    stage_code, flow is not None, len(parents))
-                if flow is not None:
-                    record += _KEY.pack(*flow)
-                if parents:
-                    record += struct.pack(f"<{len(parents)}q", *parents)
-                return record
-            except struct.error:  # a field out of range
-                pass
-        return (sid, kind, opened_at, closed_at, outcome, parents, stage, flow)
-
-    def _closed(self, sid: int, at: float, outcome: str, entry: tuple) -> _Record:
-        """The finished record of span *sid*; *entry* is what it opened with."""
-        if len(entry) == 2:
-            opened_at, flow = entry
-            return self._pack(sid, "packet", opened_at, at, outcome, (), None, flow)
-        opened_at, kind, parents, stage, flow = entry
-        return self._pack(sid, kind, opened_at, at, outcome, parents, stage, flow)
-
-    def _span(self, record: _Record) -> Span:
-        """Materialise one finished-span record."""
-        if type(record) is tuple:
-            return Span(*record)
-        sid, closed_at, outcome, opened_at, kind, stage, tag, count = \
-            _HEAD.unpack_from(record)
-        offset = _HEAD.size
-        flow = None
-        if tag:
-            flow = FlowKey(*_KEY.unpack_from(record, offset))
-            offset += _KEY.size
-        parents = struct.unpack_from(f"<{count}q", record, offset) if count else ()
+    def _body(self, opened_at, kind, parents, stage, flow) -> bytes:
+        """What a span's record holds past its ``SHUT``; raises where the
+        layout cannot carry a field."""
         labels = self._labels
-        return Span(sid, labels[kind], opened_at, closed_at, labels[outcome],
-                    parents, labels[stage], flow)
+        tag, proto, src, sport, dst, dport = flow_fields(flow)  # two ``*`` in one call are slow
+        return span_body(len(parents)).pack(opened_at, labels[kind], labels[stage], len(parents),
+                                            tag, proto, src, sport, dst, dport, *parents)
+
+    def _span(self, record: bytes) -> Span:
+        """Materialise one finished-span record."""
+        sid, closed_at, outcome, opened_at, kind, stage, count, tag, *key = \
+            SPAN_HEAD.unpack_from(record)
+        parents = struct.unpack_from(f"<{count}q", record, SPAN_HEAD.size) if count else ()
+        names = self._labels.names
+        return Span(sid, names[kind], opened_at, closed_at, names[outcome],
+                    parents, names[stage], FlowKey(*key) if tag else None)
 
     # ------------------------------------------------------------------
     # Merge (byte) FIFO — mirrors TcpMergeEngine buffers
@@ -539,7 +452,6 @@ class SpanTracker(WorkerObserver):
         parents: List[int] = []
         wait = self._latency[MERGE_WAIT_SECONDS]
         res = self._latency[GATEWAY_RESIDENCY_SECONDS]
-        at_is_float = type(at) is float
         while nbytes > 0:
             if not fifo:
                 self.anomalies += 1
@@ -557,15 +469,7 @@ class SpanTracker(WorkerObserver):
                     self.anomalies += 1
                 else:
                     self.closed += 1
-                    record = None
-                    if at_is_float and len(entry) == 2:
-                        proto, src, sport, dst, dport = entry[1]
-                        try:
-                            record = _KEYED.pack(head[0], at, _MERGED, entry[0], _PACKET,
-                                                 0, 1, 0, proto, src, sport, dst, dport)
-                        except struct.error:
-                            pass
-                    self._done.append(record or self._closed(head[0], at, "merged", entry))
+                    self._done.append(SHUT.pack(head[0], at, _MERGED) + entry[1])
                     delta = at - head[2]
                     wait[delta] = wait.get(delta, 0) + 1
                     delta = at - entry[0]
@@ -691,31 +595,26 @@ class SpanTracker(WorkerObserver):
         """Retained finished spans, optionally filtered by kind."""
         if kind is None:
             return [self._span(record) for record in self._done]
-        code = self._codes.get(kind) if isinstance(kind, str) else None
+        code = self._labels.get(kind)
         code = None if code is None else _CODE.pack(code)
         return [self._span(record) for record in self._done
-                if (record[1] == kind if type(record) is tuple
-                    else record[_KIND_AT:_KIND_AT + 2] == code)]
+                if record[_KIND_AT:_KIND_AT + 2] == code]
 
     def kinds(self) -> Dict[str, int]:
         """Retained finished-span counts per kind, sorted by name."""
-        return dict(sorted(self._count(1, _KIND_AT).items()))
+        return dict(sorted(self._count(_KIND_AT).items()))
 
     def stages(self) -> Dict[str, int]:
         """Retained finished-span counts per stage label."""
-        stages = self._count(6, _STAGE_AT)
+        stages = self._count(_STAGE_AT)
         stages.pop(None, None)  # children carry no stage
         return dict(sorted(stages.items()))
 
-    def _count(self, field: int, at: int) -> Counter:
-        """Retained spans per label: a tuple's *field*, a record's code at *at*."""
-        codes = Counter(record[at:at + 2] for record in self._done
-                        if type(record) is bytes)
-        counts = Counter(record[field] for record in self._done
-                         if type(record) is tuple)
-        for code, count in codes.items():
-            counts[self._labels[_CODE.unpack(code)[0]]] += count
-        return counts
+    def _count(self, at: int) -> Dict[Optional[str], int]:
+        """Retained spans per label, the label's code read at *at*."""
+        names = self._labels.names
+        return {names[_CODE.unpack(code)[0]]: count for code, count
+                in Counter(record[at:at + 2] for record in self._done).items()}
 
     def _dicts(self, limit: Optional[int]) -> List[dict]:
         """``to_dict`` of the retained spans, or of the newest *limit*

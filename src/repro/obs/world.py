@@ -7,7 +7,7 @@ and PMTUD — runs it to completion, and returns the world with a fully
 populated :class:`Observability` bundle.  The ``repro obs WHAT``
 exports (all but ``incident``) and the observability determinism guard
 are built on it: the same seed must yield byte-identical
-``to_prometheus_text()`` output and identical tracer sequences.
+``to_prometheus_text()`` output and identical tracer events.
 
 The world:
 

@@ -8,7 +8,7 @@ The chaos oracle must catch every one of them.
 
 from dataclasses import replace
 
-from repro.core import GatewayWorker
+from repro.core import Bound, GatewayWorker
 from repro.core.tcp_merge import _NO_MERGE_FLAGS
 
 
@@ -83,3 +83,30 @@ def oversize_egress(world):
         return forward(packet, arrived_on, route)
 
     gateway.forward = unchecked_forward
+
+
+def mis_sized_split_without_df(world):
+    """Deploy the worker of :func:`oversize_egress` (sized for a 3000 B
+    eMTU on the 1500 B wire) with outbound TCP segments that leave
+    with DF clear, and plant nothing else.
+
+    ``Router.forward`` then fragments each oversize split instead of
+    refusing it, so every frame on the wire fits its link: only the
+    TCP fragments on the external link show the bug.  (With DF set, as
+    every segment of this TCP stack has, the router refuses the split
+    with a frag-needed ICMP and the inside host's PMTUD absorbs it.)
+    """
+    gateway = world.gateway
+    worker = GatewayWorker(replace(gateway.config, emtu=3000))
+    gateway.swap_worker(worker)
+    process = worker.process
+
+    def process_without_df(packet, bound, now, ingress_at=None):
+        outputs = process(packet, bound, now=now, ingress_at=ingress_at)
+        if bound == Bound.OUTBOUND:
+            for out in outputs:
+                if out.is_tcp:
+                    out.ip.dont_fragment = False
+        return outputs
+
+    worker.process = process_without_df

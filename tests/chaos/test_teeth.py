@@ -11,7 +11,12 @@ from repro.chaos import Fault, FaultPlan, Match, run_scenario
 from repro.packet import IPProto
 
 from .conftest import failure_report
-from .mutations import break_caravan_split, break_merge, oversize_egress
+from .mutations import (
+    break_caravan_split,
+    break_merge,
+    mis_sized_split_without_df,
+    oversize_egress,
+)
 
 # One dropped data segment on the external ingress forces the merge
 # engine to see the retransmission out of order.
@@ -72,3 +77,13 @@ class TestOversizeEgress:
         assert "mtu" in kinds, failure_report(result)
         assert any(violation.startswith("mtu: ext_out:")
                    for violation in result.violations), failure_report(result)
+
+    def test_oracle_catches_tcp_fragments_of_a_mis_sized_split(self):
+        # The real router step: each oversize split is fragmented to the
+        # 1500 B wire, so no frame is above any link's MTU.
+        result = run_scenario("tcp", 7, plan=FaultPlan(), mutate=mis_sized_split_without_df)
+        assert not result.ok
+        assert any(violation.startswith("mtu: ext_out: TCP fragment")
+                   for violation in result.violations), failure_report(result)
+        assert not any("B packet" in violation for violation in result.violations), (
+            failure_report(result))

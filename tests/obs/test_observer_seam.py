@@ -19,6 +19,7 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
@@ -210,8 +211,8 @@ def test_every_call_follows_the_event_grammar_and_the_books_balance(steps):
 # ----------------------------------------------------------------------
 def test_finished_span_records_are_untracked_after_collection():
     worker = GatewayWorker(GatewayConfig(elephant_threshold_packets=4))
-    spans = SpanTracker()
-    worker.observers = (spans,)
+    spans, tracer = SpanTracker(), FlowTracer()
+    worker.observers = (spans, tracer)
     zoo, now = Zoo(), 0.0
     for step in TOUR * 3:
         now += 2e-4
@@ -228,29 +229,48 @@ def test_finished_span_records_are_untracked_after_collection():
     spans.derived((sid,), "merged", now, count=2, flow=key)
     gc.collect()
     gc.collect()
-    assert len(spans._done) > 100
-    assert not any(gc.is_tracked(record) for record in spans._done)
+    assert len(spans._done) > 100 and len(tracer._events) > 100
+    for ring in (spans._done, tracer._events):
+        assert all(type(record) is bytes for record in ring)
+        assert not any(gc.is_tracked(record) for record in ring)
+    assert {event["flow"] for event in tracer.events("classify")} <= {
+        str(span.flow) for span in spans.finished()}
     flows = {type(span.flow) for span in spans.finished()}
     assert flows == {FlowKey, type(None)}
     assert spans.finished("probe")[0].flow == key
     assert {span.flow for span in spans.finished("merged")[-2:]} == {key}
 
 
-def test_non_flowkey_flows_round_trip_and_the_ring_stays_bounded():
-    spans = SpanTracker(capacity=4)
+def test_non_flowkey_flows_raise_and_the_ring_stays_bounded():
+    spans, tracer = SpanTracker(capacity=4), FlowTracer(capacity=4)
+    worker = GatewayWorker(GatewayConfig())
+    packet, bound = Zoo().tcp_in(0, 1448)
     five = (6, 1, 2, 3, 4)  # shaped like a key, but not one
-    for flow in ("flowA", five, None, 17):
-        spans.sync(0.0, 0.5, "forward", flow=flow)
-    assert [span.flow for span in spans.finished()] == ["flowA", five, None, 17]
-    assert type(spans.finished()[1].flow) is tuple
-    a = spans.open(1.0, flow="flowB")
+    for flow in ("flowA", five, 17):
+        with pytest.raises(TypeError):
+            spans.sync(0.0, 0.5, "forward", flow=flow)
+        with pytest.raises(TypeError):
+            spans.open(1.0, flow=flow)
+        with pytest.raises(TypeError):
+            spans.derived((0,), "merged", 2.0, flow=flow)
+        for stage in ("forward", "merge"):
+            with pytest.raises(TypeError):
+                spans.on_packet(worker, 1.0, None, packet, 0, bound, flow, None, stage, ())
+        with pytest.raises(TypeError):
+            tracer.on_packet(worker, 1.0, None, packet, 0, bound, flow, None, "forward", ())
+    assert (spans.opened, len(spans.finished()), spans.open_count()) == (0, 0, 0)
+    assert (tracer.recorded, len(tracer)) == (0, 0)
+    # A FIFO is keyed by whatever the caller names a flow; only records pack it.
+    for _ in range(3):
+        spans.sync(0.0, 0.5, "forward", flow=None)
+    a = spans.open(1.0, flow=FlowKey(*five))
     spans.merge_enqueue("flowB", a, 10, 1.0)
-    spans.derived(spans.merge_consume("flowB", 10, 2.0), "merged", 2.0, flow="flowB")
+    spans.derived(spans.merge_consume("flowB", 10, 2.0), "merged", 2.0, flow=FlowKey(*five))
     assert [(s.kind, s.flow, s.outcome) for s in spans.finished()[-2:]] == [
-        ("packet", "flowB", "merged"), ("merged", "flowB", "egress")]
-    assert len(spans.finished()) == 4 and spans.shed == 2
-    assert spans.balanced and spans.closed == 6
-    assert '"flow":"flowB"' in spans.to_jsonl(limit=1)
+        ("packet", FlowKey(*five), "merged"), ("merged", FlowKey(*five), "egress")]
+    assert len(spans.finished()) == 4 and spans.shed == 1
+    assert spans.balanced and spans.closed == 5
+    assert f'"flow":"{FlowKey(*five)}"' in spans.to_jsonl(limit=1)
 
 
 # ----------------------------------------------------------------------
@@ -265,27 +285,27 @@ def test_positional_and_keyword_events_render_alike():
     packet, bound = zoo.tcp_in(0, 1448)
     key = packet.flow_key()
 
-    seamed.record(0.5, "stall", gateway="pxgw", until=0.75)
-    reference.record(0.5, "stall", gateway="pxgw", until=0.75)
+    for tracer in (seamed, reference):
+        tracer.on_event(None, 0.5, "stall", gateway="pxgw", until=0.75)
     worker.process(packet, bound, now=1.0)
-    reference.record(1.0, "ingress", worker=3, bound=bound, proto=6,
-                     bytes=packet.total_len, flow=key)
-    reference.record(1.0, "classify", worker=3, flow=key, elephant=True)
-    seamed.record(1.5, "pmtud-probe", dst="10.0.0.1", sizes=[1500, 9000])
-    reference.record(1.5, "pmtud-probe", dst="10.0.0.1", sizes=[1500, 9000])
+    reference.on_event(None, 1.0, "ingress", worker=3, bound=bound, proto=6,
+                       bytes=packet.total_len, flow=key)
+    reference.on_event(None, 1.0, "classify", worker=3, flow=key, elephant=True)
+    for tracer in (seamed, reference):
+        tracer.on_event(None, 1.5, "pmtud-probe", probe_id=1, dst=0x0A000001, size=9000)
     (merged,) = worker.end_batch(now=2.0)
-    reference.record(2.0, "flush", worker=3, packets=1)
-    reference.record(2.0, "egress", worker=3, bound=Bound.INBOUND,
-                     bytes=merged.total_len)
+    reference.on_event(None, 2.0, "flush", worker=3, packets=1)
+    reference.on_event(None, 2.0, "egress", worker=3, bound=Bound.INBOUND,
+                       bytes=merged.total_len)
     worker.set_mode(WorkerMode.BYPASS, now=3.0)
-    reference.record(3.0, "mode-transition", worker=3,
-                     from_mode="normal", to_mode="bypass")
+    reference.on_event(None, 3.0, "mode-transition", worker=3,
+                       from_mode="normal", to_mode="bypass")
 
+    assert seamed._events == reference._events  # the same records, byte for byte
     assert seamed.events() == reference.events()
     assert seamed.events()[1]["flow"] == str(key)
     assert seamed.events("ingress") == reference.events("ingress")
     assert seamed.kinds() == reference.kinds()
-    assert seamed.sequence() == reference.sequence()
     assert seamed.to_json() == reference.to_json()
     assert (seamed.recorded, len(seamed)) == (reference.recorded, 7)
 

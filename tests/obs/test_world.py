@@ -93,7 +93,7 @@ def test_same_seed_runs_are_byte_identical():
     second = run_observed_world(seed=11)
     assert (first.obs.registry.to_prometheus_text()
             == second.obs.registry.to_prometheus_text())
-    assert first.obs.tracer.sequence() == second.obs.tracer.sequence()
+    assert first.obs.tracer.events() == second.obs.tracer.events()
 
 
 def test_different_seeds_share_the_series_catalog(world):
