@@ -1,4 +1,6 @@
-# Developer conveniences. The library itself has no build step.
+# Developer conveniences. The library itself has no build step: every
+# target imports it from src/, so a plain checkout needs no install.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-paper perfbench docs examples lint audit
 

@@ -31,6 +31,7 @@ identical.  Everything else goes into the trace digest.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -110,15 +111,25 @@ def _interval_contains(intervals: List[List[int]], lo: int, hi: int) -> bool:
     return False
 
 
+_QUOTE = struct.Struct("!2xH5xB2xIIHHI")  # total length, protocol, src, dst, ports, seq
+
+
 class ChaosTap:
     """A link tap recording canonical events at one observation point."""
 
     def __init__(self, point: str):
         self.point = point
         self.events: List[Tuple[float, str, tuple]] = []
+        #: Frag-needed ICMPs received here, outside the digest: (sender,
+        #: then the quoted protocol, src, dst, total length, ports, seq).
+        self.frag_needed: List[tuple] = []
 
     def __call__(self, event: str, packet: Packet, now: float) -> None:
         self.events.append((round(now, 9), event, summarize_packet(packet)))
+        if event == "rx" and packet.is_icmp and packet.icmp.is_frag_needed:
+            quote = packet.icmp.payload
+            if len(quote) >= 28:  # the IPv4 header and 8 bytes, as routers quote
+                self.frag_needed.append((packet.ip.src, *_QUOTE.unpack_from(quote)))
 
     def packets(self, event: str = "rx") -> List[tuple]:
         """Summaries of packets that produced *event* at this point."""
@@ -310,6 +321,26 @@ class InvariantOracle:
                     "mss-clamp",
                     f"{tap.point}: TCP payload {payload_len} B exceeds "
                     f"negotiated MSS {max_tcp_payload} B",
+                )
+
+    def check_frag_needed(self, sent: ChaosTap, returned: ChaosTap, gateway) -> None:
+        """A PXGW sizes every TCP segment it makes to the next link, so a
+        frag-needed ICMP it sends back (seen at *returned*) may only
+        quote a TCP segment it forwarded as received (seen at *sent*,
+        e.g. in bypass).  One that quotes a segment of its own making —
+        a split sized above the eMTU, refused by the next hop because
+        it carries DF — is an ``mtu`` violation."""
+        own = {interface.ip for interface in gateway.interfaces}
+        received = {(summary[1], summary[2], summary[3], *summary[9:12])
+                    for summary in sent.packets("rx") if "tcp" in summary}
+        for sender, total_len, protocol, src, dst, sport, dport, seq in returned.frag_needed:
+            if (sender in own and protocol == IPProto.TCP
+                    and (src, dst, total_len, sport, dport, seq) not in received):
+                self.expect(
+                    False,
+                    "mtu",
+                    f"{returned.point}: {gateway.name} sent frag-needed for a "
+                    f"{total_len} B TCP segment of its own",
                 )
 
     # ------------------------------------------------------------------

@@ -290,6 +290,8 @@ def _check_common(world: ChaosWorld, oracle: InvariantOracle) -> None:
     oracle.check_segment_sizes(world.taps["int_out"], IMTU, _INSIDE_MSS)
     oracle.check_segment_sizes(world.taps["ext_in"], EMTU, _OUTSIDE_MSS)
     oracle.check_segment_sizes(world.taps["ext_out"], EMTU, _OUTSIDE_MSS)
+    oracle.check_frag_needed(world.taps["int_out"], world.taps["int_in"], world.gateway)
+    oracle.check_frag_needed(world.taps["ext_in"], world.taps["ext_out"], world.gateway)
     # The gateway may only ever emit TCP bytes it has already received,
     # in both crossing directions.
     oracle.check_tcp_seq_coverage(world.taps["ext_in"], world.taps["int_in"])

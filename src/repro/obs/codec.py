@@ -1,9 +1,10 @@
-"""The one record codec of the obs rings: a finished span or a trace
+"""The one record codec of the obs rings: a span ring entry or a trace
 event is one packed ``bytes`` record, which holds no live object and is
 never tracked by the garbage collector.  Labels (kinds, stages,
 outcomes, modes, states, reasons, gateway names) are 16-bit codes from a
-per-ring :class:`Labels` intern table; a flow is a presence tag, then a
-``FlowKey`` as ``<BIHIH`` (zeros when absent).
+per-ring :class:`Labels` intern table, and a span's (kind, stage,
+outcome) is one code from a :class:`Forms` table; a flow is a presence
+tag, then a ``FlowKey`` as ``<BIHIH`` (zeros when absent).
 
 The contract at the seam: a flow is a ``FlowKey`` or ``None``, a time is
 a number (read back as a ``float``), a label is a ``str`` or ``None``.
@@ -19,28 +20,41 @@ from typing import Dict, List, Optional, Tuple
 
 from ..packet.flow import FlowKey
 
-__all__ = ["Labels", "flow_fields", "SPAN_HEAD", "SHUT", "span_body", "Layout", "EVENTS"]
+__all__ = ["Labels", "Forms", "flow_fields", "ENTRY_HEAD", "SPAN", "entry", "Layout", "EVENTS"]
 
 
 class Labels(dict):
     """Label -> 16-bit code, interned on first lookup; ``names[code]``
     is the label back.  Code 0 is ``None``."""
 
-    def __init__(self, preset: Tuple[str, ...] = ()):
+    def __init__(self):
         super().__init__({None: 0})
-        self.names: List[Optional[str]] = [None]
-        for label in preset:
-            self[label]  # interns it
+        self.names: List = [None]
 
     def __missing__(self, label) -> int:
-        if type(label) is not str:
-            raise TypeError(f"a label is a str or None, not {type(label).__name__}")
+        self.check(label)
         code = len(self.names)
         if code > 0xFFFF:
             raise struct.error("the label table is full")
         self.names.append(label)
         self[label] = code
         return code
+
+    @staticmethod
+    def check(label) -> None:
+        if type(label) is not str:
+            raise TypeError(f"a label is a str or None, not {type(label).__name__}")
+
+
+class Forms(Labels):
+    """A span's form — ``(kind, stage, outcome, keyed)``, *keyed* whether
+    the span carries its entry's flow — interned like a label."""
+
+    @staticmethod
+    def check(form) -> None:
+        for label in form[:3]:
+            if label is not None:
+                Labels.check(label)
 
 
 #: The flow slot: a presence tag, then the key's five fields.
@@ -57,16 +71,17 @@ def flow_fields(flow) -> tuple:
     raise TypeError(f"a flow is a FlowKey or None, not {type(flow).__name__}")
 
 
-# A span record is SHUT (sid, closed_at, outcome), then a body (opened_at,
-# kind, stage, parent count, flow, parents) that an open span keeps packed.
-SHUT = struct.Struct("<qdH")
-SPAN_HEAD = struct.Struct("<qdHdHHH" + FLOW)  # a span record without parents
+# A span ring entry is everything one worker call settles, packed once: a
+# head (span count, close time, one flow), then per span its sid, open
+# time, form code and parent count, then every span's parents in order.
+ENTRY_HEAD = struct.Struct("<Hd" + FLOW)
+SPAN = struct.Struct("<qdHH")
 
 
-@functools.lru_cache(maxsize=64)
-def span_body(parents: int) -> struct.Struct:
-    """A span record less its ``SHUT``, with *parents* ids."""
-    return struct.Struct(f"<dHHH{FLOW}{parents}q")
+@functools.lru_cache(maxsize=256)
+def entry(spans: int, parents: int) -> struct.Struct:
+    """The layout of an entry of *spans* spans with *parents* parent ids."""
+    return struct.Struct(ENTRY_HEAD.format + SPAN.format[1:] * spans + f"{parents}q")
 
 
 # A trace event has one fixed layout per kind: ``<Bd`` (kind code, time),

@@ -41,8 +41,8 @@ class FlightRecorder:
 
     ``capacity`` bounds the *pushed* rings (marks and samples); the
     pulled sources are already bounded by their own rings (the span
-    tracker's ``_done`` ring, the flow tracer's deque, the timeline's
-    ``max_samples``).
+    tracker's ring of settlement entries, bounded by spans; the flow
+    tracer's deque; the timeline's ``max_samples``).
     """
 
     def __init__(self, name: str = "world", capacity: int = 4096) -> None:

@@ -41,25 +41,27 @@ mirrored onto fixed-bucket registry histograms at scrape time via
 :meth:`Histogram.load`, so exports stay byte-deterministic and the
 per-packet cost is one dict update.
 
-A finished span is one packed ``bytes`` record (:mod:`repro.obs.codec`),
-about 80 B without parents, that becomes a :class:`Span` only on read:
-sid, close time and outcome, then the body a span packs when it opens
-(open time, kind, stage, parent count, flow, parents).  A field the
-layout cannot carry raises where the span opens or closes.
+Everything one worker call settles is one packed ``bytes`` entry in the
+ring (:mod:`repro.obs.codec`): a merged or caravan output's closed
+parents and its child, a split's or caravan-open's ingress and its
+children, a one-in-one-out packet's single span.  A span waiting in a
+merge or caravan FIFO is only its FIFO entry until it settles; spans
+opened through :meth:`SpanTracker.open` (probes, health excursions,
+rejected reports) keep their fields in ``_open``.  The ring is bounded
+by spans, not entries: readers skip the surplus at its head.  A field
+the layout cannot carry raises where the span opens or closes.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from collections import Counter, defaultdict, deque
-from itertools import islice
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..core.caravan import caravan_inner_count, is_caravan
 from ..core.worker import WorkerObserver
 from ..packet.flow import FlowKey
-from .codec import SHUT, SPAN_HEAD, Labels, flow_fields, span_body
+from .codec import ENTRY_HEAD, SPAN, Forms, entry, flow_fields
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -146,29 +148,23 @@ class Span:
         return payload
 
 
-_KEYED_BODY = span_body(0)
-_CODE = struct.Struct("<H")
-_KIND_AT = SHUT.size + 8   # the kind code follows opened_at
-_STAGE_AT = _KIND_AT + 2
-
-#: Labels every tracker interns first, so the hot sites use constants.
-_PACKET, _EGRESS, _MERGED = 1, 2, 3
-_LABELS = ("packet", "egress", "merged")
+_ONE = entry(1, 0)  # an entry of one span without parents
 
 
 class SpanTracker(WorkerObserver):
     """Opens, closes, and reconciles packet lifecycle spans.
 
     Span ids are sequential, so two same-seed runs produce byte-identical
-    exports.  Finished spans land in a bounded ring (``capacity``); the
-    counters and latency maps are exact regardless of shedding.
+    exports.  Finished spans land in a ring that keeps the newest
+    ``capacity`` spans; the counters and latency maps are exact
+    regardless of shedding.
     """
 
     def __init__(self, capacity: int = 65536):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        #: Balance counters — ``opened == closed + dropped + len(open)``.
+        #: Balance counters — ``opened == closed + dropped + open_count()``.
         self.opened = 0
         self.closed = 0
         self.dropped = 0
@@ -176,15 +172,16 @@ class SpanTracker(WorkerObserver):
         #: chaos oracle requires this to stay zero.
         self.anomalies = 0
         self._next_sid = 0
-        # sid -> (opened_at, the record's body, packed at open)
-        self._open: Dict[int, Tuple[float, bytes]] = {}
-        self._done: Deque[bytes] = deque(maxlen=capacity)
-        self._labels = Labels(_LABELS)
-        # Per-flow FIFOs mirroring the merge engines' buffers.
-        # merge: flow -> deque of [sid, bytes_left, enqueued_at]
-        # caravan: flow -> deque of (sid, enqueued_at)
-        self._merge_fifo: Dict[object, Deque[list]] = defaultdict(deque)
-        self._caravan_fifo: Dict[object, Deque[tuple]] = defaultdict(deque)
+        # sid -> (flow, kind, stage, span fields and parents) of a span ``open`` opened
+        self._open: Dict[int, tuple] = {}
+        self._done: Deque[bytes] = deque()
+        self._held = 0  # spans in ``_done``, the surplus at its head included
+        self._forms = Forms()
+        # Per-flow FIFOs mirroring the merge engines' buffers; each entry
+        # is an open span: merge [sid, bytes_left, enqueued_at, opened_at],
+        # caravan (sid, opened_at).
+        self._merge_fifo: Dict[object, Deque[list]] = {}
+        self._caravan_fifo: Dict[object, Deque[tuple]] = {}
         self._fifo_bytes = 0
         self._fifo_datagrams = 0
         #: Exact latency observations per metric: value -> count.
@@ -209,24 +206,19 @@ class SpanTracker(WorkerObserver):
                 return
             stage = "passthrough"  # the engine handed it straight back
         elif stage == "split" or stage == "caravan-open":
-            sid = self.sync(at, now, stage, flow=key)
-            if stage == "split":
-                self.derived((sid,), "split-segment", now, len(outputs), key)
-            else:
-                self.derived((sid,), "datagram", now, len(outputs))
+            self._fan_out(at, now, stage, key, len(outputs))
             return
         elif stage == "malformed-caravan":
             self.sync_drop(at, now, "malformed-caravan", flow=key)
             return
+        if type(key) is not FlowKey:
+            self.sync(at, now, stage, flow=key)
+            return
         # One in, one out (mss, hairpin, forward, passthrough): ``sync`` inlined.
         sid = self._next_sid
-        if type(key) is FlowKey:
-            proto, src, sport, dst, dport = key  # unpacked: ``*key`` is slow
-            self._done.append(SPAN_HEAD.pack(sid, now, _EGRESS, at, _PACKET, self._labels[stage],
-                                             0, 1, proto, src, sport, dst, dport))
-        else:
-            self._done.append(SHUT.pack(sid, now, _EGRESS)
-                              + self._body(at, "packet", (), stage, key))
+        proto, src, sport, dst, dport = key  # unpacked: ``*key`` is slow
+        self._keep(_ONE.pack(1, now, 1, proto, src, sport, dst, dport,
+                             sid, at, self._forms["packet", stage, "egress", True], 0), 1)
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
@@ -242,7 +234,20 @@ class SpanTracker(WorkerObserver):
                 self._caravan_out(out, now)
 
     def on_retire(self, worker, now) -> None:
-        self.flush_fifos(now, outcome="failover")
+        """Close every FIFO-resident span, one entry per flow: on
+        failover the old worker's pending bytes are re-emitted from the
+        checkpoint through :meth:`PXGateway.forward`, bypassing the
+        worker, so their ingress spans settle here."""
+        form = self._forms["packet", None, "failover", True]
+        for fifos in (self._merge_fifo, self._caravan_fifo):
+            for flow, fifo in fifos.items():
+                values: list = []
+                for span in fifo:  # the open time is each FIFO entry's last field
+                    values += (span[0], span[-1], form, 0)
+                self._settle(now, flow, values)
+            fifos.clear()
+        self._fifo_bytes = 0
+        self._fifo_datagrams = 0
 
     def on_event(self, source, now, kind, **fields) -> None:
         if kind in ("untranslated", "gateway-passthrough", "no-route"):
@@ -274,37 +279,40 @@ class SpanTracker(WorkerObserver):
             elif fields["to_state"] == HealthState.HEALTHY and source in self._pending:
                 self.close(self._pending.pop(source), now, outcome="recovered")
 
+    # ------------------------------------------------------------------
+    # Settlement: what one worker call settles is one ring entry
+    # ------------------------------------------------------------------
     def _fed(self, packet, key, at, now, outputs, tcp: bool) -> None:
         """Mirror one merge-engine ``feed`` call onto that engine's FIFO.
 
         ``out is packet`` in the outputs ⟺ the packet passed through
-        unbuffered (non-mergeable, flag-bearing, or empty); otherwise it
-        entered the per-flow FIFO.  A single-datagram caravan flush
-        materializes as the *original* buffered packet object, so the
-        identity test is sound for both engines.  Enqueue before consume:
-        spliced outputs drain old bytes head-first by exact count, so a
-        flush-then-restart of the same flow stays balanced.
+        unbuffered (non-mergeable, flag-bearing, or empty); otherwise its
+        span opens as an entry of the per-flow FIFO.  A single-datagram
+        caravan flush materializes as the *original* buffered packet
+        object, so the identity test is sound for both engines.  Enqueue
+        before consume: spliced outputs drain old bytes head-first by
+        exact count, so a flush-then-restart of the same flow stays
+        balanced.
         """
         for out in outputs:
             if out is packet:
                 break
         else:
-            # ``open`` / ``merge_enqueue`` inlined: most segments end here.
-            if type(key) is FlowKey:
-                proto, src, sport, dst, dport = key
-                body = _KEYED_BODY.pack(at, _PACKET, 0, 0, 1, proto, src, sport, dst, dport)
-            else:
-                body = self._body(at, "packet", (), None, key)
+            fifos = self._merge_fifo if tcp else self._caravan_fifo
+            fifo = fifos.get(key)
+            if fifo is None:
+                ENTRY_HEAD.pack(0, 0.0, *flow_fields(key))  # raises for a flow no entry carries
+                fifo = fifos[key] = deque()
             sid = self._next_sid
             self._next_sid = sid + 1
             self.opened += 1
-            self._open[sid] = (at, body)
             if tcp:
                 nbytes = len(packet.payload)
-                self._merge_fifo[key].append([sid, nbytes, now])
+                fifo.append([sid, nbytes, now, at])
                 self._fifo_bytes += nbytes
             else:
-                self.caravan_enqueue(key, sid, now)
+                fifo.append((sid, at))
+                self._fifo_datagrams += 1
         settle = self._merged if tcp else self._caravan_out
         for out in outputs:
             if out is packet:
@@ -313,24 +321,123 @@ class SpanTracker(WorkerObserver):
                 settle(out, now)
 
     def _merged(self, out, now: float) -> None:
-        """Settle the FIFO spans whose bytes a merge-engine output carries."""
+        """Settle a merge-engine output from its flow's FIFO, head-first:
+        each span whose last bytes it carries closes (``merged``, with its
+        merge wait and residency); a ``merged`` child names every span it
+        carries bytes of, a partly consumed head included."""
         flow = out.flow_key()
-        self.derived(self.merge_consume(flow, len(out.payload), now),
-                     "merged", now, flow=flow)
+        nbytes = wanted = len(out.payload)
+        fifo = self._merge_fifo.get(flow)
+        values: list = []  # each closed span's fields, then the child's
+        parents: List[int] = []
+        form = self._forms["packet", None, "merged", True]
+        wait = self._latency[MERGE_WAIT_SECONDS]
+        res = self._latency[GATEWAY_RESIDENCY_SECONDS]
+        while nbytes > 0:
+            if not fifo:
+                self.anomalies += 1
+                break
+            head = fifo[0]
+            sid, left, enqueued_at, opened_at = head
+            parents.append(sid)
+            if left > nbytes:
+                head[1] = left - nbytes
+                nbytes = 0
+                break
+            nbytes -= left
+            fifo.popleft()
+            values += (sid, opened_at, form, 0)
+            delta = now - enqueued_at
+            wait[delta] = wait.get(delta, 0) + 1
+            delta = now - opened_at
+            res[delta] = res.get(delta, 0) + 1
+        self._fifo_bytes -= wanted - nbytes
+        if fifo is not None and not fifo:
+            del self._merge_fifo[flow]
+        self._settle(now, flow, values, ("merged", None, "egress", True), parents)
 
     def _caravan_out(self, out, now: float) -> None:
-        """Settle the FIFO spans a materialized caravan/flush carries."""
+        """Settle a materialized caravan (outcome ``bundled``, then a
+        ``caravan`` child) or a flushed datagram (``flushed``) from its
+        flow's FIFO."""
         bundled = is_caravan(out)
+        form = self._forms["packet", None, "bundled" if bundled else "flushed", True]
         flow = out.flow_key()
-        parents = self.caravan_consume(
-            flow, caravan_inner_count(out), now,
-            outcome="bundled" if bundled else "flushed",
-        )
+        fifo = self._caravan_fifo.get(flow)
+        values: list = []
+        parents: List[int] = []
+        res = self._latency[GATEWAY_RESIDENCY_SECONDS]
+        for _ in range(caravan_inner_count(out)):
+            if not fifo:
+                self.anomalies += 1
+                break
+            sid, opened_at = fifo.popleft()
+            parents.append(sid)
+            values += (sid, opened_at, form, 0)
+            delta = now - opened_at
+            res[delta] = res.get(delta, 0) + 1
+        self._fifo_datagrams -= len(parents)
+        if fifo is not None and not fifo:
+            del self._caravan_fifo[flow]
         first_at = out.meta.get("caravan_first_at")
         if first_at is not None:
             self.observe(CARAVAN_BATCH_WAIT_SECONDS, now - first_at)
-        if bundled:
-            self.derived(parents, "caravan", now, flow=flow)
+        self._settle(now, flow, values, ("caravan", None, "egress", True) if bundled else None,
+                     parents)
+
+    def _settle(self, now: float, flow, values: list, child: Optional[tuple] = None,
+                parents=()) -> None:
+        """Keep the spans a settlement closed (*values*, four fields
+        each) and, given its form, their *child*, born closed with
+        *parents*, as one entry."""
+        count = len(values) >> 2
+        if child is not None:
+            values += (self._next_sid, now, self._forms[child], len(parents))
+            values += parents
+            count += 1
+        if count:
+            self._keep(self._entry(now, flow, count, values), count)
+            self.closed += count
+            if child is not None:
+                self._next_sid += 1
+                self.opened += 1
+
+    def _fan_out(self, at: float, now: float, stage: str, key, count: int) -> None:
+        """Settle a split or a caravan-open as one entry: the ingress span
+        (its residency recorded) and *count* children born closed."""
+        sid = self._next_sid
+        first = sid + 1
+        split = stage == "split"  # a caravan-open's datagrams carry no flow
+        child = self._forms["split-segment" if split else "datagram", None, "egress", split]
+        values = [sid, at, self._forms["packet", stage, "egress", True], 0]
+        for kid in range(first, first + count):
+            values += (kid, now, child, 1)
+        values += [sid] * count
+        self._keep(self._entry(now, key, count + 1, values), count + 1)
+        self._next_sid = first + count
+        self.opened += count + 1
+        self.closed += count + 1
+        self.observe(GATEWAY_RESIDENCY_SECONDS, now - at)
+
+    def _entry(self, closed_at: float, flow, count: int, values: list) -> bytes:
+        """One entry: *count* spans closed at *closed_at*, their fields
+        then their parents in *values*; *flow* is every span's whose
+        form is keyed."""
+        tag, proto, src, sport, dst, dport = flow_fields(flow)  # two ``*`` in one call are slow
+        return entry(count, len(values) - 4 * count).pack(
+            count, closed_at, tag, proto, src, sport, dst, dport, *values)
+
+    def _keep(self, record: bytes, count: int) -> None:
+        """Append an entry of *count* spans; the oldest entry goes once
+        the spans after it fill the ring."""
+        done = self._done
+        done.append(record)
+        held = self._held + count
+        # An entry's first field is its span count, ``<H``.
+        while held - self.capacity >= (first := done[0][0] | done[0][1] << 8):
+            done.popleft()
+            held -= first
+        self._held = held
 
     # ------------------------------------------------------------------
     # Core open/close API
@@ -339,32 +446,36 @@ class SpanTracker(WorkerObserver):
              parents: Tuple[int, ...] = (), stage: Optional[str] = None,
              flow=None) -> int:
         """Open a span; returns its id for a later close/drop."""
-        body = self._body(opened_at, kind, parents, stage, flow)
         sid = self._next_sid
+        span = [sid, opened_at, 0, len(parents), *parents]  # its form code comes at close
+        Forms.check((kind, stage, None))
+        self._entry(opened_at, flow, 1, span)  # packed here only to raise where it opens
         self._next_sid = sid + 1
         self.opened += 1
-        self._open[sid] = (opened_at, body)
+        self._open[sid] = (flow, kind, stage, span)
         return sid
 
-    def _finish(self, sid: int, at: float, outcome: str) -> Optional[tuple]:
-        """Move an open span to the ring; returns what ``open`` stored,
-        or ``None`` (an anomaly) if *sid* is not open."""
-        entry = self._open.get(sid)
-        if entry is None:
+    def _finish(self, sid: int, at: float, outcome: str) -> bool:
+        """Move an open span to the ring; ``False`` (an anomaly) if *sid*
+        is not open."""
+        span = self._open.get(sid)
+        if span is None:
             self.anomalies += 1
-        else:
-            self._done.append(SHUT.pack(sid, at, self._labels[outcome]) + entry[1])
-            del self._open[sid]
-        return entry
+            return False
+        flow, kind, stage, values = span
+        values[2] = self._forms[kind, stage, outcome, True]
+        self._keep(self._entry(at, flow, 1, values), 1)
+        del self._open[sid]
+        return True
 
     def close(self, sid: int, closed_at: float, outcome: str = "egress") -> None:
         """Close an open span with a terminal outcome."""
-        if self._finish(sid, closed_at, outcome) is not None:
+        if self._finish(sid, closed_at, outcome):
             self.closed += 1
 
     def drop(self, sid: int, at: float, reason: str) -> None:
         """Close an open span as dropped (counts in ``dropped``)."""
-        if self._finish(sid, at, reason) is not None:
+        if self._finish(sid, at, reason):
             self.dropped += 1
 
     def sync(self, opened_at: float, closed_at: float, stage: str,
@@ -375,157 +486,23 @@ class SpanTracker(WorkerObserver):
         records its gateway residency.
         """
         sid = self._next_sid
-        self._done.append(SHUT.pack(sid, closed_at, _EGRESS)
-                          + self._body(opened_at, kind, (), stage, flow))
+        form = self._forms[kind, stage, "egress", True]
+        self._keep(self._entry(closed_at, flow, 1, [sid, opened_at, form, 0]), 1)
         self._next_sid = sid + 1
         self.opened += 1
         self.closed += 1
-        bucket = self._latency[GATEWAY_RESIDENCY_SECONDS]
-        delta = closed_at - opened_at
-        bucket[delta] = bucket.get(delta, 0) + 1
+        self.observe(GATEWAY_RESIDENCY_SECONDS, closed_at - opened_at)
         return sid
 
     def sync_drop(self, opened_at: float, at: float, reason: str, flow=None) -> int:
         """Fast path: a packet dropped in the same call it arrived in."""
         sid = self._next_sid
-        self._done.append(SHUT.pack(sid, at, self._labels[reason])
-                          + self._body(opened_at, "packet", (), "drop", flow))
+        form = self._forms["packet", "drop", reason, True]
+        self._keep(self._entry(at, flow, 1, [sid, opened_at, form, 0]), 1)
         self._next_sid = sid + 1
         self.opened += 1
         self.dropped += 1
         return sid
-
-    def derived(self, parents: Tuple[int, ...], kind: str, at: float,
-                count: int = 1, flow=None) -> None:
-        """Record *count* finished child spans produced at *at*.
-
-        Children are born closed: a merged segment / caravan / split
-        segment exists only at the instant the engine emits it, so the
-        interesting latency lives on the parents, not here.
-        """
-        body = self._body(at, kind, parents, None, flow)
-        first = self._next_sid
-        self._next_sid = first + count
-        self.opened += count
-        self.closed += count
-        # One body, a sid in front of it per child.
-        self._done.extend(SHUT.pack(sid, at, _EGRESS) + body
-                          for sid in range(first, first + count))
-
-    # ------------------------------------------------------------------
-    # Record codec
-    # ------------------------------------------------------------------
-    def _body(self, opened_at, kind, parents, stage, flow) -> bytes:
-        """What a span's record holds past its ``SHUT``; raises where the
-        layout cannot carry a field."""
-        labels = self._labels
-        tag, proto, src, sport, dst, dport = flow_fields(flow)  # two ``*`` in one call are slow
-        return span_body(len(parents)).pack(opened_at, labels[kind], labels[stage], len(parents),
-                                            tag, proto, src, sport, dst, dport, *parents)
-
-    def _span(self, record: bytes) -> Span:
-        """Materialise one finished-span record."""
-        sid, closed_at, outcome, opened_at, kind, stage, count, tag, *key = \
-            SPAN_HEAD.unpack_from(record)
-        parents = struct.unpack_from(f"<{count}q", record, SPAN_HEAD.size) if count else ()
-        names = self._labels.names
-        return Span(sid, names[kind], opened_at, closed_at, names[outcome],
-                    parents, names[stage], FlowKey(*key) if tag else None)
-
-    # ------------------------------------------------------------------
-    # Merge (byte) FIFO — mirrors TcpMergeEngine buffers
-    # ------------------------------------------------------------------
-    def merge_enqueue(self, flow, sid: int, nbytes: int, at: float) -> None:
-        """A span's payload entered the merge buffer for *flow*."""
-        self._merge_fifo[flow].append([sid, nbytes, at])
-        self._fifo_bytes += nbytes
-
-    def merge_consume(self, flow, nbytes: int, at: float) -> Tuple[int, ...]:
-        """A spliced segment of *nbytes* left the buffer for *flow*.
-
-        Consumes head-first (the engines ship bytes FIFO per flow) and
-        returns the parent span ids whose bytes the segment carries.
-        Fully drained parents close with outcome ``merged`` and record
-        both their merge wait and their gateway residency.
-        """
-        fifo = self._merge_fifo.get(flow)
-        parents: List[int] = []
-        wait = self._latency[MERGE_WAIT_SECONDS]
-        res = self._latency[GATEWAY_RESIDENCY_SECONDS]
-        while nbytes > 0:
-            if not fifo:
-                self.anomalies += 1
-                break
-            head = fifo[0]
-            take = head[1] if head[1] <= nbytes else nbytes
-            head[1] -= take
-            nbytes -= take
-            self._fifo_bytes -= take
-            parents.append(head[0])
-            if head[1] == 0:
-                fifo.popleft()
-                entry = self._open.pop(head[0], None)
-                if entry is None:
-                    self.anomalies += 1
-                else:
-                    self.closed += 1
-                    self._done.append(SHUT.pack(head[0], at, _MERGED) + entry[1])
-                    delta = at - head[2]
-                    wait[delta] = wait.get(delta, 0) + 1
-                    delta = at - entry[0]
-                    res[delta] = res.get(delta, 0) + 1
-        if fifo is not None and not fifo:
-            del self._merge_fifo[flow]
-        return tuple(parents)
-
-    # ------------------------------------------------------------------
-    # Caravan (datagram) FIFO — mirrors CaravanMergeEngine contexts
-    # ------------------------------------------------------------------
-    def caravan_enqueue(self, flow, sid: int, at: float) -> None:
-        """A datagram's span entered the caravan context for *flow*."""
-        self._caravan_fifo[flow].append((sid, at))
-        self._fifo_datagrams += 1
-
-    def caravan_consume(self, flow, count: int, at: float,
-                        outcome: str = "bundled") -> Tuple[int, ...]:
-        """*count* buffered datagrams left the context for *flow*."""
-        fifo = self._caravan_fifo.get(flow)
-        parents: List[int] = []
-        for _ in range(count):
-            if not fifo:
-                self.anomalies += 1
-                break
-            sid, _enqueued_at = fifo.popleft()
-            self._fifo_datagrams -= 1
-            parents.append(sid)
-            entry = self._finish(sid, at, outcome)
-            if entry is not None:
-                self.closed += 1
-                res = self._latency[GATEWAY_RESIDENCY_SECONDS]
-                delta = at - entry[0]
-                res[delta] = res.get(delta, 0) + 1
-        if fifo is not None and not fifo:
-            del self._caravan_fifo[flow]
-        return tuple(parents)
-
-    def flush_fifos(self, at: float, outcome: str = "failover") -> int:
-        """Close every FIFO-resident span (worker retired mid-merge).
-
-        On failover the old worker's pending bytes are re-emitted from
-        the checkpoint through :meth:`PXGateway.forward`, bypassing the
-        worker — so their ingress spans must be settled here.  Returns
-        the number of spans closed.
-        """
-        resident = [entry[0]
-                    for fifos in (self._merge_fifo, self._caravan_fifo)
-                    for fifo in fifos.values() for entry in fifo]
-        for sid in resident:
-            self.close(sid, at, outcome)
-        self._merge_fifo.clear()
-        self._caravan_fifo.clear()
-        self._fifo_bytes = 0
-        self._fifo_datagrams = 0
-        return len(resident)
 
     # ------------------------------------------------------------------
     # Latency observations
@@ -562,7 +539,8 @@ class SpanTracker(WorkerObserver):
     # ------------------------------------------------------------------
     def open_count(self) -> int:
         """Spans currently open (in flight or buffered in an engine)."""
-        return len(self._open)
+        return (len(self._open) + self._fifo_datagrams
+                + sum(len(fifo) for fifo in self._merge_fifo.values()))
 
     def pending_merge_bytes(self) -> int:
         """Bytes the FIFOs believe the TCP merge engine is holding."""
@@ -575,7 +553,7 @@ class SpanTracker(WorkerObserver):
     @property
     def shed(self) -> int:
         """Finished spans evicted from the bounded ring."""
-        return self.closed + self.dropped - len(self._done)
+        return self.closed + self.dropped - min(self._held, self.capacity)
 
     def balance(self) -> dict:
         """The conservation-law view the chaos oracle asserts."""
@@ -583,38 +561,64 @@ class SpanTracker(WorkerObserver):
             "opened": self.opened,
             "closed": self.closed,
             "dropped": self.dropped,
-            "open": len(self._open),
+            "open": self.open_count(),
         }
 
     @property
     def balanced(self) -> bool:
         """Whether the span-balance identity holds right now."""
-        return self.opened == self.closed + self.dropped + len(self._open)
+        return self.opened == self.closed + self.dropped + self.open_count()
+
+    def _spans(self, skip: int = 0) -> Iterator[Span]:
+        """The retained finished spans, oldest first, past the first
+        *skip* of them: every span of every entry, less the surplus at
+        the ring's head."""
+        forms = self._forms.names
+        skip += max(self._held - self.capacity, 0)
+        for record in self._done:
+            count = record[0] | record[1] << 8  # an entry's first field, ``<H``
+            if skip >= count:
+                skip -= count
+                continue
+            values = entry(count, (len(record) - ENTRY_HEAD.size - SPAN.size * count) >> 3
+                           ).unpack(record)
+            closed_at = values[1]
+            flow = FlowKey(*values[3:8]) if values[2] else None
+            at = 8 + 4 * count  # where this entry's parents start
+            for field in range(8, at, 4):
+                sid, opened_at, form, parents = values[field:field + 4]
+                if skip > 0:
+                    skip -= 1
+                else:
+                    kind, stage, outcome, keyed = forms[form]
+                    yield Span(sid, kind, opened_at, closed_at, outcome,
+                               values[at:at + parents], stage, flow if keyed else None)
+                at += parents
+
+    def _forms_held(self) -> Iterator[tuple]:
+        """The form of every retained span, read in place."""
+        forms = self._forms.names
+        skip = max(self._held - self.capacity, 0)  # less than the oldest entry's count
+        for record in self._done:
+            count = record[0] | record[1] << 8
+            for at in range(ENTRY_HEAD.size + SPAN.size * skip + 16,  # sid and opened_at first
+                            ENTRY_HEAD.size + SPAN.size * count, SPAN.size):
+                yield forms[record[at] | record[at + 1] << 8]
+            skip = 0
 
     def finished(self, kind: Optional[str] = None) -> List[Span]:
         """Retained finished spans, optionally filtered by kind."""
-        if kind is None:
-            return [self._span(record) for record in self._done]
-        code = self._labels.get(kind)
-        code = None if code is None else _CODE.pack(code)
-        return [self._span(record) for record in self._done
-                if record[_KIND_AT:_KIND_AT + 2] == code]
+        return [span for span in self._spans() if kind is None or span.kind == kind]
 
     def kinds(self) -> Dict[str, int]:
         """Retained finished-span counts per kind, sorted by name."""
-        return dict(sorted(self._count(_KIND_AT).items()))
+        return dict(sorted(Counter(form[0] for form in self._forms_held()).items()))
 
     def stages(self) -> Dict[str, int]:
         """Retained finished-span counts per stage label."""
-        stages = self._count(_STAGE_AT)
+        stages = Counter(form[1] for form in self._forms_held())
         stages.pop(None, None)  # children carry no stage
         return dict(sorted(stages.items()))
-
-    def _count(self, at: int) -> Dict[Optional[str], int]:
-        """Retained spans per label, the label's code read at *at*."""
-        names = self._labels.names
-        return {names[_CODE.unpack(code)[0]]: count for code, count
-                in Counter(record[at:at + 2] for record in self._done).items()}
 
     def _dicts(self, limit: Optional[int]) -> List[dict]:
         """``to_dict`` of the retained spans, or of the newest *limit*
@@ -623,9 +627,8 @@ class SpanTracker(WorkerObserver):
         if limit is not None:
             if limit < 0:
                 raise ValueError("limit must be non-negative")
-            start = max(len(self._done) - limit, 0)
-        return [self._span(record).to_dict()
-                for record in islice(self._done, start, None)]
+            start = max(min(self._held, self.capacity) - limit, 0)
+        return [span.to_dict() for span in self._spans(start)]
 
     def to_json(self, limit: Optional[int] = None, indent: Optional[int] = None) -> str:
         """Byte-deterministic JSON export (balance, latency, spans)."""

@@ -85,20 +85,30 @@ def oversize_egress(world):
     gateway.forward = unchecked_forward
 
 
-def mis_sized_split_without_df(world):
+def mis_sized_split(world):
     """Deploy the worker of :func:`oversize_egress` (sized for a 3000 B
-    eMTU on the 1500 B wire) with outbound TCP segments that leave
-    with DF clear, and plant nothing else.
+    eMTU on the 1500 B wire) and plant nothing else.
+
+    Its splits carry DF, as every segment of this TCP stack does, so
+    ``Router.forward`` refuses each with a frag-needed ICMP back to the
+    inside host, whose PMTUD then sizes its segments to 1500 B: every
+    frame on the wire fits its link and every stream arrives whole, and
+    only the ICMP on the internal link shows the bug.
+    """
+    gateway = world.gateway
+    gateway.swap_worker(GatewayWorker(replace(gateway.config, emtu=3000)))
+
+
+def mis_sized_split_without_df(world):
+    """Deploy the worker of :func:`mis_sized_split` with outbound TCP
+    segments that leave with DF clear, and plant nothing else.
 
     ``Router.forward`` then fragments each oversize split instead of
     refusing it, so every frame on the wire fits its link: only the
-    TCP fragments on the external link show the bug.  (With DF set, as
-    every segment of this TCP stack has, the router refuses the split
-    with a frag-needed ICMP and the inside host's PMTUD absorbs it.)
+    TCP fragments on the external link show the bug.
     """
-    gateway = world.gateway
-    worker = GatewayWorker(replace(gateway.config, emtu=3000))
-    gateway.swap_worker(worker)
+    mis_sized_split(world)
+    worker = world.gateway.worker
     process = worker.process
 
     def process_without_df(packet, bound, now, ingress_at=None):

@@ -14,6 +14,7 @@ from .conftest import failure_report
 from .mutations import (
     break_caravan_split,
     break_merge,
+    mis_sized_split,
     mis_sized_split_without_df,
     oversize_egress,
 )
@@ -87,3 +88,11 @@ class TestOversizeEgress:
                    for violation in result.violations), failure_report(result)
         assert not any("B packet" in violation for violation in result.violations), (
             failure_report(result))
+
+    def test_oracle_catches_frag_needed_for_a_mis_sized_split(self):
+        # DF set: the router refuses each oversize split and the inside
+        # host's PMTUD absorbs it, so only the gateway's own ICMP shows it.
+        result = run_scenario("tcp", 7, plan=FaultPlan(), mutate=mis_sized_split)
+        assert not result.ok
+        assert all(violation.startswith("mtu: int_in: pxgw sent frag-needed for a ")
+                   for violation in result.violations), failure_report(result)

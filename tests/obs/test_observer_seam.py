@@ -226,10 +226,9 @@ def test_finished_span_records_are_untracked_after_collection():
     sid = spans.open(now, kind="probe", flow=key)
     spans.close(sid, now + 1.0, outcome="report")
     spans.sync_drop(now, now, "no-route", flow=key)
-    spans.derived((sid,), "merged", now, count=2, flow=key)
     gc.collect()
     gc.collect()
-    assert len(spans._done) > 100 and len(tracer._events) > 100
+    assert len(spans.finished()) > 100 and len(tracer._events) > 100
     for ring in (spans._done, tracer._events):
         assert all(type(record) is bytes for record in ring)
         assert not any(gc.is_tracked(record) for record in ring)
@@ -238,7 +237,7 @@ def test_finished_span_records_are_untracked_after_collection():
     flows = {type(span.flow) for span in spans.finished()}
     assert flows == {FlowKey, type(None)}
     assert spans.finished("probe")[0].flow == key
-    assert {span.flow for span in spans.finished("merged")[-2:]} == {key}
+    assert {type(span.flow) for span in spans.finished("merged")} == {FlowKey}
 
 
 def test_non_flowkey_flows_raise_and_the_ring_stays_bounded():
@@ -251,26 +250,24 @@ def test_non_flowkey_flows_raise_and_the_ring_stays_bounded():
             spans.sync(0.0, 0.5, "forward", flow=flow)
         with pytest.raises(TypeError):
             spans.open(1.0, flow=flow)
-        with pytest.raises(TypeError):
-            spans.derived((0,), "merged", 2.0, flow=flow)
-        for stage in ("forward", "merge"):
+        for stage in ("forward", "merge", "split"):
             with pytest.raises(TypeError):
                 spans.on_packet(worker, 1.0, None, packet, 0, bound, flow, None, stage, ())
         with pytest.raises(TypeError):
             tracer.on_packet(worker, 1.0, None, packet, 0, bound, flow, None, "forward", ())
     assert (spans.opened, len(spans.finished()), spans.open_count()) == (0, 0, 0)
     assert (tracer.recorded, len(tracer)) == (0, 0)
-    # A FIFO is keyed by whatever the caller names a flow; only records pack it.
+    # A merged output settles its parent and itself as one two-span entry.
     for _ in range(3):
         spans.sync(0.0, 0.5, "forward", flow=None)
-    a = spans.open(1.0, flow=FlowKey(*five))
-    spans.merge_enqueue("flowB", a, 10, 1.0)
-    spans.derived(spans.merge_consume("flowB", 10, 2.0), "merged", 2.0, flow=FlowKey(*five))
+    key = packet.flow_key()
+    spans.on_packet(worker, 1.0, None, packet, 0, bound, key, None, "merge", ())
+    spans.on_flush(worker, 2.0, [packet], False)
     assert [(s.kind, s.flow, s.outcome) for s in spans.finished()[-2:]] == [
-        ("packet", FlowKey(*five), "merged"), ("merged", FlowKey(*five), "egress")]
+        ("packet", key, "merged"), ("merged", key, "egress")]
     assert len(spans.finished()) == 4 and spans.shed == 1
     assert spans.balanced and spans.closed == 5
-    assert f'"flow":"{FlowKey(*five)}"' in spans.to_jsonl(limit=1)
+    assert f'"flow":"{key}"' in spans.to_jsonl(limit=1)
 
 
 # ----------------------------------------------------------------------

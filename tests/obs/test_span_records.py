@@ -1,29 +1,37 @@
-"""``SpanTracker``'s packed span records against a tuple ring.
+"""``SpanTracker``'s packed ring entries against a tuple ring.
 
-The tracker stores a finished span as one packed ``bytes`` record
-(``repro.obs.codec``).  The model below is the ring it replaced: every
-finished span a flat tuple of its fields, ``(sid, kind, opened_at,
-closed_at, outcome, parents, stage, *flow)`` with a ``FlowKey`` as its
-five integers, built by the same open/close/FIFO arithmetic.  A
-Hypothesis machine drives both with the same calls, drawn from the
-seam's contract — flows that are a ``FlowKey`` (any in-range key) or
-``None``, float times, ``str`` labels neither has seen, up to 40
-parents, a ring of 1 to 8 — and after every step the tracker must read
+The tracker packs what one worker call settles as one ``bytes`` entry
+(``repro.obs.codec``) in a ring bounded by spans.  The model below is the
+ring it replaced: every finished span a flat tuple of its fields,
+``(sid, kind, opened_at, closed_at, outcome, parents, stage, *flow)``
+with a ``FlowKey`` as its five integers, in a ``deque(maxlen=capacity)``,
+built by the parent's open/close/FIFO arithmetic.  A Hypothesis machine
+drives both with the same calls, drawn from the seam's contract — the
+public open/close API, and ``on_packet`` / ``on_flush`` / ``on_retire``
+with stub packets (merged outputs settling whole and partly consumed
+FIFO heads, timer flushes, splits, caravan builds and opens,
+passthrough, failover) — with flows that are a ``FlowKey`` (any in-range
+key) or ``None``, float times, ``str`` labels neither has seen, up to 40
+parents, fan-outs of up to 12 and a ring of 1 to 8, so one entry can
+hold more spans than the ring.  After every step the tracker must read
 back exactly what the model holds: ``finished()`` (values and types),
-``kinds()``, ``stages()``, ``shed``, ``balance()``, the latency maps,
-``to_json()`` and ``to_jsonl(limit)``, and every record must be
-``bytes``.  Inputs outside the contract raise (the last tests).
+``kinds()``, ``stages()``, ``shed``, ``balance()``, the FIFO totals, the
+latency maps, ``to_json()`` and ``to_jsonl(limit)``; every entry must be
+``bytes`` whose first field counts its spans.  Inputs outside the
+contract raise (the last tests).
 """
 
 import json
 import struct
 from collections import Counter, defaultdict, deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.core.caravan import PX_CARAVAN_TOS
 from repro.obs.spans import (
     CARAVAN_BATCH_WAIT_SECONDS,
     GATEWAY_RESIDENCY_SECONDS,
@@ -49,12 +57,13 @@ def _span(record: tuple) -> Span:
 
 
 class TupleRing:
-    """The tracker's API over a ring of flat tuples (no worker hooks)."""
+    """The tracker's API and worker hooks over a ring of flat tuples."""
 
     def __init__(self, capacity):
         self.opened = self.closed = self.dropped = self.anomalies = 0
         self._next_sid = 0
         self._open = {}
+        self._resident = set()  # sids waiting in a FIFO: only the seam settles them
         self._done = deque(maxlen=capacity)
         self._merge_fifo = defaultdict(deque)
         self._caravan_fifo = defaultdict(deque)
@@ -72,7 +81,7 @@ class TupleRing:
         return sid
 
     def _finish(self, sid, at, outcome):
-        entry = self._open.pop(sid, None)
+        entry = None if sid in self._resident else self._open.pop(sid, None)
         if entry is None:
             self.anomalies += 1
         else:
@@ -116,6 +125,7 @@ class TupleRing:
                               + _flow_atoms(flow))
 
     def merge_enqueue(self, flow, sid, nbytes, at):
+        self._resident.add(sid)
         self._merge_fifo[flow].append([sid, nbytes, at])
 
     def merge_consume(self, flow, nbytes, at):
@@ -132,6 +142,7 @@ class TupleRing:
             parents.append(head[0])
             if head[1] == 0:
                 fifo.popleft()
+                self._resident.discard(head[0])
                 entry = self._open.pop(head[0], None)
                 if entry is None:
                     self.anomalies += 1
@@ -146,6 +157,7 @@ class TupleRing:
         return tuple(parents)
 
     def caravan_enqueue(self, flow, sid, at):
+        self._resident.add(sid)
         self._caravan_fifo[flow].append((sid, at))
 
     def caravan_consume(self, flow, count, at, outcome="bundled"):
@@ -156,6 +168,7 @@ class TupleRing:
                 self.anomalies += 1
                 break
             sid, _enqueued_at = fifo.popleft()
+            self._resident.discard(sid)
             parents.append(sid)
             entry = self._finish(sid, at, outcome)
             if entry is not None:
@@ -168,13 +181,66 @@ class TupleRing:
     def flush_fifos(self, at, outcome="failover"):
         resident = [entry[0] for fifos in (self._merge_fifo, self._caravan_fifo)
                     for fifo in fifos.values() for entry in fifo]
+        self._resident.clear()
         for sid in resident:
             self.close(sid, at, outcome)
         self._merge_fifo.clear()
         self._caravan_fifo.clear()
         return len(resident)
 
+    # -- the seam, in the terms above -------------------------------------
+    def on_packet(self, worker, now, ingress_at, packet, size, bound, key, state,
+                  stage, outputs):
+        at = now if ingress_at is None else ingress_at
+        if stage in ("merge", "caravan"):
+            if not any(out is packet for out in outputs):
+                sid = self.open(at, flow=key)
+                if stage == "merge":
+                    self.merge_enqueue(key, sid, len(packet.payload), now)
+                else:
+                    self.caravan_enqueue(key, sid, now)
+            for out in outputs:
+                if out is packet:
+                    self.sync(at, now, "passthrough", flow=key)
+                else:
+                    self._settle(out, now)
+        elif stage in ("split", "caravan-open"):
+            sid = self.sync(at, now, stage, flow=key)
+            if stage == "split":
+                self.derived((sid,), "split-segment", now, len(outputs), key)
+            else:
+                self.derived((sid,), "datagram", now, len(outputs))
+        elif stage == "malformed-caravan":
+            self.sync_drop(at, now, stage, flow=key)
+        else:
+            self.sync(at, now, stage, flow=key)
+
+    def on_flush(self, worker, now, flushed, batch):
+        for out in flushed:
+            self._settle(out, now)
+
+    def on_retire(self, worker, now):
+        self.flush_fifos(now, "failover")
+
+    def _settle(self, out, now):
+        flow = out.flow_key()
+        if out.is_tcp:
+            self.derived(self.merge_consume(flow, len(out.payload), now), "merged", now,
+                         flow=flow)
+            return
+        bundled = out.ip.tos == PX_CARAVAN_TOS
+        parents = self.caravan_consume(flow, out.meta["caravan_inner"] if bundled else 1,
+                                       now, "bundled" if bundled else "flushed")
+        if "caravan_first_at" in out.meta:
+            self._observe(CARAVAN_BATCH_WAIT_SECONDS, now - out.meta["caravan_first_at"])
+        if bundled:
+            self.derived(parents, "caravan", now, flow=flow)
+
     # -- reads ---------------------------------------------------------
+    def pending(self):
+        return (sum(entry[1] for fifo in self._merge_fifo.values() for entry in fifo),
+                sum(len(fifo) for fifo in self._caravan_fifo.values()))
+
     @property
     def shed(self):
         return self.closed + self.dropped - len(self._done)
@@ -249,6 +315,39 @@ PARENTS = st.one_of(
 ).map(tuple)
 
 
+# The flows a FIFO is fed and drained under: few, so they meet.
+FIFO_FLOWS = st.one_of(st.sampled_from([FlowKey(6, 1, 2, 3, 4), FlowKey(17, 5, 6, 7, 8),
+                                        None]), FLOWS)
+INGRESS = st.one_of(st.none(), TIMES)
+
+
+class _Packet:
+    """What the tracker reads of a packet: payload length, flow, protocol
+    and, for a caravan, its inner count and first enqueue time."""
+
+    def __init__(self, nbytes=0, flow=None, udp=False, inner=None, first_at=None):
+        self.payload = bytes(nbytes)
+        self._flow = flow
+        self.is_tcp, self.is_udp = not udp, udp
+        self.ip = SimpleNamespace(tos=PX_CARAVAN_TOS if inner is not None else 0)
+        self.meta = {}
+        if inner is not None:
+            self.meta["caravan_inner"] = inner
+        if first_at is not None:
+            self.meta["caravan_first_at"] = first_at
+
+    def flow_key(self):
+        return self._flow
+
+
+_PACKET = _Packet(0)  # a passed-through output is the ingress packet itself
+# A merge-engine output: a spliced segment of its flow's bytes.
+MERGED = st.builds(_Packet, st.integers(0, 6000), FIFO_FLOWS)
+# A caravan-engine output: a caravan of 0-6 datagrams or one flushed datagram.
+CARAVANS = st.builds(_Packet, st.just(0), FIFO_FLOWS, st.just(True),
+                     st.one_of(st.none(), st.integers(0, 6)), st.one_of(st.none(), TIMES))
+
+
 class RecordMachine(RuleBasedStateMachine):
     sids = Bundle("sids")
 
@@ -279,30 +378,6 @@ class RecordMachine(RuleBasedStateMachine):
     def sync_drop(self, opened, at, reason, flow):
         return self._both("sync_drop", opened, at, reason, flow=flow)
 
-    @rule(parents=PARENTS, kind=LABELS,
-          at=TIMES, count=st.integers(0, 4), flow=FLOWS)
-    def derived(self, parents, kind, at, count, flow):
-        self._both("derived", parents, kind, at, count=count, flow=flow)
-
-    # -- worker hooks: the one-in-one-out tail and a buffered feed ------
-    @rule(ingress_at=st.one_of(st.none(), TIMES), now=TIMES,
-          stage=st.sampled_from(["forward", "hairpin", "mss", "passthrough"]),
-          key=FLOWS)
-    def forward(self, ingress_at, now, stage, key):
-        at = now if ingress_at is None else ingress_at
-        self.tracker.on_packet(None, now, ingress_at, _Packet(0), 0, None, key,
-                               None, stage, (_PACKET,))
-        self.model.sync(at, now, stage, flow=key)
-
-    @rule(ingress_at=st.one_of(st.none(), TIMES), now=TIMES, key=FLOWS,
-          nbytes=st.integers(0, 3000))
-    def feed(self, ingress_at, now, key, nbytes):
-        at = now if ingress_at is None else ingress_at
-        self.tracker.on_packet(None, now, ingress_at, _Packet(nbytes), 0, None, key,
-                               None, "merge", ())
-        sid = self.model.open(at, flow=key)
-        self.model.merge_enqueue(key, sid, nbytes, now)
-
     # -- closes ----------------------------------------------------------
     @rule(sid=st.one_of(sids, st.integers(-1, 60)), at=TIMES, outcome=LABELS)
     def close(self, sid, at, outcome):
@@ -312,32 +387,55 @@ class RecordMachine(RuleBasedStateMachine):
     def drop(self, sid, at, reason):
         self._both("drop", sid, at, reason)
 
-    # -- FIFOs -------------------------------------------------------------
-    @rule(flow=FLOWS, sid=sids, nbytes=st.integers(0, 3000), at=TIMES)
-    def merge_enqueue(self, flow, sid, nbytes, at):
-        self._both("merge_enqueue", flow, sid, nbytes, at)
+    # -- the worker seam ---------------------------------------------------
+    def _packet(self, now, ingress_at, packet, key, stage, outputs):
+        for side in (self.tracker, self.model):
+            side.on_packet(None, now, ingress_at, packet, 0, None, key, None, stage,
+                           tuple(outputs))
 
-    @rule(flow=FLOWS, nbytes=st.integers(0, 9000), at=TIMES)
-    def merge_consume(self, flow, nbytes, at):
-        self._both("merge_consume", flow, nbytes, at)
+    @rule(ingress_at=INGRESS, now=TIMES, key=FLOWS,
+          stage=st.sampled_from(["forward", "hairpin", "mss", "passthrough",
+                                 "malformed-caravan"]))
+    def forward(self, ingress_at, now, stage, key):
+        self._packet(now, ingress_at, _PACKET, key, stage, (_PACKET,))
 
-    @rule(flow=FLOWS, sid=sids, at=TIMES)
-    def caravan_enqueue(self, flow, sid, at):
-        self._both("caravan_enqueue", flow, sid, at)
+    @rule(ingress_at=INGRESS, now=TIMES, key=FIFO_FLOWS, nbytes=st.integers(0, 3000),
+          spliced=st.lists(MERGED, max_size=3), through=st.booleans())
+    def merge(self, ingress_at, now, key, nbytes, spliced, through):
+        # Buffered (and maybe splicing older bytes out), or handed back.
+        packet = _Packet(nbytes, key)
+        self._packet(now, ingress_at, packet, key, "merge", spliced + [packet] * through)
 
-    @rule(flow=FLOWS, count=st.integers(0, 5), at=TIMES, outcome=LABELS)
-    def caravan_consume(self, flow, count, at, outcome):
-        self._both("caravan_consume", flow, count, at, outcome=outcome)
+    @rule(ingress_at=INGRESS, now=TIMES, key=FIFO_FLOWS,
+          built=st.lists(CARAVANS, max_size=2), through=st.booleans())
+    def caravan(self, ingress_at, now, key, built, through):
+        packet = _Packet(0, key, udp=True)
+        self._packet(now, ingress_at, packet, key, "caravan", built + [packet] * through)
 
-    @rule(at=TIMES, outcome=LABELS)
-    def flush_fifos(self, at, outcome):
-        self._both("flush_fifos", at, outcome=outcome)
+    @rule(ingress_at=INGRESS, now=TIMES, key=FLOWS,
+          stage=st.sampled_from(["split", "caravan-open"]), count=st.integers(0, 12))
+    def fan_out(self, ingress_at, now, key, stage, count):
+        self._packet(now, ingress_at, _PACKET, key, stage, [_Packet()] * count)
+
+    @rule(now=TIMES, flushed=st.lists(st.one_of(MERGED, CARAVANS), max_size=4),
+          batch=st.booleans())
+    def flush(self, now, flushed, batch):
+        for side in (self.tracker, self.model):
+            side.on_flush(None, now, flushed, batch)
+
+    @rule(now=TIMES)
+    def retire(self, now):
+        for side in (self.tracker, self.model):
+            side.on_retire(None, now)
 
     # -- reads ---------------------------------------------------------
     @invariant()
     def reads_back_the_model(self):
         tracker, model = self.tracker, self.model
         assert all(type(record) is bytes for record in tracker._done)
+        counts = [int.from_bytes(record[:2], "little") for record in tracker._done]
+        assert sum(counts) == tracker._held
+        assert not counts or tracker._held - counts[0] < tracker.capacity
         assert _fields(tracker.finished()) == _fields(model.finished())
         for kind in {record[1] for record in model._done} | {"merged", "nobody"}:
             assert _fields(tracker.finished(kind)) == _fields(model.finished(kind))
@@ -346,22 +444,14 @@ class RecordMachine(RuleBasedStateMachine):
         assert tracker.shed == model.shed
         assert tracker.balance() == model.balance()
         assert tracker.anomalies == model.anomalies
+        assert (tracker.pending_merge_bytes(),
+                tracker.pending_caravan_datagrams()) == model.pending()
         for metric in (GATEWAY_RESIDENCY_SECONDS, MERGE_WAIT_SECONDS,
                        CARAVAN_BATCH_WAIT_SECONDS, PROBE_RTT_SECONDS):
             assert repr(tracker.latency_values(metric)) == repr(model._latency[metric])
         assert tracker.to_json() == model.to_json()
         for limit in (None, 0, 1, 3, 9):
             assert tracker.to_jsonl(limit) == model.to_jsonl(limit)
-
-
-class _Packet:
-    """What the tracker reads of a fed packet: its payload length."""
-
-    def __init__(self, nbytes):
-        self.payload = bytes(nbytes)
-
-
-_PACKET = _Packet(0)  # a passed-through output is the ingress packet itself
 
 
 def _fields(spans):
@@ -378,24 +468,25 @@ TestSpanRecordsAgainstTupleRing.settings = settings(
 
 @pytest.mark.parametrize("at, now", [(0.5, 1.5), (0.5, 1), (1, 1.5), (1, 2)])
 def test_each_hot_path_keeps_its_times_and_outcome(at, now):
-    # The one-in-one-out tail (twice: the first interns its stage), a
-    # buffered segment closed by a merge, and the merged child: each
-    # packed, an int time read back as its float.
+    # The one-in-one-out tail (twice: the first interns its form),
+    # buffered segments settled by a merged output with its child, and a
+    # split: each packed, an int time read back as its float.
     key = FlowKey(6, 1, 2, 3, 4)
     tracker, model = SpanTracker(), TupleRing(16)
-    for _ in range(2):
-        tracker.on_packet(None, now, at, _Packet(0), 0, None, key, None, "forward",
-                          (_PACKET,))
-        model.sync(at, now, "forward", flow=key)
-    for nbytes in (700, 300):
-        tracker.on_packet(None, now, at, _Packet(nbytes), 0, None, key, None,
-                          "merge", ())
-        model.merge_enqueue(key, model.open(at, flow=key), nbytes, now)
     for side in (tracker, model):
-        side.derived(side.merge_consume(key, 1000, now), "merged", now, flow=key)
+        for _ in range(2):
+            side.on_packet(None, now, at, _PACKET, 0, None, key, None, "forward",
+                           (_PACKET,))
+        for nbytes in (700, 300):
+            side.on_packet(None, now, at, _Packet(nbytes, key), 0, None, key, None,
+                           "merge", ())
+        side.on_flush(None, now, [_Packet(1000, key)], True)
+        side.on_packet(None, now, at, _PACKET, 0, None, key, None, "split",
+                       (_Packet(),) * 2)
     assert _fields(tracker.finished()) == _fields(model.finished())
     assert [span.outcome for span in tracker.finished()] == [
-        "egress", "egress", "merged", "merged", "egress"]
+        "egress", "egress", "merged", "merged"] + ["egress"] * 4
+    assert len(tracker._done) == 4  # the tail twice, the merge, the split
     assert tracker.to_json() == model.to_json()
 
 
@@ -417,7 +508,8 @@ def test_a_flow_the_layout_cannot_carry_raises(flow, error):
     with pytest.raises(error):
         tracker.open(0.0, flow=flow)
     with pytest.raises(error):
-        tracker.derived((), "merged", 0.5, flow=flow)
+        tracker.on_packet(None, 0.5, 0.0, _PACKET, 0, None, flow, None, "split",
+                          (_Packet(),))
     with pytest.raises(error):
         tracker.on_packet(None, 0.5, 0.0, _Packet(0), 0, None, flow, None, "forward",
                           (_PACKET,))
@@ -460,5 +552,5 @@ def test_a_time_that_is_not_a_number_raises(at):
 def test_a_parent_id_out_of_range_raises(parents):
     tracker = SpanTracker()
     with pytest.raises(struct.error):
-        tracker.derived(parents, "merged", 0.5)
-    assert (tracker.opened, tracker.finished()) == (0, [])
+        tracker.open(0.5, parents=parents)
+    assert (tracker.opened, tracker.open_count(), tracker.finished()) == (0, 0, [])

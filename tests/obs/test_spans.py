@@ -1,9 +1,11 @@
 """Unit tests for repro.obs.spans: the lifecycle-span tracker."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.caravan import PX_CARAVAN_TOS
 from repro.obs.spans import (
     CARAVAN_BATCH_WAIT_SECONDS,
     GATEWAY_RESIDENCY_SECONDS,
@@ -14,6 +16,7 @@ from repro.obs.spans import (
     Span,
     SpanTracker,
 )
+from repro.packet.flow import FlowKey
 
 
 def test_latency_bucket_ladder_is_sorted_and_positive():
@@ -86,32 +89,58 @@ def test_sync_drop_fast_path():
     assert tracker.latency_count(GATEWAY_RESIDENCY_SECONDS) == 0
 
 
-def test_derived_children_are_born_closed_with_parents():
+class _Packet:
+    """What the tracker reads of a packet at the seam."""
+
+    def __init__(self, nbytes=0, flow=None, udp=False, inner=None):
+        self.payload = bytes(nbytes)
+        self._flow = flow
+        self.is_tcp, self.is_udp = not udp, udp
+        self.ip = SimpleNamespace(tos=PX_CARAVAN_TOS if inner is not None else 0)
+        self.meta = {} if inner is None else {"caravan_inner": inner}
+
+    def flow_key(self):
+        return self._flow
+
+
+KEY = FlowKey(6, 1, 2, 3, 4)
+
+
+def _feed(tracker, now, nbytes, stage="merge", flow=KEY):
+    """A segment (or datagram) the engine buffered; returns its span id."""
+    sid = tracker._next_sid
+    tracker.on_packet(None, now, None, _Packet(nbytes, flow, stage == "caravan"), 0, None,
+                      flow, None, stage, ())
+    return sid
+
+
+def test_split_children_are_born_closed_with_their_ingress_parent():
     tracker = SpanTracker()
-    parent = tracker.open(0.0)
-    tracker.derived((parent,), "split-segment", 0.5, count=3)
-    assert tracker.opened == 4
-    assert tracker.closed == 3
+    tracker.on_packet(None, 0.5, 0.0, _Packet(9000, KEY), 0, None, KEY, None, "split",
+                      (_Packet(),) * 3)
+    assert tracker.opened == tracker.closed == 4
+    (ingress,) = tracker.finished("packet")
+    assert ingress.stage == "split" and ingress.duration == 0.5
     kids = tracker.finished("split-segment")
     assert len(kids) == 3
-    assert all(k.parents == (parent,) for k in kids)
-    assert all(k.duration == 0.0 for k in kids)
+    assert all(k.parents == (ingress.sid,) for k in kids)
+    assert all(k.duration == 0.0 and k.flow == KEY for k in kids)
+    assert len(tracker._done) == 1  # one entry for everything the split settled
 
 
 def test_merge_fifo_full_consume_closes_parents():
     tracker = SpanTracker()
-    a = tracker.open(0.0)
-    b = tracker.open(0.001)
-    tracker.merge_enqueue("flow", a, 1000, 0.0)
-    tracker.merge_enqueue("flow", b, 500, 0.001)
+    a = _feed(tracker, 0.0, 1000)
+    b = _feed(tracker, 0.001, 500)
     assert tracker.pending_merge_bytes() == 1500
-    parents = tracker.merge_consume("flow", 1500, 0.002)
-    assert parents == (a, b)
+    assert tracker.open_count() == 2 and tracker.balanced
+    tracker.on_flush(None, 0.002, [_Packet(1500, KEY)], False)
     assert tracker.pending_merge_bytes() == 0
     assert tracker.open_count() == 0
     merged = {s.sid: s for s in tracker.finished()}
     assert merged[a].outcome == "merged"
     assert merged[b].outcome == "merged"
+    assert tracker.finished("merged")[0].parents == (a, b)
     # merge-wait recorded once per drained parent
     assert tracker.latency_values(MERGE_WAIT_SECONDS) == {0.002: 1, 0.001: 1}
     # residency recorded too (ingress -> merged egress)
@@ -120,38 +149,34 @@ def test_merge_fifo_full_consume_closes_parents():
 
 def test_merge_fifo_partial_consume_keeps_head_open():
     tracker = SpanTracker()
-    a = tracker.open(0.0)
-    tracker.merge_enqueue("flow", a, 1000, 0.0)
-    parents = tracker.merge_consume("flow", 400, 0.01)
+    a = _feed(tracker, 0.0, 1000)
+    tracker.on_flush(None, 0.01, [_Packet(400, KEY)], False)
     # the segment carries part of a's bytes: a is a parent but stays open
-    assert parents == (a,)
+    assert tracker.finished("merged")[-1].parents == (a,)
     assert tracker.open_count() == 1
     assert tracker.pending_merge_bytes() == 600
     # the remainder drains later and only then does a close
-    parents = tracker.merge_consume("flow", 600, 0.02)
-    assert parents == (a,)
+    tracker.on_flush(None, 0.02, [_Packet(600, KEY)], False)
+    assert tracker.finished("merged")[-1].parents == (a,)
     assert tracker.open_count() == 0
     assert tracker.anomalies == 0
 
 
 def test_merge_fifo_underrun_is_anomaly():
     tracker = SpanTracker()
-    parents = tracker.merge_consume("flow", 100, 1.0)
-    assert parents == ()
+    tracker.on_flush(None, 1.0, [_Packet(100, KEY)], False)
+    assert tracker.finished("merged")[0].parents == ()
     assert tracker.anomalies == 1
 
 
 def test_caravan_fifo_consume_and_batch_outcomes():
     tracker = SpanTracker()
-    sids = [tracker.open(0.1 * i, kind="datagram") for i in range(3)]
-    for i, sid in enumerate(sids):
-        tracker.caravan_enqueue("cflow", sid, 0.1 * i)
+    sids = [_feed(tracker, 0.1 * i, 0, "caravan") for i in range(3)]
     assert tracker.pending_caravan_datagrams() == 3
-    parents = tracker.caravan_consume("cflow", 2, 0.5, outcome="bundled")
-    assert parents == tuple(sids[:2])
+    tracker.on_flush(None, 0.5, [_Packet(0, KEY, udp=True, inner=2)], False)
+    assert tracker.finished("caravan")[0].parents == tuple(sids[:2])
     assert tracker.pending_caravan_datagrams() == 1
-    parents = tracker.caravan_consume("cflow", 1, 0.6, outcome="flushed")
-    assert parents == (sids[2],)
+    tracker.on_flush(None, 0.6, [_Packet(0, KEY, udp=True)], False)
     done = {s.sid: s for s in tracker.finished()}
     assert done[sids[0]].outcome == "bundled"
     assert done[sids[2]].outcome == "flushed"
@@ -161,25 +186,31 @@ def test_caravan_fifo_consume_and_batch_outcomes():
 
 def test_caravan_fifo_underrun_is_anomaly():
     tracker = SpanTracker()
-    assert tracker.caravan_consume("flow", 2, 1.0) == ()
+    tracker.on_flush(None, 1.0, [_Packet(0, KEY, udp=True, inner=2)], False)
+    assert tracker.finished("caravan")[0].parents == ()
     # one anomaly per under-run event (the loop stops at the empty FIFO)
     assert tracker.anomalies == 1
 
 
 def test_flush_fifos_settles_everything():
     tracker = SpanTracker()
-    a = tracker.open(0.0)
-    b = tracker.open(0.0, kind="datagram")
-    tracker.merge_enqueue("f1", a, 700, 0.0)
-    tracker.caravan_enqueue("f2", b, 0.0)
-    settled = tracker.flush_fifos(1.0, outcome="failover")
-    assert settled == 2
+    _feed(tracker, 0.0, 700)
+    _feed(tracker, 0.0, 0, "caravan", FlowKey(17, 1, 2, 3, 4))
+    assert tracker.open_count() == 2
+    tracker.on_retire(None, 1.0)
     assert tracker.pending_merge_bytes() == 0
     assert tracker.pending_caravan_datagrams() == 0
     assert tracker.open_count() == 0
     assert tracker.balanced
     outcomes = {s.outcome for s in tracker.finished()}
     assert outcomes == {"failover"}
+
+
+def test_a_fifo_span_settles_only_through_the_seam():
+    tracker = SpanTracker()
+    sid = _feed(tracker, 0.0, 100)
+    tracker.close(sid, 1.0)
+    assert tracker.anomalies == 1 and tracker.open_count() == 1
 
 
 def test_observe_and_median():
@@ -227,7 +258,7 @@ def test_kinds_and_stages_views():
     tracker.sync(0.0, 0.1, "forward")
     tracker.sync(0.0, 0.1, "forward")
     tracker.sync(0.0, 0.1, "hairpin")
-    tracker.derived((), "caravan", 0.2)
+    tracker.sync(0.2, 0.2, None, kind="caravan")
     assert tracker.kinds() == {"caravan": 1, "packet": 3}
     assert tracker.stages() == {"forward": 2, "hairpin": 1}
 
@@ -235,9 +266,8 @@ def test_kinds_and_stages_views():
 def test_to_json_is_deterministic_and_parseable():
     def build():
         tracker = SpanTracker()
-        a = tracker.open(0.0)
-        tracker.merge_enqueue("f", a, 100, 0.0)
-        tracker.derived(tracker.merge_consume("f", 100, 0.01), "merged", 0.01)
+        _feed(tracker, 0.0, 100)
+        tracker.on_flush(None, 0.01, [_Packet(100, KEY)], False)
         tracker.sync(0.02, 0.03, "forward")
         tracker.observe(PROBE_RTT_SECONDS, 0.02)
         return tracker
