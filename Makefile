@@ -2,7 +2,7 @@
 # target imports it from src/, so a plain checkout needs no install.
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-paper perfbench docs examples lint audit
+.PHONY: test bench bench-paper perfbench pairs docs examples lint audit
 
 test:
 	pytest tests/ -q
@@ -16,6 +16,11 @@ bench-paper:  ## only the per-figure/table reproductions (no extensions)
 perfbench:  ## benchmark self-test, then a short run of all six workloads (exit 1 on any output check)
 	python -m pytest perfbench -q
 	python3 perfbench/run.py --seconds 0.45 --rounds 1
+
+PAIRS_REF ?= HEAD
+PAIRS ?= 10
+pairs:  ## PAIRS alternating perfbench pairs, PAIRS_REF against the working tree (WORKLOAD=NAME: one)
+	python3 tools/pairs.py --ref $(PAIRS_REF) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 docs:
 	python tools/gen_api_docs.py

@@ -29,6 +29,11 @@ from .tcp_split import TcpSplitEngine
 
 __all__ = ["GatewayWorker", "WorkerMode", "WorkerObserver", "STAGES", "EVENTS"]
 
+# Module aliases for the constants the per-packet path reads.
+TCP, UDP = IPProto.TCP, IPProto.UDP
+SYN = TCPFlags.SYN
+INBOUND, OUTBOUND = Bound.INBOUND, Bound.OUTBOUND
+
 
 class WorkerMode:
     """Datapath operating modes, set by the resilience health monitor.
@@ -48,6 +53,9 @@ class WorkerMode:
     BYPASS = "bypass"
 
     ALL = (NORMAL, DEGRADED, BYPASS)
+
+
+NORMAL, BYPASS = WorkerMode.NORMAL, WorkerMode.BYPASS
 
 
 #: The closed set ``on_packet``'s *stage* is drawn from.
@@ -131,24 +139,29 @@ class GatewayWorker:
                                threshold_packets=config.elephant_threshold_packets)
         self.stats = GatewayStats()
         self.account = CycleAccount()
-        self.mode = WorkerMode.NORMAL
+        self.mode = NORMAL
         # Hot-path constants, hoisted once: ``GatewayCosts`` is frozen
         # and ``GatewayConfig`` is never mutated in place (alternative
         # configs are built via ``dataclasses.replace``), so the
-        # per-packet attribute chains below are pure overhead.
+        # per-packet attribute chains below are pure overhead.  Every
+        # cost is integral (``test_gateway_cycle_costs_are_integral``) and
+        # a running total stays far below 2**53, so float sums of them are
+        # exact: one add per packet gives the same bits as one add per
+        # operation, in any order.  The worker keeps no cycle breakdown.
         costs = DEFAULT_GATEWAY_COSTS
         self._cost_classifier = costs.classifier_per_packet
         self._cost_slowpath = costs.rx_descriptor + costs.flow_lookup
         self._cost_hairpin = costs.hairpin_forward
         self._cost_rx = costs.rx_descriptor
-        self._cost_merge_in = costs.flow_lookup + costs.merge_append
+        # The baseline pays software GRO instead of the lookup + append.
+        self._cost_merge_in = (costs.baseline_gro_per_packet if config.baseline_gro
+                               else costs.flow_lookup + costs.merge_append)
         self._cost_caravan_in = costs.flow_lookup + costs.caravan_append
         self._cost_merge_flush = costs.merge_flush
         self._cost_tx = costs.tx_descriptor
         self._header_only = config.header_only_dma
         self._hairpin_small = config.hairpin_small_flows
         self._mss_clamp_on = config.mss_clamp
-        self._baseline_gro = config.baseline_gro
         self._emtu = config.emtu
         self._imtu = config.imtu
         #: Optional live PMTU store (repro.resilience.PmtuCache); when
@@ -193,7 +206,7 @@ class GatewayWorker:
         for observer in self.observers:
             observer.on_mode(self, now, old, mode)
         self.mode = mode
-        if mode == WorkerMode.NORMAL:
+        if mode == NORMAL:
             return []
         return self._flushed(self.merge.flush() + self.caravan_merge.flush(), now, False)
 
@@ -212,7 +225,6 @@ class GatewayWorker:
         stall, so an observer's residency covers the queueing too.
         """
         account = self.account
-        breakdown = account.breakdown
         ip = packet.ip
         proto = ip.protocol
         size = packet.total_len
@@ -221,26 +233,23 @@ class GatewayWorker:
         account.goodput_bytes += size
         key = packet.flow_key()
         state = None
-        is_tcp = proto == IPProto.TCP
+        is_tcp = proto == TCP
+        inbound = bound == INBOUND
 
-        if self.mode == WorkerMode.BYPASS:
+        if self.mode == BYPASS:
+            cycles = self._cost_hairpin
             stage, outputs = self._bypass(packet, bound, now, key)
         else:
+            # This packet's cycles up to its stage body, which adds its own.
+            cycles = 0.0
             if key is not None:
-                # Cycle charges on this per-packet path are applied
-                # inline (equivalent to ``account.charge``): the call
-                # overhead was a measurable slice of the datapath.
                 cycles = self._cost_classifier
-                account.cycles += cycles
-                breakdown["classify"] = breakdown.get("classify", 0.0) + cycles
                 state = self.flows.observe(key, size, now)
             # Handshake packets always take the slow path: MSS intervention.
-            if is_tcp and packet.l4.flags & TCPFlags.SYN:
-                cycles = self._cost_slowpath
-                account.cycles += cycles
-                breakdown["slowpath"] = breakdown.get("slowpath", 0.0) + cycles
+            if is_tcp and packet.l4.flags & SYN:
+                cycles += self._cost_slowpath
                 if self._mss_clamp_on and self.mss_clamp.process(
-                    packet, bound, allow_raise=self.mode == WorkerMode.NORMAL
+                    packet, bound, allow_raise=self.mode == NORMAL
                 ):
                     self.stats.mss_rewrites += 1
                 stage, outputs = "mss", [packet]
@@ -251,18 +260,14 @@ class GatewayWorker:
                 self._hairpin_small
                 and state is not None
                 and not state.is_elephant
-                and not (proto == IPProto.UDP and ip.tos == PX_CARAVAN_TOS)
-                and (bound == Bound.INBOUND or size <= self._emtu)
+                and not (proto == UDP and ip.tos == PX_CARAVAN_TOS)
+                and (inbound or size <= self._emtu)
             ):
-                cycles = self._cost_hairpin
-                account.cycles += cycles
-                breakdown["hairpin"] = breakdown.get("hairpin", 0.0) + cycles
+                cycles += self._cost_hairpin
                 self.stats.hairpinned += 1
                 stage, outputs = "hairpin", [packet]
             else:
-                cycles = self._cost_rx
-                account.cycles += cycles
-                breakdown["rx"] = breakdown.get("rx", 0.0) + cycles
+                cycles += self._cost_rx
                 dma = self.dma
                 if self._header_only:
                     resident = (self.merge.pending_bytes()
@@ -274,17 +279,15 @@ class GatewayWorker:
                         dma = FULL_DMA
                         self.stats.hdo_fallbacks += 1
                     else:
-                        cycles = DEFAULT_GATEWAY_COSTS.header_only_per_packet
-                        account.cycles += cycles
-                        breakdown["hdo"] = breakdown.get("hdo", 0.0) + cycles
+                        cycles += DEFAULT_GATEWAY_COSTS.header_only_per_packet
                 account.mem_bytes += dma.mem_bytes(packet, size=size)
                 if is_tcp:
-                    if bound == Bound.INBOUND:
+                    if inbound:
                         stage, outputs = self._tcp_inbound(packet, now)
                     else:
                         stage, outputs = self._tcp_outbound(packet, now, key)
-                elif proto == IPProto.UDP:
-                    if bound == Bound.INBOUND:
+                elif proto == UDP:
+                    if inbound:
                         stage, outputs = self._udp_inbound(packet, now)
                     else:
                         stage, outputs = self._udp_outbound(packet)
@@ -293,8 +296,9 @@ class GatewayWorker:
                     stage, outputs = "forward", [packet]
 
         # The one tail every path reaches; a handshake is not data.
+        account.cycles += cycles + self._cost_tx * len(outputs)
         if outputs:
-            self._emit(outputs, bound == Bound.INBOUND and stage != "mss", packet, size)
+            self._emit(outputs, inbound and stage != "mss", packet, size)
         for observer in self.observers:
             observer.on_packet(self, now, ingress_at, packet, size, bound,
                                key, state, stage, outputs)
@@ -303,7 +307,6 @@ class GatewayWorker:
     # Stage bodies: each returns ``(stage, outputs)`` to the tail above.
     def _bypass(self, packet: Packet, bound: str, now: float, key):
         """BYPASS mode: hairpin everything, keep only mandatory work."""
-        self.account.charge(DEFAULT_GATEWAY_COSTS.hairpin_forward, category="bypass")
         self.stats.bypassed_packets += 1
         if packet.is_tcp and packet.tcp.syn:
             # The outbound cap stays mandatory: an uncapped external
@@ -315,7 +318,7 @@ class GatewayWorker:
             return "mss", [packet]
         if packet.is_tcp:
             self.stats.tcp_payload_in += len(packet.payload)
-            if bound == Bound.OUTBOUND:
+            if bound == OUTBOUND:
                 segments = self.split.process(packet, limit=self._path_limit(packet, now, key))
                 self.stats.split_segments += len(segments) if len(segments) > 1 else 0
             else:
@@ -324,7 +327,7 @@ class GatewayWorker:
             return "split" if len(segments) > 1 else "forward", segments
         if packet.is_udp:
             self.stats.udp_datagrams_in += caravan_inner_count(packet)
-            if bound == Bound.OUTBOUND and is_caravan(packet):
+            if bound == OUTBOUND and is_caravan(packet):
                 return self._open_caravan(packet)
             self.stats.udp_datagrams_out += caravan_inner_count(packet)
         return "forward", [packet]
@@ -346,32 +349,19 @@ class GatewayWorker:
         return entry.pmtu if entry is not None else None
 
     def _tcp_inbound(self, packet: Packet, now: float):
-        account = self.account
-        breakdown = account.breakdown
         stats = self.stats
         stats.tcp_payload_in += len(packet.payload)
-        if self.mode != WorkerMode.NORMAL:
+        if self.mode != NORMAL:
             # DEGRADED: stateful merging is off; pass through at eMTU.
             stats.passthrough_packets += 1
             stats.tcp_payload_out += len(packet.payload)
             return "passthrough", [packet]
-        if self._baseline_gro:
-            cycles = DEFAULT_GATEWAY_COSTS.baseline_gro_per_packet
-            account.cycles += cycles
-            breakdown["gro-sw"] = breakdown.get("gro-sw", 0.0) + cycles
-        else:
-            cycles = self._cost_merge_in
-            account.cycles += cycles
-            breakdown["merge"] = breakdown.get("merge", 0.0) + cycles
         outputs = self.merge.feed(packet, now)
-        if outputs:
-            flush_cycles = self._cost_merge_flush
-            for out in outputs:
-                account.cycles += flush_cycles
-                breakdown["merge"] = breakdown.get("merge", 0.0) + flush_cycles
-                stats.tcp_payload_out += len(out.payload)
-                if out.meta.get("spliced"):
-                    stats.merged_packets += 1
+        self.account.cycles += self._cost_merge_in + self._cost_merge_flush * len(outputs)
+        for out in outputs:
+            stats.tcp_payload_out += len(out.payload)
+            if out.meta.get("spliced"):
+                stats.merged_packets += 1
         return "merge", outputs
 
     def _tcp_outbound(self, packet: Packet, now: float, key):
@@ -381,9 +371,10 @@ class GatewayWorker:
         # negotiated before a PMTU drop would otherwise emit segments
         # the narrowed path silently blackholes.
         segments = self.split.process(packet, limit=self._path_limit(packet, now, key))
+        cycles = costs.split_per_segment
         if self.config.baseline_gro and len(segments) > 1:
-            self.account.charge(costs.baseline_tx_per_packet * len(segments), category="tso-sw")
-        self.account.charge(costs.split_per_segment * len(segments), category="split")
+            cycles += costs.baseline_tx_per_packet  # software TSO
+        self.account.cycles += cycles * len(segments)
         self.stats.split_segments += len(segments) if len(segments) > 1 else 0
         self.stats.tcp_payload_out += len(packet.payload)  # splitting conserves bytes
         return "split" if len(segments) > 1 else "forward", segments
@@ -393,7 +384,7 @@ class GatewayWorker:
         # Only a packet with the caravan ToS can hold more than one datagram.
         count = caravan_inner_count(packet) if packet.ip.tos == PX_CARAVAN_TOS else 1
         stats.udp_datagrams_in += count
-        bundling = self.mode == WorkerMode.NORMAL
+        bundling = self.mode == NORMAL
         if bundling and self.caravan_gate is not None and not self.caravan_gate(
             packet.ip.dst, now
         ):
@@ -402,26 +393,19 @@ class GatewayWorker:
             bundling = False
             stats.caravans_suppressed += 1
         if not bundling:
-            if self.mode != WorkerMode.NORMAL:
+            if self.mode != NORMAL:
                 stats.passthrough_packets += 1
             stats.udp_datagrams_out += count
             return "passthrough", [packet]
-        account = self.account
-        breakdown = account.breakdown
-        cycles = self._cost_caravan_in
-        account.cycles += cycles
-        breakdown["caravan"] = breakdown.get("caravan", 0.0) + cycles
         outputs = self.caravan_merge.feed(packet, now)
-        if outputs:
-            flush_cycles = DEFAULT_GATEWAY_COSTS.caravan_flush
-            for out in outputs:
-                account.cycles += flush_cycles
-                breakdown["caravan"] = breakdown.get("caravan", 0.0) + flush_cycles
-                if out.ip.tos == PX_CARAVAN_TOS:
-                    stats.udp_datagrams_out += caravan_inner_count(out)
-                    stats.caravans_built += 1
-                else:
-                    stats.udp_datagrams_out += 1
+        self.account.cycles += (self._cost_caravan_in
+                                + DEFAULT_GATEWAY_COSTS.caravan_flush * len(outputs))
+        for out in outputs:
+            if out.ip.tos == PX_CARAVAN_TOS:
+                stats.udp_datagrams_out += caravan_inner_count(out)
+                stats.caravans_built += 1
+            else:
+                stats.udp_datagrams_out += 1
         return "caravan", outputs
 
     def _udp_outbound(self, packet: Packet):
@@ -441,10 +425,7 @@ class GatewayWorker:
             self.stats.udp_datagrams_malformed += caravan_inner_count(packet)
             return "malformed-caravan", []
         self.stats.caravans_opened += 1
-        self.account.charge(
-            DEFAULT_GATEWAY_COSTS.caravan_split_per_datagram * len(datagrams),
-            category="caravan",
-        )
+        self.account.cycles += DEFAULT_GATEWAY_COSTS.caravan_split_per_datagram * len(datagrams)
         self.stats.udp_datagrams_out += len(datagrams)
         return "caravan-open", datagrams
 
@@ -466,8 +447,7 @@ class GatewayWorker:
 
     def _flushed(self, flushed: List[Packet], now: float, batch: bool) -> List[Packet]:
         """Charge, count and announce what the engines flushed (see ``on_flush``)."""
-        for _ in flushed:
-            self.account.charge(DEFAULT_GATEWAY_COSTS.merge_flush, category="merge")
+        self.account.cycles += (self._cost_merge_flush + self._cost_tx) * len(flushed)
         self.stats.credit_egress(flushed, count_tx=False)
         self._emit(flushed, True)
         for observer in self.observers:
@@ -476,21 +456,14 @@ class GatewayWorker:
 
     def _emit(self, packets: List[Packet], inbound_data: bool,
               ingress: Packet = None, size: int = 0) -> None:
-        """Tx accounting for *packets* about to leave the worker; an
-        output that ``is`` *ingress* is credited its known *size*."""
-        account = self.account
-        breakdown = account.breakdown
+        """Tx counts for *packets* about to leave the worker (the caller
+        charges their tx cycles); an output that ``is`` *ingress* is
+        credited its known *size*."""
         stats = self.stats
-        tx_cycles = self._cost_tx
-        # Per-packet adds (not ``cycles * n``) keep float accumulation
-        # order — and therefore reported totals — bit-identical to the
-        # pre-inlined accounting.
-        for out in packets:
-            account.cycles += tx_cycles
-            breakdown["tx"] = breakdown.get("tx", 0.0) + tx_cycles
-            stats.tx_packets += 1
-            if inbound_data:
+        stats.tx_packets += len(packets)
+        if inbound_data:
+            for out in packets:
                 proto = out.ip.protocol
-                if len(out.payload) > 0 if proto == IPProto.TCP else proto == IPProto.UDP:
+                if len(out.payload) > 0 if proto == TCP else proto == UDP:
                     stats.note_inbound_data_packet(
                         size if out is ingress else out.total_len, self._imtu)

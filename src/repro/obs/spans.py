@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..core.caravan import caravan_inner_count, is_caravan
 from ..core.worker import WorkerObserver
@@ -134,18 +134,18 @@ class Span:
 
     def to_dict(self) -> dict:
         """A JSON-ready, deterministic representation."""
-        payload = {
-            "sid": self.sid,
-            "kind": self.kind,
-            "opened_at": self.opened_at,
-            "closed_at": self.closed_at,
-            "outcome": self.outcome,
-            "stage": self.stage,
-            "parents": list(self.parents),
-        }
-        if self.flow is not None:
-            payload["flow"] = str(self.flow)
-        return payload
+        return _span_dict(self.sid, self.kind, self.opened_at, self.closed_at, self.outcome,
+                          self.parents, self.stage,
+                          None if self.flow is None else str(self.flow))
+
+
+def _span_dict(sid, kind, opened_at, closed_at, outcome, parents, stage, flow) -> dict:
+    """The export layout of one span, its *flow* already formatted."""
+    payload = {"sid": sid, "kind": kind, "opened_at": opened_at, "closed_at": closed_at,
+               "outcome": outcome, "stage": stage, "parents": list(parents)}
+    if flow is not None:
+        payload["flow"] = flow
+    return payload
 
 
 _ONE = entry(1, 0)  # an entry of one span without parents
@@ -569,10 +569,12 @@ class SpanTracker(WorkerObserver):
         """Whether the span-balance identity holds right now."""
         return self.opened == self.closed + self.dropped + self.open_count()
 
-    def _spans(self, skip: int = 0) -> Iterator[Span]:
+    def _rows(self, skip: int, flow: Callable[[tuple], object]) -> Iterator[tuple]:
         """The retained finished spans, oldest first, past the first
-        *skip* of them: every span of every entry, less the surplus at
-        the ring's head."""
+        *skip* of them, as ``Span`` arguments: every span of every entry,
+        less the surplus at the ring's head.  A keyed span's flow is
+        ``flow(fields)`` of its entry's five flow fields, made once per
+        entry."""
         forms = self._forms.names
         skip += max(self._held - self.capacity, 0)
         for record in self._done:
@@ -583,7 +585,7 @@ class SpanTracker(WorkerObserver):
             values = entry(count, (len(record) - ENTRY_HEAD.size - SPAN.size * count) >> 3
                            ).unpack(record)
             closed_at = values[1]
-            flow = FlowKey(*values[3:8]) if values[2] else None
+            key = flow(values[3:8]) if values[2] else None
             at = 8 + 4 * count  # where this entry's parents start
             for field in range(8, at, 4):
                 sid, opened_at, form, parents = values[field:field + 4]
@@ -591,8 +593,8 @@ class SpanTracker(WorkerObserver):
                     skip -= 1
                 else:
                     kind, stage, outcome, keyed = forms[form]
-                    yield Span(sid, kind, opened_at, closed_at, outcome,
-                               values[at:at + parents], stage, flow if keyed else None)
+                    yield (sid, kind, opened_at, closed_at, outcome,
+                           values[at:at + parents], stage, key if keyed else None)
                 at += parents
 
     def _forms_held(self) -> Iterator[tuple]:
@@ -608,7 +610,8 @@ class SpanTracker(WorkerObserver):
 
     def finished(self, kind: Optional[str] = None) -> List[Span]:
         """Retained finished spans, optionally filtered by kind."""
-        return [span for span in self._spans() if kind is None or span.kind == kind]
+        return [Span(*row) for row in self._rows(0, FlowKey._make)
+                if kind is None or row[1] == kind]
 
     def kinds(self) -> Dict[str, int]:
         """Retained finished-span counts per kind, sorted by name."""
@@ -621,14 +624,23 @@ class SpanTracker(WorkerObserver):
         return dict(sorted(stages.items()))
 
     def _dicts(self, limit: Optional[int]) -> List[dict]:
-        """``to_dict`` of the retained spans, or of the newest *limit*
-        (0: none; a negative limit is a ``ValueError``)."""
+        """``Span.to_dict`` of the retained spans, or of the newest
+        *limit* (0: none; a negative limit is a ``ValueError``), built
+        from the records without a ``Span``; each flow is formatted once."""
         start = 0
         if limit is not None:
             if limit < 0:
                 raise ValueError("limit must be non-negative")
             start = max(min(self._held, self.capacity) - limit, 0)
-        return [span.to_dict() for span in self._spans(start)]
+        texts: Dict[tuple, str] = {}
+
+        def text(fields: tuple) -> str:
+            named = texts.get(fields)
+            if named is None:
+                named = texts[fields] = str(FlowKey._make(fields))
+            return named
+
+        return [_span_dict(*row) for row in self._rows(start, text)]
 
     def to_json(self, limit: Optional[int] = None, indent: Optional[int] = None) -> str:
         """Byte-deterministic JSON export (balance, latency, spans)."""

@@ -39,6 +39,10 @@ def _payload(length: int) -> bytes:
 class TcpStreamSource:
     """An endless in-order TCP segment stream for one flow."""
 
+    # Slotted: a city-scale stream holds one source per active flow.
+    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "payload_size", "tag",
+                 "seq", "packets_emitted")
+
     def __init__(self, src: str, dst: str, src_port: int, dst_port: int,
                  payload_size: int, tag: str = ""):
         if payload_size <= 0:
@@ -66,6 +70,9 @@ class TcpStreamSource:
 
 class UdpStreamSource:
     """A CBR UDP datagram stream with consecutive IP IDs."""
+
+    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "payload_size", "tag",
+                 "ip_id", "packets_emitted")
 
     def __init__(self, src: str, dst: str, src_port: int, dst_port: int,
                  payload_size: int, tag: str = ""):

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core import Bound, GatewayConfig, GatewayDatapath, GatewayWorker
 from repro.cpu import XEON_6554S
 from repro.packet import TCPFlags, build_tcp
@@ -31,7 +29,7 @@ class TestGatewayWorker:
         outs = worker.process(packet, Bound.INBOUND)
         assert outs == [packet]
         assert worker.stats.hairpinned == 1
-        assert worker.account.breakdown.get("merge") is None
+        assert worker.account.breakdown == {}  # the worker keeps no breakdown
 
     def test_elephant_promoted_then_merged(self):
         worker = GatewayWorker(GatewayConfig(elephant_threshold_packets=2))
@@ -81,9 +79,15 @@ class TestGatewayWorker:
         worker = GatewayWorker(GatewayConfig(baseline_gro=True, hairpin_small_flows=False,
                                              delayed_merge=False))
         source = make_tcp_sources(1, 1448)[0]
+        outputs = []
         for _ in range(10):
-            worker.process(source.next_packet(), Bound.INBOUND)
-        assert worker.account.breakdown["gro-sw"] == pytest.approx(10 * 2500.0)
+            outputs += worker.process(source.next_packet(), Bound.INBOUND)
+        outputs += worker.end_batch(0.0)
+        # Per input: classify 18, rx 75, software GRO 2500; per merged
+        # output (one full at the iMTU, one flushed): flush 60, tx 62.
+        assert len(outputs) == 2
+        assert worker.account.cycles == 10 * (18 + 75 + 2500) + 2 * (60 + 62)
+        assert worker.account.breakdown == {}
 
 
 class TestGatewayDatapath:
