@@ -35,8 +35,7 @@ AUDIT_OUT ?= /tmp/repro-audit
 # One invocation per CLI verb (per WHAT for obs), as CI, README.md and docs/ quote them.
 AUDIT_CLI = gateway pmtud upf "upf --mtu 1500" survey fig5a \
 	"obs metrics --format prometheus" "obs trace --format summary" \
-	"obs spans --format summary" "obs flight --seed 0" \
-	"obs incident --trigger matrix --seed 0" "obs timeline" "obs alerts" \
+	"obs spans --format summary" "obs flight" "obs timeline" "obs alerts" \
 	"resilience-report --profile mixed --seed 101" "attacks --json" \
 	"fleet --quick --loss-drill --json"
 

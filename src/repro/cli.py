@@ -41,9 +41,8 @@ def _positive(text: str) -> float:
 
 #: ``repro obs WHAT``: for each export, its help line and its
 #: ``--format`` choices (the first is the default), each with the
-#: filters it takes.  Every WHAT takes ``--seed``, ``--out`` and
-#: ``--format``; a filter the chosen format does not list is a usage
-#: error.
+#: filters it takes.  Every WHAT takes ``--out`` and ``--format``; a
+#: filter the chosen format does not list is a usage error.
 _OBS = {
     "metrics": ("the metric registry", {"prometheus": (), "json": ()}),
     "trace": ("the flow trace, one event per line",
@@ -58,8 +57,6 @@ _OBS = {
                  {"json": ("interval",), "jsonl": ("interval",)}),
     "alerts": ("the SLO alert rules, or (jsonl) their sim-time transitions",
                {"json": (), "jsonl": ()}),
-    "incident": ("a deterministic incident bundle for one stock trigger, "
-                 "or the whole matrix", {"json": ("trigger",)}),
 }
 
 #: The filters, each declared once.
@@ -73,10 +70,6 @@ _OBS_FILTERS = {
                   help="only the last N entries"),
     "interval": dict(type=_positive, default=0.05,
                      help="sim-seconds between scrapes"),
-    "trigger": dict(choices=("alert", "shard-loss", "oracle", "matrix"),
-                    default="alert",
-                    help="which stock trigger scenario to run "
-                         "(matrix: all three into one document)"),
 }
 
 
@@ -140,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser("fig5a", help="PXGW throughput/yield (abridged Figure 5a)")
 
     obs = commands.add_parser(
-        "obs", help="run a seeded observability world, print one export")
+        "obs", help="run the observed world, print one export")
     exports = obs.add_subparsers(dest="what", metavar="WHAT", required=True,
                                  parser_class=_ObsExport)
     for what, (summary, formats) in _OBS.items():
@@ -149,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         # A filter this WHAT does not take reads as its default.
         export.set_defaults(**{name: spec["default"]
                                for name, spec in _OBS_FILTERS.items()})
-        export.add_argument("--seed", type=int, default=0)
         export.add_argument("--out", default=None,
                             help="write the export here instead of stdout")
         export.add_argument("--format", choices=tuple(formats),
@@ -336,34 +328,14 @@ def _cmd_fig5a(args) -> int:
 
 
 def _cmd_obs(args) -> int:
-    """Print one observability export: the observed world (or, for
-    ``incident``, the trigger scenario) is built once per call."""
+    """Print one observability export: the observed world is built once
+    per call."""
     import json
 
     from .obs import LATENCY_METRICS, run_observed_world
 
     what, fmt = args.what, args.format
-    if what == "incident":
-        from .obs.incident import (
-            alert_trigger_bundle,
-            bundle_to_json,
-            oracle_trigger_bundle,
-            run_trigger_matrix,
-            shard_loss_trigger_bundle,
-        )
-
-        builder = {
-            "alert": alert_trigger_bundle,
-            "shard-loss": lambda seed: shard_loss_trigger_bundle(
-                seed=101 + seed),
-            "oracle": lambda seed: oracle_trigger_bundle(seed=101 + seed),
-            "matrix": run_trigger_matrix,
-        }[args.trigger]
-        _emit_text(bundle_to_json(builder(seed=args.seed)), args.out,
-                   f"incident bundle ({args.trigger})")
-        return 0
-
-    world = run_observed_world(seed=args.seed, scrape_interval=args.interval)
+    world = run_observed_world(scrape_interval=args.interval)
     label = f"{what} ({fmt})"
     if what == "metrics":
         registry = world.obs.registry

@@ -50,8 +50,8 @@ class GatewayDatapath:
         self._virtual_now = 0.0
 
     # ------------------------------------------------------------------
-    def slot_for(self, packet: Packet, now: float = 0.0) -> int:
-        """The slot whose queue RSS steers *packet* (arriving at *now*) to."""
+    def slot_for(self, packet: Packet) -> int:
+        """The slot whose queue RSS steers *packet* to."""
         key = packet.flow_key()
         if key is None:
             # Fragments/ICMP go round-robin, as NICs without a parseable
@@ -67,10 +67,6 @@ class GatewayDatapath:
     def worker_for(self, packet: Packet) -> GatewayWorker:
         """The worker steering assigns *packet* to."""
         return self.workers[self.slot_for(packet)]
-
-    def process(self, packet: Packet, bound: str, now: float = 0.0) -> List[Packet]:
-        """Process one packet on its assigned worker."""
-        return self.workers[self.slot_for(packet, now)].process(packet, bound, now)
 
     def end_batch(self, now: float) -> List[Packet]:
         """Poll-batch boundary on every live worker (merge-timeout flush)."""
@@ -108,7 +104,7 @@ class GatewayDatapath:
         fill = 0
         batch_index = 0
         for packet, bound in stream:
-            extend(workers[slot_for(packet, now)].process(packet, bound, now))
+            extend(workers[slot_for(packet)].process(packet, bound, now))
             fill += 1
             if fill >= POLL_BATCH:
                 fill = 0

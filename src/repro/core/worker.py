@@ -73,8 +73,6 @@ EVENTS = frozenset({
     "failover-takeover",  # FailoverManager
     # FPmtudProber
     "pmtud-probe", "pmtud-report", "pmtud-report-rejected", "pmtud-timeout",
-    "steering-decision",  # FleetSteering, cache misses only
-    "rebalance",  # GatewayFleet, one per flow record a shard loss moves
 })
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..chaos.oracle import InvariantOracle, summarize_packet
 from ..chaos.scenarios import PROFILES
@@ -46,6 +46,8 @@ SHARDS = 4
 PACKETS = 1_000
 #: Poll batches between periodic fleet checkpoints.
 CHECKPOINT_EVERY = 4
+#: Flow-table slots per shard.
+FLOW_TABLE_CAPACITY = 256
 
 
 def fleet_corpus(count: int = 56) -> "List[Tuple[str, int, str]]":
@@ -99,80 +101,21 @@ class FleetScenarioResult:
     flows_migrated: int
     digest: str
     violations: List[str] = field(default_factory=list)
-    #: Deterministic incident bundle (observe=True runs only).
-    incident: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _shard_snapshot(shard) -> "Dict[str, float]":
-    """A tiny deterministic per-shard scrape for the alert engines."""
-    stats = shard.worker.stats
-    return {
-        "shard_rx_packets": float(stats.rx_packets),
-        "shard_malformed_caravans": float(stats.malformed_caravans),
-        "shard_flow_evictions": float(shard.worker.flows.evictions),
-    }
-
-
-def _shard_alert_rules():
-    """Per-shard SLO rules for observed fleet runs.
-
-    A burn-rate pair (malformed caravans against ingress), an
-    immediately-firing liveness rule, and an eviction-pressure rule
-    whose for-duration is far beyond the burst's virtual clock — the
-    latter is deliberately left PENDING when a shard dies mid-burst
-    (the ``history()`` replay case the tests pin down).
-    """
-    from ..obs.alerts import AlertRule, burn_rate_rules
-
-    return burn_rate_rules("shard_malformed_caravans", "shard_rx_packets") + (
-        AlertRule(
-            name="shard-ingress-active", kind="value",
-            series="shard_rx_packets", op=">", threshold=0.0,
-            description="The shard has seen traffic (fires immediately).",
-        ),
-        AlertRule(
-            name="shard-table-pressure", kind="value",
-            series="shard_flow_evictions", op=">", threshold=0.0,
-            for_duration=1.0,
-            description="Flow-table evictions observed; dwells pending "
-                        "far longer than any burst's virtual clock.",
-        ),
-    )
-
-
 def run_loss_scenario(
     profile: str,
     seed: int,
     loss_mode: str = "crash",
-    flow_table_capacity: int = 256,
-    observe: bool = False,
-    sabotage: Optional[str] = None,
 ) -> FleetScenarioResult:
-    """One worker-loss-under-load scenario; see the module docstring.
-
-    With ``observe=True`` the run carries the full post-incident layer:
-    cross-shard trace propagation on the steering stage, a flight
-    recorder per shard plus one for the fleet, and a per-shard
-    :class:`~repro.obs.alerts.AlertEngine` evaluated at every
-    checkpoint sweep — and the result ships a deterministic incident
-    bundle (trigger ``shard-loss``, or ``chaos-oracle`` when the oracle
-    found violations).  All of it is bookkeeping off the datapath, so
-    the egress digest is identical with or without it.
-
-    ``sabotage="stale-checkpoint"`` restores the victim from the
-    checkpoint captured at the *first* sweep regardless of loss mode —
-    a deliberately broken recovery that the zero-loss differential
-    oracle must reject (the chaos-oracle bundle trigger).
-    """
+    """One worker-loss-under-load scenario; see the module docstring."""
     if loss_mode not in ("crash", "maintenance"):
         raise ValueError(f"unknown loss mode {loss_mode!r}")
-    if sabotage not in (None, "stale-checkpoint"):
-        raise ValueError(f"unknown sabotage {sabotage!r}")
-    config = GatewayConfig(flow_table_capacity=flow_table_capacity)
+    config = GatewayConfig(flow_table_capacity=FLOW_TABLE_CAPACITY)
     fleet = GatewayFleet(config, shards=SHARDS, steering_seed=seed)
     trackers: List[SpanTracker] = []
     for shard in fleet.shards:
@@ -180,74 +123,24 @@ def run_loss_scenario(
         shard.worker.observers = (tracker,)
         trackers.append(tracker)
 
-    trace = None
-    fleet_flight = None
-    shard_flights: List[object] = []
-    engines: List[object] = []
-    if observe:
-        from ..obs.alerts import AlertEngine
-        from ..obs.flight import FlightRecorder
-        from ..obs.propagation import TracePropagation
-
-        trace = TracePropagation(seed=seed).attach(fleet)
-        fleet_flight = FlightRecorder(name="fleet")
-        shard_flights = [
-            FlightRecorder(name=f"shard{shard.id}").wire(spans=tracker)
-            for shard, tracker in zip(fleet.shards, trackers)
-        ]
-        engines = [AlertEngine(_shard_alert_rules()) for _ in fleet.shards]
-
     workload = CityScaleWorkload(_city_profile(profile, seed))
     stream = list(workload.packets(PACKETS))
     victim = seed % SHARDS
     # Kill mid-burst: after roughly 40% of the poll batches.
     kill_at_batch = max(1, (PACKETS // POLL_BATCH) * 2 // 5)
-    state: Dict[str, object] = {
-        "killed": False, "checkpoint_at": 0.0,
-        "stale": None, "eval_at": 0.0, "prev": None, "loss_at": None,
-    }
-
-    def _evaluate_shards(now: float) -> None:
-        window = now - float(state["eval_at"])
-        prev = state["prev"]
-        snaps = [_shard_snapshot(shard) for shard in fleet.shards]
-        merged_deltas: Dict[str, float] = {}
-        for shard, engine, snap in zip(fleet.shards, engines, snaps):
-            if not shard.alive:
-                # A dead shard's engine is never evaluated again: rules
-                # pending at the loss stay pending in its history.
-                continue
-            base = prev[shard.id] if prev is not None else {}
-            deltas = {k: v - base.get(k, 0.0) for k, v in snap.items()}
-            engine.evaluate(now, snap, deltas, window or None)
-            for key, value in deltas.items():
-                merged_deltas[key] = merged_deltas.get(key, 0.0) + value
-        fleet_flight.add_sample(now, merged_deltas)
-        state["prev"] = snaps
-        state["eval_at"] = now
+    killed = False
 
     def on_batch(batch_index: int, now: float):
-        if not state["killed"] and batch_index % CHECKPOINT_EVERY == 0:
+        nonlocal killed
+        if killed:
+            return None
+        if batch_index % CHECKPOINT_EVERY == 0:
             fleet.checkpoint_all(now)
-            state["checkpoint_at"] = now
-            if state["stale"] is None:
-                state["stale"] = fleet.shards[victim].checkpoint
-            if observe:
-                fleet_flight.note(now, "checkpoint-sweep", batch=batch_index)
-                _evaluate_shards(now)
-        if not state["killed"] and batch_index >= kill_at_batch:
-            state["killed"] = True
-            state["loss_at"] = now
+        if batch_index >= kill_at_batch:
+            killed = True
             checkpoint = (
                 fleet.shards[victim].checkpoint if loss_mode == "crash" else None
             )
-            if sabotage == "stale-checkpoint":
-                checkpoint = state["stale"]
-            if observe:
-                fleet_flight.note(
-                    now, "shard-loss", shard=victim, mode=loss_mode,
-                    sabotage=sabotage,
-                )
             return fleet.fail_shard(victim, now, checkpoint=checkpoint)
         return None
 
@@ -260,7 +153,7 @@ def run_loss_scenario(
         f"identities violated after {loss_mode} loss: {errors}",
     )
     oracle.expect(
-        bool(state["killed"]), "scenario-sanity",
+        killed, "scenario-sanity",
         "victim shard was never killed (burst too short for kill point)",
     )
     oracle.expect(
@@ -298,7 +191,7 @@ def run_loss_scenario(
         if not shard.alive:
             continue
         for record in shard.worker.flows.snapshot():
-            owner = fleet.steering.shard_for(record[0], fleet._virtual_now)
+            owner = fleet.steering.shard_for(record[0])
             if owner != shard.id:
                 oracle.expect(
                     False, "flow-affinity",
@@ -311,42 +204,6 @@ def run_loss_scenario(
     for packet in egress:
         hasher.update(repr(summarize_packet(packet)).encode())
 
-    incident = None
-    if observe:
-        from ..obs.collectors import Observability, observe_fleet
-        from ..obs.incident import build_incident_bundle
-        from ..obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        observe_fleet(Observability(registry=registry), fleet)
-        implicated = [
-            ctx.flow for ctx in trace.contexts.values()
-            if any(hop["kind"] == "rebalance" for hop in ctx.hops)
-        ][:8]
-        final_now = fleet._virtual_now
-        kind = "chaos-oracle" if oracle.violations else "shard-loss"
-        incident = build_incident_bundle(
-            kind,
-            final_now,
-            window=final_now,
-            detail={
-                "profile": profile, "seed": seed, "loss_mode": loss_mode,
-                "victim": victim, "sabotage": sabotage,
-                "loss_at": state["loss_at"],
-                "violations": list(oracle.violations),
-            },
-            flights=[fleet_flight] + shard_flights,
-            alerts={f"shard{shard.id}": engine
-                    for shard, engine in zip(fleet.shards, engines)},
-            registry=registry,
-            config=config,
-            trace=trace,
-            trackers={shard.id: tracker
-                      for shard, tracker in zip(fleet.shards, trackers)},
-            flows=implicated,
-            owner_of=fleet.steering.owner_of,
-        )
-
     return FleetScenarioResult(
         profile=profile,
         seed=seed,
@@ -357,5 +214,4 @@ def run_loss_scenario(
         flows_migrated=fleet.flows_migrated,
         digest=hasher.hexdigest(),
         violations=list(oracle.violations),
-        incident=incident,
     )

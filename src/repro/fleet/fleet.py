@@ -2,7 +2,7 @@
 
 A :class:`GatewayFleet` *is a* :class:`repro.core.GatewayDatapath`: the
 pool owns the slot -> worker table, the per-packet loop
-(``process`` / ``end_batch`` / ``process_stream``) and the aggregates
+(``process_stream`` / ``end_batch``) and the aggregates
 over the live workers.  The fleet answers the pool's two questions its
 own way — the rendezvous-hash :class:`~.steering.FleetSteering` stage
 picks the slot, and only shards still alive are live — and gives each
@@ -82,28 +82,21 @@ class GatewayFleet(GatewayDatapath):
         self.rebalances = 0
         self.flows_migrated = 0
         self.shard_losses = 0
-        #: Subscribers told of every flow record a shard loss moves
-        #: (``on_event``, ``"rebalance"``); empty by default.
-        self.observers = ()
 
     # ------------------------------------------------------------------
     # The pool's two questions
     # ------------------------------------------------------------------
-    def slot_for(self, packet: Packet, now: float = 0.0) -> int:
-        """The shard steering assigns to *packet* (arriving at *now*)."""
+    def slot_for(self, packet: Packet) -> int:
+        """The shard steering assigns to *packet*."""
         key = packet.flow_key()
         if key is None:
             return self.steering.shard_for_unkeyed()
-        return self.steering.shard_for(key, now)
+        return self.steering.shard_for(key)
 
     def live_workers(self) -> List[GatewayWorker]:
         return [
             worker for worker, shard in zip(self.workers, self.shards) if shard.alive
         ]
-
-    def shard_for(self, packet: Packet, now: float = 0.0) -> FleetShard:
-        """:meth:`slot_for` as the :class:`FleetShard` holding that slot."""
-        return self.shards[self.slot_for(packet, now)]
 
     # ------------------------------------------------------------------
     # Checkpoints and shard loss
@@ -162,28 +155,17 @@ class GatewayFleet(GatewayDatapath):
         # Buffered-byte spans on the dead shard settle as failover
         # closures; the survivors' trackers are untouched.
         shard.worker.retire(now)
-        self._rebalance_records(checkpoint.flows, shard, now)
+        self._rebalance_records(checkpoint.flows, shard)
         return flushed
 
-    def _rebalance_records(self, records: List[tuple], donor: FleetShard,
-                           now: float) -> None:
-        """Hand flow records to the shards steering now assigns them to.
-
-        Each move is announced as a ``"rebalance"`` before steering
-        commits the decision, so a subscriber sees steering's own
-        announcement land where the flow already is: one move, one hop.
-        """
+    def _rebalance_records(self, records: List[tuple], donor: FleetShard) -> None:
+        """Hand flow records to the shards steering now assigns them to."""
         if not records:
             return
         steering = self.steering
         buckets: Dict[int, List[tuple]] = {}
         for record in records:
-            flow = record[0]
-            owner = steering.owner_of(flow)
-            for observer in self.observers:
-                observer.on_event(self, now, "rebalance", flow=flow,
-                                  src=donor.id, dst=owner, reason="shard-loss")
-            buckets.setdefault(steering.shard_for(flow, now), []).append(record)
+            buckets.setdefault(steering.shard_for(record[0]), []).append(record)
         for target, share in buckets.items():
             adopted = self.shards[target].worker.flows.adopt(share)
             self.shards[target].adopted_flows += adopted

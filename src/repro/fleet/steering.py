@@ -56,10 +56,6 @@ class FleetSteering:
         #: Membership changes applied (removals).
         self.reshards = 0
         self._rr = 0
-        #: Subscribers told of every cache-*miss* decision (``on_event``,
-        #: ``"steering-decision"``); empty by default.  The cached hot
-        #: path never emits, so a subscriber costs nothing per packet.
-        self.observers = ()
 
     # ------------------------------------------------------------------
     def live_shards(self) -> List[int]:
@@ -103,11 +99,8 @@ class FleetSteering:
                 best = index
         return best
 
-    def shard_for(self, flow: FlowKey, now: float = 0.0) -> int:
-        """The live shard serving *flow* under the current membership.
-
-        *now* is the time a fresh decision is announced with.
-        """
+    def shard_for(self, flow: FlowKey) -> int:
+        """The live shard serving *flow* under the current membership."""
         cached = self._cache.get(flow)
         if cached is not None:
             self.cache_hits += 1
@@ -116,19 +109,7 @@ class FleetSteering:
         self.cache_misses += 1
         best = self._cache[flow] = self._scan(flow)
         self.steered[best] += 1
-        for observer in self.observers:
-            observer.on_event(self, now, "steering-decision", flow=flow, shard=best)
         return best
-
-    def owner_of(self, flow: FlowKey) -> int:
-        """Pure peek at *flow*'s owner under the current membership.
-
-        Unlike :meth:`shard_for` this never mutates the cache, the
-        counters, or tells the observers — verification code can ask
-        who owns a flow without perturbing the steering state.
-        """
-        cached = self._cache.get(flow)
-        return cached if cached is not None else self._scan(flow)
 
     def shard_for_unkeyed(self) -> int:
         """Round-robin fallback for packets without a flow key."""

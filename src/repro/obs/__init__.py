@@ -16,28 +16,20 @@ Design rules:
 * **Sim time only** — nothing in an export ever reads a wall clock, so
   two same-seed runs are byte-identical (the determinism guard diffs
   ``to_prometheus_text()`` directly).
-* **Tracing is opt-in** — :class:`FlowTracer`, :class:`SpanTracker`
-  and :class:`TracePropagation` subscribe to the one seam (each
-  emitter's ``observers`` tuple, empty by default); nothing outside
-  this package and the harness worlds imports it.
+* **Tracing is opt-in** — :class:`FlowTracer` and :class:`SpanTracker`
+  subscribe to the one seam (each emitter's ``observers`` tuple, empty
+  by default); nothing outside this package and the harness worlds
+  imports it.
 * **Latency lives in sim time** — :class:`SpanTracker` spans open at
   gateway ingress and close at egress/drop with parent/child causality
   across merge, split, and caravan stages; :class:`TelemetryTimeline`
   scrapes the registry periodically *inside* the simulation; and
   :class:`AlertEngine` turns scrapes into PENDING→FIRING→RESOLVED
   transitions stamped in sim time.  All three export byte-identically
-  across same-seed runs.
-
-See ``docs/OBSERVABILITY.md`` for the metric catalog and CLI examples.
+  across runs.
 """
 
-from .alerts import (
-    AlertEngine,
-    AlertRule,
-    burn_rate_rules,
-    default_alert_rules,
-    default_burn_rules,
-)
+from .alerts import AlertEngine, AlertRule, default_alert_rules
 from .collectors import (
     Observability,
     observe_failover,
@@ -50,14 +42,6 @@ from .collectors import (
     observe_upf,
 )
 from .flight import FlightRecorder
-from .incident import (
-    TRIGGER_KINDS,
-    build_incident_bundle,
-    bundle_to_json,
-    config_digest,
-    run_trigger_matrix,
-)
-from .propagation import TraceContext, TracePropagation
 from .registry import (
     LOG2_BUCKETS,
     Counter,
@@ -86,16 +70,8 @@ __all__ = [
     "ObservedWorld",
     "Span",
     "SpanTracker",
-    "TRIGGER_KINDS",
     "TelemetryTimeline",
-    "TraceContext",
-    "TracePropagation",
-    "build_incident_bundle",
-    "bundle_to_json",
-    "burn_rate_rules",
-    "config_digest",
     "default_alert_rules",
-    "default_burn_rules",
     "observe_failover",
     "observe_fleet",
     "observe_gateway",
@@ -105,5 +81,4 @@ __all__ = [
     "observe_tcp",
     "observe_upf",
     "run_observed_world",
-    "run_trigger_matrix",
 ]

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["AlertRule", "AlertEngine", "adversarial_alert_rules",
-           "burn_rate_rules", "default_alert_rules", "default_burn_rules",
-           "OK", "PENDING", "FIRING"]
+           "default_alert_rules", "OK", "PENDING", "FIRING"]
 
 OK = "ok"
 PENDING = "pending"
@@ -39,7 +38,7 @@ _OPS = {
     "==": operator.eq,
 }
 
-_KINDS = ("value", "rate", "ratio", "sum", "burn")
+_KINDS = ("value", "rate", "ratio", "sum")
 
 #: Human-readable labels for every legal state edge.  ``firing → ok``
 #: *is* the resolution; ``pending → ok`` means the condition cleared
@@ -67,16 +66,6 @@ class AlertRule:
     * ``ratio`` — snapshot ``series`` divided by snapshot
       ``denominator``; no data (denominator 0) evaluates to ``None``
       and never breaches.
-    * ``burn``  — multi-window error-budget burn rate (the SRE-book
-      construction): the burn of ``series`` over ``denominator``
-      against ``budget`` is measured over **both** ``fast_window`` and
-      ``slow_window`` sim-seconds and the observed value is the *lower*
-      of the two, so a breach means the budget is burning at that
-      multiple over the short window *and* the long one.  Windows are
-      clipped to the available scrape history (a 60 s window on a 3 s
-      world measures burn since the first scrape); the engine keeps
-      the bounded snapshot log this needs only when burn rules are
-      installed.
 
     ``for_duration`` is sim-seconds the condition must hold before
     PENDING escalates to FIRING; 0 fires immediately.
@@ -90,9 +79,6 @@ class AlertRule:
     for_duration: float = 0.0
     denominator: Optional[str] = None
     description: str = ""
-    fast_window: float = 0.0
-    slow_window: float = 0.0
-    budget: float = 1.0
 
     def __post_init__(self):
         if self.op not in _OPS:
@@ -101,14 +87,6 @@ class AlertRule:
             raise ValueError(f"unknown kind {self.kind!r} (use {_KINDS})")
         if self.kind == "ratio" and not self.denominator:
             raise ValueError("ratio rules need a denominator series")
-        if self.kind == "burn":
-            if not self.denominator:
-                raise ValueError("burn rules need a denominator series")
-            if self.fast_window <= 0 or self.slow_window < self.fast_window:
-                raise ValueError(
-                    "burn rules need 0 < fast_window <= slow_window")
-            if self.budget <= 0:
-                raise ValueError("burn rules need a positive budget")
         if self.for_duration < 0:
             raise ValueError("for_duration must be >= 0")
 
@@ -123,10 +101,6 @@ class AlertRule:
             if not window:
                 return None
             return deltas.get(self.series, 0.0) / window
-        if self.kind == "burn":
-            # Needs scrape history; the engine computes this and hands
-            # the result straight to ``breached``.
-            return None
         denominator = snapshot.get(self.denominator, 0.0)
         if denominator == 0:
             return None
@@ -137,7 +111,7 @@ class AlertRule:
         return value is not None and _OPS[self.op](value, self.threshold)
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "name": self.name,
             "series": self.series,
             "op": self.op,
@@ -147,11 +121,6 @@ class AlertRule:
             "denominator": self.denominator,
             "description": self.description,
         }
-        if self.kind == "burn":
-            payload["fast_window"] = self.fast_window
-            payload["slow_window"] = self.slow_window
-            payload["budget"] = self.budget
-        return payload
 
 
 @dataclass
@@ -169,14 +138,6 @@ class AlertEngine:
             raise ValueError("alert rule names must be unique")
         self._state: Dict[str, str] = {rule.name: OK for rule in self.rules}
         self._pending_since: Dict[str, float] = {}
-        # Burn rules need scrape history; keep a bounded (time, snapshot)
-        # log only when they're installed so value/rate/ratio-only
-        # engines pay nothing new.
-        self._burn_lookback = max(
-            (rule.slow_window for rule in self.rules if rule.kind == "burn"),
-            default=0.0,
-        )
-        self._scrapes: List[Tuple[float, Dict[str, float]]] = []
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -188,18 +149,8 @@ class AlertEngine:
         if deltas is None:
             deltas = {}
         self.evaluations += 1
-        if self._burn_lookback > 0:
-            self._scrapes.append((now, dict(snapshot)))
-            # Keep one scrape at or before ``now - lookback`` as the
-            # far baseline; everything older is unreachable.
-            horizon = now - self._burn_lookback
-            while len(self._scrapes) >= 2 and self._scrapes[1][0] <= horizon:
-                self._scrapes.pop(0)
         for rule in self.rules:
-            if rule.kind == "burn":
-                value = self._burn_value(rule, now, snapshot)
-            else:
-                value = rule.value(snapshot, deltas, window)
+            value = rule.value(snapshot, deltas, window)
             state = self._state[rule.name]
             if rule.breached(value):
                 if state == OK:
@@ -215,41 +166,6 @@ class AlertEngine:
                 # pending cleared, or firing resolved
                 self._pending_since.pop(rule.name, None)
                 self._go(rule.name, OK, now, value)
-
-    def _burn_value(self, rule: AlertRule, now: float,
-                    snapshot: Dict[str, float]) -> Optional[float]:
-        """min(burn over fast window, burn over slow window), or None.
-
-        A window's burn is ``(Δseries / Δdenominator) / budget`` between
-        the newest scrape at or before ``now - window`` (clipped to the
-        oldest available scrape) and the current snapshot.  No earlier
-        scrape or no denominator progress means no data.
-        """
-        history = self._scrapes[:-1]  # the current scrape was just appended
-        if not history:
-            return None
-
-        def _window_burn(window: float) -> Optional[float]:
-            target = now - window
-            base = None
-            for time, snap in reversed(history):
-                if time <= target:
-                    base = snap
-                    break
-            if base is None:
-                base = history[0][1]
-            err = snapshot.get(rule.series, 0.0) - base.get(rule.series, 0.0)
-            total = (snapshot.get(rule.denominator, 0.0)
-                     - base.get(rule.denominator, 0.0))
-            if total <= 0:
-                return None
-            return (err / total) / rule.budget
-
-        fast = _window_burn(rule.fast_window)
-        slow = _window_burn(rule.slow_window)
-        if fast is None or slow is None:
-            return None
-        return fast if fast <= slow else slow
 
     def _go(self, name: str, to_state: str, now: float,
             value: Optional[float]) -> None:
@@ -293,11 +209,10 @@ class AlertEngine:
 
         Every recorded transition, in evaluation order, annotated with
         a global sequence number and the edge label (``pending`` /
-        ``fired`` / ``resolved`` / ``cleared``) — the evidence format
-        incident bundles cite.  Flapping sequences (resolved →
-        re-pending → re-fired) appear in full: the engine records one
-        entry per state change and never coalesces repeats.  *rule*
-        filters to one rule while keeping global sequence numbers.
+        ``fired`` / ``resolved`` / ``cleared``).  Flapping sequences
+        (resolved → re-pending → re-fired) appear in full: the engine
+        records one entry per state change and never coalesces repeats.
+        *rule* filters to one rule while keeping global sequence numbers.
         """
         entries = []
         for seq, transition in enumerate(self.transitions):
@@ -308,29 +223,6 @@ class AlertEngine:
             entry["edge"] = _EDGES[(transition["from"], transition["to"])]
             entries.append(entry)
         return entries
-
-    def states_at(self, time: float) -> Dict[str, str]:
-        """Every rule's state as of sim *time* (inclusive), by name.
-
-        Reconstructed from the transition log, so it works on finished
-        engines — an incident bundle replays the log to cite each
-        rule's state at its trigger time.
-        """
-        states = {rule.name: OK for rule in self.rules}
-        for transition in self.transitions:
-            if transition["time"] <= time:
-                states[transition["rule"]] = transition["to"]
-        return dict(sorted(states.items()))
-
-    def firing_at(self, time: float) -> List[str]:
-        """Names of rules in FIRING state as of sim *time*."""
-        return sorted(name for name, state in self.states_at(time).items()
-                      if state == FIRING)
-
-    def fired_by(self, time: float) -> List[str]:
-        """Names of rules that entered FIRING at or before sim *time*."""
-        return sorted({t["rule"] for t in self.transitions
-                       if t["to"] == FIRING and t["time"] <= time})
 
     # ------------------------------------------------------------------
     # Export
@@ -391,48 +283,6 @@ def default_alert_rules(gateway: str = "pxgw") -> Tuple[AlertRule, ...]:
             description="PMTU clamp-cache miss burst: outbound splits "
                         "are re-probing instead of reusing cached PMTUs.",
         ),
-    )
-
-
-def burn_rate_rules(series: str, denominator: str) -> Tuple[AlertRule, ...]:
-    """Multi-window burn-rate rules over an error/total series pair.
-
-    Two alarms per the multiwindow construction, scaled to sim time:
-    a **fast** pair (1 s / 5 s windows at 14.4× burn — the paging
-    alarm) and a **slow** pair (5 s / 60 s windows at 6× burn — the
-    ticket alarm).  The tolerated error fraction of ``denominator`` is
-    0.1%.
-    """
-    budget = 1e-3
-    return (
-        AlertRule(
-            name="error-budget-burn-fast",
-            kind="burn",
-            series=series,
-            denominator=denominator,
-            op=">=", threshold=14.4,
-            fast_window=1.0, slow_window=5.0, budget=budget,
-            description="Error budget burning at >=14.4x over both the "
-                        "1 s and 5 s windows — page-severity burn.",
-        ),
-        AlertRule(
-            name="error-budget-burn-slow",
-            kind="burn",
-            series=series,
-            denominator=denominator,
-            op=">=", threshold=6.0,
-            fast_window=5.0, slow_window=60.0, budget=budget,
-            description="Error budget burning at >=6x over both the "
-                        "5 s and 60 s windows — sustained burn.",
-        ),
-    )
-
-
-def default_burn_rules() -> Tuple[AlertRule, ...]:
-    """The stock burn-rate pair: dropped packets against ingress."""
-    return burn_rate_rules(
-        series='px_gateway_dropped_packets_total{gateway="pxgw"}',
-        denominator='px_gateway_rx_packets_total{gateway="pxgw"}',
     )
 
 

@@ -135,8 +135,9 @@ class Layout:
 
 
 #: The closed set of traced kinds, each with its one layout (its code is
-#: its position).  A seam kind missing here (a span-only stage, a fleet
-#: move) is not traced; fields of a traced kind missing here are not kept.
+#: its position).  A seam kind missing here (a span-only stage, a packet
+#: settled ahead of the worker) is not traced; fields of a traced kind missing
+#: here are not kept.
 _KINDS = (
     ("ingress", (("worker", INT), ("bound", LABEL), ("proto", INT), ("bytes", INT),
                  ("flow", FLOW))),

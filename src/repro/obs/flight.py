@@ -1,65 +1,39 @@
-"""Black-box flight recorder: an always-on, bounded, replayable record.
+"""Black-box flight recorder: one merged, replayable record of a world.
 
-The recorder answers *what did this world (or this fleet shard) see in
-the seconds before the alert fired?*  It follows the obs layer's "pull,
-not push" rule — the recorder holds **references** to the instruments a
-world already carries (span tracker, flow tracer, telemetry timeline,
-alert engine) and only materialises a merged, time-sorted window at
-dump time.  Attaching one therefore adds zero per-packet work, which is
-why the 56 chaos digests stay byte-identical with a recorder on board
-(see ``tests/obs/test_perturbation_guard.py``).
-
-Two small push surfaces exist for hosts that have no timeline of their
-own (fleet shards) or that want lifecycle marks in the record:
-
-* :meth:`FlightRecorder.note` — bounded ring of lifecycle marks
-  (shard-loss, checkpoint sweeps);
-* :meth:`FlightRecorder.add_sample` — bounded ring of windowed metric
-  deltas, mirroring what :class:`~repro.obs.timeline.TelemetryTimeline`
-  would have scraped.
+The recorder answers *what did this world see in the seconds before
+the alert fired?*  It follows the obs layer's "pull, not push" rule —
+the recorder holds **references** to the instruments a world already
+carries (span tracker, flow tracer, telemetry timeline, alert engine)
+and only materialises a merged, time-sorted window at dump time.
+Attaching one therefore adds zero per-packet work.  Every source is
+already bounded by its own ring (the span tracker's settlement entries,
+the flow tracer's deque, the timeline's ``max_samples``).
 
 Everything is stamped in sim time and serialises with sorted keys and
-compact separators, so two same-seed processes dump byte-identical
-JSON — the property the CI ``incident`` job diffs across processes.
+compact separators, so two processes dump byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any, Dict, List, Optional
 
 __all__ = ["FlightRecorder"]
 
 # Fixed source order used when merging entries that share a timestamp;
 # the sort below is stable, so this order is part of the byte contract.
-_SOURCE_ORDER = ("mark", "metrics", "alert", "trace", "span")
+_SOURCE_ORDER = ("metrics", "alert", "trace", "span")
 
 
 class FlightRecorder:
-    """Bounded black-box ring for one world or one fleet shard.
+    """A merged, time-sorted view over one world's instruments."""
 
-    ``capacity`` bounds the *pushed* rings (marks and samples); the
-    pulled sources are already bounded by their own rings (the span
-    tracker's ring of settlement entries, bounded by spans; the flow
-    tracer's deque; the timeline's ``max_samples``).
-    """
-
-    def __init__(self, name: str = "world", capacity: int = 4096) -> None:
+    def __init__(self, name: str = "world") -> None:
         self.name = name
-        self.capacity = int(capacity)
-        self._marks: deque = deque(maxlen=self.capacity)
-        self._samples: deque = deque(maxlen=self.capacity)
-        self.marks_recorded = 0
-        self.samples_recorded = 0
         self._spans = None
         self._tracer = None
         self._timeline = None
         self._alerts = None
-
-    # ------------------------------------------------------------------
-    # wiring (pull sources)
-    # ------------------------------------------------------------------
 
     def wire(self, spans=None, tracer=None, timeline=None, alerts=None):
         """Register pull sources; returns ``self`` for chaining."""
@@ -82,26 +56,6 @@ class FlightRecorder:
             "alerts": self._alerts is not None,
         }
 
-    # ------------------------------------------------------------------
-    # push surfaces (lifecycle marks, shard-local metric windows)
-    # ------------------------------------------------------------------
-
-    def note(self, time: float, kind: str, **fields: Any) -> None:
-        """Record a lifecycle mark (shard-loss, checkpoint sweep, ...)."""
-        mark = {"time": time, "mark": kind}
-        mark.update(fields)
-        self._marks.append(mark)
-        self.marks_recorded += 1
-
-    def add_sample(self, time: float, deltas: Dict[str, float]) -> None:
-        """Record a windowed metric-delta sample (timeline-less hosts)."""
-        self._samples.append({"time": time, "deltas": dict(deltas)})
-        self.samples_recorded += 1
-
-    # ------------------------------------------------------------------
-    # dump
-    # ------------------------------------------------------------------
-
     def window(
         self,
         since: Optional[float] = None,
@@ -112,19 +66,15 @@ class FlightRecorder:
 
         Entries are collected per source in a fixed order and merged
         with a stable sort on ``time``, so the output is a pure
-        function of sim state — byte-identical across same-seed runs.
+        function of sim state — byte-identical across runs.
         """
         entries: List[Dict[str, Any]] = []
-        for mark in self._marks:
-            entry = {"kind": "mark"}
-            entry.update(mark)
-            entries.append(entry)
-        timeline = self._timeline.samples if self._timeline is not None else []
-        for sample in [*self._samples, *timeline]:
-            entries.append(
-                {"time": sample["time"], "kind": "metrics",
-                 "deltas": sample["deltas"]}
-            )
+        if self._timeline is not None:
+            for sample in self._timeline.samples:
+                entries.append(
+                    {"time": sample["time"], "kind": "metrics",
+                     "deltas": sample["deltas"]}
+                )
         if self._alerts is not None:
             for transition in self._alerts.transitions:
                 entries.append(
@@ -140,9 +90,8 @@ class FlightRecorder:
                 )
         if self._spans is not None:
             for span in self._spans.finished():
-                closed = span.closed_at
                 entries.append(
-                    {"time": closed, "kind": "span", "span": span.to_dict()}
+                    {"time": span.closed_at, "kind": "span", "span": span.to_dict()}
                 )
         if since is not None:
             entries = [e for e in entries if e["time"] >= since]
@@ -157,10 +106,7 @@ class FlightRecorder:
     def counts(
         self, since: Optional[float] = None, until: Optional[float] = None
     ) -> Dict[str, int]:
-        tally: Dict[str, int] = {}
-        for entry in self.window(since=since, until=until):
-            tally[entry["kind"]] = tally.get(entry["kind"], 0) + 1
-        return tally
+        return _tally(self.window(since=since, until=until))
 
     def to_dict(
         self,
@@ -169,30 +115,26 @@ class FlightRecorder:
         kinds=None,
     ) -> Dict[str, Any]:
         entries = self.window(since=since, until=until, kinds=kinds)
-        counts: Dict[str, int] = {}
-        for entry in entries:
-            counts[entry["kind"]] = counts.get(entry["kind"], 0) + 1
         return {
             "schema": "repro-flight/1",
             "name": self.name,
-            "capacity": self.capacity,
             "window": {"since": since, "until": until},
-            "counts": counts,
-            "shed": {
-                "marks": self.marks_recorded - len(self._marks),
-                "samples": self.samples_recorded - len(self._samples),
-            },
+            "counts": _tally(entries),
             "sources": self.sources,
             "entries": entries,
         }
 
     def to_json(
-        self,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        indent: Optional[int] = None,
+        self, since: Optional[float] = None, until: Optional[float] = None
     ) -> str:
-        payload = self.to_dict(since=since, until=until)
-        if indent is None:
-            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return json.dumps(payload, sort_keys=True, indent=indent)
+        """The compact, key-sorted JSON of :meth:`to_dict`."""
+        return json.dumps(self.to_dict(since=since, until=until),
+                          sort_keys=True, separators=(",", ":"))
+
+
+def _tally(entries: List[Dict[str, Any]]) -> Dict[str, int]:
+    """Entries per kind."""
+    tally: Dict[str, int] = {}
+    for entry in entries:
+        tally[entry["kind"]] = tally.get(entry["kind"], 0) + 1
+    return tally

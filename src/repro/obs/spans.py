@@ -108,7 +108,7 @@ class Span:
     the contributing ingress spans for a ``merged``/``caravan`` child,
     the split ingress for a ``split-segment``.  ``flow`` carries the
     packet's :class:`~repro.packet.flow.FlowKey` when the datapath
-    attributed one — the hook cross-shard trace reconstruction keys on.
+    attributed one (exported as ``flow``).
     """
 
     __slots__ = ("sid", "kind", "opened_at", "closed_at", "outcome", "parents",

@@ -1,13 +1,14 @@
-"""A seeded end-to-end world exercising every observed layer.
+"""One fixed end-to-end world exercising every observed layer.
 
-``run_observed_world(seed)`` builds one deterministic scenario that
+``run_observed_world()`` builds one deterministic scenario that
 touches all six instrumented layers — gateway, worker, resilience
 (health + PMTU cache + failover), NIC (RSS + RX rings + hairpin), UPF,
 and PMTUD — runs it to completion, and returns the world with a fully
-populated :class:`Observability` bundle.  The ``repro obs WHAT``
-exports (all but ``incident``) and the observability determinism guard
-are built on it: the same seed must yield byte-identical
-``to_prometheus_text()`` output and identical tracer events.
+populated :class:`Observability` bundle.  Every ``repro obs WHAT``
+export and the observability determinism guard are built on it: two
+runs must yield byte-identical ``to_prometheus_text()`` output and
+identical tracer events.  There is one world, not one per seed: no
+consumer needs a second one.
 
 The world:
 
@@ -21,7 +22,7 @@ The world:
   second half of the traffic (and the flush-timer re-arm is exercised);
 * a NIC front-end model fed by a tap on the inside→gateway link:
   flows steer through RSS into bounded RX rings, mice hairpin;
-* a standalone seeded UPF run (uplink decap + downlink encap).
+* a standalone UPF run (uplink decap + downlink encap).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ _NIC_POLL_INTERVAL = 0.01
 class ObservedWorld:
     """Everything one observed run built and measured."""
 
-    seed: int
     obs: Observability
     topo: object
     gateway: object
@@ -60,11 +60,6 @@ class ObservedWorld:
     outside: object
     upf: object
     prober: object
-    daemon: object
-    failover: object
-    rss: object
-    queues: List[object]
-    hairpin: object
     #: In-sim periodic scraper (repro.obs.TelemetryTimeline), stopped.
     timeline: object = None
     #: The timeline's AlertEngine with its recorded transitions.
@@ -72,12 +67,8 @@ class ObservedWorld:
     notes: Dict[str, object] = field(default_factory=dict)
     #: The four directed links by role (docs/CHAOS.md → "Worlds").
     links: Dict[str, object] = field(default_factory=dict)
-    #: The deployed GatewayConfig.
-    config: object = None
-    #: Always-on black-box ring (repro.obs.flight.FlightRecorder).
+    #: Pull-model black box (repro.obs.flight.FlightRecorder).
     flight: object = None
-    #: Trace-context propagation (adoption hops from failover takeovers).
-    trace: object = None
 
 
 class _NicFrontend:
@@ -119,8 +110,8 @@ class _NicFrontend:
         self.sim.schedule(_NIC_POLL_INTERVAL, self._poll)
 
 
-def _run_upf(rng: random.Random) -> object:
-    """A standalone seeded UPF exercise: uplink decap + downlink encap."""
+def _run_upf() -> object:
+    """A standalone UPF exercise: uplink decap + downlink encap."""
     from ..packet import GTPU_PORT, GTPUHeader, build_udp, str_to_ip
     from ..upf import Upf
 
@@ -129,6 +120,7 @@ def _run_upf(rng: random.Random) -> object:
     dn = str_to_ip("93.184.216.34")
     ue_base = str_to_ip("172.16.0.1")
     upf = Upf(n3_address=n3)
+    rng = random.Random("obs-world:0")  # the payload bytes
     sessions = 4
     for index in range(sessions):
         upf.sessions.create_session(
@@ -158,24 +150,14 @@ def _run_upf(rng: random.Random) -> object:
     return upf
 
 
-def run_observed_world(
-    seed: int = 0,
-    scrape_interval: float = 0.05,
-    config=None,
-    alert_rules=None,
-) -> ObservedWorld:
-    """Build and run the observed world for *seed*; returns it populated.
+def run_observed_world(scrape_interval: float = 0.05) -> ObservedWorld:
+    """Build and run the observed world; returns it populated.
 
-    Beyond PR 4's metrics + tracer, the world now carries the full
-    latency-aware stack: a :class:`SpanTracker` wired through the
-    gateway/worker/prober, a :class:`TelemetryTimeline` scraping the
-    registry every ``scrape_interval`` sim-seconds, and an
-    :class:`AlertEngine` running :func:`default_alert_rules` at each
-    scrape.  All exports are byte-identical across same-seed runs.
-
-    *config* deploys an alternative :class:`~repro.core.GatewayConfig`
-    on the unchanged physical topology and *alert_rules* replaces the
-    stock SLO rules (the ``alert-firing`` incident trigger uses both).
+    Beside the metrics and the tracer, the world carries a
+    :class:`SpanTracker` wired through the gateway/worker/prober, a
+    :class:`TelemetryTimeline` scraping the registry every
+    ``scrape_interval`` sim-seconds, and an :class:`AlertEngine`
+    running :func:`default_alert_rules` at each scrape.
     """
     from ..chaos.world import EMTU, IMTU, LinkSpec, WorldSpec, build
     from ..core import GatewayConfig
@@ -185,22 +167,17 @@ def run_observed_world(
     from ..tcpstack import TCPConnection, TCPListener
     from .alerts import AlertEngine, default_alert_rules
     from .flight import FlightRecorder
-    from .propagation import TracePropagation
     from .spans import SpanTracker
     from .timeline import TelemetryTimeline
 
-    rng = random.Random(f"obs-world:{seed}")
     obs = Observability(tracer=FlowTracer(8192), spans=SpanTracker())
 
-    if config is None:
-        config = GatewayConfig(elephant_threshold_packets=2, header_only_dma=True)
-    # The physical MTUs stay 9000 B inside / 1500 B outside whatever
-    # *config* believes.
     built = build(WorldSpec(
-        seed=880_000 + seed, hosts=("inside", "outside"),
+        seed=880_000, hosts=("inside", "outside"),
         links=(LinkSpec("inside", "pxgw", IMTU, 10e9, 5e-5, roles=("int_out", "int_in")),
                LinkSpec("pxgw", "outside", EMTU, 10e9, 5e-5, roles=("ext_out", "ext_in"))),
-        config=config, inside=("inside",),
+        config=GatewayConfig(elephant_threshold_packets=2, header_only_dma=True),
+        inside=("inside",),
     ))
     topo, gateway = built.topo, built.gateway
     inside, outside = built.nodes["inside"], built.nodes["outside"]
@@ -213,9 +190,7 @@ def run_observed_world(
 
     # The in-sim scraper + SLO alerting, started before any traffic so
     # the first window sees the ramp-up.
-    if alert_rules is None:
-        alert_rules = default_alert_rules(gateway="pxgw")
-    alerts = AlertEngine(alert_rules)
+    alerts = AlertEngine(default_alert_rules(gateway="pxgw"))
     timeline = TelemetryTimeline(
         topo.sim, obs.registry, interval=scrape_interval, alerts=alerts
     ).start()
@@ -225,10 +200,7 @@ def run_observed_world(
     # the transfers.
     failover = FailoverManager(gateway, interval=0.25).start()
     observe_failover(obs, failover)
-    # Trace-context propagation: takeovers stamp adoption hops on every
-    # checkpointed flow.  Pure bookkeeping — no RNG, no sim events.
-    trace = TracePropagation(seed=seed)
-    failover.observers = (obs.tracer, trace)
+    failover.observers = (obs.tracer,)
     topo.sim.schedule_at(0.9, failover.takeover)
 
     # NIC front-end on the inside→gateway link.
@@ -277,7 +249,6 @@ def run_observed_world(
                          pmtud_results.append)
 
     world = ObservedWorld(
-        seed=seed,
         obs=obs,
         topo=topo,
         gateway=gateway,
@@ -285,22 +256,14 @@ def run_observed_world(
         outside=outside,
         upf=None,
         prober=prober,
-        daemon=daemon,
-        failover=failover,
-        rss=rss,
-        queues=queues,
-        hairpin=hairpin,
         timeline=timeline,
         alerts=alerts,
         links=built.links,
-        config=config,
-        # Always-on black box: pure pull-model references, so the ring
-        # is free until someone dumps it.
-        flight=FlightRecorder(name=f"world{seed}").wire(
+        # Pure pull-model references: free until someone dumps it.
+        flight=FlightRecorder().wire(
             spans=obs.spans, tracer=obs.tracer,
             timeline=timeline, alerts=alerts,
         ),
-        trace=trace,
     )
 
     # Let the handshakes settle, then start the bulk transfers.
@@ -314,7 +277,7 @@ def run_observed_world(
     timeline.stop()
 
     # Standalone UPF exercise (no topology needed).
-    upf = _run_upf(rng)
+    upf = _run_upf()
     observe_upf(obs, upf)
 
     world.upf = upf

@@ -1,14 +1,16 @@
 """Known-bad gateway mutations used by the teeth and shrink tests.
 
-Each mutation takes a :class:`repro.chaos.ChaosWorld` and monkey-patches
-the gateway (mostly one engine instance inside it) to reintroduce a
-realistic bug.
+Each world mutation takes a :class:`repro.chaos.ChaosWorld` and
+monkey-patches the gateway (mostly one engine instance inside it) to
+reintroduce a realistic bug; :func:`stale_checkpoint` does the same to
+the fleet's shard-loss recovery.
 The chaos oracle must catch every one of them.
 """
 
 from dataclasses import replace
 
 from repro.core import Bound, GatewayWorker
+from repro.fleet import GatewayFleet
 from repro.core.tcp_merge import _NO_MERGE_FLAGS
 
 
@@ -120,3 +122,30 @@ def mis_sized_split_without_df(world):
         return outputs
 
     worker.process = process_without_df
+
+
+def stale_checkpoint(monkeypatch):
+    """Restore every lost fleet shard from its *first* periodic checkpoint.
+
+    Unlike the world mutations above, this one patches
+    :class:`repro.fleet.GatewayFleet` for the test (through pytest's
+    ``monkeypatch``): each fleet remembers the first checkpoint taken of
+    each shard, and ``fail_shard`` rebalances from it whatever the
+    caller passed.  The survivors adopt flow state and counters that
+    rewind to long before the kill, so in maintenance mode the zero-loss
+    differential (a control fleet that loses nothing) must disagree.
+    """
+    first = {}
+    checkpoint_shard = GatewayFleet.checkpoint_shard
+    fail_shard = GatewayFleet.fail_shard
+
+    def remembering_checkpoint(fleet, index, now):
+        checkpoint = checkpoint_shard(fleet, index, now)
+        first.setdefault((fleet, index), checkpoint)
+        return checkpoint
+
+    def stale_fail(fleet, index, now, checkpoint=None):
+        return fail_shard(fleet, index, now, checkpoint=first[fleet, index])
+
+    monkeypatch.setattr(GatewayFleet, "checkpoint_shard", remembering_checkpoint)
+    monkeypatch.setattr(GatewayFleet, "fail_shard", stale_fail)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.fleet.chaos import fleet_corpus, run_loss_scenario
 
+from ..chaos.mutations import stale_checkpoint
+
 
 class TestFleetCorpus:
     def test_corpus_shape_matches_the_link_chaos_grid(self):
@@ -45,3 +47,14 @@ class TestFleetCorpus:
     def test_unknown_loss_mode_rejected(self):
         with pytest.raises(ValueError):
             run_loss_scenario("tcp", 101, loss_mode="meteor")
+
+
+def test_stale_checkpoint_sabotage_trips_the_oracle(monkeypatch):
+    """The zero-loss differential has teeth: a recovery that restores the
+    lost shard from the first sweep's checkpoint is caught, and the same
+    scenario with the real recovery is clean."""
+    assert run_loss_scenario("mixed", 101, loss_mode="maintenance").ok
+    stale_checkpoint(monkeypatch)
+    result = run_loss_scenario("mixed", 101, loss_mode="maintenance")
+    kinds = {violation.split(":", 1)[0] for violation in result.violations}
+    assert "zero-loss" in kinds, result.violations

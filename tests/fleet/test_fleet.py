@@ -218,3 +218,18 @@ class TestObservedFleet:
         first = obs.registry.to_prometheus_text()
         second = obs.registry.to_prometheus_text()
         assert first == second
+
+    def test_steering_cache_counters_exported(self):
+        from repro.fleet.chaos import _city_profile
+        from repro.obs import MetricsRegistry, Observability, observe_fleet
+
+        fleet = GatewayFleet(GatewayConfig(), shards=2, steering_seed=3)
+        stream = list(CityScaleWorkload(_city_profile("tcp", 3)).packets(200))
+        fleet.process_stream(stream)
+        registry = MetricsRegistry()
+        observe_fleet(Observability(registry=registry), fleet)
+        snapshot = registry.snapshot()
+        hits = snapshot['px_fleet_steering_cache_hits_total{fleet="fleet0"}']
+        misses = snapshot['px_fleet_steering_cache_misses_total{fleet="fleet0"}']
+        assert hits == fleet.steering.cache_hits > 0
+        assert misses == fleet.steering.cache_misses > 0

@@ -2,18 +2,8 @@
 
 import pytest
 
-from repro.core import WorkerObserver
 from repro.fleet import FleetSteering
 from repro.packet import FlowKey, IPProto
-
-
-class Decisions(WorkerObserver):
-    def __init__(self):
-        self.seen = []
-
-    def on_event(self, source, now, kind, **fields):
-        assert kind == "steering-decision"
-        self.seen.append((now, fields["flow"], fields["shard"]))
 
 
 def flows(count, salt=0):
@@ -98,31 +88,3 @@ class TestSteering:
             steering.shard_for(flow)
         assert steering.cache_hits == 50
         assert steering.cache_misses == 50
-
-    def test_on_decision_fires_only_on_misses(self):
-        steering = FleetSteering(2)
-        decisions = Decisions()
-        steering.observers = (decisions,)
-        population = flows(10)
-        for index, flow in enumerate(population):
-            steering.shard_for(flow, now=float(index))
-            steering.shard_for(flow, now=99.0)  # hit: no event
-        assert [now for now, _flow, _shard in decisions.seen] == [
-            float(index) for index in range(10)]
-        assert all(steering.shard_for(flow) == shard
-                   for _now, flow, shard in decisions.seen)
-
-    def test_owner_of_is_a_pure_peek(self):
-        steering = FleetSteering(3)
-        decisions = Decisions()
-        steering.observers = (decisions,)
-        population = flows(20)
-        owners = [steering.owner_of(flow) for flow in population]
-        # No mutation: no cache entries, no counters, no events.
-        assert not decisions.seen
-        assert steering.cache_hits == 0 and steering.cache_misses == 0
-        assert sum(steering.steered) == 0
-        # And it agrees with the real steering decision.
-        assert owners == [steering.shard_for(flow) for flow in population]
-        # After caching, the peek returns the cached assignment.
-        assert owners == [steering.owner_of(flow) for flow in population]

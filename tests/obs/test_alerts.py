@@ -198,21 +198,6 @@ def test_history_filters_by_rule_and_keeps_global_seq():
     assert [e["edge"] for e in only_a] == ["fired", "resolved"]
 
 
-def test_states_at_and_fired_by_replay_the_log():
-    engine = AlertEngine((
-        AlertRule(name="hot", series="s", op=">", threshold=10),
-    ))
-    engine.evaluate(1.0, {"s": 20.0})          # fires
-    engine.evaluate(2.0, {"s": 5.0})           # resolves
-    assert engine.states_at(0.5) == {"hot": OK}
-    assert engine.states_at(1.0) == {"hot": FIRING}
-    assert engine.firing_at(1.5) == ["hot"]
-    assert engine.firing_at(2.0) == []
-    # fired_by keeps citing the transient breach after it resolved.
-    assert engine.fired_by(0.9) == []
-    assert engine.fired_by(2.5) == ["hot"]
-
-
 def test_to_json_includes_history():
     engine = AlertEngine((
         AlertRule(name="a", series="s", op=">", threshold=0),

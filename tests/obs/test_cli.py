@@ -1,4 +1,4 @@
-"""CLI coverage for `repro obs WHAT`: the seven observability exports
+"""CLI coverage for `repro obs WHAT`: the six observability exports
 behind one verb, and the usage errors its table of formats and filters
 implies."""
 
@@ -11,7 +11,7 @@ from repro.obs import SpanTracker
 
 
 def test_metrics_prometheus_to_stdout(capsys):
-    assert main(["obs", "metrics", "--seed", "0"]) == 0
+    assert main(["obs", "metrics"]) == 0
     out = capsys.readouterr().out
     assert "# TYPE px_gateway_rx_packets_total counter" in out
     assert 'px_gateway_rx_packets_total{gateway="pxgw"}' in out
@@ -113,7 +113,7 @@ def test_alerts_default_and_transitions(tmp_path, capsys):
 def test_flight_summary(capsys):
     assert main(["obs", "flight", "--format", "summary"]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["name"] == "world0"
+    assert summary["name"] == "world"
     assert summary["sources"] == {"spans": True, "tracer": True,
                                   "timeline": True, "alerts": True}
     assert summary["counts"]["span"] > 0
@@ -135,7 +135,7 @@ def test_flight_dump_windowed_and_compact(tmp_path, capsys):
 def test_flight_dump_is_byte_identical(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        assert main(["obs", "flight", "--seed", "3", "--out", str(path)]) == 0
+        assert main(["obs", "flight", "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -150,20 +150,9 @@ def test_trace_since_filters_by_sim_time(capsys):
     assert len(all_lines) > len(lines)
 
 
-def test_incident_shard_loss_verb(tmp_path, capsys):
-    out_path = tmp_path / "incident.json"
-    assert main(["obs", "incident", "--trigger", "shard-loss",
-                 "--out", str(out_path)]) == 0
-    assert "written to" in capsys.readouterr().out
-    bundle = json.loads(out_path.read_text())
-    assert bundle["schema"] == "repro-incident/1"
-    assert bundle["trigger"]["kind"] == "shard-loss"
-    assert bundle["trace"]["flows"] and bundle["trace"]["consistent"]
-
-
 @pytest.mark.parametrize("verb", ["trace", "spans"])
 def test_limit_zero_prints_nothing(verb, capsys):
-    assert main(["obs", verb, "--seed", "0", "--limit", "0", "--format", "jsonl"]) == 0
+    assert main(["obs", verb, "--limit", "0", "--format", "jsonl"]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -192,8 +181,8 @@ def test_negative_limit_is_a_usage_error(verb, args, capsys):
     assert args[0] in capsys.readouterr().err
 
 
-#: What each WHAT takes beyond --seed, --out and --format; the tests
-#: above pass each of these and check the export it shapes.
+#: What each WHAT takes beyond --out and --format; the tests above pass
+#: each of these and check the export it shapes.
 TAKES = {
     "metrics": (),
     "trace": ("--kind", "--since", "--limit"),
@@ -201,11 +190,13 @@ TAKES = {
     "flight": ("--kind", "--since", "--until"),
     "timeline": ("--interval",),
     "alerts": (),
-    "incident": ("--trigger",),
 }
 #: A value each filter accepts where it is taken.
 FILTER_VALUE = {"--kind": "trace", "--since": "0.5", "--until": "0.5",
-                "--limit": "3", "--interval": "0.5", "--trigger": "oracle"}
+                "--limit": "3", "--interval": "0.5"}
+#: Flags no WHAT takes any more: there is one observed world, and no
+#: incident trigger.
+GONE = {"--seed": "0", "--trigger": "oracle"}
 #: The filters a ``summary`` format ignores although its WHAT takes them.
 SUMMARY_REJECTS = {
     "trace": (["--kind", "merge"], ["--since", "0.5"], ["--limit", "1"]),
@@ -219,12 +210,13 @@ SUMMARY_REJECTS = {
         *((["obs", what, flag, FILTER_VALUE[flag]], flag)
           for what, taken in TAKES.items() for flag in FILTER_VALUE
           if flag not in taken),
+        *((["obs", what, flag, value], flag)
+          for what in TAKES for flag, value in GONE.items()),
         (["obs", "trace", "--kind", "bogus"], "--kind"),
         (["obs", "flight", "--kind", "bogus"], "--kind"),
+        (["obs", "flight", "--kind", "mark"], "--kind"),
         (["obs", "trace", "--format", "json"], "--format"),
         (["obs", "metrics", "--format", "jsonl"], "--format"),
-        (["obs", "incident", "--format", "summary"], "--format"),
-        (["obs", "incident", "--trigger", "alert", "--matrix"], "--matrix"),
         *((["obs", what, "--format", "summary", *filter_], filter_[0])
           for what, filters in SUMMARY_REJECTS.items() for filter_ in filters),
     ]

@@ -1,27 +1,10 @@
-"""The black-box flight recorder: bounded rings, merged windows,
-byte-deterministic dumps (PR 10)."""
+"""The black-box flight recorder: merged windows over pulled sources,
+byte-deterministic dumps."""
 
 import json
 
-from repro.obs import FlightRecorder, run_observed_world
+from repro.obs import FlightRecorder, FlowTracer, run_observed_world
 from repro.obs.spans import SpanTracker
-
-
-def test_marks_and_samples_are_bounded():
-    rec = FlightRecorder(name="tiny", capacity=4)
-    for i in range(10):
-        rec.note(float(i), "tick", index=i)
-        rec.add_sample(float(i), {"x": float(i)})
-    assert rec.marks_recorded == 10
-    assert rec.samples_recorded == 10
-    counts = rec.counts()
-    assert counts["mark"] == 4
-    assert counts["metrics"] == 4
-    dump = rec.to_dict()
-    assert dump["shed"] == {"marks": 6, "samples": 6}
-    # The ring keeps the newest entries.
-    times = [e["time"] for e in dump["entries"] if e["kind"] == "mark"]
-    assert times == [6.0, 7.0, 8.0, 9.0]
 
 
 def test_window_merges_sources_in_time_order():
@@ -29,42 +12,45 @@ def test_window_merges_sources_in_time_order():
     spans = SpanTracker()
     sid = spans.open(0.5, kind="packet", stage="forward")
     spans.close(sid, 1.5)
-    rec.wire(spans=spans)
-    rec.note(1.0, "mid")
-    rec.add_sample(2.0, {"y": 1.0})
+    tracer = FlowTracer()
+    tracer.on_event(None, 1.0, "flush", worker=0, packets=1)
+    tracer.on_event(None, 2.0, "flush", worker=0, packets=2)
+    rec.wire(spans=spans, tracer=tracer)
     entries = rec.window()
     assert [e["time"] for e in entries] == [1.0, 1.5, 2.0]
-    assert [e["kind"] for e in entries] == ["mark", "span", "metrics"]
+    assert [e["kind"] for e in entries] == ["trace", "span", "trace"]
     # Inclusive [since, until] filtering plus kind selection.
-    assert [e["kind"] for e in rec.window(since=1.5)] == ["span", "metrics"]
-    assert [e["kind"] for e in rec.window(until=1.5)] == ["mark", "span"]
-    assert [e["kind"] for e in rec.window(kinds=("mark",))] == ["mark"]
+    assert [e["kind"] for e in rec.window(since=1.5)] == ["span", "trace"]
+    assert [e["kind"] for e in rec.window(until=1.5)] == ["trace", "span"]
+    assert [e["kind"] for e in rec.window(kinds=("span",))] == ["span"]
 
 
 def test_observed_world_flight_is_wired_and_deterministic():
-    one = run_observed_world(seed=3)
-    two = run_observed_world(seed=3)
+    one = run_observed_world()
+    two = run_observed_world()
     assert one.flight.sources == {
         "spans": True, "tracer": True, "timeline": True, "alerts": True,
     }
     counts = one.flight.counts()
     assert counts["span"] > 0 and counts["trace"] > 0
-    assert counts["metrics"] > 0
+    assert counts["metrics"] > 0 and counts["alert"] > 0
     assert one.flight.to_json() == two.flight.to_json()
 
 
 def test_to_json_is_compact_and_sorted():
-    rec = FlightRecorder(name="fmt")
-    rec.note(1.0, "only", b=2, a=1)
-    text = rec.to_json()
+    tracer = FlowTracer()
+    tracer.on_event(None, 1.0, "flush", worker=0, packets=2)
+    text = FlightRecorder(name="fmt").wire(tracer=tracer).to_json()
     assert ": " not in text and ", " not in text
     payload = json.loads(text)
     assert payload["schema"] == "repro-flight/1"
-    assert payload["entries"][0]["a"] == 1
+    assert sorted(payload) == ["counts", "entries", "name", "schema",
+                               "sources", "window"]
+    assert payload["entries"][0]["event"]["packets"] == 2
 
 
 def test_world_flight_window_brackets_the_takeover():
-    world = run_observed_world(seed=0)
+    world = run_observed_world()
     swap = [e for e in world.flight.window(since=0.9, until=0.9,
                                            kinds=("trace",))
             if e["event"]["kind"] == "failover-takeover"]

@@ -3,9 +3,8 @@
 ``GatewayWorker`` tells ``observers`` what it did (``on_packet`` /
 ``on_flush`` / ``on_mode`` / ``on_retire``), every other emitter tells
 its own ``observers`` through ``on_event``, and none of them knows
-``repro.obs``; ``FlowTracer``, ``SpanTracker`` and ``TracePropagation``
-subscribe.  These tests pin the contract from the
-outside: the stage and event sets are closed, each call's trace events
+``repro.obs``; ``FlowTracer`` and ``SpanTracker`` subscribe.  These
+tests pin the contract from the outside: the stage and event sets are closed, each call's trace events
 follow one grammar, the span books balance against the live engines
 after every step, what the subscribers retain is invisible to the
 garbage collector, and the layering holds (no ``repro.obs`` import below
@@ -317,7 +316,6 @@ def drive_every_emitter(subscriber=None):
     import-hygiene test can run its source in a fresh interpreter.
     """
     from repro.core import Bound, GatewayConfig, GatewayWorker, PXGateway
-    from repro.fleet import GatewayFleet
     from repro.net import Topology
     from repro.packet.builder import build_tcp
     from repro.pmtud import FPmtudDaemon, FPmtudProber
@@ -370,14 +368,6 @@ def drive_every_emitter(subscriber=None):
     failover.takeover()
     assert len(results) == 1 and prober.rejected_reports == unanswered.timeouts == 1
     assert len(monitor.transitions) >= 2 and gateway.untranslated == gateway.dropped == 1
-
-    # One fleet: a shard is lost and its flows rebalance onto the survivors.
-    fleet = GatewayFleet(GatewayConfig(), shards=3)
-    subscribe(fleet, fleet.steering)
-    for flow in range(60):
-        fleet.process(segment(flow), Bound.INBOUND, 0.0)
-    fleet.fail_shard(1, 0.5)
-    assert fleet.flows_migrated > 0 and fleet.rebalances == 1
 
 
 def test_unobserved_core_never_loads_obs():
@@ -467,11 +457,7 @@ def test_a_bare_world_says_the_closed_set_of_events():
         "pmtud-report": {("FPmtudProber", ("elapsed", "fragments", "pmtu", "probe_id"))},
         "pmtud-report-rejected": {("FPmtudProber", ("pmtu", "probe_id", "reason"))},
         "pmtud-timeout": {("FPmtudProber", ("probe_id",))},
-        "steering-decision": {("FleetSteering", ("flow", "shard"))},
-        "rebalance": {("GatewayFleet", ("dst", "flow", "reason", "src"))},
     }
-    assert {fields["reason"] for _who, fields in counting.heard["rebalance"]} == {
-        "shard-loss"}
     assert {fields["gateway"] for _who, fields in counting.heard["health-transition"]} == {
         "pxgw"}
 

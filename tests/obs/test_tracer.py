@@ -18,13 +18,13 @@ def test_record_preserves_order_and_fields():
         {"time": 0.2, "kind": "egress", "worker": 0, "bound": "inbound", "bytes": 9000},
     ]
     assert tracer.events(kind="egress") == events[1:]
-    assert tracer.events(kind="merge") == tracer.events(kind="steering-decision") == []
+    assert tracer.events(kind="merge") == tracer.events(kind="no-route") == []
     assert tracer.kinds() == {"egress": 1, "flush": 1}
 
 
 def test_untraced_kinds_and_fields_are_not_kept():
     tracer = FlowTracer()
-    tracer.on_event(None, 0.1, "steering-decision", flow=None, shard=1)
+    tracer.on_event(None, 0.1, "no-route", ingress_at=None)
     tracer.on_event(None, 0.2, "pmtud-report", probe_id=1, pmtu=1500, fragments=2,
                     elapsed=0.05)
     assert tracer.recorded == 1

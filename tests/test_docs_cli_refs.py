@@ -85,9 +85,8 @@ def test_the_deleted_bench_verb_is_rejected(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["canary"],
-                                  ["obs", "incident", "--trigger", "rollback"]],
-                         ids=["canary", "rollback-trigger"])
+@pytest.mark.parametrize("argv", [["canary"], ["obs", "incident"]],
+                         ids=["canary", "obs-incident"])
 def test_the_deleted_canary_surface_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args(argv)
@@ -96,9 +95,9 @@ def test_the_deleted_canary_surface_is_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize("verb", ["metrics", "trace", "spans", "flight",
-                                  "timeline", "alerts", "incident"])
+                                  "timeline", "alerts"])
 def test_the_folded_verbs_are_rejected(verb, capsys):
-    """The seven observability exports answer only as ``obs WHAT``."""
+    """The six observability exports answer only as ``obs WHAT``."""
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args([verb])
     assert exit_info.value.code == 2
@@ -107,8 +106,12 @@ def test_the_folded_verbs_are_rejected(verb, capsys):
 
 
 #: Attach surfaces the observer seam replaced (``emitter.observers`` is
-#: the one left); prose and examples may not send a reader to them.
-_GONE = ("PacketTrace", "attach_trace", "prober.tracer", "flight=")
+#: the one left), and the incident layer that was deleted with its
+#: trace propagation and burn-rate rules; prose and examples may not
+#: send a reader to them.
+_GONE = ("PacketTrace", "attach_trace", "prober.tracer", "flight=",
+         "TracePropagation", "build_incident_bundle", "burn_rate_rules",
+         "obs incident")
 
 
 def test_no_doc_or_example_names_a_removed_attach_surface():
