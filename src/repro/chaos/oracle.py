@@ -381,8 +381,7 @@ class InvariantOracle:
 
         Two layers: (a) the exported packet counters equal the
         ``GatewayStats`` values the conservation check audits — a
-        collector reading the wrong worker (e.g. a retired one after
-        failover) fails here; (b) the conservation identity holds using
+        collector reading the wrong worker fails here; (b) the conservation identity holds using
         *exported series alone*, so a metrics consumer sees a balanced
         gateway without access to internals.
         """

@@ -44,8 +44,7 @@ class GatewayDatapath:
     def _build_pool(self, config: GatewayConfig, size: int) -> None:
         """What ``__init__`` shares with a subclass that sizes and steers the pool itself."""
         self.config = config
-        #: The slot -> worker table.  A standby swap replaces an entry
-        #: in place, so nothing may keep a worker across a poll batch.
+        #: The slot -> worker table.
         self.workers = [GatewayWorker(config, index=index) for index in range(size)]
         self._virtual_now = 0.0
 
@@ -97,8 +96,7 @@ class GatewayDatapath:
         outputs: List[Packet] = []
         extend = outputs.extend
         now = self._virtual_now
-        # Hoisted out of the packet loop; the table is still indexed
-        # per packet, so a worker ``on_batch`` swaps in is seen.
+        # Hoisted out of the packet loop.
         slot_for = self.slot_for
         workers = self.workers
         fill = 0

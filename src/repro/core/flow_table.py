@@ -11,7 +11,7 @@ sticky until the flow goes idle.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..packet import FlowKey
 
@@ -71,9 +71,6 @@ class FlowTable:
     def __contains__(self, key: FlowKey) -> bool:
         return key in self._flows
 
-    def __iter__(self) -> Iterator[FlowState]:
-        return iter(self._flows.values())
-
     def lookup(self, key: FlowKey, now: float = 0.0) -> FlowState:
         """Find or create the flow record for *key*."""
         self.lookups += 1
@@ -121,7 +118,7 @@ class FlowTable:
         """Serialize every flow record, preserving LRU order.
 
         The result is plain tuples (no live references), safe to hold
-        across arbitrary simulated time for failover.
+        across arbitrary simulated time for a fleet shard checkpoint.
         """
         return [
             (state.key, state.packets, state.bytes, state.first_seen,
@@ -129,25 +126,6 @@ class FlowTable:
              state.window_start)
             for state in self._flows.values()
         ]
-
-    def restore(self, records: list) -> None:
-        """Replace the table's contents with *records* from snapshot().
-
-        The records' LRU order is preserved.  When there are more
-        records than this table can hold — failover onto a standby
-        configured with a smaller table — the excess is evicted
-        LRU-first through ``on_evict``, exactly as capacity pressure
-        would evict it, so the bound holds and the eviction counters
-        stay honest.
-        """
-        self._flows.clear()
-        for record in records:
-            self._flows[record[0]] = self._inflate(record)
-        while len(self._flows) > self.capacity:
-            _evicted_key, evicted = self._flows.popitem(last=False)
-            self.evictions += 1
-            if self.on_evict:
-                self.on_evict(evicted)
 
     def adopt(self, records: list) -> int:
         """Merge snapshot *records* into the table; returns count added.

@@ -58,8 +58,8 @@ class PXGateway(Router):
         self.negotiator = None
         self.pmtu_cache = None
         #: Subscribers (:class:`~repro.core.worker.WorkerObserver`) told,
-        #: through ``on_event``, of stalls, worker swaps and the packets
-        #: settled ahead of the worker; empty by default.
+        #: through ``on_event``, of stalls and the packets settled ahead
+        #: of the worker; empty by default.
         self.observers = ()
 
     # ------------------------------------------------------------------
@@ -158,36 +158,6 @@ class PXGateway(Router):
             obs = Observability()
         obs.attach(self)
         return obs
-
-    def swap_worker(self, new_worker) -> "GatewayWorker":
-        """Replace the datapath worker (failover); returns the old one.
-
-        The new worker inherits the resilience hooks and the observers
-        so a takeover does not silently drop the PMTU clamp, the
-        caravan gate, or the flow tracer.
-        """
-        old, self.worker = self.worker, new_worker
-        new_worker.pmtu_cache = self.pmtu_cache
-        if self.negotiator is not None:
-            new_worker.caravan_gate = self.negotiator.allow_caravan
-        new_worker.observers = old.observers
-        # The retired worker's buffered bytes are re-emitted from the
-        # failover checkpoint through forward(), bypassing any worker.
-        old.retire(self.sim.now)
-        for observer in self.observers:
-            observer.on_event(
-                self, self.sim.now, "worker-swap",
-                gateway=self.name, from_worker=old.index, to_worker=new_worker.index,
-            )
-        # The flush timer was armed (or left unarmed) against the OLD
-        # worker's pending state; re-judge it against the new worker's,
-        # else a swapped-in standby with pending merges never flushes —
-        # or an armed timer flushes a worker with nothing pending.
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        self._ensure_flush_timer()
-        return old
 
     # ------------------------------------------------------------------
     # Fault injection: worker stalls

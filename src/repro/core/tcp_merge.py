@@ -201,7 +201,7 @@ class StreamContext:
     def export_segment(self) -> Packet:
         """A materialized copy of the whole buffer, without consuming it.
 
-        Used by failover checkpoints: the running context keeps its
+        Used by fleet shard checkpoints: the running context keeps its
         bytes; the checkpoint holds an emittable duplicate.
         """
         if self.head_offset:
@@ -341,7 +341,7 @@ class TcpMergeEngine:
     def export_pending(self) -> List[Packet]:
         """Materialized copies of every pending context, non-destructive.
 
-        The live contexts are untouched; see failover checkpoints.
+        The live contexts are untouched; see fleet shard checkpoints.
         """
         return [
             context.export_segment()

@@ -66,11 +66,10 @@ STAGES = frozenset({
 
 #: The closed set ``on_event``'s *kind* is drawn from, by emitter.
 EVENTS = frozenset({
-    # PXGateway: packets settled ahead of the worker, stalls, failover swap
+    # PXGateway: packets settled ahead of the worker, stalls
     "no-route", "untranslated", "gateway-passthrough",
-    "stall", "stall-drain", "worker-swap",
+    "stall", "stall-drain",
     "health-transition",  # HealthMonitor
-    "failover-takeover",  # FailoverManager
     # FPmtudProber
     "pmtud-probe", "pmtud-report", "pmtud-report-rejected", "pmtud-timeout",
 })
@@ -104,7 +103,7 @@ class WorkerObserver:
         """The worker is about to switch :class:`WorkerMode`."""
 
     def on_retire(self, worker, now) -> None:
-        """The worker was replaced by a standby (failover)."""
+        """The worker's fleet shard was lost (``GatewayFleet.fail_shard``)."""
 
     def on_event(self, source, now, kind, **fields) -> None:
         """Something happened off the worker's packet path.
@@ -176,9 +175,7 @@ class GatewayWorker:
     def pending(self) -> bool:
         """True while either merge engine holds unflushed payload.
 
-        The gateway's delayed-merge flush timer keys on this, so a
-        standby worker swapped in by failover is always judged by its
-        *own* engine state rather than the retired worker's.
+        The gateway's delayed-merge flush timer keys on this.
         """
         # Counter reads, not pending_bytes()/pending_packets() calls:
         # the gateway consults this after every processed packet.
@@ -209,7 +206,7 @@ class GatewayWorker:
         return self._flushed(self.merge.flush() + self.caravan_merge.flush(), now, False)
 
     def retire(self, now: float) -> None:
-        """This worker was replaced by a standby: tell the observers."""
+        """This worker's fleet shard was lost: tell the observers."""
         for observer in self.observers:
             observer.on_retire(self, now)
 

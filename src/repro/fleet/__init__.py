@@ -3,7 +3,7 @@
 The package generalizes the single PXGW instance of :mod:`repro.core`
 to a fleet of N worker shards behind a flow-consistent steering stage,
 with bounded per-shard flow tables and checkpointed shard-loss
-rebalance (reusing :mod:`repro.resilience`'s checkpoint format).
+rebalance (:meth:`GatewayFleet.fail_shard`, the one way a worker is lost).
 :mod:`repro.fleet.scaling` reports modeled pkts/s versus shard count.
 """
 

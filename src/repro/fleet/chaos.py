@@ -8,8 +8,8 @@ the datapath survives link-level abuse; the fleet corpus proves the
    **per-shard** span tracker attached (span FIFO flushes are global
    per tracker, so sharing one across shards would let a dead shard's
    failover flush corrupt the survivors' accounting);
-2. checkpoints the fleet periodically, exactly as a
-   :class:`~repro.resilience.failover.FailoverManager` would;
+2. checkpoints the fleet periodically
+   (:meth:`~repro.fleet.GatewayFleet.checkpoint_all`);
 3. kills a seeded victim shard mid-burst — ``crash`` mode resumes from
    the last periodic checkpoint (the staleness-bounded model), while
    ``maintenance`` mode checkpoints at the instant of death (provably
@@ -135,7 +135,7 @@ def run_loss_scenario(
         if killed:
             return None
         if batch_index % CHECKPOINT_EVERY == 0:
-            fleet.checkpoint_all(now)
+            fleet.checkpoint_all()
         if batch_index >= kill_at_batch:
             killed = True
             checkpoint = (

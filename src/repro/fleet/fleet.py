@@ -22,12 +22,13 @@ What this module owns, on top of the pool:
   tier: live payload in == live payload out + still-buffered, summed
   over live shards plus the retired aggregate.
 
-Checkpoints reuse :func:`repro.resilience.failover.checkpoint_worker`
-wholesale.
+A :class:`WorkerCheckpoint` is what :meth:`~GatewayFleet.fail_shard`
+reads back.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.config import GatewayConfig
@@ -36,10 +37,33 @@ from ..core.stats import GatewayStats
 from ..core.worker import GatewayWorker
 from ..cpu import CpuSpec
 from ..packet import Packet
-from ..resilience.failover import WorkerCheckpoint, checkpoint_worker
 from .steering import FleetSteering
 
-__all__ = ["FleetShard", "GatewayFleet"]
+__all__ = ["FleetShard", "GatewayFleet", "WorkerCheckpoint", "checkpoint_worker"]
+
+
+@dataclass
+class WorkerCheckpoint:
+    """What a lost shard leaves for the survivors."""
+
+    #: Serialized flow records (see FlowTable.snapshot()).
+    flows: List[tuple]
+    #: Counter snapshot at checkpoint time.
+    stats: GatewayStats
+    #: Materialized copies of the pending merge/caravan contexts.
+    pending: List[Packet]
+
+
+def checkpoint_worker(worker: GatewayWorker) -> WorkerCheckpoint:
+    """Capture *worker*'s adoptable state without perturbing it.
+
+    The pending contexts are copied, not drained, so a checkpoint never
+    changes what the running worker emits.
+    """
+    stats = GatewayStats()
+    stats.merge(worker.stats)
+    pending = worker.merge.export_pending() + worker.caravan_merge.export_pending()
+    return WorkerCheckpoint(flows=worker.flows.snapshot(), stats=stats, pending=pending)
 
 
 class FleetShard:
@@ -50,11 +74,6 @@ class FleetShard:
         self.id = shard_id
         self.alive = True
         self.checkpoint: Optional[WorkerCheckpoint] = None
-        self.checkpoints_taken = 0
-        #: Flow records this shard adopted from rebalances.
-        self.adopted_flows = 0
-        #: Flow records this shard donated to rebalances.
-        self.donated_flows = 0
 
     @property
     def worker(self) -> GatewayWorker:
@@ -79,9 +98,7 @@ class GatewayFleet(GatewayDatapath):
         #: Counters of shards that died, folded so fleet-level
         #: conservation keeps balancing after a loss.
         self.retired = GatewayStats()
-        self.rebalances = 0
         self.flows_migrated = 0
-        self.shard_losses = 0
 
     # ------------------------------------------------------------------
     # The pool's two questions
@@ -101,20 +118,19 @@ class GatewayFleet(GatewayDatapath):
     # ------------------------------------------------------------------
     # Checkpoints and shard loss
     # ------------------------------------------------------------------
-    def checkpoint_shard(self, index: int, now: float) -> WorkerCheckpoint:
-        """Capture one live shard (reuses PR 2's checkpoint format)."""
+    def checkpoint_shard(self, index: int) -> WorkerCheckpoint:
+        """Capture one live shard."""
         shard = self.shards[index]
         if not shard.alive:
             raise ValueError(f"shard {index} is not alive")
-        shard.checkpoint = checkpoint_worker(shard.worker, now)
-        shard.checkpoints_taken += 1
+        shard.checkpoint = checkpoint_worker(shard.worker)
         return shard.checkpoint
 
-    def checkpoint_all(self, now: float) -> None:
+    def checkpoint_all(self) -> None:
         """Periodic fleet-wide checkpoint sweep."""
         for shard in self.shards:
             if shard.alive:
-                self.checkpoint_shard(shard.id, now)
+                self.checkpoint_shard(shard.id)
 
     def fail_shard(
         self,
@@ -129,7 +145,7 @@ class GatewayFleet(GatewayDatapath):
         nothing at all is lost.  With it (the crash case, normally the
         shard's last periodic capture) traffic processed after the
         capture is not replayed; end-to-end retransmission covers the
-        staleness window, exactly as single-gateway failover does.
+        staleness window, as it covers any single packet loss.
 
         Returns the checkpoint's pending half-merged packets — the
         caller must forward them (they are flushed, never dropped).
@@ -140,25 +156,23 @@ class GatewayFleet(GatewayDatapath):
         if not shard.alive:
             raise ValueError(f"shard {index} is already dead")
         if checkpoint is None:
-            checkpoint = checkpoint_worker(shard.worker, now)
+            checkpoint = checkpoint_worker(shard.worker)
         self.steering.remove(index)
         shard.alive = False
-        self.shard_losses += 1
         # The dead shard's accounting survives in the retired aggregate:
         # the checkpoint's counters are self-consistent (payload_in
         # includes the pending bytes), and crediting the re-emitted
-        # pending as egress balances it exactly — mirroring what
-        # restore_worker does when a standby adopts a checkpoint.
+        # pending as egress balances it exactly.
         self.retired.merge(checkpoint.stats)
         flushed = list(checkpoint.pending)
         self.retired.credit_egress(flushed)
         # Buffered-byte spans on the dead shard settle as failover
         # closures; the survivors' trackers are untouched.
         shard.worker.retire(now)
-        self._rebalance_records(checkpoint.flows, shard)
+        self._rebalance_records(checkpoint.flows)
         return flushed
 
-    def _rebalance_records(self, records: List[tuple], donor: FleetShard) -> None:
+    def _rebalance_records(self, records: List[tuple]) -> None:
         """Hand flow records to the shards steering now assigns them to."""
         if not records:
             return
@@ -167,10 +181,7 @@ class GatewayFleet(GatewayDatapath):
         for record in records:
             buckets.setdefault(steering.shard_for(record[0]), []).append(record)
         for target, share in buckets.items():
-            adopted = self.shards[target].worker.flows.adopt(share)
-            self.shards[target].adopted_flows += adopted
-        donor.donated_flows += len(records)
-        self.rebalances += 1
+            self.shards[target].worker.flows.adopt(share)
         self.flows_migrated += len(records)
 
     # ------------------------------------------------------------------

@@ -46,15 +46,10 @@ class FleetSteering:
         self._shard_seeds = [mix64(seed + index + 1) for index in range(shards)]
         self._live = [True] * shards
         self._cache: Dict[FlowKey, int] = {}
-        #: Steering decisions landed on each shard (cache hits count —
-        #: every call models one hardware steering decision).
-        self.steered = [0] * shards
         #: Cache effectiveness: hits resolve in one dict probe, misses
-        #: walk the rendezvous ring (exported via ``observe_fleet``).
+        #: walk the rendezvous ring.
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Membership changes applied (removals).
-        self.reshards = 0
         self._rr = 0
 
     # ------------------------------------------------------------------
@@ -69,7 +64,6 @@ class FleetSteering:
         if sum(self._live) == 1:
             raise ValueError("cannot remove the last live shard")
         self._live[shard] = False
-        self.reshards += 1
         # Only flows owned by the removed shard change target; dropping
         # just their cache entries keeps every other flow's assignment
         # untouched (and provably unchanged, by the rendezvous property).
@@ -104,20 +98,16 @@ class FleetSteering:
         cached = self._cache.get(flow)
         if cached is not None:
             self.cache_hits += 1
-            self.steered[cached] += 1
             return cached
         self.cache_misses += 1
         best = self._cache[flow] = self._scan(flow)
-        self.steered[best] += 1
         return best
 
     def shard_for_unkeyed(self) -> int:
         """Round-robin fallback for packets without a flow key."""
         live = self.live_shards()
         self._rr = (self._rr + 1) % len(live)
-        shard = live[self._rr]
-        self.steered[shard] += 1
-        return shard
+        return live[self._rr]
 
     # ------------------------------------------------------------------
     def distribution(self, flows) -> List[int]:

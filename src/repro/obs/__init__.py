@@ -32,8 +32,6 @@ Design rules:
 from .alerts import AlertEngine, AlertRule, default_alert_rules
 from .collectors import (
     Observability,
-    observe_failover,
-    observe_fleet,
     observe_gateway,
     observe_nic,
     observe_pmtud,
@@ -72,8 +70,6 @@ __all__ = [
     "SpanTracker",
     "TelemetryTimeline",
     "default_alert_rules",
-    "observe_failover",
-    "observe_fleet",
     "observe_gateway",
     "observe_nic",
     "observe_pmtud",

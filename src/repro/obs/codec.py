@@ -151,11 +151,8 @@ _KINDS = (
     ("mode-transition", (("worker", INT), ("from_mode", LABEL), ("to_mode", LABEL))),
     ("stall", (("gateway", LABEL), ("until", FLOAT))),
     ("stall-drain", (("gateway", LABEL), ("queued", INT))),
-    ("worker-swap", (("gateway", LABEL), ("from_worker", INT), ("to_worker", INT))),
     ("health-transition", (("gateway", LABEL), ("from_state", LABEL),
                            ("to_state", LABEL), ("reason", LABEL))),
-    ("failover-takeover", (("gateway", LABEL), ("to_worker", INT), ("flushed", INT),
-                           ("reason", LABEL), ("checkpoint_age", FLOAT))),
     ("pmtud-probe", (("probe_id", INT), ("dst", INT), ("size", INT))),
     ("pmtud-report", (("probe_id", INT), ("pmtu", INT), ("fragments", INT))),
     ("pmtud-report-rejected", (("probe_id", INT), ("reason", LABEL),

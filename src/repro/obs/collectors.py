@@ -3,7 +3,7 @@
 Every ``observe_*`` function registers a scrape-time collector on an
 :class:`Observability` bundle's registry.  The collectors close over
 the *owning* object (gateway, UPF, NIC model), not over its current
-sub-objects, so a worker swapped in by failover is picked up on the
+sub-objects, so a late-attached resilience layer is picked up on the
 next scrape automatically.
 
 Metric naming convention (see ``docs/OBSERVABILITY.md``)::
@@ -12,7 +12,7 @@ Metric naming convention (see ``docs/OBSERVABILITY.md``)::
     px_<layer>_<noun>[_<unit>]         gauges
     px_<layer>_<noun>_<unit>           histograms (base unit in name)
 
-Layers: ``gateway``, ``worker``, ``health``, ``failover``, ``pmtu_cache``,
+Layers: ``gateway``, ``worker``, ``health``, ``pmtu_cache``,
 ``negotiation``, ``nic``, ``upf``, ``pmtud``, ``tcp``.
 """
 
@@ -27,8 +27,6 @@ from .tracer import FlowTracer
 __all__ = [
     "Observability",
     "observe_gateway",
-    "observe_failover",
-    "observe_fleet",
     "observe_nic",
     "observe_spans",
     "observe_upf",
@@ -51,11 +49,10 @@ class Observability:
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
         tracer: Optional[FlowTracer] = None,
         spans: Optional[SpanTracker] = None,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = tracer
         self.spans = spans
         self._gateways: list = []
@@ -121,8 +118,8 @@ def observe_gateway(obs: Observability, gateway) -> None:
     """Publish a PXGateway's full counter surface (worker, resilience).
 
     Reads ``gateway.worker`` (and ``gateway.health`` / ``pmtu_cache`` /
-    ``negotiator``) at scrape time, so failover swaps and late resilience
-    attachment are always reflected.
+    ``negotiator``) at scrape time, so late resilience attachment is
+    always reflected.
     """
     label = gateway.name
 
@@ -258,111 +255,6 @@ def observe_gateway(obs: Observability, gateway) -> None:
             counter("px_negotiation_suppressed_bundles_total",
                     negotiator.suppressed_bundles,
                     "Bundling decisions withheld pending/denied capability.")
-
-    obs.registry.register_collector(collect)
-
-
-def observe_failover(obs: Observability, manager) -> None:
-    """Publish a FailoverManager's checkpoint/takeover counters."""
-    label = manager.gateway.name
-
-    def collect(registry: MetricsRegistry) -> None:
-        registry.counter(
-            "px_failover_checkpoints_total",
-            "Worker checkpoints captured.", gateway=label,
-        ).set_total(manager.checkpoints_taken)
-        registry.counter(
-            "px_failover_takeovers_total",
-            "Standby-worker takeovers performed.", gateway=label,
-        ).set_total(manager.takeovers)
-        last = manager.last_checkpoint
-        registry.gauge(
-            "px_failover_checkpoint_pending_packets",
-            "Pending merge packets in the last checkpoint.", gateway=label,
-        ).set(len(last.pending) if last is not None else 0)
-
-    obs.registry.register_collector(collect)
-
-
-# ----------------------------------------------------------------------
-# Gateway fleet: per-shard series plus tier-level rebalance counters
-# ----------------------------------------------------------------------
-def observe_fleet(obs: Observability, fleet) -> None:
-    """Publish a GatewayFleet: per-shard series plus tier aggregates.
-
-    Per-shard series carry a ``shard`` label so dashboards can spot an
-    imbalanced or dying member; the dead are still scraped (frozen at
-    their final values) so a loss is visible as a flatline plus an
-    ``alive`` gauge drop, not a vanished series.
-    """
-    name = "fleet0"
-
-    def collect(registry: MetricsRegistry) -> None:
-        for shard in fleet.shards:
-            worker = shard.worker
-            label = str(shard.id)
-
-            def counter(metric: str, value, help: str = "") -> None:
-                registry.counter(
-                    metric, help, fleet=name, shard=label
-                ).set_total(value)
-
-            counter("px_fleet_shard_rx_packets_total", worker.stats.rx_packets,
-                    "Packets steered into this shard.")
-            counter("px_fleet_shard_tx_packets_total", worker.stats.tx_packets,
-                    "Packets emitted by this shard.")
-            counter("px_fleet_shard_flow_evictions_total",
-                    worker.flows.evictions,
-                    "Flow-table evictions (capacity + idle expiry).")
-            counter("px_fleet_shard_steered_total",
-                    fleet.steering.steered[shard.id],
-                    "Steering decisions landed on this shard.")
-            counter("px_fleet_shard_adopted_flows_total", shard.adopted_flows,
-                    "Flow records adopted from rebalances.")
-            counter("px_fleet_shard_donated_flows_total", shard.donated_flows,
-                    "Flow records donated to rebalances.")
-            counter("px_fleet_shard_cycles_total", worker.account.cycles,
-                    "Modeled CPU cycles consumed by this shard.")
-            registry.gauge(
-                "px_fleet_shard_flows",
-                "Live flow records in this shard's table.",
-                fleet=name, shard=label,
-            ).set(len(worker.flows))
-            registry.gauge(
-                "px_fleet_shard_alive", "1 while the shard is alive.",
-                fleet=name, shard=label,
-            ).set(1 if shard.alive else 0)
-        registry.counter(
-            "px_fleet_rebalances_total",
-            "Flow-rebalance operations (one per shard loss).", fleet=name,
-        ).set_total(fleet.rebalances)
-        registry.counter(
-            "px_fleet_flows_migrated_total",
-            "Flow records moved between shards.", fleet=name,
-        ).set_total(fleet.flows_migrated)
-        registry.counter(
-            "px_fleet_shard_losses_total",
-            "Shards lost (crash or maintenance removal).", fleet=name,
-        ).set_total(fleet.shard_losses)
-        registry.counter(
-            "px_fleet_reshards_total",
-            "Steering membership changes applied.", fleet=name,
-        ).set_total(fleet.steering.reshards)
-        registry.counter(
-            "px_fleet_steering_cache_hits_total",
-            "Steering decisions resolved from the flow cache.", fleet=name,
-        ).set_total(fleet.steering.cache_hits)
-        registry.counter(
-            "px_fleet_steering_cache_misses_total",
-            "Steering decisions that walked the rendezvous ring.", fleet=name,
-        ).set_total(fleet.steering.cache_misses)
-        registry.counter(
-            "px_fleet_retired_tx_packets_total",
-            "Egress credited to dead shards' checkpoints.", fleet=name,
-        ).set_total(fleet.retired.tx_packets)
-        registry.gauge(
-            "px_fleet_live_shards", "Shards currently alive.", fleet=name,
-        ).set(len(fleet.live_shards()))
 
     obs.registry.register_collector(collect)
 

@@ -234,10 +234,10 @@ class SpanTracker(WorkerObserver):
                 self._caravan_out(out, now)
 
     def on_retire(self, worker, now) -> None:
-        """Close every FIFO-resident span, one entry per flow: on
-        failover the old worker's pending bytes are re-emitted from the
-        checkpoint through :meth:`PXGateway.forward`, bypassing the
-        worker, so their ingress spans settle here."""
+        """Close every FIFO-resident span, one entry per flow: when a
+        fleet shard is lost (``GatewayFleet.fail_shard``) its pending
+        bytes are re-emitted from the checkpoint, bypassing the worker,
+        so their ingress spans settle here."""
         form = self._forms["packet", None, "failover", True]
         for fifos in (self._merge_fifo, self._caravan_fifo):
             for flow, fifo in fifos.items():

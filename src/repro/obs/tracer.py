@@ -4,7 +4,7 @@ A :class:`FlowTracer` is a :class:`~repro.core.worker.WorkerObserver`:
 it records structured events along a packet's path through the worker —
 ingress → classify → merge/split|caravan → egress — plus the
 control-plane lifecycles the other emitters announce (PMTUD probes,
-failover swaps, stall windows, health transitions).  Every event is
+stall windows, health transitions).  Every event is
 stamped with **simulation time** (the tracer never reads a wall clock),
 which keeps two same-seed runs' event sequences identical.
 

@@ -2,7 +2,7 @@
 
 ``run_observed_world()`` builds one deterministic scenario that
 touches all six instrumented layers — gateway, worker, resilience
-(health + PMTU cache + failover), NIC (RSS + RX rings + hairpin), UPF,
+(health + PMTU cache), NIC (RSS + RX rings + hairpin), UPF,
 and PMTUD — runs it to completion, and returns the world with a fully
 populated :class:`Observability` bundle.  Every ``repro obs WHAT``
 export and the observability determinism guard are built on it: two
@@ -18,8 +18,6 @@ The world:
 * UDP bursts inbound (gateway-built caravans) and a host-built caravan
   bulk send outbound (gateway-opened);
 * one F-PMTUD probe across the gateway (fragmented on the eMTU link);
-* a mid-run failover takeover, so the swapped-in standby carries the
-  second half of the traffic (and the flush-timer re-arm is exercised);
 * a NIC front-end model fed by a tap on the inside→gateway link:
   flows steer through RSS into bounded RX rings, mice hairpin;
 * a standalone UPF run (uplink decap + downlink encap).
@@ -33,7 +31,6 @@ from typing import Dict, List
 
 from .collectors import (
     Observability,
-    observe_failover,
     observe_nic,
     observe_pmtud,
     observe_upf,
@@ -163,7 +160,6 @@ def run_observed_world(scrape_interval: float = 0.05) -> ObservedWorld:
     from ..core import GatewayConfig
     from ..nic import HairpinQueue, RssDistributor, RxQueue
     from ..pmtud import FPmtudDaemon, FPmtudProber
-    from ..resilience import FailoverManager
     from ..tcpstack import TCPConnection, TCPListener
     from .alerts import AlertEngine, default_alert_rules
     from .flight import FlightRecorder
@@ -194,14 +190,6 @@ def run_observed_world(scrape_interval: float = 0.05) -> ObservedWorld:
     timeline = TelemetryTimeline(
         topo.sim, obs.registry, interval=scrape_interval, alerts=alerts
     ).start()
-
-    # Failover: periodic checkpoints plus one mid-run takeover, so the
-    # standby worker (and the re-armed flush timer) carry the tail of
-    # the transfers.
-    failover = FailoverManager(gateway, interval=0.25).start()
-    observe_failover(obs, failover)
-    failover.observers = (obs.tracer,)
-    topo.sim.schedule_at(0.9, failover.takeover)
 
     # NIC front-end on the inside→gateway link.
     rss = RssDistributor(queues=4)

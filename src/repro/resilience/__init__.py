@@ -1,6 +1,6 @@
 """Degrade-don't-die machinery for the PX datapath (guide: `docs/RESILIENCE.md`).
 
-Four cooperating pieces:
+Three cooperating pieces:
 
 * :mod:`~repro.resilience.health` — the per-gateway HEALTHY → DEGRADED
   → BYPASS state machine driven by watchdog heartbeats;
@@ -8,18 +8,13 @@ Four cooperating pieces:
   (F-PMTUD → PLPMTUD → conservative 1500 B) with retry/backoff and a
   TTL'd :mod:`~repro.resilience.pmtu_cache`;
 * :mod:`~repro.resilience.negotiation` — per-peer caravan capability
-  negotiation with a negative cache;
-* :mod:`~repro.resilience.failover` — flow-state checkpoints a standby
-  worker adopts mid-run.
+  negotiation with a negative cache.
+
+A worker is lost only as a fleet shard
+(:meth:`repro.fleet.GatewayFleet.fail_shard`).
 """
 
 from .discovery import CONSERVATIVE_PMTU, DiscoveryOutcome, ResilientPmtud
-from .failover import (
-    FailoverManager,
-    WorkerCheckpoint,
-    checkpoint_worker,
-    restore_worker,
-)
 from .health import HealthMonitor, HealthPolicy, HealthState
 from .negotiation import CARAVAN_CAP_PORT, CaravanNegotiator
 from .pmtu_cache import TRUST_RANK, PmtuCache, PmtuEntry
@@ -41,8 +36,4 @@ __all__ = [
     "ResilientPmtud",
     "DiscoveryOutcome",
     "CONSERVATIVE_PMTU",
-    "FailoverManager",
-    "WorkerCheckpoint",
-    "checkpoint_worker",
-    "restore_worker",
 ]

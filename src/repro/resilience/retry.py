@@ -1,7 +1,7 @@
 """Retry policies: jittered exponential backoff and probe budgets.
 
 Every retry loop in the resilience layer (F-PMTUD re-probes, caravan
-capability queries, failed failover checkpoints) shares these two
+capability queries) shares these two
 primitives:
 
 * :class:`BackoffPolicy` — the classic exponential backoff with full

@@ -64,6 +64,19 @@ def break_caravan_split(world):
     split.process = lossy_process
 
 
+def install_worker(gateway, worker):
+    """Put *worker* in *gateway*'s datapath before the run starts.
+
+    The new worker keeps what the gateway wired into the one it
+    replaces: the PMTU cache, the caravan gate and the observers.
+    """
+    old = gateway.worker
+    worker.pmtu_cache = old.pmtu_cache
+    worker.caravan_gate = old.caravan_gate
+    worker.observers = old.observers
+    gateway.worker = worker
+
+
 def oversize_egress(world):
     """Deploy a worker sized for a 3000 B eMTU on the 1500 B wire, behind
     a forward path that skips the egress MTU step.
@@ -75,7 +88,7 @@ def oversize_egress(world):
     classic MTU blackhole).
     """
     gateway = world.gateway
-    gateway.swap_worker(GatewayWorker(replace(gateway.config, emtu=3000)))
+    install_worker(gateway, GatewayWorker(replace(gateway.config, emtu=3000)))
     forward = gateway.forward
 
     def unchecked_forward(packet, arrived_on=None, route=None):
@@ -98,7 +111,7 @@ def mis_sized_split(world):
     only the ICMP on the internal link shows the bug.
     """
     gateway = world.gateway
-    gateway.swap_worker(GatewayWorker(replace(gateway.config, emtu=3000)))
+    install_worker(gateway, GatewayWorker(replace(gateway.config, emtu=3000)))
 
 
 def mis_sized_split_without_df(world):
@@ -139,8 +152,8 @@ def stale_checkpoint(monkeypatch):
     checkpoint_shard = GatewayFleet.checkpoint_shard
     fail_shard = GatewayFleet.fail_shard
 
-    def remembering_checkpoint(fleet, index, now):
-        checkpoint = checkpoint_shard(fleet, index, now)
+    def remembering_checkpoint(fleet, index):
+        checkpoint = checkpoint_shard(fleet, index)
         first.setdefault((fleet, index), checkpoint)
         return checkpoint
 

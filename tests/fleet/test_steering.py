@@ -61,7 +61,7 @@ class TestSteering:
         steering = FleetSteering(3)
         steering.remove(0)
         steering.remove(0)
-        assert steering.reshards == 1
+        assert steering.live_shards() == [1, 2]
 
     def test_unkeyed_round_robin_skips_dead_shards(self):
         steering = FleetSteering(3)
@@ -74,8 +74,8 @@ class TestSteering:
         population = flows(100)
         for flow in population:
             steering.shard_for(flow)
-            steering.shard_for(flow)  # cache hit still counts
-        assert sum(steering.steered) == 200
+            steering.shard_for(flow)  # a cache hit is a decision too
+        assert steering.cache_hits + steering.cache_misses == 200
 
     def test_cache_hit_miss_counters(self):
         steering = FleetSteering(2)

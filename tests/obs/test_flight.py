@@ -49,9 +49,11 @@ def test_to_json_is_compact_and_sorted():
     assert payload["entries"][0]["event"]["packets"] == 2
 
 
-def test_world_flight_window_brackets_the_takeover():
+def test_world_flight_window_brackets_the_inbound_burst():
+    # The first inbound burst reaches the gateway just after 0.30 s and
+    # leaves as one caravan before the merge timeout flushes the rest.
     world = run_observed_world()
-    swap = [e for e in world.flight.window(since=0.9, until=0.9,
-                                           kinds=("trace",))
-            if e["event"]["kind"] == "failover-takeover"]
-    assert len(swap) == 1
+    window = world.flight.window(since=0.30, until=0.301, kinds=("trace",))
+    assert window and all(0.30 <= e["time"] <= 0.301 for e in window)
+    built = [e for e in window if e["event"]["kind"] == "caravan-built"]
+    assert [e["event"]["inner"] for e in built] == [8]

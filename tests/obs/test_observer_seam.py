@@ -37,7 +37,6 @@ from repro.net import Topology
 from repro.obs import FlowTracer, Observability, SpanTracker
 from repro.packet import PX_CARAVAN_TOS, FlowKey, ICMPMessage, TCPFlags
 from repro.packet.builder import build_icmp, build_tcp, build_udp
-from repro.resilience import FailoverManager
 
 INSIDE, OUTSIDE = "10.1.0.1", "198.51.100.7"
 
@@ -320,7 +319,6 @@ def drive_every_emitter(subscriber=None):
     from repro.packet.builder import build_tcp
     from repro.pmtud import FPmtudDaemon, FPmtudProber
     from repro.pmtud.fpmtud import _pack_report
-    from repro.resilience import FailoverManager
 
     def subscribe(*emitters):
         for emitter in emitters:
@@ -339,7 +337,7 @@ def drive_every_emitter(subscriber=None):
 
     # One border: a stall (health excursion and back), a probe answered,
     # a probe nobody answers, a forged report, an unroutable packet, a
-    # peer that takes jumbos whole, a takeover.
+    # peer that takes jumbos whole.
     topo = Topology()
     inside, outside = topo.add_host("inside"), topo.add_host("outside")
     gateway = PXGateway(topo.sim, "pxgw", config=GatewayConfig())
@@ -350,11 +348,10 @@ def drive_every_emitter(subscriber=None):
     inside.routes.add_default(inside.interfaces[0])
     gateway.mark_internal(gateway.interfaces[0])
     monitor = gateway.enable_resilience()
-    failover = FailoverManager(gateway)
     FPmtudDaemon(outside)
     prober = FPmtudProber(inside)
     unanswered = FPmtudProber(inside, src_port=52001, daemon_port=9)
-    subscribe(gateway, monitor, failover, prober, unanswered)
+    subscribe(gateway, monitor, prober, unanswered)
     results = []
     prober.probe(outside.ip, 9000, results.append)
     unanswered.probe(outside.ip, 1400, results.append, timeout=0.2)
@@ -365,7 +362,6 @@ def drive_every_emitter(subscriber=None):
     gateway.set_neighbor_imtu(gateway.interfaces[1], 9000)
     inside.send_udp(outside.ip, 9, 9, b"whole")
     topo.run(until=1.1)
-    failover.takeover()
     assert len(results) == 1 and prober.rejected_reports == unanswered.timeouts == 1
     assert len(monitor.transitions) >= 2 and gateway.untranslated == gateway.dropped == 1
 
@@ -421,14 +417,11 @@ class Counting(WorkerObserver):
     """Counts what it hears; subscribes to anything."""
 
     def __init__(self):
-        self.packets = self.retired = 0
+        self.packets = 0
         self.heard = {}  # kind -> [(emitter class name, fields)]
 
     def on_packet(self, *event):
         self.packets += 1
-
-    def on_retire(self, worker, now):
-        self.retired += 1
 
     def on_event(self, source, now, kind, **fields):
         self.heard.setdefault(kind, []).append((type(source).__name__, fields))
@@ -447,12 +440,8 @@ def test_a_bare_world_says_the_closed_set_of_events():
         "gateway-passthrough": {("PXGateway", ("ingress_at",))},
         "stall": {("PXGateway", ("gateway", "until"))},
         "stall-drain": {("PXGateway", ("gateway", "queued"))},
-        "worker-swap": {("PXGateway", ("from_worker", "gateway", "to_worker"))},
         "health-transition": {
             ("HealthMonitor", ("from_state", "gateway", "reason", "to_state"))},
-        "failover-takeover": {
-            ("FailoverManager", ("checkpoint_age", "flows", "flushed", "gateway",
-                                 "reason", "to_worker"))},
         "pmtud-probe": {("FPmtudProber", ("dst", "probe_id", "size"))},
         "pmtud-report": {("FPmtudProber", ("elapsed", "fragments", "pmtu", "probe_id"))},
         "pmtud-report-rejected": {("FPmtudProber", ("pmtu", "probe_id", "reason"))},
@@ -460,31 +449,6 @@ def test_a_bare_world_says_the_closed_set_of_events():
     }
     assert {fields["gateway"] for _who, fields in counting.heard["health-transition"]} == {
         "pxgw"}
-
-
-# ----------------------------------------------------------------------
-# Observers survive a worker swap
-# ----------------------------------------------------------------------
-def test_observers_survive_a_worker_swap():
-    config = GatewayConfig(elephant_threshold_packets=1, hairpin_small_flows=False)
-    topo = Topology()
-    gateway = PXGateway(topo.sim, "pxgw", config=config)
-    topo.add_node(gateway)
-    obs = gateway.attach_observability(
-        Observability(tracer=FlowTracer(), spans=SpanTracker()))
-    counting = Counting()
-    gateway.worker.observers += (counting,)
-    attached = gateway.worker.observers
-    assert attached == (obs.tracer, obs.spans, counting)
-
-    zoo = Zoo()
-    gateway.worker.process(*zoo.tcp_in(0, 1448), 0.0)
-    assert obs.spans.pending_merge_bytes() == 1448
-    FailoverManager(gateway).takeover()
-    assert gateway.worker.index == 1 and gateway.worker.observers == attached
-    assert counting.retired == 1 and obs.spans.open_count() == 0
-    gateway.worker.process(*zoo.tcp_in(0, 1448), 1.0)
-    assert counting.packets == 2
 
 
 def _border():

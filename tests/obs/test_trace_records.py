@@ -58,11 +58,8 @@ FIELDS = {
     "mode-transition": (("worker", INTS), ("from_mode", LABELS), ("to_mode", LABELS)),
     "stall": (("gateway", LABELS), ("until", FLOATS)),
     "stall-drain": (("gateway", LABELS), ("queued", INTS)),
-    "worker-swap": (("gateway", LABELS), ("from_worker", INTS), ("to_worker", INTS)),
     "health-transition": (("gateway", LABELS), ("from_state", LABELS),
                           ("to_state", LABELS), ("reason", LABELS)),
-    "failover-takeover": (("gateway", LABELS), ("to_worker", INTS), ("flushed", INTS),
-                          ("reason", LABELS), ("checkpoint_age", FLOATS)),
     "pmtud-probe": (("probe_id", INTS), ("dst", INTS), ("size", INTS)),
     "pmtud-report": (("probe_id", INTS), ("pmtu", INTS), ("fragments", INTS)),
     "pmtud-report-rejected": (("probe_id", INTS), ("reason", LABELS),

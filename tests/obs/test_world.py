@@ -18,7 +18,6 @@ _LAYER_PREFIXES = (
     "px_worker_",
     "px_health_",      # resilience: health monitor
     "px_pmtu_cache_",  # resilience: PMTU clamp cache
-    "px_failover_",    # resilience: checkpoints + takeover
     "px_nic_",
     "px_upf_",
     "px_pmtud_",
@@ -44,7 +43,6 @@ def test_world_exports_every_layer_with_depth(world):
     assert snapshot['px_gateway_split_segments_total{gateway="pxgw"}'] > 0
     assert snapshot['px_gateway_caravans_built_total{gateway="pxgw"}'] > 0
     assert snapshot['px_gateway_caravans_opened_total{gateway="pxgw"}'] > 0
-    assert snapshot['px_failover_takeovers_total{gateway="pxgw"}'] == 1
     assert snapshot['px_pmtud_probes_sent_total{agent="fpmtud"}'] == 1
     assert snapshot['px_pmtud_last_pmtu_bytes{agent="fpmtud"}'] == 1500
     assert sum(value for key, value in snapshot.items()
@@ -68,10 +66,18 @@ def test_world_exposes_links_by_role(world):
 def test_world_traces_the_whole_flow_lifecycle(world):
     kinds = world.obs.tracer.kinds()
     for kind in ("ingress", "classify", "merge", "split", "egress", "flush",
-                 "caravan-built", "caravan-opened", "worker-swap",
-                 "failover-takeover", "pmtud-probe", "pmtud-report"):
+                 "caravan-built", "caravan-opened", "pmtud-probe", "pmtud-report"):
         assert kinds.get(kind, 0) > 0, kind
     assert world.obs.tracer.dropped == 0
+
+
+def test_world_counters_never_run_backwards(world):
+    # A counter's windowed delta is never negative: a collector that
+    # starts reading a fresh, zeroed object mid-run shows up here.
+    for sample in world.timeline.samples:
+        for key, delta in sample["deltas"].items():
+            if key.split("{")[0].endswith("_total"):
+                assert delta >= 0, (sample["time"], key, delta)
 
 
 def test_world_registry_reconciles_with_the_chaos_oracle(world):

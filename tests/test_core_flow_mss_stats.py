@@ -62,30 +62,13 @@ class TestFlowTable:
         assert [state.key for state in evicted] == [self.key(0), self.key(1)]
         assert self.key(2) in table
 
-    def test_restore_trims_to_capacity_lru_first(self):
-        # Regression: restore used to load every record regardless of
-        # the receiving table's capacity, so failover onto a smaller
-        # standby silently exceeded the bound.
-        big = FlowTable(capacity=8)
-        for i in range(6):
-            big.lookup(self.key(i), now=float(i))
-        evicted = []
-        small = FlowTable(capacity=4, on_evict=evicted.append)
-        small.restore(big.snapshot())
-        assert len(small) == 4
-        assert small.evictions == 2
-        # LRU-first: the two oldest records are the ones trimmed, and
-        # they leave through on_evict like any capacity eviction.
-        assert [state.key for state in evicted] == [self.key(0), self.key(1)]
-        assert self.key(5) in small and self.key(2) in small
-
-    def test_restore_preserves_flow_state(self):
+    def test_adopt_preserves_flow_state(self):
         table = FlowTable()
         state = table.lookup(self.key(), now=1.0)
         state.touch(500, now=2.0)
         state.is_elephant = True
         clone = FlowTable()
-        clone.restore(table.snapshot())
+        clone.adopt(table.snapshot())
         restored = clone.peek(self.key())
         assert restored.bytes == 500
         assert restored.is_elephant
@@ -112,7 +95,10 @@ class TestFlowTable:
         receiver.adopt(donor.snapshot())
         assert len(receiver) == 2
         assert receiver.evictions == 3
-        assert len(evicted) == 3
+        # LRU-first: the three oldest records are the ones trimmed, and
+        # they leave through on_evict like any capacity eviction.
+        assert [state.key for state in evicted] == [self.key(i) for i in range(3)]
+        assert self.key(3) in receiver and self.key(4) in receiver
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

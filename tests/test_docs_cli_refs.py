@@ -111,7 +111,8 @@ def test_the_folded_verbs_are_rejected(verb, capsys):
 #: send a reader to them.
 _GONE = ("PacketTrace", "attach_trace", "prober.tracer", "flight=",
          "TracePropagation", "build_incident_bundle", "burn_rate_rules",
-         "obs incident")
+         "obs incident", "FailoverManager", "swap_worker", "restore_worker",
+         "observe_failover", "observe_fleet")
 
 
 def test_no_doc_or_example_names_a_removed_attach_surface():
