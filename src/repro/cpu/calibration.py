@@ -112,11 +112,6 @@ class HostCosts:
     stack_per_segment: float = 360.0
     wakeup_per_segment: float = 3640.0
     copy_per_byte: float = 0.33
-    #: TX side: per sendmsg-sized chunk handed to the stack, and per
-    #: wire packet when segmentation happens in software (no TSO).
-    tx_stack_per_chunk: float = 1600.0
-    tx_sw_segment_per_packet: float = 220.0
-    tx_copy_per_byte: float = 0.30
     ack_rx_per_packet: float = 450.0
     #: UDP datagram delivery: one recvmsg per datagram, no batching.
     udp_per_datagram: float = 1000.0

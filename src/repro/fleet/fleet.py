@@ -67,18 +67,13 @@ def checkpoint_worker(worker: GatewayWorker) -> WorkerCheckpoint:
 
 
 class FleetShard:
-    """One fleet member: a slot of the pool plus its lifecycle state."""
+    """One fleet member: its worker plus its lifecycle state."""
 
-    def __init__(self, pool: List[GatewayWorker], shard_id: int):
-        self._pool = pool
+    def __init__(self, worker: GatewayWorker, shard_id: int):
+        self.worker = worker
         self.id = shard_id
         self.alive = True
         self.checkpoint: Optional[WorkerCheckpoint] = None
-
-    @property
-    def worker(self) -> GatewayWorker:
-        """The worker in this shard's slot."""
-        return self._pool[self.id]
 
 
 class GatewayFleet(GatewayDatapath):
@@ -93,7 +88,8 @@ class GatewayFleet(GatewayDatapath):
         if shards <= 0:
             raise ValueError("need at least one shard")
         self._build_pool(config, shards)
-        self.shards = [FleetShard(self.workers, index) for index in range(shards)]
+        self.shards = [FleetShard(worker, index)
+                       for index, worker in enumerate(self.workers)]
         self.steering = FleetSteering(shards, seed=steering_seed)
         #: Counters of shards that died, folded so fleet-level
         #: conservation keeps balancing after a loss.

@@ -1,9 +1,8 @@
-"""NIC offload models: LRO/GRO/TSO, RSS, DMA, queues, end-host pricing."""
+"""NIC offload models: LRO/GRO/TSO, RSS, DMA, end-host RX pricing."""
 
-from .dma import FULL_DMA, HEADER_ONLY_DMA, DmaModel, ScatterGatherList
-from .endhost import ReceiverConfig, ReceiverModel, SenderModel
+from .dma import FULL_DMA, HEADER_ONLY_DMA, DmaModel
+from .endhost import ReceiverConfig, ReceiverModel
 from .offloads import MergeContext, TcpCoalescer, UdpGroCoalescer, segment_tcp
-from .queues import HairpinQueue, RxQueue
 from .rss import DEFAULT_RSS_KEY, RssDistributor, toeplitz_hash
 
 __all__ = [
@@ -15,12 +14,8 @@ __all__ = [
     "toeplitz_hash",
     "DEFAULT_RSS_KEY",
     "DmaModel",
-    "ScatterGatherList",
     "FULL_DMA",
     "HEADER_ONLY_DMA",
-    "RxQueue",
-    "HairpinQueue",
     "ReceiverConfig",
     "ReceiverModel",
-    "SenderModel",
 ]

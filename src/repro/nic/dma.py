@@ -1,4 +1,4 @@
-"""DMA traffic models: scatter-gather and header-only DMA.
+"""DMA traffic models: full and header-only DMA.
 
 The header-only mode follows Pismenny et al. (ASPLOS '22): payloads
 stay resident in on-NIC memory and only headers cross PCIe into host
@@ -11,11 +11,10 @@ this removes almost all per-byte memory traffic — which is exactly the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..packet import Packet, TCPHeader, UDPHeader
 
-__all__ = ["DmaModel", "ScatterGatherList", "FULL_DMA", "HEADER_ONLY_DMA"]
+__all__ = ["DmaModel", "FULL_DMA", "HEADER_ONLY_DMA"]
 
 
 @dataclass(frozen=True)
@@ -69,33 +68,3 @@ HEADER_ONLY_DMA = DmaModel(
     nic_memory_per_payload_byte=1.0,
 )
 
-
-class ScatterGatherList:
-    """A chain of buffer segments composing one outgoing packet.
-
-    PXGW's merge path builds large packets as gather lists instead of
-    copying payloads; the list length is what the NIC must walk at TX.
-    """
-
-    def __init__(self):
-        self._segments: List[bytes] = []
-
-    def append(self, segment: bytes) -> None:
-        """Add one buffer segment."""
-        self._segments.append(segment)
-
-    def extend(self, segments: List[bytes]) -> None:
-        """Add several segments."""
-        self._segments.extend(segments)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(len(segment) for segment in self._segments)
-
-    def linearize(self) -> bytes:
-        """Copy into one contiguous buffer (what a copy-based path pays)."""
-        return b"".join(self._segments)

@@ -3,8 +3,7 @@
 :class:`ReceiverModel` runs real arrival streams through the offload
 engines (LRO in "NIC hardware" pricing, GRO in software pricing) and
 charges a :class:`CycleAccount`; Figures 1b, 1c, and 5c come from
-scaling the resulting accounts to the endpoint CPU.  The symmetric
-:class:`SenderModel` prices the transmit side.
+scaling the resulting accounts to the endpoint CPU.
 """
 
 from __future__ import annotations
@@ -12,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from ..cpu import DEFAULT_HOST_COSTS, CycleAccount, HostCosts
+from ..cpu import DEFAULT_HOST_COSTS, CycleAccount
 from ..packet import Packet
-from .offloads import TcpCoalescer, UdpGroCoalescer, segment_tcp
+from .offloads import TcpCoalescer, UdpGroCoalescer
 
-__all__ = ["ReceiverConfig", "ReceiverModel", "SenderModel"]
+__all__ = ["ReceiverConfig", "ReceiverModel"]
 
 
 @dataclass(frozen=True)
@@ -139,52 +138,3 @@ class ReceiverModel:
         wire_packets = sum(p.meta.get("merged_from", 1) for p in data_segments)
         return wire_packets / len(data_segments)
 
-
-class SenderModel:
-    """Prices the transmit side of a bulk TCP sender."""
-
-    def __init__(
-        self,
-        mss: int,
-        tso: bool = True,
-        chunk_bytes: int = 65536,
-        costs: HostCosts = DEFAULT_HOST_COSTS,
-    ):
-        if mss <= 0:
-            raise ValueError(f"bad MSS {mss}")
-        self.mss = mss
-        self.tso = tso
-        self.chunk_bytes = chunk_bytes
-        self.costs = costs
-        self.account = CycleAccount()
-
-    def send(self, template: Packet, total_bytes: int) -> List[Packet]:
-        """Emit *total_bytes* as wire packets, charging TX costs.
-
-        *template* provides addressing/ports; payload content is a
-        repeating pattern (contents do not affect any result here).
-        """
-        packets: List[Packet] = []
-        remaining = total_bytes
-        seq = template.tcp.seq if template.is_tcp else 0
-        while remaining > 0:
-            chunk_len = min(self.chunk_bytes, remaining)
-            self.account.charge(
-                self.costs.tx_stack_per_chunk + self.costs.tx_copy_per_byte * chunk_len,
-                mem_bytes=chunk_len,
-                category="tx-stack",
-            )
-            chunk = template.copy()
-            chunk.payload = bytes(chunk_len)
-            chunk.tcp.seq = seq & 0xFFFFFFFF
-            segments = segment_tcp(chunk, self.mss)
-            if not self.tso:
-                self.account.charge(
-                    self.costs.tx_sw_segment_per_packet * len(segments), category="tx-gso"
-                )
-            for segment in segments:
-                self.account.note_packet(len(segment.payload))
-            packets.extend(segments)
-            seq += chunk_len
-            remaining -= chunk_len
-        return packets

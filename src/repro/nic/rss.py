@@ -101,19 +101,14 @@ class RssDistributor:
         #: drivers do.
         self.table = [index % queues for index in range(128)]
         self._cache: dict = {}
-        #: Steering decisions landed on each queue (cached hits count:
-        #: every call is one hardware steering decision).
-        self.steered = [0] * queues
 
     def queue_for(self, flow: FlowKey) -> int:
         """The RX queue index this flow lands on."""
         cached = self._cache.get(flow)
         if cached is not None:
-            self.steered[cached] += 1
             return cached
         queue = self.table[flow_hash(flow, self.key) % len(self.table)]
         self._cache[flow] = queue
-        self.steered[queue] += 1
         return queue
 
     def distribution(self, flows: Sequence[FlowKey]) -> "list[int]":

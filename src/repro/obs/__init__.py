@@ -33,11 +33,9 @@ from .alerts import AlertEngine, AlertRule, default_alert_rules
 from .collectors import (
     Observability,
     observe_gateway,
-    observe_nic,
     observe_pmtud,
     observe_spans,
     observe_tcp,
-    observe_upf,
 )
 from .flight import FlightRecorder
 from .registry import (
@@ -71,10 +69,8 @@ __all__ = [
     "TelemetryTimeline",
     "default_alert_rules",
     "observe_gateway",
-    "observe_nic",
     "observe_pmtud",
     "observe_spans",
     "observe_tcp",
-    "observe_upf",
     "run_observed_world",
 ]

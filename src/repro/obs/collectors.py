@@ -2,7 +2,7 @@
 
 Every ``observe_*`` function registers a scrape-time collector on an
 :class:`Observability` bundle's registry.  The collectors close over
-the *owning* object (gateway, UPF, NIC model), not over its current
+the *owning* object (gateway, prober, TCP sender), not over its current
 sub-objects, so a late-attached resilience layer is picked up on the
 next scrape automatically.
 
@@ -13,12 +13,12 @@ Metric naming convention (see ``docs/OBSERVABILITY.md``)::
     px_<layer>_<noun>_<unit>           histograms (base unit in name)
 
 Layers: ``gateway``, ``worker``, ``health``, ``pmtu_cache``,
-``negotiation``, ``nic``, ``upf``, ``pmtud``, ``tcp``.
+``negotiation``, ``pmtud``, ``tcp``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .registry import MetricsRegistry
 from .spans import LATENCY_BUCKETS, LATENCY_METRICS, SpanTracker
@@ -27,9 +27,7 @@ from .tracer import FlowTracer
 __all__ = [
     "Observability",
     "observe_gateway",
-    "observe_nic",
     "observe_spans",
-    "observe_upf",
     "observe_pmtud",
     "observe_tcp",
 ]
@@ -192,8 +190,6 @@ def observe_gateway(obs: Observability, gateway) -> None:
 
         gauge("px_worker_mode", WorkerMode.ALL.index(worker.mode),
               "Datapath mode (0=normal, 1=degraded, 2=bypass).")
-        gauge("px_worker_index", worker.index,
-              "Index of the worker currently serving the datapath.")
         counter("px_worker_cycles_total", worker.account.cycles,
                 "CPU cycles charged by the cost model.")
         counter("px_worker_merge_evictions_total", worker.merge.evictions,
@@ -255,88 +251,6 @@ def observe_gateway(obs: Observability, gateway) -> None:
             counter("px_negotiation_suppressed_bundles_total",
                     negotiator.suppressed_bundles,
                     "Bundling decisions withheld pending/denied capability.")
-
-    obs.registry.register_collector(collect)
-
-
-# ----------------------------------------------------------------------
-# NIC: receive rings, hairpin, RSS steering
-# ----------------------------------------------------------------------
-def observe_nic(
-    obs: Observability,
-    queues: Iterable = (),
-    hairpin=None,
-    rss=None,
-) -> None:
-    """Publish RX-ring depth/drops, hairpin traffic, and RSS steering."""
-    nic = "nic0"
-    rings = list(queues)
-
-    def collect(registry: MetricsRegistry) -> None:
-        for ring in rings:
-            labels = {"nic": nic, "queue": str(ring.index)}
-            registry.gauge("px_nic_queue_depth",
-                           "Descriptors waiting in the RX ring.",
-                           **labels).set(len(ring))
-            registry.gauge("px_nic_queue_peak_depth",
-                           "High-water mark of the RX ring.",
-                           **labels).set(ring.peak_depth)
-            registry.counter("px_nic_queue_enqueued_total",
-                             "Packets accepted into the RX ring.",
-                             **labels).set_total(ring.enqueued)
-            registry.counter("px_nic_queue_dropped_total",
-                             "Packets dropped because the RX ring was full.",
-                             **labels).set_total(ring.dropped)
-        if hairpin is not None:
-            registry.gauge("px_nic_hairpin_depth",
-                           "Packets waiting in the hairpin ring.",
-                           nic=nic).set(len(hairpin))
-            registry.counter("px_nic_hairpin_forwarded_total",
-                             "Packets the NIC forwarded host-free.",
-                             nic=nic).set_total(hairpin.forwarded)
-            registry.counter("px_nic_hairpin_dropped_total",
-                             "Packets dropped at a full hairpin ring.",
-                             nic=nic).set_total(hairpin.dropped)
-        if rss is not None:
-            for queue, steered in enumerate(rss.steered):
-                registry.counter("px_nic_rss_steered_total",
-                                 "Steering decisions landing on each RX queue.",
-                                 nic=nic, queue=str(queue)).set_total(steered)
-
-    obs.registry.register_collector(collect)
-
-
-# ----------------------------------------------------------------------
-# UPF pipeline
-# ----------------------------------------------------------------------
-def observe_upf(obs: Observability, upf) -> None:
-    """Publish a UPF's pipeline counters and per-rule hit counts."""
-
-    def collect(registry: MetricsRegistry) -> None:
-        stats = upf.stats
-
-        def counter(metric: str, value, help: str = "", **labels) -> None:
-            registry.counter(metric, help, upf="upf0", **labels).set_total(value)
-
-        counter("px_upf_uplink_packets_total", stats.uplink_packets,
-                "Uplink (GTP-U decap) packets forwarded.")
-        counter("px_upf_downlink_packets_total", stats.downlink_packets,
-                "Downlink (GTP-U encap) packets forwarded.")
-        counter("px_upf_dropped_packets_total", stats.dropped_no_match,
-                "Packets dropped per cause.", cause="no_match")
-        counter("px_upf_dropped_packets_total", stats.dropped_gate,
-                cause="gate")
-        counter("px_upf_dropped_packets_total", stats.dropped_malformed,
-                cause="malformed")
-        counter("px_upf_dropped_packets_total", stats.dropped_mbr, cause="mbr")
-        counter("px_upf_buffered_packets_total", stats.buffered,
-                "Packets parked by a BUFFER FAR.")
-        counter("px_upf_cycles_total", upf.account.cycles,
-                "CPU cycles charged by the UPF cost model.")
-        for (direction, seid, pdr_id), hits in upf.rule_hits.items():
-            counter("px_upf_rule_hits_total", hits,
-                    "PDR match counts per session rule.",
-                    direction=direction, seid=str(seid), pdr=str(pdr_id))
 
     obs.registry.register_collector(collect)
 

@@ -54,9 +54,6 @@ class Upf:
         #: Per-(seid, qer) token buckets, created lazily for QERs with
         #: an MBR configured.
         self._buckets: dict = {}
-        #: PDR match counts keyed ``(direction, seid, pdr_id)`` — the
-        #: per-rule hit counters the observability layer exports.
-        self.rule_hits: dict = {}
 
     # ------------------------------------------------------------------
     def process(self, packet: Packet, now: float = 0.0) -> List[Packet]:
@@ -99,8 +96,6 @@ class Upf:
             self.stats.dropped_no_match += 1
             return []
         session, pdr = match
-        key = ("uplink", session.seid, pdr.pdr_id)
-        self.rule_hits[key] = self.rule_hits.get(key, 0) + 1
 
         if not self._qer_pass(session, pdr, packet):
             return []
@@ -133,8 +128,6 @@ class Upf:
             self.stats.dropped_no_match += 1
             return []
         session, pdr = match
-        key = ("downlink", session.seid, pdr.pdr_id)
-        self.rule_hits[key] = self.rule_hits.get(key, 0) + 1
 
         if not self._qer_pass(session, pdr, packet):
             return []

@@ -24,7 +24,7 @@ def test_metrics_json_to_file(tmp_path, capsys):
     assert "written to" in capsys.readouterr().out
     dump = json.loads(out_path.read_text())
     names = {entry["name"] for entry in dump["series"]}
-    assert "px_upf_uplink_packets_total" in names
+    assert "px_gateway_rx_packets_total" in names
     assert "px_pmtud_probes_sent_total" in names
 
 

@@ -18,8 +18,6 @@ _LAYER_PREFIXES = (
     "px_worker_",
     "px_health_",      # resilience: health monitor
     "px_pmtu_cache_",  # resilience: PMTU clamp cache
-    "px_nic_",
-    "px_upf_",
     "px_pmtud_",
 )
 
@@ -45,10 +43,6 @@ def test_world_exports_every_layer_with_depth(world):
     assert snapshot['px_gateway_caravans_opened_total{gateway="pxgw"}'] > 0
     assert snapshot['px_pmtud_probes_sent_total{agent="fpmtud"}'] == 1
     assert snapshot['px_pmtud_last_pmtu_bytes{agent="fpmtud"}'] == 1500
-    assert sum(value for key, value in snapshot.items()
-               if key.startswith("px_nic_rss_steered_total")) > 0
-    assert sum(value for key, value in snapshot.items()
-               if key.startswith("px_upf_rule_hits_total")) == 40
     # The transfers completed and the PMTU probe resolved.
     assert world.notes["downloaded"] == 48_000
     assert world.notes["uploaded"] == 24_000

@@ -112,7 +112,9 @@ def test_the_folded_verbs_are_rejected(verb, capsys):
 _GONE = ("PacketTrace", "attach_trace", "prober.tracer", "flight=",
          "TracePropagation", "build_incident_bundle", "burn_rate_rules",
          "obs incident", "FailoverManager", "swap_worker", "restore_worker",
-         "observe_failover", "observe_fleet")
+         "observe_failover", "observe_fleet", "observe_nic", "observe_upf",
+         "RxQueue", "HairpinQueue", "ScatterGatherList", "SenderModel",
+         "px_worker_index")
 
 
 def test_no_doc_or_example_names_a_removed_attach_surface():

@@ -1,4 +1,4 @@
-"""Tests for the end-host receiver/sender cost models."""
+"""Tests for the end-host receiver cost model."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import encode_caravan
 from repro.cpu import XEON_5512U
-from repro.nic import ReceiverConfig, ReceiverModel, SenderModel
+from repro.nic import ReceiverConfig, ReceiverModel
 from repro.packet import build_tcp, build_udp
 from repro.workload import make_tcp_sources, make_udp_sources, interleave
 
@@ -101,32 +101,3 @@ class TestReceiverModel:
         bundle_model.process(bundles)
         assert tput(bundle_model) > 1.5 * tput(loose_model)
 
-
-class TestSenderModel:
-    def template(self):
-        return build_tcp("1.1.1.1", "2.2.2.2", 1000, 80)
-
-    def test_emits_mss_sized_packets(self):
-        sender = SenderModel(mss=1448)
-        packets = sender.send(self.template(), total_bytes=100_000)
-        assert sum(len(p.payload) for p in packets) == 100_000
-        assert all(len(p.payload) <= 1448 for p in packets)
-
-    def test_tso_cheaper_than_software_segmentation(self):
-        with_tso = SenderModel(mss=1448, tso=True)
-        with_tso.send(self.template(), 1_000_000)
-        without = SenderModel(mss=1448, tso=False)
-        without.send(self.template(), 1_000_000)
-        assert without.account.cycles > with_tso.account.cycles
-
-    def test_larger_mss_fewer_packets_same_bytes(self):
-        small = SenderModel(mss=1448)
-        large = SenderModel(mss=8948)
-        small_packets = small.send(self.template(), 500_000)
-        large_packets = large.send(self.template(), 500_000)
-        assert len(large_packets) < len(small_packets) / 5
-        assert small.account.goodput_bytes == large.account.goodput_bytes
-
-    def test_bad_mss_rejected(self):
-        with pytest.raises(ValueError):
-            SenderModel(mss=0)

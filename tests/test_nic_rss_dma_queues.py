@@ -1,4 +1,4 @@
-"""Tests for RSS hashing, DMA models, queues, and the cycle account."""
+"""Tests for RSS hashing, DMA models and the cycle account."""
 
 import random
 import struct
@@ -12,10 +12,7 @@ from repro.nic import rss as rss_module
 from repro.nic import (
     FULL_DMA,
     HEADER_ONLY_DMA,
-    HairpinQueue,
     RssDistributor,
-    RxQueue,
-    ScatterGatherList,
     toeplitz_hash,
 )
 from repro.packet import FlowKey, IPProto, build_udp
@@ -145,39 +142,6 @@ class TestDmaModels:
         packet = self.packet(1000)
         assert HEADER_ONLY_DMA.nic_memory_bytes(packet) == 1000
         assert FULL_DMA.nic_memory_bytes(packet) == 0
-
-    def test_scatter_gather_list(self):
-        sgl = ScatterGatherList()
-        sgl.append(b"head")
-        sgl.extend([b"body1", b"body2"])
-        assert sgl.segment_count == 3
-        assert sgl.total_bytes == 14
-        assert sgl.linearize() == b"headbody1body2"
-
-
-class TestQueues:
-    def test_rx_queue_poll_batching(self):
-        queue = RxQueue(0)
-        for i in range(100):
-            queue.push(build_udp("1.1.1.1", "2.2.2.2", 1, 2))
-        batch = queue.poll(budget=32)
-        assert len(batch) == 32
-        assert len(queue) == 68
-
-    def test_rx_queue_overflow_drops(self):
-        queue = RxQueue(0, capacity=2)
-        packet = build_udp("1.1.1.1", "2.2.2.2", 1, 2)
-        assert queue.push(packet) and queue.push(packet)
-        assert not queue.push(packet)
-        assert queue.dropped == 1
-
-    def test_hairpin_forwards_without_host(self):
-        hairpin = HairpinQueue()
-        packet = build_udp("1.1.1.1", "2.2.2.2", 1, 2)
-        hairpin.push(packet)
-        out = hairpin.drain()
-        assert out == [packet]
-        assert hairpin.forwarded == 1
 
 
 class TestCycleAccount:
